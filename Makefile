@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race chaos short bench bench-compare bench-wal bench-wal-compare bench-workflow bench-workflow-compare bench-contention bench-contention-record load-smoke cluster-smoke workflow-smoke trace-demo sim crash
+.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake chaos short bench bench-compare bench-wal bench-wal-compare bench-workflow bench-workflow-compare bench-contention bench-contention-record load-smoke cluster-smoke workflow-smoke trace-demo sim crash
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
-## mode), race-enabled tests, the deterministic simulation corpus, the
+## mode), race-enabled tests, the concurrent-orchestration flake gate
+## (20 race-enabled repeats), the deterministic simulation corpus, the
 ## exhaustive WAL + workflow-journal crash-point corpora, the benchmark
 ## regression gates (message plane + WAL + workflow + contention), the
 ## open-loop load smoke, and the cluster + workflow orchestration smokes
-ci: build lint-ci race sim crash bench-compare bench-wal-compare bench-workflow-compare bench-contention load-smoke cluster-smoke workflow-smoke
+ci: build lint-ci race flake sim crash bench-compare bench-wal-compare bench-workflow-compare bench-contention load-smoke cluster-smoke workflow-smoke
 
 # Raw benchmark output lands outside the tree: committed artifacts are
 # the BENCH_*.json baselines, never the text dumps.
@@ -54,6 +55,13 @@ short:
 ## race: everything under the race detector
 race:
 	$(GO) test -race ./...
+
+## flake: repeat the concurrent-orchestration test under the race
+## detector — the interleavings it guards (a snapshot between a journal
+## ack and its in-memory apply, a Resume against a finishing driver)
+## show up in a minority of runs, so one pass proves little
+flake:
+	$(GO) test -race -count=20 -run TestConcurrentOrchestration ./internal/workflow
 
 ## chaos: just the fault-injection chaos suite, verbosely
 chaos:

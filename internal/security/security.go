@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,30 +36,36 @@ var ErrDenied = errors.New("security: access denied")
 
 // PBKDF2 derives a key from password and salt using HMAC-SHA256 with the
 // given iteration count (RFC 2898 §5.2).
+//
+// The HMAC is keyed once per derivation. The stdlib HMAC saves the
+// SHA-256 midstates of the ipad and opad blocks at its first Reset and
+// restores them afterwards, so every Reset/Write/Sum round costs the two
+// compressions the RFC cannot avoid (inner and outer digest of one
+// 32-byte block) and allocates nothing.
 func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 	if iterations < 1 || keyLen < 1 {
 		return nil
 	}
-	hashLen := sha256.Size
+	const hashLen = sha256.Size
 	blocks := (keyLen + hashLen - 1) / hashLen
-	out := make([]byte, 0, blocks*hashLen)
-	var block [4]byte
+	out := make([]byte, blocks*hashLen)
+	mac := hmac.New(sha256.New, password)
+	var counter [4]byte
+	var ubuf [hashLen]byte
 	for i := 1; i <= blocks; i++ {
-		binary.BigEndian.PutUint32(block[:], uint32(i))
-		mac := hmac.New(sha256.New, password)
+		binary.BigEndian.PutUint32(counter[:], uint32(i))
+		mac.Reset()
 		mac.Write(salt)
-		mac.Write(block[:])
-		u := mac.Sum(nil)
-		t := append([]byte(nil), u...)
+		mac.Write(counter[:])
+		t := out[(i-1)*hashLen : i*hashLen]
+		u := mac.Sum(ubuf[:0])
+		copy(t, u)
 		for n := 1; n < iterations; n++ {
-			mac = hmac.New(sha256.New, password)
+			mac.Reset()
 			mac.Write(u)
-			u = mac.Sum(nil)
-			for x := range t {
-				t[x] ^= u[x]
-			}
+			u = mac.Sum(u[:0])
+			subtle.XORBytes(t, t, u)
 		}
-		out = append(out, t...)
 	}
 	return out[:keyLen]
 }
@@ -66,9 +73,14 @@ func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 // DefaultIterations is the password-hash work factor.
 const DefaultIterations = 4096
 
+// maxIterations bounds the work factor VerifyPassword accepts from a
+// stored record: the count is input, and an unbounded one lets a single
+// forged record pin a core for minutes.
+const maxIterations = 1 << 24
+
 // HashPassword returns a self-describing "iterations$salt$hash" record.
 func HashPassword(password string) (string, error) {
-	salt := make([]byte, 16)
+	salt := make([]byte, saltSize)
 	if _, err := rand.Read(salt); err != nil {
 		return "", fmt.Errorf("security: entropy: %w", err)
 	}
@@ -85,8 +97,8 @@ func VerifyPassword(password, record string) error {
 	if len(parts) != 3 {
 		return fmt.Errorf("%w: malformed record", ErrAuth)
 	}
-	var iterations int
-	if _, err := fmt.Sscanf(parts[0], "%d", &iterations); err != nil || iterations < 1 {
+	iterations, err := strconv.Atoi(parts[0])
+	if err != nil || iterations < 1 || iterations > maxIterations {
 		return fmt.Errorf("%w: bad iteration count", ErrAuth)
 	}
 	salt, err := base64.RawStdEncoding.DecodeString(parts[1])
@@ -304,28 +316,37 @@ func permissionMatches(granted, requested string) bool {
 	return resOK && actOK
 }
 
-// Encrypt seals plaintext with AES-256-GCM under a key derived from the
-// passphrase; output is base64(salt‖nonce‖ciphertext).
-func Encrypt(passphrase string, plaintext []byte) (string, error) {
-	salt := make([]byte, 16)
-	if _, err := rand.Read(salt); err != nil {
-		return "", err
-	}
+// Layout of an Encrypt blob: salt‖nonce‖ciphertext‖tag, with the
+// standard GCM nonce and tag sizes.
+const (
+	saltSize  = 16
+	nonceSize = 12
+	tagSize   = 16
+)
+
+func newGCM(passphrase string, salt []byte) (cipher.AEAD, error) {
 	key := PBKDF2([]byte(passphrase), salt, DefaultIterations, 32)
 	block, err := aes.NewCipher(key)
 	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
+}
+
+// Encrypt seals plaintext with AES-256-GCM under a key derived from the
+// passphrase; output is base64(salt‖nonce‖ciphertext).
+func Encrypt(passphrase string, plaintext []byte) (string, error) {
+	// One buffer sized for the whole blob: salt and nonce are drawn in
+	// place and gcm.Seal appends the ciphertext behind them.
+	blob := make([]byte, saltSize+nonceSize, saltSize+nonceSize+len(plaintext)+tagSize)
+	if _, err := rand.Read(blob); err != nil {
 		return "", err
 	}
-	gcm, err := cipher.NewGCM(block)
+	gcm, err := newGCM(passphrase, blob[:saltSize])
 	if err != nil {
 		return "", err
 	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return "", err
-	}
-	sealed := gcm.Seal(nil, nonce, plaintext, nil)
-	blob := append(append(salt, nonce...), sealed...)
+	blob = gcm.Seal(blob, blob[saltSize:], plaintext, nil)
 	return base64.StdEncoding.EncodeToString(blob), nil
 }
 
@@ -336,20 +357,14 @@ func Decrypt(passphrase, encoded string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad encoding", ErrAuth)
 	}
-	if len(blob) < 16+12+16 {
+	if len(blob) < saltSize+nonceSize+tagSize {
 		return nil, fmt.Errorf("%w: blob too short", ErrAuth)
 	}
-	salt, rest := blob[:16], blob[16:]
-	key := PBKDF2([]byte(passphrase), salt, DefaultIterations, 32)
-	block, err := aes.NewCipher(key)
+	gcm, err := newGCM(passphrase, blob[:saltSize])
 	if err != nil {
 		return nil, err
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	nonce, ct := rest[:gcm.NonceSize()], rest[gcm.NonceSize():]
+	nonce, ct := blob[saltSize:saltSize+nonceSize], blob[saltSize+nonceSize:]
 	plain, err := gcm.Open(nil, nonce, ct, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decryption failed", ErrAuth)

@@ -2,6 +2,9 @@ package security
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"strings"
@@ -31,6 +34,95 @@ func TestPBKDF2KnownVectors(t *testing.T) {
 	}
 }
 
+// pbkdf2Reference is the kernel this package shipped before PBKDF2 keyed
+// its HMAC once per derivation: a fresh hmac.New on every iteration,
+// straight from RFC 2898 §5.2. It stays as the oracle the fast kernel is
+// checked against.
+func pbkdf2Reference(password, salt []byte, iterations, keyLen int) []byte {
+	hashLen := sha256.Size
+	blocks := (keyLen + hashLen - 1) / hashLen
+	out := make([]byte, 0, blocks*hashLen)
+	var block [4]byte
+	for i := 1; i <= blocks; i++ {
+		binary.BigEndian.PutUint32(block[:], uint32(i))
+		mac := hmac.New(sha256.New, password)
+		mac.Write(salt)
+		mac.Write(block[:])
+		u := mac.Sum(nil)
+		t := append([]byte(nil), u...)
+		for n := 1; n < iterations; n++ {
+			mac = hmac.New(sha256.New, password)
+			mac.Write(u)
+			u = mac.Sum(nil)
+			for x := range t {
+				t[x] ^= u[x]
+			}
+		}
+		out = append(out, t...)
+	}
+	return out[:keyLen]
+}
+
+// TestPBKDF2MatchesReference is the differential property: over
+// passwords on both sides of the 64-byte block (past it HMAC hashes the
+// key first), empty and long salts, and key lengths that need several
+// blocks and a partial last one, the kernel is byte-identical to the
+// reference.
+func TestPBKDF2MatchesReference(t *testing.T) {
+	prop := func(seed []byte, pwLen, saltLen, iters, keyLen uint8) bool {
+		fill := func(n int, tweak byte) []byte {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = tweak + byte(i)
+				if len(seed) > 0 {
+					b[i] ^= seed[i%len(seed)]
+				}
+			}
+			return b
+		}
+		password := fill(int(pwLen)%201, 0x5c)
+		salt := fill(int(saltLen)%101, 0x36)
+		iterations := int(iters)%50 + 1
+		n := int(keyLen)%100 + 1
+		got := PBKDF2(password, salt, iterations, n)
+		want := pbkdf2Reference(password, salt, iterations, n)
+		if !bytes.Equal(got, want) {
+			t.Logf("PBKDF2(pw %d B, salt %d B, %d iterations, %d B) = %x, reference %x",
+				len(password), len(salt), iterations, n, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	// The edges quick may not draw.
+	for _, c := range []struct{ pw, salt, iters, keyLen int }{
+		{0, 0, 1, 1}, {63, 0, 2, 32}, {64, 16, 3, 33}, {65, 100, 50, 100}, {200, 1, 1, 64},
+	} {
+		pw, salt := bytes.Repeat([]byte{0xa5}, c.pw), bytes.Repeat([]byte{0x3c}, c.salt)
+		if got, want := PBKDF2(pw, salt, c.iters, c.keyLen), pbkdf2Reference(pw, salt, c.iters, c.keyLen); !bytes.Equal(got, want) {
+			t.Errorf("PBKDF2(pw %d B, salt %d B, %d iterations, %d B) = %x, reference %x", c.pw, c.salt, c.iters, c.keyLen, got, want)
+		}
+	}
+}
+
+// TestSeedGoldens pins compatibility with data at rest: both values were
+// produced by the per-iteration-hmac.New kernel and must keep working.
+func TestSeedGoldens(t *testing.T) {
+	const (
+		sealed = "QGj32GBCsccnuCtGWyPhQwjbCqEDIPmh97wD2Ts7wo1jmyEjYo5ZbHBmlepqTtphlDsksp1pq4Ne4QDl1LCjFIY1xaQimgFuwF3TgmS9b0bSje+uIivJ"
+		record = "4096$VppxZKdARdKHRBfCHPbNBQ$gU6105A8jHAuO8wS5lyNoWBfpZS0Bw74PLrZKjvO9ms"
+	)
+	plain, err := Decrypt("seed-passphrase", sealed)
+	if err != nil || string(plain) != "sealed by the per-iteration hmac.New kernel" {
+		t.Errorf("Decrypt(seed ciphertext) = %q, %v", plain, err)
+	}
+	if err := VerifyPassword("s3cret-Pass", record); err != nil {
+		t.Errorf("VerifyPassword(seed record): %v", err)
+	}
+}
+
 func TestPBKDF2BadInputs(t *testing.T) {
 	if PBKDF2([]byte("p"), []byte("s"), 0, 32) != nil {
 		t.Error("zero iterations accepted")
@@ -56,7 +148,13 @@ func TestHashVerifyPassword(t *testing.T) {
 	if rec == rec2 {
 		t.Error("same salt reused")
 	}
-	for _, bad := range []string{"", "a$b", "x$!$!", "0$AA$AA"} {
+	tail := rec[strings.Index(rec, "$"):]
+	for _, bad := range []string{"", "a$b", "x$!$!", "0$AA$AA",
+		"4096junk" + tail,   // trailing garbage after a valid count
+		"16777217" + tail,   // one past maxIterations
+		"2000000000" + tail, // minutes of one core if derived
+		"99999999999999999999" + tail,
+	} {
 		if err := VerifyPassword("p", bad); !errors.Is(err, ErrAuth) {
 			t.Errorf("VerifyPassword(%q): %v", bad, err)
 		}

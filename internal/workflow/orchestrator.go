@@ -136,8 +136,35 @@ func (in *Instance) faultCommitted() bool {
 	return false
 }
 
+// claim makes the caller the instance's only driver until release. The
+// terminal check sits under the same lock as the flag: a Resume that
+// read "pending" while another driver was finishing would otherwise run
+// the instance again and journal a second terminal record.
+func (in *Instance) claim() (res Result, claimed bool, err error) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	switch {
+	case terminalStatus(in.status):
+		return Result{ID: in.id, Status: in.status, Err: in.err}, false, nil
+	case in.running:
+		return Result{ID: in.id, Status: StatusPending}, false, fmt.Errorf("workflow: instance %q is already running", in.id)
+	}
+	in.running = true
+	return Result{}, true, nil
+}
+
+func (in *Instance) release() {
+	in.mu.Lock()
+	in.running = false
+	in.mu.Unlock()
+}
+
 func (in *Instance) terminal() bool {
 	s, _ := in.currentStatus()
+	return terminalStatus(s)
+}
+
+func terminalStatus(s string) bool {
 	return s == StatusCompleted || s == StatusCompensated
 }
 
@@ -148,6 +175,13 @@ func (in *Instance) terminal() bool {
 type Orchestrator struct {
 	opts    Options
 	journal *journal
+
+	// commit makes "journal append + apply to instance" atomic with
+	// respect to "collect payload + write snapshot": appenders hold it
+	// shared, maybeSnapshot exclusively. A wal snapshot covers every
+	// record up to its index, so a record acked but not yet applied when
+	// the payload was collected would be compacted away.
+	commit sync.RWMutex
 
 	mu    sync.Mutex
 	defs  map[string]*Workflow
@@ -341,12 +375,13 @@ func (o *Orchestrator) Start(ctx context.Context, id, def string, init map[strin
 		return Result{}, fmt.Errorf("workflow: instance %q already exists", id)
 	}
 	o.mu.Unlock()
-	begin := Record{Inst: id, Kind: recBegin, Def: def, Init: init}
-	if err := o.journal.append(begin); err != nil {
+	inst, err := o.begin(Record{Inst: id, Kind: recBegin, Def: def, Init: init})
+	if err != nil {
 		return Result{ID: id, Status: StatusPending, Err: err.Error()}, err
 	}
-	inst := o.instanceFor(id)
-	inst.addRecord(begin)
+	if res, claimed, err := inst.claim(); !claimed {
+		return res, err
+	}
 	return o.drive(ctx, inst, wf)
 }
 
@@ -359,20 +394,21 @@ func (o *Orchestrator) Resume(ctx context.Context, id string) (Result, error) {
 	if inst == nil {
 		return Result{}, fmt.Errorf("workflow: unknown instance %q", id)
 	}
-	if inst.terminal() {
-		st, errStr := inst.currentStatus()
-		return Result{ID: id, Status: st, Err: errStr}, nil
+	if res, claimed, err := inst.claim(); !claimed {
+		return res, err
 	}
 	inst.mu.Lock()
 	def, resumes := inst.def, inst.resumes
 	inst.mu.Unlock()
 	wf := o.definition(def)
 	if wf == nil {
+		inst.release()
 		return Result{ID: id, Status: StatusPending},
 			fmt.Errorf("workflow: instance %q needs unregistered definition %q", id, def)
 	}
 	rec := Record{Inst: id, Kind: recResume, Incarnation: resumes + 1}
 	if err := o.append(inst, rec); err != nil {
+		inst.release()
 		return Result{ID: id, Status: StatusPending, Err: err.Error()}, err
 	}
 	return o.drive(ctx, inst, wf)
@@ -393,9 +429,25 @@ func (o *Orchestrator) ResumeAll(ctx context.Context) []Result {
 	return out
 }
 
+// begin journals an instance's begin record and, only on ack, creates
+// the instance holding it — under commit like any append, so a snapshot
+// never covers a begin record whose instance it cannot see yet.
+func (o *Orchestrator) begin(r Record) (*Instance, error) {
+	o.commit.RLock()
+	defer o.commit.RUnlock()
+	if err := o.journal.append(r); err != nil {
+		return nil, err
+	}
+	inst := o.instanceFor(r.Inst)
+	inst.addRecord(r)
+	return inst, nil
+}
+
 // append journals a record and, only on ack, applies it to the
 // instance: the in-memory state is exactly the acked journal.
 func (o *Orchestrator) append(inst *Instance, r Record) error {
+	o.commit.RLock()
+	defer o.commit.RUnlock()
 	if err := o.journal.append(r); err != nil {
 		return err
 	}
@@ -403,22 +455,11 @@ func (o *Orchestrator) append(inst *Instance, r Record) error {
 	return nil
 }
 
-// drive runs one instance as far as it can go on this incarnation:
-// forward execution (with replay) unless a fault is already committed,
-// then compensation, then the terminal record.
+// drive runs one claimed instance as far as it can go on this
+// incarnation: forward execution (with replay) unless a fault is already
+// committed, then compensation, then the terminal record.
 func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) (Result, error) {
-	inst.mu.Lock()
-	if inst.running {
-		inst.mu.Unlock()
-		return Result{ID: inst.id, Status: StatusPending}, fmt.Errorf("workflow: instance %q is already running", inst.id)
-	}
-	inst.running = true
-	inst.mu.Unlock()
-	defer func() {
-		inst.mu.Lock()
-		inst.running = false
-		inst.mu.Unlock()
-	}()
+	defer inst.release()
 
 	jr := newJournalRun(o, inst)
 	if !inst.faultCommitted() {
@@ -511,6 +552,11 @@ func (o *Orchestrator) maybeSnapshot() {
 	}
 	if o.journal.appendsSinceSnapshot() < o.opts.SnapshotEvery {
 		return
+	}
+	o.commit.Lock()
+	defer o.commit.Unlock()
+	if o.journal.appendsSinceSnapshot() < o.opts.SnapshotEvery {
+		return // a concurrent finisher snapshotted while this one waited
 	}
 	snap := snapshotState{}
 	for _, id := range o.Instances() {

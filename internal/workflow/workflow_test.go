@@ -113,8 +113,15 @@ func TestParallelFaultCancelsSiblings(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "branch fault") {
 		t.Errorf("err = %v", err)
 	}
-	if !<-slowCancelled {
-		t.Error("sibling branch not cancelled")
+	// Run returns only after every branch reported, so the verdict is
+	// already buffered — unless the fault cancelled the context before
+	// the slow branch was scheduled, and exec never started it.
+	select {
+	case cancelled := <-slowCancelled:
+		if !cancelled {
+			t.Error("sibling branch not cancelled")
+		}
+	default:
 	}
 }
 
