@@ -8,17 +8,16 @@
 // breaker → timeout) is reusable by any client, and every hop of one
 // originating call lands in one trace tree.
 //
-// Outbound HTTP requests are constructed here and nowhere else: NewRequest
-// is the module's sanctioned context→request site (enforced by the
-// soclint tracepropagate rule), so deadline plumbing and trace-header
-// injection can never drift apart across clients again.
+// Outbound HTTP requests are constructed here and nowhere else: NewRequest,
+// Route.NewRequest and Forward (request.go) are the module's sanctioned
+// context→request sites (enforced by the soclint tracepropagate rule), so
+// deadline plumbing and trace-header injection can never drift apart
+// across clients again.
 package callplane
 
 import (
 	"context"
 	"errors"
-	"io"
-	"net/http"
 
 	"soc/internal/telemetry"
 )
@@ -39,6 +38,12 @@ type Invocation struct {
 	// Service and Operation name the call; Name joins them for spans.
 	Service   string
 	Operation string
+	// SpanName, when set, is what Name returns: a binding that already
+	// holds the joined name (a Route's, say) spares the call a concat.
+	SpanName string
+	// Remote is the trace context an inbound hop arrived with; the root
+	// span parents on it when the context carries no active span.
+	Remote telemetry.SpanContext
 	// Binding is the wire protocol ("rest", "soap", "registry", ...).
 	Binding string
 	// Target is the peer base URL for the current attempt. Bindings with a
@@ -55,6 +60,9 @@ type Invocation struct {
 // Name returns "Service.Operation" (or just the operation when the
 // service is anonymous) — the span name of the call.
 func (inv *Invocation) Name() string {
+	if inv.SpanName != "" {
+		return inv.SpanName
+	}
 	if inv.Service == "" {
 		return inv.Operation
 	}
@@ -96,17 +104,4 @@ func Chain(t Transport, interceptors ...Interceptor) Transport {
 		t = interceptors[i](t)
 	}
 	return t
-}
-
-// NewRequest builds an outbound HTTP request bound to ctx (deadline and
-// cancelation) with the active span's trace context stamped into the
-// X-Soc-Trace header. This is the module's one context→request
-// construction site; the soclint tracepropagate rule flags any other.
-func NewRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	telemetry.InjectHTTP(ctx, req.Header)
-	return req, nil
 }

@@ -12,12 +12,19 @@ import (
 
 // WithSpan opens the root client span of the invocation, named
 // Service.Operation, annotated with the binding and — when retries or
-// failover multiplied delivery — the total attempt count. A nil tracer
-// makes this a no-op interceptor.
+// failover multiplied delivery — the total attempt count; it joins the
+// trace of inv.Remote when the context carries no span of its own. A nil
+// tracer makes this a no-op interceptor.
 func WithSpan(t *telemetry.Tracer, kind telemetry.Kind) Interceptor {
 	return func(next Transport) Transport {
 		return TransportFunc(func(ctx context.Context, inv *Invocation) error {
-			sp, ctx := t.StartSpan(ctx, kind, inv.Name())
+			// Parentage as StartSpan resolves it: the context's active span
+			// first, then the remote the inbound hop carried.
+			remote := inv.Remote
+			if telemetry.SpanFromContext(ctx) != nil {
+				remote = telemetry.SpanContext{}
+			}
+			sp, ctx := t.StartSpanRemote(ctx, kind, inv.Name(), remote)
 			if sp != nil {
 				if inv.Binding != "" {
 					sp.Annotate("binding", inv.Binding)

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -410,24 +409,105 @@ func (fd *FrontDoor) shedResponse(w http.ResponseWriter, r *http.Request, why st
 	rest.WriteError(w, r, http.StatusServiceUnavailable, "cluster saturated: %s", why)
 }
 
+// proxyCall is the state of one proxied request, pooled: the invocation
+// whose Do it is, the buffered inbound body, and what the attempts leave
+// behind for the relay and for the next attempt.
+type proxyCall struct {
+	fd   *FrontDoor
+	r    *http.Request
+	inv  callplane.Invocation // inv.Do is bound to this proxyCall once, for its lifetime
+	body *callplane.Buffer    // nil for a bodiless request
+	resp *http.Response
+	// lastFailed is the replica the previous attempt failed on.
+	lastFailed string
+	// lent counts attempt bodies a transport has not closed yet. A local
+	// replica closes before RoundTrip returns; http.Transport may still be
+	// writing one after an early response, or after its attempt failed.
+	lent atomic.Int32
+}
+
+var proxyCallPool = sync.Pool{New: func() any {
+	pc := &proxyCall{}
+	pc.inv.Do = pc.attempt
+	return pc
+}}
+
+// Release is an attempt's transport closing the body it was lent.
+func (pc *proxyCall) Release() { pc.lent.Add(-1) }
+
+// reset clears the call for reuse, keeping the bound Do.
+func (pc *proxyCall) reset() {
+	do := pc.inv.Do
+	*pc = proxyCall{}
+	pc.inv.Do = do
+}
+
+// finish ends the call's use of its pooled state. While a transport still
+// holds an attempt body the buffer it reads from must not be reused, nor
+// the counter it will decrement: both are then left to the collector.
+func (pc *proxyCall) finish() {
+	if pc.lent.Load() != 0 {
+		return
+	}
+	if pc.body != nil {
+		pc.body.Release()
+	}
+	pc.reset()
+	proxyCallPool.Put(pc)
+}
+
+// attempt is one replica exchange: pick, forward, observe.
+func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) error {
+	fd := pc.fd
+	rep, err := fd.pickAcquired(pc.lastFailed)
+	if err != nil {
+		return err
+	}
+	defer rep.release()
+	inv.Target = rep.Name()
+	var body []byte
+	if pc.body != nil {
+		body = pc.body.B
+	}
+	pc.lent.Add(1)
+	req := callplane.Forward(ctx, pc.r, body, pc)
+	t0 := fd.clock.Now()
+	rsp, err := rep.rt.RoundTrip(req)
+	if err != nil {
+		// A fast connection-refused must not make a dead replica
+		// look attractive: penalize the EWMA with at least a
+		// second so picks steer away until the lease reaps it.
+		elapsed := fd.clock.Now().Sub(t0)
+		if elapsed < time.Second {
+			elapsed = time.Second
+		}
+		rep.observe(elapsed, true)
+		pc.lastFailed = rep.Name()
+		return fmt.Errorf("%w: %s: %v", errExchange, rep.Name(), err)
+	}
+	rep.observe(fd.clock.Now().Sub(t0), rsp.StatusCode >= http.StatusInternalServerError)
+	pc.resp = rsp
+	return nil
+}
+
 // proxy admits (or sheds) one arrival and exchanges it with a replica.
 func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
-	ctx := vtime.WithClock(telemetry.ExtractHTTP(r.Context(), r.Header), fd.clock)
+	ctx := vtime.WithClock(r.Context(), fd.clock)
 
+	pc := proxyCallPool.Get().(*proxyCall)
+	defer pc.finish()
 	// Buffer the body once so a failed attempt can be replayed against a
 	// sibling replica.
-	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
-		b, err := io.ReadAll(io.LimitReader(r.Body, fd.maxBody+1))
-		if err != nil {
+		pc.body = callplane.GetBuffer()
+		if err := pc.body.Fill(r.Body, fd.maxBody+1); err != nil {
 			rest.WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		if int64(len(b)) > fd.maxBody {
+		if int64(len(pc.body.B)) > fd.maxBody {
 			rest.WriteError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", fd.maxBody)
 			return
 		}
-		body = b
 	}
 
 	if !fd.admit(ctx) {
@@ -439,51 +519,19 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	fd.admitted.Add(1)
 
 	start := fd.clock.Now()
-	var resp *http.Response
-	var lastFailed string
-	inv := &callplane.Invocation{
-		Service:   "frontdoor",
-		Operation: r.Method + " " + r.URL.Path,
-		Binding:   "proxy",
-		Do: func(ctx context.Context, inv *callplane.Invocation) error {
-			rep, err := fd.pickAcquired(lastFailed)
-			if err != nil {
-				return err
-			}
-			defer rep.release()
-			inv.Target = rep.Name()
-			req := r.Clone(ctx)
-			req.Body = http.NoBody
-			req.ContentLength = 0
-			if body != nil {
-				req.Body = io.NopCloser(bytes.NewReader(body))
-				req.ContentLength = int64(len(body))
-			}
-			t0 := fd.clock.Now()
-			rsp, err := rep.rt.RoundTrip(req)
-			if err != nil {
-				// A fast connection-refused must not make a dead replica
-				// look attractive: penalize the EWMA with at least a
-				// second so picks steer away until the lease reaps it.
-				elapsed := fd.clock.Now().Sub(t0)
-				if elapsed < time.Second {
-					elapsed = time.Second
-				}
-				rep.observe(elapsed, true)
-				lastFailed = rep.Name()
-				return fmt.Errorf("%w: %s: %v", errExchange, rep.Name(), err)
-			}
-			rep.observe(fd.clock.Now().Sub(t0), rsp.StatusCode >= http.StatusInternalServerError)
-			resp = rsp
-			return nil
-		},
-	}
-	err := fd.chain.RoundTrip(ctx, inv)
+	pc.fd, pc.r = fd, r
+	// One string serves as the span name and, past its prefix, as the
+	// operation.
+	name := "frontdoor." + r.Method + " " + r.URL.Path
+	pc.inv.Service, pc.inv.Operation, pc.inv.SpanName = "frontdoor", name[len("frontdoor."):], name
+	pc.inv.Binding = "proxy"
+	pc.inv.Remote, _ = telemetry.FromHTTPHeader(r.Header)
+	err := fd.chain.RoundTrip(ctx, &pc.inv)
 	switch {
 	case err == nil:
 		fd.completed.Add(1)
-		fd.metrics.Record("frontdoor.proxy", fd.clock.Now().Sub(start), resp.StatusCode >= http.StatusInternalServerError)
-		copyResponse(w, resp)
+		fd.metrics.Record("frontdoor.proxy", fd.clock.Now().Sub(start), pc.resp.StatusCode >= http.StatusInternalServerError)
+		copyResponse(w, pc.resp)
 	case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicasSaturated):
 		fd.shedBusy.Add(1)
 		fd.shedResponse(w, r, err.Error())
@@ -588,13 +636,18 @@ func (fd *FrontDoor) twoIndices(n int) (int, int) {
 	return i, j
 }
 
-// copyResponse relays a replica's buffered response to the client.
+// copyResponse relays a replica's buffered response to the client. Header
+// value slices are handed over, not copied, clipped to their length: a
+// replica may have handed over a shared slice itself (a cached entry's),
+// so whoever appends next must reallocate.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer func() { _ = resp.Body.Close() }()
 	h := w.Header()
 	for k, vs := range resp.Header {
-		for _, v := range vs {
-			h.Add(k, v)
+		if cur := h[k]; len(cur) > 0 {
+			h[k] = append(cur, vs...)
+		} else {
+			h[k] = vs[:len(vs):len(vs)]
 		}
 	}
 	w.WriteHeader(resp.StatusCode)

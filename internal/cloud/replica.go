@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
+	"soc/internal/callplane"
 	"soc/internal/telemetry"
 )
 
@@ -171,42 +173,83 @@ func HandlerTransport(h http.Handler) http.RoundTripper {
 type handlerTransport struct{ h http.Handler }
 
 func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	bw := &bufferedWriter{header: make(http.Header), code: http.StatusOK}
-	t.h.ServeHTTP(bw, req)
-	body := bw.buf.Bytes()
-	return &http.Response{
-		Status:        http.StatusText(bw.code),
-		StatusCode:    bw.code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        bw.header,
-		Body:          io.NopCloser(bytes.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}, nil
+	ex := &exchange{code: http.StatusOK, buf: callplane.GetBuffer()}
+	ex.resp.Header = make(http.Header)
+	t.h.ServeHTTP(ex, req)
+	if req.Body != nil {
+		// A RoundTripper always closes the request body; for the client
+		// half that is what returns the body's pooled buffer.
+		_ = req.Body.Close()
+	}
+	ex.resp.Status = statusLine(ex.code)
+	ex.resp.StatusCode = ex.code
+	ex.resp.Proto, ex.resp.ProtoMajor, ex.resp.ProtoMinor = "HTTP/1.1", 1, 1
+	ex.body.Reset(ex.buf.B)
+	ex.resp.Body = ex
+	ex.resp.ContentLength = int64(len(ex.buf.B))
+	ex.resp.Request = req
+	return &ex.resp, nil
 }
 
-// bufferedWriter is the in-memory ResponseWriter behind HandlerTransport.
-type bufferedWriter struct {
-	header http.Header
-	buf    bytes.Buffer
-	code   int
-	wrote  bool
+// exchange is one in-memory exchange in one allocation: the
+// ResponseWriter the handler fills, the Response made of it, and that
+// response's body. The body bytes sit in a pooled buffer that goes back
+// at Body.Close — the response itself is the caller's to keep.
+type exchange struct {
+	resp  http.Response
+	buf   *callplane.Buffer // nil once the body is closed
+	body  bytes.Reader      // over buf.B once the handler has returned
+	code  int
+	wrote bool
 }
 
-func (w *bufferedWriter) Header() http.Header { return w.header }
+func (ex *exchange) Header() http.Header { return ex.resp.Header }
 
-func (w *bufferedWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.code = code
-		w.wrote = true
+func (ex *exchange) WriteHeader(code int) {
+	if !ex.wrote {
+		ex.code = code
+		ex.wrote = true
 	}
 }
 
-func (w *bufferedWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.buf.Write(p)
+func (ex *exchange) Write(p []byte) (int, error) {
+	ex.wrote = true
+	ex.buf.B = append(ex.buf.B, p...)
+	return len(p), nil
+}
+
+func (ex *exchange) Read(p []byte) (int, error) { return ex.body.Read(p) }
+
+// WriteTo lets io.Copy relay the body without a transfer buffer.
+func (ex *exchange) WriteTo(w io.Writer) (int64, error) { return ex.body.WriteTo(w) }
+
+// Close gives the bytes back; what was not read by then reads as EOF.
+func (ex *exchange) Close() error {
+	if ex.buf != nil {
+		ex.body.Reset(nil)
+		ex.buf.Release()
+		ex.buf = nil
+	}
+	return nil
+}
+
+// statusLines holds the Response.Status text ("200 OK") of every code
+// net/http names, so the exchange does not concatenate one per response.
+var statusLines = func() map[int]string {
+	m := make(map[int]string)
+	for code := 100; code < 600; code++ {
+		if text := http.StatusText(code); text != "" {
+			m[code] = strconv.Itoa(code) + " " + text
+		}
+	}
+	return m
+}()
+
+func statusLine(code int) string {
+	if s, ok := statusLines[code]; ok {
+		return s
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
 }
 
 // rebaseTransport rewrites each request onto a remote replica's base URL

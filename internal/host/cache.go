@@ -2,14 +2,14 @@ package host
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
+	"soc/internal/callplane"
 	"soc/internal/respcache"
 	"soc/internal/rest"
 	"soc/internal/soap"
@@ -29,8 +29,9 @@ const maxCacheableBody = 1 << 20
 // plus its canonicalized parameters plus the negotiated response format:
 //
 //   - GET invoke: query parameters (minus "format") sorted by name;
-//   - POST invoke: the JSON body re-marshaled canonically (object keys
-//     sorted), so {"a":1,"b":2} and {"b":2,"a":1} share an entry;
+//   - POST invoke: the JSON body in canonical form (object keys sorted,
+//     numbers in one spelling, no whitespace — see canonicalJSON), so
+//     {"a":1,"b":2} and {"b":2,"a":1.0} share an entry;
 //   - SOAP: the envelope's operation and its parameters sorted by name
 //     (whitespace and parameter order in the envelope don't split keys).
 //
@@ -47,7 +48,9 @@ func (h *Host) UseResponseCache(capacity int, ttl time.Duration) *respcache.Cach
 func (h *Host) cacheMiddleware(c *respcache.Cache) rest.Middleware {
 	return func(next rest.HandlerFunc) rest.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-			key, opKey, ok := h.cacheKey(r, p)
+			k := keyerPool.Get().(*cacheKeyer)
+			defer k.release(r)
+			key, opKey, ok := h.cacheKey(k, r, p)
 			if !ok {
 				next(w, r, p)
 				return
@@ -86,7 +89,7 @@ func (h *Host) cacheMiddleware(c *respcache.Cache) rest.Middleware {
 // is false for anything that must bypass the cache: non-invocation
 // routes, unknown or non-idempotent operations, unparseable bodies,
 // oversized bodies.
-func (h *Host) cacheKey(r *http.Request, p rest.Params) (key, opKey string, ok bool) {
+func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params) (key, opKey string, ok bool) {
 	name := p["name"]
 	if name == "" {
 		return "", "", false
@@ -96,27 +99,26 @@ func (h *Host) cacheKey(r *http.Request, p rest.Params) (key, opKey string, ok b
 		return "", "", false
 	}
 	if opName := p["op"]; opName != "" {
-		return h.invokeKey(r, m, opName)
+		return h.invokeKey(k, r, m, opName)
 	}
 	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/soap") {
-		return h.soapKey(r, m)
+		return h.soapKey(k, r, m)
 	}
 	return "", "", false
 }
 
-func (h *Host) invokeKey(r *http.Request, m *mounted, opName string) (string, string, bool) {
+func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) (string, string, bool) {
 	op, err := m.svc.Operation(opName)
 	if err != nil || !op.Idempotent {
 		return "", "", false
 	}
-	var b strings.Builder
-	b.Grow(len(r.Method) + len(r.URL.RawQuery) + 40)
-	b.WriteString(r.Method)
-	b.WriteByte(0)
-	b.WriteString(rest.Negotiate(r))
-	b.WriteByte(0)
-	b.WriteString(m.metricKey(opName))
-	b.WriteByte(0)
+	b := k.canon.buf[:0]
+	b = append(b, r.Method...)
+	b = append(b, 0)
+	b = append(b, rest.Negotiate(r)...)
+	b = append(b, 0)
+	b = append(b, m.metricKey(opName)...)
+	b = append(b, 0)
 	switch r.Method {
 	case http.MethodGet:
 		// Parse the raw query into sorted pairs directly: building a full
@@ -133,33 +135,29 @@ func (h *Host) invokeKey(r *http.Request, m *mounted, opName string) (string, st
 				continue
 			}
 			prev = kv.k
-			b.WriteString(kv.k)
-			b.WriteByte(1)
-			b.WriteString(kv.v)
-			b.WriteByte(0)
+			b = append(b, kv.k...)
+			b = append(b, 1)
+			b = append(b, kv.v...)
+			b = append(b, 0)
 		}
+		k.canon.buf = b
 	case http.MethodPost:
-		body, ok := swapBody(r)
+		body, ok := k.swapBody(r)
 		if !ok {
 			return "", "", false
 		}
-		var params map[string]any
-		if err := json.Unmarshal(body, &params); err != nil {
+		k.canon.buf = b
+		if !k.canon.canonicalJSON(body) {
 			return "", "", false // let the handler produce the error response
 		}
-		canon, err := json.Marshal(params) // map marshaling sorts keys
-		if err != nil {
-			return "", "", false
-		}
-		b.Write(canon)
 	default:
 		return "", "", false
 	}
-	return b.String(), m.metricKey(opName), true
+	return string(k.canon.buf), m.metricKey(opName), true
 }
 
-func (h *Host) soapKey(r *http.Request, m *mounted) (string, string, bool) {
-	body, ok := swapBody(r)
+func (h *Host) soapKey(k *cacheKeyer, r *http.Request, m *mounted) (string, string, bool) {
+	body, ok := k.swapBody(r)
 	if !ok {
 		return "", "", false
 	}
@@ -188,6 +186,65 @@ func (h *Host) soapKey(r *http.Request, m *mounted) (string, string, bool) {
 	}
 	return b.String(), m.metricKey(msg.Operation), true
 }
+
+// cacheKeyer is the pooled working memory of one request's key
+// derivation: the key under construction (and the canonicaliser's
+// stack), and the request body read to derive it, which it then replays
+// to the inner handler as the request's Body. Its lifetime is the cache
+// middleware's call: release gives everything back.
+type cacheKeyer struct {
+	canon  jsonCanon
+	body   *callplane.Buffer // nil unless swapBody ran
+	replay bytes.Reader      // over body.B
+}
+
+var keyerPool = sync.Pool{New: func() any { return new(cacheKeyer) }}
+
+// swapBody reads the request body (bounded), closes it, and replaces it
+// with the keyer so the inner handler can read the same bytes again.
+func (k *cacheKeyer) swapBody(r *http.Request) ([]byte, bool) {
+	if r.Body == nil {
+		return nil, false
+	}
+	k.body = callplane.GetBuffer()
+	err := k.body.Fill(r.Body, maxCacheableBody+1)
+	_ = r.Body.Close()
+	k.replay.Reset(k.body.B)
+	r.Body = k
+	if err != nil || len(k.body.B) > maxCacheableBody {
+		return nil, false
+	}
+	return k.body.B, true
+}
+
+func (k *cacheKeyer) Read(p []byte) (int, error) { return k.replay.Read(p) }
+
+// Close does nothing: the bytes go back when the middleware returns.
+func (k *cacheKeyer) Close() error { return nil }
+
+// reset empties the keyer, keeping the key buffer's capacity.
+func (k *cacheKeyer) reset() {
+	if k.body != nil {
+		k.body.Release()
+	}
+	k.body = nil
+	k.replay.Reset(nil)
+	k.canon.buf, k.canon.idx = k.canon.buf[:0], k.canon.idx[:0]
+}
+
+// release ends the keyer's use by the request it served.
+func (k *cacheKeyer) release(r *http.Request) {
+	if r.Body == k {
+		r.Body = http.NoBody // the request outlives the keyer
+	}
+	k.reset()
+	if cap(k.canon.buf) <= maxPooledKey {
+		keyerPool.Put(k)
+	}
+}
+
+// maxPooledKey keeps one huge body's key from pinning memory in the pool.
+const maxPooledKey = 64 << 10
 
 // Shared X-Cache header values, assigned by canonical key so the hit
 // path never pays Header.Set's canonicalization or slice allocation.
@@ -247,19 +304,4 @@ func parseQueryPairs(dst []queryPair, raw string) []queryPair {
 		pairs = append(pairs, queryPair{k: k, v: v})
 	}
 	return pairs
-}
-
-// swapBody reads the request body (bounded) and replaces it with an
-// equivalent reader so the inner handler can read it again.
-func swapBody(r *http.Request) ([]byte, bool) {
-	if r.Body == nil {
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCacheableBody+1))
-	_ = r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	if err != nil || len(body) > maxCacheableBody {
-		return nil, false
-	}
-	return body, true
 }

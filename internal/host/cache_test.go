@@ -2,12 +2,15 @@ package host
 
 import (
 	"context"
+	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"soc/internal/core"
@@ -235,5 +238,107 @@ func TestCacheMiddlewareSingleflight(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("stampede of %d identical requests ran the handler %d times, want 1", n, got)
+	}
+}
+
+// canonicalJSONReference is how the keyer canonicalised a POST body
+// before canonicalJSON: unmarshal into a map, marshal it back (map
+// marshalling sorts keys). It stays as the oracle: canonicalJSON must
+// bypass exactly where this fails and write exactly these bytes where it
+// does not — same keys, so the same bodies share a cache entry.
+func canonicalJSONReference(body []byte) ([]byte, bool) {
+	var params map[string]any
+	if err := json.Unmarshal(body, &params); err != nil {
+		return nil, false
+	}
+	canon, err := json.Marshal(params)
+	return canon, err == nil
+}
+
+func TestCanonicalJSONMatchesReference(t *testing.T) {
+	var c jsonCanon
+	canon := func(text string) (string, bool) {
+		c.buf = append(c.buf[:0], "prefix\x00"...) // as invokeKey leaves it
+		ok := c.canonicalJSON([]byte(text))
+		if len(c.idx) != 0 && ok {
+			t.Errorf("%q: member stack not unwound: %d left", text, len(c.idx))
+		}
+		return strings.TrimPrefix(string(c.buf), "prefix\x00"), ok
+	}
+	check := func(text string) bool {
+		want, wantOK := canonicalJSONReference([]byte(text))
+		got, gotOK := canon(text)
+		if wantOK != gotOK {
+			t.Errorf("%q: reference cacheable=%v, canonicalJSON cacheable=%v", text, wantOK, gotOK)
+			return false
+		}
+		if wantOK && got != string(want) {
+			t.Errorf("%q:\n got %s\nwant %s", text, got, want)
+			return false
+		}
+		return true
+	}
+	for _, text := range jsonEdgeTexts {
+		check(text)
+	}
+	prop := func(seed int64) bool {
+		g := jsonGen{rand.New(rand.NewSource(seed))}
+		v := g.object(0)
+		a, b := g.text(v), g.text(v)
+		if !check(a) || !check(b) || !check(g.damage(a)) {
+			return false
+		}
+		// Two spellings of one value — member order, whitespace, number
+		// and escape forms all redrawn — are one key exactly when they were
+		// one key before. (They can differ: two keys that are distinct
+		// invalid UTF-8 both decode to U+FFFD, and the later one wins.)
+		ra, _ := canonicalJSONReference([]byte(a))
+		rb, _ := canonicalJSONReference([]byte(b))
+		ca, _ := canon(a)
+		cb, _ := canon(b)
+		if (ca == cb) != (string(ra) == string(rb)) {
+			t.Errorf("two spellings share a key: %v, under the reference: %v\n%q → %s\n%q → %s", ca == cb, string(ra) == string(rb), a, ca, b, cb)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCacheKeySpellingsShareAnEntry drives the equivalence classes through
+// the middleware itself: spellings of one body hit one entry, a different
+// value misses, and bodies the reference keyer could not parse reach the
+// handler uncached with their bytes intact.
+func TestCacheKeySpellingsShareAnEntry(t *testing.T) {
+	h, pure, _, _ := newCachedHost(t, 64, time.Minute)
+	post := func(body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/services/Calc/invoke/Square", strings.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(w, r)
+		return w
+	}
+	for i, body := range []string{`{"n":12}`, ` { "n" : 12 } `, `{"n":12.0}`, `{"n":1.2e1}`, `{"n":120E-1}`, `{"\u006e":12}`, `{"n":99,"n":12}`} {
+		w := post(body)
+		want := "HIT"
+		if i == 0 {
+			want = "MISS"
+		}
+		if w.Code != 200 || w.Header().Get("X-Cache") != want || !strings.Contains(w.Body.String(), "144") {
+			t.Errorf("%s: %d X-Cache=%q %s, want 200 %s 144", body, w.Code, w.Header().Get("X-Cache"), w.Body, want)
+		}
+	}
+	if w := post(`{"n":13}`); w.Header().Get("X-Cache") != "MISS" || !strings.Contains(w.Body.String(), "169") {
+		t.Errorf("a different value: X-Cache=%q %s", w.Header().Get("X-Cache"), w.Body)
+	}
+	if got := pure.Load(); got != 2 {
+		t.Errorf("handler ran %d times, want 2", got)
+	}
+	for _, body := range []string{`{"n":12`, `[12]`, `{"n":1e999}`} {
+		if w := post(body); w.Code != http.StatusBadRequest || w.Header().Get("X-Cache") != "" {
+			t.Errorf("%s: %d X-Cache=%q, want an uncached 400 from the handler", body, w.Code, w.Header().Get("X-Cache"))
+		}
 	}
 }

@@ -1,13 +1,12 @@
 package host
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"soc/internal/callplane"
@@ -32,16 +31,40 @@ type Client struct {
 	HTTPClient *http.Client
 	// Tracer records client spans; nil uses the process default.
 	Tracer *telemetry.Tracer
+
+	bound atomic.Pointer[binding]
+}
+
+// binding is what the client resolves from its configuration and then
+// keeps: the SOAP binding, and per operation the REST route (parsed URL,
+// span name, shared header slices) and SOAP endpoint, filled on the first
+// call to each. It is valid for the field values it was made from.
+type binding struct {
+	baseURL    string
+	httpClient *http.Client
+	tracer     *telemetry.Tracer
+	soap       soap.Client
+	endpoints  callplane.Records[endpointKey, *endpoint]
+}
+
+type endpointKey struct{ service, op string }
+
+type endpoint struct {
+	rest    *callplane.Route
+	soapURL string
 }
 
 // NewClient returns a client for the given base URL.
 func NewClient(baseURL string) *Client { return &Client{BaseURL: baseURL} }
 
+// defaultHTTPClient serves every Client that has none of its own.
+var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 30 * time.Second}
+	return defaultHTTPClient
 }
 
 func (c *Client) tracer() *telemetry.Tracer {
@@ -51,14 +74,42 @@ func (c *Client) tracer() *telemetry.Tracer {
 	return telemetry.Default()
 }
 
+// binding returns the resolved state for the client's current fields,
+// starting afresh if one of them was reassigned since the last call.
+func (c *Client) binding() *binding {
+	b := c.bound.Load()
+	if b == nil || b.baseURL != c.BaseURL || b.httpClient != c.HTTPClient || b.tracer != c.Tracer {
+		b = &binding{baseURL: c.BaseURL, httpClient: c.HTTPClient, tracer: c.Tracer}
+		b.soap.HTTPClient, b.soap.Tracer = c.HTTPClient, c.Tracer
+		c.bound.Store(b)
+	}
+	return b
+}
+
+func (b *binding) endpoint(service, op string) (*endpoint, error) {
+	return b.endpoints.Get(endpointKey{service, op}, func(k endpointKey) (*endpoint, error) {
+		prefix := b.baseURL + "/services/" + k.service
+		rt, err := callplane.NewRoute(http.MethodPost, prefix+"/invoke/"+k.op, k.service+"."+k.op,
+			"Content-Type", "application/json", "Accept", "application/json")
+		if err != nil {
+			return nil, err
+		}
+		return &endpoint{rest: rt, soapURL: prefix + "/soap"}, nil
+	})
+}
+
 // Call invokes service.op over the REST binding with JSON arguments.
 func (c *Client) Call(ctx context.Context, service, op string, args core.Values) (core.Values, error) {
-	sp, ctx := c.tracer().StartSpan(ctx, telemetry.KindClient, service+"."+op)
+	ep, err := c.binding().endpoint(service, op)
+	if err != nil {
+		return nil, err
+	}
+	sp, ctx := c.tracer().StartSpan(ctx, telemetry.KindClient, ep.rest.Name)
 	if sp != nil {
 		sp.Target = c.BaseURL
 		sp.Annotate("binding", "rest")
 	}
-	out, err := c.call(ctx, service, op, args)
+	out, err := c.exchange(ctx, ep.rest, args)
 	sp.EndErr(err)
 	return out, err
 }
@@ -66,24 +117,36 @@ func (c *Client) Call(ctx context.Context, service, op string, args core.Values)
 // call is the span-free REST exchange; ResilientClient invokes it under
 // its own per-attempt spans so a resilient call doesn't double-record.
 func (c *Client) call(ctx context.Context, service, op string, args core.Values) (core.Values, error) {
-	body, err := json.Marshal(args)
-	if err != nil {
-		return nil, fmt.Errorf("host: encoding args: %w", err)
-	}
-	url := fmt.Sprintf("%s/services/%s/invoke/%s", c.BaseURL, service, op)
-	req, err := callplane.NewRequest(ctx, http.MethodPost, url, bytes.NewReader(body))
+	ep, err := c.binding().endpoint(service, op)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "application/json")
-	resp, err := c.httpClient().Do(req)
+	return c.exchange(ctx, ep.rest, args)
+}
+
+// maxResponse bounds how much of a response the client buffers.
+const maxResponse = 4 << 20
+
+// exchange posts args over the route and decodes the answer. Request and
+// response bytes live in pooled buffers; the returned map and everything
+// in it is fresh and the caller's own.
+func (c *Client) exchange(ctx context.Context, rt *callplane.Route, args core.Values) (core.Values, error) {
+	body := callplane.GetBuffer()
+	var err error
+	if body.B, err = appendJSONObject(body.B, args); err != nil {
+		body.Release()
+		return nil, fmt.Errorf("host: encoding args: %w", err)
+	}
+	// The request owns the body from here: the transport may still be
+	// sending it when Do returns, so it is released at Body.Close.
+	resp, err := c.httpClient().Do(rt.NewRequest(ctx, body))
 	if err != nil {
 		return nil, fmt.Errorf("%w: transport: %v", ErrRemote, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
+	data := callplane.GetBuffer()
+	defer data.Release()
+	if err := data.Fill(resp.Body, maxResponse); err != nil {
 		return nil, fmt.Errorf("%w: reading response: %v", ErrRemote, err)
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -91,33 +154,34 @@ func (c *Client) call(ctx context.Context, service, op string, args core.Values)
 			Detail string `json:"detail"`
 			Title  string `json:"title"`
 		}
-		if json.Unmarshal(data, &prob) == nil && prob.Detail != "" {
+		if json.Unmarshal(data.B, &prob) == nil && prob.Detail != "" {
 			return nil, fmt.Errorf("%w: %s (%d)", ErrRemote, prob.Detail, resp.StatusCode)
 		}
 		return nil, fmt.Errorf("%w: status %d", ErrRemote, resp.StatusCode)
 	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
+	out, err := decodeJSONObject(data.B)
+	if err != nil {
 		return nil, fmt.Errorf("%w: decoding response: %v", ErrRemote, err)
 	}
-	return core.Values(out), nil
+	return out, nil
 }
 
 // CallSOAP invokes service.op over the SOAP binding. Arguments are
 // serialized to their lexical forms; results come back as strings (the
 // caller coerces as needed, as any WSDL-driven client would).
 func (c *Client) CallSOAP(ctx context.Context, service, op, namespace string, args core.Values) (map[string]string, error) {
-	msg := soap.Message{Operation: op, Namespace: namespace, Params: map[string]string{}}
-	for k, v := range args {
-		msg.Params[k] = core.FormatValue(v)
-	}
-	sc := &soap.Client{HTTPClient: c.httpClient(), Tracer: c.Tracer}
-	url := fmt.Sprintf("%s/services/%s/soap", c.BaseURL, service)
-	resp, err := sc.Call(ctx, url, msg)
+	b := c.binding()
+	ep, err := b.endpoint(service, op)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Params, nil
+	var pbuf [8]soap.Param // on the stack for the argument lists services take
+	params := pbuf[:0]
+	for k, v := range args {
+		params = append(params, soap.Param{Name: k, Value: core.FormatValue(v)})
+	}
+	// By name, as the envelope always listed them.
+	return b.soap.CallParams(ctx, ep.soapURL, namespace, op, soap.SortParams(params))
 }
 
 // Describe fetches the WSDL for a service and parses it.

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ErrRoute reports an invalid route registration.
@@ -21,8 +22,21 @@ var ErrRoute = errors.New("rest: invalid route")
 // Params holds path parameters extracted from the matched route pattern.
 type Params map[string]string
 
-// HandlerFunc is a REST handler with extracted path parameters.
+// HandlerFunc is a REST handler with extracted path parameters. The map is
+// the router's, recycled once the handler returns: a handler that keeps
+// parameters past its own return copies them.
 type HandlerFunc func(w http.ResponseWriter, r *http.Request, p Params)
+
+// paramsPool recycles the Params maps of parameterized routes.
+var paramsPool = sync.Pool{New: func() any { return make(Params, 4) }}
+
+func releaseParams(p Params) {
+	if p == nil {
+		return
+	}
+	clear(p)
+	paramsPool.Put(p)
+}
 
 // Middleware wraps a handler with cross-cutting behavior.
 type Middleware func(next HandlerFunc) HandlerFunc
@@ -42,8 +56,6 @@ type route struct {
 	// wrapped is handler with the router's middleware chain precompiled
 	// around it (rebuilt by Use/Handle, not per request).
 	wrapped HandlerFunc
-	// nparams counts {name} segments, sizing the Params map exactly.
-	nparams int
 }
 
 // Router dispatches requests by method and path pattern. Patterns use
@@ -98,15 +110,9 @@ func (rt *Router) Handle(method, pattern string, h HandlerFunc) error {
 			return fmt.Errorf("%w: duplicate %s %s", ErrRoute, method, pattern)
 		}
 	}
-	nparams := 0
-	for _, s := range segs {
-		if s.param != "" {
-			nparams++
-		}
-	}
 	rt.routes = append(rt.routes, route{
 		method: method, segments: segs, handler: h, pattern: pattern,
-		wrapped: rt.compile(h), nparams: nparams,
+		wrapped: rt.compile(h),
 	})
 	return nil
 }
@@ -155,10 +161,10 @@ func parsePattern(pattern string) ([]segment, error) {
 
 // match walks the path against the route's segments in place — no
 // strings.Split. Parameter values are collected in a small stack buffer
-// and the Params map is built only after the whole route matched
-// (exactly sized; static routes get nil, which reads as empty) — a
-// near-miss route that binds a parameter before failing on a later
-// segment costs zero allocations.
+// and the Params map is taken from the pool only after the whole route
+// matched (static routes get nil, which reads as empty) — a near-miss
+// route that binds a parameter before failing on a later segment costs
+// nothing. The caller hands the map to releaseParams when done with it.
 func match(rte *route, path string) (Params, bool) {
 	rest := strings.Trim(path, "/")
 	hasParts := rest != ""
@@ -196,11 +202,7 @@ func match(rte *route, path string) (Params, bool) {
 	if len(vals) == 0 && !matchedWild {
 		return nil, true
 	}
-	size := rte.nparams
-	if matchedWild {
-		size++
-	}
-	p := make(Params, size)
+	p := paramsPool.Get().(Params)
 	i := 0
 	for si := range rte.segments {
 		s := &rte.segments[si]
@@ -233,6 +235,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rte.wrapped(w, r, params)
+		releaseParams(params)
 		return
 	}
 	var allowed []string
@@ -241,7 +244,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if rte.method == r.Method {
 			continue
 		}
-		if _, ok := match(rte, r.URL.Path); ok {
+		if params, ok := match(rte, r.URL.Path); ok {
+			releaseParams(params)
 			allowed = append(allowed, rte.method)
 		}
 	}

@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -141,56 +143,92 @@ func validName(s string) bool {
 	return s[0] != '-' && s[0] != '.' && (s[0] < '0' || s[0] > '9')
 }
 
-// appendMessage renders the envelope into dst in a single pass: values
+// Param is one named parameter or header entry in its lexical form.
+type Param struct{ Name, Value string }
+
+// lists flattens the message for the encoder: header entries sorted by
+// name, parameters in ParamOrder (sorted by name without one). The lists
+// are appended to the buffers the caller passes, stack arrays on the hot
+// paths, so a message of a few entries costs no allocation to order.
+func (m Message) lists(hbuf, pbuf []Param) (header, params []Param, err error) {
+	header = SortParams(appendParams(hbuf, m.Header))
+	if m.ParamOrder == nil {
+		return header, SortParams(appendParams(pbuf, m.Params)), nil
+	}
+	params = pbuf
+	for _, name := range m.ParamOrder {
+		v, ok := m.Params[name]
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: ParamOrder names missing param %q", ErrProtocol, name)
+		}
+		params = append(params, Param{name, v})
+	}
+	return header, params, nil
+}
+
+func appendParams(dst []Param, m map[string]string) []Param {
+	for k, v := range m {
+		dst = append(dst, Param{k, v})
+	}
+	return dst
+}
+
+// SortParams orders a list by name, in place.
+func SortParams(ps []Param) []Param {
+	slices.SortFunc(ps, func(a, b Param) int { return strings.Compare(a.Name, b.Name) })
+	return ps
+}
+
+// appendMessage renders the message's envelope into dst.
+func appendMessage(dst []byte, m Message) ([]byte, error) {
+	var hbuf [4]Param
+	var pbuf [8]Param
+	header, params, err := m.lists(hbuf[:0], pbuf[:0])
+	if err != nil {
+		return dst, err
+	}
+	return appendEnvelope(dst, m.Namespace, m.Operation, header, params)
+}
+
+// appendEnvelope renders an envelope into dst in a single pass: values
 // are escaped directly into the output buffer with no intermediate
 // escape buffer or DOM materialization.
-func appendMessage(dst []byte, m Message) ([]byte, error) {
-	if m.Operation == "" {
+func appendEnvelope(dst []byte, namespace, operation string, header, params []Param) ([]byte, error) {
+	if operation == "" {
 		return dst, fmt.Errorf("%w: empty operation", ErrProtocol)
 	}
-	if !validName(m.Operation) {
-		return dst, fmt.Errorf("%w: invalid operation name %q", ErrProtocol, m.Operation)
+	if !validName(operation) {
+		return dst, fmt.Errorf("%w: invalid operation name %q", ErrProtocol, operation)
 	}
 	dst = append(dst, xmlProlog...)
 	dst = append(dst, `<soap:Envelope xmlns:soap="`...)
 	dst = append(dst, EnvelopeNS...)
 	dst = append(dst, `">`...)
-	if len(m.Header) > 0 {
+	var err error
+	if len(header) > 0 {
 		dst = append(dst, "<soap:Header>"...)
-		for _, name := range sortedKeys(m.Header) {
-			var err error
-			dst, err = appendTextElement(dst, name, m.Header[name])
-			if err != nil {
+		for _, h := range header {
+			if dst, err = appendTextElement(dst, h.Name, h.Value); err != nil {
 				return dst, err
 			}
 		}
 		dst = append(dst, "</soap:Header>"...)
 	}
 	dst = append(dst, "<soap:Body><"...)
-	dst = append(dst, m.Operation...)
-	if m.Namespace != "" {
+	dst = append(dst, operation...)
+	if namespace != "" {
 		dst = append(dst, ` xmlns="`...)
-		dst = xmlkit.EscapeAttrValue(dst, m.Namespace)
+		dst = xmlkit.EscapeAttrValue(dst, namespace)
 		dst = append(dst, '"')
 	}
 	dst = append(dst, '>')
-	order := m.ParamOrder
-	if order == nil {
-		order = sortedKeys(m.Params)
-	}
-	for _, name := range order {
-		v, ok := m.Params[name]
-		if !ok {
-			return dst, fmt.Errorf("%w: ParamOrder names missing param %q", ErrProtocol, name)
-		}
-		var err error
-		dst, err = appendTextElement(dst, name, v)
-		if err != nil {
+	for _, p := range params {
+		if dst, err = appendTextElement(dst, p.Name, p.Value); err != nil {
 			return dst, err
 		}
 	}
 	dst = append(dst, "</"...)
-	dst = append(dst, m.Operation...)
+	dst = append(dst, operation...)
 	dst = append(dst, "></soap:Body></soap:Envelope>"...)
 	return dst, nil
 }
@@ -738,20 +776,30 @@ func writeFault(w http.ResponseWriter, status int, f *Fault) {
 // Client invokes SOAP operations over HTTP — a thin binding over the
 // call plane: trace context rides both the X-Soc-Trace transport header
 // and an in-message SocTrace header entry, so it survives intermediaries
-// that drop either layer.
+// that drop either layer. The zero value is ready to use; a Client must
+// not be copied after its first call.
 type Client struct {
 	// HTTPClient performs the requests; nil uses a client with a 30 s
 	// timeout.
 	HTTPClient *http.Client
 	// Tracer records client spans; nil uses the process default.
 	Tracer *telemetry.Tracer
+
+	// routes holds, per endpoint and operation, what every request to it
+	// shares: the parsed URL and the Content-Type and SOAPAction headers.
+	routes callplane.Records[routeKey, *callplane.Route]
 }
+
+type routeKey struct{ url, namespace, operation string }
+
+// defaultHTTPClient serves every Client that has none of its own.
+var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 30 * time.Second}
+	return defaultHTTPClient
 }
 
 func (c *Client) tracer() *telemetry.Tracer {
@@ -761,55 +809,126 @@ func (c *Client) tracer() *telemetry.Tracer {
 	return telemetry.Default()
 }
 
+func newRoute(k routeKey) (*callplane.Route, error) {
+	action := k.operation
+	if k.namespace != "" {
+		action = k.namespace + "#" + k.operation
+	}
+	return callplane.NewRoute(http.MethodPost, k.url, k.operation,
+		"Content-Type", ContentType, "SOAPAction", `"`+action+`"`)
+}
+
 // Call sends the message to url and decodes the response. SOAP faults are
 // returned as *Fault errors. The context cancels the in-flight HTTP
 // request, not just the wait for it.
 func (c *Client) Call(ctx context.Context, url string, req Message) (Message, error) {
-	sp, ctx := c.tracer().StartSpan(ctx, telemetry.KindClient, req.Operation)
-	if sp != nil {
-		sp.Target = url
-		sp.Annotate("binding", "soap")
-		// Copy-on-write: the caller's header map stays untouched.
-		hdr := make(map[string]string, len(req.Header)+1)
-		for k, v := range req.Header {
-			hdr[k] = v
-		}
-		hdr[telemetry.SOAPHeaderName] = sp.TraceParent()
-		req.Header = hdr
-	}
-	resp, err := c.call(ctx, url, req)
+	sp, ctx := c.startSpan(ctx, url, req.Operation)
+	resp, err := c.call(ctx, sp, url, req)
 	sp.EndErr(err)
 	return resp, err
 }
 
-func (c *Client) call(ctx context.Context, url string, req Message) (Message, error) {
-	bp := getEncBuf()
-	payload, err := appendMessage((*bp)[:0], req)
+func (c *Client) call(ctx context.Context, sp *telemetry.Span, url string, req Message) (Message, error) {
+	var hbuf [4]Param
+	var pbuf [8]Param
+	header, params, err := req.lists(hbuf[:0], pbuf[:0])
 	if err != nil {
-		*bp = payload[:0]
-		putEncBuf(bp)
 		return Message{}, err
 	}
-	httpReq, err := callplane.NewRequest(ctx, http.MethodPost, url, bytes.NewReader(payload))
+	data, err := c.exchange(ctx, sp, url, req.Namespace, req.Operation, header, params)
 	if err != nil {
-		*bp = payload[:0]
-		putEncBuf(bp)
-		return Message{}, fmt.Errorf("soap: building request: %w", err)
+		return Message{}, err
 	}
-	httpReq.Header.Set("Content-Type", ContentType)
-	action := req.Operation
-	if req.Namespace != "" {
-		action = req.Namespace + "#" + req.Operation
-	}
-	httpReq.Header.Set("SOAPAction", `"`+action+`"`)
-	httpResp, err := c.httpClient().Do(httpReq)
-	// Do has fully sent (or abandoned) the request body by the time it
-	// returns, so the payload buffer can go back to the pool here.
-	*bp = payload[:0]
-	putEncBuf(bp)
+	defer data.Release()
+	return DecodeBytes(data.B)
+}
+
+// CallParams is Call for a binding that holds its arguments as a list and
+// wants only the response's parameters: params are sent in the order
+// given, and the returned map is the caller's own.
+func (c *Client) CallParams(ctx context.Context, url, namespace, operation string, params []Param) (map[string]string, error) {
+	sp, ctx := c.startSpan(ctx, url, operation)
+	out, err := c.callParams(ctx, sp, url, namespace, operation, params)
+	sp.EndErr(err)
+	return out, err
+}
+
+func (c *Client) callParams(ctx context.Context, sp *telemetry.Span, url, namespace, operation string, params []Param) (map[string]string, error) {
+	data, err := c.exchange(ctx, sp, url, namespace, operation, nil, params)
 	if err != nil {
-		return Message{}, fmt.Errorf("soap: transport: %w", err)
+		return nil, err
+	}
+	defer data.Release()
+	// Decode as the server does, into a pooled message, and keep only the
+	// parameters: their strings are fresh, the map is sized to them.
+	resp := acquireMessage()
+	defer releaseMessage(resp)
+	if err := decodeInto(resp, data.B); err != nil {
+		return nil, err
+	}
+	out := make(map[string]string, len(resp.Params))
+	for k, v := range resp.Params {
+		out[k] = v
+	}
+	return out, nil
+}
+
+func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemetry.Span, context.Context) {
+	sp, ctx := c.tracer().StartSpan(ctx, telemetry.KindClient, operation)
+	if sp != nil {
+		sp.Target = url
+		sp.Annotate("binding", "soap")
+	}
+	return sp, ctx
+}
+
+// exchange posts one envelope and returns the response body in a pooled
+// buffer, which the caller releases. With a span, its trace context
+// replaces any SocTrace entry among the header entries (sorted by name).
+func (c *Client) exchange(ctx context.Context, sp *telemetry.Span, url, namespace, operation string, header, params []Param) (*callplane.Buffer, error) {
+	var tbuf [4]Param
+	if sp != nil {
+		header = withTrace(tbuf[:0], header, sp.TraceParent())
+	}
+	rt, err := c.routes.Get(routeKey{url, namespace, operation}, newRoute)
+	if err != nil {
+		return nil, fmt.Errorf("soap: building request: %w", err)
+	}
+	body := callplane.GetBuffer()
+	if body.B, err = appendEnvelope(body.B, namespace, operation, header, params); err != nil {
+		body.Release()
+		return nil, err
+	}
+	// The request owns the body from here: the transport may still be
+	// sending it when Do returns, so it is released at Body.Close.
+	httpResp, err := c.httpClient().Do(rt.NewRequest(ctx, body))
+	if err != nil {
+		return nil, fmt.Errorf("soap: transport: %w", err)
 	}
 	defer httpResp.Body.Close()
-	return Decode(httpResp.Body)
+	data := callplane.GetBuffer()
+	if err := data.Fill(httpResp.Body, math.MaxInt64); err != nil {
+		data.Release()
+		return nil, fmt.Errorf("%w: reading envelope: %v", ErrProtocol, err)
+	}
+	return data, nil
+}
+
+// withTrace appends header to out with the SocTrace entry set to
+// traceParent, keeping the order by name; header itself is not written to.
+func withTrace(out, header []Param, traceParent string) []Param {
+	placed := false
+	for _, h := range header {
+		if !placed && h.Name >= telemetry.SOAPHeaderName {
+			out = append(out, Param{telemetry.SOAPHeaderName, traceParent})
+			placed = true
+		}
+		if h.Name != telemetry.SOAPHeaderName {
+			out = append(out, h)
+		}
+	}
+	if !placed {
+		out = append(out, Param{telemetry.SOAPHeaderName, traceParent})
+	}
+	return out
 }

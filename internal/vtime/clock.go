@@ -160,6 +160,11 @@ type (
 // consults ClockFrom — retry backoffs, fault latencies, cache TTLs —
 // runs on it.
 func WithClock(ctx context.Context, c Clock) context.Context {
+	if _, wall := c.(Real); wall {
+		if _, carried := ctx.Value(clockKey{}).(Clock); !carried {
+			return ctx // a context without a clock already reads as the wall clock
+		}
+	}
 	return context.WithValue(ctx, clockKey{}, c)
 }
 
