@@ -1,18 +1,14 @@
 GO ?= go
 
-.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake chaos short bench bench-compare bench-wal bench-wal-compare bench-workflow bench-workflow-compare bench-contention bench-contention-record load-smoke cluster-smoke workflow-smoke trace-demo sim crash
+.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake chaos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
 ## mode), race-enabled tests, the concurrent-orchestration flake gate
 ## (20 race-enabled repeats), the deterministic simulation corpus, the
-## exhaustive WAL + workflow-journal crash-point corpora, the benchmark
-## regression gates (message plane + WAL + workflow + contention), the
-## open-loop load smoke, and the cluster + workflow orchestration smokes
-ci: build lint-ci race flake sim crash bench-compare bench-wal-compare bench-workflow-compare bench-contention load-smoke cluster-smoke workflow-smoke
-
-# Raw benchmark output lands outside the tree: committed artifacts are
-# the BENCH_*.json baselines, never the text dumps.
-BENCH_OUT_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/soc-bench
+## exhaustive WAL + workflow-journal crash-point corpora, the end-to-end
+## performance check, the open-loop load smoke, and the cluster +
+## workflow orchestration smokes
+ci: build lint-ci race flake sim crash perf load-smoke cluster-smoke workflow-smoke
 
 build:
 	$(GO) build ./...
@@ -100,86 +96,17 @@ crash:
 trace-demo:
 	$(GO) run ./examples/tracedemo
 
-# Stable settings for the gated message-plane benchmarks: fixed iteration
-# count (comparable ns/op and deterministic allocs/op) and three runs so
-# benchdiff can take medians.
-BENCHFLAGS := -run '^$$' -bench BenchmarkMessagePlane -benchmem -benchtime 1000x -count 3
-
-## bench: run the hot-path message-plane benchmarks and record them as
-## the committed baseline artifact BENCH_messageplane.json
-bench:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(BENCHFLAGS) . | tee $(BENCH_OUT_DIR)/bench.out
-	$(GO) run ./cmd/benchdiff -new $(BENCH_OUT_DIR)/bench.out -gate none -json BENCH_messageplane.json
-
-## bench-compare: rerun the message-plane benchmarks and fail if
-## allocs/op regressed >10% against the recorded baseline (time is
-## reported but not gated: CI machines are noisy, allocation counts
-## are deterministic)
-bench-compare:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(BENCHFLAGS) . | tee $(BENCH_OUT_DIR)/bench.out
-	$(GO) run ./cmd/benchdiff -against BENCH_messageplane.json -new $(BENCH_OUT_DIR)/bench.out -gate allocs -threshold 10
-
-WAL_BENCHFLAGS := -run '^$$' -bench BenchmarkWAL -benchmem -benchtime 1000x -count 3
-
-## bench-wal: run the WAL append/recover benchmarks (over the
-## deterministic in-memory disk, so allocation counts are exact) and
-## record them as the committed baseline artifact BENCH_wal.json
-bench-wal:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(WAL_BENCHFLAGS) ./internal/wal | tee $(BENCH_OUT_DIR)/bench-wal.out
-	$(GO) run ./cmd/benchdiff -new $(BENCH_OUT_DIR)/bench-wal.out -gate none -json BENCH_wal.json
-
-## bench-wal-compare: rerun the WAL benchmarks and fail if allocs/op
-## regressed >10% against the recorded baseline — the append path is
-## zero-allocation and must stay that way
-bench-wal-compare:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(WAL_BENCHFLAGS) ./internal/wal | tee $(BENCH_OUT_DIR)/bench-wal.out
-	$(GO) run ./cmd/benchdiff -against BENCH_wal.json -new $(BENCH_OUT_DIR)/bench-wal.out -gate allocs -threshold 10
-
-WF_BENCHFLAGS := -run '^$$' -bench BenchmarkWorkflow -benchmem -benchtime 1000x -count 3
-
-## bench-workflow: run the workflow journal-append and instance-complete
-## benchmarks (over the deterministic in-memory disk, so allocation
-## counts are exact) and record them as the committed baseline artifact
-## BENCH_workflow.json
-bench-workflow:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(WF_BENCHFLAGS) ./internal/workflow | tee $(BENCH_OUT_DIR)/bench-workflow.out
-	$(GO) run ./cmd/benchdiff -new $(BENCH_OUT_DIR)/bench-workflow.out -gate none -json BENCH_workflow.json
-
-## bench-workflow-compare: rerun the workflow benchmarks and fail if
-## allocs/op regressed >10% against the recorded baseline — the journal
-## append rides the orchestrator's hottest path
-bench-workflow-compare:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(WF_BENCHFLAGS) ./internal/workflow | tee $(BENCH_OUT_DIR)/bench-workflow.out
-	$(GO) run ./cmd/benchdiff -against BENCH_workflow.json -new $(BENCH_OUT_DIR)/bench-workflow.out -gate allocs -threshold 10
-
-# Contention suite settings: fixed iteration count for deterministic
-# allocs/op, three runs for medians. 50 iterations keeps the saturated
-# variants (NumCPU x 128 goroutines, each running b.N times) inside a
-# CI-friendly wall clock.
-CONTENTION_BENCHFLAGS := -run '^$$' -bench BenchmarkContention -benchmem -benchtime 50x -count 3
-
-## bench-contention: rerun the low/high-concurrency contention suite and
-## gate against the committed BENCH_contention.json baseline — allocs/op
-## per benchmark at 10%, plus each family's parallel-contention ratio
-## (parallel ns / serial ns), the dimension that catches a reintroduced
-## global lock without flaking on oversubscribed wall-time noise
-bench-contention:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(CONTENTION_BENCHFLAGS) . | tee $(BENCH_OUT_DIR)/bench-contention.out
-	$(GO) run ./cmd/benchdiff -against BENCH_contention.json -new $(BENCH_OUT_DIR)/bench-contention.out -gate contention -threshold 10
-
-## bench-contention-record: re-record the contention baseline artifact
-## (run on a quiet machine; commit the result)
-bench-contention-record:
-	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) test $(CONTENTION_BENCHFLAGS) . | tee $(BENCH_OUT_DIR)/bench-contention.out
-	$(GO) run ./cmd/benchdiff -new $(BENCH_OUT_DIR)/bench-contention.out -gate none -json BENCH_contention.json
+## perf: both levels of the performance check. Per-function allocation
+## budgets are the AllocsPerRun ceilings in each package's alloc_test.go
+## (built without the race detector, so `race` skips them). End to end
+## it is the repository's one benchmark (bench/, BENCHMARK.json) on its
+## two gated workloads, in both modes, 5 s each: it fails on a wrong
+## answer, a failed operation or a per-layer budget that does not
+## reconcile with the end-to-end figure
+perf:
+	$(GO) test -count 1 -run AllocCeiling ./internal/...
+	$(GO) run ./bench -workload dispatch-light -seconds 5
+	$(GO) run ./bench -workload crypto-heavy -seconds 5
 
 ## load-smoke: deterministic open-loop load check — a virtual-clock
 ## socload run with an injected 100ms server stall must still offer the

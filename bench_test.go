@@ -6,7 +6,6 @@
 package soc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
-	"time"
 
 	"soc/internal/cloud"
 	"soc/internal/collatz"
@@ -30,7 +28,6 @@ import (
 	"soc/internal/robot"
 	"soc/internal/services"
 	"soc/internal/session"
-	"soc/internal/soap"
 	"soc/internal/vtime"
 	"soc/internal/workflow"
 )
@@ -374,152 +371,6 @@ func BenchmarkCloudScale(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkMessagePlane is the hot-path suite gated by cmd/benchdiff: the
-// SOAP codec, host dispatch, and an end-to-end echo round trip. Run it
-// with `make bench`; compare runs with `make bench-compare`.
-func BenchmarkMessagePlane(b *testing.B) {
-	echo, err := core.NewService("Echo", "http://soc.example/echo", "echo")
-	if err != nil {
-		b.Fatal(err)
-	}
-	echo.MustAddOperation(core.Operation{
-		Name:   "Echo",
-		Input:  []core.Param{{Name: "text", Type: core.String}},
-		Output: []core.Param{{Name: "echo", Type: core.String}},
-		Handler: func(_ context.Context, in core.Values) (core.Values, error) {
-			return core.Values{"echo": in.Str("text")}, nil
-		},
-	})
-	h := host.New()
-	h.MustMount(echo)
-
-	msg := soap.Message{
-		Operation:  "Echo",
-		Namespace:  "http://soc.example/echo",
-		Params:     map[string]string{"text": "the quick <brown> fox & friends"},
-		ParamOrder: []string{"text"},
-	}
-	encoded, err := soap.Encode(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("soap-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := soap.Encode(msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("soap-decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := soap.Decode(bytes.NewReader(encoded))
-			if err != nil || m.Operation != "Echo" {
-				b.Fatalf("%v %v", m, err)
-			}
-		}
-	})
-	b.Run("dispatch", func(b *testing.B) {
-		// In-process dispatch of the SOAP binding: router match + decode +
-		// invoke + encode, no network.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/services/Echo/soap", bytes.NewReader(encoded))
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				b.Fatalf("status %d: %s", w.Code, w.Body.String())
-			}
-		}
-	})
-	b.Run("soap-echo-e2e", func(b *testing.B) {
-		server := httptest.NewServer(h)
-		defer server.Close()
-		client := host.NewClient(server.URL)
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, err := client.CallSOAP(ctx, "Echo", "Echo", "http://soc.example/echo", core.Values{"text": "ping"})
-			if err != nil || out["echo"] != "ping" {
-				b.Fatalf("%v %v", out, err)
-			}
-		}
-	})
-	// Cached vs uncached invocation of an idempotent operation with real
-	// work (AES-GCM decryption under a passphrase-derived key). The cached
-	// host answers repeats from the idempotent-response cache.
-	encSvc, err := services.NewEncryption()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sealed, err := encSvc.Invoke(context.Background(), "Encrypt", core.Values{
-		"passphrase": "correct horse battery", "plaintext": "the quick brown fox",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	decryptURL := "/services/Encryption/invoke/Decrypt?" + url.Values{
-		"passphrase": {"correct horse battery"},
-		"ciphertext": {sealed.Str("ciphertext")},
-	}.Encode()
-	invoke := func(b *testing.B, h *host.Host) {
-		b.Helper()
-		req := httptest.NewRequest(http.MethodGet, decryptURL, nil)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-	}
-	b.Run("invoke-uncached", func(b *testing.B) {
-		h := host.New()
-		h.MustMount(encSvc)
-		invoke(b, h) // warm pools
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			invoke(b, h)
-		}
-	})
-	b.Run("invoke-cached", func(b *testing.B) {
-		h := host.New()
-		h.MustMount(encSvc)
-		h.UseResponseCache(128, time.Minute)
-		invoke(b, h) // warm pools and fill the cache
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			invoke(b, h)
-		}
-	})
-
-	b.Run("registry-lookup", func(b *testing.B) {
-		reg := registry.New()
-		for i := 0; i < 500; i++ {
-			err := reg.Publish(registry.Entry{
-				Name:       fmt.Sprintf("Service%d", i),
-				Doc:        fmt.Sprintf("sample service number %d for keyword testing", i),
-				Endpoint:   "http://example/svc",
-				Category:   "testing",
-				Operations: []string{"GetQuote", "PlaceOrder"},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := reg.Search("sample keyword service", 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkRegistrySearch measures broker keyword search as the directory

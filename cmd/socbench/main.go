@@ -6,7 +6,7 @@
 //	socbench -list
 //
 // Experiments: fig1 fig2 fig3 fig4 table4 table5 acm crawl bindings
-// workflow state cloud dependability msgplane.
+// workflow state cloud dependability.
 package main
 
 import (
@@ -61,8 +61,6 @@ func catalog() []experiment {
 			func(context.Context, string) (string, error) { return experiments.CloudScale() }},
 		{"dependability", "fault injection with breaker + failover (A6)",
 			func(context.Context, string) (string, error) { return experiments.Dependability() }},
-		{"msgplane", "hot-path message plane: codec + response cache (A7)",
-			func(context.Context, string) (string, error) { return experiments.MessagePlane(0) }},
 	}
 }
 

@@ -353,7 +353,7 @@ func (h *Host) Draining() bool { return h.draining.Load() }
 // whenever it can answer at all (a dead host can't) — unless it is
 // draining, which probes see as 503 so no new traffic arrives.
 func (h *Host) handleHealthz(w http.ResponseWriter, r *http.Request, _ rest.Params) {
-	stats := h.Stats()
+	stats := h.instr.Snapshot()
 	mounts := *h.mounts.Load()
 	report := healthReport{Status: "ok", Services: make(map[string]serviceHealth, len(mounts))}
 	status := http.StatusOK
@@ -392,7 +392,7 @@ func (h *Host) handleStats(w http.ResponseWriter, r *http.Request, p rest.Params
 		return
 	}
 	svc := m.svc
-	all := h.Stats()
+	all := h.instr.Snapshot()
 	out := []statsEntry{}
 	for _, op := range svc.Operations() {
 		if st, ok := all[m.metricKey(op.Name)]; ok {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"soc/internal/core"
 )
@@ -29,7 +28,7 @@ func TestHostMetricsRecordBothBindings(t *testing.T) {
 	// One failing call (division by zero).
 	_, _ = c.Call(ctx, "Calc", "Div", core.Values{"a": 1, "b": 0})
 
-	stats := h.Stats()
+	stats := h.instr.Snapshot()
 	add := stats["Calc.Add"]
 	if add.Calls != 4 || add.Errors != 0 {
 		t.Errorf("Add stats = %+v", add)
@@ -41,7 +40,7 @@ func TestHostMetricsRecordBothBindings(t *testing.T) {
 	if add.MeanTime() < 0 || add.TotalTime <= 0 {
 		t.Errorf("Add timing = %+v", add)
 	}
-	keys := h.StatKeys()
+	keys := h.instr.Keys()
 	if len(keys) != 2 || keys[0] != "Calc.Add" || keys[1] != "Calc.Div" {
 		t.Errorf("keys = %v", keys)
 	}
@@ -86,16 +85,5 @@ func TestStatsEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 404 {
 		t.Errorf("ghost stats = %d", resp2.StatusCode)
-	}
-}
-
-func TestOpStatsZero(t *testing.T) {
-	var s OpStats
-	if s.MeanTime() != 0 {
-		t.Error("zero stats mean nonzero")
-	}
-	s = OpStats{Calls: 2, TotalTime: 10 * time.Millisecond}
-	if s.MeanTime() != 5*time.Millisecond {
-		t.Errorf("mean = %v", s.MeanTime())
 	}
 }

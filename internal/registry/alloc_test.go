@@ -37,7 +37,8 @@ func TestSearchAllocCeiling(t *testing.T) {
 	})
 	// Budget: the scores map, the match slice (50 entries match), and
 	// sort machinery — but nothing proportional to corpus tokenization.
-	if allocs > 75 {
-		t.Errorf("Search allocates %.1f/op, ceiling 75", allocs)
+	// Measured 12, given 10 %.
+	if allocs > 13 {
+		t.Errorf("Search allocates %.1f/op, ceiling 13", allocs)
 	}
 }
