@@ -3,11 +3,11 @@ GO ?= go
 .PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake chaos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
-## mode), race-enabled tests, the concurrent-orchestration flake gate
-## (20 race-enabled repeats), the deterministic simulation corpus, the
-## exhaustive WAL + workflow-journal crash-point corpora, the end-to-end
-## performance check, the open-loop load smoke, and the cluster +
-## workflow orchestration smokes
+## mode), race-enabled tests, the flake gate (concurrent orchestration
+## and call-plane deadlines, 20 race-enabled repeats), the deterministic
+## simulation corpus, the exhaustive WAL + workflow-journal crash-point
+## corpora, the end-to-end performance check, the open-loop load smoke,
+## and the cluster + workflow orchestration smokes
 ci: build lint-ci race flake sim crash perf load-smoke cluster-smoke workflow-smoke
 
 build:
@@ -19,8 +19,9 @@ vet:
 ## lint: the static-analysis gate — go vet plus the repo's own soclint
 ## analyzers (contract drift, context propagation, body closing, lock
 ## discipline and ordering, goroutine-leak and atomic-access discipline,
-## client timeouts, error discards, pool reset discipline). Test files
-## are analyzed too; soclint prints its wall-clock cost on stderr.
+## client timeouts, the one exchange path, error discards, pool reset
+## discipline). Test files are analyzed too; soclint prints its
+## wall-clock cost on stderr.
 lint: vet soclint
 
 ## lint-ci: the same gate with soclint emitting one JSON object per
@@ -55,9 +56,12 @@ race:
 ## flake: repeat the concurrent-orchestration test under the race
 ## detector — the interleavings it guards (a snapshot between a journal
 ## ack and its in-memory apply, a Resume against a finishing driver)
-## show up in a minority of runs, so one pass proves little
+## show up in a minority of runs, so one pass proves little — and the
+## call plane's deadline tests, whose timer races a blocked transport, a
+## stalled body and the caller's Close
 flake:
 	$(GO) test -race -count=20 -run TestConcurrentOrchestration ./internal/workflow
+	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane
 
 ## chaos: just the fault-injection chaos suite, verbosely
 chaos:

@@ -4,8 +4,11 @@ package callplane
 
 import (
 	"context"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"soc/internal/telemetry"
 )
@@ -42,5 +45,43 @@ func TestRequestConstructorAllocCeilings(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("Forward allocates %.1f/op, ceiling 1", allocs)
+	}
+}
+
+// Do adds nothing to a request without a Timeout. With one it adds the
+// deadline context — context.WithDeadline's own four: the context, its
+// timer, and a closure each for the timer and the cancel func — and the
+// guard that releases it when the response body is done with; the request
+// is rebound in place, not copied. http.Client.Do spent 3 and 26 on the
+// same two exchanges, and started a goroutine for the second.
+func TestDoAllocCeilings(t *testing.T) {
+	rt, err := NewRoute(http.MethodPost, "http://example/services/S/invoke/Op", "S.Op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.NopCloser(strings.NewReader(""))
+	transport := roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Body: body}, nil
+	})
+	for _, tc := range []struct {
+		timeout time.Duration
+		ceiling float64
+	}{{0, 0}, {30 * time.Second, 5}} {
+		hc := &http.Client{Transport: transport, Timeout: tc.timeout}
+		var req *http.Request
+		build := func() { req = rt.NewRequest(context.Background(), nil) }
+		building := testing.AllocsPerRun(200, build)
+		allocs := testing.AllocsPerRun(200, func() {
+			build()
+			got, err := Do(hc, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = got.Body.Close()
+		})
+		// -1: the transport's response.
+		if own := allocs - building - 1; own > tc.ceiling {
+			t.Errorf("Do with Timeout %v allocates %.1f/op, ceiling %.0f", tc.timeout, own, tc.ceiling)
+		}
 	}
 }

@@ -55,8 +55,10 @@ func NewLocalReplica(name string, h http.Handler, maxInFlight int) *Replica {
 	return NewReplica(name, HandlerTransport(h), maxInFlight)
 }
 
-// NewHTTPReplica builds a replica proxying to a remote base URL. A nil
-// client gets a 30s-timeout default.
+// NewHTTPReplica builds a replica proxying to a remote base URL. client
+// supplies the Transport and the Timeout of every exchange (callplane.Do:
+// redirects are relayed, not followed, and Jar and CheckRedirect are not
+// consulted); nil gets a 30s-timeout default.
 func NewHTTPReplica(name, baseURL string, client *http.Client, maxInFlight int) (*Replica, error) {
 	base, err := url.Parse(baseURL)
 	if err != nil {
@@ -267,5 +269,5 @@ func (t rebaseTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	// Incoming server requests carry RequestURI; outbound client requests
 	// must not.
 	out.RequestURI = ""
-	return t.client.Do(out)
+	return callplane.Do(t.client, out)
 }

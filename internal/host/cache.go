@@ -14,6 +14,7 @@ import (
 	"soc/internal/rest"
 	"soc/internal/soap"
 	"soc/internal/telemetry"
+	"soc/internal/xmlkit"
 )
 
 // maxCacheableBody bounds how much of a request body the cache keyer will
@@ -108,8 +109,7 @@ func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params) (key, opK
 }
 
 func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) (string, string, bool) {
-	op, err := m.svc.Operation(opName)
-	if err != nil || !op.Idempotent {
+	if !m.idempotent[opName] {
 		return "", "", false
 	}
 	b := k.canon.buf[:0]
@@ -161,12 +161,14 @@ func (h *Host) soapKey(k *cacheKeyer, r *http.Request, m *mounted) (string, stri
 	if !ok {
 		return "", "", false
 	}
-	msg, err := soap.DecodeBytes(body)
-	if err != nil {
+	// Only an idempotent operation pays for a decoded message: the
+	// operation's name is learnt without one. The decoded name is checked
+	// again, so what is cached never rests on the two scans agreeing.
+	if !m.idempotent[string(soapOperation(body))] {
 		return "", "", false
 	}
-	op, err := m.svc.Operation(msg.Operation)
-	if err != nil || !op.Idempotent {
+	msg, err := soap.DecodeBytes(body)
+	if err != nil || !m.idempotent[msg.Operation] {
 		return "", "", false
 	}
 	var b strings.Builder
@@ -185,6 +187,41 @@ func (h *Host) soapKey(k *cacheKeyer, r *http.Request, m *mounted) (string, stri
 		b.WriteByte(0)
 	}
 	return b.String(), m.metricKey(msg.Operation), true
+}
+
+// soapOperation returns the local name of the first child element of the
+// envelope's Body — the operation soap.DecodeBytes reports for a message
+// it accepts — and stops at that start tag. It returns nil where there is
+// none to find, which DecodeBytes rejects too. The name aliases body.
+func soapOperation(body []byte) []byte {
+	s := xmlkit.AcquireScanner(body)
+	defer xmlkit.ReleaseScanner(s)
+	inBody := false
+	for {
+		kind, err := s.Next()
+		switch {
+		case err != nil || kind == xmlkit.NoToken:
+			return nil
+		case kind == xmlkit.EndToken && inBody:
+			return nil // an empty Body
+		case kind != xmlkit.StartToken:
+		case inBody:
+			return s.LocalName()
+		case s.Depth() == 1:
+			if string(s.LocalName()) != "Envelope" {
+				return nil
+			}
+		case string(s.LocalName()) == "Body":
+			inBody = true
+		default:
+			// A Header or a foreign sibling of Body: skip its subtree.
+			for depth := s.Depth() - 1; s.Depth() > depth; {
+				if kind, err := s.Next(); err != nil || kind == xmlkit.NoToken {
+					return nil
+				}
+			}
+		}
+	}
 }
 
 // cacheKeyer is the pooled working memory of one request's key

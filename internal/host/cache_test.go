@@ -191,6 +191,82 @@ func TestCacheMiddlewareSOAP(t *testing.T) {
 	}
 }
 
+// A non-idempotent SOAP call is turned away on its operation's name: it
+// never looks the cache up, let alone fills it.
+func TestCacheMiddlewareSOAPNonIdempotentBypass(t *testing.T) {
+	h, _, mut, c := newCachedHost(t, 8, time.Minute)
+	env, err := soap.Encode(soap.Message{Operation: "Bump", Params: map[string]string{"n": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/services/Calc/soap", strings.NewReader(string(env))))
+		if w.Code != 200 || w.Header().Get("X-Cache") != "" {
+			t.Fatalf("call %d: status %d, X-Cache %q: %s", i, w.Code, w.Header().Get("X-Cache"), w.Body)
+		}
+		if n := mut.Load(); n != int64(i) {
+			t.Fatalf("handler ran %d times after %d calls", n, i)
+		}
+	}
+	stats := c.(interface {
+		Stats() (hits, misses uint64)
+		Len() int
+	})
+	if hits, misses := stats.Stats(); hits != 0 || misses != 0 || stats.Len() != 0 {
+		t.Errorf("the cache saw %d hits, %d misses and holds %d entries; want none of each", hits, misses, stats.Len())
+	}
+}
+
+// soapOperation names the operation soap.DecodeBytes finds, for every
+// envelope DecodeBytes takes — so a cacheable request keeps its key — and
+// finds none in envelopes that have none to find.
+func TestSOAPOperationMatchesDecode(t *testing.T) {
+	const ns = `xmlns:s="http://schemas.xmlsoap.org/soap/envelope/"`
+	encoded, err := soap.Encode(soap.Message{
+		Operation: "Square", Namespace: "http://soc.example/calc",
+		Header: map[string]string{"SocTrace": "00-ab-cd-01"}, Params: map[string]string{"n": "6"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, refused := 0, 0
+	for _, env := range []string{
+		string(encoded),
+		`<s:Envelope ` + ns + `><s:Body><Square><n>6</n></Square></s:Body></s:Envelope>`,
+		`<?xml version="1.0"?><!-- c --><Envelope> <Header><Body><Wrong/></Body></Header> <Other><Body><Wrong/></Body></Other>
+			<Body> text <!-- c --> <c:Square xmlns:c="urn:c"/> </Body></Envelope>`,
+		`<Envelope><Header/><Body><Square/></Body></Envelope>`,
+		`<Envelope><Body><Body><Square/></Body></Body></Envelope>`,
+		`<Envelope><Body><Square/><Bump/></Body></Envelope>`, // two children: refused, whatever the first is
+		`<Envelope><Body><Fault><faultcode>Client</faultcode></Fault></Body></Envelope>`,
+		`<Envelope><Body></Body></Envelope>`,
+		`<Envelope><Body/></Envelope>`,
+		`<Envelope><Header><Square/></Header></Envelope>`,
+		`<Envelope></Envelope>`,
+		`<Body><Square/></Body>`,
+		`<Envelope><Body><Square>`,
+		`<Envelope><Header><a></Header><Body><Square/></Body></Envelope>`,
+		`<Envelope><Body><Square></Bump></Body></Envelope>`,
+		``, `not xml`, `<`,
+	} {
+		got := string(soapOperation([]byte(env)))
+		msg, err := soap.DecodeBytes([]byte(env))
+		switch {
+		case err == nil && got != msg.Operation:
+			t.Errorf("%s:\n soapOperation = %q, DecodeBytes found %q", env, got, msg.Operation)
+		case err == nil:
+			accepted++
+		case got == "":
+			refused++
+		}
+	}
+	// The corpus must reach both answers, or the loop above proves nothing.
+	if accepted < 5 || refused < 8 {
+		t.Errorf("corpus: %d envelopes accepted, %d found without an operation", accepted, refused)
+	}
+}
+
 func TestCacheMiddlewareSingleflight(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})

@@ -27,7 +27,9 @@ var ErrRemote = errors.New("host: remote error")
 type Client struct {
 	// BaseURL is the server prefix, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTPClient performs requests; nil uses a 30 s timeout client.
+	// HTTPClient supplies the Transport and the Timeout of every request
+	// (callplane.Do: redirects are returned, not followed, and Jar and
+	// CheckRedirect are not consulted); nil uses a 30 s timeout.
 	HTTPClient *http.Client
 	// Tracer records client spans; nil uses the process default.
 	Tracer *telemetry.Tracer
@@ -139,15 +141,15 @@ func (c *Client) exchange(ctx context.Context, rt *callplane.Route, args core.Va
 	}
 	// The request owns the body from here: the transport may still be
 	// sending it when Do returns, so it is released at Body.Close.
-	resp, err := c.httpClient().Do(rt.NewRequest(ctx, body))
+	resp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, body))
 	if err != nil {
-		return nil, fmt.Errorf("%w: transport: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: transport: %w", ErrRemote, err)
 	}
 	defer resp.Body.Close()
 	data := callplane.GetBuffer()
 	defer data.Release()
 	if err := data.Fill(resp.Body, maxResponse); err != nil {
-		return nil, fmt.Errorf("%w: reading response: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: reading response: %w", ErrRemote, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var prob struct {
@@ -191,9 +193,9 @@ func (c *Client) Describe(ctx context.Context, service string) (*wsdl.Descriptio
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := callplane.Do(c.httpClient(), req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: transport: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: transport: %w", ErrRemote, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -209,9 +211,9 @@ func (c *Client) List(ctx context.Context) ([]ServiceInfo, error) {
 		return nil, err
 	}
 	req.Header.Set("Accept", "application/json")
-	resp, err := c.httpClient().Do(req)
+	resp, err := callplane.Do(c.httpClient(), req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: transport: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: transport: %w", ErrRemote, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soc/internal/callplane"
 	"soc/internal/core"
 	"soc/internal/rest"
 	"soc/internal/soap"
@@ -40,6 +41,7 @@ type mounted struct {
 	svc        *core.Service
 	soapSrv    *soap.Server
 	metricKeys map[string]string // op name → "service.op"
+	idempotent map[string]bool   // op name → declared Idempotent (the cacheable ones)
 }
 
 // metricKey returns the precomputed key, falling back to concatenation
@@ -142,11 +144,13 @@ func (h *Host) Mount(svc *core.Service) error {
 		svc:        svc,
 		soapSrv:    soap.NewServer(svc.Namespace),
 		metricKeys: make(map[string]string, len(svc.Operations())),
+		idempotent: make(map[string]bool, len(svc.Operations())),
 	}
 	for _, op := range svc.Operations() {
 		opName := op.Name
 		metricKey := svc.Name + "." + opName // resolved once, not per request
 		m.metricKeys[opName] = metricKey
+		m.idempotent[opName] = op.Idempotent
 		err := m.soapSrv.Handle(opName, func(ctx context.Context, req soap.Message) (soap.Message, error) {
 			args := acquireValues()
 			defer releaseValues(args)
@@ -424,13 +428,9 @@ func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Param
 	args := acquireValues()
 	defer releaseValues(args)
 	if r.Method == http.MethodPost {
-		var body map[string]any
-		if err := rest.ReadJSON(r, &body, 0); err != nil {
+		if err := readInvokeBody(r, args); err != nil {
 			rest.WriteError(w, r, http.StatusBadRequest, "body: %v", err)
 			return
-		}
-		for k, v := range body {
-			args[k] = v
 		}
 	} else {
 		for k, vs := range r.URL.Query() {
@@ -472,7 +472,50 @@ func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Param
 		fmt.Fprint(w, valuesToXML(p["op"]+"Response", out))
 		return
 	}
-	rest.WriteResponse(w, r, http.StatusOK, out)
+	writeInvokeResult(w, r, out)
+}
+
+// maxInvokeBody bounds a POST invoke body.
+const maxInvokeBody = 1 << 20
+
+// readInvokeBody decodes the JSON object posted to an invoke route into
+// args, through a pooled buffer. Any other body is an error: no JSON, a
+// top-level value that is neither an object nor null, anything but
+// whitespace after it, more than maxInvokeBody bytes.
+func readInvokeBody(r *http.Request, args core.Values) error {
+	body := callplane.GetBuffer()
+	defer body.Release()
+	if err := body.Fill(r.Body, maxInvokeBody+1); err != nil {
+		return err
+	}
+	if len(body.B) > maxInvokeBody {
+		return fmt.Errorf("larger than %d bytes", maxInvokeBody)
+	}
+	_, err := decodeJSONObjectInto(args, body.B)
+	return err
+}
+
+// jsonContentType is shared by every result written: full (len == cap),
+// so a middleware appending to it reallocates instead of mutating it.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
+// writeInvokeResult writes an invocation result as JSON, byte for byte
+// what rest.WriteResponse's indenting json.Encoder writes for it (sorted
+// keys, two-space indent, HTML escapes, trailing newline), encoded in a
+// pooled buffer.
+func writeInvokeResult(w http.ResponseWriter, r *http.Request, out core.Values) {
+	buf := callplane.GetBuffer()
+	defer buf.Release()
+	var err error
+	if buf.B, err = appendJSONObject(buf.B, out); err != nil {
+		rest.WriteError(w, r, http.StatusInternalServerError, "encoding result: %v", err)
+		return
+	}
+	compact := len(buf.B)
+	buf.B = append(appendJSONIndent(buf.B, buf.B[:compact]), '\n')
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.B[compact:])
 }
 
 func valuesToXML(root string, v core.Values) string {

@@ -177,6 +177,57 @@ func appendJSONValue(dst []byte, v any) ([]byte, error) {
 	}
 }
 
+// appendJSONIndent appends src — compact JSON as appendJSONObject and
+// json.Marshal write it, no whitespace outside strings — laid out the way
+// json.Indent(dst, src, "", "  ") lays it out, which is what a
+// json.Encoder with SetIndent("", "  ") writes before its newline. src
+// may be the part of dst's array below len(dst).
+func appendJSONIndent(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			end := i + 1
+			for end < len(src) && src[end] != '"' {
+				if src[end] == '\\' {
+					end++
+				}
+				end++
+			}
+			dst = append(dst, src[i:min(end+1, len(src))]...)
+			i = end
+		case '{', '[':
+			dst = append(dst, c)
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++
+				dst = append(dst, src[i]) // an empty object or array stays closed up
+				continue
+			}
+			depth++
+			dst = appendJSONNewline(dst, depth)
+		case '}', ']':
+			depth--
+			dst = append(appendJSONNewline(dst, depth), c)
+		case ',':
+			dst = appendJSONNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// appendJSONNewline starts a line at nesting depth.
+func appendJSONNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
+}
+
 // jsonReader is a cursor over one JSON text.
 type jsonReader struct {
 	data []byte
@@ -391,15 +442,25 @@ func (r *jsonReader) str() (string, error) {
 // map[string]any and []any, the last of duplicate keys. A top-level null
 // is a nil map; any other top-level value is an error.
 func decodeJSONObject(data []byte) (core.Values, error) {
+	return decodeJSONObjectInto(nil, data)
+}
+
+// decodeJSONObjectInto is decodeJSONObject storing the members in dst — a
+// map the caller owns and json.Unmarshal would have added to the same way
+// — and returning it; a nil dst is a fresh map. After an error dst may hold
+// the members decoded before it.
+func decodeJSONObjectInto(dst core.Values, data []byte) (core.Values, error) {
 	r := jsonReader{data: data}
 	var out core.Values
 	switch r.skipSpace() {
 	case '{':
-		m, err := r.object(0)
-		if err != nil {
+		if dst == nil {
+			dst = core.Values{}
+		}
+		if err := r.members(dst, 0); err != nil {
 			return nil, err
 		}
-		out = m
+		out = dst
 	case 'n':
 		if err := r.literal("null"); err != nil {
 			return nil, err
@@ -417,30 +478,38 @@ func decodeJSONObject(data []byte) (core.Values, error) {
 
 // object decodes the object at the cursor.
 func (r *jsonReader) object(depth int) (map[string]any, error) {
+	m := map[string]any{}
+	if err := r.members(m, depth); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// members stores the members of the object at the cursor in m.
+func (r *jsonReader) members(m map[string]any, depth int) error {
 	if depth++; depth > maxJSONDepth {
-		return nil, errJSONDepth
+		return errJSONDepth
 	}
 	r.pos++ // '{'
-	m := map[string]any{}
 	if r.skipSpace() == '}' {
 		r.pos++
-		return m, nil
+		return nil
 	}
 	for more := true; more; r.pos++ {
 		if r.skipSpace() != '"' {
-			return nil, r.errorf("want a string key")
+			return r.errorf("want a string key")
 		}
 		key, err := r.str()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.skipSpace() != ':' {
-			return nil, r.errorf("want ':' after object key")
+			return r.errorf("want ':' after object key")
 		}
 		r.pos++
 		v, err := r.value(depth)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m[key] = v
 		switch r.skipSpace() {
@@ -448,10 +517,10 @@ func (r *jsonReader) object(depth int) (map[string]any, error) {
 		case '}':
 			more = false
 		default:
-			return nil, r.errorf("want ',' or '}' after object value")
+			return r.errorf("want ',' or '}' after object value")
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // value decodes the value after the cursor.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"unicode/utf8"
 
 	"soc/internal/core"
+	"soc/internal/rest"
 )
 
 // jsonGen draws random JSON values and random spellings of them — the
@@ -295,6 +298,113 @@ func TestAppendJSONObjectMatchesMarshal(t *testing.T) {
 			} else {
 				v[g.str()] = g.rng.Intn(1000) - 500
 			}
+		}
+		return check(v)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// postedTo is a POST invoke request carrying text.
+func postedTo(text string) *http.Request {
+	return httptest.NewRequest(http.MethodPost, "/services/S/invoke/Op", strings.NewReader(text))
+}
+
+// The invoke handler's body decoding against what it was before —
+// rest.ReadJSON into a map, copied into the arguments: the same arguments
+// for every body both take, and the same refusals but one: a json.Decoder
+// stops at the end of the first value, so the old path let anything
+// follow the object; the new one wants the body to be the object.
+func TestReadInvokeBodyMatchesReadJSON(t *testing.T) {
+	check := func(text string) bool {
+		var posted map[string]any
+		wantErr := rest.ReadJSON(postedTo(text), &posted, 0)
+		want := core.Values{}
+		for k, v := range posted {
+			want[k] = v
+		}
+		got := core.Values{}
+		gotErr := readInvokeBody(postedTo(text), got)
+		switch {
+		case gotErr == nil && wantErr != nil:
+			t.Errorf("%q: accepted, rest.ReadJSON said %v", text, wantErr)
+			return false
+		case gotErr != nil && wantErr == nil && json.Valid([]byte(text)):
+			t.Errorf("%q: refused with %v, rest.ReadJSON took it", text, gotErr)
+			return false
+		case gotErr == nil && !reflect.DeepEqual(got, want):
+			t.Errorf("%q:\n got %#v\nwant %#v", text, got, want)
+			return false
+		}
+		return true
+	}
+	for _, text := range jsonEdgeTexts {
+		check(text)
+	}
+	// The bound: a body of exactly 1 MiB is read, one byte more is not.
+	pad := strings.Repeat("x", maxInvokeBody-len(`{"pad":""}`))
+	check(`{"pad":"` + pad + `"}`)
+	if err := readInvokeBody(postedTo(`{"pad":"`+pad+`y"}`), core.Values{}); err == nil {
+		t.Error("a body past 1 MiB was accepted")
+	}
+	prop := func(seed int64) bool {
+		g := jsonGen{rand.New(rand.NewSource(seed))}
+		text := g.text(g.object(0))
+		return check(text) && check(g.damage(text))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// An invocation result leaves the handler byte for byte as
+// rest.WriteResponse wrote it: same status, same Content-Type, same body.
+func TestWriteInvokeResultMatchesWriteResponse(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet, "/services/S/invoke/Op", nil)
+	check := func(v core.Values) bool {
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		rest.WriteResponse(want, r, http.StatusOK, v)
+		writeInvokeResult(got, r, v)
+		if _, err := json.Marshal(v); err != nil {
+			// Nothing to be identical to: the encoder had committed a 200 and
+			// then written no body. Now the caller is told.
+			if got.Code != http.StatusInternalServerError {
+				t.Errorf("%#v: status %d for a result that does not encode, want 500", v, got.Code)
+				return false
+			}
+			return true
+		}
+		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.String() != want.Body.String() {
+			t.Errorf("%#v:\n got %d %v %q\nwant %d %v %q", v,
+				got.Code, got.Header(), got.Body.String(), want.Code, want.Header(), want.Body.String())
+			return false
+		}
+		return true
+	}
+	check(nil)
+	check(core.Values{})
+	check(core.Values{"nan": math.NaN()})
+	check(core.Values{"ok": true})
+	check(core.Values{
+		"i": 7, "i64": int64(-1 << 63), "f": 1e21, "g": 1e-7, "n": nil, "b": false,
+		"s": "a<b>&\u2028\xff", "brackets": `{"[,]":"}"}\`, "esc": `\"`, "": "empty key",
+		"v":        core.Values{"z": int64(1), "a": []any{}, "m": map[string]any{}},
+		"deep":     []any{[]any{[]any{}, map[string]any{"k": []any{1, "two", nil}}}},
+		"nilslice": []any(nil), "nilmap": map[string]any(nil),
+		"strings": []string{"x", "y"}, "none": []string{}, "ints": map[string]int{"b": 2, "a": 1},
+		"u8": uint8(3), "f32": float32(0.1), "num": json.Number("12"),
+		"raw": json.RawMessage(`{ "spaced" : [ 1 , { } , "a : b" ] }`),
+		"struct": struct {
+			A string `json:"a"`
+			B []int  `json:"b"`
+		}{"<x>", []int{1, 2}},
+	})
+	prop := func(seed int64) bool {
+		g := jsonGen{rand.New(rand.NewSource(seed))}
+		v := g.object(0)
+		for n := g.rng.Intn(3); n > 0; n-- {
+			v[g.str()] = g.rng.Int63() - 1<<62
 		}
 		return check(v)
 	}

@@ -45,10 +45,17 @@ func runBodyClose(pass *Pass) error {
 	return nil
 }
 
-// respCall reports whether call returns an *http.Response from a net/http
-// client entry point.
-func respCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := CalleeFunc(info, call)
+// respCall reports whether call returns an *http.Response the caller must
+// close: from a net/http client entry point, or from the call plane's Do.
+func respCall(pass *Pass, call *ast.CallExpr) bool {
+	fn := CalleeFunc(pass.Info, call)
+	return httpClientCall(fn) ||
+		(pass.Config.CallPlanePath != "" && IsPkgFunc(fn, pass.Config.CallPlanePath, "Do"))
+}
+
+// httpClientCall reports whether fn is a net/http client entry point: one
+// of http.Client's request methods or the package-level shorthand for it.
+func httpClientCall(fn *types.Func) bool {
 	if fn == nil {
 		return false
 	}
@@ -76,7 +83,7 @@ func checkBodyClose(pass *Pass, body *ast.BlockStmt) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !respCall(pass.Info, call) {
+				if !ok || !respCall(pass, call) {
 					continue
 				}
 				// resp, err := c.Do(req): the response is Lhs[0] when the
@@ -100,7 +107,7 @@ func checkBodyClose(pass *Pass, body *ast.BlockStmt) {
 				resps = append(resps, respVar{call: call, obj: obj})
 			}
 		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && respCall(pass.Info, call) {
+			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && respCall(pass, call) {
 				pass.Reportf(call.Pos(), "response body never closed: result of %s discarded", callName(pass.Info, call))
 			}
 		}

@@ -52,6 +52,10 @@ type Config struct {
 	// everywhere else the tracepropagate analyzer requires its NewRequest
 	// helper. Empty disables the check.
 	CallPlanePath string
+	// BindingScope lists import-path prefixes subject to the callplanedo
+	// analyzer: the binding packages, whose service requests must leave
+	// through callplane.Do rather than an http.Client's own methods.
+	BindingScope []string
 	// ClockScope lists import-path prefixes subject to the clockdiscipline
 	// analyzer: packages the deterministic simulation harness runs in
 	// virtual time, where direct wall-clock reads/waits are forbidden.
@@ -116,6 +120,12 @@ func DefaultConfig(moduleDir string) Config {
 			"soc/cmd/",
 		},
 		CallPlanePath: "soc/internal/callplane",
+		BindingScope: []string{
+			"soc/internal/cloud",
+			"soc/internal/host",
+			"soc/internal/registry",
+			"soc/internal/soap",
+		},
 		ClockScope: []string{
 			"soc/internal/cloud",
 			"soc/internal/faultinject",
@@ -433,6 +443,7 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		AtomicDiscipline,
 		BodyClose,
+		CallPlaneDo,
 		ClockDiscipline,
 		ContractCheck,
 		CtxPropagate,

@@ -115,14 +115,17 @@ func TestGoldenFixtures(t *testing.T) {
 		analyzer string
 		config   func(path string) Config
 	}{
-		{"bodyclose", func(string) Config { return Config{} }},
+		{"bodyclose", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
+		{"callplanedo", func(p string) Config { return Config{BindingScope: []string{p}} }},
 		{"clockdiscipline", func(p string) Config { return Config{ClockScope: []string{p}} }},
 		{"ctxpropagate", func(string) Config { return Config{} }},
 		{"noclientliteral", func(string) Config { return Config{} }},
 		{"poolreset", func(string) Config { return Config{} }},
 		{"tracepropagate", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
 		{"fsyncdiscipline", func(p string) Config { return Config{DurableScope: []string{p}} }},
-		{"locksafe", func(p string) Config { return Config{LockBlockScope: []string{p}} }},
+		{"locksafe", func(p string) Config {
+			return Config{LockBlockScope: []string{p}, CallPlanePath: "soc/internal/callplane"}
+		}},
 		{"errdiscard", func(p string) Config { return Config{ErrDiscardScope: []string{p}} }},
 		{"lockorder", func(p string) Config { return Config{LockOrderScope: []string{p}} }},
 		{"goleak", func(p string) Config {

@@ -308,6 +308,8 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 	case IsMethod(fn, "net/http", "Client", fn.Name()) &&
 		(fn.Name() == "Do" || fn.Name() == "Get" || fn.Name() == "Post" || fn.Name() == "PostForm" || fn.Name() == "Head"):
 		return "http.Client." + fn.Name()
+	case pass.Config.CallPlanePath != "" && IsPkgFunc(fn, pass.Config.CallPlanePath, "Do"):
+		return "callplane.Do"
 	case IsPkgFunc(fn, "net", "Dial"), IsPkgFunc(fn, "net", "DialTimeout"):
 		return "net." + fn.Name()
 	}

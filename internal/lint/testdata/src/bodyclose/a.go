@@ -6,6 +6,8 @@ package bodyclose
 import (
 	"io"
 	"net/http"
+
+	"soc/internal/callplane"
 )
 
 func leaks(c *http.Client, req *http.Request) ([]byte, error) {
@@ -33,7 +35,24 @@ func leaksGet(url string) error {
 	return nil
 }
 
+func leaksCallPlane(c *http.Client, req *http.Request) (int, error) {
+	resp, err := callplane.Do(c, req) // want `response body never closed`
+	if err != nil {
+		return 0, err
+	}
+	return resp.StatusCode, nil
+}
+
 // Clean cases below: no findings expected.
+
+func deferredCallPlane(c *http.Client, req *http.Request) ([]byte, error) {
+	resp, err := callplane.Do(c, req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
+}
 
 func deferred(c *http.Client, req *http.Request) ([]byte, error) {
 	resp, err := c.Do(req)

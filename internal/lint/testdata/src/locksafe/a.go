@@ -3,8 +3,11 @@
 package locksafe
 
 import (
+	"net/http"
 	"sync"
 	"time"
+
+	"soc/internal/callplane"
 )
 
 type counter struct {
@@ -43,6 +46,16 @@ func sendUnderLock(c *counter, ch chan int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch <- c.n // want `channel send while holding c.mu`
+}
+
+func exchangeUnderLock(c *counter, hc *http.Client, req *http.Request) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := callplane.Do(hc, req) // want `callplane.Do while holding c.mu`
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
 }
 
 // Clean cases below: no findings expected.

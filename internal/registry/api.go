@@ -147,7 +147,10 @@ func (a *API) byCategory(w http.ResponseWriter, r *http.Request, p rest.Params) 
 // plane: requests carry the caller's deadline and trace context, and each
 // operation records a client span.
 type Client struct {
-	BaseURL    string
+	BaseURL string
+	// HTTPClient supplies the Transport and the Timeout of every request
+	// (callplane.Do: redirects are returned, not followed, and Jar and
+	// CheckRedirect are not consulted); nil uses a 15 s timeout.
 	HTTPClient *http.Client
 	// Tracer records client spans; nil uses the process default.
 	Tracer *telemetry.Tracer
@@ -156,11 +159,14 @@ type Client struct {
 // NewClient returns a registry client.
 func NewClient(baseURL string) *Client { return &Client{BaseURL: baseURL} }
 
+// defaultHTTPClient serves every Client that has none of its own.
+var defaultHTTPClient = &http.Client{Timeout: 15 * time.Second}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 15 * time.Second}
+	return defaultHTTPClient
 }
 
 func (c *Client) tracer() *telemetry.Tracer {
@@ -198,7 +204,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, body any, ou
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set("Accept", "application/json")
-	resp, err := c.httpClient().Do(req)
+	resp, err := callplane.Do(c.httpClient(), req)
 	if err != nil {
 		return fmt.Errorf("registry: transport: %w", err)
 	}

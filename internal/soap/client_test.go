@@ -151,3 +151,56 @@ func TestRequestBodyOutlivesDo(t *testing.T) {
 		}
 	}
 }
+
+// endless is a response body that never ends; n counts what was read.
+type endless struct{ n int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+func (e *endless) Close() error { return nil }
+
+// TestClientBoundsTheResponse: the client buffers at most maxResponse
+// bytes of an answer — it used to read until the peer stopped sending —
+// and reports a longer one as a protocol error.
+func TestClientBoundsTheResponse(t *testing.T) {
+	body := &endless{}
+	c := &Client{HTTPClient: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		_ = r.Body.Close()
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: body}, nil
+	})}}
+	_, err := c.CallParams(context.Background(), "http://endless.test/soap", "urn:x", "Echo", nil)
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("err = %v, want ErrProtocol for an oversized envelope", err)
+	}
+	if body.n > maxResponse+1 {
+		t.Fatalf("read %d bytes of an endless answer, bound is %d", body.n, maxResponse)
+	}
+
+	// An envelope of exactly the bound is still an envelope.
+	env, err := Encode(Message{Operation: "EchoResponse", Params: map[string]string{"echo": ""}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := strings.Replace(string(env), "<echo></echo>", "<echo>"+strings.Repeat("y", maxResponse-len(env))+"</echo>", 1)
+	if len(padded) != maxResponse {
+		t.Fatalf("test envelope is %d bytes, want %d: %.200s", len(padded), maxResponse, env)
+	}
+	c = &Client{HTTPClient: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		_ = r.Body.Close()
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(padded))}, nil
+	})}}
+	out, err := c.CallParams(context.Background(), "http://big.test/soap", "urn:x", "Echo", nil)
+	if err != nil || len(out["echo"]) != maxResponse-len(env) {
+		t.Fatalf("an envelope of exactly the bound: %d bytes of echo, %v", len(out["echo"]), err)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

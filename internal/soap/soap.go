@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -779,8 +778,9 @@ func writeFault(w http.ResponseWriter, status int, f *Fault) {
 // that drop either layer. The zero value is ready to use; a Client must
 // not be copied after its first call.
 type Client struct {
-	// HTTPClient performs the requests; nil uses a client with a 30 s
-	// timeout.
+	// HTTPClient supplies the Transport and the Timeout of every request
+	// (callplane.Do: redirects are returned, not followed, and Jar and
+	// CheckRedirect are not consulted); nil uses a 30 s timeout.
 	HTTPClient *http.Client
 	// Tracer records client spans; nil uses the process default.
 	Tracer *telemetry.Tracer
@@ -882,6 +882,9 @@ func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemet
 	return sp, ctx
 }
 
+// maxResponse bounds how much of a response the client buffers.
+const maxResponse = 4 << 20
+
 // exchange posts one envelope and returns the response body in a pooled
 // buffer, which the caller releases. With a span, its trace context
 // replaces any SocTrace entry among the header entries (sorted by name).
@@ -901,15 +904,19 @@ func (c *Client) exchange(ctx context.Context, sp *telemetry.Span, url, namespac
 	}
 	// The request owns the body from here: the transport may still be
 	// sending it when Do returns, so it is released at Body.Close.
-	httpResp, err := c.httpClient().Do(rt.NewRequest(ctx, body))
+	httpResp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, body))
 	if err != nil {
 		return nil, fmt.Errorf("soap: transport: %w", err)
 	}
 	defer httpResp.Body.Close()
 	data := callplane.GetBuffer()
-	if err := data.Fill(httpResp.Body, math.MaxInt64); err != nil {
+	if err := data.Fill(httpResp.Body, maxResponse+1); err != nil {
 		data.Release()
-		return nil, fmt.Errorf("%w: reading envelope: %v", ErrProtocol, err)
+		return nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
+	}
+	if len(data.B) > maxResponse {
+		data.Release()
+		return nil, fmt.Errorf("%w: response envelope exceeds %d bytes", ErrProtocol, maxResponse)
 	}
 	return data, nil
 }
