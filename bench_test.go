@@ -16,10 +16,10 @@ import (
 	"net/url"
 	"testing"
 
-	"soc/internal/cloud"
 	"soc/internal/collatz"
 	"soc/internal/core"
 	"soc/internal/curriculum"
+	"soc/internal/experiments"
 	"soc/internal/host"
 	"soc/internal/maze"
 	"soc/internal/mortgageapp"
@@ -355,19 +355,11 @@ func BenchmarkStateManagement(b *testing.B) {
 	}
 }
 
-// BenchmarkCloudScale runs the autoscaler elasticity simulation
-// (ablation A5).
+// BenchmarkCloudScale runs the autoscaler elasticity study (ablation
+// A5): three virtual-clock cluster runs per iteration.
 func BenchmarkCloudScale(b *testing.B) {
-	demand := []int{10, 10, 20, 60, 120, 120, 80, 30, 10, 10, 10, 10}
 	for i := 0; i < b.N; i++ {
-		sim, err := cloud.NewSimulation(cloud.AutoscalerConfig{
-			MinInstances: 1, MaxInstances: 16, InstanceCapacity: 10,
-			TargetUtilization: 0.75, CooldownTicks: 1, StartupTicks: 1,
-		}, cloud.LeastLoaded)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(demand); err != nil {
+		if _, err := experiments.CloudScale(); err != nil {
 			b.Fatal(err)
 		}
 	}

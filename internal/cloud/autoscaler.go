@@ -24,8 +24,8 @@ type Launcher interface {
 
 // AutoscalerOptions configure the real autoscaler.
 type AutoscalerOptions struct {
-	// Policy is the pure sizing rule, shared with the tick Simulation.
-	// ReplicaCapacity is per evaluation window (one Tick).
+	// Policy is the pure sizing rule; ReplicaCapacity is per evaluation
+	// window (one Tick).
 	Policy Policy
 	// Cooldown is the minimum spacing between scaling actions.
 	Cooldown time.Duration
@@ -47,7 +47,7 @@ type AutoscalerOptions struct {
 }
 
 // Autoscaler sizes a live cluster: each Tick it measures demand (admitted
-// requests since the last tick), asks the shared Policy for a target, and
+// requests since the last tick), asks the Policy for a target, and
 // launches or drains replicas under a cooldown. Scale-down never drops
 // work: a victim replica is marked draining (no new picks), keeps serving
 // what it holds, and is only stopped on a later tick once its in-flight

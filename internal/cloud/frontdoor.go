@@ -1,3 +1,13 @@
+// Package cloud implements the "Cloud Computing and Software as a
+// Service" unit of CSE446 as a live elastic cluster: a FrontDoor that
+// admits or sheds each arrival and balances the admitted ones over a
+// rotation of Replicas (power-of-two-choices on in-flight × latency),
+// and an Autoscaler that sizes that rotation from measured demand with
+// the pure Policy under a Cooldown, draining before it stops — the
+// on-demand, elastic, pay-per-use properties the course defines cloud
+// computing by. Every part takes a vtime.Clock, so the same code serves
+// wall-clock traffic and the deterministic virtual-clock scenarios
+// (simtest.RunCluster, ablation A5).
 package cloud
 
 import (

@@ -1,19 +1,23 @@
 package cloud
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrConfig reports an invalid policy, autoscaler or replica
+// configuration.
+var ErrConfig = errors.New("cloud: invalid configuration")
 
 // Policy is the pure scaling decision: given observed demand for one
-// evaluation window, how many replicas should exist. It is shared by the
-// tick Simulation (which doubles as the policy's property-test harness)
-// and the real Autoscaler driving live replicas — the sim and the data
-// plane cannot drift apart because they call the same function.
+// evaluation window, how many replicas should exist. The Autoscaler
+// calls it once per Tick; it holds no clock and no state, so it is
+// property-tested on its own (policy_test.go).
 //
-// Units are deliberately abstract: ReplicaCapacity is "requests one
-// replica absorbs per evaluation window", where a window is a tick for
-// the simulation and the autoscaler's evaluation interval for the real
-// thing. The policy holds no clock and no state; cooldown — the only
-// stateful part of a scaling decision — lives in Cooldown so both
-// engines gate actions identically.
+// ReplicaCapacity is "requests one replica absorbs per evaluation
+// window", where a window is the autoscaler's evaluation interval.
+// Cooldown — the only stateful part of a scaling decision — lives in
+// its own type.
 type Policy struct {
 	// MinReplicas and MaxReplicas bound the pool.
 	MinReplicas, MaxReplicas int
@@ -53,6 +57,13 @@ func (p Policy) Desired(demand int) int {
 	return ideal
 }
 
+func ceilDiv(a, b int) int {
+	if b <= 0 {
+		return a
+	}
+	return (a + b - 1) / b
+}
+
 // Direction classifies one evaluation's outcome.
 type Direction int
 
@@ -89,10 +100,10 @@ func (p Policy) Evaluate(demand, current int) (target int, dir Direction) {
 	}
 }
 
-// Cooldown gates scaling actions to at most one per window. It is
-// unit-agnostic — the simulation feeds it tick numbers, the autoscaler
-// feeds it clock nanoseconds — so both engines share one spacing rule.
-// The zero value is ready: the first action is never gated.
+// Cooldown gates scaling actions to at most one per window. Instants
+// and the window are in one unit of the caller's choosing (the
+// autoscaler feeds it clock nanoseconds). The zero value is ready: the
+// first action is never gated.
 type Cooldown struct {
 	last  int64
 	fired bool

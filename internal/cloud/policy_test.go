@@ -1,9 +1,27 @@
 package cloud
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
+
+// TestPolicyValidateRejects: every inconsistent bound, capacity or target
+// is ErrConfig — the check NewAutoscaler relies on.
+func TestPolicyValidateRejects(t *testing.T) {
+	bad := []Policy{
+		{MinReplicas: 0, MaxReplicas: 1, ReplicaCapacity: 1, TargetUtilization: 0.5},
+		{MinReplicas: 2, MaxReplicas: 1, ReplicaCapacity: 1, TargetUtilization: 0.5},
+		{MinReplicas: 1, MaxReplicas: 2, ReplicaCapacity: 0, TargetUtilization: 0.5},
+		{MinReplicas: 1, MaxReplicas: 2, ReplicaCapacity: 1, TargetUtilization: 0},
+		{MinReplicas: 1, MaxReplicas: 2, ReplicaCapacity: 1, TargetUtilization: 1.5},
+	}
+	for i, p := range bad {
+		if err := p.Validate(); !errors.Is(err, ErrConfig) {
+			t.Errorf("policy %d (%+v): err = %v, want ErrConfig", i, p, err)
+		}
+	}
+}
 
 // TestPolicyDesiredBounds: for any demand, the desired count stays inside
 // [MinReplicas, MaxReplicas].
@@ -119,48 +137,6 @@ func TestCooldownSpacing(t *testing.T) {
 			// The zero value must admit the first action immediately.
 			if !c.Ready(0, window) {
 				t.Fatalf("zero-value cooldown gated the first action")
-			}
-		}
-	}
-}
-
-// TestSimulationMatchesPolicy: the tick simulation is the policy's harness —
-// every ScaledTo it reports must be reachable from the policy's Desired for
-// that tick's demand, and instance counts stay within bounds throughout.
-func TestSimulationMatchesPolicy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		cfg := AutoscalerConfig{
-			MinInstances:      1 + rng.Intn(3),
-			MaxInstances:      3 + rng.Intn(8),
-			InstanceCapacity:  5 + rng.Intn(50),
-			TargetUtilization: 0.3 + 0.7*rng.Float64(),
-			CooldownTicks:     rng.Intn(4),
-			StartupTicks:      rng.Intn(3),
-		}
-		if cfg.MaxInstances < cfg.MinInstances {
-			cfg.MaxInstances = cfg.MinInstances
-		}
-		sim, err := NewSimulation(cfg, LeastLoaded)
-		if err != nil {
-			t.Fatalf("NewSimulation: %v", err)
-		}
-		demand := make([]int, 50)
-		for i := range demand {
-			demand[i] = rng.Intn(cfg.MaxInstances * cfg.InstanceCapacity * 2)
-		}
-		stats, err := sim.Run(demand)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		for _, st := range stats {
-			total := st.Instances + st.Pending
-			if st.Instances < cfg.MinInstances || total > cfg.MaxInstances {
-				t.Fatalf("trial %d tick %d: pool %d online +%d pending outside [%d,%d]",
-					trial, st.Tick, st.Instances, st.Pending, cfg.MinInstances, cfg.MaxInstances)
-			}
-			if st.ScaledTo < cfg.MinInstances || st.ScaledTo > cfg.MaxInstances {
-				t.Fatalf("trial %d tick %d: ScaledTo %d outside bounds", trial, st.Tick, st.ScaledTo)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"soc/internal/registry"
 	"soc/internal/reliability"
 	"soc/internal/session"
+	"soc/internal/simtest"
 	"soc/internal/workflow"
 )
 
@@ -175,42 +176,58 @@ func StateManagement(requests int) (string, error) {
 	return b.String(), nil
 }
 
-// CloudScale (A5) runs the autoscaler elasticity study against static
-// provisioning baselines.
+// a5Cluster is A5's elastic arm: a load burst (requests per one-second
+// window) under a one-window cooldown, and no replica kills.
+var a5Cluster = simtest.ClusterConfig{
+	Policy:   cloud.Policy{MinReplicas: 1, MaxReplicas: 16, ReplicaCapacity: 10, TargetUtilization: 0.75},
+	Cooldown: time.Second,
+	Profile:  []int{10, 10, 20, 60, 120, 120, 80, 30, 10, 10, 10, 10},
+	KillAt:   map[int]bool{},
+}
+
+// CloudScale (A5) runs the elasticity study: one bursty demand series
+// served by the real cloud.Autoscaler + FrontDoor on the virtual clock
+// (simtest.RunCluster), against static pools sized for the average and
+// for the peak — the same call with MinReplicas == MaxReplicas. Capacity
+// is accounted per window from the pool the autoscaler had standing as
+// the window began: served = min(demand, running × ReplicaCapacity), and
+// a draining replica takes no new requests but is billed until it stops.
+// Injected replica faults do not enter the numbers; a cluster invariant
+// violation fails the experiment.
 func CloudScale() (string, error) {
-	demand := []int{10, 10, 20, 60, 120, 120, 80, 30, 10, 10, 10, 10}
-	cfg := cloud.AutoscalerConfig{
-		MinInstances: 1, MaxInstances: 16, InstanceCapacity: 10,
-		TargetUtilization: 0.75, CooldownTicks: 1, StartupTicks: 1,
-	}
-	sim, err := cloud.NewSimulation(cfg, cloud.LeastLoaded)
-	if err != nil {
-		return "", err
-	}
-	stats, err := sim.Run(demand)
-	if err != nil {
-		return "", err
-	}
-	var served, dropped, total int
-	for _, st := range stats {
-		served += st.Served
-		dropped += st.Dropped
-		total += st.Demand
-	}
-	var b strings.Builder
-	b.WriteString("A5 — cloud autoscaler elasticity under a load burst\n\n")
-	b.WriteString(cloud.FormatStats(stats))
-	fmt.Fprintf(&b, "\nelastic: served %d/%d (dropped %d), %d instance-ticks\n",
-		served, total, dropped, sim.InstanceTicks())
-	for _, n := range []int{2, 12} {
-		s, d, err := cloud.StaticServed(demand, n, cfg.InstanceCapacity)
+	var table, totals strings.Builder
+	table.WriteString("A5 — cloud autoscaler elasticity under a load burst\n\n")
+	fmt.Fprintf(&table, "%6s %7s %7s %8s %9s %9s %6s\n",
+		"window", "demand", "served", "dropped", "replicas", "draining", "util")
+	for _, arm := range []struct {
+		name     string
+		min, max int
+	}{{"elastic", a5Cluster.Policy.MinReplicas, a5Cluster.Policy.MaxReplicas}, {"static n=2", 2, 2}, {"static n=12", 12, 12}} {
+		cfg := a5Cluster
+		cfg.Policy.MinReplicas, cfg.Policy.MaxReplicas = arm.min, arm.max
+		rec, err := simtest.RunCluster(cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "static n=%-2d: served %d/%d (dropped %d), %d instance-ticks\n",
-			n, s, total, d, n*len(demand))
+		if len(rec.Violations) > 0 {
+			return "", fmt.Errorf("experiments: %s: cluster invariant violated: %s", arm.name, rec.Violations[0])
+		}
+		var total, served, cost int
+		for w, pool := range rec.Pool {
+			demand, capacity := cfg.Profile[w], pool.Running*cfg.Policy.ReplicaCapacity
+			got := min(demand, capacity)
+			total += demand
+			served += got
+			cost += pool.Running + pool.Draining
+			if arm.min < arm.max { // only the elastic pool moves; tabulate it
+				fmt.Fprintf(&table, "%6d %7d %7d %8d %9d %9d %5.0f%%\n", w, demand, got, demand-got,
+					pool.Running, pool.Draining, 100*float64(got)/float64(capacity))
+			}
+		}
+		fmt.Fprintf(&totals, "%-11s: served %d/%d (dropped %d), %d replica-windows\n",
+			arm.name, served, total, total-served, cost)
 	}
-	return b.String(), nil
+	return table.String() + "\n" + totals.String(), nil
 }
 
 // Dependability (A6) injects faults into a replicated service and shows

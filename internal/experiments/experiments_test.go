@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"soc/internal/services"
+	"soc/internal/simtest"
 )
 
 var ctx = context.Background()
@@ -151,15 +154,64 @@ func TestStateManagementAblation(t *testing.T) {
 	}
 }
 
+// TestCloudScaleAblation holds A5 to the cloud unit's lesson, read off
+// the text socbench prints: the elastic pool — the real Autoscaler on
+// the virtual clock — beats a pool sized for the average on served
+// requests and a pool sized for the peak on cost.
 func TestCloudScaleAblation(t *testing.T) {
-	out, err := CloudScale()
+	out, err := CloudScale() // any cluster invariant violation is an error
 	if err != nil {
 		t.Fatalf("CloudScale: %v", err)
 	}
-	for _, want := range []string{"elastic", "static n=2", "static n=12", "instance-ticks"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
+	again, err := CloudScale()
+	if err != nil || again != out {
+		t.Fatalf("second run differs (err %v):\n%s\nvs\n%s", err, out, again)
+	}
+
+	// The printed pool is the autoscaler's own record for this config.
+	rec, err := simtest.RunCluster(a5Cluster)
+	if err != nil {
+		t.Fatalf("RunCluster: %v", err)
+	}
+	a5Demand := a5Cluster.Profile
+	var pool []int
+	arms := map[string][2]int{} // name -> served, replica-windows
+	for _, line := range strings.Split(out, "\n") {
+		var w, demand, served, dropped, running, draining int
+		if n, _ := fmt.Sscan(line, &w, &demand, &served, &dropped, &running, &draining); n == 6 {
+			if w != len(pool) || w >= len(rec.Pool) {
+				t.Fatalf("row %q is not window %d of %d:\n%s", line, len(pool), len(rec.Pool), out)
+			}
+			if demand != a5Demand[w] || running != rec.Pool[w].Running || draining != rec.Pool[w].Draining {
+				t.Errorf("row %q disagrees with RunCluster's window %d: %+v", line, w, rec.Pool[w])
+			}
+			pool = append(pool, running)
+			continue
 		}
+		if name, rest, ok := strings.Cut(line, ": served "); ok {
+			var total, cost int
+			if _, err := fmt.Sscanf(rest, "%d/%d (dropped %d), %d replica-windows", &served, &total, &dropped, &cost); err != nil {
+				t.Fatalf("summary %q: %v", line, err)
+			}
+			arms[strings.TrimSpace(name)] = [2]int{served, cost}
+		}
+	}
+	if len(pool) != len(a5Demand) {
+		t.Fatalf("table has %d windows, want %d:\n%s", len(pool), len(a5Demand), out)
+	}
+	elastic, avg, peak := arms["elastic"], arms["static n=2"], arms["static n=12"]
+	if elastic[0] <= avg[0] {
+		t.Errorf("elastic served %d, not more than static n=2's %d", elastic[0], avg[0])
+	}
+	if elastic[1] >= peak[1] {
+		t.Errorf("elastic cost %d replica-windows, not fewer than static n=12's %d", elastic[1], peak[1])
+	}
+	if top := slices.Max(pool); top < 12 {
+		t.Errorf("pool peaked at %d replicas, want at least 12:\n%s", top, out)
+	}
+	tail := a5Demand[len(a5Demand)-1]
+	if got, want := pool[len(pool)-1], a5Cluster.Policy.Desired(tail); got != want {
+		t.Errorf("pool ends at %d replicas, want Desired(%d) = %d", got, tail, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"strings"
 	"time"
@@ -11,8 +10,10 @@ import (
 	"soc/internal/xmlkit"
 )
 
-// The registry persists as an XML directory document — the same data
-// shape the ASU repository's registration page collects:
+// The registry exports as an XML directory document — the same data
+// shape the ASU repository's registration page collects. It is an
+// export only (wsrepo writes directory.xml next to the WAL, which is
+// what recovery reads):
 //
 //	<directory>
 //	  <service name="..." category="..." provider="...">
@@ -64,61 +65,4 @@ func (r *Registry) SaveFile(path string) error {
 		return err
 	}
 	return wal.WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
-// Load publishes every service element of an XML directory document into
-// the registry (granting fresh leases) and returns how many were loaded.
-func (r *Registry) Load(rd io.Reader) (int, error) {
-	doc, err := xmlkit.ParseDocument(rd)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if doc.Root.Name != "directory" {
-		return 0, fmt.Errorf("%w: root is <%s>, want <directory>", ErrInvalid, doc.Root.Name)
-	}
-	n := 0
-	for _, el := range doc.Root.Elements() {
-		if el.Name != "service" {
-			return n, fmt.Errorf("%w: unexpected element <%s>", ErrInvalid, el.Name)
-		}
-		name, _ := el.Attr("name")
-		category, _ := el.Attr("category")
-		provider, _ := el.Attr("provider")
-		e := Entry{
-			Name:       name,
-			Category:   category,
-			Provider:   provider,
-			Namespace:  el.ChildText("namespace"),
-			Doc:        el.ChildText("doc"),
-			Endpoint:   el.ChildText("endpoint"),
-			Bindings:   splitList(el.ChildText("bindings")),
-			Operations: splitList(el.ChildText("operations")),
-		}
-		if err := r.Publish(e); err != nil {
-			return n, fmt.Errorf("%w: service %q: %v", ErrInvalid, name, err)
-		}
-		// Preserve the recorded publication time when present.
-		if ts := el.ChildText("published"); ts != "" {
-			if when, err := time.Parse(time.RFC3339, ts); err == nil {
-				//soclint:ignore errdiscard the entry was published two lines up; a concurrent unpublish just forfeits the recorded time
-				_ = r.setPublished(name, when)
-			}
-		}
-		n++
-	}
-	return n, nil
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if t := strings.TrimSpace(p); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }

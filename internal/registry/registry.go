@@ -287,12 +287,6 @@ func (r *Registry) Heartbeat(name string) error {
 	return r.updateEntryLocked(name, func(e *Entry) { e.LeaseExpires = expires })
 }
 
-// setPublished pins an entry's publication time — used when loading a
-// directory document that recorded one.
-func (r *Registry) setPublished(name string, when time.Time) error {
-	return r.updateEntry(name, func(e *Entry) { e.Published = when })
-}
-
 // updateEntry applies fn to a copy of the named entry and publishes the
 // resulting snapshot (postings are unaffected: indexed fields never
 // change through this path).

@@ -123,6 +123,10 @@ type ClusterRecord struct {
 	Hash       string
 	FrontDoor  cloud.FrontDoorStats
 	Scaler     cloud.AutoscalerStats
+	// Pool[w] is the autoscaler's books as window w began — the pool
+	// that window's requests were served with (Running) and billed for
+	// (Running plus Draining, until a drained replica stops).
+	Pool []cloud.AutoscalerStats
 	// Client-observed outcome classes across the whole run.
 	OK      int // 200 from a replica
 	Faulted int // 500 injected by a replica
@@ -254,6 +258,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRecord, error) {
 
 	rec := &ClusterRecord{}
 	for wi, rate := range cfg.Profile {
+		rec.Pool = append(rec.Pool, w.scaler.Stats())
 		if cfg.KillAt[wi] {
 			w.kill(wi)
 			rec.Killed++
@@ -278,6 +283,9 @@ func RunCluster(cfg ClusterConfig) (*ClusterRecord, error) {
 			}
 			w.clock.Advance(pace)
 		}
+		// The division truncates; make up the remainder so every window
+		// is exactly one second and a one-window cooldown is ready on time.
+		w.clock.Advance(time.Second - time.Duration(rate)*pace)
 		rec.OK += ok
 		rec.Faulted += faulted
 		rec.Gateway += gateway

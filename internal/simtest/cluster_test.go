@@ -1,7 +1,10 @@
 package simtest
 
 import (
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"soc/internal/cloud"
 )
@@ -82,5 +85,36 @@ func TestClusterSmokeCustomPolicy(t *testing.T) {
 	}
 	if again.Hash != rec.Hash {
 		t.Fatalf("replay diverged: %s != %s", again.Hash, rec.Hash)
+	}
+}
+
+// TestClusterWindowsAreOneSecond: a window is one virtual second whatever
+// its rate — for rates that do not divide 10⁹ ns the per-request pace
+// truncates, and a window that ends short makes a one-window cooldown
+// "not ready" at the tick it should act on.
+func TestClusterWindowsAreOneSecond(t *testing.T) {
+	policy := cloud.Policy{MinReplicas: 1, MaxReplicas: 8, ReplicaCapacity: 10, TargetUtilization: 0.75}
+	profile := []int{7, 60, 13, 3, 120, 9}
+	rec, err := RunCluster(ClusterConfig{Policy: policy, Cooldown: time.Second, Profile: profile, KillAt: map[int]bool{}})
+	if err != nil {
+		t.Fatalf("RunCluster: %v", err)
+	}
+	for _, v := range rec.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	for i, line := range rec.Log {
+		_, rest, _ := strings.Cut(line, " t=")
+		ms, _, _ := strings.Cut(rest, "ms ")
+		if got, err := strconv.Atoi(ms); err != nil || got != (i+1)*1000 {
+			t.Errorf("window %d ended at t=%sms, want %d: %s", i, ms, (i+1)*1000, line)
+		}
+	}
+	// With exact windows the cooldown never costs a window: each tick
+	// acts on the demand it just measured, so each window is served by
+	// the pool the policy wanted for the window before it.
+	for w := 1; w < len(rec.Pool); w++ {
+		if got, want := rec.Pool[w].Running, policy.Desired(profile[w-1]); got != want {
+			t.Errorf("window %d served with %d replicas, want Desired(demand of window %d) = %d", w, got, w-1, want)
+		}
 	}
 }

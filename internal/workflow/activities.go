@@ -339,6 +339,18 @@ func (p *Pick) Validate() error {
 }
 
 func (p *Pick) Execute(ctx context.Context, st *State) error {
+	idx, payload, expired, err := p.wait(ctx)
+	if err != nil {
+		return err
+	}
+	return p.proceed(ctx, st, idx, payload, expired)
+}
+
+// wait races the branches' events against Timeout and the caller's
+// context: the first event to deliver wins with its payload, Timeout
+// elapsing first is an expiry. The losing waiters are released before
+// wait returns.
+func (p *Pick) wait(ctx context.Context) (idx int, payload any, expired bool, err error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type fired struct {
@@ -365,19 +377,49 @@ func (p *Pick) Execute(ctx context.Context, st *State) error {
 	}
 	select {
 	case f := <-ch:
-		br := p.Events[f.idx]
-		if br.Var != "" {
-			st.Vars.Set(br.Var, f.payload)
-		}
-		return exec(ctx, br.Then, st)
+		return f.idx, f.payload, false, nil
 	case <-timeout:
+		return 0, nil, true, nil
+	case <-ctx.Done():
+		return 0, nil, false, ctx.Err()
+	}
+}
+
+// poll is wait without the race, for deterministic orchestrators: each
+// branch's event channel is tried once, in definition order, and a pick
+// with no event ready has expired — virtual-time-safe and a pure
+// function of the event sources.
+func (p *Pick) poll(ctx context.Context) (idx int, payload any, expired bool, err error) {
+	for i, e := range p.Events {
+		select {
+		case v, ok := <-e.Wait(ctx):
+			if ok {
+				return i, v, false, nil
+			}
+		default:
+		}
+	}
+	return 0, nil, true, nil
+}
+
+// proceed runs the continuation a decided pick selected: OnExpire (or
+// the timeout fault) on expiry, otherwise branch idx with its payload
+// bound to the branch's Var.
+func (p *Pick) proceed(ctx context.Context, st *State, idx int, payload any, expired bool) error {
+	if expired {
 		if p.OnExpire != nil {
 			return exec(ctx, p.OnExpire, st)
 		}
 		return fmt.Errorf("pick %q timed out after %v", p.Label, p.Timeout)
-	case <-ctx.Done():
-		return ctx.Err()
 	}
+	if idx < 0 || idx >= len(p.Events) {
+		return fmt.Errorf("pick %q: journaled branch %d out of range (definition drift?)", p.Label, idx)
+	}
+	br := p.Events[idx]
+	if br.Var != "" {
+		st.Vars.Set(br.Var, payload)
+	}
+	return exec(ctx, br.Then, st)
 }
 
 // Scope runs Body with BPEL-style fault and compensation handling: when

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // journalRun is the per-(instance, incarnation) execution context of a
@@ -171,8 +170,13 @@ func (jr *journalRun) execInvoke(ctx context.Context, inv *Invoke, st *State) er
 		// A clean call failure resolves the start: the side effect did not
 		// happen, so journal that fact (best-effort — if the journal is
 		// down the start simply stays in flight, which is safe) and let
-		// the fault propagate.
-		if !isJournalErr(err) && ctx.Err() == nil {
+		// the fault propagate. A deadline or cancellation — the caller's
+		// or one that fired inside the invoker — is not clean: the call
+		// may have reached the provider, so the start stays in flight and
+		// its pessimistic compensation runs.
+		clean := ctx.Err() == nil && !errors.Is(err, ErrJournal) &&
+			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+		if clean {
 			if aerr := jr.append(Record{Kind: recStepFault, Key: key, Err: err.Error()}); aerr != nil {
 				return err
 			}
@@ -190,96 +194,25 @@ func (jr *journalRun) execInvoke(ctx context.Context, inv *Invoke, st *State) er
 // execPick journals the branch decision: the winning branch (or
 // expiry) and its payload are acked before the continuation runs, so
 // replay re-runs the same continuation without re-racing the events.
+// A deterministic orchestrator polls instead of racing.
 func (jr *journalRun) execPick(ctx context.Context, p *Pick, st *State) error {
 	key := jr.nextKey(st.path, p.Label)
-	cst := st.scoped(key)
-	if rec, ok := jr.prior.picks[key]; ok {
-		return jr.runPickBranch(ctx, p, cst, rec)
-	}
-	idx, payload, expired, err := jr.selectPick(ctx, p)
-	if err != nil {
-		return err
-	}
-	rec := Record{Kind: recPick, Key: key, Branch: idx, Expired: expired, Payload: payload}
-	if err := jr.append(rec); err != nil {
-		return err
-	}
-	return jr.runPickBranch(ctx, p, cst, rec)
-}
-
-func (jr *journalRun) runPickBranch(ctx context.Context, p *Pick, st *State, rec Record) error {
-	if rec.Expired {
-		if p.OnExpire != nil {
-			return exec(ctx, p.OnExpire, st)
+	rec, decided := jr.prior.picks[key]
+	if !decided {
+		decide := p.wait
+		if jr.seq {
+			decide = p.poll
 		}
-		return fmt.Errorf("pick %q timed out after %v", p.Label, p.Timeout)
-	}
-	if rec.Branch < 0 || rec.Branch >= len(p.Events) {
-		return fmt.Errorf("pick %q: journaled branch %d out of range (definition drift?)", p.Label, rec.Branch)
-	}
-	br := p.Events[rec.Branch]
-	if br.Var != "" {
-		st.Vars.Set(br.Var, rec.Payload)
-	}
-	return exec(ctx, br.Then, st)
-}
-
-// selectPick resolves which branch wins. Deterministic mode polls each
-// branch's event channel once, in definition order, and treats an
-// unarmed pick as expired immediately — virtual-time-safe and a pure
-// function of the event sources. Concurrent mode races the events
-// exactly like the plain interpreter.
-func (jr *journalRun) selectPick(ctx context.Context, p *Pick) (idx int, payload any, expired bool, err error) {
-	if jr.seq {
-		for i, e := range p.Events {
-			select {
-			case v, ok := <-e.Wait(ctx):
-				if ok {
-					return i, v, false, nil
-				}
-			default:
-			}
+		idx, payload, expired, err := decide(ctx)
+		if err != nil {
+			return err
 		}
-		return 0, nil, true, nil
+		rec = Record{Kind: recPick, Key: key, Branch: idx, Expired: expired, Payload: payload}
+		if err := jr.append(rec); err != nil {
+			return err
+		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type fired struct {
-		idx     int
-		payload any
-	}
-	ch := make(chan fired, len(p.Events))
-	for i, e := range p.Events {
-		go func(i int, e PickBranch) {
-			select {
-			case v, ok := <-e.Wait(ctx):
-				if ok {
-					ch <- fired{i, v}
-				}
-			case <-ctx.Done():
-			}
-		}(i, e)
-	}
-	var timeout <-chan time.Time
-	if p.Timeout > 0 {
-		timer := time.NewTimer(p.Timeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	select {
-	case f := <-ch:
-		return f.idx, f.payload, false, nil
-	case <-timeout:
-		return 0, nil, true, nil
-	case <-ctx.Done():
-		return 0, nil, false, ctx.Err()
-	}
-}
-
-// isJournalErr distinguishes infrastructure failures (journal down,
-// cancellation) from clean activity faults.
-func isJournalErr(err error) bool {
-	return errors.Is(err, ErrJournal) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return p.proceed(ctx, st.scoped(key), rec.Branch, rec.Payload, rec.Expired)
 }
 
 // applyEffects writes a done record's journaled effects into the scope.

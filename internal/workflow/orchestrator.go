@@ -478,12 +478,15 @@ func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) 
 			inst.mu.Unlock()
 			o.maybeSnapshot()
 			return Result{ID: inst.id, Status: StatusCompleted, Vars: st.Vars.Snapshot()}, nil
-		case errors.Is(err, ErrJournal), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// Nothing was committed past the last ack: stay pending.
+		case errors.Is(err, ErrJournal) || ctx.Err() != nil:
+			// The journal is down or the caller gave up: nothing was
+			// committed past the last ack, so stay pending.
 			return o.pendingResult(inst, err), err
 		default:
-			// Activity fault: commit the instance to compensation. Once
-			// this record is acked, no incarnation runs forward again.
+			// Activity fault — a deadline that fired inside an invoker
+			// (a slow provider) included: commit the instance to
+			// compensation. Once this record is acked, no incarnation
+			// runs forward again.
 			fault := Record{Inst: inst.id, Kind: recFault, Err: err.Error()}
 			if aerr := o.append(inst, fault); aerr != nil {
 				return o.pendingResult(inst, aerr), aerr

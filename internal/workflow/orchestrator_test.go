@@ -3,10 +3,12 @@ package workflow
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"soc/internal/wal"
 )
@@ -861,4 +863,182 @@ func TestJournalMutations(t *testing.T) {
 			t.Errorf("mutated resume executed Commit %d times, want 2", got)
 		}
 	})
+}
+
+// timeoutSaga is reserve → commit, both non-idempotent with a declared
+// Undo; fail, when set, is what the Commit call returns.
+func timeoutSaga(t *testing.T, inv *stubInvoker, fail func(ctx context.Context) error) *Orchestrator {
+	t.Helper()
+	commit := InvokerFunc(func(ctx context.Context, svc, op string, args map[string]any) (map[string]any, error) {
+		if err := fail(ctx); err != nil {
+			return nil, err
+		}
+		return inv.Invoke(ctx, svc, op, args)
+	})
+	root := &Sequence{Label: "main", Steps: []Activity{
+		&Invoke{Label: "reserve", Service: "Pay", Operation: "Reserve", Invoker: inv,
+			Outputs:      map[string]string{"token": "token"},
+			Compensation: &Undo{Name: "release"}},
+		&Invoke{Label: "commit", Service: "Pay", Operation: "Commit", Invoker: commit,
+			Inputs:       map[string]string{"token": "token"},
+			Compensation: &Undo{Name: "uncommit", ArgsFrom: map[string]string{"token": "token"}}},
+	}}
+	o, err := OpenOrchestrator(wal.NewMemFS(47), Options{Deterministic: true})
+	if err != nil {
+		t.Fatalf("OpenOrchestrator: %v", err)
+	}
+	o.Define(mustWorkflow(t, "saga", root))
+	for _, name := range []string{"release", "uncommit"} {
+		o.DefineCompensator(name, inv.compensator(name))
+	}
+	return o
+}
+
+// TestProviderTimeoutFaultsTheInstance: a deadline that fired inside the
+// invoker (host.Client wraps its Timeout as context.DeadlineExceeded) is
+// the provider's fault, not the caller giving up — under a live caller
+// context the instance commits the fault and compensates on Start, with
+// no operator Resume. The call may have reached the provider, so its
+// start stays in flight (no step-fault) and its declared Undo runs.
+func TestProviderTimeoutFaultsTheInstance(t *testing.T) {
+	inv := newStubInvoker()
+	o := timeoutSaga(t, inv, func(context.Context) error {
+		return fmt.Errorf("host: remote error: transport: %w", context.DeadlineExceeded)
+	})
+	res, err := o.Start(context.Background(), "wf-1", "saga", nil)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if res.Status != StatusCompensated {
+		t.Fatalf("status = %s (err %q), want compensated", res.Status, res.Err)
+	}
+	if !strings.Contains(res.Err, "deadline exceeded") {
+		t.Errorf("committed fault %q does not name the timeout", res.Err)
+	}
+	if pending := o.Pending(); len(pending) != 0 {
+		t.Errorf("instances left for an operator to resume: %v", pending)
+	}
+	for _, name := range []string{"release", "uncommit"} {
+		if got := inv.compCount(name); got != 1 {
+			t.Errorf("compensator %s executed %d times, want 1", name, got)
+		}
+	}
+	a, problems := auditProblems(t, o, "wf-1")
+	if len(problems) != 0 {
+		t.Errorf("audit problems: %v", problems)
+	}
+	const key = "/main#0/commit#0"
+	if a.Starts[key].Count != 1 || a.StepFaults[key] != 0 {
+		t.Errorf("commit journaled %d starts, %d step-faults; want 1 start left in flight", a.Starts[key].Count, a.StepFaults[key])
+	}
+}
+
+// TestCallerCancelStaysPending: the caller's own context ending is not a
+// fault — nothing is committed past the last ack and the instance waits
+// for a Resume.
+func TestCallerCancelStaysPending(t *testing.T) {
+	inv := newStubInvoker()
+	ctx, cancel := context.WithCancel(context.Background())
+	o := timeoutSaga(t, inv, func(ctx context.Context) error {
+		cancel()
+		return fmt.Errorf("host: remote error: transport: %w", ctx.Err())
+	})
+	res, err := o.Start(ctx, "wf-1", "saga", nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Start err = %v, want the caller's cancellation", err)
+	}
+	if res.Status != StatusPending {
+		t.Fatalf("status = %s, want pending", res.Status)
+	}
+	if a, _ := auditProblems(t, o, "wf-1"); a.Faults != 0 || a.Terminals != 0 {
+		t.Errorf("cancelled run committed %d faults, %d terminals", a.Faults, a.Terminals)
+	}
+	if inv.compTotal() != 0 {
+		t.Errorf("compensators ran for a pending instance: %v", inv.comps)
+	}
+}
+
+// TestPickSameUnderBothEngines runs one Pick definition under
+// Workflow.Run and under a racing (non-deterministic) Orchestrator: the
+// same branch runs with the same payload, or the same error comes back.
+func TestPickSameUnderBothEngines(t *testing.T) {
+	never := func(context.Context) <-chan any { return make(chan any) }
+	ready := func(context.Context) <-chan any {
+		ch := make(chan any, 1)
+		ch <- "payload"
+		return ch
+	}
+	won := func(label, who string) Activity {
+		return &Assign{Label: label, Var: "winner", Expr: func(*Vars) any { return who }}
+	}
+	cases := []struct {
+		name string
+		// pick builds the definition; cancel ends the caller's context.
+		pick       func(cancel func()) *Pick
+		wantWinner string
+		wantEvt    any
+		wantErr    string
+		wantStatus string
+	}{
+		{name: "event first", wantWinner: "ready", wantEvt: "payload", wantStatus: StatusCompleted,
+			pick: func(func()) *Pick {
+				return &Pick{Label: "race", Timeout: time.Hour, OnExpire: won("x", "expired"), Events: []PickBranch{
+					{Wait: never, Then: won("n", "never")},
+					{Wait: ready, Var: "evt", Then: won("r", "ready")},
+				}}
+			}},
+		{name: "timeout with OnExpire", wantWinner: "expired", wantStatus: StatusCompleted,
+			pick: func(func()) *Pick {
+				return &Pick{Label: "race", Timeout: 2 * time.Millisecond, OnExpire: won("x", "expired"),
+					Events: []PickBranch{{Wait: never, Var: "evt", Then: won("n", "never")}}}
+			}},
+		{name: "timeout without OnExpire", wantErr: `pick "race" timed out after 2ms`, wantStatus: StatusCompensated,
+			pick: func(func()) *Pick {
+				return &Pick{Label: "race", Timeout: 2 * time.Millisecond,
+					Events: []PickBranch{{Wait: never, Then: won("n", "never")}}}
+			}},
+		{name: "caller cancelled", wantErr: "context canceled", wantStatus: StatusPending,
+			pick: func(cancel func()) *Pick {
+				return &Pick{Label: "race", Timeout: time.Hour, OnExpire: won("x", "expired"),
+					Events: []PickBranch{{Then: won("n", "never"), Wait: func(ctx context.Context) <-chan any {
+						cancel()
+						return never(ctx)
+					}}}}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(engine string, vars map[string]any, errText string) {
+				t.Helper()
+				if errText != tc.wantErr {
+					t.Errorf("%s: error %q, want %q", engine, errText, tc.wantErr)
+				}
+				if tc.wantErr == "" && (vars["winner"] != tc.wantWinner || vars["evt"] != tc.wantEvt) {
+					t.Errorf("%s: winner=%v evt=%v, want %v/%v", engine, vars["winner"], vars["evt"], tc.wantWinner, tc.wantEvt)
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			out, _, err := mustWorkflow(t, "picky", tc.pick(cancel)).Run(ctx, nil)
+			errText := ""
+			if err != nil {
+				errText = strings.TrimPrefix(err.Error(), ErrFaulted.Error()+": ")
+			}
+			check("Workflow.Run", out, errText)
+
+			o, err := OpenOrchestrator(wal.NewMemFS(53), Options{})
+			if err != nil {
+				t.Fatalf("OpenOrchestrator: %v", err)
+			}
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			o.Define(mustWorkflow(t, "picky", tc.pick(cancel)))
+			res, _ := o.Start(ctx, "wf-1", "picky", nil)
+			check("Orchestrator", res.Vars, res.Err)
+			if res.Status != tc.wantStatus {
+				t.Errorf("Orchestrator: status %s, want %s", res.Status, tc.wantStatus)
+			}
+		})
+	}
 }
