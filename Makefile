@@ -57,8 +57,10 @@ race:
 ## detector — the interleavings it guards (a snapshot between a journal
 ## ack and its in-memory apply, a Resume against a finishing driver)
 ## show up in a minority of runs, so one pass proves little — and the
-## call plane's deadline tests, whose timer races a blocked transport, a
-## stalled body and the caller's Close
+## call plane's deadline tests (TestDoDeadline…): the deadline context's
+## clock races a blocked transport, a stalled body, the caller's cancel
+## and Close, and waiters and child contexts arriving meanwhile
+## (…Conformance, …CancelsChildrenWithoutWatchers, …Hammer)
 flake:
 	$(GO) test -race -count=20 -run TestConcurrentOrchestration ./internal/workflow
 	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane

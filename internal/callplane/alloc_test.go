@@ -49,11 +49,11 @@ func TestRequestConstructorAllocCeilings(t *testing.T) {
 }
 
 // Do adds nothing to a request without a Timeout. With one it adds the
-// deadline context — context.WithDeadline's own four: the context, its
-// timer, and a closure each for the timer and the cancel func — and the
-// guard that releases it when the response body is done with; the request
-// is rebound in place, not copied. http.Client.Do spent 3 and 26 on the
-// same two exchanges, and started a goroutine for the second.
+// deadlineBody — context, cancel and body guard in one — and, for an
+// exchange nobody waited on, neither channel nor timer; the request is
+// rebound in place, not copied. context.WithDeadline and a separate guard
+// spent 5 on the second exchange, http.Client.Do 3 and 26 on the two, with
+// a goroutine started for the second.
 func TestDoAllocCeilings(t *testing.T) {
 	rt, err := NewRoute(http.MethodPost, "http://example/services/S/invoke/Op", "S.Op")
 	if err != nil {
@@ -66,7 +66,7 @@ func TestDoAllocCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		timeout time.Duration
 		ceiling float64
-	}{{0, 0}, {30 * time.Second, 5}} {
+	}{{0, 0}, {30 * time.Second, 1}} {
 		hc := &http.Client{Transport: transport, Timeout: tc.timeout}
 		var req *http.Request
 		build := func() { req = rt.NewRequest(context.Background(), nil) }

@@ -100,11 +100,22 @@ type FrontDoor struct {
 	sem    chan struct{}
 	queued atomic.Int64
 
+	spanNames callplane.Records[spanKey, string]
+
 	admitted  atomic.Uint64
 	shedQueue atomic.Uint64 // refused admission: queue full or wait timed out
 	shedBusy  atomic.Uint64 // admitted but every replica at capacity
 	completed atomic.Uint64 // a replica's response was delivered
 	errored   atomic.Uint64 // attempts exhausted; the door answered 502
+}
+
+// spanKey is what a proxied request's span name is made of.
+type spanKey struct{ method, path string }
+
+// spanName joins "frontdoor.METHOD PATH"; FrontDoor.spanNames keeps the
+// result, so a path seen before costs no concatenation.
+func spanName(k spanKey) (string, error) {
+	return "frontdoor." + k.method + " " + k.path, nil
 }
 
 // rotation is the copy-on-write membership view: all replicas for
@@ -484,6 +495,13 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 	t0 := fd.clock.Now()
 	rsp, err := rep.rt.RoundTrip(req)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller gave up — it disconnected, or its own deadline
+			// passed — which says nothing about the replica: no latency
+			// sample, no failure, and no sibling to replay a request
+			// nobody waits for.
+			return cerr
+		}
 		// A fast connection-refused must not make a dead replica
 		// look attractive: penalize the EWMA with at least a
 		// second so picks steer away until the lease reaps it.
@@ -532,7 +550,7 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	pc.fd, pc.r = fd, r
 	// One string serves as the span name and, past its prefix, as the
 	// operation.
-	name := "frontdoor." + r.Method + " " + r.URL.Path
+	name, _ := fd.spanNames.Get(spanKey{r.Method, r.URL.Path}, spanName)
 	pc.inv.Service, pc.inv.Operation, pc.inv.SpanName = "frontdoor", name[len("frontdoor."):], name
 	pc.inv.Binding = "proxy"
 	pc.inv.Remote, _ = telemetry.FromHTTPHeader(r.Header)

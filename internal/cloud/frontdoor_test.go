@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -325,5 +326,62 @@ func TestFrontDoorPerReplicaCapSheds(t *testing.T) {
 	}
 	if st := fd.Stats(); st.ShedBusy != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestFrontDoorCallerGaveUpIsNotAReplicaFailure: an exchange that fails
+// because its caller cancelled, or the caller's own deadline passed, says
+// nothing about the replica — no penalty sample in its EWMA, no failure
+// counted, no replay — and the door's ledger still closes.
+func TestFrontDoorCallerGaveUpIsNotAReplicaFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // 0: the caller cancels once the replica has the request
+	}{
+		{"cancelled", 0},
+		{"deadline passed", 10 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.timeout > 0 {
+				ctx, cancel = context.WithTimeout(context.Background(), tc.timeout)
+			}
+			defer cancel()
+			attempts := 0
+			fd := NewFrontDoor(FrontDoorConfig{})
+			fd.Add(NewReplica("r", roundTripperFunc(func(req *http.Request) (*http.Response, error) {
+				if req.URL.Path != "/hang" {
+					return HandlerTransport(okHandler("pong")).RoundTrip(req)
+				}
+				attempts++
+				if tc.timeout == 0 {
+					cancel()
+				}
+				<-req.Context().Done()
+				return nil, req.Context().Err()
+			}), 0))
+			if rec := get(t, fd, "/ping"); rec.Code != http.StatusOK {
+				t.Fatalf("healthy exchange: %d", rec.Code)
+			}
+			before := fd.Replica("r").Status()
+
+			rec := httptest.NewRecorder()
+			fd.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/hang", nil).WithContext(ctx))
+
+			if rec.Code != http.StatusBadGateway {
+				t.Fatalf("status %d, want 502", rec.Code)
+			}
+			if attempts != 1 {
+				t.Fatalf("%d attempts at a request nobody waits for, want 1", attempts)
+			}
+			after := fd.Replica("r").Status()
+			if after.EWMALatencyNanos != before.EWMALatencyNanos || after.Failed != before.Failed {
+				t.Fatalf("replica blamed for its caller: EWMA %d → %d ns, failed %d → %d",
+					before.EWMALatencyNanos, after.EWMALatencyNanos, before.Failed, after.Failed)
+			}
+			if st := fd.Stats(); st.Errored != 1 || st.Admitted != st.Completed+st.Errored+st.ShedBusy {
+				t.Fatalf("ledger open: %+v", st)
+			}
+		})
 	}
 }

@@ -18,9 +18,9 @@ import (
 
 // TestClientSearchAllocCeiling pins a remote Search end to end over one
 // in-memory exchange, the way registry-churn drives it: the client's span
-// and request, callplane.Do under a Timeout (5), the API's routing, the
+// and request, callplane.Do under a Timeout (1), the API's routing, the
 // search itself (12, see TestSearchAllocCeiling) and encoding/json on
-// both sides of the answer. Measured 129, given 1; through http.Client.Do
+// both sides of the answer. Measured 125, given 1; through http.Client.Do
 // the same call measured 151.
 func TestClientSearchAllocCeiling(t *testing.T) {
 	reg := registry.New()
@@ -49,7 +49,7 @@ func TestClientSearchAllocCeiling(t *testing.T) {
 		}
 	}
 	search()
-	if allocs := testing.AllocsPerRun(200, search); allocs > 130 {
-		t.Errorf("Client.Search allocates %.1f/op, ceiling 130", allocs)
+	if allocs := testing.AllocsPerRun(200, search); allocs > 126 {
+		t.Errorf("Client.Search allocates %.1f/op, ceiling 126", allocs)
 	}
 }
