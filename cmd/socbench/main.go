@@ -5,8 +5,8 @@
 //	socbench -exp fig3
 //	socbench -list
 //
-// Experiments: fig1 fig2 fig3 fig4 table4 table5 acm crawl bindings
-// workflow state cloud dependability.
+// Experiments: fig1 fig2 fig3 fig4 table4 table5 acm textbook crawl
+// bindings workflow state cloud dependability.
 package main
 
 import (

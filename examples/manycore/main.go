@@ -1,7 +1,7 @@
 // Manycore: the CSE445 multithreading unit's performance study — validate
 // the Collatz conjecture sequentially, with static partitioning, and with
-// TBB-style dynamic scheduling, then project the scaling to 32 cores with
-// the virtual-time executor (the paper's Figure 3).
+// TBB-style dynamic scheduling, then print the paper's Figure 3 (the
+// projection to 32 cores on the virtual-time executor) for the same range.
 package main
 
 import (
@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"soc/internal/collatz"
+	"soc/internal/experiments"
 	"soc/internal/perf"
-	"soc/internal/vtime"
 )
 
 func main() {
@@ -49,29 +49,13 @@ func main() {
 	e, _ := perf.Efficiency(t1, td, workers)
 	fmt.Printf("\ndynamic on %d cores: speedup %.2fx, efficiency %.0f%%\n\n", workers, s, e*100)
 
-	// Virtual-time projection to the paper's 32 cores.
-	tasks, err := collatz.Tasks(lo, hi, 64)
+	// The projection to the paper's 32 cores is Figure 3 itself — its cost
+	// model and core counts (socbench -exp fig3), on this range.
+	spec := experiments.DefaultFigure3
+	spec.Lo, spec.Hi = lo, hi
+	report, _, err := experiments.Figure3(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var total int64
-	for _, t := range tasks {
-		total += t.Cost
-	}
-	ex, err := vtime.NewExecutor(vtime.Config{
-		DispatchOverhead: 6, CoreStartup: 2000,
-		SerialWork: int64(0.025 * float64(total)),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	points, err := ex.Scaling(tasks, []int{1, 2, 4, 8, 16, 32})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("virtual-time projection (Figure 3 shape):")
-	fmt.Printf("%6s %9s %11s\n", "cores", "speedup", "efficiency")
-	for _, pt := range points {
-		fmt.Printf("%6d %9.2f %10.1f%%\n", pt.Cores, pt.Speedup, pt.Efficiency*100)
-	}
+	fmt.Print(report)
 }

@@ -1,58 +1,29 @@
 package soc
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestExperimentIndexResolves keeps DESIGN.md's per-experiment index
-// honest: every `Benchmark…` a row names is a function in bench_test.go
-// and every `socbench -exp NAME` is in cmd/socbench's catalog.
+// TestExperimentIndexResolves keeps DESIGN.md's per-experiment index and
+// cmd/socbench's catalog the same list: the last cell of every row is one
+// `socbench -exp NAME` naming a catalog entry, and every catalog entry
+// has a row.
 func TestExperimentIndexResolves(t *testing.T) {
-	fset := token.NewFileSet()
-	benchmarks := map[string]bool{}
-	benchFile, err := parser.ParseFile(fset, "bench_test.go", nil, 0)
+	// The catalog is a slice literal of {"name", "desc", run} rows, one
+	// row start per line as gofmt leaves it.
+	mainGo, err := os.ReadFile("cmd/socbench/main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, decl := range benchFile.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
-			benchmarks[fn.Name.Name] = true
-		}
+	catalog := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\t\t\{"(\w+)", "`).FindAllSubmatch(mainGo, -1) {
+		catalog[string(m[1])] = true
 	}
-
-	// The catalog is a slice literal of {name, desc, run} rows.
-	experiments := map[string]bool{}
-	mainFile, err := parser.ParseFile(fset, "cmd/socbench/main.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, decl := range mainFile.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "catalog" {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			row, ok := n.(*ast.CompositeLit)
-			if !ok || row.Type != nil || len(row.Elts) == 0 {
-				return true
-			}
-			if lit, ok := row.Elts[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if name, err := strconv.Unquote(lit.Value); err == nil {
-					experiments[name] = true
-				}
-			}
-			return false
-		})
-	}
-	if len(benchmarks) == 0 || len(experiments) == 0 {
-		t.Fatalf("found %d benchmarks and %d socbench experiments; the sources moved", len(benchmarks), len(experiments))
+	if len(catalog) == 0 {
+		t.Fatal("found no socbench experiments; cmd/socbench's catalog moved")
 	}
 
 	design, err := os.ReadFile("DESIGN.md")
@@ -63,9 +34,8 @@ func TestExperimentIndexResolves(t *testing.T) {
 	if !found {
 		t.Fatal("DESIGN.md has no \"Per-experiment index\" section")
 	}
-	benchRef := regexp.MustCompile(`\bBenchmark\w+`)
-	expRef := regexp.MustCompile(`socbench -exp (\w+)`)
-	rows := 0
+	target := regexp.MustCompile("^`socbench -exp (\\w+)`$")
+	indexed := map[string]bool{}
 	for _, line := range strings.Split(index, "\n") {
 		if strings.HasPrefix(line, "## ") {
 			break
@@ -73,24 +43,21 @@ func TestExperimentIndexResolves(t *testing.T) {
 		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| Exp ") {
 			continue
 		}
-		rows++
-		id, _, _ := strings.Cut(strings.TrimPrefix(line, "| "), " ")
-		benches, exps := benchRef.FindAllString(line, -1), expRef.FindAllStringSubmatch(line, -1)
-		if len(benches)+len(exps) == 0 {
-			t.Errorf("%s: the row names neither a benchmark nor a socbench experiment", id)
-		}
-		for _, name := range benches {
-			if !benchmarks[name] {
-				t.Errorf("%s: %s is not a function in bench_test.go", id, name)
-			}
-		}
-		for _, m := range exps {
-			if !experiments[m[1]] {
-				t.Errorf("%s: socbench has no experiment %q", id, m[1])
-			}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		id, last := cells[0], cells[len(cells)-1]
+		m := target.FindStringSubmatch(last)
+		switch {
+		case m == nil:
+			t.Errorf("%s: regeneration target %q is not exactly one `socbench -exp NAME`", id, last)
+		case !catalog[m[1]]:
+			t.Errorf("%s: socbench has no experiment %q", id, m[1])
+		default:
+			indexed[m[1]] = true
 		}
 	}
-	if rows == 0 {
-		t.Fatal("the per-experiment index has no rows")
+	for name := range catalog {
+		if !indexed[name] {
+			t.Errorf("socbench experiment %q has no row in the per-experiment index", name)
+		}
 	}
 }

@@ -360,7 +360,7 @@ func (fd *FrontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/clusterz":
 		fd.handleClusterz(w, r)
 	case "/metricz":
-		fd.handleMetricz(w, r)
+		rest.WriteResponse(w, r, http.StatusOK, fd.metrics.Report())
 	case "/healthz":
 		rest.WriteResponse(w, r, http.StatusOK, map[string]any{
 			"status":   "ok",
@@ -382,42 +382,6 @@ func (fd *FrontDoor) handleClusterz(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, rep := range rot.all {
 		report.Replicas[i] = rep.Status()
-	}
-	rest.WriteResponse(w, r, http.StatusOK, report)
-}
-
-// metriczOp and metriczReport mirror the host's GET /metricz document
-// field for field, so cluster dashboards read one shape everywhere.
-type metriczOp struct {
-	Calls     uint64   `json:"calls"`
-	Errors    uint64   `json:"errors"`
-	CacheHits uint64   `json:"cacheHits"`
-	MeanNanos int64    `json:"meanNanos"`
-	Histogram []uint64 `json:"histogram"`
-}
-
-type metriczReport struct {
-	BucketBoundsNanos []int64              `json:"bucketBoundsNanos"`
-	Operations        map[string]metriczOp `json:"operations"`
-}
-
-func (fd *FrontDoor) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	snap := fd.metrics.Snapshot()
-	report := metriczReport{
-		BucketBoundsNanos: make([]int64, len(telemetry.BucketBounds)),
-		Operations:        make(map[string]metriczOp, len(snap)),
-	}
-	for i, b := range telemetry.BucketBounds {
-		report.BucketBoundsNanos[i] = int64(b)
-	}
-	for key, om := range snap {
-		report.Operations[key] = metriczOp{
-			Calls:     om.Calls,
-			Errors:    om.Errors,
-			CacheHits: om.CacheHits,
-			MeanNanos: int64(om.MeanTime()),
-			Histogram: append([]uint64(nil), om.Buckets[:]...),
-		}
 	}
 	rest.WriteResponse(w, r, http.StatusOK, report)
 }

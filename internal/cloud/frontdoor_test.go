@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"soc/internal/registry"
+	"soc/internal/telemetry"
 	"soc/internal/vtime"
 )
 
@@ -250,7 +252,7 @@ func TestFrontDoorMetriczShape(t *testing.T) {
 	fd.Add(NewLocalReplica("r1", okHandler("x"), 0))
 	get(t, fd, "/work")
 	rec := get(t, fd, "/metricz")
-	var rep metriczReport
+	var rep telemetry.MetricsReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -259,6 +261,25 @@ func TestFrontDoorMetriczShape(t *testing.T) {
 	}
 	if op, ok := rep.Operations["frontdoor.proxy"]; !ok || op.Calls != 1 {
 		t.Fatalf("frontdoor.proxy not metered: %+v", rep.Operations)
+	}
+}
+
+// TestFrontDoorMetriczMatchesHost: for equal counters the door serves the
+// bytes the host serves — telemetry's golden is the host's /metricz body
+// for these four records (TestReportGolden).
+func TestFrontDoorMetriczMatchesHost(t *testing.T) {
+	m := telemetry.NewMetrics()
+	m.Record("Calc.Add", 50*time.Microsecond, false)
+	m.Record("Calc.Add", 2*time.Second, true)
+	m.RecordCached("Calc.Add")
+	m.RecordCached("Idle.Op")
+	want, err := os.ReadFile("../telemetry/testdata/metricz.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := get(t, NewFrontDoor(FrontDoorConfig{Metrics: m}), "/metricz")
+	if rec.Body.String() != string(want) {
+		t.Errorf("front door /metricz differs from the host's:\n%s", rec.Body.String())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation, plus the ablation studies DESIGN.md calls out. Each
-// experiment returns its report as text so cmd/socbench, the test suite,
-// and the benchmark harness share one implementation.
+// evaluation, plus the ablation studies DESIGN.md calls out. It is the
+// one implementation of each, and the Default* specs the one home of its
+// parameters; an experiment returns its report as text so cmd/socbench
+// and the test suite run the same code.
 package experiments
 
 import (
@@ -78,7 +79,7 @@ type Figure2Spec struct {
 	Budget int
 }
 
-// DefaultFigure2 is the corpus used by socbench and the benchmarks.
+// DefaultFigure2 is the corpus socbench runs.
 var DefaultFigure2 = Figure2Spec{Sizes: []int{9, 15, 21}, Seeds: 12, Budget: 30000}
 
 // Figure2 reproduces the maze-algorithm study implied by Figure 2: the

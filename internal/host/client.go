@@ -148,8 +148,11 @@ func (c *Client) exchange(ctx context.Context, rt *callplane.Route, args core.Va
 	defer resp.Body.Close()
 	data := callplane.GetBuffer()
 	defer data.Release()
-	if err := data.Fill(resp.Body, maxResponse); err != nil {
+	if err := data.Fill(resp.Body, maxResponse+1); err != nil {
 		return nil, fmt.Errorf("%w: reading response: %w", ErrRemote, err)
+	}
+	if len(data.B) > maxResponse {
+		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrRemote, maxResponse)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var prob struct {

@@ -125,3 +125,26 @@ func TestClientDoesNotFollowRedirects(t *testing.T) {
 		t.Errorf("transport called %d times for two calls", n)
 	}
 }
+
+// An answer one byte over the client's buffer bound is reported as too
+// large — it used to be cut at the bound and fail as a JSON syntax error —
+// and one of exactly the bound still decodes.
+func TestClientReportsAnOversizedAnswer(t *testing.T) {
+	answer := func(size int) *Client {
+		body := `{"v":"` + strings.Repeat("x", size-len(`{"v":""}`)) + `"}`
+		return &Client{BaseURL: "http://big.test", HTTPClient: &http.Client{
+			Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				_ = r.Body.Close()
+				return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(body))}, nil
+			}),
+		}}
+	}
+	_, err := answer(maxResponse+1).Call(context.Background(), "Calc", "Add", nil)
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "exceeds 4194304 bytes") {
+		t.Errorf("4 MiB + 1: err = %v, want ErrRemote … exceeds 4194304 bytes", err)
+	}
+	out, err := answer(maxResponse).Call(context.Background(), "Calc", "Add", nil)
+	if err != nil || len(out.Str("v")) != maxResponse-len(`{"v":""}`) {
+		t.Errorf("4 MiB: err = %v, %d bytes decoded", err, len(out.Str("v")))
+	}
+}

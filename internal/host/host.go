@@ -148,8 +148,7 @@ func (h *Host) Mount(svc *core.Service) error {
 	}
 	for _, op := range svc.Operations() {
 		opName := op.Name
-		metricKey := svc.Name + "." + opName // resolved once, not per request
-		m.metricKeys[opName] = metricKey
+		m.metricKeys[opName] = svc.Name + "." + opName // resolved once, not per request
 		m.idempotent[opName] = op.Idempotent
 		err := m.soapSrv.Handle(opName, func(ctx context.Context, req soap.Message) (soap.Message, error) {
 			args := acquireValues()
@@ -163,15 +162,7 @@ func (h *Host) Mount(svc *core.Service) error {
 			if !ok {
 				remote, _ = telemetry.ParseTraceParent(req.Header[telemetry.SOAPHeaderName])
 			}
-			sp, ctx := h.tracer.StartSpanRemote(ctx, telemetry.KindServer, metricKey, remote)
-			sp.Annotate("binding", "soap")
-			if telemetry.IsCacheMiss(ctx) {
-				sp.Annotate("respcache", "miss")
-			}
-			start := time.Now()
-			out, err := h.invoke(ctx, svc, opName, args)
-			h.instr.Record(metricKey, time.Since(start), err != nil)
-			sp.EndErr(err)
+			out, err := h.dispatch(ctx, m, opName, "soap", remote, args)
 			if err != nil {
 				if errors.Is(err, core.ErrBadRequest) || errors.Is(err, core.ErrNotFound) {
 					return soap.Message{}, soap.ClientFault("%v", err)
@@ -204,11 +195,24 @@ func (h *Host) MustMount(svc *core.Service) {
 	}
 }
 
-func (h *Host) invoke(ctx context.Context, svc *core.Service, op string, args core.Values) (core.Values, error) {
-	// Service invocation itself is lock-free; the host lock only guards
-	// the service maps. The transport's request context flows through so
-	// client cancellation reaches the handler.
-	return svc.Invoke(ctx, op, args)
+// dispatch is the one observed invocation both bindings end in: a server
+// span joined to the caller's trace (remote, else ctx's active span),
+// annotated with the binding and a response-cache miss, and the handler's
+// time and outcome folded into the instrument set. The transport's
+// request context flows through, so client cancellation reaches the
+// handler.
+func (h *Host) dispatch(ctx context.Context, m *mounted, op, binding string, remote telemetry.SpanContext, args core.Values) (core.Values, error) {
+	metricKey := m.metricKey(op)
+	sp, spanCtx := h.tracer.StartSpanRemote(ctx, telemetry.KindServer, metricKey, remote)
+	sp.Annotate("binding", binding)
+	if telemetry.IsCacheMiss(ctx) {
+		sp.Annotate("respcache", "miss")
+	}
+	start := time.Now()
+	out, err := m.svc.Invoke(spanCtx, op, args)
+	h.instr.Record(metricKey, time.Since(start), err != nil)
+	sp.EndErr(err)
+	return out, err
 }
 
 // Service returns a mounted service by name.
@@ -424,7 +428,6 @@ func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Param
 		rest.WriteError(w, r, http.StatusNotFound, "no service %q", p["name"])
 		return
 	}
-	svc := m.svc
 	args := acquireValues()
 	defer releaseValues(args)
 	if r.Method == http.MethodPost {
@@ -442,17 +445,8 @@ func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Param
 			}
 		}
 	}
-	metricKey := m.metricKey(p["op"])
 	remote, _ := telemetry.FromHTTPHeader(r.Header)
-	sp, ctx := h.tracer.StartSpanRemote(r.Context(), telemetry.KindServer, metricKey, remote)
-	sp.Annotate("binding", "rest")
-	if telemetry.IsCacheMiss(r.Context()) {
-		sp.Annotate("respcache", "miss")
-	}
-	start := time.Now()
-	out, err := svc.Invoke(ctx, p["op"], args)
-	h.instr.Record(metricKey, time.Since(start), err != nil)
-	sp.EndErr(err)
+	out, err := h.dispatch(r.Context(), m, p["op"], "rest", remote, args)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, core.ErrBadRequest) {

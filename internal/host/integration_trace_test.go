@@ -245,15 +245,7 @@ func TestRespcacheTraceAnnotationsAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var report struct {
-		BucketBoundsNanos []int64 `json:"bucketBoundsNanos"`
-		Operations        map[string]struct {
-			Calls     uint64   `json:"calls"`
-			Errors    uint64   `json:"errors"`
-			CacheHits uint64   `json:"cacheHits"`
-			Histogram []uint64 `json:"histogram"`
-		} `json:"operations"`
-	}
+	var report telemetry.MetricsReport
 	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
 		t.Fatal(err)
 	}

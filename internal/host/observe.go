@@ -71,39 +71,6 @@ func (h *Host) handleTracez(w http.ResponseWriter, r *http.Request, _ rest.Param
 	rest.WriteResponse(w, r, http.StatusOK, report)
 }
 
-// metriczOp is one operation's entry in the GET /metricz document.
-type metriczOp struct {
-	Calls     uint64   `json:"calls"`
-	Errors    uint64   `json:"errors"`
-	CacheHits uint64   `json:"cacheHits"`
-	MeanNanos int64    `json:"meanNanos"`
-	Histogram []uint64 `json:"histogram"`
-}
-
-// metriczReport is the GET /metricz document: the same instrument set the
-// trace plane and Stats read, plus the shared histogram bucket bounds.
-type metriczReport struct {
-	BucketBoundsNanos []int64              `json:"bucketBoundsNanos"`
-	Operations        map[string]metriczOp `json:"operations"`
-}
-
 func (h *Host) handleMetricz(w http.ResponseWriter, r *http.Request, _ rest.Params) {
-	snap := h.instr.Snapshot()
-	report := metriczReport{
-		BucketBoundsNanos: make([]int64, len(telemetry.BucketBounds)),
-		Operations:        make(map[string]metriczOp, len(snap)),
-	}
-	for i, b := range telemetry.BucketBounds {
-		report.BucketBoundsNanos[i] = int64(b)
-	}
-	for key, om := range snap {
-		report.Operations[key] = metriczOp{
-			Calls:     om.Calls,
-			Errors:    om.Errors,
-			CacheHits: om.CacheHits,
-			MeanNanos: int64(om.MeanTime()),
-			Histogram: append([]uint64(nil), om.Buckets[:]...),
-		}
-	}
-	rest.WriteResponse(w, r, http.StatusOK, report)
+	rest.WriteResponse(w, r, http.StatusOK, h.instr.Report())
 }

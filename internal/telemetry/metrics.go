@@ -185,6 +185,45 @@ func (x *Metrics) Snapshot() map[string]OpMetrics {
 	return out
 }
 
+// opReport is one operation's entry in a MetricsReport.
+type opReport struct {
+	Calls     uint64   `json:"calls"`
+	Errors    uint64   `json:"errors"`
+	CacheHits uint64   `json:"cacheHits"`
+	MeanNanos int64    `json:"meanNanos"`
+	Histogram []uint64 `json:"histogram"`
+}
+
+// MetricsReport is the GET /metricz document, the one shape the host and
+// the front door both serve: the instrument set plus the shared
+// histogram bucket bounds.
+type MetricsReport struct {
+	BucketBoundsNanos []int64             `json:"bucketBoundsNanos"`
+	Operations        map[string]opReport `json:"operations"`
+}
+
+// Report renders a Snapshot as the /metricz document.
+func (x *Metrics) Report() MetricsReport {
+	snap := x.Snapshot()
+	report := MetricsReport{
+		BucketBoundsNanos: make([]int64, len(BucketBounds)),
+		Operations:        make(map[string]opReport, len(snap)),
+	}
+	for i, b := range BucketBounds {
+		report.BucketBoundsNanos[i] = int64(b)
+	}
+	for key, om := range snap {
+		report.Operations[key] = opReport{
+			Calls:     om.Calls,
+			Errors:    om.Errors,
+			CacheHits: om.CacheHits,
+			MeanNanos: int64(om.MeanTime()),
+			Histogram: append([]uint64(nil), om.Buckets[:]...),
+		}
+	}
+	return report
+}
+
 // Keys returns the sorted operation keys with any recorded activity.
 func (x *Metrics) Keys() []string {
 	m := *x.m.Load()
