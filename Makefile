@@ -53,16 +53,16 @@ short:
 race:
 	$(GO) test -race ./...
 
-## flake: repeat the concurrent-orchestration test under the race
-## detector — the interleavings it guards (a snapshot between a journal
-## ack and its in-memory apply, a Resume against a finishing driver)
-## show up in a minority of runs, so one pass proves little — and the
-## call plane's deadline tests (TestDoDeadline…): the deadline context's
-## clock races a blocked transport, a stalled body, the caller's cancel
-## and Close, and waiters and child contexts arriving meanwhile
-## (…Conformance, …CancelsChildrenWithoutWatchers, …Hammer)
+## flake: repeat the concurrent-orchestration tests under the race
+## detector — the interleavings they guard (a snapshot between a journal
+## ack and its in-memory apply, a Resume against a finishing driver, two
+## Starts of one id) show up in a minority of runs, so one pass proves
+## little — and the call plane's deadline tests (TestDoDeadline…): the
+## deadline context's clock races a blocked transport, a stalled body,
+## the caller's cancel and Close, and waiters and child contexts arriving
+## meanwhile (…Conformance, …CancelsChildrenWithoutWatchers, …Hammer)
 flake:
-	$(GO) test -race -count=20 -run TestConcurrentOrchestration ./internal/workflow
+	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane
 
 ## chaos: just the fault-injection chaos suite, verbosely

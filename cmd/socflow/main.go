@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"soc/internal/core"
+	"soc/internal/rest"
 	"soc/internal/services"
 	"soc/internal/wal"
 	"soc/internal/workflow"
@@ -219,7 +220,7 @@ type startRequest struct {
 
 func (s *server) start(w http.ResponseWriter, r *http.Request, def string) {
 	var req startRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := rest.ReadJSON(r, &req, 0); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

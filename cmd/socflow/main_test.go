@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"soc/internal/services"
@@ -172,6 +173,10 @@ func TestSocflowBadRequests(t *testing.T) {
 		{"start without id", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/instances/score-check", "application/json", bytes.NewBufferString(`{"vars":{}}`))
 		}, http.StatusBadRequest},
+		{"start with a body over the 1 MiB bound", func() (*http.Response, error) {
+			body := `{"id":"big","vars":{"ssn":"123-45-6789","password":"` + strings.Repeat("x", 1<<20) + `"}}`
+			return http.Post(ts.URL+"/instances/score-check", "application/json", strings.NewReader(body))
+		}, http.StatusBadRequest},
 		{"start unknown definition", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/instances/no-such-def", "application/json", bytes.NewBufferString(`{"id":"x"}`))
 		}, http.StatusConflict},
@@ -195,5 +200,8 @@ func TestSocflowBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+	if ids := orch.Instances(); len(ids) != 0 {
+		t.Errorf("rejected requests started instances: %v", ids)
 	}
 }

@@ -63,11 +63,12 @@ func (f InvokerFunc) Invoke(ctx context.Context, service, operation string, args
 	return f(ctx, service, operation, args)
 }
 
-// Undo declares an Invoke's durable compensation: a compensator
-// registered by name on the orchestrator, with arguments resolved from
-// the scope (argument name → variable name) when the invoke's start
-// record is journaled — pessimistically, so a call that crashed in
-// flight can still be undone.
+// Undo declares an Invoke's compensation: a compensator registered by
+// name (DefineCompensator) on the engine that runs the definition, with
+// arguments resolved from the scope (argument name → variable name)
+// before the call goes out — pessimistically, so a call that failed or
+// crashed in flight can still be undone. The orchestrator journals it
+// on the invoke's start record; Workflow.Run keeps it on the run's list.
 type Undo struct {
 	Name     string
 	ArgsFrom map[string]string
@@ -80,8 +81,7 @@ type Undo struct {
 // Idempotent declares that re-issuing the operation is safe; the
 // orchestrator re-issues an in-flight invoke after a crash only when it
 // is set, and otherwise faults the instance into compensation.
-// Compensation (optional) is the durable undo journaled with the start
-// record.
+// Compensation (optional) is the undo to run if the instance faults.
 type Invoke struct {
 	Label        string
 	Service      string
@@ -121,6 +121,13 @@ func (i *Invoke) resolveCompensation(key string, vars *Vars) []Compensation {
 }
 
 func (i *Invoke) Execute(ctx context.Context, st *State) error {
+	if st.jr == nil {
+		// No start record to carry the declared undo: it goes straight
+		// onto the plain run's list, before the call like the journal's.
+		if cc, ok := ctx.Value(compCollectorKey{}).(*compCollector); ok {
+			cc.add(i.resolveCompensation(i.Label, st.Vars)...)
+		}
+	}
 	args := map[string]any{}
 	for param, varName := range i.Inputs {
 		if v, ok := st.Vars.Get(varName); ok {
@@ -422,9 +429,12 @@ func (p *Pick) proceed(ctx context.Context, st *State, idx int, payload any, exp
 	return exec(ctx, br.Then, st)
 }
 
-// Scope runs Body with BPEL-style fault and compensation handling: when
-// Body faults, Compensation activities registered during execution run in
-// reverse order, then OnFault (if set) may absorb the fault.
+// Scope is a BPEL-style fault handler around Body: when Body faults and
+// OnFault is set, the fault text lands in "fault.<Label>" and OnFault
+// runs; if it finishes without error the fault is absorbed. A Scope runs
+// no compensation of its own — declared undos (Invoke.Compensation,
+// Compensate) belong to the instance and run when a fault escapes the
+// root, under Workflow.Run and the Orchestrator alike.
 type Scope struct {
 	Label string
 	Body  Activity
@@ -450,46 +460,16 @@ func (s *Scope) Validate() error {
 	return nil
 }
 
-type compKey struct{ scope string }
-
-// RegisterCompensation records an undo action for the named enclosing
-// scope. Compensations run LIFO when the scope faults.
-func RegisterCompensation(vars *Vars, scope string, undo func(ctx context.Context) error) {
-	key := compKey{scope}
-	cur, _ := vars.Get(fmt.Sprint(key))
-	list, _ := cur.([]func(ctx context.Context) error)
-	vars.Set(fmt.Sprint(key), append(list, undo))
-}
-
 func (s *Scope) Execute(ctx context.Context, st *State) error {
 	err := exec(ctx, s.Body, st)
-	if err == nil {
-		return nil
+	if err == nil || s.OnFault == nil {
+		return err
 	}
-	// Run compensations LIFO. Compensation runs on a context detached
-	// from cancellation so a canceled workflow can still undo (bounded),
-	// while deadline-exempt request values continue to flow.
-	compCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-	defer cancel()
-	key := fmt.Sprint(compKey{s.Label})
-	if cur, ok := st.Vars.Get(key); ok {
-		if list, ok := cur.([]func(ctx context.Context) error); ok {
-			for i := len(list) - 1; i >= 0; i-- {
-				if cerr := list[i](compCtx); cerr != nil {
-					return fmt.Errorf("scope %q: fault %v; compensation also failed: %w", s.Label, err, cerr)
-				}
-			}
-			st.Vars.Set(key, []func(ctx context.Context) error(nil))
-		}
+	st.Vars.Set("fault."+s.Label, err.Error())
+	if herr := exec(ctx, s.OnFault, st); herr != nil {
+		return fmt.Errorf("scope %q: fault handler failed: %w", s.Label, herr)
 	}
-	if s.OnFault != nil {
-		st.Vars.Set("fault."+s.Label, err.Error())
-		if herr := exec(ctx, s.OnFault, st); herr != nil {
-			return fmt.Errorf("scope %q: fault handler failed: %w", s.Label, herr)
-		}
-		return nil // fault handled
-	}
-	return err
+	return nil // fault handled
 }
 
 // Delay pauses the workflow — the "wait" activity.

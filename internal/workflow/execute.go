@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -219,12 +220,7 @@ func (jr *journalRun) execPick(ctx context.Context, p *Pick, st *State) error {
 // Values went through a JSON round trip on recovery (ints come back as
 // float64); GetInt and friends normalize on read.
 func applyEffects(vars *Vars, effects map[string]any) {
-	keys := make([]string, 0, len(effects))
-	for k := range effects {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(effects)) {
 		vars.Set(k, effects[k])
 	}
 }
@@ -237,9 +233,9 @@ func newOverlay(parent *Vars) *Vars {
 }
 
 // effects returns the overlay's JSON-serializable writes. Values that
-// cannot be marshaled (closure lists from RegisterCompensation, live
-// channels) are skipped: they are incarnation-local by nature and are
-// documented not to survive failover.
+// cannot be marshaled (a live channel, a func) are skipped: they are
+// incarnation-local by nature, and one in scope must not wedge the
+// journal append.
 func (v *Vars) effects() map[string]any {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -270,8 +266,9 @@ func (v *Vars) flush() {
 	}
 }
 
-// compCollector gathers durable compensations registered by leaf code
-// during its execution; they ride on the step's done record.
+// compCollector gathers the compensations registered while it rides the
+// context: one journaled leaf's (they ride on the step's done record),
+// or a whole plain run's.
 type compCollector struct {
 	mu    sync.Mutex
 	key   string
@@ -284,15 +281,23 @@ func withCompCollector(ctx context.Context, cc *compCollector) context.Context {
 	return context.WithValue(ctx, compCollectorKey{}, cc)
 }
 
-// Compensate registers a durable named compensation from inside a Task:
-// the name must be bound to a Compensator on every incarnation, args
-// must be JSON-serializable, and the registration becomes durable with
-// the enclosing step's done record. Outside a journaled run it reports
-// an error so misuse is loud.
+func (cc *compCollector) add(comps ...Compensation) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.comps = append(cc.comps, comps...)
+}
+
+// Compensate registers a named compensation from inside a Task: the
+// name must be bound to a Compensator (DefineCompensator) on the engine
+// running the instance — on every incarnation, for the orchestrator —
+// and args must be JSON-serializable. The registration lands when the
+// step's variable writes do: with the step's done record in a journaled
+// run, at once under Workflow.Run. Outside any run it reports an error
+// so misuse is loud.
 func Compensate(ctx context.Context, name string, args map[string]any) error {
 	cc, ok := ctx.Value(compCollectorKey{}).(*compCollector)
 	if !ok {
-		return fmt.Errorf("workflow: Compensate called outside a journaled run")
+		return fmt.Errorf("workflow: Compensate called outside a run")
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()

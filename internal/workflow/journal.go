@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"soc/internal/wal"
@@ -327,12 +328,12 @@ func (a InstanceAudit) Problems() []string {
 	if a.Terminals > 1 {
 		bad("instance %s terminated %d times", a.ID, a.Terminals)
 	}
-	for _, k := range sortedKeys(a.Dones) {
+	for _, k := range slices.Sorted(maps.Keys(a.Dones)) {
 		if a.Dones[k] > 1 {
 			bad("instance %s: step %s completed %d times", a.ID, k, a.Dones[k])
 		}
 	}
-	for _, k := range sortedKeys2(a.Starts) {
+	for _, k := range slices.Sorted(maps.Keys(a.Starts)) {
 		s := a.Starts[k]
 		// A non-idempotent invoke may be re-issued only after each prior
 		// attempt resolved as a clean failure (step-fault): at most one
@@ -342,7 +343,7 @@ func (a InstanceAudit) Problems() []string {
 				a.ID, k, s.Count, a.StepFaults[k])
 		}
 	}
-	for _, k := range sortedKeys(a.Dones) {
+	for _, k := range slices.Sorted(maps.Keys(a.Dones)) {
 		// An invoke completion requires an in-flight record: a done
 		// without any start means a start append was lost.
 		if a.invokeDone[k] && a.Starts[k].Count == 0 {
@@ -353,7 +354,7 @@ func (a InstanceAudit) Problems() []string {
 	for _, c := range a.Comps {
 		registered[c.ID] = true
 	}
-	for _, c := range sortedKeys(a.CompDones) {
+	for _, c := range slices.Sorted(maps.Keys(a.CompDones)) {
 		if a.CompDones[c] > 1 {
 			bad("instance %s: compensation %s applied %d times", a.ID, c, a.CompDones[c])
 		}
@@ -369,7 +370,7 @@ func (a InstanceAudit) Problems() []string {
 		if len(a.CompDones) > 0 {
 			bad("instance %s completed but ran %d compensations", a.ID, len(a.CompDones))
 		}
-		for _, k := range sortedKeys2(a.Starts) {
+		for _, k := range slices.Sorted(maps.Keys(a.Starts)) {
 			// Every started invoke of a completed instance must have
 			// resolved: a done record, or clean step-faults absorbed by a
 			// fault handler. (An idempotent retry may leave extra starts
@@ -391,23 +392,5 @@ func (a InstanceAudit) Problems() []string {
 			}
 		}
 	}
-	return out
-}
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]StartAudit) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -47,13 +47,6 @@ type Options struct {
 	Mutation string
 }
 
-// Compensator is a durable undo action. It is registered by name as
-// code on every incarnation and receives the fully-resolved arguments
-// captured in the journal when the forward step ran. It must be
-// idempotent: a crash between executing the undo and journaling its
-// comp-done record re-runs it on the next incarnation.
-type Compensator func(ctx context.Context, args map[string]any) error
-
 // Result is the outcome of driving an instance as far as it would go.
 type Result struct {
 	ID     string
@@ -80,7 +73,6 @@ type Instance struct {
 	running bool
 	init    map[string]any
 	recs    []Record
-	final   map[string]any
 }
 
 func (in *Instance) addRecord(r Record) {
@@ -183,11 +175,14 @@ type Orchestrator struct {
 	// the payload was collected would be compacted away.
 	commit sync.RWMutex
 
-	mu    sync.Mutex
-	defs  map[string]*Workflow
-	comps map[string]Compensator
+	mu   sync.Mutex
+	defs map[string]*Workflow
+	// insts holds a nil entry while Start journals an id's begin record:
+	// the id is taken, the instance not yet visible.
 	insts map[string]*Instance
 	order []string
+
+	compensators
 
 	recovery wal.RecoveryInfo
 }
@@ -221,7 +216,6 @@ func OpenOrchestrator(fs wal.FS, opts Options) (*Orchestrator, error) {
 		opts:    opts,
 		journal: &journal{log: log},
 		defs:    map[string]*Workflow{},
-		comps:   map[string]Compensator{},
 		insts:   map[string]*Instance{},
 	}
 	if opts.Mutation == MutationDropAppend {
@@ -233,7 +227,7 @@ func OpenOrchestrator(fs wal.FS, opts Options) (*Orchestrator, error) {
 	if len(rec.Snapshot) > 0 {
 		var snap snapshotState
 		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return nil, fmt.Errorf("workflow: decoding journal snapshot: %w", err)
+			return nil, fmt.Errorf("workflow: decoding journal snapshot: %w", errors.Join(err, log.Close()))
 		}
 		for _, si := range snap.Instances {
 			inst := o.instanceFor(si.ID)
@@ -262,7 +256,7 @@ func OpenOrchestrator(fs wal.FS, opts Options) (*Orchestrator, error) {
 func (o *Orchestrator) instanceFor(id string) *Instance {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if in, ok := o.insts[id]; ok {
+	if in := o.insts[id]; in != nil {
 		return in
 	}
 	in := &Instance{id: id, status: StatusPending}
@@ -278,23 +272,10 @@ func (o *Orchestrator) Define(wf *Workflow) {
 	o.defs[wf.Name] = wf
 }
 
-// DefineCompensator registers a named undo action.
-func (o *Orchestrator) DefineCompensator(name string, fn Compensator) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.comps[name] = fn
-}
-
 func (o *Orchestrator) definition(name string) *Workflow {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.defs[name]
-}
-
-func (o *Orchestrator) compensator(name string) Compensator {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.comps[name]
 }
 
 // Recovery reports what journal recovery found at open.
@@ -374,9 +355,15 @@ func (o *Orchestrator) Start(ctx context.Context, id, def string, init map[strin
 		o.mu.Unlock()
 		return Result{}, fmt.Errorf("workflow: instance %q already exists", id)
 	}
+	// Reserve the id under the lock that checked it, or two concurrent
+	// Starts both pass the check and journal two begin records.
+	o.insts[id] = nil
 	o.mu.Unlock()
 	inst, err := o.begin(Record{Inst: id, Kind: recBegin, Def: def, Init: init})
 	if err != nil {
+		o.mu.Lock()
+		delete(o.insts, id)
+		o.mu.Unlock()
 		return Result{ID: id, Status: StatusPending, Err: err.Error()}, err
 	}
 	if res, claimed, err := inst.claim(); !claimed {
@@ -473,9 +460,6 @@ func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) 
 			if aerr := o.append(inst, Record{Inst: inst.id, Kind: recEnd, Status: StatusCompleted}); aerr != nil {
 				return o.pendingResult(inst, aerr), aerr
 			}
-			inst.mu.Lock()
-			inst.final = st.Vars.Snapshot()
-			inst.mu.Unlock()
 			o.maybeSnapshot()
 			return Result{ID: inst.id, Status: StatusCompleted, Vars: st.Vars.Snapshot()}, nil
 		case errors.Is(err, ErrJournal) || ctx.Err() != nil:
@@ -509,41 +493,21 @@ func (o *Orchestrator) pendingResult(inst *Instance, err error) Result {
 	return Result{ID: inst.id, Status: StatusPending, Err: err.Error()}
 }
 
-// compensate runs the instance's registered compensations in LIFO
-// order, skipping those already journaled as done by any incarnation.
-// Each undo executes, then its comp-done record is appended: at-least-
-// once execution, exactly-once journal — which is why compensators must
-// be idempotent.
+// compensate undoes the instance's journaled registrations, skipping
+// those any incarnation already journaled as done and acking each with
+// a comp-done record.
 func (o *Orchestrator) compensate(ctx context.Context, inst *Instance) error {
 	audit := inst.audit()
-	// Compensation must be able to finish after the forward path was
-	// canceled, so it runs detached from cancellation (request-scoped
-	// values, including the virtual clock, continue to flow).
-	cctx := context.WithoutCancel(ctx)
-	applications := 1
+	comps := audit.Comps
 	if o.opts.Mutation == MutationDoubleCompensate {
-		applications = 2
-	}
-	for i := len(audit.Comps) - 1; i >= 0; i-- {
-		c := audit.Comps[i]
-		if audit.CompDones[c.ID] > 0 {
-			continue
-		}
-		fn := o.compensator(c.Name)
-		if fn == nil {
-			return fmt.Errorf("workflow: instance %s: no compensator %q registered", inst.id, c.Name)
-		}
-		for n := 0; n < applications; n++ {
-			if err := fn(cctx, c.Args); err != nil {
-				return fmt.Errorf("workflow: instance %s: compensation %s: %w", inst.id, c.ID, err)
-			}
-			rec := Record{Inst: inst.id, Kind: recCompDone, Comp: c.ID}
-			if err := o.append(inst, rec); err != nil {
-				return err
-			}
+		comps = nil
+		for _, c := range audit.Comps {
+			comps = append(comps, c, c)
 		}
 	}
-	return nil
+	return o.undo(ctx, comps, audit.CompDones, func(c Compensation) error {
+		return o.append(inst, Record{Inst: inst.id, Kind: recCompDone, Comp: c.ID})
+	})
 }
 
 // maybeSnapshot folds the journal into a snapshot when enough appends

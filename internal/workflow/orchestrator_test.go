@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -280,7 +282,7 @@ func TestOrchestratorRunsAllShapes(t *testing.T) {
 		"/main#0/pick#0/gotevt#0",
 	} {
 		if a.Dones[key] != 1 {
-			t.Errorf("done count for %s = %d, want 1 (keys: %v)", key, a.Dones[key], sortedKeys(a.Dones))
+			t.Errorf("done count for %s = %d, want 1 (keys: %v)", key, a.Dones[key], slices.Sorted(maps.Keys(a.Dones)))
 		}
 	}
 	if a.Picks["/main#0/pick#0"] != 1 {
@@ -758,6 +760,76 @@ func TestOrchestratorAPIErrors(t *testing.T) {
 	}
 	if got := inv.opCount("Commit"); got != 1 {
 		t.Errorf("terminal resume re-executed work: Commit ran %d times", got)
+	}
+}
+
+// TestOpenOrchestratorBadSnapshot: a snapshot payload that is not the
+// orchestrator's fails the open, which closes the log it was handed —
+// the same directory opens again.
+func TestOpenOrchestratorBadSnapshot(t *testing.T) {
+	fs := wal.NewMemFS(5)
+	log, _, err := wal.Open(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Snapshot([]byte("not json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenOrchestrator(fs, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("OpenOrchestrator over a foreign snapshot: err = %v", err)
+	}
+	log, rec, err := wal.Open(fs, wal.Options{})
+	if err != nil || string(rec.Snapshot) != "not json" {
+		t.Fatalf("reopen after the failed open: snapshot %q, err = %v", rec.Snapshot, err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompensationParityAcrossEngines drives one definition — the
+// crash corpus's, with its final Commit failing — through Workflow.Run
+// and through the Orchestrator: the same compensators run with the same
+// resolved arguments in the same LIFO order.
+func TestCompensationParityAcrossEngines(t *testing.T) {
+	inv := newStubInvoker()
+	inv.fail["Commit"] = "ledger down"
+	wf := mustWorkflow(t, "everything", everythingRoot(inv))
+	o, err := OpenOrchestrator(wal.NewMemFS(9), Options{Deterministic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Define(wf)
+	var plain, durable []string
+	record := func(log *[]string, name string) Compensator {
+		return func(_ context.Context, args map[string]any) error {
+			buf, err := json.Marshal(args)
+			*log = append(*log, name+string(buf))
+			return err
+		}
+	}
+	for _, name := range []string{"release", "uncommit", "log-undo"} {
+		wf.DefineCompensator(name, record(&plain, name))
+		o.DefineCompensator(name, record(&durable, name))
+	}
+
+	if _, _, err := wf.Run(context.Background(), initVars()); !errors.Is(err, ErrFaulted) ||
+		!strings.Contains(err.Error(), "ledger down") {
+		t.Fatalf("Run: err = %v", err)
+	}
+	res, err := o.Start(context.Background(), "wf-1", "everything", initVars())
+	if err != nil || res.Status != StatusCompensated {
+		t.Fatalf("Start: %+v, err = %v", res, err)
+	}
+	want := []string{`uncommit{"token":"tok-1"}`, `release{"amount":40}`, `log-undo{"what":"announce"}`}
+	if !slices.Equal(plain, want) {
+		t.Errorf("Workflow.Run undid %v, want %v", plain, want)
+	}
+	if !slices.Equal(durable, want) {
+		t.Errorf("Orchestrator undid %v, want %v", durable, want)
 	}
 }
 

@@ -2,7 +2,9 @@ package workflow
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -149,6 +151,54 @@ func TestConcurrentOrchestration(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentStartSameID races Starts of one id: the id is reserved
+// under the lock that checks it, so exactly one wins and the journal
+// holds one begin record.
+func TestConcurrentStartSameID(t *testing.T) {
+	const starters = 8
+	for round := 0; round < 25; round++ {
+		o := openRaceOrch(t, wal.NewMemFS(int64(round)), newStubInvoker())
+		errs := make([]error, starters)
+		var wg sync.WaitGroup
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[g] = o.Start(context.Background(), "same", "racey", initVars())
+			}()
+		}
+		wg.Wait()
+		won := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case !strings.Contains(err.Error(), "already exists"):
+				t.Errorf("round %d: losing Start failed with %v, want already exists", round, err)
+			}
+		}
+		a, _ := o.Audit("same")
+		if problems := a.Problems(); won != 1 || a.Begins != 1 || len(problems) != 0 {
+			t.Fatalf("round %d: %d Starts won, %d begin records, problems %v", round, won, a.Begins, problems)
+		}
+	}
+}
+
+// TestFailedStartReleasesID: a Start whose begin record never reached
+// the journal leaves no instance and no claim on the id behind.
+func TestFailedStartReleasesID(t *testing.T) {
+	o := openRaceOrch(t, wal.NewMemFS(1), newStubInvoker())
+	o.ArmCrash(1, nil)
+	for attempt := 0; attempt < 2; attempt++ {
+		if _, err := o.Start(context.Background(), "wf-1", "racey", initVars()); !errors.Is(err, ErrJournal) {
+			t.Fatalf("attempt %d: err = %v, want the journal failure", attempt, err)
+		}
+	}
+	if ids := o.Instances(); len(ids) != 0 {
+		t.Errorf("instances after failed starts: %v", ids)
 	}
 }
 

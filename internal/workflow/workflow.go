@@ -196,10 +196,12 @@ func (t *Trace) Names() []string {
 	return out
 }
 
-// Workflow is a named, validated activity graph.
+// Workflow is a named, validated activity graph. The compensators
+// defined on it are the ones Run uses; an Orchestrator keeps its own.
 type Workflow struct {
 	Name string
 	Root Activity
+	compensators
 }
 
 // New builds a workflow after validating the graph.
@@ -243,14 +245,76 @@ func validate(a Activity, onPath map[Activity]bool) error {
 }
 
 // Run executes the workflow with the given initial variables, returning
-// the final scope and the execution trace.
+// the final scope and the execution trace. A fault that escapes the
+// root runs the compensations the run registered (Invoke.Compensation,
+// Compensate) before Run returns it.
 func (w *Workflow) Run(ctx context.Context, init map[string]any) (map[string]any, *Trace, error) {
 	st := &State{Vars: NewVars(init), trace: &Trace{}}
-	err := exec(ctx, w.Root, st)
+	undos := &compCollector{}
+	err := exec(withCompCollector(ctx, undos), w.Root, st)
 	if err != nil {
-		return st.Vars.Snapshot(), st.trace, fmt.Errorf("%w: %v", ErrFaulted, err)
+		err = fmt.Errorf("%w: %v", ErrFaulted, err)
+		if cerr := w.undo(ctx, undos.comps, nil, nil); cerr != nil {
+			err = fmt.Errorf("%w; %v", err, cerr)
+		}
 	}
-	return st.Vars.Snapshot(), st.trace, nil
+	return st.Vars.Snapshot(), st.trace, err
+}
+
+// Compensator is a named undo action. It is registered as code — on
+// every incarnation, for an orchestrator — and receives the
+// fully-resolved arguments captured when the forward step registered
+// it. It must be idempotent: a crash between executing the undo and
+// journaling its comp-done record re-runs it on the next incarnation.
+type Compensator func(ctx context.Context, args map[string]any) error
+
+// compensators is the name → Compensator registry Workflow and
+// Orchestrator each hold, and the one place undos are executed.
+type compensators struct {
+	mu sync.Mutex
+	m  map[string]Compensator
+}
+
+// DefineCompensator registers (or replaces) a named undo action.
+func (c *compensators) DefineCompensator(name string, fn Compensator) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[string]Compensator{}
+	}
+	c.m[name] = fn
+}
+
+// undo runs comps in LIFO order on a context detached from
+// cancellation: undoing must be able to finish after the forward path
+// was canceled (request-scoped values, the virtual clock included,
+// continue to flow). A journaled caller passes acked — IDs some
+// incarnation already journaled as done, which are skipped — and ack,
+// which appends the comp-done record after each undo: at-least-once
+// execution, exactly-once journal. Workflow.Run passes neither.
+func (c *compensators) undo(ctx context.Context, comps []Compensation, acked map[string]int, ack func(Compensation) error) error {
+	ctx = context.WithoutCancel(ctx)
+	for i := len(comps) - 1; i >= 0; i-- {
+		comp := comps[i]
+		if acked[comp.ID] > 0 {
+			continue
+		}
+		c.mu.Lock()
+		fn := c.m[comp.Name]
+		c.mu.Unlock()
+		if fn == nil {
+			return fmt.Errorf("workflow: no compensator %q registered", comp.Name)
+		}
+		if err := fn(ctx, comp.Args); err != nil {
+			return fmt.Errorf("workflow: compensation %s: %w", comp.ID, err)
+		}
+		if ack != nil {
+			if err := ack(comp); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // exec runs one activity: through the journal in an orchestrated run,

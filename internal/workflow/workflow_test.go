@@ -286,24 +286,27 @@ func TestScopeFaultHandler(t *testing.T) {
 	}
 }
 
+// undoTask registers the named compensation and does nothing else.
+func undoTask(label, undo string) *Task {
+	return &Task{Label: label, Fn: func(ctx context.Context, _ *Vars) error {
+		return Compensate(ctx, undo, nil)
+	}}
+}
+
 func TestScopeCompensationLIFO(t *testing.T) {
 	var undone []string
 	body := &Sequence{Label: "book", Steps: []Activity{
-		task("reserveFlight", func(v *Vars) {
-			RegisterCompensation(v, "trip", func(context.Context) error {
-				undone = append(undone, "flight")
-				return nil
-			})
-		}),
-		task("reserveHotel", func(v *Vars) {
-			RegisterCompensation(v, "trip", func(context.Context) error {
-				undone = append(undone, "hotel")
-				return nil
-			})
-		}),
+		undoTask("reserveFlight", "flight"),
+		undoTask("reserveHotel", "hotel"),
 		failing("payment", "card declined"),
 	}}
 	wf, _ := New("saga", &Scope{Label: "trip", Body: body})
+	for _, name := range []string{"flight", "hotel"} {
+		wf.DefineCompensator(name, func(context.Context, map[string]any) error {
+			undone = append(undone, name)
+			return nil
+		})
+	}
 	_, _, err := wf.Run(context.Background(), nil)
 	if err == nil || !strings.Contains(err.Error(), "card declined") {
 		t.Errorf("err = %v", err)
@@ -315,15 +318,114 @@ func TestScopeCompensationLIFO(t *testing.T) {
 
 func TestScopeCompensationFailure(t *testing.T) {
 	body := &Sequence{Label: "b", Steps: []Activity{
-		task("step", func(v *Vars) {
-			RegisterCompensation(v, "sc", func(context.Context) error { return errors.New("undo broke") })
-		}),
+		undoTask("step", "breaks"),
 		failing("bad", "original"),
 	}}
 	wf, _ := New("saga", &Scope{Label: "sc", Body: body})
+	wf.DefineCompensator("breaks", func(context.Context, map[string]any) error { return errors.New("undo broke") })
 	_, _, err := wf.Run(context.Background(), nil)
 	if err == nil || !strings.Contains(err.Error(), "undo broke") || !strings.Contains(err.Error(), "original") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestHandledFaultKeepsUndos: a Scope that absorbs its fault is a fault
+// handler and nothing else — the undos registered inside it stay on the
+// instance and run only if a later fault escapes the root.
+func TestHandledFaultKeepsUndos(t *testing.T) {
+	guarded := &Scope{Label: "guarded",
+		Body:    &Sequence{Label: "b", Steps: []Activity{undoTask("step", "undo"), failing("bad", "absorbed")}},
+		OnFault: task("handle", nil)}
+	for _, tc := range []struct {
+		name string
+		root Activity
+		want int
+	}{
+		{"absorbed", guarded, 0},
+		{"later fault escapes", &Sequence{Label: "main", Steps: []Activity{guarded, failing("late", "escaped")}}, 1},
+	} {
+		ran := 0
+		wf, _ := New("w", tc.root)
+		wf.DefineCompensator("undo", func(context.Context, map[string]any) error { ran++; return nil })
+		_, _, err := wf.Run(context.Background(), nil)
+		if (err != nil) != (tc.want > 0) || ran != tc.want {
+			t.Errorf("%s: undo ran %d times (want %d), err = %v", tc.name, ran, tc.want, err)
+		}
+	}
+}
+
+// TestRunUndeclaredCompensator: a declared Undo nobody defined is an
+// error that names it, on top of the fault — never a panic.
+func TestRunUndeclaredCompensator(t *testing.T) {
+	inv := InvokerFunc(func(context.Context, string, string, map[string]any) (map[string]any, error) {
+		return nil, errors.New("provider down")
+	})
+	wf, _ := New("w", &Invoke{Label: "call", Service: "S", Operation: "Op", Invoker: inv,
+		Compensation: &Undo{Name: "never-defined"}})
+	_, _, err := wf.Run(context.Background(), nil)
+	if !errors.Is(err, ErrFaulted) || !strings.Contains(err.Error(), `"never-defined"`) ||
+		!strings.Contains(err.Error(), "provider down") {
+		t.Errorf("err = %v", err)
+	}
+}
+
+// TestRunCompensatesAfterCancel: the undo context is detached from the
+// cancellation that faulted the run.
+func TestRunCompensatesAfterCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	wf, _ := New("w", &Sequence{Label: "main", Steps: []Activity{
+		undoTask("step", "undo"),
+		task("cancel", func(*Vars) { cancel() }),
+		task("never", nil),
+	}})
+	undoErr := errors.New("undo never ran")
+	wf.DefineCompensator("undo", func(ctx context.Context, _ map[string]any) error {
+		undoErr = ctx.Err()
+		return nil
+	})
+	if _, _, err := wf.Run(ctx, nil); !errors.Is(err, ErrFaulted) {
+		t.Fatalf("canceled run: err = %v", err)
+	}
+	if undoErr != nil {
+		t.Errorf("undo saw %v, want a live context", undoErr)
+	}
+}
+
+func TestCompensateOutsideRun(t *testing.T) {
+	if err := Compensate(context.Background(), "undo", nil); err == nil {
+		t.Error("Compensate outside any run did not report an error")
+	}
+}
+
+// TestParallelBranchesRegisterUndos: branches running as real goroutines
+// register on the one per-run list (a -race target).
+func TestParallelBranchesRegisterUndos(t *testing.T) {
+	inv := InvokerFunc(func(context.Context, string, string, map[string]any) (map[string]any, error) {
+		return nil, nil
+	})
+	const branches, perBranch = 4, 8
+	fan := &Parallel{Label: "fan"}
+	for b := 0; b < branches; b++ {
+		seq := &Sequence{Label: fmt.Sprintf("branch%d", b)}
+		for i := 0; i < perBranch; i++ {
+			seq.Steps = append(seq.Steps,
+				undoTask(fmt.Sprintf("task%d-%d", b, i), "count"),
+				&Invoke{Label: fmt.Sprintf("call%d-%d", b, i), Service: "S", Operation: "Op", Invoker: inv,
+					Compensation: &Undo{Name: "count"}})
+		}
+		fan.Branches = append(fan.Branches, seq)
+	}
+	wf, err := New("w", &Sequence{Label: "main", Steps: []Activity{fan, failing("bad", "late fault")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	wf.DefineCompensator("count", func(context.Context, map[string]any) error { ran++; return nil })
+	if _, _, err := wf.Run(context.Background(), nil); !errors.Is(err, ErrFaulted) {
+		t.Fatalf("err = %v", err)
+	}
+	if want := branches * perBranch * 2; ran != want {
+		t.Errorf("%d undos ran, want %d", ran, want)
 	}
 }
 
