@@ -23,7 +23,7 @@ import (
 // from the response cache. The hit path is router match, cache keying,
 // lookup, replay and the cache-hit count: measured 3. The miss path adds
 // coercion, the handler (PBKDF2 + AES-GCM, see the security ceilings)
-// and the JSON answer: measured 35, given 10 %.
+// and the JSON answer: measured 28, given 10 %.
 func TestInvokeAllocCeilings(t *testing.T) {
 	encSvc, err := services.NewEncryption()
 	if err != nil {
@@ -47,7 +47,7 @@ func TestInvokeAllocCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"cached", true, 3},
-		{"uncached", false, 38},
+		{"uncached", false, 31},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := host.New()

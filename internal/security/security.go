@@ -15,12 +15,15 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"hash"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,11 +40,17 @@ var ErrDenied = errors.New("security: access denied")
 // PBKDF2 derives a key from password and salt using HMAC-SHA256 with the
 // given iteration count (RFC 2898 §5.2).
 //
-// The HMAC is keyed once per derivation. The stdlib HMAC saves the
-// SHA-256 midstates of the ipad and opad blocks at its first Reset and
-// restores them afterwards, so every Reset/Write/Sum round costs the two
-// compressions the RFC cannot avoid (inner and outer digest of one
-// 32-byte block) and allocates nothing.
+// The HMAC is built here from RFC 2104's pads: each pad block is hashed
+// once per derivation and its SHA-256 midstate saved. U₁ of each output
+// block is an ordinary HMAC from those midstates (the salt is any
+// length). From U₂ on, the inner and the outer message are both one
+// 32-byte value after one pad block, so their last block is always
+// U‖0x80‖0…‖BE64(768): a round restores a midstate, compresses that one
+// block and reads the chaining value back as the digest, twice, then
+// XORs. No Sum, padding write or digest copy per round; four
+// allocations per call (the scratch kernel, its two digests and the
+// output), none per round. Nothing outlives the call: a cache of keys
+// or midstates would keep key-equivalent secrets alive.
 func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 	if iterations < 1 || keyLen < 1 {
 		return nil
@@ -49,25 +58,107 @@ func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 	const hashLen = sha256.Size
 	blocks := (keyLen + hashLen - 1) / hashLen
 	out := make([]byte, blocks*hashLen)
-	mac := hmac.New(sha256.New, password)
-	var counter [4]byte
-	var ubuf [hashLen]byte
+	k := newPBKDF2Kernel(password)
+	u := k.block[:hashLen]
 	for i := 1; i <= blocks; i++ {
-		binary.BigEndian.PutUint32(counter[:], uint32(i))
-		mac.Reset()
-		mac.Write(salt)
-		mac.Write(counter[:])
+		binary.BigEndian.PutUint32(k.counter[:], uint32(i))
+		k.inner.restore()
+		k.inner.h.Write(salt)
+		k.inner.h.Write(k.counter[:])
+		k.inner.h.Sum(u[:0])
+		k.outer.restore()
+		k.outer.h.Write(u)
+		k.outer.h.Sum(u[:0])
 		t := out[(i-1)*hashLen : i*hashLen]
-		u := mac.Sum(ubuf[:0])
 		copy(t, u)
 		for n := 1; n < iterations; n++ {
-			mac.Reset()
-			mac.Write(u)
-			u = mac.Sum(u[:0])
+			k.compress(&k.inner)
+			k.compress(&k.outer)
 			subtle.XORBytes(t, t, u)
 		}
 	}
 	return out[:keyLen]
+}
+
+// midstateLen is the size of a marshalled SHA-256 state: the "sha\x03"
+// magic, the eight chaining words, the 64-byte block buffer and the
+// message length, all big-endian.
+const midstateLen = 4 + sha256.Size + sha256.BlockSize + 8
+
+// midstate is a SHA-256 digest that has absorbed one HMAC pad block, and
+// the state saved right after it.
+type midstate struct {
+	h     hash.Hash
+	load  encoding.BinaryUnmarshaler
+	store encoding.BinaryAppender
+	saved [midstateLen]byte
+}
+
+// pbkdf2Kernel is one derivation's scratch, allocated once per PBKDF2
+// call and dropped with it. Everything a digest reads or writes through
+// its interface lives here, so nothing else escapes.
+type pbkdf2Kernel struct {
+	inner, outer midstate
+	pad          [sha256.BlockSize]byte
+	counter      [4]byte // INT(i), the output block index after the salt
+	// block is the final padded block of every hash from round 2 on:
+	// U‖0x80‖0…‖BE64(768 bits = pad block + U). U is overwritten in place.
+	block [sha256.BlockSize]byte
+	// sum receives AppendBinary's read-back of a compressed state.
+	sum [midstateLen]byte
+}
+
+func newPBKDF2Kernel(password []byte) *pbkdf2Kernel {
+	k := new(pbkdf2Kernel)
+	key := password
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	copy(k.pad[:], key)
+	for i := range k.pad {
+		k.pad[i] ^= 0x36
+	}
+	k.inner.key(k.pad[:])
+	for i := range k.pad {
+		k.pad[i] ^= 0x36 ^ 0x5c
+	}
+	k.outer.key(k.pad[:])
+	k.block[sha256.Size] = 0x80
+	binary.BigEndian.PutUint64(k.block[sha256.BlockSize-8:], 8*(sha256.BlockSize+sha256.Size))
+	return k
+}
+
+// key hashes one pad block into a fresh digest and saves its midstate.
+func (m *midstate) key(pad []byte) {
+	d := sha256.New()
+	m.h, m.load, m.store = d, d.(encoding.BinaryUnmarshaler), d.(encoding.BinaryAppender)
+	m.h.Write(pad)
+	st, err := m.store.AppendBinary(m.saved[:0])
+	if err != nil || len(st) != midstateLen || string(st[:4]) != "sha\x03" {
+		panic("security: unexpected sha256 state format")
+	}
+}
+
+// restore rewinds the digest to the saved midstate. The state is one we
+// marshalled ourselves, so failing to load it is a programming error.
+func (m *midstate) restore() {
+	if err := m.load.UnmarshalBinary(m.saved[:]); err != nil {
+		panic(err)
+	}
+}
+
+// compress computes one hash of a round: restore m's midstate, compress
+// the pre-padded k.block in one Write, and read the chaining value —
+// bytes [4:36] of the saved state, the big-endian digest — back over U.
+func (k *pbkdf2Kernel) compress(m *midstate) {
+	m.restore()
+	m.h.Write(k.block[:])
+	st, err := m.store.AppendBinary(k.sum[:0])
+	if err != nil {
+		panic(err)
+	}
+	copy(k.block[:sha256.Size], st[4:4+sha256.Size])
 }
 
 // DefaultIterations is the password-hash work factor.
@@ -84,7 +175,7 @@ func HashPassword(password string) (string, error) {
 	if _, err := rand.Read(salt); err != nil {
 		return "", fmt.Errorf("security: entropy: %w", err)
 	}
-	dk := PBKDF2([]byte(password), salt, DefaultIterations, 32)
+	dk := PBKDF2([]byte(password), salt, DefaultIterations, sha256.Size)
 	return fmt.Sprintf("%d$%s$%s", DefaultIterations,
 		base64.RawStdEncoding.EncodeToString(salt),
 		base64.RawStdEncoding.EncodeToString(dk)), nil
@@ -105,8 +196,11 @@ func VerifyPassword(password, record string) error {
 	if err != nil {
 		return fmt.Errorf("%w: bad salt", ErrAuth)
 	}
+	// HashPassword writes exactly one 32-byte block. An empty hash would
+	// compare equal to PBKDF2's nil for any password, and a long one
+	// multiplies the maxIterations work bound by its block count.
 	want, err := base64.RawStdEncoding.DecodeString(parts[2])
-	if err != nil {
+	if err != nil || len(want) != sha256.Size {
 		return fmt.Errorf("%w: bad hash", ErrAuth)
 	}
 	got := PBKDF2([]byte(password), salt, iterations, len(want))
@@ -280,12 +374,7 @@ func (r *RBAC) RevokeRole(user, role string) {
 func (r *RBAC) Roles(user string) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.users[user]))
-	for role := range r.users[user] {
-		out = append(out, role)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(r.users[user]))
 }
 
 // Check returns nil when user may perform permission ("resource:action").
@@ -380,13 +469,13 @@ func RandomString(n int, alphabet string) (string, error) {
 	}
 	out := make([]byte, n)
 	// Rejection sampling for uniformity.
-	max := 256 - (256 % len(alphabet))
+	limit := 256 - (256 % len(alphabet))
 	buf := make([]byte, 1)
 	for i := 0; i < n; {
 		if _, err := rand.Read(buf); err != nil {
 			return "", err
 		}
-		if int(buf[0]) >= max {
+		if int(buf[0]) >= limit {
 			continue
 		}
 		out[i] = alphabet[int(buf[0])%len(alphabet)]

@@ -3,7 +3,9 @@ package security
 import (
 	"bytes"
 	"crypto/hmac"
+	"crypto/pbkdf2"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -63,12 +65,37 @@ func pbkdf2Reference(password, salt []byte, iterations, keyLen int) []byte {
 	return out[:keyLen]
 }
 
+// pbkdf2Stdlib is the second oracle: Go's own crypto/pbkdf2.
+func pbkdf2Stdlib(password, salt []byte, iterations, keyLen int) []byte {
+	dk, err := pbkdf2.Key(sha256.New, string(password), salt, iterations, keyLen)
+	if err != nil {
+		panic(err)
+	}
+	return dk
+}
+
 // TestPBKDF2MatchesReference is the differential property: over
 // passwords on both sides of the 64-byte block (past it HMAC hashes the
-// key first), empty and long salts, and key lengths that need several
-// blocks and a partial last one, the kernel is byte-identical to the
-// reference.
+// key first, which the kernel now does itself), empty and long salts,
+// and key lengths that need several blocks and a partial last one, the
+// kernel is byte-identical to both the reference and crypto/pbkdf2.
 func TestPBKDF2MatchesReference(t *testing.T) {
+	oracles := []struct {
+		name   string
+		derive func(password, salt []byte, iterations, keyLen int) []byte
+	}{{"reference", pbkdf2Reference}, {"crypto/pbkdf2", pbkdf2Stdlib}}
+	check := func(password, salt []byte, iterations, n int) bool {
+		got := PBKDF2(password, salt, iterations, n)
+		ok := true
+		for _, o := range oracles {
+			if want := o.derive(password, salt, iterations, n); !bytes.Equal(got, want) {
+				t.Errorf("PBKDF2(pw %d B, salt %d B, %d iterations, %d B) = %x, %s %x",
+					len(password), len(salt), iterations, n, got, o.name, want)
+				ok = false
+			}
+		}
+		return ok
+	}
 	prop := func(seed []byte, pwLen, saltLen, iters, keyLen uint8) bool {
 		fill := func(n int, tweak byte) []byte {
 			b := make([]byte, n)
@@ -84,26 +111,20 @@ func TestPBKDF2MatchesReference(t *testing.T) {
 		salt := fill(int(saltLen)%101, 0x36)
 		iterations := int(iters)%50 + 1
 		n := int(keyLen)%100 + 1
-		got := PBKDF2(password, salt, iterations, n)
-		want := pbkdf2Reference(password, salt, iterations, n)
-		if !bytes.Equal(got, want) {
-			t.Logf("PBKDF2(pw %d B, salt %d B, %d iterations, %d B) = %x, reference %x",
-				len(password), len(salt), iterations, n, got, want)
-			return false
-		}
-		return true
+		return check(password, salt, iterations, n)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-	// The edges quick may not draw.
+	// The edges quick may not draw: passwords of exactly one block and
+	// one byte past it (the shortest key RFC 2104 hashes first), three
+	// output blocks with a partial last one, and the production count.
 	for _, c := range []struct{ pw, salt, iters, keyLen int }{
 		{0, 0, 1, 1}, {63, 0, 2, 32}, {64, 16, 3, 33}, {65, 100, 50, 100}, {200, 1, 1, 64},
+		{64, 16, 2, 80}, {65, 16, 2, 80}, {64, 16, DefaultIterations, 32}, {65, 16, DefaultIterations, 80},
 	} {
 		pw, salt := bytes.Repeat([]byte{0xa5}, c.pw), bytes.Repeat([]byte{0x3c}, c.salt)
-		if got, want := PBKDF2(pw, salt, c.iters, c.keyLen), pbkdf2Reference(pw, salt, c.iters, c.keyLen); !bytes.Equal(got, want) {
-			t.Errorf("PBKDF2(pw %d B, salt %d B, %d iterations, %d B) = %x, reference %x", c.pw, c.salt, c.iters, c.keyLen, got, want)
-		}
+		check(pw, salt, c.iters, c.keyLen)
 	}
 }
 
@@ -149,11 +170,17 @@ func TestHashVerifyPassword(t *testing.T) {
 		t.Error("same salt reused")
 	}
 	tail := rec[strings.Index(rec, "$"):]
+	head := rec[:strings.LastIndex(rec, "$")+1]
+	hashOf := func(n int) string { return head + base64.RawStdEncoding.EncodeToString(make([]byte, n)) }
 	for _, bad := range []string{"", "a$b", "x$!$!", "0$AA$AA",
 		"4096junk" + tail,   // trailing garbage after a valid count
 		"16777217" + tail,   // one past maxIterations
 		"2000000000" + tail, // minutes of one core if derived
 		"99999999999999999999" + tail,
+		head,            // empty hash: PBKDF2 of 0 bytes is nil, which equals it
+		hashOf(31),      // not the one length HashPassword writes
+		hashOf(33),      // a second block's worth of work
+		hashOf(4 << 10), // 128 blocks: 128× the maxIterations bound
 	} {
 		if err := VerifyPassword("p", bad); !errors.Is(err, ErrAuth) {
 			t.Errorf("VerifyPassword(%q): %v", bad, err)
