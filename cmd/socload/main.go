@@ -1,7 +1,8 @@
 // Command socload drives a service host with an open-loop,
 // coordinated-omission-safe workload (see soc/internal/loadgen): a fixed
 // arrival schedule at the offered rate, latency measured from each
-// request's scheduled arrival, and a log-bucketed histogram reporting
+// request's scheduled arrival, and telemetry.Histogram — the same
+// log-bucketed histogram /metricz keeps — reporting nearest-rank
 // p50/p99/p99.9 alongside achieved-vs-offered throughput.
 //
 //	socload -rate 500 -duration 5s                  # in-process host

@@ -256,11 +256,12 @@ func TestFrontDoorMetriczShape(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(rep.BucketBoundsNanos) == 0 {
-		t.Fatalf("metricz missing bucket bounds")
-	}
-	if op, ok := rep.Operations["frontdoor.proxy"]; !ok || op.Calls != 1 {
+	op, ok := rep.Operations["frontdoor.proxy"]
+	if !ok || op.Calls != 1 {
 		t.Fatalf("frontdoor.proxy not metered: %+v", rep.Operations)
+	}
+	if op.P50Nanos != op.P99Nanos || op.MaxNanos > op.P99Nanos {
+		t.Fatalf("one sample, but p50 %d p99 %d max %d ns", op.P50Nanos, op.P99Nanos, op.MaxNanos)
 	}
 }
 

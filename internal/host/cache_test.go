@@ -14,14 +14,14 @@ import (
 	"time"
 
 	"soc/internal/core"
+	"soc/internal/respcache"
 	"soc/internal/soap"
+	"soc/internal/vtime"
 )
 
 // newCachedHost builds a host with one idempotent and one non-idempotent
 // operation, both counting invocations, plus the response cache.
-func newCachedHost(t *testing.T, capacity int, ttl time.Duration) (*Host, *atomic.Int64, *atomic.Int64, interface {
-	SetClock(func() time.Time)
-}) {
+func newCachedHost(t *testing.T, capacity int, ttl time.Duration) (*Host, *atomic.Int64, *atomic.Int64, *respcache.Cache) {
 	t.Helper()
 	var pureCalls, mutCalls atomic.Int64
 	svc, err := core.NewService("Calc", "http://soc.example/calc", "test service")
@@ -91,16 +91,16 @@ func TestCacheMiddlewareHit(t *testing.T) {
 }
 
 func TestCacheMiddlewareTTLExpiry(t *testing.T) {
-	h, pure, _, clk := newCachedHost(t, 8, time.Minute)
-	now := time.Unix(1000, 0)
-	clk.SetClock(func() time.Time { return now })
+	h, pure, _, c := newCachedHost(t, 8, time.Minute)
+	clock := vtime.NewVirtual(time.Unix(1000, 0))
+	c.UseClock(clock)
 
 	getInvoke(h, "/services/Calc/invoke/Square?n=7")
-	now = now.Add(30 * time.Second)
+	clock.Advance(30 * time.Second)
 	if w := getInvoke(h, "/services/Calc/invoke/Square?n=7"); w.Header().Get("X-Cache") != "HIT" {
 		t.Fatal("entry expired before TTL")
 	}
-	now = now.Add(31 * time.Second) // 61s > TTL since fill
+	clock.Advance(31 * time.Second) // 61s > TTL since fill
 	if w := getInvoke(h, "/services/Calc/invoke/Square?n=7"); w.Header().Get("X-Cache") != "MISS" {
 		t.Fatal("entry served past TTL")
 	}
@@ -209,12 +209,8 @@ func TestCacheMiddlewareSOAPNonIdempotentBypass(t *testing.T) {
 			t.Fatalf("handler ran %d times after %d calls", n, i)
 		}
 	}
-	stats := c.(interface {
-		Stats() (hits, misses uint64)
-		Len() int
-	})
-	if hits, misses := stats.Stats(); hits != 0 || misses != 0 || stats.Len() != 0 {
-		t.Errorf("the cache saw %d hits, %d misses and holds %d entries; want none of each", hits, misses, stats.Len())
+	if hits, misses := c.Stats(); hits != 0 || misses != 0 || c.Len() != 0 {
+		t.Errorf("the cache saw %d hits, %d misses and holds %d entries; want none of each", hits, misses, c.Len())
 	}
 }
 

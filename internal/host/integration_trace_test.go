@@ -256,12 +256,10 @@ func TestRespcacheTraceAnnotationsAndMetrics(t *testing.T) {
 	if op.Calls != 1 || op.Errors != 0 || op.CacheHits != 1 {
 		t.Errorf("metricz Calc.Add = %+v, want calls=1 errors=0 cacheHits=1", op)
 	}
-	var sampled uint64
-	for _, n := range op.Histogram {
-		sampled += n
-	}
-	if sampled != 1 {
-		t.Errorf("histogram holds %d samples, want 1 (hits excluded)", sampled)
+	// A zero-duration hit in the distribution would pull p50 below p99.
+	if op.P50Nanos != op.P99Nanos || op.MaxNanos > op.P99Nanos {
+		t.Errorf("metricz Calc.Add p50 %d p99 %d max %d ns, want one sample (hits excluded)",
+			op.P50Nanos, op.P99Nanos, op.MaxNanos)
 	}
 
 	// /tracez renders the same ring, as JSON and as an ASCII tree.

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soc/internal/telemetry"
 	"soc/internal/vtime"
 )
 
@@ -80,7 +81,7 @@ type Result struct {
 	OfferedRate  float64
 	AchievedRate float64
 	// Latency is measured from each request's scheduled arrival time.
-	Latency *Histogram
+	Latency *telemetry.Histogram
 }
 
 // Run executes the schedule and blocks until every arrival has been
@@ -114,7 +115,7 @@ func Run(ctx context.Context, cfg Config, op Op) (*Result, error) {
 		workers = 1
 	}
 
-	res := &Result{Scheduled: n, OfferedRate: cfg.Rate, Latency: &Histogram{}}
+	res := &Result{Scheduled: n, OfferedRate: cfg.Rate, Latency: &telemetry.Histogram{}}
 	start := clock.Now()
 	var (
 		next   atomic.Int64

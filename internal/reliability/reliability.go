@@ -203,6 +203,11 @@ func (b *Breaker) advanceLocked(edges []transition) []transition {
 
 // Do runs fn under the breaker. In the half-open state exactly one probe
 // call is admitted; concurrent callers are rejected until it reports.
+// A call that fails after ctx ended says nothing about the guarded
+// dependency — the caller gave up — so it is counted neither way, and a
+// half-open probe that ends so frees the probe slot without a verdict.
+// A deadline applied below the breaker (a per-attempt timeout) leaves ctx
+// live and counts as a failure.
 func (b *Breaker) Do(ctx context.Context, fn func(ctx context.Context) error) error {
 	b.mu.Lock()
 	edges := b.advanceLocked(nil)
@@ -228,10 +233,15 @@ func (b *Breaker) Do(ctx context.Context, fn func(ctx context.Context) error) er
 	edges = nil
 
 	err := fn(ctx)
+	gaveUp := err != nil && ctx.Err() != nil
 
 	b.mu.Lock()
 	if probe {
 		b.probing = false
+	}
+	if gaveUp {
+		b.mu.Unlock()
+		return err
 	}
 	if err != nil {
 		b.failed++

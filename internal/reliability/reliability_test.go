@@ -178,6 +178,67 @@ func TestBreakerSingleProbe(t *testing.T) {
 	}
 }
 
+// TestBreakerCallerGaveUpIsNotAFailure: calls that fail because their
+// caller's context ended leave a healthy dependency's breaker closed and
+// uncounted, while a per-attempt deadline applied below the breaker —
+// the caller still waiting — keeps counting and opens it.
+func TestBreakerCallerGaveUpIsNotAFailure(t *testing.T) {
+	hang := func(ctx context.Context) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	b, _ := NewBreaker(2, time.Minute, nil)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 5; i++ {
+		if err := b.Do(cancelled, hang); !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if _, failed, _ := b.Counters(); b.State() != Closed || failed != 0 {
+		t.Fatalf("after caller-cancelled calls: state %v failed %d, want closed and 0", b.State(), failed)
+	}
+
+	perAttempt := func(ctx context.Context) error { return WithTimeout(ctx, time.Millisecond, hang) }
+	for i := 0; i < 2; i++ {
+		if err := b.Do(context.Background(), perAttempt); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("per-attempt timeout %d: %v", i, err)
+		}
+	}
+	if _, failed, _ := b.Counters(); b.State() != Open || failed != 2 {
+		t.Fatalf("after per-attempt timeouts: state %v failed %d, want open and 2", b.State(), failed)
+	}
+}
+
+// TestBreakerCancelledProbeFreesTheSlot: a half-open probe whose caller
+// gave up reaches no verdict — the breaker stays half-open and the next
+// caller probes.
+func TestBreakerCancelledProbeFreesTheSlot(t *testing.T) {
+	now := time.Unix(0, 0)
+	b, _ := NewBreaker(1, time.Minute, func() time.Time { return now })
+	_ = b.Do(context.Background(), func(context.Context) error { return errors.New("x") })
+	now = now.Add(2 * time.Minute)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	err := b.Do(ctx, func(ctx context.Context) error {
+		cancel()
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) || b.State() != HalfOpen {
+		t.Fatalf("cancelled probe: err %v, state %v; want context.Canceled and half-open", err, b.State())
+	}
+	ran := false
+	if err := b.Do(context.Background(), func(context.Context) error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("next caller: err %v, ran %v; want it admitted as the probe", err, ran)
+	}
+	if b.State() != Closed {
+		t.Fatalf("state after the next probe succeeded = %v", b.State())
+	}
+	if _, failed, rejected := b.Counters(); failed != 1 || rejected != 0 {
+		t.Fatalf("counters failed=%d rejected=%d, want 1 and 0", failed, rejected)
+	}
+}
+
 func TestBreakerValidation(t *testing.T) {
 	if _, err := NewBreaker(0, time.Second, nil); err == nil {
 		t.Error("threshold 0 accepted")

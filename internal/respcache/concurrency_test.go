@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // TestCacheConcurrentMixed hammers every public entry point from
@@ -110,22 +112,20 @@ func TestCacheSingleflightStampede(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentExpiry advances an injected clock while readers and
+// TestCacheConcurrentExpiry advances a virtual clock while readers and
 // writers run: expired reads must come back as misses and refills must
-// land, with the race detector watching the clock swap (atomic pointer)
-// against in-flight gets.
+// land, with the race detector watching the clock's reads against its
+// advances and the in-flight gets.
 func TestCacheConcurrentExpiry(t *testing.T) {
 	c := New(64, time.Minute)
-	var tick atomic.Int64
-	c.SetClock(func() time.Time {
-		return time.Unix(0, tick.Load())
-	})
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	c.UseClock(clock)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			tick.Add(int64(time.Second))
+			clock.Advance(time.Second)
 		}
 	}()
 	for g := 0; g < 4; g++ {

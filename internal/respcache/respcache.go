@@ -138,9 +138,7 @@ func New(capacity int, ttl time.Duration) *Cache {
 			flights:  make(map[string]*flight),
 		}
 	}
-	//soclint:ignore clockdiscipline real-clock default behind the injectable SetClock/UseClock hooks
-	fn := clockFn(time.Now)
-	c.now.Store(&fn)
+	c.UseClock(nil)
 	return c
 }
 
@@ -153,22 +151,16 @@ func (c *Cache) shardFor(key string) *shard {
 
 func (c *Cache) clock() clockFn { return *c.now.Load() }
 
-// SetClock replaces the time source, for deterministic expiry tests.
-func (c *Cache) SetClock(now func() time.Time) {
-	fn := clockFn(now)
-	c.now.Store(&fn)
-}
-
 // UseClock points the cache's TTL arithmetic at clk (vtime.Clock); nil
 // restores the wall clock. This is the hook the deterministic simulation
-// harness uses so cached entries age in virtual time.
+// harness and the expiry tests use so cached entries age in virtual time.
 func (c *Cache) UseClock(clk vtime.Clock) {
-	if clk == nil {
-		//soclint:ignore clockdiscipline nil clock restores the sanctioned wall-clock default
-		c.SetClock(time.Now)
-		return
+	//soclint:ignore clockdiscipline the sanctioned wall-clock default, which New and a nil clock select
+	fn := clockFn(time.Now)
+	if clk != nil {
+		fn = clk.Now
 	}
-	c.SetClock(clk.Now)
+	c.now.Store(&fn)
 }
 
 // Len reports the number of cached entries (including any expired ones

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func entry(body string) *Entry {
@@ -32,18 +34,18 @@ func TestCacheHitAndMiss(t *testing.T) {
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
+	clock := vtime.NewVirtual(time.Unix(0, 0))
 	c := New(4, time.Minute)
-	c.SetClock(func() time.Time { return now })
+	c.UseClock(clock)
 	calls := 0
 	fill := func() (*Entry, bool) { calls++; return entry("v"), true }
 
 	c.Do("k", fill)
-	now = now.Add(59 * time.Second)
+	clock.Advance(59 * time.Second)
 	if _, hit := c.Do("k", fill); !hit {
 		t.Fatal("entry expired before TTL")
 	}
-	now = now.Add(2 * time.Second) // past the minute
+	clock.Advance(2 * time.Second) // past the minute
 	if _, hit := c.Do("k", fill); hit {
 		t.Fatal("entry survived past TTL")
 	}

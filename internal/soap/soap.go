@@ -253,8 +253,10 @@ func Encode(m Message) ([]byte, error) {
 }
 
 // EncodeTo streams the envelope to w through a pooled buffer: one
-// encoding pass, one Write call, no allocation in steady state. This is
-// what Server.ServeHTTP uses to write straight to the ResponseWriter.
+// encoding pass, one Write call, no allocation in steady state. An
+// encoding error (ErrProtocol) is returned before anything is written.
+// This is what Server.ServeHTTP uses to write straight to the
+// ResponseWriter.
 func EncodeTo(w io.Writer, m Message) error {
 	bp := getEncBuf()
 	defer putEncBuf(bp)
@@ -747,18 +749,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if resp.Namespace == "" {
 		resp.Namespace = s.Namespace
 	}
-	out := getEncBuf()
-	enc, err := appendMessage((*out)[:0], resp)
-	if err != nil {
-		*out = enc[:0]
-		putEncBuf(out)
-		writeFault(w, http.StatusInternalServerError, ServerFault("response encoding: %v", err))
-		return
-	}
 	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(enc)
-	*out = enc[:0]
-	putEncBuf(out)
+	// EncodeTo fails with ErrProtocol before writing anything, so the
+	// fault still owns the status line; any other error is the client
+	// gone mid-write.
+	if err := EncodeTo(w, resp); errors.Is(err, ErrProtocol) {
+		writeFault(w, http.StatusInternalServerError, ServerFault("response encoding: %v", err))
+	}
 }
 
 func writeFault(w http.ResponseWriter, status int, f *Fault) {

@@ -187,6 +187,47 @@ func TestServerSOAPActionMismatch(t *testing.T) {
 	}
 }
 
+// TestServerWritesThroughEncodeTo: the response body is exactly the
+// envelope Encode renders, and a response that cannot be encoded becomes
+// a 500 Server fault with nothing written before it.
+func TestServerWritesThroughEncodeTo(t *testing.T) {
+	s := newEchoServer(t)
+	if err := s.Handle("Unencodable", func(context.Context, Message) (Message, error) {
+		return Message{Params: map[string]string{"not a name": "x"}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(op string) *httptest.ResponseRecorder {
+		env, err := Encode(Message{Operation: op, Params: map[string]string{"text": "a<b & c"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(env)))
+		return rec
+	}
+
+	rec := post("Echo")
+	want, err := Encode(Message{Operation: "EchoResponse", Namespace: "http://soc.example/echo",
+		Params: map[string]string{"echo": "a<b & c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != ContentType || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("Echo: %d %q\n%s\nwant\n%s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes(), want)
+	}
+
+	rec = post("Unencodable")
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != ContentType {
+		t.Fatalf("Unencodable: %d %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	var f *Fault
+	if _, err := DecodeBytes(rec.Body.Bytes()); !errors.As(err, &f) || f.Code != "Server" ||
+		!strings.Contains(f.String, "response encoding") {
+		t.Fatalf("Unencodable body is not just the encoding fault: %v\n%s", err, rec.Body.Bytes())
+	}
+}
+
 func TestServerHandleValidation(t *testing.T) {
 	s := NewServer("ns")
 	if err := s.Handle("", func(context.Context, Message) (Message, error) { return Message{}, nil }); err == nil {

@@ -8,30 +8,15 @@ import (
 	"time"
 )
 
-// BucketBounds are the latency histogram upper bounds; a final implicit
-// +Inf bucket catches the rest. Exposed so /metricz consumers can label
-// the buckets.
-var BucketBounds = [...]time.Duration{
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-}
-
-// NumBuckets is the histogram length (BucketBounds plus +Inf).
-const NumBuckets = len(BucketBounds) + 1
-
-// OpMetrics is the instrument set of one operation: call/error counters,
-// total handler time, the latency histogram — and a cache-hit counter
-// kept apart from the latency instruments, so zero-cost cached answers
-// never skew the mean or histogram that quality scoring reads.
+// OpMetrics is the counter set of one operation: calls, errors, total
+// handler time — and a cache-hit counter kept apart from the latency
+// instruments, so zero-cost cached answers never skew the mean or the
+// percentiles that quality scoring reads.
 type OpMetrics struct {
 	Calls     uint64
 	Errors    uint64
 	CacheHits uint64
 	TotalTime time.Duration
-	Buckets   [NumBuckets]uint64
 }
 
 // MeanTime is the average handler latency over real (uncached) calls.
@@ -42,20 +27,22 @@ func (m OpMetrics) MeanTime() time.Duration {
 	return m.TotalTime / time.Duration(m.Calls)
 }
 
-// opStripe is one cache-line-padded stripe of an operation's counters.
-// Every field is atomic: the record path takes no lock at all.
+// opStripe is one stripe of an operation's instruments: the error and
+// cache-hit counters, then the latency histogram whose count and sum are
+// the call counter and total handler time. Every field is atomic: the
+// record path takes no lock at all. The ~9 KB of buckets keep the hot
+// head of one stripe off the next stripe's (the tail buckets, ~minutes,
+// are never touched), so no padding is needed.
 type opStripe struct {
-	calls     atomic.Uint64
 	errors    atomic.Uint64
 	cacheHits atomic.Uint64
-	totalTime atomic.Int64
-	buckets   [NumBuckets]atomic.Uint64
-	_         [48]byte // pad to 128 B so stripes don't share cache lines
+	latency   Histogram
 }
 
 // stripedOp is the live instrument block of one operation: counters
 // striped so concurrent recorders on different cores touch different
-// cache lines. Snapshot sums the stripes.
+// cache lines. Snapshot sums the stripes' counters; Report also merges
+// their histograms.
 type stripedOp struct {
 	stripes []opStripe
 }
@@ -64,13 +51,10 @@ func (o *stripedOp) sum() OpMetrics {
 	var out OpMetrics
 	for i := range o.stripes {
 		s := &o.stripes[i]
-		out.Calls += s.calls.Load()
+		out.Calls += s.latency.count.Load()
 		out.Errors += s.errors.Load()
 		out.CacheHits += s.cacheHits.Load()
-		out.TotalTime += time.Duration(s.totalTime.Load())
-		for b := range s.buckets {
-			out.Buckets[b] += s.buckets[b].Load()
-		}
+		out.TotalTime += time.Duration(s.latency.sum.Load())
 	}
 	return out
 }
@@ -153,16 +137,10 @@ func (x *Metrics) get(key string) *stripedOp {
 // Record folds one real (handler-executed) call into the instruments.
 func (x *Metrics) Record(key string, d time.Duration, failed bool) {
 	s := x.stripe(x.get(key))
-	s.calls.Add(1)
-	s.totalTime.Add(int64(d))
+	s.latency.Record(d)
 	if failed {
 		s.errors.Add(1)
 	}
-	i := 0
-	for i < len(BucketBounds) && d > BucketBounds[i] {
-		i++
-	}
-	s.buckets[i].Add(1)
 }
 
 // RecordCached counts a response served from the idempotent-response
@@ -185,40 +163,44 @@ func (x *Metrics) Snapshot() map[string]OpMetrics {
 	return out
 }
 
-// opReport is one operation's entry in a MetricsReport.
+// opReport is one operation's entry in a MetricsReport. The counters and
+// the mean are exact; the percentiles are nearest-rank, reported as the
+// upper bound of their histogram bucket (at most 2^-5 high).
 type opReport struct {
-	Calls     uint64   `json:"calls"`
-	Errors    uint64   `json:"errors"`
-	CacheHits uint64   `json:"cacheHits"`
-	MeanNanos int64    `json:"meanNanos"`
-	Histogram []uint64 `json:"histogram"`
+	Calls     uint64 `json:"calls"`
+	Errors    uint64 `json:"errors"`
+	CacheHits uint64 `json:"cacheHits"`
+	MeanNanos int64  `json:"meanNanos"`
+	P50Nanos  int64  `json:"p50Nanos"`
+	P99Nanos  int64  `json:"p99Nanos"`
+	MaxNanos  int64  `json:"maxNanos"`
 }
 
 // MetricsReport is the GET /metricz document, the one shape the host and
-// the front door both serve: the instrument set plus the shared
-// histogram bucket bounds.
+// the front door both serve.
 type MetricsReport struct {
-	BucketBoundsNanos []int64             `json:"bucketBoundsNanos"`
-	Operations        map[string]opReport `json:"operations"`
+	Operations map[string]opReport `json:"operations"`
 }
 
-// Report renders a Snapshot as the /metricz document.
+// Report renders the instrument set as the /metricz document, merging
+// each operation's stripes into one histogram for its percentiles.
 func (x *Metrics) Report() MetricsReport {
-	snap := x.Snapshot()
-	report := MetricsReport{
-		BucketBoundsNanos: make([]int64, len(BucketBounds)),
-		Operations:        make(map[string]opReport, len(snap)),
-	}
-	for i, b := range BucketBounds {
-		report.BucketBoundsNanos[i] = int64(b)
-	}
-	for key, om := range snap {
+	m := *x.m.Load()
+	report := MetricsReport{Operations: make(map[string]opReport, len(m))}
+	for key, o := range m {
+		var lat Histogram
+		for i := range o.stripes {
+			lat.merge(&o.stripes[i].latency)
+		}
+		om := o.sum()
 		report.Operations[key] = opReport{
 			Calls:     om.Calls,
 			Errors:    om.Errors,
 			CacheHits: om.CacheHits,
 			MeanNanos: int64(om.MeanTime()),
-			Histogram: append([]uint64(nil), om.Buckets[:]...),
+			P50Nanos:  int64(lat.Quantile(0.50)),
+			P99Nanos:  int64(lat.Quantile(0.99)),
+			MaxNanos:  int64(lat.Max()),
 		}
 	}
 	return report

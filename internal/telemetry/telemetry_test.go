@@ -264,9 +264,12 @@ func TestMetrics(t *testing.T) {
 	if om.MeanTime() != 10*time.Millisecond {
 		t.Fatalf("MeanTime = %v, want 10ms (cache hits excluded)", om.MeanTime())
 	}
-	// 5ms and 15ms both land in the (1ms, 10ms] and (10ms, 100ms] buckets.
-	if om.Buckets[2] != 1 || om.Buckets[3] != 1 {
-		t.Fatalf("buckets = %v", om.Buckets)
+	// The hits stay out of the distribution: p50 is the 5ms sample's
+	// bucket, p99 and max the 15ms one.
+	op := m.Report().Operations["Calc.Add"]
+	if op.P50Nanos < int64(5*time.Millisecond) || op.P50Nanos >= int64(10*time.Millisecond) ||
+		op.P99Nanos < int64(15*time.Millisecond) || op.MaxNanos != int64(15*time.Millisecond) {
+		t.Fatalf("report = %+v", op)
 	}
 	if keys := m.Keys(); len(keys) != 1 || keys[0] != "Calc.Add" {
 		t.Fatalf("keys = %v", keys)
