@@ -3,11 +3,12 @@ GO ?= go
 .PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake chaos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
-## mode), race-enabled tests, the flake gate (concurrent orchestration
-## and call-plane deadlines, 20 race-enabled repeats), the deterministic
-## simulation corpus, the exhaustive WAL + workflow-journal crash-point
-## corpora, the end-to-end performance check, the open-loop load smoke,
-## and the cluster + workflow orchestration smokes
+## mode), race-enabled tests, the flake gate (concurrent orchestration,
+## the durable-machine hammer and call-plane deadlines, 20 race-enabled
+## repeats), the deterministic simulation corpus, the exhaustive WAL,
+## workflow-journal and registry crash-point corpora, the end-to-end
+## performance check, the open-loop load smoke, and the cluster +
+## workflow orchestration smokes
 ci: build lint-ci race flake sim crash perf load-smoke cluster-smoke workflow-smoke
 
 build:
@@ -57,12 +58,15 @@ race:
 ## detector — the interleavings they guard (a snapshot between a journal
 ## ack and its in-memory apply, a Resume against a finishing driver, two
 ## Starts of one id) show up in a minority of runs, so one pass proves
-## little — and the call plane's deadline tests (TestDoDeadline…): the
-## deadline context's clock races a blocked transport, a stalled body,
-## the caller's cancel and Close, and waiters and child contexts arriving
-## meanwhile (…Conformance, …CancelsChildrenWithoutWatchers, …Hammer)
+## little — the durable machine's hammer (appenders racing snapshots,
+## then a power cut), and the call plane's deadline tests
+## (TestDoDeadline…): the deadline context's clock races a blocked
+## transport, a stalled body, the caller's cancel and Close, and waiters
+## and child contexts arriving meanwhile (…Conformance,
+## …CancelsChildrenWithoutWatchers, …Hammer)
 flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
+	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
 	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane
 
 ## chaos: just the fault-injection chaos suite, verbosely
@@ -91,10 +95,13 @@ WAL_CRASH_RECORDS ?= 24
 ## flip every byte, then prove recovery salvages exactly the acked
 ## prefix and stays deterministic; the same sweep runs over a workflow
 ## journal image, where each damaged prefix must recover to a replayable
-## instance or a clean compensation with no duplicated side effect
+## instance or a clean compensation with no duplicated side effect, and
+## over a durable registry image, where each must recover to exactly the
+## directory of the acked prefix
 crash:
 	WAL_CRASH_RECORDS=$(WAL_CRASH_RECORDS) $(GO) test -count 1 -run 'TestCrash' ./internal/wal
 	WORKFLOW_CRASH_STRIDE=1 $(GO) test -count 1 -run 'TestCrash' ./internal/workflow
+	$(GO) test -count 1 -run 'TestCrash' ./internal/registry
 
 ## trace-demo: drive one resilient call through injected faults, retry,
 ## failover and the response cache, then print the reassembled trace

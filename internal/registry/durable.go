@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,21 +31,18 @@ type DurableOptions struct {
 }
 
 // DurableRegistry is a Registry whose mutations survive crashes: every
-// publish, unpublish and heartbeat is appended (and fsynced) to a
-// write-ahead log BEFORE it is applied in memory, so an acknowledged
-// mutation is on disk by the time the caller sees it succeed — the
-// acked ⇒ durable contract the simulation harness verifies. Reads are the
-// embedded Registry's. Periodically the whole directory is folded into a
-// snapshot and the log compacted.
+// publish, unpublish, heartbeat and eviction is a record of a
+// wal.Machine, appended (and fsynced) BEFORE it is applied in memory, so
+// an acknowledged mutation is on disk by the time the caller sees it
+// succeed — the acked ⇒ durable contract the simulation harness
+// verifies. Reads are the embedded Registry's. Periodically the whole
+// directory is folded into a snapshot and the log compacted.
 type DurableRegistry struct {
 	*Registry
 
 	// wmu serializes mutators so the log order equals the apply order.
-	wmu       sync.Mutex
-	log       *wal.Log
-	info      wal.RecoveryInfo
-	snapEvery int
-	appended  int
+	wmu sync.Mutex
+	m   *wal.Machine[walRecord, []Entry]
 }
 
 // OpenDurable recovers (or initializes) a durable registry from fs. The
@@ -54,107 +50,59 @@ type DurableRegistry struct {
 // state is replayed verbatim from the newest intact snapshot plus the log
 // suffix, salvaging torn tails.
 func OpenDurable(fs wal.FS, dopts DurableOptions, opts ...Option) (*DurableRegistry, error) {
-	log, rec, err := wal.Open(fs, dopts.WAL)
+	d := &DurableRegistry{Registry: New(opts...)}
+	m, err := wal.OpenMachine(fs, dopts.WAL, dopts.SnapshotEvery, wal.Handler[walRecord, []Entry]{
+		Apply:   d.apply,
+		Restore: d.restoreAll,
+		State:   func() []Entry { return d.Registry.List(false) },
+	})
 	if err != nil {
 		return nil, fmt.Errorf("registry: opening wal: %w", err)
 	}
-	snapEvery := dopts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = 64
-	}
-	d := &DurableRegistry{
-		Registry:  New(opts...),
-		log:       log,
-		info:      rec.Info,
-		snapEvery: snapEvery,
-	}
-	if rec.Snapshot != nil {
-		var entries []Entry
-		if err := json.Unmarshal(rec.Snapshot, &entries); err != nil {
-			return nil, fmt.Errorf("registry: decoding snapshot: %w", err)
-		}
-		for _, e := range entries {
-			if err := d.Registry.Restore(e); err != nil {
-				return nil, fmt.Errorf("registry: restoring %q: %w", e.Name, err)
-			}
-		}
-	}
-	for _, r := range rec.Records {
-		var wr walRecord
-		if err := json.Unmarshal(r.Data, &wr); err != nil {
-			return nil, fmt.Errorf("registry: decoding wal record %d: %w", r.Index, err)
-		}
-		if err := d.apply(wr); err != nil {
-			return nil, fmt.Errorf("registry: replaying wal record %d: %w", r.Index, err)
-		}
-	}
+	d.m = m
 	return d, nil
 }
 
-// apply installs one logged mutation. "unpublish" and "renew" tolerate a
-// missing entry: a snapshot taken after the mutation already reflects it.
+func (d *DurableRegistry) restoreAll(entries []Entry) error {
+	for _, e := range entries {
+		if err := d.Registry.restore(e); err != nil {
+			return fmt.Errorf("registry: restoring %q: %w", e.Name, err)
+		}
+	}
+	return nil
+}
+
+// apply installs one logged mutation. A missing entry is no error: a
+// snapshot taken after an unpublish or renew already reflects it.
 func (d *DurableRegistry) apply(wr walRecord) error {
+	var err error
 	switch wr.Op {
 	case "publish":
 		if wr.Entry == nil {
 			return fmt.Errorf("%w: publish record without entry", ErrInvalid)
 		}
-		return d.Registry.Restore(*wr.Entry)
+		err = d.Registry.restore(*wr.Entry)
 	case "unpublish":
-		if err := d.Registry.Unpublish(wr.Name); err != nil && !isNotFound(err) {
-			return err
-		}
-		return nil
+		err = d.Registry.Unpublish(wr.Name)
 	case "renew":
-		if err := d.Registry.setLease(wr.Name, wr.Expires); err != nil && !isNotFound(err) {
-			return err
-		}
-		return nil
+		err = d.Registry.setLease(wr.Name, wr.Expires)
 	default:
 		return fmt.Errorf("%w: unknown wal op %q", ErrInvalid, wr.Op)
 	}
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	return err
 }
 
-func isNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
-
-// append logs one record durably; only then may the caller apply it.
-func (d *DurableRegistry) append(wr walRecord) error {
-	data, err := json.Marshal(wr)
-	if err != nil {
-		return fmt.Errorf("registry: encoding wal record: %w", err)
-	}
-	if _, err := d.log.Append(data); err != nil {
+// commit logs one mutation, applies it, and offers a snapshot. Callers
+// hold wmu.
+func (d *DurableRegistry) commit(wr walRecord) error {
+	if err := d.m.Append(wr); err != nil {
 		return fmt.Errorf("registry: logging %s: %w", wr.Op, err)
 	}
-	d.appended++
+	d.m.MaybeSnapshot()
 	return nil
-}
-
-// maybeSnapshot folds the log once enough records accumulated. It MUST
-// run after the latest record is applied in memory — a snapshot is named
-// for the last appended index, so its contents have to include that
-// mutation or recovery would skip the record as covered and lose it.
-func (d *DurableRegistry) maybeSnapshot() {
-	if d.snapEvery <= 0 || d.appended < d.snapEvery {
-		return
-	}
-	// Best effort: a failed snapshot loses nothing (the log retains every
-	// segment until a snapshot installs), so retry after the next batch
-	// rather than failing an already-durable mutation.
-	if d.snapshotLocked() == nil {
-		d.appended = 0
-	}
-}
-
-// snapshotLocked folds the full directory into a wal snapshot. Callers
-// hold wmu.
-func (d *DurableRegistry) snapshotLocked() error {
-	entries := d.Registry.List(false)
-	data, err := json.Marshal(entries)
-	if err != nil {
-		return fmt.Errorf("registry: encoding snapshot: %w", err)
-	}
-	return d.log.Snapshot(data)
 }
 
 // Publish logs the resolved entry, then installs it. The entry is on
@@ -166,14 +114,7 @@ func (d *DurableRegistry) Publish(e Entry) error {
 	if err != nil {
 		return err
 	}
-	if err := d.append(walRecord{Op: "publish", Entry: &resolved}); err != nil {
-		return err
-	}
-	if err := d.Registry.Restore(resolved); err != nil {
-		return err
-	}
-	d.maybeSnapshot()
-	return nil
+	return d.commit(walRecord{Op: "publish", Entry: &resolved})
 }
 
 // Unpublish logs the removal, then applies it.
@@ -183,14 +124,7 @@ func (d *DurableRegistry) Unpublish(name string) error {
 	if _, err := d.Registry.Get(name); err != nil {
 		return err
 	}
-	if err := d.append(walRecord{Op: "unpublish", Name: name}); err != nil {
-		return err
-	}
-	if err := d.Registry.Unpublish(name); err != nil {
-		return err
-	}
-	d.maybeSnapshot()
-	return nil
+	return d.commit(walRecord{Op: "unpublish", Name: name})
 }
 
 // Heartbeat logs the exact renewed expiry, then applies it.
@@ -201,34 +135,45 @@ func (d *DurableRegistry) Heartbeat(name string) error {
 		return err
 	}
 	expires := d.Registry.now().Add(d.Registry.lease)
-	if err := d.append(walRecord{Op: "renew", Name: name, Expires: expires}); err != nil {
-		return err
+	return d.commit(walRecord{Op: "renew", Name: name, Expires: expires})
+}
+
+// Evict removes entries whose lease lapsed more than grace ago, logging
+// one unpublish record per name before applying it, so an eviction
+// survives a restart. It returns the evicted names, sorted; a failed
+// append stops the sweep, and the names it did not reach stay for a
+// later call.
+func (d *DurableRegistry) Evict(grace time.Duration) []string {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	now := d.Registry.now()
+	var evicted []string
+	for _, e := range d.Registry.List(false) {
+		if now.Sub(e.LeaseExpires) <= grace {
+			continue
+		}
+		if err := d.commit(walRecord{Op: "unpublish", Name: e.Name}); err != nil {
+			break
+		}
+		evicted = append(evicted, e.Name)
 	}
-	if err := d.Registry.setLease(name, expires); err != nil {
-		return err
-	}
-	d.maybeSnapshot()
-	return nil
+	return evicted
 }
 
 // Snapshot forces a snapshot + compaction now.
 func (d *DurableRegistry) Snapshot() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if err := d.snapshotLocked(); err != nil {
-		return err
-	}
-	d.appended = 0
-	return nil
+	return d.m.Snapshot()
 }
 
 // Recovery reports what the opening recovery found (snapshot index,
 // replayed records, salvage decisions).
-func (d *DurableRegistry) Recovery() wal.RecoveryInfo { return d.info }
+func (d *DurableRegistry) Recovery() wal.RecoveryInfo { return d.m.Recovery() }
 
 // Close seals the log. The directory stays readable.
 func (d *DurableRegistry) Close() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	return d.log.Close()
+	return d.m.Close()
 }

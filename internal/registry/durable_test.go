@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,6 +185,74 @@ func TestDurableRegistryAckedSurvivesFaultsAndCrashes(t *testing.T) {
 				t.Fatalf("seed %d: entry %q diverged:\nacked     %+v\nrecovered %+v", seed, name, want, got)
 			}
 		}
+	}
+}
+
+// TestDurableRegistryEvictSurvivesRestart: an eviction is a logged
+// mutation like any other, so the evicted entry stays gone after a
+// reopen instead of coming back from the log.
+func TestDurableRegistryEvictSurvivesRestart(t *testing.T) {
+	fs := wal.NewMemFS(4)
+	now, advance := simClock(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
+	open := func() *DurableRegistry {
+		d, err := OpenDurable(fs, DurableOptions{}, WithClock(now), WithLease(time.Hour))
+		if err != nil {
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		return d
+	}
+	d := open()
+	for _, name := range []string{"Alpha", "Beta"} {
+		if err := d.Publish(testEntry(name)); err != nil {
+			t.Fatalf("Publish %s: %v", name, err)
+		}
+	}
+	advance(30 * time.Minute)
+	if err := d.Heartbeat("Beta"); err != nil {
+		t.Fatalf("Heartbeat: %v", err)
+	}
+	advance(45 * time.Minute) // Alpha lapsed 15 minutes ago, Beta is live
+	if got := d.Evict(0); len(got) != 1 || got[0] != "Alpha" {
+		t.Fatalf("Evict = %v, want [Alpha]", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	d2 := open()
+	if _, err := d2.Get("Alpha"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("evicted Alpha came back after a restart: %v", err)
+	}
+	if got := d2.Len(); got != 1 {
+		t.Fatalf("recovered %d entries, want 1 (recovery %s)", got, d2.Recovery())
+	}
+}
+
+// TestOpenDurableBadRecord: a checksum-valid record that does not decode
+// fails the open and names the record; the log is closed, so the same
+// directory opens again.
+func TestOpenDurableBadRecord(t *testing.T) {
+	fs := wal.NewMemFS(5)
+	log, _, err := wal.Open(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{`{"op":"unpublish","name":"Alpha"}`, `{"op":"publish","entry":{"name":"Be`} {
+		if _, err := log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(fs, DurableOptions{}); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Fatalf("OpenDurable over an undecodable record: err = %v", err)
+	}
+	log, rec, err := wal.Open(fs, wal.Options{})
+	if err != nil || len(rec.Records) != 2 {
+		t.Fatalf("reopen after the failed open: %d records, err = %v", len(rec.Records), err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

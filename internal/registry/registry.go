@@ -239,7 +239,7 @@ func (s *snapshot) unindex(name string) {
 // Published preservation for re-registrations, a fresh lease — without
 // mutating the registry. It is the write-ahead half of a durable publish:
 // the resolved entry is logged first and then installed verbatim via
-// Restore, so log replay reproduces the exact same state.
+// restore, so log replay reproduces the exact same state.
 func (r *Registry) prepare(e Entry) (Entry, error) {
 	if err := validateEntry(e); err != nil {
 		return Entry{}, err
@@ -255,11 +255,11 @@ func (r *Registry) prepare(e Entry) (Entry, error) {
 	return e, nil
 }
 
-// Restore installs an entry verbatim — Published and LeaseExpires
+// restore installs an entry verbatim — Published and LeaseExpires
 // included — and rebuilds its index postings. It is the replay primitive
 // of the durable registry: restoring the same entry always produces the
 // same state, which keeps crash recovery deterministic.
-func (r *Registry) Restore(e Entry) error {
+func (r *Registry) restore(e Entry) error {
 	if err := validateEntry(e); err != nil {
 		return err
 	}

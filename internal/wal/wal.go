@@ -3,9 +3,10 @@
 // discipline, segment rotation, snapshot + compaction, and a recovery
 // path that replays the newest intact snapshot plus the log suffix —
 // salvaging up to the last valid record on a torn or corrupted tail
-// instead of failing the whole load. The service registry persists on it
-// (publish/unpublish/lease-renew as records, Save/Load as snapshots);
-// xmlstore and session are the next tenants the ROADMAP names.
+// instead of failing the whole load. The service registry and the
+// workflow orchestrator persist on it through Machine (machine.go), the
+// one write-ahead state machine over the log; xmlstore and session are
+// the next tenants the ROADMAP names.
 //
 // Durability contract: when Append returns nil, the record is on disk
 // (frame written and fsynced into a directory-fsynced segment file), so

@@ -14,11 +14,13 @@ import (
 // a durable WAL append over the in-memory disk — rides the
 // orchestrator's hottest path. Measured 7.
 func TestJournalAppendAllocCeiling(t *testing.T) {
-	log, _, err := wal.Open(wal.NewMemFS(7), wal.Options{SegmentBytes: 1 << 30})
+	m, err := wal.OpenMachine(wal.NewMemFS(7), wal.Options{SegmentBytes: 1 << 30}, -1, wal.Handler[Record, snapshotState]{
+		Apply: func(Record) error { return nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &journal{log: log}
+	j := &journal{m: m}
 	rec := Record{
 		Inst:    "wf-bench",
 		Kind:    recDone,

@@ -79,7 +79,7 @@ func (jr *journalRun) nextKey(path, name string) string {
 
 func (jr *journalRun) append(r Record) error {
 	r.Inst = jr.inst.id
-	return jr.o.append(jr.inst, r)
+	return jr.o.journal.append(r)
 }
 
 // exec routes one activity through the journal: composites re-execute

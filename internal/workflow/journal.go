@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -117,12 +116,16 @@ type Record struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// journal serializes appends to the orchestrator's WAL and carries the
-// crash hook the simulation harness arms to power-cut a replica at an
-// exact append ordinal.
+// journal serializes appends to the orchestrator's durable machine and
+// carries the crash hook the simulation harness arms to power-cut a
+// replica at an exact append ordinal. Its lock is held across the
+// machine's append, so no append can slip onto the disk after the cut.
 type journal struct {
-	mu  sync.Mutex
-	log *wal.Log
+	mu sync.Mutex
+	m  *wal.Machine[Record, snapshotState]
+	// apply installs a record in memory; the drop-append mutation calls
+	// it without the machine.
+	apply func(Record) error
 	// appends counts attempted appends; crashAt fires the armed power
 	// cut when the counter reaches it (0 = disarmed).
 	appends int64
@@ -134,16 +137,13 @@ type journal struct {
 	// dropDone is the MutationDropAppend hook: the Nth done-record
 	// append is acknowledged without being written (1-based, 0 = off).
 	// It exists to prove the journal-audit invariant can fail.
-	dropDone  int
-	doneSeen  int
-	sinceSnap int
+	dropDone int
+	doneSeen int
 }
 
+// append journals r and, only on ack, applies it to its instance: the
+// in-memory state is exactly the acked journal.
 func (j *journal) append(r Record) error {
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("%w: marshal %s/%s: %v", ErrJournal, r.Inst, r.Kind, err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.failed {
@@ -162,14 +162,12 @@ func (j *journal) append(r Record) error {
 		if j.doneSeen == j.dropDone {
 			// Mutation: ack without durability. The in-memory state moves
 			// on; recovery after the next crash must expose the lie.
-			j.sinceSnap++
-			return nil
+			return j.apply(r)
 		}
 	}
-	if _, err := j.log.Append(buf); err != nil {
+	if err := j.m.Append(r); err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
-	j.sinceSnap++
 	return nil
 }
 
@@ -182,23 +180,14 @@ func (j *journal) armCrash(n int64, fn func()) {
 	j.crashFn = fn
 }
 
-func (j *journal) snapshot(data []byte) error {
+// maybeSnapshot offers the machine a snapshot; a journal that is down
+// writes nothing more.
+func (j *journal) maybeSnapshot() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.failed {
-		return fmt.Errorf("%w: journal is down (crashed)", ErrJournal)
+	if !j.failed {
+		j.m.MaybeSnapshot()
 	}
-	if err := j.log.Snapshot(data); err != nil {
-		return err
-	}
-	j.sinceSnap = 0
-	return nil
-}
-
-func (j *journal) appendsSinceSnapshot() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sinceSnap
 }
 
 func (j *journal) close() error {
@@ -208,7 +197,7 @@ func (j *journal) close() error {
 		return nil
 	}
 	j.failed = true
-	return j.log.Close()
+	return j.m.Close()
 }
 
 // StartAudit summarizes the start records of one invoke key.

@@ -2,7 +2,6 @@ package workflow
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -78,10 +77,6 @@ type Instance struct {
 func (in *Instance) addRecord(r Record) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.applyLocked(r)
-}
-
-func (in *Instance) applyLocked(r Record) {
 	in.recs = append(in.recs, r)
 	switch r.Kind {
 	case recBegin:
@@ -168,13 +163,6 @@ type Orchestrator struct {
 	opts    Options
 	journal *journal
 
-	// commit makes "journal append + apply to instance" atomic with
-	// respect to "collect payload + write snapshot": appenders hold it
-	// shared, maybeSnapshot exclusively. A wal snapshot covers every
-	// record up to its index, so a record acked but not yet applied when
-	// the payload was collected would be compacted away.
-	commit sync.RWMutex
-
 	mu   sync.Mutex
 	defs map[string]*Workflow
 	// insts holds a nil entry while Start journals an id's begin record:
@@ -183,8 +171,6 @@ type Orchestrator struct {
 	order []string
 
 	compensators
-
-	recovery wal.RecoveryInfo
 }
 
 // snapshotState is the WAL snapshot payload. A wal snapshot covers
@@ -205,49 +191,57 @@ type snapshotInstance struct {
 // audit, pending instances await Resume. Definitions and compensators
 // must be re-registered before resuming.
 func OpenOrchestrator(fs wal.FS, opts Options) (*Orchestrator, error) {
-	if opts.SnapshotEvery == 0 {
-		opts.SnapshotEvery = 64
-	}
-	log, rec, err := wal.Open(fs, opts.WAL)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: opening journal: %w", err)
-	}
 	o := &Orchestrator{
-		opts:    opts,
-		journal: &journal{log: log},
-		defs:    map[string]*Workflow{},
-		insts:   map[string]*Instance{},
+		opts:  opts,
+		defs:  map[string]*Workflow{},
+		insts: map[string]*Instance{},
 	}
+	o.journal = &journal{apply: o.apply}
 	if opts.Mutation == MutationDropAppend {
 		// Drop the second done append of this incarnation: late enough
 		// that real work is in flight, early enough that every
 		// non-trivial run exercises it.
 		o.journal.dropDone = 2
 	}
-	if len(rec.Snapshot) > 0 {
-		var snap snapshotState
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return nil, fmt.Errorf("workflow: decoding journal snapshot: %w", errors.Join(err, log.Close()))
-		}
-		for _, si := range snap.Instances {
-			inst := o.instanceFor(si.ID)
-			for _, r := range si.Records {
-				inst.applyLocked(r)
-			}
-		}
+	m, err := wal.OpenMachine(fs, opts.WAL, opts.SnapshotEvery, wal.Handler[Record, snapshotState]{
+		Apply:   o.apply,
+		Restore: o.restore,
+		State:   o.state,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("workflow: opening journal: %w", err)
 	}
-	for _, wr := range rec.Records {
-		var r Record
-		if err := json.Unmarshal(wr.Data, &r); err != nil {
-			// A corrupt frame the WAL's checksum let through cannot
-			// happen; a schema drift should not kill recovery of the
-			// other instances. Count it as best we can and move on.
-			continue
-		}
-		o.instanceFor(r.Inst).addRecord(r)
-	}
-	o.recovery = rec.Info
+	o.journal.m = m
 	return o, nil
+}
+
+// apply adds one acked record to its instance, creating the instance on
+// its begin record.
+func (o *Orchestrator) apply(r Record) error {
+	o.instanceFor(r.Inst).addRecord(r)
+	return nil
+}
+
+func (o *Orchestrator) restore(snap snapshotState) error {
+	for _, si := range snap.Instances {
+		inst := o.instanceFor(si.ID)
+		for _, r := range si.Records {
+			inst.addRecord(r)
+		}
+	}
+	return nil
+}
+
+// state collects the snapshot payload: every instance's full record
+// history, pending and terminal alike.
+func (o *Orchestrator) state() snapshotState {
+	snap := snapshotState{}
+	for _, id := range o.Instances() {
+		if in := o.lookup(id); in != nil {
+			snap.Instances = append(snap.Instances, snapshotInstance{ID: id, Records: in.snapshotRecords()})
+		}
+	}
+	return snap
 }
 
 // instanceFor finds or creates the in-memory instance (creation without
@@ -279,7 +273,7 @@ func (o *Orchestrator) definition(name string) *Workflow {
 }
 
 // Recovery reports what journal recovery found at open.
-func (o *Orchestrator) Recovery() wal.RecoveryInfo { return o.recovery }
+func (o *Orchestrator) Recovery() wal.RecoveryInfo { return o.journal.m.Recovery() }
 
 // Close closes the journal. Running instances' next append fails and
 // leaves them pending, the same contract as a crash.
@@ -359,13 +353,13 @@ func (o *Orchestrator) Start(ctx context.Context, id, def string, init map[strin
 	// Starts both pass the check and journal two begin records.
 	o.insts[id] = nil
 	o.mu.Unlock()
-	inst, err := o.begin(Record{Inst: id, Kind: recBegin, Def: def, Init: init})
-	if err != nil {
+	if err := o.journal.append(Record{Inst: id, Kind: recBegin, Def: def, Init: init}); err != nil {
 		o.mu.Lock()
 		delete(o.insts, id)
 		o.mu.Unlock()
 		return Result{ID: id, Status: StatusPending, Err: err.Error()}, err
 	}
+	inst := o.lookup(id)
 	if res, claimed, err := inst.claim(); !claimed {
 		return res, err
 	}
@@ -394,7 +388,7 @@ func (o *Orchestrator) Resume(ctx context.Context, id string) (Result, error) {
 			fmt.Errorf("workflow: instance %q needs unregistered definition %q", id, def)
 	}
 	rec := Record{Inst: id, Kind: recResume, Incarnation: resumes + 1}
-	if err := o.append(inst, rec); err != nil {
+	if err := o.journal.append(rec); err != nil {
 		inst.release()
 		return Result{ID: id, Status: StatusPending, Err: err.Error()}, err
 	}
@@ -416,32 +410,6 @@ func (o *Orchestrator) ResumeAll(ctx context.Context) []Result {
 	return out
 }
 
-// begin journals an instance's begin record and, only on ack, creates
-// the instance holding it — under commit like any append, so a snapshot
-// never covers a begin record whose instance it cannot see yet.
-func (o *Orchestrator) begin(r Record) (*Instance, error) {
-	o.commit.RLock()
-	defer o.commit.RUnlock()
-	if err := o.journal.append(r); err != nil {
-		return nil, err
-	}
-	inst := o.instanceFor(r.Inst)
-	inst.addRecord(r)
-	return inst, nil
-}
-
-// append journals a record and, only on ack, applies it to the
-// instance: the in-memory state is exactly the acked journal.
-func (o *Orchestrator) append(inst *Instance, r Record) error {
-	o.commit.RLock()
-	defer o.commit.RUnlock()
-	if err := o.journal.append(r); err != nil {
-		return err
-	}
-	inst.addRecord(r)
-	return nil
-}
-
 // drive runs one claimed instance as far as it can go on this
 // incarnation: forward execution (with replay) unless a fault is already
 // committed, then compensation, then the terminal record.
@@ -457,10 +425,10 @@ func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) 
 		err := exec(ctx, wf.Root, st)
 		switch {
 		case err == nil:
-			if aerr := o.append(inst, Record{Inst: inst.id, Kind: recEnd, Status: StatusCompleted}); aerr != nil {
+			if aerr := o.journal.append(Record{Inst: inst.id, Kind: recEnd, Status: StatusCompleted}); aerr != nil {
 				return o.pendingResult(inst, aerr), aerr
 			}
-			o.maybeSnapshot()
+			o.journal.maybeSnapshot()
 			return Result{ID: inst.id, Status: StatusCompleted, Vars: st.Vars.Snapshot()}, nil
 		case errors.Is(err, ErrJournal) || ctx.Err() != nil:
 			// The journal is down or the caller gave up: nothing was
@@ -472,7 +440,7 @@ func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) 
 			// compensation. Once this record is acked, no incarnation
 			// runs forward again.
 			fault := Record{Inst: inst.id, Kind: recFault, Err: err.Error()}
-			if aerr := o.append(inst, fault); aerr != nil {
+			if aerr := o.journal.append(fault); aerr != nil {
 				return o.pendingResult(inst, aerr), aerr
 			}
 		}
@@ -482,10 +450,10 @@ func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) 
 	}
 	_, faultErr := inst.currentStatus()
 	end := Record{Inst: inst.id, Kind: recEnd, Status: StatusCompensated, Err: faultErr}
-	if aerr := o.append(inst, end); aerr != nil {
+	if aerr := o.journal.append(end); aerr != nil {
 		return o.pendingResult(inst, aerr), aerr
 	}
-	o.maybeSnapshot()
+	o.journal.maybeSnapshot()
 	return Result{ID: inst.id, Status: StatusCompensated, Err: faultErr}, nil
 }
 
@@ -506,37 +474,6 @@ func (o *Orchestrator) compensate(ctx context.Context, inst *Instance) error {
 		}
 	}
 	return o.undo(ctx, comps, audit.CompDones, func(c Compensation) error {
-		return o.append(inst, Record{Inst: inst.id, Kind: recCompDone, Comp: c.ID})
+		return o.journal.append(Record{Inst: inst.id, Kind: recCompDone, Comp: c.ID})
 	})
-}
-
-// maybeSnapshot folds the journal into a snapshot when enough appends
-// accumulated. Best-effort: a failed snapshot (injected disk fault)
-// just means compaction waits for the next opportunity.
-func (o *Orchestrator) maybeSnapshot() {
-	if o.opts.SnapshotEvery <= 0 {
-		return
-	}
-	if o.journal.appendsSinceSnapshot() < o.opts.SnapshotEvery {
-		return
-	}
-	o.commit.Lock()
-	defer o.commit.Unlock()
-	if o.journal.appendsSinceSnapshot() < o.opts.SnapshotEvery {
-		return // a concurrent finisher snapshotted while this one waited
-	}
-	snap := snapshotState{}
-	for _, id := range o.Instances() {
-		in := o.lookup(id)
-		if in == nil {
-			continue
-		}
-		snap.Instances = append(snap.Instances, snapshotInstance{ID: id, Records: in.snapshotRecords()})
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	//soclint:ignore errdiscard snapshotting is opportunistic compaction; a faulted disk write leaves the journal authoritative and the next ack retries
-	_ = o.journal.snapshot(data)
 }

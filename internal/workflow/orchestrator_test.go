@@ -790,6 +790,36 @@ func TestOpenOrchestratorBadSnapshot(t *testing.T) {
 	}
 }
 
+// TestOpenOrchestratorBadRecord: a checksum-valid journal record that
+// does not decode fails the open and names the record, instead of being
+// skipped (a lost done record would re-run its step on resume). The log
+// is closed, so the same directory opens again.
+func TestOpenOrchestratorBadRecord(t *testing.T) {
+	fs := wal.NewMemFS(6)
+	log, _, err := wal.Open(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{`{"inst":"wf-1","kind":"begin","def":"everything"}`, `{"inst":"wf-1","kind":"done","key":"/main#0/ann`} {
+		if _, err := log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenOrchestrator(fs, Options{}); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Fatalf("OpenOrchestrator over an undecodable record: err = %v", err)
+	}
+	log, rec, err := wal.Open(fs, wal.Options{})
+	if err != nil || len(rec.Records) != 2 {
+		t.Fatalf("reopen after the failed open: %d records, err = %v", len(rec.Records), err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompensationParityAcrossEngines drives one definition — the
 // crash corpus's, with its final Commit failing — through Workflow.Run
 // and through the Orchestrator: the same compensators run with the same
