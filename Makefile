@@ -128,14 +128,16 @@ perf:
 load-smoke:
 	$(GO) run ./cmd/socload -virtual -rate 2000 -duration 2s -stall 100ms -assert-open-loop
 
-## cluster-smoke: the deterministic elastic-cluster gate — a
-## virtual-clock schedule ramps load up and down through the front door
-## with replica kills mid-ramp, and the run must close its ledger
-## (every admitted request completes or fails with an injected fault —
-## scale-down never drops one), keep the pool inside policy bounds,
-## never pick an expired replica, and replay to the identical hash
+## cluster-smoke: the deterministic elastic-cluster gate — the
+## simulator's one World with a front door runs the canned cluster
+## schedule: load ramps up and down through the door with replica kills
+## mid-ramp, and every window must close the ledger (every admitted
+## request completes or fails with an injected fault — scale-down never
+## drops one), keep the pool inside policy bounds, stop only drained
+## replicas, never pick an expired one, and the run must replay to the
+## identical hash; each cluster mutation hook must trip its invariant
 cluster-smoke:
-	$(GO) test -count 1 -run 'TestClusterSmoke' ./internal/simtest
+	$(GO) test -count 1 -run 'TestCluster|TestCheckCluster' ./internal/simtest
 
 ## workflow-smoke: the deterministic durable-workflow gate — a
 ## workflow-heavy simtest schedule starts hundreds of instances with

@@ -307,7 +307,7 @@ func liveOps(base string, timeout time.Duration) (workloadOps, error) {
 	}
 	get := func(target string) loadgen.Op {
 		return func(ctx context.Context) error {
-			//soclint:ignore tracepropagate the load generator measures the raw server path; call-plane tracing would tax every request with the overhead being measured
+			//soclint:ignore ctxpropagate the load generator measures the raw server path; call-plane tracing would tax every request with the overhead being measured
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 			if err != nil {
 				return err
@@ -316,7 +316,7 @@ func liveOps(base string, timeout time.Duration) (workloadOps, error) {
 		}
 	}
 	soapOp := func(ctx context.Context) error {
-		//soclint:ignore tracepropagate the load generator measures the raw server path; call-plane tracing would tax every request with the overhead being measured
+		//soclint:ignore ctxpropagate the load generator measures the raw server path; call-plane tracing would tax every request with the overhead being measured
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/services/Encryption/soap", bytes.NewReader(envelope))
 		if err != nil {
 			return err

@@ -10,7 +10,7 @@
 //
 // Outbound HTTP requests are constructed here and nowhere else: NewRequest,
 // Route.NewRequest and Forward (request.go) are the module's sanctioned
-// context→request sites (enforced by the soclint tracepropagate rule), so
+// context→request sites (enforced by the soclint ctxpropagate rule), so
 // deadline plumbing and trace-header injection can never drift apart
 // across clients again.
 package callplane

@@ -16,7 +16,7 @@ import (
 // cancelation) with the active span's trace context stamped into the
 // X-Soc-Trace header. Together with Route.NewRequest and Forward below it
 // is the module's context→request construction site; the soclint
-// tracepropagate rule flags any other.
+// ctxpropagate rule flags any other.
 func NewRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {

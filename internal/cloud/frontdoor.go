@@ -7,7 +7,7 @@
 // on-demand, elastic, pay-per-use properties the course defines cloud
 // computing by. Every part takes a vtime.Clock, so the same code serves
 // wall-clock traffic and the deterministic virtual-clock scenarios
-// (simtest.RunCluster, ablation A5).
+// (simtest's world with a door, ablation A5).
 package cloud
 
 import (

@@ -14,6 +14,7 @@ import (
 	"soc/internal/cloud"
 	"soc/internal/core"
 	"soc/internal/crawler"
+	"soc/internal/faultinject"
 	"soc/internal/host"
 	"soc/internal/perf"
 	"soc/internal/registry"
@@ -176,23 +177,30 @@ func StateManagement(requests int) (string, error) {
 	return b.String(), nil
 }
 
-// a5Cluster is A5's elastic arm: a load burst (requests per one-second
-// window) under a one-window cooldown, and no replica kills.
-var a5Cluster = simtest.ClusterConfig{
-	Policy:   cloud.Policy{MinReplicas: 1, MaxReplicas: 16, ReplicaCapacity: 10, TargetUtilization: 0.75},
-	Cooldown: time.Second,
-	Profile:  []int{10, 10, 20, 60, 120, 120, 80, 30, 10, 10, 10, 10},
-	KillAt:   map[int]bool{},
+// A5's elastic arm: a load burst (requests per one-second window) under
+// a one-window cooldown, and no replica kills.
+var (
+	a5Policy = cloud.Policy{MinReplicas: 1, MaxReplicas: 16, ReplicaCapacity: 10, TargetUtilization: 0.75}
+	a5Demand = []int{10, 10, 20, 60, 120, 120, 80, 30, 10, 10, 10, 10}
+)
+
+// a5Run serves a5Demand through a simulated world's front door, with the
+// autoscaler held to [min, max] replicas, on fault-free links and disks.
+func a5Run(min, max int) (*simtest.RunRecord, error) {
+	policy := a5Policy
+	policy.MinReplicas, policy.MaxReplicas = min, max
+	cfg := simtest.Config{Door: policy, Cooldown: time.Second, Faults: &faultinject.Rule{}, DiskFaults: &faultinject.DiskRule{}}
+	return simtest.Run(cfg, simtest.ClusterSchedule(1, a5Demand))
 }
 
 // CloudScale (A5) runs the elasticity study: one bursty demand series
 // served by the real cloud.Autoscaler + FrontDoor on the virtual clock
-// (simtest.RunCluster), against static pools sized for the average and
-// for the peak — the same call with MinReplicas == MaxReplicas. Capacity
-// is accounted per window from the pool the autoscaler had standing as
-// the window began: served = min(demand, running × ReplicaCapacity), and
-// a draining replica takes no new requests but is billed until it stops.
-// Injected replica faults do not enter the numbers; a cluster invariant
+// (a simtest world with a door), against static pools sized for the
+// average and for the peak — the same run with MinReplicas ==
+// MaxReplicas. Capacity is accounted per window from the pool the
+// autoscaler had standing as the window began: served = min(demand,
+// running × ReplicaCapacity), and a draining replica takes no new
+// requests but is billed until it stops. Any simulation invariant
 // violation fails the experiment.
 func CloudScale() (string, error) {
 	var table, totals strings.Builder
@@ -202,19 +210,18 @@ func CloudScale() (string, error) {
 	for _, arm := range []struct {
 		name     string
 		min, max int
-	}{{"elastic", a5Cluster.Policy.MinReplicas, a5Cluster.Policy.MaxReplicas}, {"static n=2", 2, 2}, {"static n=12", 12, 12}} {
-		cfg := a5Cluster
-		cfg.Policy.MinReplicas, cfg.Policy.MaxReplicas = arm.min, arm.max
-		rec, err := simtest.RunCluster(cfg)
+	}{{"elastic", a5Policy.MinReplicas, a5Policy.MaxReplicas}, {"static n=2", 2, 2}, {"static n=12", 12, 12}} {
+		rec, err := a5Run(arm.min, arm.max)
 		if err != nil {
 			return "", err
 		}
 		if len(rec.Violations) > 0 {
-			return "", fmt.Errorf("experiments: %s: cluster invariant violated: %s", arm.name, rec.Violations[0])
+			return "", fmt.Errorf("experiments: %s: simulation invariant violated: %s", arm.name, rec.Violations[0])
 		}
 		var total, served, cost int
-		for w, pool := range rec.Pool {
-			demand, capacity := cfg.Profile[w], pool.Running*cfg.Policy.ReplicaCapacity
+		for w, demand := range a5Demand {
+			pool := rec.Pool[w]
+			capacity := pool.Running * a5Policy.ReplicaCapacity
 			got := min(demand, capacity)
 			total += demand
 			served += got

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"soc/internal/services"
-	"soc/internal/simtest"
 )
 
 var ctx = context.Background()
@@ -169,11 +168,10 @@ func TestCloudScaleAblation(t *testing.T) {
 	}
 
 	// The printed pool is the autoscaler's own record for this config.
-	rec, err := simtest.RunCluster(a5Cluster)
+	rec, err := a5Run(a5Policy.MinReplicas, a5Policy.MaxReplicas)
 	if err != nil {
-		t.Fatalf("RunCluster: %v", err)
+		t.Fatalf("a5Run: %v", err)
 	}
-	a5Demand := a5Cluster.Profile
 	var pool []int
 	arms := map[string][2]int{} // name -> served, replica-windows
 	for _, line := range strings.Split(out, "\n") {
@@ -183,7 +181,7 @@ func TestCloudScaleAblation(t *testing.T) {
 				t.Fatalf("row %q is not window %d of %d:\n%s", line, len(pool), len(rec.Pool), out)
 			}
 			if demand != a5Demand[w] || running != rec.Pool[w].Running || draining != rec.Pool[w].Draining {
-				t.Errorf("row %q disagrees with RunCluster's window %d: %+v", line, w, rec.Pool[w])
+				t.Errorf("row %q disagrees with the run's window %d: %+v", line, w, rec.Pool[w])
 			}
 			pool = append(pool, running)
 			continue
@@ -210,7 +208,7 @@ func TestCloudScaleAblation(t *testing.T) {
 		t.Errorf("pool peaked at %d replicas, want at least 12:\n%s", top, out)
 	}
 	tail := a5Demand[len(a5Demand)-1]
-	if got, want := pool[len(pool)-1], a5Cluster.Policy.Desired(tail); got != want {
+	if got, want := pool[len(pool)-1], a5Policy.Desired(tail); got != want {
 		t.Errorf("pool ends at %d replicas, want Desired(%d) = %d", got, tail, want)
 	}
 }

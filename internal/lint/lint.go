@@ -49,7 +49,7 @@ type Config struct {
 	ErrDiscardScope []string
 	// CallPlanePath is the import path of the call-plane package — the
 	// one package allowed to call http.NewRequestWithContext directly;
-	// everywhere else the tracepropagate analyzer requires its NewRequest
+	// everywhere else the ctxpropagate analyzer requires its NewRequest
 	// helper. Empty disables the check.
 	CallPlanePath string
 	// BindingScope lists import-path prefixes subject to the callplanedo
@@ -454,7 +454,6 @@ func DefaultAnalyzers() []*Analyzer {
 		LockSafe,
 		NoClientLiteral,
 		PoolReset,
-		TracePropagate,
 	}
 }
 

@@ -118,10 +118,9 @@ func TestGoldenFixtures(t *testing.T) {
 		{"bodyclose", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
 		{"callplanedo", func(p string) Config { return Config{BindingScope: []string{p}} }},
 		{"clockdiscipline", func(p string) Config { return Config{ClockScope: []string{p}} }},
-		{"ctxpropagate", func(string) Config { return Config{} }},
+		{"ctxpropagate", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
 		{"noclientliteral", func(string) Config { return Config{} }},
 		{"poolreset", func(string) Config { return Config{} }},
-		{"tracepropagate", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
 		{"fsyncdiscipline", func(p string) Config { return Config{DurableScope: []string{p}} }},
 		{"locksafe", func(p string) Config {
 			return Config{LockBlockScope: []string{p}, CallPlanePath: "soc/internal/callplane"}

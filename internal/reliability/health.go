@@ -29,7 +29,7 @@ func HTTPProbe(client *http.Client, path string) ProbeFunc {
 		path = "/healthz"
 	}
 	return func(ctx context.Context, replica string) error {
-		//soclint:ignore tracepropagate probes run on the checker's own schedule with no caller trace to carry, and callplane would import-cycle with reliability
+		//soclint:ignore ctxpropagate probes run on the checker's own schedule with no caller trace to carry, and callplane would import-cycle with reliability
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, replica+path, nil)
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"soc/internal/cloud"
 	"soc/internal/registry"
 	"soc/internal/reliability"
 	"soc/internal/telemetry"
@@ -40,7 +41,125 @@ const (
 	// InvWorkflowSettle is its liveness half: after the settle phase,
 	// every started instance has reached a terminal status.
 	InvWorkflowSettle = "workflow-settle"
+	// The cluster invariants, checked after every window step of a world
+	// with a front door: the door's ledger closes, the pool stays inside
+	// the policy, scale-down drains, and killed replicas expire.
+	InvClusterAccounting = "cluster-accounting"
+	InvClusterBounds     = "cluster-bounds"
+	InvClusterDrain      = "cluster-drain"
+	InvClusterExpiry     = "cluster-expiry"
 )
+
+// DoorOutcomes classifies what the front door's clients saw.
+type DoorOutcomes struct {
+	OK      int // 200 from a replica
+	Faulted int // 503 injected on a replica's link (no Retry-After)
+	Gateway int // 502: every replica attempt failed
+	Shed    int // 503 with Retry-After: the door's backpressure
+	Other   int // anything else
+}
+
+// CheckClusterAccounting verifies the front door's ledger closes: every
+// admitted request completed, errored or was shed busy (the world is
+// single-threaded, so nothing is in flight between steps), and the
+// door's counters agree with its clients — one replica answer (ok or
+// injected fault) per completion, one 502 per error, one shed 503 per
+// shed, and nothing else.
+func CheckClusterAccounting(step int, st cloud.FrontDoorStats, seen DoorOutcomes) []Violation {
+	var out []Violation
+	bad := func(format string, args ...any) {
+		out = append(out, Violation{Step: step, Invariant: InvClusterAccounting, Detail: fmt.Sprintf(format, args...)})
+	}
+	if st.Admitted != st.Completed+st.Errored+st.ShedBusy {
+		bad("admitted %d != completed %d + errored %d + shedBusy %d", st.Admitted, st.Completed, st.Errored, st.ShedBusy)
+	}
+	if uint64(seen.OK+seen.Faulted) != st.Completed || uint64(seen.Gateway) != st.Errored || uint64(seen.Shed) != st.Shed() {
+		bad("clients saw ok=%d fault=%d gw=%d shed=%d; door completed=%d errored=%d shed=%d",
+			seen.OK, seen.Faulted, seen.Gateway, seen.Shed, st.Completed, st.Errored, st.Shed())
+	}
+	if seen.Other > 0 {
+		bad("clients saw %d answers of no known class", seen.Other)
+	}
+	return out
+}
+
+// CheckClusterBounds verifies the running pool stays inside the policy's
+// [MinReplicas, MaxReplicas].
+func CheckClusterBounds(step int, as cloud.AutoscalerStats, p cloud.Policy) []Violation {
+	if as.Running >= p.MinReplicas && as.Running <= p.MaxReplicas {
+		return nil
+	}
+	return []Violation{{Step: step, Invariant: InvClusterBounds,
+		Detail: fmt.Sprintf("running %d outside [%d,%d]", as.Running, p.MinReplicas, p.MaxReplicas)}}
+}
+
+// ReplicaLife is the world's record of one autoscaled replica, read by
+// the drain and expiry checkers. Instants are virtual; zero means never.
+type ReplicaLife struct {
+	Name string
+	// Drained is the first window boundary that saw it draining, Stopped
+	// when its Stop ran, and Lost that its lease had lapsed by then.
+	Drained, Stopped time.Time
+	Lost             bool
+	// Late counts deliveries that reached it after its Stop.
+	Late int
+	// Killed is its power cut; Gone the first window boundary after it
+	// that found it out of rotation, and GonePicks its picks there.
+	Killed, Gone time.Time
+	GonePicks    uint64
+	// InRotation and Picks are as of the last window boundary.
+	InRotation bool
+	Picks      uint64
+}
+
+// CheckClusterDrain verifies scale-down drains and never drops: a
+// replica that was not lost is stopped only after a strictly earlier
+// window boundary saw it draining, and no delivery reaches a replica
+// after its Stop.
+func CheckClusterDrain(step int, lives []ReplicaLife) []Violation {
+	var out []Violation
+	for _, l := range lives {
+		if l.Stopped.IsZero() {
+			continue
+		}
+		if !l.Lost && (l.Drained.IsZero() || !l.Drained.Before(l.Stopped)) {
+			out = append(out, Violation{Step: step, Invariant: InvClusterDrain,
+				Detail: fmt.Sprintf("%s stopped at t=%dms without draining at an earlier window boundary", l.Name, sinceEpochMs(l.Stopped))})
+		}
+		if l.Late > 0 {
+			out = append(out, Violation{Step: step, Invariant: InvClusterDrain,
+				Detail: fmt.Sprintf("%d deliveries reached %s after its stop", l.Late, l.Name)})
+		}
+	}
+	return out
+}
+
+// CheckClusterExpiry verifies a killed replica leaves the rotation within
+// two windows of its lease lapsing, and never re-enters it or gets picked
+// once gone.
+func CheckClusterExpiry(step int, now time.Time, lives []ReplicaLife) []Violation {
+	var out []Violation
+	bad := func(format string, args ...any) {
+		out = append(out, Violation{Step: step, Invariant: InvClusterExpiry, Detail: fmt.Sprintf(format, args...)})
+	}
+	for _, l := range lives {
+		switch {
+		case l.Killed.IsZero():
+		case !l.Gone.IsZero():
+			if l.InRotation {
+				bad("%s re-entered rotation after expiry", l.Name)
+			}
+			if l.Picks != l.GonePicks {
+				bad("%s picked after leaving rotation at t=%dms: picks %d -> %d", l.Name, sinceEpochMs(l.Gone), l.GonePicks, l.Picks)
+			}
+		case l.InRotation && now.Sub(l.Killed) > doorLease+2*time.Second:
+			bad("%s killed at t=%dms still in rotation at t=%dms (lease %v)", l.Name, sinceEpochMs(l.Killed), sinceEpochMs(now), doorLease)
+		}
+	}
+	return out
+}
+
+func sinceEpochMs(t time.Time) int64 { return int64(t.Sub(simEpoch) / time.Millisecond) }
 
 // CheckCacheOnce verifies the idempotent-response cache contract: within
 // one replica incarnation, a successful idempotent handler executes at

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"soc/internal/cloud"
 	"soc/internal/registry"
 	"soc/internal/telemetry"
 )
@@ -196,4 +197,76 @@ func TestCheckDurable(t *testing.T) {
 	wantViolation(t, CheckDurable(4, "replica-0", acked,
 		fakeDirectory{entry.Name: entry, ghost.Name: ghost}),
 		InvDurable, "never acked")
+}
+
+func TestCheckClusterAccounting(t *testing.T) {
+	st := cloud.FrontDoorStats{Admitted: 10, Completed: 8, Errored: 1, ShedBusy: 1, ShedQueue: 2}
+	seen := DoorOutcomes{OK: 7, Faulted: 1, Gateway: 1, Shed: 3}
+	wantClean(t, CheckClusterAccounting(1, st, seen))
+
+	// An admitted request that left no trace: the ledger does not close.
+	dropped := st
+	dropped.Admitted = 11
+	wantViolation(t, CheckClusterAccounting(2, dropped, seen), InvClusterAccounting, "admitted 11 != completed 8")
+
+	// A completion the client never heard back from.
+	lost := seen
+	lost.OK = 6
+	wantViolation(t, CheckClusterAccounting(3, st, lost), InvClusterAccounting, "clients saw ok=6")
+
+	// A shed the client took for an injected fault.
+	misread := seen
+	misread.Shed, misread.Faulted = 2, 2
+	wantViolation(t, CheckClusterAccounting(4, st, misread), InvClusterAccounting, "shed=2")
+
+	other := seen
+	other.Other = 1
+	wantViolation(t, CheckClusterAccounting(5, st, other), InvClusterAccounting, "no known class")
+}
+
+func TestCheckClusterBounds(t *testing.T) {
+	p := cloud.Policy{MinReplicas: 2, MaxReplicas: 6, ReplicaCapacity: 50, TargetUtilization: 0.7}
+	wantClean(t, CheckClusterBounds(1, cloud.AutoscalerStats{Running: 2}, p))
+	wantClean(t, CheckClusterBounds(1, cloud.AutoscalerStats{Running: 6, Draining: 3}, p))
+	wantViolation(t, CheckClusterBounds(2, cloud.AutoscalerStats{Running: 1}, p), InvClusterBounds, "running 1 outside [2,6]")
+	wantViolation(t, CheckClusterBounds(3, cloud.AutoscalerStats{Running: 7}, p), InvClusterBounds, "running 7 outside [2,6]")
+}
+
+func TestCheckClusterDrain(t *testing.T) {
+	at := func(s int) time.Time { return simEpoch.Add(time.Duration(s) * time.Second) }
+	drained := ReplicaLife{Name: "door-3", Drained: at(4), Stopped: at(5)}
+	lost := ReplicaLife{Name: "door-4", Stopped: at(9), Lost: true}
+	running := ReplicaLife{Name: "door-5", Drained: at(6)}
+	wantClean(t, CheckClusterDrain(1, []ReplicaLife{drained, lost, running}))
+
+	// Stopped without ever draining, and stopped at the very boundary
+	// that first saw it draining: both dropped whatever it held.
+	undrained := ReplicaLife{Name: "door-6", Stopped: at(5)}
+	wantViolation(t, CheckClusterDrain(2, []ReplicaLife{undrained}), InvClusterDrain, "door-6 stopped at t=5000ms without draining")
+	sameTick := ReplicaLife{Name: "door-7", Drained: at(5), Stopped: at(5)}
+	wantViolation(t, CheckClusterDrain(3, []ReplicaLife{sameTick}), InvClusterDrain, "door-7 stopped")
+
+	// A delivery that reached a stopped replica.
+	late := drained
+	late.Late = 2
+	wantViolation(t, CheckClusterDrain(4, []ReplicaLife{late}), InvClusterDrain, "2 deliveries reached door-3 after its stop")
+}
+
+func TestCheckClusterExpiry(t *testing.T) {
+	at := func(s int) time.Time { return simEpoch.Add(time.Duration(s) * time.Second) }
+	healthy := ReplicaLife{Name: "door-1", InRotation: true, Picks: 40}
+	expiring := ReplicaLife{Name: "door-2", Killed: at(10), InRotation: true, Picks: 7}
+	gone := ReplicaLife{Name: "door-3", Killed: at(10), Gone: at(16), GonePicks: 9, Picks: 9}
+	wantClean(t, CheckClusterExpiry(1, at(17), []ReplicaLife{healthy, expiring, gone}))
+
+	// Still in rotation more than two windows past its lapsed lease.
+	wantViolation(t, CheckClusterExpiry(2, at(18), []ReplicaLife{expiring}), InvClusterExpiry, "door-2 killed at t=10000ms still in rotation at t=18000ms")
+
+	back := gone
+	back.InRotation = true
+	wantViolation(t, CheckClusterExpiry(3, at(20), []ReplicaLife{back}), InvClusterExpiry, "re-entered rotation")
+
+	picked := gone
+	picked.Picks = 10
+	wantViolation(t, CheckClusterExpiry(4, at(20), []ReplicaLife{picked}), InvClusterExpiry, "picks 9 -> 10")
 }

@@ -1,9 +1,10 @@
 // Package simtest is the deterministic simulation harness of the
 // dependability stack: whole multi-replica scenarios — resilient
 // clients, hosts, response caches, circuit breakers, fault injection,
-// workflows — run in-process on a seeded in-memory network and a virtual
-// clock, so a run is byte-for-byte reproducible from its seed and a
-// failing schedule shrinks to a minimal replay. The harness is the
+// workflows, the elastic front door and its autoscaler — run in-process
+// on a seeded in-memory network and a virtual clock, so a run is
+// byte-for-byte reproducible from its seed and a failing schedule
+// shrinks to a minimal replay. The harness is the
 // correctness backstop of the reliability unit: property-based workloads
 // explore schedules no hand-written test would, and invariant checkers
 // validate every step against the contracts the layers promise.
@@ -13,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 )
 
@@ -51,6 +53,13 @@ const (
 	// target replica — after a restart, replay drives each instance
 	// from its exact journaled step.
 	StepWorkflowResume = "wfresume"
+	// StepWindow offers Rate requests through the front door over one
+	// virtual second, then the autoscaler ticks (Rate 0 is a quiesce
+	// window). Only a world with Config.Door has a front door.
+	StepWindow = "window"
+	// StepKillReplica power-cuts the newest healthy replica in the front
+	// door's rotation, chosen when the step runs.
+	StepKillReplica = "kill-replica"
 )
 
 // Step is one event of a simulation schedule. The zero-value fields not
@@ -69,6 +78,8 @@ type Step struct {
 	// AfterAppends arms a power cut on the replica after that many more
 	// workflow-journal appends (0 = no cut).
 	AfterAppends int64 `json:"afterAppends,omitempty"`
+	// Rate is a window step's request count.
+	Rate int `json:"rate,omitempty"`
 }
 
 // Schedule is a complete, self-contained simulation input: the seed that
@@ -95,6 +106,21 @@ func ParseSchedule(data []byte) (Schedule, error) {
 		return Schedule{}, fmt.Errorf("simtest: parsing schedule: %w", err)
 	}
 	return s, nil
+}
+
+// ClusterSchedule is the elastic-cluster scenario for a world with a
+// front door: one window per profile entry (its requests per virtual
+// second), a kill-replica step opening each window listed in kills, and
+// three quiesce windows that let the last drains finish.
+func ClusterSchedule(seed int64, profile []int, kills ...int) Schedule {
+	s := Schedule{Seed: seed}
+	for w, rate := range slices.Concat(profile, []int{0, 0, 0}) {
+		if slices.Contains(kills, w) {
+			s.Steps = append(s.Steps, Step{Kind: StepKillReplica})
+		}
+		s.Steps = append(s.Steps, Step{Kind: StepWindow, Rate: rate})
+	}
+	return s
 }
 
 // Workload pools: small fixed vocabularies keep the generated argument

@@ -98,7 +98,7 @@ func TestWorkflowMutationsTrip(t *testing.T) {
 			for _, v := range clean.Violations {
 				t.Errorf("clean twin: %s", v)
 			}
-			broken, err := Run(Config{WorkflowMutation: tc.mutation}, sched)
+			broken, err := Run(Config{Mutation: tc.mutation}, sched)
 			if err != nil {
 				t.Fatalf("mutated run: %v", err)
 			}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"soc/internal/cloud"
 	"soc/internal/core"
 	"soc/internal/faultinject"
 	"soc/internal/host"
@@ -73,11 +74,39 @@ type Config struct {
 	// snapshot after this many appends (default 48 — large enough that
 	// instances span snapshots, small enough that compaction happens).
 	WorkflowSnapshotEvery int
-	// WorkflowMutation enables one of the workflow.Mutation* fault hooks
-	// on every replica's orchestrator (tests only): the workflow audit
-	// invariant must trip under each of them.
-	WorkflowMutation string
+	// Mutation enables one fault hook (tests only): a workflow.Mutation*
+	// hook on every replica's orchestrator, or one of this package's
+	// cluster Mutation* hooks. The invariant it targets must trip.
+	Mutation string
+	// Door, when set, puts an elastic cluster in the world: a front door
+	// whose rotation an autoscaler sizes with this policy, launching
+	// ordinary simulated replicas with leases of doorLease. Window and
+	// kill-replica steps drive it. Cooldown spaces the autoscaler's
+	// actions (default 3 s).
+	Door     cloud.Policy
+	Cooldown time.Duration
 }
+
+// doorLease is the autoscaled replicas' registry lease: a killed replica
+// stops heartbeating and leaves the rotation once it lapses.
+const doorLease = 5 * time.Second
+
+// Cluster mutation hooks: each breaks one cluster invariant in a world
+// with a front door, and that invariant must trip.
+const (
+	// MutationLostReply loses the last reply of every window between the
+	// door and its client (trips cluster-accounting).
+	MutationLostReply = "lost-reply"
+	// MutationUnderscale runs the autoscaler one replica below the
+	// declared minimum (trips cluster-bounds).
+	MutationUnderscale = "underscale"
+	// MutationStopUndrained stops a scale-down victim at once instead of
+	// waiting for it to drain (trips cluster-drain).
+	MutationStopUndrained = "stop-undrained"
+	// MutationZombieHeartbeat keeps renewing a killed replica's lease
+	// (trips cluster-expiry).
+	MutationZombieHeartbeat = "zombie-heartbeat"
+)
 
 // DefaultFaults is the standard chaos mix: errors, drops, the occasional
 // hang, and latency spikes. Hangs are safe under virtual time — they
@@ -150,6 +179,9 @@ func (c Config) withDefaults() Config {
 	if c.WorkflowSnapshotEvery == 0 {
 		c.WorkflowSnapshotEvery = 48
 	}
+	if c.Cooldown <= 0 {
+		c.Cooldown = 3 * time.Second
+	}
 	return c
 }
 
@@ -199,6 +231,12 @@ type RunRecord struct {
 	Observations []Observation
 	Log          []string
 	Hash         string
+	// Pool[i] is the autoscaler's books as the i-th window began: the pool
+	// its requests were served with (Running) and billed for (Running
+	// plus Draining, until a drained replica stops). Door totals what the
+	// front door's clients saw over the run.
+	Pool []cloud.AutoscalerStats
+	Door DoorOutcomes
 }
 
 // simReplica is one simulated backend: a network identity that survives
@@ -227,6 +265,12 @@ type simReplica struct {
 	wfdisk    *wal.MemFS
 	wfFaultFS wal.FS
 	orch      *workflow.Orchestrator
+
+	// An autoscaled replica is also rep, a member of the front door's
+	// rotation exchanging over rt; life is its record for the drain and
+	// expiry checkers.
+	rep  *cloud.Replica
+	life ReplicaLife
 }
 
 // World is one simulated universe: virtual clock, replicas, clients,
@@ -258,6 +302,19 @@ type World struct {
 	// step. Recovery may never lose or contradict it — the workflow
 	// twin of acked ⇒ durable.
 	wfAcked []map[string]workflow.InstanceAudit
+
+	// seed derives every replica's fault plans and disks, including the
+	// replicas the autoscaler launches mid-run.
+	seed int64
+
+	// The elastic cluster, when Config.Door is set: the front door, the
+	// autoscaler sizing it, the registry whose leases reap killed
+	// replicas, what the door's clients saw, and each window's pool.
+	fd     *cloud.FrontDoor
+	scaler *cloud.Autoscaler
+	leases *registry.Registry
+	seen   DoorOutcomes
+	pool   []cloud.AutoscalerStats
 }
 
 // NewWorld builds a world for the schedule's seed. Fault plans for each
@@ -271,6 +328,7 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 		clientTracer: telemetry.NewTracer(4096),
 		handlerRuns:  map[string]int{},
 		qosAgg:       map[string]*QoSAgg{},
+		seed:         seed,
 	}
 	w.ctx = vtime.WithClock(context.Background(), w.clock)
 
@@ -283,41 +341,9 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 	}
 
 	for i := 0; i < cfg.Replicas; i++ {
-		r := &simReplica{w: w, idx: i, name: fmt.Sprintf("replica-%d", i)}
-		r.baseURL = "http://" + r.name
-		r.disk = wal.NewMemFS(seed ^ fnv64(r.name+"/disk"))
-		di, err := faultinject.NewDisk(faultinject.DiskPlan{
-			Seed: seed ^ fnv64(r.name+"/disk-faults"),
-			Rule: *cfg.DiskFaults,
-		})
-		if err != nil {
+		if _, err := w.addReplica(fmt.Sprintf("replica-%d", i)); err != nil {
 			return nil, err
 		}
-		r.faultFS = di.FS(r.disk)
-		r.wfdisk = wal.NewMemFS(seed ^ fnv64(r.name+"/wfdisk"))
-		wdi, err := faultinject.NewDisk(faultinject.DiskPlan{
-			Seed: seed ^ fnv64(r.name+"/wfdisk-faults"),
-			Rule: *cfg.DiskFaults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.wfFaultFS = wdi.FS(r.wfdisk)
-		w.acked = append(w.acked, map[string]registry.Entry{})
-		w.wfAcked = append(w.wfAcked, map[string]workflow.InstanceAudit{})
-		if err := r.boot(); err != nil {
-			return nil, err
-		}
-		inj, err := faultinject.New(faultinject.Plan{
-			Seed:    seed ^ fnv64(r.name),
-			Default: *cfg.Faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		inj.Tracer = w.clientTracer
-		r.rt = inj.Transport(deliverer{r})
-		w.replicas = append(w.replicas, r)
 	}
 
 	urls := make([]string, len(w.replicas))
@@ -355,7 +381,117 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 		}
 		w.clients = append(w.clients, rc)
 	}
+
+	// The door comes last: the clients above call the static replicas
+	// directly, and autoscaled replicas only ever serve door traffic.
+	if cfg.Door != (cloud.Policy{}) {
+		policy := cfg.Door
+		if cfg.Mutation == MutationUnderscale {
+			policy.MinReplicas--
+		}
+		w.leases = registry.New(registry.WithClock(w.clock.Now), registry.WithLease(doorLease))
+		w.fd = cloud.NewFrontDoor(cloud.FrontDoorConfig{Clock: w.clock, Seed: seed})
+		scaler, err := cloud.NewAutoscaler(w.fd, doorLauncher{w}, cloud.AutoscalerOptions{
+			Policy:    policy,
+			Cooldown:  cfg.Cooldown,
+			Interval:  time.Second,
+			Clock:     w.clock,
+			Directory: w.leases,
+			Category:  "replica",
+		})
+		if err != nil {
+			return nil, err
+		}
+		w.scaler = scaler
+		if err := scaler.Prime(w.ctx); err != nil {
+			return nil, err
+		}
+	}
 	return w, nil
+}
+
+// addReplica builds a simulated replica — disks, fault injectors, first
+// incarnation, fault-injected link — and adds it to the world. Every
+// seed derives from the world's seed and the replica's name.
+func (w *World) addReplica(name string) (*simReplica, error) {
+	seed := w.seed
+	r := &simReplica{w: w, idx: len(w.replicas), name: name, baseURL: "http://" + name}
+	r.life.Name = name
+	r.disk = wal.NewMemFS(seed ^ fnv64(r.name+"/disk"))
+	di, err := faultinject.NewDisk(faultinject.DiskPlan{
+		Seed: seed ^ fnv64(r.name+"/disk-faults"),
+		Rule: *w.cfg.DiskFaults,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.faultFS = di.FS(r.disk)
+	r.wfdisk = wal.NewMemFS(seed ^ fnv64(r.name+"/wfdisk"))
+	wdi, err := faultinject.NewDisk(faultinject.DiskPlan{
+		Seed: seed ^ fnv64(r.name+"/wfdisk-faults"),
+		Rule: *w.cfg.DiskFaults,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.wfFaultFS = wdi.FS(r.wfdisk)
+	w.acked = append(w.acked, map[string]registry.Entry{})
+	w.wfAcked = append(w.wfAcked, map[string]workflow.InstanceAudit{})
+	if err := r.boot(); err != nil {
+		return nil, err
+	}
+	inj, err := faultinject.New(faultinject.Plan{
+		Seed:    seed ^ fnv64(r.name),
+		Default: *w.cfg.Faults,
+	})
+	if err != nil {
+		return nil, err
+	}
+	inj.Tracer = w.clientTracer
+	r.rt = inj.Transport(deliverer{r})
+	w.replicas = append(w.replicas, r)
+	return r, nil
+}
+
+// doorLauncher is the autoscaler's cloud.Launcher: a launch boots an
+// ordinary simulated replica and publishes its lease; a stop retires it.
+type doorLauncher struct{ w *World }
+
+func (l doorLauncher) Launch(_ context.Context, id int) (*cloud.Replica, error) {
+	r, err := l.w.addReplica(fmt.Sprintf("door-%d", id))
+	if err != nil {
+		return nil, err
+	}
+	r.rep = cloud.NewReplica(r.name, r.rt, 0)
+	if err := l.w.leases.Publish(registry.Entry{Name: r.name, Category: "replica", Endpoint: r.baseURL, Provider: "simtest"}); err != nil {
+		return nil, err
+	}
+	return r.rep, nil
+}
+
+func (l doorLauncher) Stop(_ context.Context, rep *cloud.Replica) error {
+	for _, r := range l.w.replicas {
+		if r.rep == rep {
+			l.w.retire(r)
+		}
+	}
+	return nil
+}
+
+// retire stops an autoscaled replica for good: its lease is withdrawn, it
+// refuses every later delivery, and the settle phase never restarts it.
+// Whether its lease had already lapsed (a lost replica, not a drained
+// one) is recorded before the withdrawal.
+func (w *World) retire(r *simReplica) {
+	if !r.life.Stopped.IsZero() {
+		return
+	}
+	now := w.clock.Now()
+	e, err := w.leases.Get(r.name)
+	r.life.Lost = err != nil || !e.Available(now)
+	r.life.Stopped = now
+	//soclint:ignore errdiscard a lapsed lease may already be gone from the registry
+	_ = w.leases.Unpublish(r.name)
 }
 
 // boot starts a fresh incarnation of the replica: new host, new service
@@ -365,6 +501,7 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 func (r *simReplica) boot() error {
 	r.incarnation++
 	r.alive = true
+	r.life.Killed = time.Time{}
 	h := host.New()
 	cs, err := services.NewCreditScore()
 	if err != nil {
@@ -432,7 +569,7 @@ func (r *simReplica) boot() error {
 		WAL:           wal.Options{SegmentBytes: r.w.cfg.SegmentBytes},
 		SnapshotEvery: r.w.cfg.WorkflowSnapshotEvery,
 		Deterministic: true,
-		Mutation:      r.w.cfg.WorkflowMutation,
+		Mutation:      r.w.cfg.Mutation,
 	})
 	if err != nil {
 		return err
@@ -453,10 +590,14 @@ func (r *simReplica) boot() error {
 
 // kill power-cuts the replica: deliveries start failing and both durable
 // media keep only their fsynced prefixes plus seeded-random torn tails.
+// An autoscaled replica's kill instant starts the expiry checker's clock.
 func (r *simReplica) kill() {
 	r.alive = false
 	r.disk.Crash()
 	r.wfdisk.Crash()
+	if r.rep != nil {
+		r.life.Killed = r.w.clock.Now()
+	}
 }
 
 // deliverer delivers a request to one replica's current incarnation —
@@ -468,7 +609,11 @@ func (d deliverer) RoundTrip(req *http.Request) (*http.Response, error) {
 	w := d.r.w
 	//soclint:ignore errdiscard crossing a virtual deadline mid-wire still delivers; the timeout layer converts it after the fact
 	_ = vtime.Sleep(req.Context(), w.cfg.BaseRTT)
-	if !d.r.alive {
+	stopped := !d.r.life.Stopped.IsZero()
+	if stopped {
+		d.r.life.Late++
+	}
+	if !d.r.alive || stopped {
 		return nil, fmt.Errorf("simnet: %s: connection refused", d.r.name)
 	}
 	w.stepDelivered++
@@ -529,6 +674,7 @@ func Run(cfg Config, sched Schedule) (*RunRecord, error) {
 	rec.Violations = append(rec.Violations, w.checkSettled(len(rec.Steps))...)
 	rec.HandlerRuns = w.handlerRuns
 	rec.Observations = w.observations
+	rec.Pool, rec.Door = w.pool, w.seen
 	sum := sha256.Sum256([]byte(strings.Join(rec.Log, "\n")))
 	rec.Hash = hex.EncodeToString(sum[:])
 	return rec, nil
@@ -610,6 +756,19 @@ func (w *World) runStep(i int, st Step) StepRecord {
 		sr.Err, sr.Out = w.runDirectoryStep(st)
 	case StepAdvance:
 		w.clock.Advance(time.Duration(st.AdvanceMs) * time.Millisecond)
+	case StepWindow:
+		sr.Err, sr.Out = w.runWindow(st.Rate)
+	case StepKillReplica:
+		// Replicas join the world in launch order, so the newest healthy
+		// one in rotation is the last such (door-10 is newer than door-9).
+		sr.Out = "-"
+		for i := len(w.replicas) - 1; i >= 0; i-- {
+			if r := w.replicas[i]; r.rep != nil && r.alive && w.fd.Replica(r.name) != nil && !r.rep.Draining() {
+				r.kill()
+				sr.Out = r.name
+				break
+			}
+		}
 	default:
 		sr.Err = fmt.Sprintf("simtest: unknown step kind %q", st.Kind)
 	}
@@ -702,9 +861,75 @@ func (w *World) runDirectoryStep(st Step) (errStr, out string) {
 	return "simtest: unknown directory step " + st.Kind, "-"
 }
 
-// checkStep runs all five invariant checkers after a step: the per-step
-// ones on this step's record, the cumulative ones on the aggregates so
-// far.
+// runWindow is one virtual second of door traffic: rate requests through
+// the front door at the fixed instants start + i·(1s/rate), then the
+// clock moves to start + 1s, every live replica the autoscaler has not
+// stopped heartbeats its lease, and the autoscaler ticks. Rate 0 is a
+// quiesce window. The outcome renders the door's, the scaler's and the
+// clients' running totals.
+func (w *World) runWindow(rate int) (errStr, out string) {
+	if w.fd == nil {
+		return "simtest: this world has no front door", "-"
+	}
+	start := w.clock.Now()
+	w.pool = append(w.pool, w.scaler.Stats())
+	for i := 0; i < rate; i++ {
+		w.clock.Advance(start.Add(time.Duration(i) * time.Second / time.Duration(rate)).Sub(w.clock.Now()))
+		// ssnPool's first five entries are well-formed, so a replica
+		// answers every door request 200.
+		req := httptest.NewRequest(http.MethodGet, "http://door/services/CreditScore/invoke/Score?ssn="+ssnPool[i%5], nil)
+		rec := httptest.NewRecorder()
+		w.fd.ServeHTTP(rec, req.WithContext(w.ctx))
+		switch {
+		case w.cfg.Mutation == MutationLostReply && i == rate-1:
+		case rec.Code == http.StatusOK:
+			w.seen.OK++
+		case rec.Code == http.StatusBadGateway:
+			w.seen.Gateway++
+		case rec.Code == http.StatusServiceUnavailable && rec.Header().Get("Retry-After") != "":
+			w.seen.Shed++
+		case rec.Code == http.StatusServiceUnavailable:
+			w.seen.Faulted++ // injected on the replica's link
+		default:
+			w.seen.Other++
+		}
+	}
+	w.clock.Advance(start.Add(time.Second).Sub(w.clock.Now()))
+	for _, r := range w.replicas {
+		if r.rep != nil && r.life.Stopped.IsZero() && (r.alive || w.cfg.Mutation == MutationZombieHeartbeat) {
+			//soclint:ignore errdiscard a lapsed lease is no longer published; its heartbeat simply stops mattering
+			_ = w.leases.Heartbeat(r.name)
+		}
+	}
+	err := w.scaler.Tick(w.ctx)
+	now := w.clock.Now()
+	for _, r := range w.replicas {
+		if r.rep == nil {
+			continue
+		}
+		if w.cfg.Mutation == MutationStopUndrained && r.rep.Draining() {
+			w.retire(r)
+		}
+		l := &r.life
+		l.InRotation, l.Picks = w.fd.Replica(r.name) != nil, r.rep.Picks()
+		if r.rep.Draining() && l.Drained.IsZero() {
+			l.Drained = now
+		}
+		if !l.Killed.IsZero() && !l.InRotation && l.Gone.IsZero() {
+			l.Gone, l.GonePicks = now, l.Picks
+		}
+	}
+	st, as := w.fd.Stats(), w.scaler.Stats()
+	return errString(err), fmt.Sprintf(
+		"admitted=%d,completed=%d,errored=%d,shedq=%d,shedb=%d,running=%d,draining=%d,launched=%d,stopped=%d,lost=%d,demand=%d,target=%d,ok=%d,fault=%d,gw=%d,shed=%d,other=%d",
+		st.Admitted, st.Completed, st.Errored, st.ShedQueue, st.ShedBusy,
+		as.Running, as.Draining, as.Launched, as.Stopped, as.Lost, as.LastDemand, as.LastTarget,
+		w.seen.OK, w.seen.Faulted, w.seen.Gateway, w.seen.Shed, w.seen.Other)
+}
+
+// checkStep runs the invariant checkers after a step: the per-step ones
+// on this step's record, the cumulative ones on the aggregates so far,
+// and after a window the four cluster ones.
 func (w *World) checkStep(sr StepRecord) []Violation {
 	var out []Violation
 	out = append(out, CheckTraceStep(sr.Index, sr.Step.Kind, sr.Spans)...)
@@ -739,6 +964,18 @@ func (w *World) checkStep(sr StepRecord) []Violation {
 			}
 			out = append(out, CheckWorkflows(sr.Index, r.name, w.wfAcked[i], r.orch.Audits())...)
 		}
+	}
+	if sr.Step.Kind == StepWindow && w.fd != nil {
+		var lives []ReplicaLife
+		for _, r := range w.replicas {
+			if r.rep != nil {
+				lives = append(lives, r.life)
+			}
+		}
+		out = append(out, CheckClusterAccounting(sr.Index, w.fd.Stats(), w.seen)...)
+		out = append(out, CheckClusterBounds(sr.Index, w.scaler.Stats(), w.cfg.Door)...)
+		out = append(out, CheckClusterDrain(sr.Index, lives)...)
+		out = append(out, CheckClusterExpiry(sr.Index, w.clock.Now(), lives)...)
 	}
 	return out
 }
@@ -800,6 +1037,8 @@ func (w *World) logLine(sr StepRecord) string {
 		fmt.Fprintf(&b, " replica=%d", sr.Step.Replica)
 	case StepAdvance:
 		fmt.Fprintf(&b, " advance=%dms", sr.Step.AdvanceMs)
+	case StepWindow:
+		fmt.Fprintf(&b, " rate=%d", sr.Step.Rate)
 	}
 	fmt.Fprintf(&b, " err=%q out=%s elapsed=%dms delivered=%d server=%d cached=%d",
 		sr.Err, sr.Out, sr.ElapsedMs, sr.Delivered, sr.ServerSpans, sr.CacheSpans)
@@ -816,11 +1055,13 @@ func (w *World) logLine(sr StepRecord) string {
 }
 
 // settleSteps synthesizes the next settle round: restart what is down,
-// resume what is pending. Empty means the world has settled.
+// resume what is pending. A replica the autoscaler stopped stays
+// retired. Empty means the world has settled.
 func (w *World) settleSteps() []Step {
 	var out []Step
 	for idx, r := range w.replicas {
 		switch {
+		case !r.life.Stopped.IsZero():
 		case !r.alive:
 			out = append(out, Step{Kind: StepRestart, Replica: idx})
 		case len(r.orch.Pending()) > 0:
@@ -836,6 +1077,9 @@ func (w *World) settleSteps() []Step {
 func (w *World) checkSettled(step int) []Violation {
 	var out []Violation
 	for _, r := range w.replicas {
+		if !r.life.Stopped.IsZero() {
+			continue
+		}
 		if !r.alive {
 			out = append(out, Violation{Step: step, Invariant: InvWorkflowSettle,
 				Detail: r.name + " still down after the settle phase"})
