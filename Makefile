@@ -18,9 +18,9 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the static-analysis gate — go vet plus the repo's own soclint
-## analyzers (contract drift, context propagation, body closing, lock
-## discipline and ordering, goroutine-leak and atomic-access discipline,
-## client timeouts, the one exchange path, error discards, pool reset
+## analyzers (context propagation, body closing, lock discipline and
+## ordering, goroutine-leak and atomic-access discipline, client
+## timeouts, the one exchange path, error discards, pool reset
 ## discipline). Test files are analyzed too; soclint prints its
 ## wall-clock cost on stderr.
 lint: vet soclint
@@ -36,9 +36,10 @@ soclint:
 soclint-json:
 	$(GO) run ./cmd/soclint -json ./...
 
-## contracts: regenerate the golden WSDL contracts that contractcheck
-## verifies registrations against; run after changing any service
-## signature and commit the result
+## contracts: regenerate the golden WSDL contracts; run after changing
+## any service signature and commit the result.
+## TestContractsMatchServices (cmd/contractgen, in `test`) fails while a
+## published service and its committed file differ
 contracts:
 	$(GO) run ./cmd/contractgen -out contracts
 

@@ -1,19 +1,19 @@
 // Contractgen regenerates the golden WSDL contracts under contracts/:
 // the published "standard interfaces" (in the paper's SOA sense) of every
 // contract-bound service in this repository — the full ASU service
-// catalog plus the Robot-as-a-Service descriptor. It constructs each
-// service exactly as production code does and renders its WSDL with
-// soc/internal/wsdl, so the files are the runtime truth; the
-// contractcheck analyzer in soclint then statically verifies that the
-// source code never drifts from them.
+// catalog plus the Robot-as-a-Service descriptor, exactly the set
+// cmd/wsrepo mounts. It constructs each service as production code does
+// and renders its WSDL with soc/internal/wsdl, so the files are the
+// runtime truth.
 //
 // Run it via `make contracts` after changing any service signature, and
-// commit the result. The -check flag verifies the files instead of
-// writing them (used to keep the committed contracts honest).
+// commit the result. TestContractsMatchServices, in this package,
+// verifies the committed files with the same rendering: every bound
+// service has a byte-identical contract, and no contract lacks a
+// service.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -28,7 +28,6 @@ import (
 
 func main() {
 	out := flag.String("out", "contracts", "directory to write .wsdl contracts into")
-	check := flag.Bool("check", false, "verify the contracts on disk instead of rewriting them")
 	flag.Parse()
 
 	svcs, err := boundServices()
@@ -38,31 +37,23 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatalf("contractgen: %v", err)
 	}
-	stale := 0
 	for _, svc := range svcs {
-		// The endpoint in a golden contract is a stable placeholder: the
-		// contract pins the interface, not a deployment.
-		doc, err := wsdl.Generate(svc, "http://localhost/services/"+svc.Name+"/soap")
+		doc, err := render(svc)
 		if err != nil {
 			log.Fatalf("contractgen: generating %s: %v", svc.Name, err)
 		}
 		path := filepath.Join(*out, svc.Name+".wsdl")
-		if *check {
-			prev, err := os.ReadFile(path)
-			if err != nil || !bytes.Equal(prev, doc) {
-				fmt.Fprintf(os.Stderr, "contractgen: %s is stale; run `make contracts`\n", path)
-				stale++
-			}
-			continue
-		}
 		if err := os.WriteFile(path, doc, 0o644); err != nil {
 			log.Fatalf("contractgen: %v", err)
 		}
 		fmt.Printf("wrote %s (%d ops)\n", path, len(svc.Operations()))
 	}
-	if stale > 0 {
-		os.Exit(1)
-	}
+}
+
+// render is the golden contract of svc. Its endpoint is a stable
+// placeholder: the contract pins the interface, not a deployment.
+func render(svc *core.Service) ([]byte, error) {
+	return wsdl.Generate(svc, "http://localhost/services/"+svc.Name+"/soap")
 }
 
 // boundServices constructs every contract-bound service: the full

@@ -13,8 +13,6 @@
 // `./...` (the default) analyzes the whole module, `./internal/...` a
 // subtree, `./internal/soap` a single package.
 //
-//	-contracts dir   golden WSDL directory for contractcheck
-//	                 (default <module>/contracts)
 //	-only a,b        run only the named analyzers
 //	-json            one JSON object per finding on stdout (suppressed
 //	                 findings included, carrying their ignore reason)
@@ -41,7 +39,6 @@ import (
 	"time"
 
 	"soc/internal/lint"
-	"soc/internal/lint/flow"
 )
 
 func main() {
@@ -61,7 +58,6 @@ type jsonFinding struct {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("soclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	contractsDir := fs.String("contracts", "", "golden WSDL contract directory (default <module>/contracts)")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per finding (suppressed findings included)")
 	noTests := fs.String("notests", "", "comma-separated analyzer names that must not see _test.go files")
@@ -92,7 +88,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	start := time.Now()
-	moduleDir, err := findModuleRoot()
+	moduleDir, err := lint.ModuleRoot()
 	if err != nil {
 		fmt.Fprintf(stderr, "soclint: %v\n", err)
 		return 2
@@ -114,10 +110,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	cfg := lint.DefaultConfig(moduleDir)
-	if *contractsDir != "" {
-		cfg.ContractsDir = *contractsDir
-	}
+	cfg := lint.DefaultConfig()
 	if *noTests != "" {
 		for _, name := range strings.Split(*noTests, ",") {
 			if name = strings.TrimSpace(name); name != "" {
@@ -126,46 +119,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 	runner := &lint.Runner{Analyzers: analyzers, Config: cfg}
-
-	// Load every unit first: the per-path analysis packages plus the
-	// external test packages riding along with them.
-	var units []*lint.Package
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "soclint: %v\n", err)
-			return 2
-		}
-		units = append(units, pkg)
-		xpkg, err := loader.ExternalTests(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "soclint: %v\n", err)
-			return 2
-		}
-		if xpkg != nil {
-			units = append(units, xpkg)
-		}
+	all, units, err := runner.RunModule(loader, paths)
+	if err != nil {
+		fmt.Fprintf(stderr, "soclint: %v\n", err)
+		return 2
 	}
-
-	// One module-wide flow graph when any selected analyzer is
-	// interprocedural; its fact base is every loaded unit.
-	for _, a := range analyzers {
-		if a.Flow {
-			runner.Flow = flow.Build(loader.FileSet(), flowPackages(units))
-			break
-		}
-	}
-
-	var all []lint.Finding
-	for _, pkg := range units {
-		findings, err := runner.RunPackage(pkg)
-		if err != nil {
-			fmt.Fprintf(stderr, "soclint: %v\n", err)
-			return 2
-		}
-		all = append(all, findings...)
-	}
-	lint.SortFindings(all)
 
 	relativize := func(f lint.Finding) lint.Finding {
 		if rel, err := filepath.Rel(moduleDir, f.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -204,39 +162,12 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%s: [%s] %s\n", f.Pos, f.Analyzer, f.Message)
 		}
 	}
-	fmt.Fprintf(stderr, "soclint: analyzed %d package(s) in %s\n", len(units), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "soclint: analyzed %d package(s) in %s\n", units, time.Since(start).Round(time.Millisecond))
 	if len(all) > 0 {
 		fmt.Fprintf(stderr, "soclint: %d finding(s)\n", len(all))
 		return 1
 	}
 	return 0
-}
-
-// flowPackages adapts the loaded units for the flow graph builder.
-func flowPackages(units []*lint.Package) []*flow.Package {
-	var out []*flow.Package
-	for _, u := range units {
-		out = append(out, u.FlowPackage())
-	}
-	return out
-}
-
-// findModuleRoot walks up from the working directory to the go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
 }
 
 // expandPatterns resolves go-style package patterns against the module.

@@ -31,6 +31,11 @@ import (
 	"soc/internal/wal"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so one that never finishes cannot hold a connection
+// forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data", "", "data directory for account.xml (default: temp dir)")
@@ -61,7 +66,8 @@ func main() {
 		log.Printf("wsrepo: idempotent-response cache on (512 entries, ttl %s)", *cacheTTL)
 	}
 	log.Printf("wsrepo: %d services mounted; listening on %s", len(h.Names()), *addr)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	if err := srv.ListenAndServe(); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package callplane
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -72,6 +73,22 @@ func (b *Buffer) Fill(r io.Reader, limit int64) error {
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// MaxResponse bounds how much of one response body a client binding
+// buffers: a longer answer is refused, never cut short or read forever.
+const MaxResponse = 4 << 20
+
+// FillResponse reads a response body into the buffer: all of it, or an
+// error naming the bound once more than MaxResponse bytes have arrived.
+func (b *Buffer) FillResponse(r io.Reader) error {
+	if err := b.Fill(r, MaxResponse+1); err != nil {
+		return err
+	}
+	if len(b.B) > MaxResponse {
+		return fmt.Errorf("response exceeds %d bytes", MaxResponse)
 	}
 	return nil
 }

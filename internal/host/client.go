@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -126,9 +127,6 @@ func (c *Client) call(ctx context.Context, service, op string, args core.Values)
 	return c.exchange(ctx, ep.rest, args)
 }
 
-// maxResponse bounds how much of a response the client buffers.
-const maxResponse = 4 << 20
-
 // exchange posts args over the route and decodes the answer. Request and
 // response bytes live in pooled buffers; the returned map and everything
 // in it is fresh and the caller's own.
@@ -148,11 +146,8 @@ func (c *Client) exchange(ctx context.Context, rt *callplane.Route, args core.Va
 	defer resp.Body.Close()
 	data := callplane.GetBuffer()
 	defer data.Release()
-	if err := data.Fill(resp.Body, maxResponse+1); err != nil {
+	if err := data.FillResponse(resp.Body); err != nil {
 		return nil, fmt.Errorf("%w: reading response: %w", ErrRemote, err)
-	}
-	if len(data.B) > maxResponse {
-		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrRemote, maxResponse)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var prob struct {
@@ -204,7 +199,12 @@ func (c *Client) Describe(ctx context.Context, service string) (*wsdl.Descriptio
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: wsdl status %d", ErrRemote, resp.StatusCode)
 	}
-	return wsdl.Parse(resp.Body)
+	data := callplane.GetBuffer()
+	defer data.Release()
+	if err := data.FillResponse(resp.Body); err != nil {
+		return nil, fmt.Errorf("%w: reading wsdl: %w", ErrRemote, err)
+	}
+	return wsdl.Parse(bytes.NewReader(data.B))
 }
 
 // List fetches the hosted service summaries.
@@ -222,8 +222,13 @@ func (c *Client) List(ctx context.Context) ([]ServiceInfo, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: status %d", ErrRemote, resp.StatusCode)
 	}
+	data := callplane.GetBuffer()
+	defer data.Release()
+	if err := data.FillResponse(resp.Body); err != nil {
+		return nil, fmt.Errorf("%w: reading list: %w", ErrRemote, err)
+	}
 	var out []ServiceInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(data.B, &out); err != nil {
 		return nil, fmt.Errorf("%w: decoding list: %v", ErrRemote, err)
 	}
 	return out, nil

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"soc/internal/callplane"
 	"soc/internal/core"
 	"soc/internal/soap"
 )
@@ -139,12 +141,29 @@ func TestClientReportsAnOversizedAnswer(t *testing.T) {
 			}),
 		}}
 	}
-	_, err := answer(maxResponse+1).Call(context.Background(), "Calc", "Add", nil)
+	_, err := answer(callplane.MaxResponse+1).Call(context.Background(), "Calc", "Add", nil)
 	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "exceeds 4194304 bytes") {
 		t.Errorf("4 MiB + 1: err = %v, want ErrRemote … exceeds 4194304 bytes", err)
 	}
-	out, err := answer(maxResponse).Call(context.Background(), "Calc", "Add", nil)
-	if err != nil || len(out.Str("v")) != maxResponse-len(`{"v":""}`) {
+	out, err := answer(callplane.MaxResponse).Call(context.Background(), "Calc", "Add", nil)
+	if err != nil || len(out.Str("v")) != callplane.MaxResponse-len(`{"v":""}`) {
 		t.Errorf("4 MiB: err = %v, %d bytes decoded", err, len(out.Str("v")))
+	}
+}
+
+// Describe and List refuse an answer one byte over the same 4 MiB bound
+// with an error naming it; both used to read whatever the peer sent.
+func TestDescribeAndListBoundTheResponse(t *testing.T) {
+	const bound = 4 << 20
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, `[{"name":"`+strings.Repeat("x", bound+1-len(`[{"name":""}]`))+`"}]`)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	if _, err := c.Describe(context.Background(), "Calc"); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "exceeds 4194304 bytes") {
+		t.Errorf("Describe: err = %v, want ErrRemote … exceeds 4194304 bytes", err)
+	}
+	if _, err := c.List(context.Background()); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "exceeds 4194304 bytes") {
+		t.Errorf("List: err = %v, want ErrRemote … exceeds 4194304 bytes", err)
 	}
 }

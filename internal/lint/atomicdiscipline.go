@@ -136,7 +136,7 @@ func collectAtomicFacts(g *flow.Graph) *atomicFacts {
 						sanctionIdents(n.X)
 					}
 				case *ast.CallExpr:
-					fn := CalleeFunc(pkg.Info, n)
+					fn := flow.CalleeFunc(pkg.Info, n)
 					if fn == nil {
 						return true
 					}

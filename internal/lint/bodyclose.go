@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"soc/internal/lint/flow"
 )
 
 // BodyClose verifies that every *http.Response obtained from a net/http
@@ -48,7 +50,7 @@ func runBodyClose(pass *Pass) error {
 // respCall reports whether call returns an *http.Response the caller must
 // close: from a net/http client entry point, or from the call plane's Do.
 func respCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := CalleeFunc(pass.Info, call)
+	fn := flow.CalleeFunc(pass.Info, call)
 	return httpClientCall(fn) ||
 		(pass.Config.CallPlanePath != "" && IsPkgFunc(fn, pass.Config.CallPlanePath, "Do"))
 }
@@ -196,7 +198,7 @@ func usesObj(pass *Pass, expr ast.Expr, obj types.Object) bool {
 }
 
 func callName(info *types.Info, call *ast.CallExpr) string {
-	if fn := CalleeFunc(info, call); fn != nil {
+	if fn := flow.CalleeFunc(info, call); fn != nil {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			return "(" + sig.Recv().Type().String() + ")." + fn.Name()
 		}

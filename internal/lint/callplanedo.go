@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+
+	"soc/internal/lint/flow"
 )
 
 // CallPlaneDo keeps the binding packages (Config.BindingScope) on the
@@ -29,7 +31,7 @@ func runCallPlaneDo(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if fn := CalleeFunc(pass.Info, call); httpClientCall(fn) {
+			if fn := flow.CalleeFunc(pass.Info, call); httpClientCall(fn) {
 				pass.Reportf(call.Pos(), "%s runs net/http's redirect and timeout machinery around a service exchange; use callplane.Do", fn.FullName())
 			}
 			return true

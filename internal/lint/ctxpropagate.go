@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+
+	"soc/internal/lint/flow"
 )
 
 // CtxPropagate enforces context propagation: a function that already
@@ -75,7 +77,7 @@ func checkCtxBody(pass *Pass, body ast.Node, held, traced bool) {
 			if !held {
 				return true
 			}
-			fn := CalleeFunc(pass.Info, n)
+			fn := flow.CalleeFunc(pass.Info, n)
 			switch {
 			case IsPkgFunc(fn, "context", "Background"), IsPkgFunc(fn, "context", "TODO"):
 				pass.Reportf(n.Pos(), "context.%s() inside a function that already holds a context; thread the caller's ctx (or context.WithoutCancel(ctx) for deliberately detached work)", fn.Name())

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"soc/internal/lint/flow"
 )
 
 // ErrDiscard forbids silently dropping errors in service and handler
@@ -90,7 +92,7 @@ func isErrorType(t types.Type) bool { return types.Identical(t, errorType) }
 // exemptDiscard encodes the idiomatic exceptions listed in the analyzer
 // doc: errors no caller can act on.
 func exemptDiscard(pass *Pass, call *ast.CallExpr) bool {
-	fn := CalleeFunc(pass.Info, call)
+	fn := flow.CalleeFunc(pass.Info, call)
 	if fn != nil {
 		// Close errors on teardown paths are conventionally dropped.
 		if fn.Name() == "Close" {

@@ -448,7 +448,7 @@ func (s *scanner) spawn(st *ast.GoStmt, held []HeldLock) {
 	case *ast.FuncLit:
 		site.Target = s.scanLitSpawned(fun)
 	default:
-		obj := calleeFunc(s.pkg.Info, st.Call)
+		obj := CalleeFunc(s.pkg.Info, st.Call)
 		site.Obj = obj
 		site.Target = s.g.FuncOf(obj)
 	}
@@ -507,7 +507,7 @@ func (s *scanner) call(call *ast.CallExpr, held []HeldLock, kind CallKind) {
 			s.fn.Summary.ForwardsCtx = true
 		}
 	}
-	obj := calleeFunc(s.pkg.Info, call)
+	obj := CalleeFunc(s.pkg.Info, call)
 	if obj == nil {
 		// A call through a function value: dynamic site.
 		if t := s.pkg.Info.TypeOf(call.Fun); t != nil {
@@ -641,7 +641,7 @@ func (s *scanner) markTaken(id *ast.Ident) {
 // or sync.RWMutex (including promoted methods via embedding), returning
 // the lock class, instance base and method name.
 func (s *scanner) mutexOp(call *ast.CallExpr) (cls Class, base, name string, ok bool) {
-	fn := calleeFunc(s.pkg.Info, call)
+	fn := CalleeFunc(s.pkg.Info, call)
 	if fn == nil {
 		return Class{}, "", "", false
 	}
@@ -694,10 +694,9 @@ func isSyncLockType(t types.Type) bool {
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
-// calleeFunc resolves the called function or method, nil for indirect
-// calls, conversions and builtins. (Duplicated from lint to keep flow
-// dependency-free.)
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+// CalleeFunc resolves the called function or method of call, or nil for
+// indirect calls (function values, conversions, builtins).
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"strings"
+
+	"soc/internal/lint/flow"
 )
 
 // FsyncDiscipline enforces the crash-safety discipline of the durable
@@ -38,7 +40,7 @@ func runFsyncDiscipline(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			fn := CalleeFunc(pass.Info, call)
+			fn := flow.CalleeFunc(pass.Info, call)
 			switch {
 			case IsPkgFunc(fn, "os", "WriteFile"):
 				pass.Reportf(call.Pos(), "os.WriteFile in a durability-scoped package: nothing is fsynced, a crash can lose or tear the file after the call returned; use wal.WriteFileAtomic")

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"soc/internal/lint/flow"
 )
 
 // writePackage materializes source files into a temp dir and loads them
@@ -259,7 +257,7 @@ func TestRuntimeBudget(t *testing.T) {
 		budget = d
 	}
 
-	root, err := moduleRoot()
+	root, err := ModuleRoot()
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
@@ -273,28 +271,13 @@ func TestRuntimeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listing module packages: %v", err)
 	}
-	var units []*Package
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		units = append(units, pkg)
-		if xpkg, err := loader.ExternalTests(path); err != nil {
-			t.Fatalf("external tests of %s: %v", path, err)
-		} else if xpkg != nil {
-			units = append(units, xpkg)
-		}
-	}
-	runner := &Runner{Analyzers: DefaultAnalyzers(), Config: DefaultConfig(root)}
-	runner.Flow = flow.Build(loader.FileSet(), flowPackagesOf(units))
-	for _, pkg := range units {
-		if _, err := runner.RunPackage(pkg); err != nil {
-			t.Fatalf("linting %s: %v", pkg.Path, err)
-		}
+	runner := &Runner{Analyzers: DefaultAnalyzers(), Config: DefaultConfig()}
+	_, units, err := runner.RunModule(loader, paths)
+	if err != nil {
+		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	t.Logf("full-module run: %d units in %s (budget %s)", len(units), elapsed.Round(time.Millisecond), budget)
+	t.Logf("full-module run: %d units in %s (budget %s)", units, elapsed.Round(time.Millisecond), budget)
 	if elapsed > budget {
 		t.Errorf("full-module analysis took %s, over the %s budget", elapsed, budget)
 	}

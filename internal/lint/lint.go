@@ -2,10 +2,12 @@
 // repository, built only on the standard library's go/ast, go/parser,
 // go/token and go/types (no golang.org/x/tools dependency). It exists
 // because the paper's dependability unit teaches that trustworthy service
-// composition requires *verifying* services against their standard
-// interfaces, not just testing them: the analyzers here enforce, at build
-// time, the contracts and concurrency disciplines the runtime layers
-// (soc/internal/host, soc/internal/reliability) assume.
+// composition requires *verifying* services, not just testing them: the
+// analyzers here enforce, at build time, the concurrency, context and
+// durability disciplines the runtime layers (soc/internal/host,
+// soc/internal/reliability) assume. The published WSDL contracts are
+// verified at run time instead, by cmd/contractgen's golden test, so this
+// package imports none of the service stack it lints.
 //
 // The framework is deliberately small: an Analyzer is a named Run
 // function over a typechecked Pass; the Runner applies a registry of
@@ -34,13 +36,6 @@ import (
 // Config carries the repository-specific policy knobs shared by the
 // analyzers. Zero values disable the corresponding checks.
 type Config struct {
-	// ContractsDir is the directory of golden WSDL contracts checked by
-	// the contractcheck analyzer. Empty disables contract checking.
-	ContractsDir string
-	// ContractBound lists import-path prefixes whose statically
-	// registered services MUST have a contract file (a missing contract
-	// is a finding, not just a drifted one).
-	ContractBound []string
 	// LockBlockScope lists import-path prefixes subject to the
 	// lock-held-across-blocking-call analysis of locksafe.
 	LockBlockScope []string
@@ -89,14 +84,12 @@ type Config struct {
 	NoTestAnalyzers []string
 }
 
-// DefaultConfig is the policy soclint applies to this module: contracts
-// live in <moduleDir>/contracts, the service catalog and robot service
-// are contract-bound, all internal packages get the lock-blocking check,
-// and the service/handler packages get the error-discard check.
-func DefaultConfig(moduleDir string) Config {
+// DefaultConfig is the policy soclint applies to this module: for each
+// scoped analyzer, the packages it covers (all internal packages get the
+// lock-blocking check, the service/handler packages the error-discard
+// check, and so on).
+func DefaultConfig() Config {
 	return Config{
-		ContractsDir:  moduleDir + "/contracts",
-		ContractBound: []string{"soc/internal/services", "soc/internal/robot"},
 		LockBlockScope: []string{
 			"soc/internal/",
 		},
@@ -354,6 +347,52 @@ func (r *Runner) RunPackage(pkg *Package) ([]Finding, error) {
 	return findings, nil
 }
 
+// RunModule is one soclint run over the module packages at paths: each
+// is loaded (with its in-package tests when loader.Tests is set) and its
+// external test package, if any, joins as a unit of its own; one
+// module-wide flow graph over every unit is built when any analyzer is
+// interprocedural; then every unit is run. It returns the active
+// findings, sorted, and the number of units analyzed; directive-
+// suppressed findings accumulate on r.Suppressed. The soclint driver and
+// the self-check test both call it, so they cannot drift apart.
+func (r *Runner) RunModule(loader *Loader, paths []string) ([]Finding, int, error) {
+	var units []*Package
+	for _, path := range paths {
+		pkg, err := loader.Load(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		units = append(units, pkg)
+		xpkg, err := loader.ExternalTests(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		if xpkg != nil {
+			units = append(units, xpkg)
+		}
+	}
+	for _, a := range r.Analyzers {
+		if a.Flow {
+			fps := make([]*flow.Package, 0, len(units))
+			for _, u := range units {
+				fps = append(fps, u.FlowPackage())
+			}
+			r.Flow = flow.Build(loader.FileSet(), fps)
+			break
+		}
+	}
+	var all []Finding
+	for _, pkg := range units {
+		findings, err := r.RunPackage(pkg)
+		if err != nil {
+			return nil, 0, err
+		}
+		all = append(all, findings...)
+	}
+	SortFindings(all)
+	return all, len(units), nil
+}
+
 func contains(list []string, s string) bool {
 	for _, v := range list {
 		if v == s {
@@ -445,7 +484,6 @@ func DefaultAnalyzers() []*Analyzer {
 		BodyClose,
 		CallPlaneDo,
 		ClockDiscipline,
-		ContractCheck,
 		CtxPropagate,
 		ErrDiscard,
 		FsyncDiscipline,
@@ -468,22 +506,6 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 }
 
 // ---- shared type/AST helpers ----
-
-// CalleeFunc resolves the called function or method of call, or nil for
-// indirect calls (function values, conversions, builtins).
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
 
 // IsPkgFunc reports whether fn is the package-level function path.name.
 func IsPkgFunc(fn *types.Func, path, name string) bool {

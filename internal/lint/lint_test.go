@@ -20,7 +20,7 @@ var (
 func testLoader(t *testing.T) *Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
-		root, err := moduleRoot()
+		root, err := ModuleRoot()
 		if err != nil {
 			loaderErr = err
 			return
@@ -35,23 +35,6 @@ func testLoader(t *testing.T) *Loader {
 		t.Fatalf("loader: %v", loaderErr)
 	}
 	return loaderVal
-}
-
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", os.ErrNotExist
-		}
-		dir = parent
-	}
 }
 
 // loadFixture typechecks the testdata fixture package for the named
@@ -131,12 +114,6 @@ func TestGoldenFixtures(t *testing.T) {
 			return Config{GoLeakScope: []string{p}, RequestPathScope: []string{p}}
 		}},
 		{"atomicdiscipline", func(p string) Config { return Config{AtomicScope: []string{p}} }},
-		{"contractcheck", func(p string) Config {
-			return Config{
-				ContractsDir:  filepath.Join("testdata", "contracts"),
-				ContractBound: []string{p},
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

@@ -98,6 +98,25 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	}, nil
 }
 
+// ModuleRoot walks up from the working directory to the directory
+// holding go.mod.
+func ModuleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod found above %s", dir)
+		}
+		dir = parent
+	}
+}
+
 func readGoMod(path string) (modPath, goVersion string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"soc/internal/lint/flow"
 )
 
 // LockSafe enforces two concurrency disciplines:
@@ -162,7 +164,7 @@ func checkLockCopyRange(pass *Pass, n *ast.RangeStmt) {
 // Lock/RLock/Unlock/RUnlock on sync.Mutex or sync.RWMutex (including
 // promoted methods of embedding types), else "".
 func mutexMethod(pass *Pass, call *ast.CallExpr) (recv string, name string) {
-	fn := CalleeFunc(pass.Info, call)
+	fn := flow.CalleeFunc(pass.Info, call)
 	if fn == nil {
 		return "", ""
 	}
@@ -296,7 +298,7 @@ func reportBlocking(pass *Pass, n ast.Node, held map[string]token.Pos) {
 }
 
 func blockingCall(pass *Pass, call *ast.CallExpr) string {
-	fn := CalleeFunc(pass.Info, call)
+	fn := flow.CalleeFunc(pass.Info, call)
 	if fn == nil {
 		return ""
 	}

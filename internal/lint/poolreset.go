@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"soc/internal/lint/flow"
 )
 
 // PoolReset enforces the pooling discipline of the hot-path message plane
@@ -37,7 +39,7 @@ func runPoolReset(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			fn := CalleeFunc(pass.Info, call)
+			fn := flow.CalleeFunc(pass.Info, call)
 			if !IsMethod(fn, "sync", "Pool", "Put") || len(call.Args) != 1 {
 				return true
 			}

@@ -1,23 +1,19 @@
 package lint
 
-import (
-	"testing"
-
-	"soc/internal/lint/flow"
-)
+import "testing"
 
 // TestSoclintSelfCheck asserts that the repository passes its own
 // linter: every module package — test files and external test packages
-// included, exactly the unit set `make lint` analyzes — checked with
-// the default analyzer registry and policy yields zero findings. This
-// is the test-suite twin of `make lint`: a finding introduced anywhere
-// in the module fails this test even if nobody runs the binary.
+// included — checked with the default analyzer registry and policy
+// through RunModule, the same run `make lint` makes, yields zero
+// findings. This is the test-suite twin of `make lint`: a finding
+// introduced anywhere in the module fails this test even if nobody runs
+// the binary.
 func TestSoclintSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-check typechecks the whole module (and the stdlib from source); skipped in -short")
 	}
 	loader := testLoader(t)
-	runner := &Runner{Analyzers: DefaultAnalyzers(), Config: DefaultConfig(loader.ModuleDir)}
 	paths, err := loader.ModulePackages()
 	if err != nil {
 		t.Fatalf("listing module packages: %v", err)
@@ -25,39 +21,12 @@ func TestSoclintSelfCheck(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("module package walk found nothing")
 	}
-	var units []*Package
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		units = append(units, pkg)
-		xpkg, err := loader.ExternalTests(path)
-		if err != nil {
-			t.Fatalf("loading external tests of %s: %v", path, err)
-		}
-		if xpkg != nil {
-			units = append(units, xpkg)
-		}
+	runner := &Runner{Analyzers: DefaultAnalyzers(), Config: DefaultConfig()}
+	findings, _, err := runner.RunModule(loader, paths)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The interprocedural analyzers see the whole module at once, as in
-	// the driver.
-	runner.Flow = flow.Build(loader.FileSet(), flowPackagesOf(units))
-	for _, pkg := range units {
-		findings, err := runner.RunPackage(pkg)
-		if err != nil {
-			t.Fatalf("linting %s: %v", pkg.Path, err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	for _, f := range findings {
+		t.Errorf("%s", f)
 	}
-}
-
-func flowPackagesOf(units []*Package) []*flow.Package {
-	out := make([]*flow.Package, 0, len(units))
-	for _, u := range units {
-		out = append(out, u.FlowPackage())
-	}
-	return out
 }

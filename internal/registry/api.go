@@ -217,7 +217,12 @@ func (c *Client) exchange(ctx context.Context, method, path string, body any, ou
 		return fmt.Errorf("%w: status %d: %s", ErrInvalid, resp.StatusCode, bytes.TrimSpace(data))
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		data := callplane.GetBuffer()
+		defer data.Release()
+		if err := data.FillResponse(resp.Body); err != nil {
+			return fmt.Errorf("registry: reading response: %w", err)
+		}
+		if err := json.Unmarshal(data.B, out); err != nil {
 			return fmt.Errorf("registry: decoding: %w", err)
 		}
 	}

@@ -3,7 +3,10 @@ package registry
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -265,4 +268,28 @@ func TestConcurrentPublishSearch(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// A registry answer one byte over the client's 4 MiB bound is refused
+// with an error naming the bound — the client used to decode whatever
+// the peer sent, however long — and one of exactly the bound decodes.
+func TestClientBoundsTheResponse(t *testing.T) {
+	const bound = 4 << 20
+	answer := func(size int) *Client {
+		body := `{"name":"Big","doc":"` + strings.Repeat("x", size-len(`{"name":"Big","doc":""}`)) + `"}`
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		return NewClient(ts.URL)
+	}
+	ctx := context.Background()
+	if _, err := answer(bound+1).Get(ctx, "Big"); err == nil || !strings.Contains(err.Error(), "exceeds 4194304 bytes") {
+		t.Errorf("4 MiB + 1: err = %v, want … exceeds 4194304 bytes", err)
+	}
+	e, err := answer(bound).Get(ctx, "Big")
+	if err != nil || len(e.Doc) != bound-len(`{"name":"Big","doc":""}`) {
+		t.Errorf("4 MiB: err = %v, %d doc bytes decoded", err, len(e.Doc))
+	}
 }

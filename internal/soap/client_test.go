@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"soc/internal/callplane"
 	"soc/internal/telemetry"
 )
 
@@ -165,9 +166,9 @@ func (e *endless) Read(p []byte) (int, error) {
 
 func (e *endless) Close() error { return nil }
 
-// TestClientBoundsTheResponse: the client buffers at most maxResponse
-// bytes of an answer — it used to read until the peer stopped sending —
-// and reports a longer one as a protocol error.
+// TestClientBoundsTheResponse: the client buffers at most
+// callplane.MaxResponse bytes of an answer — it used to read until the
+// peer stopped sending — and reports a longer one as a protocol error.
 func TestClientBoundsTheResponse(t *testing.T) {
 	body := &endless{}
 	c := &Client{HTTPClient: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
@@ -178,8 +179,8 @@ func TestClientBoundsTheResponse(t *testing.T) {
 	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("err = %v, want ErrProtocol for an oversized envelope", err)
 	}
-	if body.n > maxResponse+1 {
-		t.Fatalf("read %d bytes of an endless answer, bound is %d", body.n, maxResponse)
+	if body.n > callplane.MaxResponse+1 {
+		t.Fatalf("read %d bytes of an endless answer, bound is %d", body.n, callplane.MaxResponse)
 	}
 
 	// An envelope of exactly the bound is still an envelope.
@@ -187,16 +188,16 @@ func TestClientBoundsTheResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded := strings.Replace(string(env), "<echo></echo>", "<echo>"+strings.Repeat("y", maxResponse-len(env))+"</echo>", 1)
-	if len(padded) != maxResponse {
-		t.Fatalf("test envelope is %d bytes, want %d: %.200s", len(padded), maxResponse, env)
+	padded := strings.Replace(string(env), "<echo></echo>", "<echo>"+strings.Repeat("y", callplane.MaxResponse-len(env))+"</echo>", 1)
+	if len(padded) != callplane.MaxResponse {
+		t.Fatalf("test envelope is %d bytes, want %d: %.200s", len(padded), callplane.MaxResponse, env)
 	}
 	c = &Client{HTTPClient: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		_ = r.Body.Close()
 		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(padded))}, nil
 	})}}
 	out, err := c.CallParams(context.Background(), "http://big.test/soap", "urn:x", "Echo", nil)
-	if err != nil || len(out["echo"]) != maxResponse-len(env) {
+	if err != nil || len(out["echo"]) != callplane.MaxResponse-len(env) {
 		t.Fatalf("an envelope of exactly the bound: %d bytes of echo, %v", len(out["echo"]), err)
 	}
 }

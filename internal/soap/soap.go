@@ -879,9 +879,6 @@ func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemet
 	return sp, ctx
 }
 
-// maxResponse bounds how much of a response the client buffers.
-const maxResponse = 4 << 20
-
 // exchange posts one envelope and returns the response body in a pooled
 // buffer, which the caller releases. With a span, its trace context
 // replaces any SocTrace entry among the header entries (sorted by name).
@@ -907,13 +904,9 @@ func (c *Client) exchange(ctx context.Context, sp *telemetry.Span, url, namespac
 	}
 	defer httpResp.Body.Close()
 	data := callplane.GetBuffer()
-	if err := data.Fill(httpResp.Body, maxResponse+1); err != nil {
+	if err := data.FillResponse(httpResp.Body); err != nil {
 		data.Release()
 		return nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
-	}
-	if len(data.B) > maxResponse {
-		data.Release()
-		return nil, fmt.Errorf("%w: response envelope exceeds %d bytes", ErrProtocol, maxResponse)
 	}
 	return data, nil
 }
