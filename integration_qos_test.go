@@ -7,17 +7,17 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"soc/internal/crawler"
 	"soc/internal/ontology"
 	"soc/internal/registry"
+	"soc/internal/reliability"
 )
 
 // TestIntegrationQoSFeedbackLoop closes the consumer-centric loop the
-// paper's §V motivates: the availability monitor probes live endpoints,
-// its measurements feed the registry's QoS records, and quality-weighted
-// search then prefers the dependable provider over an equally relevant
-// but flaky one.
+// paper's §V motivates: a health checker probes live endpoints, its OnProbe
+// hook feeds the registry's QoS records, and quality-weighted search then
+// prefers the dependable provider over an equally relevant but flaky one.
 func TestIntegrationQoSFeedbackLoop(t *testing.T) {
 	var flakyDown atomic.Bool
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -45,24 +45,28 @@ func TestIntegrationQoSFeedbackLoop(t *testing.T) {
 	publish("FlakyWeather", flaky.URL)
 	publish("StableWeather", stable.URL)
 
-	// Monitor both endpoints over rounds with injected outages.
-	mon := crawler.NewMonitor(nil)
-	ctx := context.Background()
+	// Probe both endpoints over rounds with injected outages; every probe
+	// outcome feeds the broker's QoS record through the checker's hook.
+	names := map[string]string{flaky.URL: "FlakyWeather", stable.URL: "StableWeather"}
+	hc, err := reliability.NewHealthChecker(reliability.HealthCheckerConfig{
+		Interval: 10 * time.Second,
+		Probe:    reliability.HTTPProbe(nil, ""),
+		OnProbe: func(u string, up bool, rtt time.Duration) {
+			if err := reg.ObserveProbe(names[u], up, rtt); err != nil {
+				t.Error(err)
+			}
+		},
+	}, flaky.URL, stable.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 6; round++ {
 		flakyDown.Store(round%2 == 0)
-		mon.CheckAll(ctx, []string{flaky.URL, stable.URL})
+		hc.CheckNow(context.Background())
 	}
-	// Feed measurements back into the broker.
-	for _, st := range mon.Stats() {
-		name := "StableWeather"
-		if st.URL == flaky.URL {
-			name = "FlakyWeather"
-		}
-		if err := reg.ReportQoS(name, registry.QoS{
-			Uptime: st.Uptime(), MeanRTT: st.MeanRTT(), Samples: st.Checks,
-		}); err != nil {
-			t.Fatal(err)
-		}
+
+	if q, ok := reg.QoSOf("StableWeather"); !ok || q.Samples != 6 || q.Uptime != 1 || q.MeanRTT <= 0 {
+		t.Errorf("StableWeather QoS = %+v, %v; want 6 samples, uptime 1, a measured RTT", q, ok)
 	}
 
 	// Plain keyword search cannot tell them apart...

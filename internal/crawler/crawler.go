@@ -4,11 +4,6 @@
 // service crawler that discovers available services online"): it walks
 // seed directory pages, extracts links, probes candidates for WSDL or
 // REST service descriptions, and feeds confirmed services into a registry.
-//
-// It also provides the availability monitor motivated by §V's complaints
-// about free public services ("services are often offline or be removed
-// without notice"): periodic endpoint probing with per-service uptime and
-// latency accounting.
 package crawler
 
 import (
@@ -21,9 +16,9 @@ import (
 	"net/http"
 	"net/url"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"soc/internal/callplane"
@@ -48,8 +43,6 @@ type Discovered struct {
 	Doc string
 	// Operations are the discovered operation names.
 	Operations []string
-	// Via is the page on which the link was found.
-	Via string
 }
 
 // Config tunes a crawl.
@@ -160,7 +153,6 @@ func Crawl(ctx context.Context, seeds []string, cfg Config) ([]Discovered, error
 			if !probed[it.u] {
 				probed[it.u] = true
 				if d, err := probe(ctx, client, it.u, kind); err == nil {
-					d.Via = it.via
 					found = append(found, *d)
 				}
 			}
@@ -257,136 +249,40 @@ func probe(ctx context.Context, client *http.Client, u, kind string) (*Discovere
 	return disc, nil
 }
 
-// Feed publishes discovered services into a registry under the given
-// provider name; it returns how many were published.
-func Feed(reg *registry.Registry, provider string, found []Discovered) (int, error) {
-	n := 0
+// Entries merges discoveries into one registry entry per service name, in
+// order of first discovery. A service found under both bindings gets both
+// (sorted), and its endpoint is the REST URL when one was found — the
+// /services/<Name> address the host serves — else the WSDL URL.
+func Entries(provider string, found []Discovered) []registry.Entry {
+	var out []registry.Entry
+	index := map[string]int{}
 	for _, d := range found {
-		err := reg.Publish(registry.Entry{
-			Name:       d.Name,
-			Namespace:  d.Namespace,
-			Doc:        d.Doc,
-			Endpoint:   d.URL,
-			Bindings:   []string{d.Kind},
-			Operations: d.Operations,
-			Provider:   provider,
-		})
-		if err != nil {
-			return n, err
+		i, ok := index[d.Name]
+		if !ok {
+			i = len(out)
+			index[d.Name] = i
+			out = append(out, registry.Entry{Name: d.Name, Namespace: d.Namespace, Doc: d.Doc,
+				Endpoint: d.URL, Operations: d.Operations, Provider: provider})
 		}
-		n++
-	}
-	return n, nil
-}
-
-// Probe checks one endpoint and reports latency; used by the availability
-// monitor and exported for direct liveness checks.
-func Probe(ctx context.Context, client *http.Client, u string) (time.Duration, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	start := time.Now()
-	req, err := callplane.NewRequest(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return time.Since(start), err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode >= 500 {
-		return time.Since(start), fmt.Errorf("crawler: endpoint unhealthy: status %d", resp.StatusCode)
-	}
-	return time.Since(start), nil
-}
-
-// Availability accumulates probe outcomes for one endpoint.
-type Availability struct {
-	URL       string
-	Checks    int
-	Failures  int
-	TotalRTT  time.Duration
-	LastError string
-	LastCheck time.Time
-}
-
-// Uptime is the fraction of successful checks in [0, 1].
-func (a *Availability) Uptime() float64 {
-	if a.Checks == 0 {
-		return 0
-	}
-	return float64(a.Checks-a.Failures) / float64(a.Checks)
-}
-
-// MeanRTT is the average round-trip time of all checks.
-func (a *Availability) MeanRTT() time.Duration {
-	if a.Checks == 0 {
-		return 0
-	}
-	return a.TotalRTT / time.Duration(a.Checks)
-}
-
-// Monitor tracks endpoint availability over repeated probe rounds.
-type Monitor struct {
-	mu     sync.Mutex
-	stats  map[string]*Availability
-	client *http.Client
-}
-
-// NewMonitor returns a monitor using the given client (nil for default).
-func NewMonitor(client *http.Client) *Monitor {
-	return &Monitor{stats: make(map[string]*Availability), client: client}
-}
-
-// CheckAll probes every URL once, concurrently, and updates statistics.
-func (m *Monitor) CheckAll(ctx context.Context, urls []string) {
-	var wg sync.WaitGroup
-	for _, u := range urls {
-		wg.Add(1)
-		go func(u string) {
-			defer wg.Done()
-			rtt, err := Probe(ctx, m.client, u)
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			st, ok := m.stats[u]
-			if !ok {
-				st = &Availability{URL: u}
-				m.stats[u] = st
-			}
-			st.Checks++
-			st.TotalRTT += rtt
-			st.LastCheck = time.Now()
-			if err != nil {
-				st.Failures++
-				st.LastError = err.Error()
-			}
-		}(u)
-	}
-	wg.Wait()
-}
-
-// Stats returns a snapshot of all availability records sorted by URL.
-func (m *Monitor) Stats() []Availability {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Availability, 0, len(m.stats))
-	for _, st := range m.stats {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
-
-// Unreliable returns URLs whose uptime is below threshold after at least
-// minChecks probes — the "too flaky for class assignments" list.
-func (m *Monitor) Unreliable(threshold float64, minChecks int) []string {
-	var out []string
-	for _, st := range m.Stats() {
-		if st.Checks >= minChecks && st.Uptime() < threshold {
-			out = append(out, st.URL)
+		e := &out[i]
+		e.Bindings = append(e.Bindings, d.Kind)
+		slices.Sort(e.Bindings)
+		e.Bindings = slices.Compact(e.Bindings)
+		if d.Kind == "rest" {
+			e.Endpoint = d.URL
 		}
 	}
 	return out
+}
+
+// Feed publishes discovered services, merged by Entries, into a registry
+// under the given provider name; it returns how many entries it published.
+func Feed(reg *registry.Registry, provider string, found []Discovered) (int, error) {
+	entries := Entries(provider, found)
+	for i, e := range entries {
+		if err := reg.Publish(e); err != nil {
+			return i, err
+		}
+	}
+	return len(entries), nil
 }

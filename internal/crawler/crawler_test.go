@@ -6,9 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"soc/internal/core"
 	"soc/internal/host"
@@ -196,79 +196,29 @@ func TestFeedPublishesIntoRegistry(t *testing.T) {
 	}
 }
 
-func TestMonitorTracksAvailability(t *testing.T) {
-	var healthy atomic.Bool
-	healthy.Store(true)
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
+func TestFeedMergesBindingsByName(t *testing.T) {
+	found := []Discovered{
+		{Name: "Calc", URL: "http://h/services/Calc", Kind: "rest", Operations: []string{"Add"}},
+		{Name: "Calc", URL: "http://h/services/Calc?wsdl", Kind: "wsdl", Operations: []string{"Add"}},
+		{Name: "Weather", URL: "http://h/weather.wsdl", Kind: "wsdl"},
+	}
+	// Feed merges in any order: try the WSDL sighting first, too.
+	for _, order := range [][]Discovered{found, {found[1], found[0], found[2]}} {
+		reg := registry.New()
+		n, err := Feed(reg, "crawler", order)
+		if err != nil || n != 2 {
+			t.Fatalf("Feed = %d, %v; want 2 distinct entries", n, err)
 		}
-		fmt.Fprint(w, "ok")
-	}))
-	defer flaky.Close()
-	stable := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "ok")
-	}))
-	defer stable.Close()
-
-	m := NewMonitor(nil)
-	urls := []string{flaky.URL, stable.URL}
-	ctx := context.Background()
-	m.CheckAll(ctx, urls)
-	healthy.Store(false)
-	m.CheckAll(ctx, urls)
-	m.CheckAll(ctx, urls)
-	healthy.Store(true)
-	m.CheckAll(ctx, urls)
-
-	stats := m.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("stats = %v", stats)
-	}
-	byURL := map[string]Availability{}
-	for _, s := range stats {
-		byURL[s.URL] = s
-	}
-	f := byURL[flaky.URL]
-	if f.Checks != 4 || f.Failures != 2 {
-		t.Errorf("flaky stats = %+v", f)
-	}
-	if up := f.Uptime(); up != 0.5 {
-		t.Errorf("flaky uptime = %v", up)
-	}
-	if f.LastError == "" {
-		t.Error("flaky LastError empty")
-	}
-	s := byURL[stable.URL]
-	if s.Failures != 0 || s.Uptime() != 1 {
-		t.Errorf("stable stats = %+v", s)
-	}
-	if s.MeanRTT() <= 0 {
-		t.Errorf("stable MeanRTT = %v", s.MeanRTT())
-	}
-	bad := m.Unreliable(0.9, 2)
-	if len(bad) != 1 || bad[0] != flaky.URL {
-		t.Errorf("unreliable = %v", bad)
-	}
-}
-
-func TestMonitorUnreachableEndpoint(t *testing.T) {
-	m := NewMonitor(&http.Client{Timeout: 200 * time.Millisecond})
-	m.CheckAll(context.Background(), []string{"http://127.0.0.1:1/nothing"})
-	stats := m.Stats()
-	if len(stats) != 1 || stats[0].Failures != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats[0].Uptime() != 0 {
-		t.Errorf("uptime = %v", stats[0].Uptime())
-	}
-}
-
-func TestAvailabilityZeroChecks(t *testing.T) {
-	var a Availability
-	if a.Uptime() != 0 || a.MeanRTT() != 0 {
-		t.Error("zero-check availability should report zeros")
+		calc, err := reg.Get("Calc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(calc.Bindings, []string{"rest", "wsdl"}) || calc.Endpoint != "http://h/services/Calc" {
+			t.Errorf("Calc = bindings %v endpoint %q, want [rest wsdl] at the REST URL", calc.Bindings, calc.Endpoint)
+		}
+		if w, err := reg.Get("Weather"); err != nil || w.Endpoint != "http://h/weather.wsdl" {
+			t.Errorf("Weather = %+v, %v", w, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"time"
@@ -22,66 +21,17 @@ type QoS struct {
 	Samples int `json:"samples"`
 }
 
-// qosShardCount stripes the QoS store so per-call ObserveCall writes from
-// concurrent dispatches don't convoy on one mutex. Power of two for mask
-// selection.
-const qosShardCount = 16
-
-// qosShard is one stripe of the QoS store.
-type qosShard struct {
-	mu sync.RWMutex
-	m  map[string]QoS
-}
-
-// qosStore tracks QoS per service name alongside a registry, lock-striped
-// by name hash.
-type qosStore struct {
-	seed   maphash.Seed
-	shards [qosShardCount]qosShard
-}
-
-func (s *qosStore) shard(name string) *qosShard {
-	return &s.shards[maphash.String(s.seed, name)&(qosShardCount-1)]
-}
-
-func (s *qosStore) get(name string) (QoS, bool) {
-	sh := s.shard(name)
-	sh.mu.RLock()
-	q, ok := sh.m[name]
-	sh.mu.RUnlock()
-	return q, ok
-}
-
-func (s *qosStore) set(name string, q QoS) {
-	sh := s.shard(name)
-	sh.mu.Lock()
-	sh.m[name] = q
-	sh.mu.Unlock()
-}
-
-// update applies fn to the record for name under the stripe write lock.
-func (s *qosStore) update(name string, fn func(QoS) QoS) {
-	sh := s.shard(name)
-	sh.mu.Lock()
-	sh.m[name] = fn(sh.m[name])
-	sh.mu.Unlock()
-}
-
 // QoSRegistry decorates a Registry with QoS records and quality-weighted
 // search.
 type QoSRegistry struct {
 	*Registry
-	qos qosStore
+	mu  sync.RWMutex // guards qos; CheckNow feeds it from concurrent probes
+	qos map[string]QoS
 }
 
 // NewQoS wraps a registry.
 func NewQoS(r *Registry) *QoSRegistry {
-	qr := &QoSRegistry{Registry: r}
-	qr.qos.seed = maphash.MakeSeed()
-	for i := range qr.qos.shards {
-		qr.qos.shards[i].m = map[string]QoS{}
-	}
-	return qr
+	return &QoSRegistry{Registry: r, qos: map[string]QoS{}}
 }
 
 // ReportQoS records (or replaces) the measured QoS of a service.
@@ -92,7 +42,9 @@ func (r *QoSRegistry) ReportQoS(name string, q QoS) error {
 	if _, err := r.Get(name); err != nil {
 		return err
 	}
-	r.qos.set(name, q)
+	r.mu.Lock()
+	r.qos[name] = q
+	r.mu.Unlock()
 	return nil
 }
 
@@ -108,20 +60,21 @@ func (r *QoSRegistry) ObserveProbe(name string, up bool, rtt time.Duration) erro
 	if _, err := r.Get(name); err != nil {
 		return err
 	}
-	r.qos.update(name, func(q QoS) QoS {
-		n := float64(q.Samples)
-		upVal := 0.0
-		if up {
-			upVal = 1
-			// Only successful probes measure a real round trip; failures are
-			// often instant (connection refused) and would flatter the mean.
-			succ := q.Uptime * n // successful samples so far
-			q.MeanRTT = time.Duration((float64(q.MeanRTT)*succ + float64(rtt)) / (succ + 1))
-		}
-		q.Uptime = (q.Uptime*n + upVal) / (n + 1)
-		q.Samples++
-		return q
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	q := r.qos[name]
+	n := float64(q.Samples)
+	upVal := 0.0
+	if up {
+		upVal = 1
+		// Only successful probes measure a real round trip; failures are
+		// often instant (connection refused) and would flatter the mean.
+		succ := q.Uptime * n // successful samples so far
+		q.MeanRTT = time.Duration((float64(q.MeanRTT)*succ + float64(rtt)) / (succ + 1))
+	}
+	q.Uptime = (q.Uptime*n + upVal) / (n + 1)
+	q.Samples++
+	r.qos[name] = q
 	return nil
 }
 
@@ -138,19 +91,12 @@ func (r *QoSRegistry) ObserveCall(name string, up bool, rtt time.Duration, cache
 	return r.ObserveProbe(name, up, rtt)
 }
 
-// ProbeFeed adapts ObserveProbe to reliability.HealthChecker's OnProbe
-// signature for a fixed service name, ignoring the replica URL (the
-// registry tracks the service, the checker tracks its replicas).
-func (r *QoSRegistry) ProbeFeed(name string) func(replica string, up bool, rtt time.Duration) {
-	return func(_ string, up bool, rtt time.Duration) {
-		//soclint:ignore errdiscard probes may outlive an unpublished service; a stale name is not an event the checker can act on
-		_ = r.ObserveProbe(name, up, rtt)
-	}
-}
-
 // QoSOf returns the recorded QoS and whether one exists.
 func (r *QoSRegistry) QoSOf(name string) (QoS, bool) {
-	return r.qos.get(name)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	q, ok := r.qos[name]
+	return q, ok
 }
 
 // QoSMatch is a quality-weighted search result.
@@ -197,7 +143,7 @@ func (r *QoSRegistry) SearchQoS(query string, limit int) ([]QoSMatch, error) {
 	ranked := s.searchScored(qTokens, r.Registry.now())
 	weighted := make([]qosScored, 0, len(ranked))
 	for _, m := range ranked {
-		q, ok := r.qos.get(m.name)
+		q, ok := r.QoSOf(m.name)
 		qual := quality(q, ok)
 		weighted = append(weighted, qosScored{
 			name:      m.name,

@@ -161,10 +161,13 @@ func TestObserveProbeFeedsDiscovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	feedUp, feedDown := r.ProbeFeed("EchoUp"), r.ProbeFeed("EchoDown")
 	for i := 0; i < 20; i++ {
-		feedUp("http://replica-a", true, 5*time.Millisecond)
-		feedDown("http://replica-b", false, 0)
+		if err := r.ObserveProbe("EchoUp", true, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ObserveProbe("EchoDown", false, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	matches, err := r.SearchQoS("echo probe", 0)
 	if err != nil {

@@ -17,16 +17,13 @@ var ErrUnhealthy = errors.New("reliability: replica unhealthy")
 // carries the per-probe timeout.
 type ProbeFunc func(ctx context.Context, replica string) error
 
-// HTTPProbe returns a ProbeFunc that issues GET replica+path (path ""
-// means "/healthz") with client (nil means a 30 s timeout client; the
-// checker's per-probe context additionally bounds each request) and
-// treats any 2xx answer as healthy.
+// HTTPProbe returns a ProbeFunc that issues GET replica+path (path is
+// appended verbatim, so "" probes the replica URL itself) with client (nil
+// means a 30 s timeout client; the checker's per-probe context additionally
+// bounds each request) and treats any 2xx answer as healthy.
 func HTTPProbe(client *http.Client, path string) ProbeFunc {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if path == "" {
-		path = "/healthz"
 	}
 	return func(ctx context.Context, replica string) error {
 		//soclint:ignore ctxpropagate probes run on the checker's own schedule with no caller trace to carry, and callplane would import-cycle with reliability
@@ -92,9 +89,10 @@ type HealthChecker struct {
 	demotions  uint64
 	promotions uint64
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	startOnce sync.Once
+	stopOnce  sync.Once
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // NewHealthChecker returns a checker over the replicas. Start launches
@@ -116,7 +114,7 @@ func NewHealthChecker(cfg HealthCheckerConfig, replicas ...string) (*HealthCheck
 		cfg.RiseThreshold = 1
 	}
 	if cfg.Probe == nil {
-		cfg.Probe = HTTPProbe(nil, "")
+		cfg.Probe = HTTPProbe(nil, "/healthz")
 	}
 	hc := &HealthChecker{
 		cfg:      cfg,
@@ -135,31 +133,35 @@ func NewHealthChecker(cfg HealthCheckerConfig, replicas ...string) (*HealthCheck
 }
 
 // Start launches the background probe loop (one immediate round, then one
-// per interval). Stop terminates it.
+// per interval). Stop terminates it. Only the first Start launches a loop;
+// a Start after Stop launches none.
 func (hc *HealthChecker) Start(ctx context.Context) {
-	go func() {
-		defer close(hc.done)
-		hc.CheckNow(ctx)
-		//soclint:ignore clockdiscipline the health prober is deliberately wall-clock-driven; the simulation harness drives CheckNow directly instead of Start
-		t := time.NewTicker(hc.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-hc.stop:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				hc.CheckNow(ctx)
+	hc.startOnce.Do(func() {
+		go func() {
+			defer close(hc.done)
+			hc.CheckNow(ctx)
+			//soclint:ignore clockdiscipline the health prober is deliberately wall-clock-driven; the simulation harness drives CheckNow directly instead of Start
+			t := time.NewTicker(hc.cfg.Interval)
+			defer t.Stop()
+			for {
+				select {
+				case <-hc.stop:
+					return
+				case <-ctx.Done():
+					return
+				case <-t.C:
+					hc.CheckNow(ctx)
+				}
 			}
-		}
-	}()
+		}()
+	})
 }
 
 // Stop halts the probe loop and waits for it to exit. Safe to call more
-// than once, and before Start (the loop then exits on launch).
+// than once, and before Start, when it returns at once.
 func (hc *HealthChecker) Stop() {
 	hc.stopOnce.Do(func() { close(hc.stop) })
+	hc.startOnce.Do(func() { close(hc.done) }) // no loop launched: nothing to wait for
 	select {
 	case <-hc.done:
 	//soclint:ignore clockdiscipline shutdown watchdog against a stuck probe loop; bounds real waiting, never simulated
@@ -168,7 +170,8 @@ func (hc *HealthChecker) Stop() {
 }
 
 // CheckNow probes every replica once, concurrently, and applies the
-// fall/rise thresholds.
+// fall/rise thresholds. A probe that fails because ctx ended is nobody's
+// fault: it is not counted, moves no threshold and reaches no OnProbe.
 func (hc *HealthChecker) CheckNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, r := range hc.replicas {
@@ -180,6 +183,9 @@ func (hc *HealthChecker) CheckNow(ctx context.Context) {
 			//soclint:ignore clockdiscipline probe RTT is measured in wall time by design; it feeds QoS records, not simulated schedules
 			start := time.Now()
 			err := hc.cfg.Probe(pctx, replica)
+			if err != nil && ctx.Err() != nil {
+				return
+			}
 			//soclint:ignore clockdiscipline probe RTT is measured in wall time by design; it feeds QoS records, not simulated schedules
 			hc.observe(replica, err, time.Since(start))
 		}(r)
@@ -243,11 +249,6 @@ func (hc *HealthChecker) Healthy() []string {
 		}
 	}
 	return out
-}
-
-// Replicas returns all replicas in registration order.
-func (hc *HealthChecker) Replicas() []string {
-	return append([]string(nil), hc.replicas...)
 }
 
 // Counters reports probes issued, demotions and promotions so far —

@@ -183,7 +183,51 @@ func TestHealthCheckerStopBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc.Start(context.Background())
+	begin := time.Now()
 	hc.Stop()
 	hc.Stop() // idempotent
+	if d := time.Since(begin); d >= time.Second {
+		t.Errorf("Stop on a never-started checker took %v", d)
+	}
+	hc.Start(context.Background()) // after Stop: launches nothing
+	if probes, _, _ := hc.Counters(); probes != 0 {
+		t.Errorf("Start after Stop probed %d times", probes)
+	}
+}
+
+func TestHealthCheckerStartsOnce(t *testing.T) {
+	hc, err := NewHealthChecker(HealthCheckerConfig{Interval: time.Hour,
+		Probe: func(context.Context, string) error { return nil }}, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc.Start(context.Background())
+	hc.Start(context.Background())
+	hc.Stop()
+	if probes, _, _ := hc.Counters(); probes != 1 {
+		t.Errorf("probes = %d, want 1 (one loop, one immediate round)", probes)
+	}
+}
+
+func TestHealthCheckerCanceledContextIsNobodysFault(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer srv.Close()
+	var fed int32
+	hc, err := NewHealthChecker(HealthCheckerConfig{
+		Interval: time.Hour,
+		Probe:    HTTPProbe(nil, ""),
+		OnProbe:  func(string, bool, time.Duration) { atomic.AddInt32(&fed, 1) },
+	}, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hc.CheckNow(ctx)
+	if !hc.IsHealthy(srv.URL) {
+		t.Error("a canceled round demoted a healthy replica")
+	}
+	if probes, _, _ := hc.Counters(); probes != 0 || atomic.LoadInt32(&fed) != 0 {
+		t.Errorf("canceled round counted %d probes, fed OnProbe %d times", probes, atomic.LoadInt32(&fed))
+	}
 }
