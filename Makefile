@@ -87,20 +87,21 @@ SIM_STEPS ?= 250
 sim:
 	$(GO) run ./cmd/socsim -seeds $(SIM_SEEDS) -first $(SIM_FIRST) -steps $(SIM_STEPS)
 
-# Crash corpus size: records per corpus file in the every-byte-offset
-# truncation and bit-flip sweeps. Raise (WAL_CRASH_RECORDS=64) for a
-# deeper nightly sweep.
+# Crash corpus size: records the WAL's own corpus appends before the
+# every-byte-offset truncation, bit-flip and power-cut sweeps. Raise
+# (WAL_CRASH_RECORDS=64) for a deeper nightly sweep.
 WAL_CRASH_RECORDS ?= 24
 
-## crash: the crash-point corpora — cut the WAL at every byte offset and
-## flip every byte, then prove recovery salvages exactly the acked
-## prefix and stays deterministic; the same sweep runs over a workflow
-## journal image, where each damaged prefix must recover to a replayable
-## instance or a clean compensation with no duplicated side effect, and
-## over a durable registry image, where each must recover to exactly the
-## directory of the acked prefix
+## crash: the crash-point corpora, all on one harness (internal/wal/waltest)
+## that cuts every file a wal.Machine tenant wrote — segments and
+## snapshots — at every byte offset, flips every byte, and cuts power
+## after every filesystem operation, then proves each image recovers
+## exactly its acked prefix or fails naming the gap; it runs over the
+## WAL itself, the harness's own self-test, a workflow journal (which
+## must also settle with no duplicated side effect) and a durable
+## registry (which must recover exactly the acked prefix's directory)
 crash:
-	WAL_CRASH_RECORDS=$(WAL_CRASH_RECORDS) $(GO) test -count 1 -run 'TestCrash' ./internal/wal
+	WAL_CRASH_RECORDS=$(WAL_CRASH_RECORDS) $(GO) test -count 1 -run 'TestCrash' ./internal/wal/...
 	WORKFLOW_CRASH_STRIDE=1 $(GO) test -count 1 -run 'TestCrash' ./internal/workflow
 	$(GO) test -count 1 -run 'TestCrash' ./internal/registry
 

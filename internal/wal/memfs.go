@@ -146,6 +146,21 @@ func (m *MemFS) Crash() {
 	}
 }
 
+// Durable returns the disk a power cut at this instant leaves when no
+// unsynced byte survives: the namespace as of the last SyncDir, each file
+// cut to its fsynced prefix. It is Crash without a torn tail, taken as a
+// copy that shares nothing with m, which it leaves untouched.
+func (m *MemFS) Durable() *MemFS {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	img := NewMemFS(0)
+	for name, f := range m.dur {
+		c := &memFile{data: append([]byte(nil), f.data[:f.synced]...), synced: f.synced}
+		img.cur[name], img.dur[name] = c, c
+	}
+	return img
+}
+
 // RawFile returns the current bytes of name, for tests and corruption
 // injection.
 func (m *MemFS) RawFile(name string) ([]byte, bool) {

@@ -23,9 +23,13 @@
 // starts a fresh one, so a salvaged torn tail can never be extended into
 // a record boundary confusion. Within a segment the writer never
 // continues past a failed write either (it rolls the partial frame back,
-// or abandons the segment when even that fails), which is what makes
-// "skip the rest of a damaged segment, keep replaying the next" a sound
-// recovery rule rather than a data-loss gamble.
+// or abandons the segment when even that fails), so the first bad frame
+// ends what a segment holds and recovery drops the rest of it. That loses
+// nothing acked when the damage is a crash's torn tail. Damage at rest can
+// destroy acked records that later ones build on: a bad frame in an
+// earlier segment, or a bad snapshot whose segments were compacted away.
+// Recovery then fails with ErrGap, naming the missing records, rather
+// than replay around the hole.
 package wal
 
 import (
@@ -55,6 +59,11 @@ const (
 
 // ErrTooLarge reports an Append payload over the frame size cap.
 var ErrTooLarge = errors.New("wal: record exceeds max frame size")
+
+// ErrGap reports a log whose intact files do not hold an unbroken run of
+// records: at-rest damage destroyed acked records that later ones build
+// on, so no acked prefix can be recovered without a hole.
+var ErrGap = errors.New("wal: recovered log has a gap")
 
 // Options tunes a Log. The zero value is usable.
 type Options struct {
@@ -149,9 +158,9 @@ type Log struct {
 
 // Open recovers the log state in fs and returns the log plus everything
 // it replayed. Damaged tails are salvaged, damaged snapshots fall back
-// one generation; Open itself writes nothing (the first segment is
-// created lazily by Append), so recovery can never be failed by a disk
-// write fault.
+// one generation, and a hole in the replay fails with ErrGap. Open
+// itself writes nothing (the first segment is created lazily by Append),
+// so recovery can never be failed by a disk write fault.
 func Open(fs FS, opts Options) (*Log, *Recovery, error) {
 	l := &Log{fs: fs, opts: opts.withDefaults()}
 	rec := &Recovery{}
@@ -200,7 +209,10 @@ func Open(fs FS, opts Options) (*Log, *Recovery, error) {
 	sort.Strings(snapNames)
 	l.snaps = snapNames
 
-	// Replay segments in index order, salvaging damaged tails.
+	// Replay segments in index order, salvaging damaged tails. The replay
+	// must continue exactly where the snapshot, then each record, left
+	// off: a missing range is acked records lost to at-rest damage, and
+	// opening past it would recover a state no acked prefix ever had.
 	sort.Strings(segNames) // %016x names sort like their indexes
 	last := rec.Info.SnapshotIndex
 	for _, name := range segNames {
@@ -220,20 +232,24 @@ func Open(fs FS, opts Options) (*Log, *Recovery, error) {
 				rec.Info.DroppedSegments++
 			}
 		}
-		segLast := first - 1
 		for _, r := range records {
-			segLast = r.Index
-			if r.Index <= rec.Info.SnapshotIndex {
+			switch {
+			case r.Index <= rec.Info.SnapshotIndex:
 				continue // already folded into the snapshot
+			case r.Index > last+1:
+				return nil, nil, fmt.Errorf("%w: records %d..%d missing before %s", ErrGap, last+1, r.Index-1, name)
+			case r.Index <= last:
+				// A segment abandoned after a failed rollback can end in a
+				// whole frame that was never acked; the next segment
+				// reuses its index, and that later record is the acked one.
+				rec.Records = rec.Records[:r.Index-rec.Info.SnapshotIndex-1]
 			}
 			rec.Records = append(rec.Records, r)
-			rec.Info.Replayed++
+			last = r.Index
 		}
-		if segLast > last {
-			last = segLast
-		}
-		l.sealed = append(l.sealed, sealedSeg{name: name, first: first, last: segLast})
+		l.sealed = append(l.sealed, sealedSeg{name: name, first: first, last: first - 1 + uint64(len(records))})
 	}
+	rec.Info.Replayed = len(rec.Records)
 	rec.Info.LastIndex = last
 	l.next = last + 1
 	return l, rec, nil
@@ -420,11 +436,14 @@ func (l *Log) Snapshot(data []byte) error {
 	}
 
 	// Compaction. Trim snapshot generations first, then drop only the
-	// segments the OLDEST retained snapshot covers — that keeps the
-	// fallback generation lossless: if the newest snapshot is ever found
-	// corrupt at rest, the older one plus the retained log suffix still
-	// reconstructs every acked record. Failures here never lose data — at
-	// worst a covered file lingers until the next compaction.
+	// segments the OLDEST retained snapshot covers. Once two generations
+	// exist, that keeps a lossless fallback: if the newest snapshot is
+	// found corrupt at rest, the older one plus the retained log suffix
+	// still reconstructs every acked record. The first snapshot has no
+	// fallback: found corrupt, it takes the records only it held with it,
+	// and recovery fails with ErrGap if later ones survive. A failure here
+	// never loses data — at worst a covered file lingers until the next
+	// compaction.
 	l.sealActive()
 	removed := false
 	for len(l.snaps) > l.opts.KeepSnapshots {

@@ -2,146 +2,89 @@ package workflow
 
 import (
 	"context"
-	"os"
-	"strconv"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 
 	"soc/internal/wal"
+	"soc/internal/wal/waltest"
 )
 
-// The workflow-journal crash-point corpus: one full instance of the
-// everything definition is journaled to a single WAL segment, then the
-// segment is truncated at every byte offset and bit-flipped at every
-// byte. Recovery from each damaged image must yield a journal the
-// orchestrator can drive to a clean terminal state — replay forward or
-// compensate — without ever re-issuing a non-idempotent invoke whose
-// durable evidence says it may already have happened.
-
-// crashStride spreads the sweep: `go test` samples every 7th offset to
-// stay fast, `make crash` sets WORKFLOW_CRASH_STRIDE=1 for the
-// exhaustive corpus.
-func crashStride(t *testing.T) int {
-	t.Helper()
-	stride := 7
-	if env := os.Getenv("WORKFLOW_CRASH_STRIDE"); env != "" {
-		v, err := strconv.Atoi(env)
-		if err != nil || v < 1 {
-			t.Fatalf("WORKFLOW_CRASH_STRIDE=%q: want a positive integer", env)
-		}
-		stride = v
-	}
-	return stride
-}
-
-// buildCrashImage journals one clean everything instance into a single
-// segment and returns the raw segment bytes and name.
-func buildCrashImage(t *testing.T) (raw []byte, segName string) {
-	t.Helper()
-	inv := newStubInvoker()
-	fs := wal.NewMemFS(23)
-	// Snapshots off: the sweep wants every record as a raw segment frame.
-	o := openOrch(t, fs, inv, Options{SnapshotEvery: -1, WAL: wal.Options{SegmentBytes: 1 << 30}})
-	res, err := o.Start(context.Background(), "wf-1", "everything", initVars())
-	if err != nil {
-		t.Fatalf("corpus run: %v", err)
-	}
-	if res.Status != StatusCompleted {
-		t.Fatalf("corpus run status = %s, want completed", res.Status)
-	}
-	names, err := fs.List()
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if len(names) != 1 {
-		t.Fatalf("corpus spans %d files %v, want a single segment", len(names), names)
-	}
-	segName = names[0]
-	var ok bool
-	raw, ok = fs.RawFile(segName)
-	if !ok {
-		t.Fatalf("segment %s missing", segName)
-	}
-	return raw, segName
-}
-
-// recoverAndSettle opens an orchestrator over the damaged image, derives
-// from the recovered prefix which non-idempotent invokes are unresolved
-// (in flight at the cut), resumes to a terminal state, and asserts the
-// crash-safety properties. Returns the ops the sweep proved were not
-// re-issued, for the caller's accounting.
-func recoverAndSettle(t *testing.T, fs *wal.MemFS, tag string) {
-	t.Helper()
-	inv := newStubInvoker()
-	o := openOrch(t, fs, inv, Options{SnapshotEvery: -1, WAL: wal.Options{SegmentBytes: 1 << 30}})
-	defer func() {
-		//soclint:ignore errdiscard sweep teardown; close failures would have surfaced as append errors
-		_ = o.Close()
-	}()
-	inst := o.lookup("wf-1")
-	if inst == nil {
-		// The cut landed before the begin record survived: no instance,
-		// nothing to resume — a legal (if total) loss of unacked work.
-		return
-	}
-	// From the recovered prefix alone: every non-idempotent invoke with
-	// an unresolved start may already have had its side effect. Resume
-	// must fault into compensation instead of re-issuing it.
-	prior := AuditRecords("wf-1", inst.snapshotRecords())
-	inFlight := map[string]bool{}
-	for key, s := range prior.Starts {
-		if !s.Idempotent && prior.Dones[key] == 0 && prior.StepFaults[key] < s.Count {
-			for _, r := range inst.snapshotRecords() {
-				if r.Kind == "start" && r.Key == key {
-					inFlight[r.Op] = true
+// journalCase is the workflow journal's crash-point corpus: one everything
+// instance. Every image must recover exactly its acked prefix of the
+// journal, or fail naming the gap, and the orchestrator must settle that
+// prefix cleanly, never re-issuing a non-idempotent invoke that may
+// already have happened. `go test` samples every 7th offset; `make crash`
+// sets WORKFLOW_CRASH_STRIDE=1.
+func journalCase(t *testing.T) waltest.Case[*Orchestrator, []Record] {
+	var inv *stubInvoker // the invoker of the tenant opened last
+	return waltest.Case[*Orchestrator, []Record]{
+		Stride: waltest.EnvInt(t, "WORKFLOW_CRASH_STRIDE", 7, 1),
+		Open: func(fs wal.FS) (*Orchestrator, error) {
+			inv = newStubInvoker()
+			return tryOpenOrch(t, fs, inv, Options{WAL: wal.Options{SegmentBytes: 1024}})
+		},
+		Script: func(o *Orchestrator, ack func(error, []Record)) error {
+			// Two snapshots of the pending instance, as it issues Reserve
+			// and Score; the default cadence (64) stays quiet after them, so
+			// the 19 records that follow are the log's tail.
+			var errs []error
+			inv.onInvoke = func(op string) {
+				if op == "Reserve" || op == "Score" {
+					errs = append(errs, o.journal.m.Snapshot())
 				}
 			}
-		}
-	}
-	settle(t, o)
-	a, problems := auditProblems(t, o, "wf-1")
-	if len(problems) != 0 {
-		t.Fatalf("%s: settled instance audits dirty: %v", tag, problems)
-	}
-	if a.Status != StatusCompleted && a.Status != StatusCompensated {
-		t.Fatalf("%s: settled status = %s, want a terminal state", tag, a.Status)
-	}
-	for op := range inFlight {
-		if n := inv.opCount(op); n != 0 {
-			t.Fatalf("%s: non-idempotent %s was in flight at the crash yet re-issued %d times", tag, op, n)
-		}
-	}
-	if len(inFlight) > 0 && a.Status != StatusCompensated {
-		t.Fatalf("%s: in-flight non-idempotent invoke must force compensation, got %s", tag, a.Status)
+			res, err := o.Start(context.Background(), "wf-1", "everything", initVars())
+			if err == nil && res.Status != StatusCompleted {
+				err = fmt.Errorf("status = %s, want completed", res.Status)
+			}
+			recs := o.lookup("wf-1").snapshotRecords()
+			for k := range recs {
+				ack(nil, recs[:k+1])
+			}
+			return errors.Join(append(errs, err)...)
+		},
+		Check: func(o *Orchestrator, want []Record) error {
+			var got []Record
+			for _, id := range o.Instances() {
+				got = append(got, o.lookup(id).snapshotRecords()...)
+			}
+			// As JSON, so a number reads the same decoded or live.
+			g, _ := json.Marshal(got)
+			if w, _ := json.Marshal(want); string(g) != string(w) {
+				return fmt.Errorf("recovered %s, want the acked prefix %s", g, w)
+			}
+			// A non-idempotent invoke started but unresolved in the prefix
+			// may have had its side effect: resume must compensate instead.
+			inFlight := map[string]Record{}
+			for _, r := range got {
+				switch {
+				case r.Kind == recStart && !r.Idempotent:
+					inFlight[r.Inst+r.Key] = r
+				case r.Kind == recDone || r.Kind == recStepFault:
+					delete(inFlight, r.Inst+r.Key)
+				}
+			}
+			settle(t, o)
+			for id, a := range o.Audits() {
+				if p := a.Problems(); len(p) != 0 || a.Status != StatusCompleted && a.Status != StatusCompensated {
+					return fmt.Errorf("settled %s is %s with problems %v, want a clean terminal state", id, a.Status, p)
+				}
+			}
+			for _, r := range inFlight {
+				if a, _ := o.Audit(r.Inst); inv.opCount(r.Op) != 0 || a.Status != StatusCompensated {
+					return fmt.Errorf("non-idempotent %s was in flight at the crash, yet was re-issued %d times and %s is %s",
+						r.Op, inv.opCount(r.Op), r.Inst, a.Status)
+				}
+			}
+			return nil
+		},
 	}
 }
 
-// TestCrashWorkflowJournalTruncation cuts the journal at every byte
-// offset — a torn write that persisted exactly that prefix — and proves
-// recovery always reaches a clean terminal state with no duplicated
-// side effect.
-func TestCrashWorkflowJournalTruncation(t *testing.T) {
-	raw, segName := buildCrashImage(t)
-	stride := crashStride(t)
-	for cut := 0; cut <= len(raw); cut += stride {
-		fs := wal.NewMemFS(int64(cut))
-		fs.WriteDurable(segName, raw[:cut])
-		recoverAndSettle(t, fs, "cut="+strconv.Itoa(cut))
-	}
-}
+func TestCrashWorkflowJournalTruncation(t *testing.T) { waltest.Run(t, journalCase(t), waltest.Cut) }
 
-// TestCrashWorkflowJournalBitFlip flips one bit in every byte of the
-// journal image. The WAL's checksums turn the flip into a salvage point;
-// the orchestrator must treat whatever survives as the acked prefix and
-// still settle cleanly.
-func TestCrashWorkflowJournalBitFlip(t *testing.T) {
-	raw, segName := buildCrashImage(t)
-	stride := crashStride(t)
-	for off := 0; off < len(raw); off += stride {
-		fs := wal.NewMemFS(int64(off))
-		fs.WriteDurable(segName, raw)
-		if err := fs.FlipBit(segName, off); err != nil {
-			t.Fatalf("off=%d: FlipBit: %v", off, err)
-		}
-		recoverAndSettle(t, fs, "flip="+strconv.Itoa(off))
-	}
-}
+func TestCrashWorkflowJournalBitFlip(t *testing.T) { waltest.Run(t, journalCase(t), waltest.Flip) }
+
+func TestCrashWorkflowJournalPowerCut(t *testing.T) { waltest.Run(t, journalCase(t), waltest.PowerCut) }

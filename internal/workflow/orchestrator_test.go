@@ -27,6 +27,8 @@ type stubInvoker struct {
 	comps    map[string]int // compensator name -> executions
 	fail     map[string]string
 	failOnce map[string]string
+	// onInvoke, when set, runs as each call arrives.
+	onInvoke func(op string)
 }
 
 func newStubInvoker() *stubInvoker {
@@ -40,6 +42,9 @@ func newStubInvoker() *stubInvoker {
 }
 
 func (s *stubInvoker) Invoke(_ context.Context, _, op string, args map[string]any) (map[string]any, error) {
+	if s.onInvoke != nil {
+		s.onInvoke(op)
+	}
 	buf, _ := json.Marshal(args) // map keys sort: stable across int/float round trips
 	s.mu.Lock()
 	s.ops[op]++
@@ -174,18 +179,27 @@ func mustWorkflow(t *testing.T, name string, root Activity) *Workflow {
 
 func openOrch(t *testing.T, fs wal.FS, inv *stubInvoker, opts Options) *Orchestrator {
 	t.Helper()
-	if !opts.Deterministic {
-		opts.Deterministic = true
-	}
-	o, err := OpenOrchestrator(fs, opts)
+	o, err := tryOpenOrch(t, fs, inv, opts)
 	if err != nil {
 		t.Fatalf("OpenOrchestrator: %v", err)
+	}
+	return o
+}
+
+// tryOpenOrch opens a deterministic orchestrator over fs with the
+// everything definition and its compensators bound to inv.
+func tryOpenOrch(t *testing.T, fs wal.FS, inv *stubInvoker, opts Options) (*Orchestrator, error) {
+	t.Helper()
+	opts.Deterministic = true
+	o, err := OpenOrchestrator(fs, opts)
+	if err != nil {
+		return nil, err
 	}
 	o.Define(mustWorkflow(t, "everything", everythingRoot(inv)))
 	for _, name := range []string{"release", "uncommit", "log-undo"} {
 		o.DefineCompensator(name, inv.compensator(name))
 	}
-	return o
+	return o, nil
 }
 
 func initVars() map[string]any {
