@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -11,13 +12,50 @@ import (
 
 	"soc/internal/faultinject"
 	"soc/internal/wal"
-	"soc/internal/wal/waltest"
 )
 
-func openTenant(t *testing.T, fs wal.FS, every int) (*wal.Machine[string, []string], *waltest.List) {
+// tenant is the smallest durable state: the list of records applied, in
+// order. Its snapshot is the list itself.
+type tenant struct {
+	mu       sync.Mutex
+	applied  []string
+	restored []string
+}
+
+func (tn *tenant) handler() wal.Handler[string, []string] {
+	return wal.Handler[string, []string]{
+		Apply: func(r string) error {
+			// Yield first: an apply that takes a while is what a snapshot
+			// racing the append-to-apply window would land in.
+			runtime.Gosched()
+			tn.mu.Lock()
+			defer tn.mu.Unlock()
+			tn.applied = append(tn.applied, r)
+			return nil
+		},
+		Restore: func(s []string) error {
+			tn.restored = s
+			tn.applied = slices.Clone(s)
+			return nil
+		},
+		State: func() []string {
+			tn.mu.Lock()
+			defer tn.mu.Unlock()
+			return slices.Clone(tn.applied)
+		},
+	}
+}
+
+func (tn *tenant) state() []string {
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	return slices.Clone(tn.applied)
+}
+
+func openTenant(t *testing.T, fs wal.FS, every int) (*wal.Machine[string, []string], *tenant) {
 	t.Helper()
-	tn := &waltest.List{}
-	m, err := wal.OpenMachine(fs, wal.Options{}, every, tn.Handler())
+	tn := &tenant{}
+	m, err := wal.OpenMachine(fs, wal.Options{}, every, tn.handler())
 	if err != nil {
 		t.Fatalf("OpenMachine: %v", err)
 	}
@@ -65,12 +103,12 @@ func TestMachineFailedAppendNeverApplies(t *testing.T) {
 		if len(acked) == 40 || len(acked) == 0 {
 			t.Fatalf("seed %d: %d of 40 appends acked; the plan injected nothing useful", seed, len(acked))
 		}
-		if got := tn.State(); !slices.Equal(got, acked) {
+		if got := tn.state(); !slices.Equal(got, acked) {
 			t.Fatalf("seed %d: applied %v, acked %v", seed, got, acked)
 		}
 		mem.Crash()
 		_, tn2 := openTenant(t, mem, 4)
-		if got := tn2.State(); !slices.Equal(got, acked) {
+		if got := tn2.state(); !slices.Equal(got, acked) {
 			t.Fatalf("seed %d: recovered %v, acked %v", seed, got, acked)
 		}
 	}
@@ -175,10 +213,10 @@ func TestMachineRecoverySnapshotPlusSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, tn := openTenant(t, fs, -1)
-	if !slices.Equal(tn.Restored, []string{"a", "b", "c"}) {
-		t.Fatalf("restored %v, want [a b c]", tn.Restored)
+	if !slices.Equal(tn.restored, []string{"a", "b", "c"}) {
+		t.Fatalf("restored %v, want [a b c]", tn.restored)
 	}
-	if got := tn.State(); !slices.Equal(got, []string{"a", "b", "c", "d", "e"}) {
+	if got := tn.state(); !slices.Equal(got, []string{"a", "b", "c", "d", "e"}) {
 		t.Fatalf("recovered %v, want [a b c d e]", got)
 	}
 	if info := m2.Recovery(); info.SnapshotIndex != 3 || info.Replayed != 2 || info.LastIndex != 5 {
@@ -196,7 +234,7 @@ func TestMachineOpenFailureClosesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	refuse := (&waltest.List{}).Handler()
+	refuse := (&tenant{}).handler()
 	apply := refuse.Apply
 	refuse.Apply = func(r string) error {
 		if r == "poison" {
@@ -207,8 +245,8 @@ func TestMachineOpenFailureClosesLog(t *testing.T) {
 	if _, err := wal.OpenMachine(fs, wal.Options{}, -1, refuse); err == nil || !strings.Contains(err.Error(), "record 2") {
 		t.Fatalf("OpenMachine over a refused record: err = %v", err)
 	}
-	if _, tn := openTenant(t, fs, -1); !slices.Equal(tn.State(), []string{"ok", "poison"}) {
-		t.Fatalf("reopen recovered %v", tn.State())
+	if _, tn := openTenant(t, fs, -1); !slices.Equal(tn.state(), []string{"ok", "poison"}) {
+		t.Fatalf("reopen recovered %v", tn.state())
 	}
 }
 
@@ -292,11 +330,11 @@ func TestMachineHammer(t *testing.T) {
 	mem.Crash()
 	m2, tn2 := openTenant(t, mem, 5)
 	recovered := map[string]bool{}
-	for _, r := range tn2.State() {
+	for _, r := range tn2.state() {
 		recovered[r] = true
 	}
-	if len(recovered) != goroutines*perG || len(tn.State()) != goroutines*perG {
-		t.Errorf("recovered %d distinct records, applied %d, acked %d", len(recovered), len(tn.State()), goroutines*perG)
+	if len(recovered) != goroutines*perG || len(tn.state()) != goroutines*perG {
+		t.Errorf("recovered %d distinct records, applied %d, acked %d", len(recovered), len(tn.state()), goroutines*perG)
 	}
 	for _, recs := range acked {
 		for _, r := range recs {

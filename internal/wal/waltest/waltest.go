@@ -54,6 +54,7 @@ type damage struct {
 	acked    int    // the records recovery must keep
 	gap      string // when set, the "records a..b" the open must fail naming
 	dropped  int64  // the bytes it must discard from a damaged segment
+	badSegs  int    // the segments it must drop whole, their header damaged
 	badSnaps int    // the snapshot generations it must skip
 }
 
@@ -126,18 +127,21 @@ func (c Case[T, S]) recover(states []S, d damage) error {
 	l, rec, logErr := wal.Open(d.img.Durable(), wal.Options{})
 	tn, err := c.Open(d.img)
 	if d.gap != "" {
-		if errors.Is(err, wal.ErrGap) && strings.Contains(err.Error(), d.gap) {
-			return nil
+		for _, err := range []error{logErr, err} {
+			if !errors.Is(err, wal.ErrGap) || !strings.Contains(err.Error(), d.gap) {
+				return fmt.Errorf("%s: open err = %v, want a gap naming %s", d.where, err, d.gap)
+			}
 		}
-		return fmt.Errorf("%s: open err = %v, want a gap naming %s", d.where, err, d.gap)
+		return nil
 	}
 	if err = errors.Join(err, logErr); err == nil {
 		// The log's salvage report accounts for exactly the damage, and
 		// the log stays writable, its next record right after the prefix.
 		info := rec.Info
 		switch idx, aerr := l.Append(nil); {
-		case info.DroppedBytes != d.dropped || info.BadSnapshots != d.badSnaps || info.Salvaged != (d.dropped > 0 || d.badSnaps > 0):
-			err = fmt.Errorf("log recovery %s, want dropped=%d badsnaps=%d", info, d.dropped, d.badSnaps)
+		case info.DroppedBytes != d.dropped || info.DroppedSegments != d.badSegs || info.BadSnapshots != d.badSnaps ||
+			info.Salvaged != (d.dropped > 0 || d.badSnaps > 0):
+			err = fmt.Errorf("log recovery %s, want dropped=%d dropsegs=%d badsnaps=%d", info, d.dropped, d.badSegs, d.badSnaps)
 		case aerr != nil || idx != uint64(d.acked)+1:
 			err = fmt.Errorf("post-recovery append = %d, %v; want index %d", idx, aerr, d.acked+1)
 		default:
@@ -179,7 +183,8 @@ func (r *recorder) expect(names []string, s Sweep, file string, off, size int) d
 		d.badSnaps = 1
 	}
 	// A damaged segment keeps its bytes up to its last sync at or before
-	// the damage, the header's included; recovery drops the rest.
+	// the damage, the header's included; recovery drops the rest, and the
+	// whole segment when the damage is in its header.
 	if bounds := r.bounds[file]; len(bounds) > 0 {
 		keep := 0
 		for _, b := range bounds {
@@ -190,6 +195,9 @@ func (r *recorder) expect(names []string, s Sweep, file string, off, size int) d
 		d.dropped = int64(off - keep)
 		if s == Flip {
 			d.dropped = int64(size - keep)
+		}
+		if keep == 0 && d.dropped > 0 {
+			d.badSegs = 1
 		}
 	}
 	return d
