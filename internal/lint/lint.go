@@ -492,6 +492,7 @@ func DefaultAnalyzers() []*Analyzer {
 		LockSafe,
 		NoClientLiteral,
 		PoolReset,
+		UnsafeImport,
 	}
 }
 

@@ -103,6 +103,7 @@ func TestGoldenFixtures(t *testing.T) {
 		{"clockdiscipline", func(p string) Config { return Config{ClockScope: []string{p}} }},
 		{"ctxpropagate", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
 		{"noclientliteral", func(string) Config { return Config{} }},
+		{"unsafeimport", func(string) Config { return Config{} }},
 		{"poolreset", func(string) Config { return Config{} }},
 		{"fsyncdiscipline", func(p string) Config { return Config{DurableScope: []string{p}} }},
 		{"locksafe", func(p string) Config {

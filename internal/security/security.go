@@ -12,23 +12,26 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
+	"crypto/pbkdf2"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"maps"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ErrAuth reports failed authentication or verification.
@@ -41,19 +44,32 @@ var ErrDenied = errors.New("security: access denied")
 // given iteration count (RFC 2898 §5.2).
 //
 // The HMAC is built here from RFC 2104's pads: each pad block is hashed
-// once per derivation and its SHA-256 midstate saved. U₁ of each output
-// block is an ordinary HMAC from those midstates (the salt is any
-// length). From U₂ on, the inner and the outer message are both one
-// 32-byte value after one pad block, so their last block is always
-// U‖0x80‖0…‖BE64(768): a round restores a midstate, compresses that one
-// block and reads the chaining value back as the digest, twice, then
-// XORs. No Sum, padding write or digest copy per round; four
-// allocations per call (the scratch kernel, its two digests and the
-// output), none per round. Nothing outlives the call: a cache of keys
-// or midstates would keep key-equivalent secrets alive.
+// once per derivation and its SHA-256 midstate, the eight chaining
+// words, saved. U₁ of each output block is an ordinary HMAC from those
+// midstates (the salt is any length). From U₂ on, the inner and the
+// outer message are both one 32-byte value after one pad block, so
+// their last block is always U‖0x80‖0…‖BE64(768): a round sets the
+// digest's chaining words to a midstate, compresses that one block in
+// one Write and reads the words back as the digest, twice, then XORs.
+// The words are reached through digestState, a view of the stdlib
+// digest whose layout is proved once at init; where the proof fails
+// (another toolchain, boringcrypto) PBKDF2 is crypto/pbkdf2.Key. Three
+// allocations per call on the direct path (the scratch kernel, its
+// digest and the output), none per round. Nothing outlives the call: a
+// cache of keys or midstates would keep key-equivalent secrets alive.
 func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 	if iterations < 1 || keyLen < 1 {
 		return nil
+	}
+	if !digestView {
+		// The stdlib refuses only what this package never asks for (a
+		// key past 2³²−1 blocks, FIPS-only mode's minimums); nil makes
+		// every caller fail closed.
+		dk, err := pbkdf2.Key(sha256.New, string(password), salt, iterations, keyLen)
+		if err != nil {
+			return nil
+		}
+		return dk
 	}
 	const hashLen = sha256.Size
 	blocks := (keyLen + hashLen - 1) / hashLen
@@ -62,13 +78,13 @@ func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 	u := k.block[:hashLen]
 	for i := 1; i <= blocks; i++ {
 		binary.BigEndian.PutUint32(k.counter[:], uint32(i))
-		k.inner.restore()
-		k.inner.h.Write(salt)
-		k.inner.h.Write(k.counter[:])
-		k.inner.h.Sum(u[:0])
-		k.outer.restore()
-		k.outer.h.Write(u)
-		k.outer.h.Sum(u[:0])
+		k.restore(&k.inner)
+		k.d.Write(salt)
+		k.d.Write(k.counter[:])
+		k.d.Sum(u[:0])
+		k.restore(&k.outer)
+		k.d.Write(u)
+		k.d.Sum(u[:0])
 		t := out[(i-1)*hashLen : i*hashLen]
 		copy(t, u)
 		for n := 1; n < iterations; n++ {
@@ -80,36 +96,69 @@ func PBKDF2(password, salt []byte, iterations, keyLen int) []byte {
 	return out[:keyLen]
 }
 
-// midstateLen is the size of a marshalled SHA-256 state: the "sha\x03"
-// magic, the eight chaining words, the 64-byte block buffer and the
-// message length, all big-endian.
-const midstateLen = 4 + sha256.Size + sha256.BlockSize + 8
+// digestState mirrors the stdlib SHA-256 digest's fields
+// (crypto/internal/fips140/sha256.Digest as of go1.24): the chaining
+// words, the partial-block buffer and its fill, the message length and
+// the SHA-224 flag. PBKDF2 touches h, nx and len only, and only through
+// a digest whose layout digestLayoutMatches has checked field by field.
+type digestState struct {
+	h     [8]uint32
+	x     [sha256.BlockSize]byte
+	nx    int
+	len   uint64
+	is224 bool
+}
 
-// midstate is a SHA-256 digest that has absorbed one HMAC pad block, and
-// the state saved right after it.
-type midstate struct {
-	h     hash.Hash
-	load  encoding.BinaryUnmarshaler
-	store encoding.BinaryAppender
-	saved [midstateLen]byte
+// digestView records, once per process, whether sha256.New's digest has
+// digestState's layout. Tests clear it to run the crypto/pbkdf2 fallback.
+var digestView = digestLayoutMatches(reflect.TypeOf(sha256.New()))
+
+// digestLayoutMatches reports whether t is a pointer to a struct with
+// exactly digestState's fields: the same names in the same order, at
+// the same offsets, of the same kinds and sizes (array element kinds and
+// lengths included), in a struct of the same size.
+func digestLayoutMatches(t reflect.Type) bool {
+	if t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
+		return false
+	}
+	got, want := t.Elem(), reflect.TypeFor[digestState]()
+	if got.Size() != want.Size() || got.NumField() != want.NumField() {
+		return false
+	}
+	for i := range want.NumField() {
+		g, w := got.Field(i), want.Field(i)
+		if g.Name != w.Name || g.Offset != w.Offset ||
+			g.Type.Kind() != w.Type.Kind() || g.Type.Size() != w.Type.Size() {
+			return false
+		}
+		if w.Type.Kind() == reflect.Array &&
+			(g.Type.Len() != w.Type.Len() || g.Type.Elem().Kind() != w.Type.Elem().Kind()) {
+			return false
+		}
+	}
+	return true
 }
 
 // pbkdf2Kernel is one derivation's scratch, allocated once per PBKDF2
-// call and dropped with it. Everything a digest reads or writes through
-// its interface lives here, so nothing else escapes.
+// call and dropped with it: one digest, seen twice (as a hash.Hash to
+// Write and Sum through, as a digestState to set and read its chaining
+// words), and the two saved midstates.
 type pbkdf2Kernel struct {
-	inner, outer midstate
+	d            hash.Hash
+	state        *digestState
+	inner, outer [8]uint32
 	pad          [sha256.BlockSize]byte
 	counter      [4]byte // INT(i), the output block index after the salt
 	// block is the final padded block of every hash from round 2 on:
 	// U‖0x80‖0…‖BE64(768 bits = pad block + U). U is overwritten in place.
 	block [sha256.BlockSize]byte
-	// sum receives AppendBinary's read-back of a compressed state.
-	sum [midstateLen]byte
 }
 
 func newPBKDF2Kernel(password []byte) *pbkdf2Kernel {
 	k := new(pbkdf2Kernel)
+	k.d = sha256.New()
+	//soclint:ignore unsafeimport digestLayoutMatches proved at init that this digest has digestState's layout; PBKDF2 takes this path only then
+	k.state = (*digestState)(reflect.ValueOf(k.d).UnsafePointer())
 	key := password
 	if len(key) > sha256.BlockSize {
 		sum := sha256.Sum256(key)
@@ -119,46 +168,41 @@ func newPBKDF2Kernel(password []byte) *pbkdf2Kernel {
 	for i := range k.pad {
 		k.pad[i] ^= 0x36
 	}
-	k.inner.key(k.pad[:])
+	k.key(&k.inner)
 	for i := range k.pad {
 		k.pad[i] ^= 0x36 ^ 0x5c
 	}
-	k.outer.key(k.pad[:])
+	k.key(&k.outer)
 	k.block[sha256.Size] = 0x80
 	binary.BigEndian.PutUint64(k.block[sha256.BlockSize-8:], 8*(sha256.BlockSize+sha256.Size))
 	return k
 }
 
-// key hashes one pad block into a fresh digest and saves its midstate.
-func (m *midstate) key(pad []byte) {
-	d := sha256.New()
-	m.h, m.load, m.store = d, d.(encoding.BinaryUnmarshaler), d.(encoding.BinaryAppender)
-	m.h.Write(pad)
-	st, err := m.store.AppendBinary(m.saved[:0])
-	if err != nil || len(st) != midstateLen || string(st[:4]) != "sha\x03" {
-		panic("security: unexpected sha256 state format")
-	}
+// key hashes k.pad from the initial state and saves the chaining words
+// in m.
+func (k *pbkdf2Kernel) key(m *[8]uint32) {
+	k.d.Reset()
+	k.d.Write(k.pad[:])
+	*m = k.state.h
 }
 
-// restore rewinds the digest to the saved midstate. The state is one we
-// marshalled ourselves, so failing to load it is a programming error.
-func (m *midstate) restore() {
-	if err := m.load.UnmarshalBinary(m.saved[:]); err != nil {
-		panic(err)
-	}
+// restore rewinds the digest to midstate m: one pad block absorbed,
+// nothing buffered.
+func (k *pbkdf2Kernel) restore(m *[8]uint32) {
+	k.state.h = *m
+	k.state.nx = 0
+	k.state.len = sha256.BlockSize
 }
 
-// compress computes one hash of a round: restore m's midstate, compress
-// the pre-padded k.block in one Write, and read the chaining value —
-// bytes [4:36] of the saved state, the big-endian digest — back over U.
-func (k *pbkdf2Kernel) compress(m *midstate) {
-	m.restore()
-	m.h.Write(k.block[:])
-	st, err := m.store.AppendBinary(k.sum[:0])
-	if err != nil {
-		panic(err)
+// compress computes one hash of a round: restore midstate m, compress
+// the pre-padded k.block in one Write, and write the chaining words —
+// the digest, big-endian — back over U.
+func (k *pbkdf2Kernel) compress(m *[8]uint32) {
+	k.restore(m)
+	k.d.Write(k.block[:])
+	for i, w := range k.state.h {
+		binary.BigEndian.PutUint32(k.block[4*i:], w)
 	}
-	copy(k.block[:sha256.Size], st[4:4+sha256.Size])
 }
 
 // DefaultIterations is the password-hash work factor.
@@ -226,7 +270,7 @@ var DefaultPolicy = PasswordPolicy{MinLength: 8, RequireUpper: true, RequireLowe
 // otherwise.
 func (p PasswordPolicy) Check(password string) error {
 	var problems []string
-	if len(password) < p.MinLength {
+	if utf8.RuneCountInString(password) < p.MinLength {
 		problems = append(problems, fmt.Sprintf("shorter than %d characters", p.MinLength))
 	}
 	var upper, lower, digit, special bool
@@ -464,24 +508,55 @@ func Decrypt(passphrase, encoded string) ([]byte, error) {
 // RandomString returns n characters drawn uniformly from alphabet (the
 // repository's "random string / strong password generation service").
 func RandomString(n int, alphabet string) (string, error) {
+	return randomString(nil, n, alphabet)
+}
+
+// randomString is RandomString drawing its bytes from src, or from
+// crypto/rand when src is nil. It draws all n bytes at once into the
+// output, then re-draws only the positions that rejection sampling
+// turned down. Up to 64 characters the output buffer stays on the
+// stack, so the returned string is the one allocation.
+func randomString(src io.Reader, n int, alphabet string) (string, error) {
 	if n <= 0 || len(alphabet) == 0 || len(alphabet) > 256 {
 		return "", fmt.Errorf("security: bad random string spec n=%d alphabet=%d", n, len(alphabet))
 	}
-	out := make([]byte, n)
-	// Rejection sampling for uniformity.
+	var stack [64]byte
+	out := stack[:]
+	if n > len(stack) {
+		out = make([]byte, n)
+	}
+	out = out[:n]
+	if err := drawRandom(src, out); err != nil {
+		return "", err
+	}
+	// Rejection sampling for uniformity: a byte at or past limit would
+	// favour the alphabet's first 256 % len(alphabet) characters.
 	limit := 256 - (256 % len(alphabet))
-	buf := make([]byte, 1)
-	for i := 0; i < n; {
-		if _, err := rand.Read(buf); err != nil {
-			return "", err
+	for i := range out {
+		for int(out[i]) >= limit {
+			if err := drawRandom(src, out[i:i+1]); err != nil {
+				return "", err
+			}
 		}
-		if int(buf[0]) >= limit {
-			continue
-		}
-		out[i] = alphabet[int(buf[0])%len(alphabet)]
-		i++
+		out[i] = alphabet[int(out[i])%len(alphabet)]
 	}
 	return string(out), nil
+}
+
+// drawRandom fills b from src, or from crypto/rand when src is nil.
+// A non-nil src reads into a copy, so b never escapes through the
+// interface call and a caller's stack buffer stays on the stack.
+func drawRandom(src io.Reader, b []byte) error {
+	if src == nil {
+		_, err := rand.Read(b)
+		return err
+	}
+	tmp := make([]byte, len(b))
+	if _, err := io.ReadFull(src, tmp); err != nil {
+		return fmt.Errorf("security: entropy: %w", err)
+	}
+	copy(b, tmp)
+	return nil
 }
 
 // Alphabets for RandomString.

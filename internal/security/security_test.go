@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,6 +146,62 @@ func TestSeedGoldens(t *testing.T) {
 	}
 }
 
+// TestDigestLayout pins the direct path on the toolchain go.mod names:
+// if a Go release reshapes the stdlib digest, PBKDF2 would still be
+// correct but would quietly fall back to crypto/pbkdf2, and this fails
+// instead. The proof itself must turn down near misses.
+func TestDigestLayout(t *testing.T) {
+	if !digestView {
+		t.Fatalf("on %s, sha256.New's digest no longer has digestState's layout: PBKDF2 runs the crypto/pbkdf2 fallback", runtime.Version())
+	}
+	type renamed struct {
+		hash  [8]uint32
+		x     [sha256.BlockSize]byte
+		nx    int
+		len   uint64
+		is224 bool
+	}
+	type bytesForWords struct {
+		h     [32]byte
+		x     [sha256.BlockSize]byte
+		nx    int
+		len   uint64
+		is224 bool
+	}
+	type reordered struct {
+		h     [8]uint32
+		x     [sha256.BlockSize]byte
+		len   uint64
+		nx    int
+		is224 bool
+	}
+	for name, typ := range map[string]reflect.Type{
+		"the mirror itself":   reflect.TypeOf(&digestState{}),
+		"not a pointer":       reflect.TypeOf(digestState{}),
+		"renamed field":       reflect.TypeOf(&renamed{}),
+		"same size, bytes":    reflect.TypeOf(&bytesForWords{}),
+		"swapped same-size":   reflect.TypeOf(&reordered{}),
+		"an HMAC, not SHA256": reflect.TypeOf(hmac.New(sha256.New, nil)),
+	} {
+		if got, want := digestLayoutMatches(typ), name == "the mirror itself"; got != want {
+			t.Errorf("digestLayoutMatches(%s) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestPBKDF2Fallback reruns the vectors, the differential property and
+// the at-rest goldens with the layout proof taken as failed, so the
+// crypto/pbkdf2 path a future toolchain may take is held to the same
+// bytes.
+func TestPBKDF2Fallback(t *testing.T) {
+	defer func(v bool) { digestView = v }(digestView)
+	digestView = false
+	t.Run("KnownVectors", TestPBKDF2KnownVectors)
+	t.Run("MatchesReference", TestPBKDF2MatchesReference)
+	t.Run("SeedGoldens", TestSeedGoldens)
+	t.Run("BadInputs", TestPBKDF2BadInputs)
+}
+
 func TestPBKDF2BadInputs(t *testing.T) {
 	if PBKDF2([]byte("p"), []byte("s"), 0, 32) != nil {
 		t.Error("zero iterations accepted")
@@ -198,6 +256,8 @@ func TestPasswordPolicy(t *testing.T) {
 		"no uppercase": "alllower1",
 		"no lowercase": "ALLUPPER1",
 		"no digit":     "NoDigitsHere",
+		// Seven characters in twelve bytes: the minimum counts runes.
+		"multibyte short": "Ééééé1a",
 	}
 	for why, pw := range weak {
 		if err := p.Check(pw); err == nil {
@@ -357,6 +417,35 @@ func TestRandomString(t *testing.T) {
 	}
 	if _, err := RandomString(5, ""); err == nil {
 		t.Error("empty alphabet accepted")
+	}
+	long, err := RandomString(300, AlphabetPassword)
+	if err != nil || len(long) != 300 {
+		t.Fatalf("RandomString(300): %d chars, %v", len(long), err)
+	}
+}
+
+// TestRandomStringRejects scripts the entropy source: all n bytes are
+// drawn at once, every byte at or past limit is skipped, and only the
+// rejected positions draw again, in order.
+func TestRandomStringRejects(t *testing.T) {
+	// "abc": limit 255, so only 0xff is rejected. Position 1 is
+	// rejected twice, position 3 once.
+	src := bytes.NewReader([]byte{0, 0xff, 4, 0xff, 0xff, 5, 7})
+	got, err := randomString(src, 4, "abc")
+	if err != nil || got != "acbb" || src.Len() != 0 {
+		t.Errorf("randomString = %q, %v with %d bytes unread; want \"acbb\" and all 7 read", got, err, src.Len())
+	}
+	// AlphabetAlnum: 62 characters, limit 248, so 248–255 are rejected.
+	// Positions 1 and 2 are rejected; position 1's redraw is too.
+	src = bytes.NewReader([]byte{247, 248, 255, 0, 61, 62, 252, 1, 250, 2})
+	got, err = randomString(src, 6, AlphabetAlnum)
+	const want = "9BCA9A" // 247%62, 1, 2, 0, 61, 62%62
+	if err != nil || got != want || src.Len() != 0 {
+		t.Errorf("randomString = %q, %v with %d bytes unread; want %q", got, err, src.Len(), want)
+	}
+	// A source that runs dry mid-redraw is an error, not a short string.
+	if got, err := randomString(bytes.NewReader([]byte{0, 0xff}), 2, "abc"); err == nil {
+		t.Errorf("exhausted source gave %q, nil", got)
 	}
 }
 
