@@ -125,6 +125,11 @@ func run() error {
 		naiveFail, *calls, 100*float64(naiveFail)/float64(*calls), injA)
 
 	// --- Resilient client across all three replicas. ---
+	urls := []string{urlA, urlB, urlC}
+	hc, err := reliability.NewHealthChecker(reliability.HealthCheckerConfig{Interval: 50 * time.Millisecond}, urls...)
+	if err != nil {
+		return err
+	}
 	rc, err := host.NewResilientClient(host.Policy{
 		Timeout: 2 * time.Second,
 		Retry: reliability.RetryPolicy{
@@ -135,17 +140,16 @@ func run() error {
 		BreakerThreshold: 8,
 		BreakerCooldown:  50 * time.Millisecond,
 		MaxConcurrent:    32,
-	}, urlA, urlB, urlC)
+		Health:           hc,
+	}, urls...)
 	if err != nil {
 		return err
 	}
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
-	if err := rc.StartHealth(hctx, reliability.HealthCheckerConfig{Interval: 50 * time.Millisecond}); err != nil {
-		return err
-	}
-	defer rc.StopHealth()
-	rc.Health().CheckNow(ctx) // classify the dead replica before traffic
+	hc.Start(hctx)
+	defer hc.Stop()
+	hc.CheckNow(ctx) // classify the dead replica before traffic
 
 	okCount, wrong := 0, 0
 	for i := 0; i < *calls; i++ {
@@ -160,12 +164,12 @@ func run() error {
 		okCount++
 	}
 	attempts, failovers, skipped, _ := rc.Counters()
-	probes, demotions, promotions := rc.Health().Counters()
+	probes, demotions, promotions := hc.Counters()
 	fmt.Printf("resilient client : %3d/%d calls succeeded (%.0f%%), %d wrong answers  [injected on C: %s]\n",
 		okCount, *calls, 100*float64(okCount)/float64(*calls), wrong, injC)
 	fmt.Printf("  reliability    : attempts=%d failovers=%d unhealthy-skips=%d\n", attempts, failovers, skipped)
 	fmt.Printf("  health         : probes=%d demotions=%d promotions=%d healthy=%v\n",
-		probes, demotions, promotions, rc.Health().Healthy())
+		probes, demotions, promotions, hc.Healthy())
 
 	// The health view the checker sees: every host.Host serves /healthz.
 	resp, err := http.Get(urlA + "/healthz")

@@ -216,22 +216,26 @@ func TestIntegrationChaosResilientVsNaive(t *testing.T) {
 	}
 	// Down replica in the middle so failover hops across it and the
 	// demotion skip is observable.
-	rc, err := host.NewResilientClient(policy, srvA.URL, down.URL, srvC.URL)
+	urls := []string{srvA.URL, down.URL, srvC.URL}
+	hc, err := reliability.NewHealthChecker(reliability.HealthCheckerConfig{
+		Interval: 25 * time.Millisecond,
+		OnProbe: func(replica string, up bool, rtt time.Duration) {
+			_ = qr.ObserveProbe(replicaEntry[replica], up, rtt)
+		},
+	}, urls...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy.Health = hc
+	rc, err := host.NewResilientClient(policy, urls...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
-	if err := rc.StartHealth(hctx, reliability.HealthCheckerConfig{
-		Interval: 25 * time.Millisecond,
-		OnProbe: func(replica string, up bool, rtt time.Duration) {
-			_ = qr.ObserveProbe(replicaEntry[replica], up, rtt)
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer rc.StopHealth()
-	rc.Health().CheckNow(ctx) // deterministic: demote the dead replica up front
+	hc.Start(hctx)
+	defer hc.Stop()
+	hc.CheckNow(ctx) // deterministic: demote the dead replica up front
 
 	successes := 0
 	for i := 0; i < calls; i++ {
@@ -260,11 +264,11 @@ func TestIntegrationChaosResilientVsNaive(t *testing.T) {
 	if skipped == 0 {
 		t.Error("demoted dead replica was never skipped")
 	}
-	probes, demotions, _ := rc.Health().Counters()
+	probes, demotions, _ := hc.Counters()
 	if probes == 0 || demotions == 0 {
 		t.Errorf("health counters: probes=%d demotions=%d, want both > 0", probes, demotions)
 	}
-	if rc.Health().IsHealthy(down.URL) {
+	if hc.IsHealthy(down.URL) {
 		t.Error("dead replica still classified healthy")
 	}
 

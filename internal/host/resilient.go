@@ -52,6 +52,11 @@ type Policy struct {
 	// vtime.Virtual here (and threads the same clock via context for the
 	// retry/timeout layers) so breaker recovery happens in virtual time.
 	Clock vtime.Clock
+	// Health, when set, is the checker whose classification failover
+	// consults: demoted replicas are skipped while any replica is healthy.
+	// The caller builds it over the same replica URLs, starts it (or
+	// drives Check/CheckNow on a schedule) and stops it.
+	Health *reliability.HealthChecker
 }
 
 func (p Policy) withDefaults() Policy {
@@ -100,7 +105,6 @@ type ResilientClient struct {
 	replicas []*replica
 	byURL    map[string]*replica
 	chain    callplane.Transport
-	health   *reliability.HealthChecker
 
 	attempts  atomic.Uint64 // individual replica attempts
 	failovers atomic.Uint64 // attempts beyond the first within one pass
@@ -140,38 +144,32 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 		return nil, err
 	}
 	tr := policy.Tracer
+	fopts := callplane.FailoverOptions{
+		SkipErr: func(u string) error {
+			return fmt.Errorf("%w: %s", ErrReplicaUnhealthy, u)
+		},
+		OnHop: func(ctx context.Context, inv *callplane.Invocation) {
+			rc.failovers.Add(1)
+		},
+		OnSkip: func(ctx context.Context, inv *callplane.Invocation) {
+			rc.skipped.Add(1)
+			tr.Event(telemetry.SpanContextOf(ctx), telemetry.KindClient, "skip", "replica", inv.Target)
+		},
+		OnAttempt: func(ctx context.Context, inv *callplane.Invocation) {
+			rc.attempts.Add(1)
+		},
+	}
+	if hc := policy.Health; hc != nil {
+		fopts.Healthy = hc.IsHealthy
+		// When the checker says nothing is healthy, try everything — the
+		// checker may be stale, and a long-shot beats a guaranteed failure.
+		fopts.AnyHealthy = func() bool { return len(hc.Healthy()) > 0 }
+	}
 	rc.chain = callplane.Chain(callplane.Terminal,
 		callplane.WithSpan(tr, telemetry.KindClient),
 		callplane.WithBulkhead(bh),
 		callplane.WithRetry(policy.Retry),
-		callplane.WithFailover(fo, callplane.FailoverOptions{
-			// The health view is consulted through rc.health at call time:
-			// StartHealth attaches the checker after construction.
-			Healthy: func(u string) bool {
-				h := rc.health
-				return h == nil || h.IsHealthy(u)
-			},
-			// When the checker says nothing is healthy, try everything —
-			// the checker may be stale, and a long-shot beats a
-			// guaranteed failure.
-			AnyHealthy: func() bool {
-				h := rc.health
-				return h == nil || len(h.Healthy()) > 0
-			},
-			SkipErr: func(u string) error {
-				return fmt.Errorf("%w: %s", ErrReplicaUnhealthy, u)
-			},
-			OnHop: func(ctx context.Context, inv *callplane.Invocation) {
-				rc.failovers.Add(1)
-			},
-			OnSkip: func(ctx context.Context, inv *callplane.Invocation) {
-				rc.skipped.Add(1)
-				tr.Event(telemetry.SpanContextOf(ctx), telemetry.KindClient, "skip", "replica", inv.Target)
-			},
-			OnAttempt: func(ctx context.Context, inv *callplane.Invocation) {
-				rc.attempts.Add(1)
-			},
-		}),
+		callplane.WithFailover(fo, fopts),
 		callplane.WithAttemptSpan(tr),
 		callplane.WithBreakers(func(u string) *reliability.Breaker {
 			if rep := rc.byURL[u]; rep != nil {
@@ -183,38 +181,6 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 	)
 	return rc, nil
 }
-
-// StartHealth creates and starts a health checker probing each replica's
-// GET /healthz, demoting replicas before failover tries them. A nil
-// cfg.Probe uses a direct HTTP probe (not the policy's HTTPClient, so
-// fault-injecting transports don't blind the health view). Callers stop
-// it with StopHealth.
-func (rc *ResilientClient) StartHealth(ctx context.Context, cfg reliability.HealthCheckerConfig) error {
-	if rc.health != nil {
-		return errors.New("host: health checker already started")
-	}
-	urls := make([]string, len(rc.replicas))
-	for i, r := range rc.replicas {
-		urls[i] = r.url
-	}
-	hc, err := reliability.NewHealthChecker(cfg, urls...)
-	if err != nil {
-		return err
-	}
-	rc.health = hc
-	hc.Start(ctx)
-	return nil
-}
-
-// StopHealth halts the health checker, if started.
-func (rc *ResilientClient) StopHealth() {
-	if rc.health != nil {
-		rc.health.Stop()
-	}
-}
-
-// Health exposes the checker (nil before StartHealth) for observability.
-func (rc *ResilientClient) Health() *reliability.HealthChecker { return rc.health }
 
 // Breaker exposes the circuit breaker of one replica (nil for unknown
 // URLs) so observers — the simulation harness's invariant checkers, for

@@ -168,19 +168,23 @@ func TestResilientClientSkipsDemotedReplica(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 
-	rc, err := NewResilientClient(quickPolicy(), dead.URL, live.URL)
+	hc, err := reliability.NewHealthChecker(reliability.HealthCheckerConfig{Interval: time.Hour}, dead.URL, live.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := quickPolicy()
+	p.Health = hc
+	rc, err := NewResilientClient(p, dead.URL, live.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := rc.StartHealth(ctx, reliability.HealthCheckerConfig{Interval: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	defer rc.StopHealth()
-	rc.Health().CheckNow(ctx) // demotes the dead replica immediately
+	hc.Start(ctx)
+	defer hc.Stop()
+	hc.CheckNow(ctx) // demotes the dead replica immediately
 
-	if rc.Health().IsHealthy(dead.URL) {
+	if hc.IsHealthy(dead.URL) {
 		t.Fatal("dead replica still healthy after probe")
 	}
 	if _, err := rc.Call(ctx, "Calc", "Add", core.Values{"a": 2, "b": 2}); err != nil {
@@ -190,7 +194,7 @@ func TestResilientClientSkipsDemotedReplica(t *testing.T) {
 	if skipped < 1 {
 		t.Errorf("skipped = %d, want >= 1 (demoted replica not bypassed)", skipped)
 	}
-	_, demotions, _ := rc.Health().Counters()
+	_, demotions, _ := hc.Counters()
 	if demotions != 1 {
 		t.Errorf("demotions = %d, want 1", demotions)
 	}

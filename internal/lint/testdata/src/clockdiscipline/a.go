@@ -23,6 +23,17 @@ func waits(ctx context.Context) {
 	}
 }
 
+// deadlines armed on the wall clock never fire in virtual time.
+func deadlines(ctx context.Context) {
+	tctx, cancel := context.WithTimeout(ctx, time.Second) // want `wall-clock context.WithTimeout in a clock-disciplined package`
+	defer cancel()
+	dctx, dcancel := context.WithDeadline(tctx, time.Unix(0, 0)) // want `wall-clock context.WithDeadline in a clock-disciplined package`
+	defer dcancel()
+	cctx, ccancel := context.WithCancel(dctx) // cancellation alone arms no timer
+	defer ccancel()
+	<-cctx.Done()
+}
+
 func measures(start time.Time) time.Duration {
 	return time.Since(start) // want `wall-clock time.Since in a clock-disciplined package`
 }

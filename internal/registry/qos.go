@@ -78,19 +78,6 @@ func (r *QoSRegistry) ObserveProbe(name string, up bool, rtt time.Duration) erro
 	return nil
 }
 
-// ObserveCall folds one observed service call into the QoS record — the
-// call-plane bridge from live traffic into discovery. Calls answered by
-// the idempotent-response cache are dropped entirely: a cache hit's
-// near-zero RTT measures the cache, not the service, and counting it
-// would flatter every latency-derived quality score (and its success
-// says nothing about whether the provider is still up).
-func (r *QoSRegistry) ObserveCall(name string, up bool, rtt time.Duration, cached bool) error {
-	if cached {
-		return nil
-	}
-	return r.ObserveProbe(name, up, rtt)
-}
-
 // QoSOf returns the recorded QoS and whether one exists.
 func (r *QoSRegistry) QoSOf(name string) (QoS, bool) {
 	r.mu.RLock()

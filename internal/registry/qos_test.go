@@ -181,31 +181,3 @@ func TestObserveProbeFeedsDiscovery(t *testing.T) {
 		t.Errorf("dependable = %+v, want only EchoUp", dependable)
 	}
 }
-
-func TestObserveCallExcludesCachedSamples(t *testing.T) {
-	r := NewQoS(New())
-	if err := r.Publish(Entry{Name: "Quote", Doc: "call target", Endpoint: "http://x/quote"}); err != nil {
-		t.Fatal(err)
-	}
-	// Two real calls at 20ms, then a storm of near-instant cache hits.
-	for i := 0; i < 2; i++ {
-		if err := r.ObserveCall("Quote", true, 20*time.Millisecond, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if err := r.ObserveCall("Quote", true, 10*time.Microsecond, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, ok := r.QoSOf("Quote")
-	if !ok {
-		t.Fatal("no QoS record after calls")
-	}
-	if q.Samples != 2 {
-		t.Errorf("samples = %d, want 2 (cached calls must not count)", q.Samples)
-	}
-	if q.MeanRTT != 20*time.Millisecond {
-		t.Errorf("meanRTT = %v, want 20ms (cache hits must not flatter it)", q.MeanRTT)
-	}
-}

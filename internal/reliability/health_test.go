@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // scriptedProbe fails replicas present in the fail set.
@@ -229,5 +231,77 @@ func TestHealthCheckerCanceledContextIsNobodysFault(t *testing.T) {
 	}
 	if probes, _, _ := hc.Counters(); probes != 0 || atomic.LoadInt32(&fed) != 0 {
 		t.Errorf("canceled round counted %d probes, fed OnProbe %d times", probes, atomic.LoadInt32(&fed))
+	}
+}
+
+// TestHealthCheckerReadsContextClock: a probe's deadline and RTT are the
+// context's clock's. On a vtime.Virtual a 30 ms probe reports exactly
+// 30 ms, and a probe that sleeps past Timeout fails with the deadline at
+// exactly Timeout of virtual time — a failure, not a caller-cancelled
+// probe.
+func TestHealthCheckerReadsContextClock(t *testing.T) {
+	epoch := time.Unix(0, 0)
+	v := vtime.NewVirtual(epoch)
+	ctx := vtime.WithClock(context.Background(), v)
+	type obs struct {
+		up  bool
+		rtt time.Duration
+	}
+	var fed []obs
+	hc, err := NewHealthChecker(HealthCheckerConfig{
+		Interval: time.Hour,
+		Timeout:  100 * time.Millisecond,
+		Probe: func(ctx context.Context, replica string) error {
+			if replica == "slow" {
+				return vtime.Sleep(ctx, time.Minute)
+			}
+			return vtime.Sleep(ctx, 30*time.Millisecond)
+		},
+		OnProbe: func(_ string, up bool, rtt time.Duration) { fed = append(fed, obs{up, rtt}) },
+	}, "fast", "slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := hc.Check(ctx, "fast"); err != nil {
+		t.Fatalf("fast probe: %v", err)
+	}
+	if len(fed) != 1 || !fed[0].up || fed[0].rtt != 30*time.Millisecond {
+		t.Fatalf("fast probe fed %v, want one healthy sample of exactly 30ms", fed)
+	}
+
+	before := v.Now()
+	if err := hc.Check(ctx, "slow"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow probe returned %v, want context.DeadlineExceeded", err)
+	}
+	if got := v.Now().Sub(before); got != 100*time.Millisecond {
+		t.Fatalf("slow probe ended %v after it began, want exactly the 100ms timeout", got)
+	}
+	if len(fed) != 2 || fed[1].up || fed[1].rtt != 100*time.Millisecond {
+		t.Fatalf("slow probe fed %v, want a failed sample of exactly 100ms", fed[1:])
+	}
+	if hc.IsHealthy("slow") || !errors.Is(hc.LastError("slow"), context.DeadlineExceeded) {
+		t.Errorf("slow replica healthy=%v lastErr=%v, want demoted on the deadline", hc.IsHealthy("slow"), hc.LastError("slow"))
+	}
+	if probes, demotions, _ := hc.Counters(); probes != 2 || demotions != 1 {
+		t.Errorf("counters = (%d probes, %d demotions), want (2, 1)", probes, demotions)
+	}
+}
+
+func TestHealthCheckerCheckUnknownReplica(t *testing.T) {
+	var fed int32
+	hc, err := NewHealthChecker(HealthCheckerConfig{
+		Interval: time.Hour,
+		Probe:    func(context.Context, string) error { return nil },
+		OnProbe:  func(string, bool, time.Duration) { atomic.AddInt32(&fed, 1) },
+	}, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hc.Check(context.Background(), "ghost"); err == nil {
+		t.Fatal("Check of an unknown replica succeeded")
+	}
+	if probes, _, _ := hc.Counters(); probes != 0 || atomic.LoadInt32(&fed) != 0 {
+		t.Errorf("unknown replica counted %d probes, fed OnProbe %d times", probes, atomic.LoadInt32(&fed))
 	}
 }

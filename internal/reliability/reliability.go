@@ -177,8 +177,7 @@ func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) (*B
 		return nil, fmt.Errorf("reliability: bad breaker config threshold=%d cooldown=%v", threshold, cooldown)
 	}
 	if now == nil {
-		//soclint:ignore clockdiscipline real-clock default behind the injectable now parameter
-		now = time.Now
+		now = vtime.Real{}.Now
 	}
 	return &Breaker{FailureThreshold: threshold, Cooldown: cooldown, state: Closed, now: now}, nil
 }

@@ -155,8 +155,7 @@ func (c *Cache) clock() clockFn { return *c.now.Load() }
 // restores the wall clock. This is the hook the deterministic simulation
 // harness and the expiry tests use so cached entries age in virtual time.
 func (c *Cache) UseClock(clk vtime.Clock) {
-	//soclint:ignore clockdiscipline the sanctioned wall-clock default, which New and a nil clock select
-	fn := clockFn(time.Now)
+	fn := clockFn(vtime.Real{}.Now)
 	if clk != nil {
 		fn = clk.Now
 	}

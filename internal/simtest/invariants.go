@@ -48,6 +48,11 @@ const (
 	InvClusterBounds     = "cluster-bounds"
 	InvClusterDrain      = "cluster-drain"
 	InvClusterExpiry     = "cluster-expiry"
+	// InvHealthEdges holds the health checker to its hysteresis: a
+	// replica is demoted exactly when FallThreshold consecutive probes
+	// failed, and promoted exactly when RiseThreshold consecutive probes
+	// succeeded.
+	InvHealthEdges = "health-edges"
 )
 
 // DoorOutcomes classifies what the front door's clients saw.
@@ -389,8 +394,9 @@ func sortedAuditKeys(m map[string]workflow.InstanceAudit) []string {
 }
 
 // QoSAgg is the world's independent book-keeping of what the QoS
-// registry was told: counts and RTT bounds over non-cached observations.
-// CheckQoSBounds compares the registry's derived record against it.
+// registry was told: counts and RTT bounds over the probe outcomes fed
+// to it. CheckQoSBounds compares the registry's derived record against
+// it.
 type QoSAgg struct {
 	Samples int
 	Succ    int
@@ -398,7 +404,7 @@ type QoSAgg struct {
 	MaxRTT  time.Duration
 }
 
-// Add folds one non-cached observation into the aggregate.
+// Add folds one probe outcome into the aggregate.
 func (a *QoSAgg) Add(up bool, rtt time.Duration) {
 	a.Samples++
 	if !up {
@@ -451,4 +457,67 @@ func CheckQoSBounds(step int, service string, agg QoSAgg, q registry.QoS, ok boo
 		bad("%s: mean RTT %v outside observed successful range [%v, %v]", service, q.MeanRTT, agg.MinRTT, agg.MaxRTT)
 	}
 	return out
+}
+
+// HealthProbe is one probe the health checker ran: the replica, whether
+// the probe succeeded, and the classification it left behind.
+type HealthProbe struct {
+	Step    int
+	Replica string
+	Up      bool
+	Healthy bool
+}
+
+// CheckHealthEdges replays the probes, in order, through its own model
+// of fall/rise hysteresis — every replica starts healthy; fall
+// consecutive failures demote a healthy one, rise consecutive successes
+// promote an unhealthy one — and reports each probe whose recorded
+// classification differs: a demotion or promotion the model does not
+// make, or one it makes that did not happen.
+func CheckHealthEdges(probes []HealthProbe, fall, rise int) []Violation {
+	type model struct {
+		down             bool
+		failseq, succseq int
+	}
+	state := map[string]*model{}
+	var out []Violation
+	for _, p := range probes {
+		m := state[p.Replica]
+		if m == nil {
+			m = &model{}
+			state[p.Replica] = m
+		}
+		if p.Up {
+			m.succseq, m.failseq = m.succseq+1, 0
+		} else {
+			m.failseq, m.succseq = m.failseq+1, 0
+		}
+		wasDown := m.down
+		switch {
+		case !m.down && m.failseq >= fall:
+			m.down = true
+		case m.down && m.succseq >= rise:
+			m.down = false
+		}
+		if p.Healthy == !m.down {
+			continue
+		}
+		edge := edgeName(p.Healthy) // the checker moved and the model did not
+		if p.Healthy != wasDown {
+			edge = "not " + edgeName(!m.down) // the model moved and the checker did not
+		}
+		out = append(out, Violation{Step: p.Step, Invariant: InvHealthEdges,
+			Detail: fmt.Sprintf("%s %s after %d consecutive failures and %d successes (fall %d, rise %d)",
+				p.Replica, edge, m.failseq, m.succseq, fall, rise)})
+		// Follow the checker from here, so one divergence is one report.
+		m.down = !p.Healthy
+	}
+	return out
+}
+
+func edgeName(healthy bool) string {
+	if healthy {
+		return "promoted"
+	}
+	return "demoted"
 }

@@ -270,3 +270,35 @@ func TestCheckClusterExpiry(t *testing.T) {
 	picked.Picks = 10
 	wantViolation(t, CheckClusterExpiry(4, at(20), []ReplicaLife{picked}), InvClusterExpiry, "picks 9 -> 10")
 }
+
+func TestCheckHealthEdges(t *testing.T) {
+	probe := func(step int, up, healthy bool) HealthProbe {
+		return HealthProbe{Step: step, Replica: "replica-0", Up: up, Healthy: healthy}
+	}
+	// fall 2, rise 2: demoted on the second straight failure, promoted on
+	// the second straight success; a lone success does not reset the
+	// demotion, and a lone failure does not cost a healthy replica.
+	clean := []HealthProbe{
+		probe(1, false, true), probe(2, true, true), probe(3, false, true), probe(4, false, false),
+		probe(5, true, false), probe(6, false, false), probe(7, true, false), probe(8, true, true),
+	}
+	wantClean(t, CheckHealthEdges(clean, 2, 2))
+	// Other replicas keep their own streaks.
+	wantClean(t, CheckHealthEdges([]HealthProbe{
+		probe(1, false, true), {Step: 2, Replica: "replica-1", Up: false, Healthy: true}, probe(3, false, false),
+	}, 2, 2))
+
+	early := []HealthProbe{probe(1, false, false)}
+	wantViolation(t, CheckHealthEdges(early, 2, 2), InvHealthEdges, "replica-0 demoted after 1 consecutive failures")
+	missed := []HealthProbe{probe(1, false, true), probe(2, false, true)}
+	wantViolation(t, CheckHealthEdges(missed, 2, 2), InvHealthEdges, "not demoted after 2 consecutive failures")
+	earlyUp := []HealthProbe{probe(1, false, true), probe(2, false, false), probe(3, true, true)}
+	wantViolation(t, CheckHealthEdges(earlyUp, 2, 2), InvHealthEdges, "promoted after 0 consecutive failures and 1 successes")
+	missedUp := []HealthProbe{probe(1, false, true), probe(2, false, false), probe(3, true, false), probe(4, true, false)}
+	wantViolation(t, CheckHealthEdges(missedUp, 2, 2), InvHealthEdges, "not promoted")
+
+	// One divergence is one report: the audit follows the checker after it.
+	if vs := CheckHealthEdges([]HealthProbe{probe(1, false, false), probe(2, false, false)}, 2, 2); len(vs) != 1 || vs[0].Step != 1 {
+		t.Fatalf("violations = %v, want exactly one, at step 1", vs)
+	}
+}

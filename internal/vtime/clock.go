@@ -53,6 +53,7 @@ func (Real) Sleep(ctx context.Context, d time.Duration) error {
 
 // WithTimeout implements Clock.
 func (Real) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	//soclint:ignore clockdiscipline Real is the wall-clock Clock implementation; this is the one sanctioned wall-clock deadline site
 	return context.WithTimeout(ctx, d)
 }
 
