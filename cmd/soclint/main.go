@@ -16,7 +16,6 @@
 //	-only a,b        run only the named analyzers
 //	-json            one JSON object per finding on stdout (suppressed
 //	                 findings included, carrying their ignore reason)
-//	-notests a,b     exclude _test.go files from the named analyzers
 //	-list            print the registered analyzers and exit
 //
 // Test files are part of the analyzed code: each package's in-package
@@ -60,7 +59,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per finding (suppressed findings included)")
-	noTests := fs.String("notests", "", "comma-separated analyzer names that must not see _test.go files")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -110,15 +108,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	cfg := lint.DefaultConfig()
-	if *noTests != "" {
-		for _, name := range strings.Split(*noTests, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				cfg.NoTestAnalyzers = append(cfg.NoTestAnalyzers, name)
-			}
-		}
-	}
-	runner := &lint.Runner{Analyzers: analyzers, Config: cfg}
+	runner := &lint.Runner{Analyzers: analyzers, Config: lint.DefaultConfig()}
 	all, units, err := runner.RunModule(loader, paths)
 	if err != nil {
 		fmt.Fprintf(stderr, "soclint: %v\n", err)

@@ -82,15 +82,15 @@ func run(rate float64, duration time.Duration, workers int, target, mix string, 
 	if stall > 0 && target != "" {
 		return fmt.Errorf("-stall requires the in-process host (drop -target)")
 	}
-	var clock vtime.Clock = vtime.Real{}
+	ctx := context.Background()
 	if virtual {
-		clock = vtime.NewVirtual(time.Unix(0, 0))
+		ctx = vtime.WithClock(ctx, vtime.NewVirtual(time.Unix(0, 0)))
 	}
 
 	var ops workloadOps
 	if target == "" {
 		scheduled := int(rate * duration.Seconds())
-		ops, err = inprocessOps(clock, stall, scheduled)
+		ops, err = inprocessOps(stall, scheduled)
 	} else {
 		ops, err = liveOps(strings.TrimRight(target, "/"), timeout)
 	}
@@ -99,8 +99,8 @@ func run(rate float64, duration time.Duration, workers int, target, mix string, 
 	}
 
 	op := mixedOp(weights, ops)
-	res, err := loadgen.Run(context.Background(), loadgen.Config{
-		Rate: rate, Duration: duration, Workers: workers, Clock: clock,
+	res, err := loadgen.Run(ctx, loadgen.Config{
+		Rate: rate, Duration: duration, Workers: workers,
 	}, op)
 	if err != nil {
 		return err
@@ -176,10 +176,11 @@ func parseMix(s string) (map[string]int, error) {
 
 // inprocessOps builds the simtest-style transport: a host with the
 // Encryption and Echo services behind the response cache, driven through
-// ServeHTTP with no sockets. An optional stall middleware sleeps once,
-// at the request closest to the middle of the schedule, to demonstrate
-// that an open-loop harness keeps offering load through a server pause.
-func inprocessOps(clock vtime.Clock, stall time.Duration, scheduled int) (workloadOps, error) {
+// ServeHTTP with no sockets. An optional stall middleware sleeps once, on
+// the request context's clock, at the request closest to the middle of
+// the schedule, to demonstrate that an open-loop harness keeps offering
+// load through a server pause.
+func inprocessOps(stall time.Duration, scheduled int) (workloadOps, error) {
 	encSvc, err := services.NewEncryption()
 	if err != nil {
 		return workloadOps{}, err
@@ -210,7 +211,7 @@ func inprocessOps(clock vtime.Clock, stall time.Duration, scheduled int) (worklo
 			return func(w http.ResponseWriter, r *http.Request, p rest.Params) {
 				if n.Add(1) == stallAt {
 					//soclint:ignore errdiscard a canceled stall just shortens the injected pause
-					_ = clock.Sleep(r.Context(), stall)
+					_ = vtime.Sleep(r.Context(), stall)
 				}
 				next(w, r, p)
 			}

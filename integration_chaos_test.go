@@ -318,10 +318,7 @@ func TestIntegrationChaosGracefulDegradation(t *testing.T) {
 	cache := core.Values{"y": float64(-1), "cached": true}
 	policy := host.Policy{
 		Timeout: time.Second,
-		Retry: reliability.RetryPolicy{
-			MaxAttempts: 2,
-			Sleep:       func(context.Context, time.Duration) error { return nil },
-		},
+		Retry:   reliability.RetryPolicy{MaxAttempts: 2},
 		Fallback: func(context.Context, string, string, core.Values) (core.Values, error) {
 			return cache, nil
 		},

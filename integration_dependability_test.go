@@ -86,10 +86,7 @@ func TestIntegrationReliableComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := reliability.RetryPolicy{
-		MaxAttempts: 5,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-	}
+	policy := reliability.RetryPolicy{MaxAttempts: 5}
 	reliableInvoker := workflow.InvokerFunc(func(ctx context.Context, svcName, op string, args map[string]any) (map[string]any, error) {
 		var out core.Values
 		err := reliability.Retry(ctx, policy, func(ctx context.Context) error {

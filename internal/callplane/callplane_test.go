@@ -163,7 +163,7 @@ func TestWithRetry(t *testing.T) {
 		}
 		return nil
 	}}
-	p := reliability.RetryPolicy{MaxAttempts: 3, Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
+	p := reliability.RetryPolicy{MaxAttempts: 3}
 	if err := Chain(Terminal, WithRetry(p)).RoundTrip(context.Background(), inv); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestResilientChainTraceShape(t *testing.T) {
 		}}
 	chain := Chain(Terminal,
 		WithSpan(tr, telemetry.KindClient),
-		WithRetry(reliability.RetryPolicy{MaxAttempts: 2, Sleep: func(ctx context.Context, d time.Duration) error { return nil }}),
+		WithRetry(reliability.RetryPolicy{MaxAttempts: 2}),
 		WithFailover(fo, FailoverOptions{}),
 		WithAttemptSpan(tr),
 		WithBreakers(func(u string) *reliability.Breaker { return breakers[u] }),

@@ -50,26 +50,17 @@ type FrontDoorConfig struct {
 	// QueueDepth bounds arrivals waiting for an in-flight slot before the
 	// door sheds: 0 means MaxInFlight, negative means unbounded (no
 	// admission control — the "naive" mode the saturation study measures
-	// against). A synchronous (virtual) clock never queues: blocking an
-	// arrival would deadlock single-threaded deterministic runs, so
-	// saturation sheds immediately there.
+	// against). The queue waits on Clock: a virtual deadline never fires
+	// on its own, so a virtual-clock door must not be saturated — the
+	// simulator sends one request at a time against its 256 slots.
 	QueueDepth int
 	// QueueTimeout bounds the wait for a slot (0 = 100ms, negative = no
 	// bound beyond the request's own deadline).
 	QueueTimeout time.Duration
-	// MaxAttempts is replica attempts per request — a transport-level
-	// failure replays the request against another replica (0 = 2).
-	MaxAttempts int
-	// MaxBodyBytes caps the buffered request body (0 = 1 MiB). Bodies are
-	// buffered so an attempt against a dead replica can be replayed.
-	MaxBodyBytes int64
 	// Clock supplies timestamps and queue timeouts; nil means wall clock.
 	Clock vtime.Clock
 	// Tracer records proxy spans; nil disables tracing.
 	Tracer *telemetry.Tracer
-	// Metrics receives frontdoor.proxy / frontdoor.shed instruments; nil
-	// allocates a private set (served at GET /metricz either way).
-	Metrics *telemetry.Metrics
 	// Seed fixes the power-of-two-choices PRNG (0 = 1), so virtual-clock
 	// runs replay identically.
 	Seed int64
@@ -86,7 +77,6 @@ type FrontDoor struct {
 	maxInFlight  int
 	queueDepth   int
 	queueTimeout time.Duration
-	maxBody      int64
 
 	clock   vtime.Clock
 	tracer  *telemetry.Tracer
@@ -137,17 +127,8 @@ func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 	if cfg.QueueTimeout == 0 {
 		cfg.QueueTimeout = 100 * time.Millisecond
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 2
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = telemetry.NewMetrics()
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -156,30 +137,32 @@ func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 		maxInFlight:  cfg.MaxInFlight,
 		queueDepth:   cfg.QueueDepth,
 		queueTimeout: cfg.QueueTimeout,
-		maxBody:      cfg.MaxBodyBytes,
 		clock:        cfg.Clock,
 		tracer:       cfg.Tracer,
-		metrics:      cfg.Metrics,
+		metrics:      telemetry.NewMetrics(),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sem:          make(chan struct{}, cfg.MaxInFlight),
 	}
 	fd.rotation.Store(&rotation{})
 	fd.chain = callplane.Chain(callplane.Terminal,
 		callplane.WithSpan(cfg.Tracer, telemetry.KindClient),
-		callplane.WithRetry(retryPolicy(cfg.MaxAttempts)),
+		callplane.WithRetry(retryPolicy),
 		callplane.WithAttemptSpan(cfg.Tracer),
 	)
 	return fd
 }
 
-// retryPolicy replays a request against another replica only after a
-// transport-level failure — the one error class where no bytes reached
-// the client. BaseDelay 0 makes the failover hop immediate.
-func retryPolicy(attempts int) reliability.RetryPolicy {
-	return reliability.RetryPolicy{
-		MaxAttempts: attempts,
-		Retryable:   func(err error) bool { return errors.Is(err, errExchange) },
-	}
+// maxBodyBytes caps the buffered request body. Bodies are buffered so an
+// attempt against a dead replica can be replayed.
+const maxBodyBytes = 1 << 20
+
+// retryPolicy makes two replica attempts per request, replaying against
+// another replica only after a transport-level failure — the one error
+// class where no bytes reached the client. BaseDelay 0 makes the failover
+// hop immediate.
+var retryPolicy = reliability.RetryPolicy{
+	MaxAttempts: 2,
+	Retryable:   func(err error) bool { return errors.Is(err, errExchange) },
 }
 
 // Add puts a replica into the rotation (replacing any same-named one).
@@ -492,12 +475,12 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	// sibling replica.
 	if r.Body != nil && r.Body != http.NoBody {
 		pc.body = callplane.GetBuffer()
-		if err := pc.body.Fill(r.Body, fd.maxBody+1); err != nil {
+		if err := pc.body.Fill(r.Body, maxBodyBytes+1); err != nil {
 			rest.WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		if int64(len(pc.body.B)) > fd.maxBody {
-			rest.WriteError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", fd.maxBody)
+		if len(pc.body.B) > maxBodyBytes {
+			rest.WriteError(w, r, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBodyBytes)
 			return
 		}
 	}
@@ -535,17 +518,13 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit claims an in-flight slot, waiting in the bounded queue when the
-// door is saturated. False means shed. A synchronous clock never waits:
-// time only advances inside Sleep there, so a blocked arrival would
-// deadlock the single-threaded run — saturation sheds instantly instead.
+// door is saturated. False means shed. The wait is bounded by
+// QueueTimeout on the door's clock (see FrontDoorConfig.QueueDepth).
 func (fd *FrontDoor) admit(ctx context.Context) bool {
 	select {
 	case fd.sem <- struct{}{}:
 		return true
 	default:
-	}
-	if vtime.IsSynchronous(fd.clock) {
-		return false
 	}
 	if n := fd.queued.Add(1); fd.queueDepth > 0 && n > int64(fd.queueDepth) {
 		fd.queued.Add(-1)

@@ -112,14 +112,13 @@ func TestFrontDoorP2CSkewedLatency(t *testing.T) {
 	}
 }
 
-// TestFrontDoorShedsWhenSaturated: with every in-flight slot held, a
-// synchronous clock sheds instantly with 503 + Retry-After, metered in
-// /metricz under frontdoor.shed.
+// TestFrontDoorShedsWhenSaturated: with every in-flight slot held, an
+// arrival waits QueueTimeout in the admission queue and is then shed with
+// 503 + Retry-After, metered in /metricz under frontdoor.shed.
 func TestFrontDoorShedsWhenSaturated(t *testing.T) {
-	clock := vtime.NewVirtual(epoch)
 	block := make(chan struct{})
 	started := make(chan struct{})
-	fd := NewFrontDoor(FrontDoorConfig{Clock: clock, MaxInFlight: 2})
+	fd := NewFrontDoor(FrontDoorConfig{MaxInFlight: 2, QueueTimeout: time.Millisecond})
 	fd.Add(NewLocalReplica("r1", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		started <- struct{}{}
 		<-block
@@ -269,7 +268,8 @@ func TestFrontDoorMetriczShape(t *testing.T) {
 // bytes the host serves — telemetry's golden is the host's /metricz body
 // for these four records (TestReportGolden).
 func TestFrontDoorMetriczMatchesHost(t *testing.T) {
-	m := telemetry.NewMetrics()
+	fd := NewFrontDoor(FrontDoorConfig{})
+	m := fd.Metrics()
 	m.Record("Calc.Add", 50*time.Microsecond, false)
 	m.Record("Calc.Add", 2*time.Second, true)
 	m.RecordCached("Calc.Add")
@@ -278,7 +278,7 @@ func TestFrontDoorMetriczMatchesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := get(t, NewFrontDoor(FrontDoorConfig{Metrics: m}), "/metricz")
+	rec := get(t, fd, "/metricz")
 	if rec.Body.String() != string(want) {
 		t.Errorf("front door /metricz differs from the host's:\n%s", rec.Body.String())
 	}

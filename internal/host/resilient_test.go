@@ -118,14 +118,12 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-// quickPolicy keeps tests fast: no real sleeping between retries.
+// quickPolicy keeps tests fast: with a zero BaseDelay the retries back
+// off 0 then 1 ms.
 func quickPolicy() Policy {
 	return Policy{
 		Timeout: 2 * time.Second,
-		Retry: reliability.RetryPolicy{
-			MaxAttempts: 3,
-			Sleep:       func(context.Context, time.Duration) error { return nil },
-		},
+		Retry:   reliability.RetryPolicy{MaxAttempts: 3},
 	}
 }
 

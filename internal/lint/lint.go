@@ -78,10 +78,6 @@ type Config struct {
 	// atomicdiscipline analyzer: a word accessed via sync/atomic
 	// anywhere may never be accessed plainly elsewhere.
 	AtomicScope []string
-	// NoTestAnalyzers names analyzers that must NOT see _test.go files
-	// even though they declare Tests: true — the per-analyzer knob for
-	// excluding test code from the concurrency checks.
-	NoTestAnalyzers []string
 }
 
 // DefaultConfig is the policy soclint applies to this module: for each
@@ -189,8 +185,7 @@ type Analyzer struct {
 	// Doc is a one-line description.
 	Doc string
 	// Tests marks analyzers that also examine _test.go files (tests
-	// spawn goroutines and take locks too); Config.NoTestAnalyzers can
-	// switch this off per analyzer without editing the registry.
+	// spawn goroutines and take locks too).
 	Tests bool
 	// Flow marks analyzers that query the interprocedural flow graph;
 	// drivers build the module-wide graph once when any selected
@@ -223,8 +218,7 @@ type Pass struct {
 
 	Fset *token.FileSet
 	// Files are the files this analyzer examines: the package sources,
-	// plus its _test.go files when the analyzer sets Tests and
-	// Config.NoTestAnalyzers does not veto it.
+	// plus its _test.go files when the analyzer sets Tests.
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
@@ -322,7 +316,7 @@ func (r *Runner) RunPackage(pkg *Package) ([]Finding, error) {
 	suppressed := scanDirectives(pkg, &findings)
 	for _, a := range r.Analyzers {
 		files := pkg.Files
-		if a.Tests && !contains(r.Config.NoTestAnalyzers, a.Name) {
+		if a.Tests {
 			files = append(append([]*ast.File(nil), files...), pkg.TestFiles...)
 		}
 		pass := &Pass{
@@ -391,15 +385,6 @@ func (r *Runner) RunModule(loader *Loader, paths []string) ([]Finding, int, erro
 	}
 	SortFindings(all)
 	return all, len(units), nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // SortFindings orders findings by file, line, column, analyzer.

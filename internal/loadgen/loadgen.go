@@ -8,11 +8,11 @@
 // (the coordinated-omission trap closed-loop "do; measure; repeat"
 // harnesses fall into; see the HdrHistogram literature).
 //
-// All time flows through a vtime.Clock, so the same runner drives live
-// hosts on the wall clock and deterministic in-process scenarios on a
-// virtual clock — a virtual run of a two-minute schedule completes in
-// microseconds and replays identically, which is how the harness's own
-// CO-safety is tested.
+// All time flows through the context's vtime.Clock, so the same runner
+// drives live hosts on the wall clock and deterministic in-process
+// scenarios on a virtual clock — a virtual run of a two-minute schedule
+// completes in microseconds and replays identically, which is how the
+// harness's own CO-safety is tested.
 package loadgen
 
 import (
@@ -51,12 +51,10 @@ type Config struct {
 	Rate float64
 	// Duration is the schedule horizon; Rate*Duration arrivals total.
 	Duration time.Duration
-	// Workers bounds in-flight requests (0 means 8*GOMAXPROCS). When the
-	// clock is synchronous (virtual), the run is forced single-worker so
-	// it stays deterministic.
+	// Workers bounds in-flight requests (0 means 8*GOMAXPROCS). On a
+	// virtual clock (a *vtime.Virtual in the context) the run is forced
+	// single-worker so it stays deterministic.
 	Workers int
-	// Clock supplies now/sleep; nil means the wall clock.
-	Clock vtime.Clock
 }
 
 // Result summarizes one run.
@@ -84,9 +82,10 @@ type Result struct {
 	Latency *telemetry.Histogram
 }
 
-// Run executes the schedule and blocks until every arrival has been
-// issued and completed (or ctx is canceled, which abandons the
-// remainder but reports what was measured).
+// Run executes the schedule on the context's clock (vtime.ClockFrom)
+// and blocks until every arrival has been issued and completed (or ctx
+// is canceled, which abandons the remainder but reports what was
+// measured). Ops receive ctx, so they share that clock.
 func Run(ctx context.Context, cfg Config, op Op) (*Result, error) {
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("%w: rate=%v duration=%v", ErrConfig, cfg.Rate, cfg.Duration)
@@ -94,10 +93,7 @@ func Run(ctx context.Context, cfg Config, op Op) (*Result, error) {
 	if op == nil {
 		return nil, fmt.Errorf("%w: nil op", ErrConfig)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = vtime.Real{}
-	}
+	clock := vtime.ClockFrom(ctx)
 	n := int(cfg.Rate * cfg.Duration.Seconds())
 	if n < 1 {
 		n = 1
@@ -109,9 +105,9 @@ func Run(ctx context.Context, cfg Config, op Op) (*Result, error) {
 	if workers > n {
 		workers = n
 	}
-	if vtime.IsSynchronous(clock) {
-		// A synchronous clock advances inside Sleep; racing workers
-		// would advance it non-deterministically.
+	if _, virtual := clock.(*vtime.Virtual); virtual {
+		// A virtual clock advances inside Sleep; racing workers would
+		// advance it non-deterministically.
 		workers = 1
 	}
 

@@ -38,7 +38,7 @@ func TestRunOpenLoopStall(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := Run(context.Background(), Config{Rate: rate, Duration: horizon, Clock: clock}, op)
+	res, err := Run(vtime.WithClock(context.Background(), clock), Config{Rate: rate, Duration: horizon}, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRunDeterministicReplay(t *testing.T) {
 	runOnce := func() *Result {
 		clock := vtime.NewVirtual(time.Unix(0, 0))
 		calls := 0
-		res, err := Run(context.Background(), Config{Rate: 500, Duration: time.Second, Clock: clock}, func(ctx context.Context) error {
+		res, err := Run(vtime.WithClock(context.Background(), clock), Config{Rate: 500, Duration: time.Second}, func(ctx context.Context) error {
 			calls++
 			if calls%100 == 0 {
 				return clock.Sleep(ctx, 5*time.Millisecond)
@@ -120,7 +120,7 @@ func TestRunCancel(t *testing.T) {
 func TestRunShedOutcomeClass(t *testing.T) {
 	clock := vtime.NewVirtual(time.Unix(0, 0))
 	calls := 0
-	res, err := Run(context.Background(), Config{Rate: 100, Duration: time.Second, Clock: clock},
+	res, err := Run(vtime.WithClock(context.Background(), clock), Config{Rate: 100, Duration: time.Second},
 		func(context.Context) error {
 			calls++
 			switch calls % 4 {

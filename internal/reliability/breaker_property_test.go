@@ -118,21 +118,7 @@ func TestBreakerPropertyAgainstModel(t *testing.T) {
 // TestRetryZeroBaseDelayBacksOff pins the fix for the zero-backoff trap:
 // BaseDelay == 0 must not produce an all-zero (hot) retry schedule.
 func TestRetryZeroBaseDelayBacksOff(t *testing.T) {
-	var delays []time.Duration
-	p := RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   0,
-		Sleep: func(_ context.Context, d time.Duration) error {
-			delays = append(delays, d)
-			return nil
-		},
-	}
-	err := Retry(context.Background(), p, func(context.Context) error {
-		return errors.New("always fails")
-	})
-	if err == nil {
-		t.Fatal("retry succeeded unexpectedly")
-	}
+	delays := attemptGaps(t, RetryPolicy{MaxAttempts: 5, BaseDelay: 0})
 	if len(delays) != 4 {
 		t.Fatalf("slept %d times, want 4", len(delays))
 	}

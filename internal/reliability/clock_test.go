@@ -36,12 +36,12 @@ func TestRetryBackoffOnVirtualClock(t *testing.T) {
 	}
 }
 
-func TestWithTimeoutSynchronousPath(t *testing.T) {
+func TestWithTimeoutVirtualClock(t *testing.T) {
 	v := vtime.NewVirtual(time.Unix(0, 0))
 	ctx := vtime.WithClock(context.Background(), v)
 
 	// A function that sleeps past the virtual deadline times out without
-	// spawning a goroutine or waiting in wall time.
+	// waiting in wall time.
 	err := WithTimeout(ctx, 50*time.Millisecond, func(ctx context.Context) error {
 		return vtime.Sleep(ctx, time.Minute)
 	})
@@ -59,6 +59,15 @@ func TestWithTimeoutSynchronousPath(t *testing.T) {
 	sentinel := errors.New("app error")
 	if err := WithTimeout(ctx, 50*time.Millisecond, func(context.Context) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("fn error replaced by %v", err)
+	}
+
+	// A function that moves the clock past the deadline itself and then
+	// reports success still ran over its budget.
+	if err := WithTimeout(ctx, 50*time.Millisecond, func(context.Context) error {
+		v.Advance(time.Second)
+		return nil
+	}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fn past its deadline returned %v, want DeadlineExceeded", err)
 	}
 }
 

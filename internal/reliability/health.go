@@ -138,7 +138,7 @@ func NewHealthChecker(cfg HealthCheckerConfig, replicas ...string) (*HealthCheck
 // Interval apart end to start. Stop terminates it. Only the first Start
 // launches a loop; a Start after Stop launches none.
 //
-// On a synchronous clock (vtime.Virtual) a sleep returns at once, so a
+// On the virtual clock (vtime.Virtual) a sleep returns at once, so a
 // loop would spin through virtual time: there the schedule calls Check
 // or CheckNow directly, and Start is not used.
 func (hc *HealthChecker) Start(ctx context.Context) {

@@ -39,30 +39,19 @@ type RetryPolicy struct {
 	// Retryable decides whether an error is worth retrying; nil retries
 	// everything.
 	Retryable func(error) bool
-	// sleep is the wait function; tests replace it.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // minBackoff floors the doubled retry delay so BaseDelay == 0 cannot
 // produce a zero-backoff hot loop.
 const minBackoff = time.Millisecond
 
-// defaultSleep waits on the context's clock (vtime.ClockFrom), so retry
-// backoffs advance virtual time under simulation and wall time otherwise.
-func defaultSleep(ctx context.Context, d time.Duration) error {
-	return vtime.Sleep(ctx, d)
-}
-
 // Retry runs fn until success, a non-retryable error, attempt exhaustion,
 // or context cancellation. It returns the last error annotated with the
-// attempt count.
+// attempt count. Backoffs sleep on the context's clock (vtime.ClockFrom),
+// so they advance virtual time under simulation and wall time otherwise.
 func Retry(ctx context.Context, p RetryPolicy, fn func(ctx context.Context) error) error {
 	if p.MaxAttempts < 1 {
 		return fmt.Errorf("reliability: MaxAttempts must be >= 1, got %d", p.MaxAttempts)
-	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = defaultSleep
 	}
 	delay := p.BaseDelay
 	var last error
@@ -80,7 +69,7 @@ func Retry(ctx context.Context, p RetryPolicy, fn func(ctx context.Context) erro
 		if attempt == p.MaxAttempts {
 			break
 		}
-		if err := sleep(ctx, delay); err != nil {
+		if err := vtime.Sleep(ctx, delay); err != nil {
 			return err
 		}
 		delay *= 2
@@ -270,31 +259,23 @@ func (b *Breaker) Counters() (succeeded, failed, rejected uint64) {
 
 // WithTimeout runs fn with a deadline on the context's clock; when fn
 // ignores the context, the caller is still released after d (fn keeps
-// running until it returns). Under a synchronous clock (vtime.Virtual)
-// no watchdog goroutine is spawned: fn runs inline with a virtual
-// deadline stamped into its context, and "fn ran past the budget" is
-// detected by comparing virtual time against that deadline afterwards —
-// the goroutine-free path that keeps simulations deterministic.
+// running until it returns). A virtual deadline (vtime.Virtual) never
+// closes Done, so under the virtual clock the caller waits for fn, and
+// "fn ran past the budget" is read off the clock once fn returns.
 func WithTimeout(ctx context.Context, d time.Duration, fn func(ctx context.Context) error) error {
 	if d <= 0 {
 		return errors.New("reliability: non-positive timeout")
 	}
 	clk := vtime.ClockFrom(ctx)
-	if vtime.IsSynchronous(clk) {
-		tctx, cancel := clk.WithTimeout(ctx, d)
-		defer cancel()
-		err := fn(tctx)
-		if exp := vtime.Expired(tctx, clk); exp != nil {
-			return exp
-		}
-		return err
-	}
 	ctx, cancel := clk.WithTimeout(ctx, d)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- fn(ctx) }()
 	select {
 	case err := <-done:
+		if exp := vtime.Expired(ctx, clk); exp != nil {
+			return exp
+		}
 		return err
 	case <-ctx.Done():
 		return ctx.Err()

@@ -7,13 +7,34 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
-func noSleep(context.Context, time.Duration) error { return nil }
+// attemptGaps runs Retry with p on a virtual clock, failing every
+// attempt, and returns the virtual time between consecutive attempts:
+// the backoff schedule Retry slept.
+func attemptGaps(t *testing.T, p RetryPolicy) []time.Duration {
+	t.Helper()
+	v := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), v)
+	var at []time.Time
+	if err := Retry(ctx, p, func(context.Context) error {
+		at = append(at, v.Now())
+		return errors.New("always fails")
+	}); err == nil {
+		t.Fatal("retry succeeded unexpectedly")
+	}
+	var gaps []time.Duration
+	for i := 1; i < len(at); i++ {
+		gaps = append(gaps, at[i].Sub(at[i-1]))
+	}
+	return gaps
+}
 
 func TestRetrySucceedsEventually(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), RetryPolicy{MaxAttempts: 5, Sleep: noSleep},
+	err := Retry(context.Background(), RetryPolicy{MaxAttempts: 5},
 		func(context.Context) error {
 			calls++
 			if calls < 3 {
@@ -29,7 +50,7 @@ func TestRetrySucceedsEventually(t *testing.T) {
 func TestRetryExhaustsAttempts(t *testing.T) {
 	sentinel := errors.New("always down")
 	calls := 0
-	err := Retry(context.Background(), RetryPolicy{MaxAttempts: 4, Sleep: noSleep},
+	err := Retry(context.Background(), RetryPolicy{MaxAttempts: 4},
 		func(context.Context) error { calls++; return sentinel })
 	if !errors.Is(err, sentinel) || calls != 4 {
 		t.Errorf("err=%v calls=%d", err, calls)
@@ -41,7 +62,6 @@ func TestRetryNonRetryable(t *testing.T) {
 	calls := 0
 	err := Retry(context.Background(), RetryPolicy{
 		MaxAttempts: 5,
-		Sleep:       noSleep,
 		Retryable:   func(err error) bool { return !errors.Is(err, fatal) },
 	}, func(context.Context) error { calls++; return fatal })
 	if !errors.Is(err, fatal) || calls != 1 {
@@ -50,13 +70,11 @@ func TestRetryNonRetryable(t *testing.T) {
 }
 
 func TestRetryBackoffDoublesAndCaps(t *testing.T) {
-	var delays []time.Duration
-	_ = Retry(context.Background(), RetryPolicy{
+	delays := attemptGaps(t, RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    35 * time.Millisecond,
-		Sleep:       func(_ context.Context, d time.Duration) error { delays = append(delays, d); return nil },
-	}, func(context.Context) error { return errors.New("x") })
+	})
 	want := []time.Duration{10, 20, 35, 35}
 	if len(delays) != 4 {
 		t.Fatalf("delays = %v", delays)
@@ -77,7 +95,7 @@ func TestRetryValidation(t *testing.T) {
 func TestRetryContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Retry(ctx, RetryPolicy{MaxAttempts: 3, Sleep: noSleep}, func(context.Context) error { return errors.New("x") })
+	err := Retry(ctx, RetryPolicy{MaxAttempts: 3}, func(context.Context) error { return errors.New("x") })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v", err)
 	}

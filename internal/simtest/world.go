@@ -38,24 +38,6 @@ type Config struct {
 	// ResilientClient with private breakers and failover stickiness
 	// (default 3).
 	Clients int
-	// CacheCapacity and CacheTTL size each replica's idempotent-response
-	// cache. Defaults (4096 entries, 24 h virtual) are deliberately large
-	// enough that neither LRU eviction nor TTL expiry legally re-runs a
-	// handler mid-run, which is what makes the cache-once invariant
-	// checkable.
-	CacheCapacity int
-	CacheTTL      time.Duration
-	// Timeout bounds each attempt; BreakerThreshold/BreakerCooldown and
-	// RetryAttempts/RetryBase configure the reliability stack (defaults:
-	// 2 s, 3 failures, 1 s cooldown, 3 attempts, 25 ms base backoff).
-	Timeout          time.Duration
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	RetryAttempts    int
-	RetryBase        time.Duration
-	// BaseRTT is the virtual wire latency charged per delivery attempt
-	// (default 1 ms).
-	BaseRTT time.Duration
 	// Faults is the per-link fault rule; nil uses DefaultFaults. Point at
 	// a zero Rule for a fault-free world.
 	Faults *faultinject.Rule
@@ -63,17 +45,6 @@ type Config struct {
 	// directory's write-ahead log; nil uses DefaultDiskFaults. Point at a
 	// zero DiskRule for perfect disks.
 	DiskFaults *faultinject.DiskRule
-	// SnapshotEvery folds each replica's directory log into a snapshot
-	// after this many records (default 6, small enough that generated
-	// schedules exercise snapshot + compaction + recovery-from-snapshot).
-	SnapshotEvery int
-	// SegmentBytes is the replica WAL rotation threshold (default 2048,
-	// small enough that schedules span multiple segments).
-	SegmentBytes int64
-	// WorkflowSnapshotEvery folds each replica's workflow journal into a
-	// snapshot after this many appends (default 48 — large enough that
-	// instances span snapshots, small enough that compaction happens).
-	WorkflowSnapshotEvery int
 	// Mutation enables one fault hook (tests only): a workflow.Mutation*
 	// hook on every replica's orchestrator, or one of this package's
 	// cluster or health Mutation* hooks. The invariant it targets must
@@ -87,6 +58,36 @@ type Config struct {
 	Door     cloud.Policy
 	Cooldown time.Duration
 }
+
+// The world's fixed sizing; durations are virtual time.
+const (
+	// cacheCapacity and cacheTTL size each replica's idempotent-response
+	// cache, deliberately large enough that neither LRU eviction nor TTL
+	// expiry legally re-runs a handler mid-run, which is what makes the
+	// cache-once invariant checkable.
+	cacheCapacity = 4096
+	cacheTTL      = 24 * time.Hour
+	// attemptTimeout bounds each attempt; the breaker and retry
+	// constants configure each client's reliability stack.
+	attemptTimeout   = 2 * time.Second
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+	retryAttempts    = 3
+	retryBase        = 25 * time.Millisecond
+	// baseRTT is the virtual wire latency charged per delivery attempt.
+	baseRTT = time.Millisecond
+	// snapshotEvery folds each replica's directory log into a snapshot
+	// after this many records, small enough that generated schedules
+	// exercise snapshot + compaction + recovery-from-snapshot.
+	snapshotEvery = 6
+	// segmentBytes is the replica WAL rotation threshold, small enough
+	// that schedules span multiple segments.
+	segmentBytes = 2048
+	// workflowSnapshotEvery folds each replica's workflow journal into a
+	// snapshot after this many appends: large enough that instances span
+	// snapshots, small enough that compaction happens.
+	workflowSnapshotEvery = 48
+)
 
 // doorLease is the autoscaled replicas' registry lease: a killed replica
 // stops heartbeating and leaves the rotation once it lapses.
@@ -158,30 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.Clients < 1 {
 		c.Clients = 3
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 4096
-	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = 24 * time.Hour
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
-	if c.BaseRTT <= 0 {
-		c.BaseRTT = time.Millisecond
-	}
 	if c.Faults == nil {
 		f := DefaultFaults
 		c.Faults = &f
@@ -189,15 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.DiskFaults == nil {
 		d := DefaultDiskFaults
 		c.DiskFaults = &d
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 6
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 2048
-	}
-	if c.WorkflowSnapshotEvery == 0 {
-		c.WorkflowSnapshotEvery = 48
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 3 * time.Second
@@ -386,14 +354,14 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 	w.health = hc
 	for ci := 0; ci < cfg.Clients; ci++ {
 		rc, err := host.NewResilientClient(host.Policy{
-			Timeout: cfg.Timeout,
+			Timeout: attemptTimeout,
 			Retry: reliability.RetryPolicy{
-				MaxAttempts: cfg.RetryAttempts,
-				BaseDelay:   cfg.RetryBase,
+				MaxAttempts: retryAttempts,
+				BaseDelay:   retryBase,
 				MaxDelay:    time.Second,
 			},
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
+			BreakerThreshold: breakerThreshold,
+			BreakerCooldown:  breakerCooldown,
 			MaxConcurrent:    16,
 			HTTPClient:       httpClient,
 			Tracer:           w.clientTracer,
@@ -568,15 +536,15 @@ func (r *simReplica) boot() error {
 			return err
 		}
 	}
-	cache := h.UseResponseCache(r.w.cfg.CacheCapacity, r.w.cfg.CacheTTL)
+	cache := h.UseResponseCache(cacheCapacity, cacheTTL)
 	cache.UseClock(r.w.clock)
 	r.h = h
 	// Recover the durable directory from the replica's disk: the write-
 	// ahead log (as salvaged after any crash) rebuilds exactly the acked
 	// directory state of the previous incarnations.
 	dreg, err := registry.OpenDurable(r.faultFS, registry.DurableOptions{
-		WAL:           wal.Options{SegmentBytes: r.w.cfg.SegmentBytes},
-		SnapshotEvery: r.w.cfg.SnapshotEvery,
+		WAL:           wal.Options{SegmentBytes: segmentBytes},
+		SnapshotEvery: snapshotEvery,
 	}, registry.WithClock(r.w.clock.Now), registry.WithLease(time.Hour))
 	if err != nil {
 		return err
@@ -599,8 +567,8 @@ func (r *simReplica) boot() error {
 		return map[string]any(out), err
 	})
 	orch, err := workflow.OpenOrchestrator(r.wfFaultFS, workflow.Options{
-		WAL:           wal.Options{SegmentBytes: r.w.cfg.SegmentBytes},
-		SnapshotEvery: r.w.cfg.WorkflowSnapshotEvery,
+		WAL:           wal.Options{SegmentBytes: segmentBytes},
+		SnapshotEvery: workflowSnapshotEvery,
 		Deterministic: true,
 		Mutation:      r.w.cfg.Mutation,
 	})
@@ -641,7 +609,7 @@ type deliverer struct{ r *simReplica }
 func (d deliverer) RoundTrip(req *http.Request) (*http.Response, error) {
 	w := d.r.w
 	//soclint:ignore errdiscard crossing a virtual deadline mid-wire still delivers; the timeout layer converts it after the fact
-	_ = vtime.Sleep(req.Context(), w.cfg.BaseRTT)
+	_ = vtime.Sleep(req.Context(), baseRTT)
 	stopped := !d.r.life.Stopped.IsZero()
 	if stopped {
 		d.r.life.Late++

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -628,20 +629,6 @@ func local(name string) string {
 	return name
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// insertion sort: tiny maps
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
 // HandlerFunc processes one decoded request message and returns the
 // response message. The context is the transport's request context (the
 // HTTP request's, for the Server binding), so cancellation and deadlines
@@ -687,11 +674,7 @@ func (s *Server) Handle(operation string, h HandlerFunc) error {
 
 // Operations lists the registered operation names.
 func (s *Server) Operations() []string {
-	m := make(map[string]string, len(s.handlers))
-	for k := range s.handlers {
-		m[k] = ""
-	}
-	return sortedKeys(m)
+	return slices.Sorted(maps.Keys(s.handlers))
 }
 
 // ServeHTTP implements http.Handler. The request message handed to the

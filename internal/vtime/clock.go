@@ -57,22 +57,6 @@ func (Real) WithTimeout(ctx context.Context, d time.Duration) (context.Context, 
 	return context.WithTimeout(ctx, d)
 }
 
-// Synchronous marks clocks whose Sleep never blocks a goroutine: time
-// advances logically inside the call. Layers that would otherwise spawn
-// a watchdog goroutine (reliability.WithTimeout) stay single-threaded —
-// and therefore deterministic — when the context's clock reports
-// synchronous.
-type Synchronous interface {
-	Synchronous() bool
-}
-
-// IsSynchronous reports whether c advances time logically (see
-// Synchronous).
-func IsSynchronous(c Clock) bool {
-	s, ok := c.(Synchronous)
-	return ok && s.Synchronous()
-}
-
 // Virtual is a discrete virtual clock: Now returns a logical instant
 // that only moves when Advance or Sleep is called. Sleeping advances the
 // clock immediately and returns — no goroutine ever blocks — so a
@@ -116,9 +100,6 @@ func (v *Virtual) advanceTo(t time.Time) {
 	}
 	v.mu.Unlock()
 }
-
-// Synchronous implements the Synchronous marker.
-func (v *Virtual) Synchronous() bool { return true }
 
 // Sleep implements Clock: it advances the virtual clock by d and returns
 // immediately. When the context carries a virtual deadline that would be
@@ -195,10 +176,10 @@ func DeadlineOf(ctx context.Context) (time.Time, bool) {
 }
 
 // Expired reports context.DeadlineExceeded when the context carries a
-// virtual deadline that clock c has already passed, nil otherwise. The
-// synchronous timeout path of reliability.WithTimeout uses it to convert
-// "the work ran past the budget in virtual time" into the same error a
-// wall-clock deadline would have produced.
+// virtual deadline that clock c has already passed, nil otherwise.
+// reliability.WithTimeout uses it to convert "the work ran past the
+// budget in virtual time" into the same error a wall-clock deadline
+// would have produced.
 func Expired(ctx context.Context, c Clock) error {
 	if dl, ok := ctx.Value(deadlineKey{}).(time.Time); ok && !c.Now().Before(dl) {
 		return context.DeadlineExceeded

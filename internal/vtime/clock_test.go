@@ -94,9 +94,6 @@ func TestClockFromDefaultsToReal(t *testing.T) {
 	if _, ok := c.(Real); !ok {
 		t.Fatalf("default clock is %T, want Real", c)
 	}
-	if IsSynchronous(c) {
-		t.Fatal("the real clock must not claim to be synchronous")
-	}
 }
 
 func TestWithClockThreadsThroughContext(t *testing.T) {
@@ -105,8 +102,8 @@ func TestWithClockThreadsThroughContext(t *testing.T) {
 	if !Now(ctx).Equal(epoch) {
 		t.Fatalf("Now(ctx) = %v, want the virtual epoch", Now(ctx))
 	}
-	if !IsSynchronous(ClockFrom(ctx)) {
-		t.Fatal("virtual clock lost its synchronous marker through context")
+	if got := ClockFrom(ctx); got != Clock(v) {
+		t.Fatalf("ClockFrom(ctx) = %v, want the same *Virtual", got)
 	}
 	if err := Sleep(ctx, 42*time.Millisecond); err != nil {
 		t.Fatalf("sleep: %v", err)

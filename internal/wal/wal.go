@@ -70,17 +70,15 @@ type Options struct {
 	// SegmentBytes is the rotation threshold: once the active segment
 	// reaches it, the next Append starts a new segment (default 1 MiB).
 	SegmentBytes int64
-	// KeepSnapshots is how many snapshot generations to retain at
-	// compaction (default 2: the newest plus one fallback).
-	KeepSnapshots int
 }
+
+// keepSnapshots is how many snapshot generations compaction retains: the
+// newest plus one fallback.
+const keepSnapshots = 2
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	return o
 }
@@ -376,7 +374,7 @@ func (l *Log) ensureActive() error {
 
 // Snapshot atomically persists data as the state through the last acked
 // record, then compacts: segments wholly covered by the snapshot and
-// snapshot generations beyond KeepSnapshots are deleted. The snapshot is
+// snapshot generations beyond keepSnapshots are deleted. The snapshot is
 // durable (temp write + fsync + rename + dir fsync) before anything is
 // removed, so a crash at any point leaves a recoverable log.
 func (l *Log) Snapshot(data []byte) error {
@@ -446,7 +444,7 @@ func (l *Log) Snapshot(data []byte) error {
 	// compaction.
 	l.sealActive()
 	removed := false
-	for len(l.snaps) > l.opts.KeepSnapshots {
+	for len(l.snaps) > keepSnapshots {
 		//soclint:ignore errdiscard a stale snapshot that refuses deletion is retried at the next compaction
 		_ = l.fs.Remove(l.snaps[0])
 		l.snaps = l.snaps[1:]

@@ -128,7 +128,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 
 func TestCompactionRetainsSnapshotGenerations(t *testing.T) {
 	fs := NewMemFS(4)
-	l, _ := reopen(t, fs, Options{KeepSnapshots: 2})
+	l, _ := reopen(t, fs, Options{})
 	for gen := 1; gen <= 4; gen++ {
 		mustAppend(t, l, fmt.Sprintf("gen-%d", gen))
 		if err := l.Snapshot([]byte(fmt.Sprintf("snap-%d", gen))); err != nil {
@@ -159,7 +159,7 @@ func TestCompactionRetainsSnapshotGenerations(t *testing.T) {
 	if err := fs.FlipBit(newest, headerLen+frameHeader+1); err != nil {
 		t.Fatalf("FlipBit: %v", err)
 	}
-	_, rec := reopen(t, fs, Options{KeepSnapshots: 2})
+	_, rec := reopen(t, fs, Options{})
 	if string(rec.Snapshot) != "snap-3" {
 		t.Fatalf("fallback snapshot = %q, want snap-3", rec.Snapshot)
 	}

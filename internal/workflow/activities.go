@@ -395,7 +395,8 @@ func (p *Pick) wait(ctx context.Context) (idx int, payload any, expired bool, er
 // poll is wait without the race, for deterministic orchestrators: each
 // branch's event channel is tried once, in definition order, and a pick
 // with no event ready has expired — virtual-time-safe and a pure
-// function of the event sources.
+// function of the event sources. A caller that gave up decides nothing:
+// its error comes back instead of an expiry, as it does from wait.
 func (p *Pick) poll(ctx context.Context) (idx int, payload any, expired bool, err error) {
 	for i, e := range p.Events {
 		select {
@@ -405,6 +406,9 @@ func (p *Pick) poll(ctx context.Context) (idx int, payload any, expired bool, er
 			}
 		default:
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, nil, false, err
 	}
 	return 0, nil, true, nil
 }

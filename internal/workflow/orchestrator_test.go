@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1075,8 +1076,10 @@ func TestCallerCancelStaysPending(t *testing.T) {
 }
 
 // TestPickSameUnderBothEngines runs one Pick definition under
-// Workflow.Run and under a racing (non-deterministic) Orchestrator: the
+// Workflow.Run and under a racing and a deterministic Orchestrator: the
 // same branch runs with the same payload, or the same error comes back.
+// A pick whose caller gave up journals no decision, so resuming it waits
+// for the event afresh.
 func TestPickSameUnderBothEngines(t *testing.T) {
 	never := func(context.Context) <-chan any { return make(chan any) }
 	ready := func(context.Context) <-chan any {
@@ -1115,10 +1118,16 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 			}},
 		{name: "caller cancelled", wantErr: "context canceled", wantStatus: StatusPending,
 			pick: func(cancel func()) *Pick {
+				// The caller gives up on the first wait; the event is
+				// ready by the time the instance resumes.
+				var gaveUp atomic.Bool
 				return &Pick{Label: "race", Timeout: time.Hour, OnExpire: won("x", "expired"),
-					Events: []PickBranch{{Then: won("n", "never"), Wait: func(ctx context.Context) <-chan any {
-						cancel()
-						return never(ctx)
+					Events: []PickBranch{{Var: "evt", Then: won("e", "event"), Wait: func(ctx context.Context) <-chan any {
+						if gaveUp.CompareAndSwap(false, true) {
+							cancel()
+							return never(ctx)
+						}
+						return ready(ctx)
 					}}}}
 			}},
 	}
@@ -1143,17 +1152,37 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 			}
 			check("Workflow.Run", out, errText)
 
-			o, err := OpenOrchestrator(wal.NewMemFS(53), Options{})
-			if err != nil {
-				t.Fatalf("OpenOrchestrator: %v", err)
-			}
-			ctx, cancel = context.WithCancel(context.Background())
-			defer cancel()
-			o.Define(mustWorkflow(t, "picky", tc.pick(cancel)))
-			res, _ := o.Start(ctx, "wf-1", "picky", nil)
-			check("Orchestrator", res.Vars, res.Err)
-			if res.Status != tc.wantStatus {
-				t.Errorf("Orchestrator: status %s, want %s", res.Status, tc.wantStatus)
+			for _, deterministic := range []bool{false, true} {
+				engine := fmt.Sprintf("Orchestrator(Deterministic=%v)", deterministic)
+				o, err := OpenOrchestrator(wal.NewMemFS(53), Options{Deterministic: deterministic})
+				if err != nil {
+					t.Fatalf("OpenOrchestrator: %v", err)
+				}
+				ctx, cancel = context.WithCancel(context.Background())
+				defer cancel()
+				o.Define(mustWorkflow(t, "picky", tc.pick(cancel)))
+				res, _ := o.Start(ctx, "wf-1", "picky", nil)
+				check(engine, res.Vars, res.Err)
+				if res.Status != tc.wantStatus {
+					t.Errorf("%s: status %s, want %s", engine, res.Status, tc.wantStatus)
+				}
+				if res.Status != StatusPending {
+					continue
+				}
+				picks := 0
+				for _, r := range o.lookup("wf-1").snapshotRecords() {
+					if r.Kind == recPick {
+						picks++
+					}
+				}
+				if picks != 0 {
+					t.Errorf("%s: the abandoned pick journaled %d pick records, want 0", engine, picks)
+				}
+				res, err = o.Resume(context.Background(), "wf-1")
+				if err != nil || res.Status != StatusCompleted || res.Vars["winner"] != "event" || res.Vars["evt"] != "payload" {
+					t.Errorf("%s: resumed to %s winner=%v evt=%v err=%v, want completed winner=event evt=payload",
+						engine, res.Status, res.Vars["winner"], res.Vars["evt"], err)
+				}
 			}
 		})
 	}
