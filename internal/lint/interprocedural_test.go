@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // writePackage materializes source files into a temp dir and loads them
@@ -226,5 +227,50 @@ func TestAnalyzerTestsReachTestFiles(t *testing.T) {
 	}
 	if !strings.HasSuffix(fs[0].Pos.Filename, "_test.go") {
 		t.Errorf("finding not in a test file: %s", fs[0])
+	}
+}
+
+// TestRuntimeBudget asserts a full-module soclint run — loading from a
+// cold loader, building the flow graph, running every analyzer over
+// every unit — finishes inside the budget, so interprocedural analysis
+// cannot quietly turn `make lint` into a coffee break. Override the
+// budget with SOCLINT_BUDGET (a time.ParseDuration string) on slow
+// machines.
+func TestRuntimeBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module analysis; skipped in -short")
+	}
+	budget := 90 * time.Second
+	if s := os.Getenv("SOCLINT_BUDGET"); s != "" {
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			t.Fatalf("bad SOCLINT_BUDGET %q: %v", s, err)
+		}
+		budget = d
+	}
+
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatalf("module root: %v", err)
+	}
+	start := time.Now()
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	loader.Tests = true
+	paths, err := loader.ModulePackages()
+	if err != nil {
+		t.Fatalf("listing module packages: %v", err)
+	}
+	runner := &Runner{Analyzers: DefaultAnalyzers(), Config: DefaultConfig()}
+	_, units, err := runner.RunModule(loader, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	t.Logf("full-module run: %d units in %s (budget %s)", units, elapsed.Round(time.Millisecond), budget)
+	if elapsed > budget {
+		t.Errorf("full-module analysis took %s, over the %s budget", elapsed, budget)
 	}
 }
