@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake chaos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
+.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake fuzz chaos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
 ## mode), race-enabled tests, the flake gate (concurrent orchestration,
 ## the durable-machine hammer and call-plane deadlines, 20 race-enabled
-## repeats), the deterministic simulation corpus, the exhaustive WAL,
-## workflow-journal and registry crash-point corpora, the end-to-end
-## performance check, the open-loop load smoke, and the cluster +
-## workflow orchestration smokes
-ci: build lint-ci race flake sim crash perf load-smoke cluster-smoke workflow-smoke
+## repeats), the fuzz targets, the deterministic simulation corpus, the
+## exhaustive WAL, workflow-journal and registry crash-point corpora, the
+## end-to-end performance check, the open-loop load smoke, and the
+## cluster + workflow orchestration smokes
+ci: build lint-ci race flake fuzz sim crash perf load-smoke cluster-smoke workflow-smoke
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,16 @@ flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
 	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane
+
+## fuzz: run each fuzz target for 20 s beyond its committed seeds
+## (testdata/fuzz/, which plain `go test` already replays):
+## ParseTraceParent against an encoding/hex reference and a format/parse
+## round trip, and the REST binding's JSON object decoder against
+## encoding/json. A crasher lands in testdata/fuzz/ and is committed with
+## its fix
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceParent$$' -fuzztime 20s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONObject$$' -fuzztime 20s ./internal/host
 
 ## chaos: just the fault-injection chaos suite, verbosely
 chaos:

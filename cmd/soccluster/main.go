@@ -103,7 +103,6 @@ func main() {
 		},
 		Cooldown:  *cooldown,
 		Interval:  *interval,
-		Clock:     vtime.Real{},
 		Directory: reg,
 		Category:  "replica",
 	})

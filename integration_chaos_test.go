@@ -368,7 +368,7 @@ func TestIntegrationChaosFrontDoorReplicaKill(t *testing.T) {
 	clock := vtime.NewVirtual(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
 	const lease = 5 * time.Second
 	reg := registry.New(registry.WithLease(lease), registry.WithClock(clock.Now))
-	fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Clock: clock, Seed: chaosSeed})
+	fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Seed: chaosSeed})
 
 	type liveReplica struct {
 		name  string

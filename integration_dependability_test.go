@@ -82,7 +82,7 @@ func TestIntegrationReliableComposition(t *testing.T) {
 	defer server.Close()
 	client := host.NewClient(server.URL)
 
-	breaker, err := reliability.NewBreaker(10, time.Second, nil)
+	breaker, err := reliability.NewBreaker(10, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

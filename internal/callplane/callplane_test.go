@@ -101,7 +101,7 @@ func TestWithSpanRecordsRoot(t *testing.T) {
 
 func TestWithAttemptSpanNumbersAndBreakerAnnotation(t *testing.T) {
 	tr := telemetry.NewTracer(8)
-	br, err := reliability.NewBreaker(1, time.Hour, nil)
+	br, err := reliability.NewBreaker(1, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestResilientChainTraceShape(t *testing.T) {
 	}
 	breakers := map[string]*reliability.Breaker{}
 	for _, u := range []string{"http://a", "http://b"} {
-		br, err := reliability.NewBreaker(5, time.Second, nil)
+		br, err := reliability.NewBreaker(5, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,8 +31,6 @@ type AutoscalerOptions struct {
 	Cooldown time.Duration
 	// Interval is Run's evaluation period — the policy window.
 	Interval time.Duration
-	// Clock drives cooldown spacing and the Run loop; nil = wall clock.
-	Clock vtime.Clock
 	// Directory, when set, makes membership registry-driven: each Tick
 	// reconciles the front door's rotation against the live lease view in
 	// Category, so replicas whose leases expired (killed, wedged) drop
@@ -56,7 +54,6 @@ type Autoscaler struct {
 	fd       *FrontDoor
 	launcher Launcher
 	opts     AutoscalerOptions
-	clock    vtime.Clock
 
 	mu           sync.Mutex
 	running      []*Replica
@@ -83,13 +80,10 @@ func NewAutoscaler(fd *FrontDoor, l Launcher, opts AutoscalerOptions) (*Autoscal
 	if opts.Interval == 0 {
 		opts.Interval = time.Second
 	}
-	if opts.Clock == nil {
-		opts.Clock = vtime.Real{}
-	}
 	if l == nil {
 		return nil, fmt.Errorf("%w: nil launcher", ErrConfig)
 	}
-	return &Autoscaler{fd: fd, launcher: l, opts: opts, clock: opts.Clock}, nil
+	return &Autoscaler{fd: fd, launcher: l, opts: opts}, nil
 }
 
 // Prime launches the policy's MinReplicas into the rotation.
@@ -141,8 +135,9 @@ func (a *Autoscaler) Stats() AutoscalerStats {
 
 // Tick runs one evaluation: reconcile membership with the registry,
 // finalize drained replicas, measure the window's demand, and act on the
-// policy's verdict under the cooldown. Deterministic given deterministic
-// inputs — the virtual-clock cluster scenario calls it directly.
+// policy's verdict under the cooldown, timed on ctx's clock
+// (vtime.ClockFrom). Deterministic given deterministic inputs — the
+// virtual-clock cluster scenario calls it directly.
 func (a *Autoscaler) Tick(ctx context.Context) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -197,7 +192,7 @@ func (a *Autoscaler) Tick(ctx context.Context) error {
 	a.lastDemand = demand
 
 	// 4. Policy under cooldown.
-	now := a.clock.Now().UnixNano()
+	now := vtime.Now(ctx).UnixNano()
 	if !a.cool.Ready(now, int64(a.opts.Cooldown)) {
 		return firstErr
 	}
@@ -233,8 +228,8 @@ func (a *Autoscaler) liveEntries() []registry.Entry {
 	return a.opts.Directory.List(true)
 }
 
-// Run evaluates every Interval until ctx is done. It is the live-mode
-// loop; deterministic harnesses call Tick directly instead.
+// Run evaluates every Interval on ctx's clock until ctx is done. It is
+// the live-mode loop; deterministic harnesses call Tick directly instead.
 func (a *Autoscaler) Run(ctx context.Context) error {
 	for {
 		select {
@@ -242,7 +237,7 @@ func (a *Autoscaler) Run(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		if err := a.clock.Sleep(ctx, a.opts.Interval); err != nil {
+		if err := vtime.Sleep(ctx, a.opts.Interval); err != nil {
 			return err
 		}
 		if err := a.Tick(ctx); err != nil {

@@ -46,11 +46,11 @@ func (l *fakeLauncher) Stop(ctx context.Context, rep *Replica) error {
 	return nil
 }
 
-func newScaler(t *testing.T, clock vtime.Clock, l Launcher, p Policy, cooldown time.Duration) (*FrontDoor, *Autoscaler) {
+func newScaler(t *testing.T, l Launcher, p Policy, cooldown time.Duration) (*FrontDoor, *Autoscaler) {
 	t.Helper()
-	fd := NewFrontDoor(FrontDoorConfig{Clock: clock})
+	fd := NewFrontDoor(FrontDoorConfig{})
 	a, err := NewAutoscaler(fd, l, AutoscalerOptions{
-		Policy: p, Cooldown: cooldown, Interval: time.Second, Clock: clock,
+		Policy: p, Cooldown: cooldown, Interval: time.Second,
 	})
 	if err != nil {
 		t.Fatalf("NewAutoscaler: %v", err)
@@ -61,8 +61,8 @@ func newScaler(t *testing.T, clock vtime.Clock, l Launcher, p Policy, cooldown t
 func TestAutoscalerPrimeAndScaleUp(t *testing.T) {
 	clock := vtime.NewVirtual(epoch)
 	l := &fakeLauncher{}
-	fd, a := newScaler(t, clock, l, Policy{MinReplicas: 1, MaxReplicas: 5, ReplicaCapacity: 100, TargetUtilization: 1}, 0)
-	ctx := context.Background()
+	fd, a := newScaler(t, l, Policy{MinReplicas: 1, MaxReplicas: 5, ReplicaCapacity: 100, TargetUtilization: 1}, 0)
+	ctx := vtime.WithClock(context.Background(), clock)
 	if err := a.Prime(ctx); err != nil {
 		t.Fatalf("Prime: %v", err)
 	}
@@ -85,8 +85,8 @@ func TestAutoscalerPrimeAndScaleUp(t *testing.T) {
 func TestAutoscalerCooldownGatesActions(t *testing.T) {
 	clock := vtime.NewVirtual(epoch)
 	l := &fakeLauncher{}
-	fd, a := newScaler(t, clock, l, Policy{MinReplicas: 1, MaxReplicas: 8, ReplicaCapacity: 100, TargetUtilization: 1}, 10*time.Second)
-	ctx := context.Background()
+	fd, a := newScaler(t, l, Policy{MinReplicas: 1, MaxReplicas: 8, ReplicaCapacity: 100, TargetUtilization: 1}, 10*time.Second)
+	ctx := vtime.WithClock(context.Background(), clock)
 	if err := a.Prime(ctx); err != nil {
 		t.Fatalf("Prime: %v", err)
 	}
@@ -120,8 +120,8 @@ func TestAutoscalerCooldownGatesActions(t *testing.T) {
 func TestAutoscalerScaleDownDrainsBeforeStopping(t *testing.T) {
 	clock := vtime.NewVirtual(epoch)
 	l := &fakeLauncher{}
-	fd, a := newScaler(t, clock, l, Policy{MinReplicas: 1, MaxReplicas: 5, ReplicaCapacity: 100, TargetUtilization: 1}, 0)
-	ctx := context.Background()
+	fd, a := newScaler(t, l, Policy{MinReplicas: 1, MaxReplicas: 5, ReplicaCapacity: 100, TargetUtilization: 1}, 0)
+	ctx := vtime.WithClock(context.Background(), clock)
 	if err := a.Prime(ctx); err != nil {
 		t.Fatalf("Prime: %v", err)
 	}
@@ -183,17 +183,16 @@ func TestAutoscalerLeaseExpiryReapsDeadReplica(t *testing.T) {
 	clock := vtime.NewVirtual(epoch)
 	reg := registry.New(registry.WithLease(time.Minute), registry.WithClock(clock.Now))
 	l := &fakeLauncher{reg: reg}
-	fd := NewFrontDoor(FrontDoorConfig{Clock: clock})
+	fd := NewFrontDoor(FrontDoorConfig{})
 	a, err := NewAutoscaler(fd, l, AutoscalerOptions{
 		Policy:    Policy{MinReplicas: 2, MaxReplicas: 4, ReplicaCapacity: 100, TargetUtilization: 1},
-		Clock:     clock,
 		Directory: reg,
 		Category:  "replica",
 	})
 	if err != nil {
 		t.Fatalf("NewAutoscaler: %v", err)
 	}
-	ctx := context.Background()
+	ctx := vtime.WithClock(context.Background(), clock)
 	if err := a.Prime(ctx); err != nil {
 		t.Fatalf("Prime: %v", err)
 	}
@@ -236,8 +235,8 @@ func TestAutoscalerDrainProperty(t *testing.T) {
 			TargetUtilization: 0.5 + 0.5*rng.Float64(),
 		}
 		cooldown := time.Duration(rng.Intn(8)) * time.Second
-		fd, a := newScaler(t, clock, l, p, cooldown)
-		ctx := context.Background()
+		fd, a := newScaler(t, l, p, cooldown)
+		ctx := vtime.WithClock(context.Background(), clock)
 		if err := a.Prime(ctx); err != nil {
 			t.Fatalf("seed %d: Prime: %v", seed, err)
 		}

@@ -5,9 +5,10 @@
 // and an Autoscaler that sizes that rotation from measured demand with
 // the pure Policy under a Cooldown, draining before it stops — the
 // on-demand, elastic, pay-per-use properties the course defines cloud
-// computing by. Every part takes a vtime.Clock, so the same code serves
-// wall-clock traffic and the deterministic virtual-clock scenarios
-// (simtest's world with a door, ablation A5).
+// computing by. Every part reads the clock of the context it is handed
+// (vtime.ClockFrom), so the same code serves wall-clock traffic and the
+// deterministic virtual-clock scenarios (simtest's world with a door,
+// ablation A5).
 package cloud
 
 import (
@@ -50,15 +51,14 @@ type FrontDoorConfig struct {
 	// QueueDepth bounds arrivals waiting for an in-flight slot before the
 	// door sheds: 0 means MaxInFlight, negative means unbounded (no
 	// admission control — the "naive" mode the saturation study measures
-	// against). The queue waits on Clock: a virtual deadline never fires
-	// on its own, so a virtual-clock door must not be saturated — the
-	// simulator sends one request at a time against its 256 slots.
+	// against). The queue waits on the clock of the request's context: a
+	// virtual deadline never fires on its own, so a door serving requests
+	// that carry a vtime.Virtual must not be saturated — the simulator
+	// sends one request at a time against its 256 slots.
 	QueueDepth int
 	// QueueTimeout bounds the wait for a slot (0 = 100ms, negative = no
 	// bound beyond the request's own deadline).
 	QueueTimeout time.Duration
-	// Clock supplies timestamps and queue timeouts; nil means wall clock.
-	Clock vtime.Clock
 	// Tracer records proxy spans; nil disables tracing.
 	Tracer *telemetry.Tracer
 	// Seed fixes the power-of-two-choices PRNG (0 = 1), so virtual-clock
@@ -78,7 +78,6 @@ type FrontDoor struct {
 	queueDepth   int
 	queueTimeout time.Duration
 
-	clock   vtime.Clock
 	tracer  *telemetry.Tracer
 	metrics *telemetry.Metrics
 	chain   callplane.Transport
@@ -127,9 +126,6 @@ func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 	if cfg.QueueTimeout == 0 {
 		cfg.QueueTimeout = 100 * time.Millisecond
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vtime.Real{}
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -137,7 +133,6 @@ func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 		maxInFlight:  cfg.MaxInFlight,
 		queueDepth:   cfg.QueueDepth,
 		queueTimeout: cfg.QueueTimeout,
-		clock:        cfg.Clock,
 		tracer:       cfg.Tracer,
 		metrics:      telemetry.NewMetrics(),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
@@ -383,6 +378,7 @@ func (fd *FrontDoor) shedResponse(w http.ResponseWriter, r *http.Request, why st
 type proxyCall struct {
 	fd   *FrontDoor
 	r    *http.Request
+	clk  vtime.Clock          // the request's, read once
 	inv  callplane.Invocation // inv.Do is bound to this proxyCall once, for its lifetime
 	body *callplane.Buffer    // nil for a bodiless request
 	resp *http.Response
@@ -439,7 +435,7 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 	}
 	pc.lent.Add(1)
 	req := callplane.Forward(ctx, pc.r, body, pc)
-	t0 := fd.clock.Now()
+	t0 := pc.clk.Now()
 	rsp, err := rep.rt.RoundTrip(req)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -452,7 +448,7 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		// A fast connection-refused must not make a dead replica
 		// look attractive: penalize the EWMA with at least a
 		// second so picks steer away until the lease reaps it.
-		elapsed := fd.clock.Now().Sub(t0)
+		elapsed := pc.clk.Now().Sub(t0)
 		if elapsed < time.Second {
 			elapsed = time.Second
 		}
@@ -460,14 +456,15 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		pc.lastFailed = rep.Name()
 		return fmt.Errorf("%w: %s: %v", errExchange, rep.Name(), err)
 	}
-	rep.observe(fd.clock.Now().Sub(t0), rsp.StatusCode >= http.StatusInternalServerError)
+	rep.observe(pc.clk.Now().Sub(t0), rsp.StatusCode >= http.StatusInternalServerError)
 	pc.resp = rsp
 	return nil
 }
 
 // proxy admits (or sheds) one arrival and exchanges it with a replica.
 func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
-	ctx := vtime.WithClock(r.Context(), fd.clock)
+	ctx := r.Context()
+	clk := vtime.ClockFrom(ctx)
 
 	pc := proxyCallPool.Get().(*proxyCall)
 	defer pc.finish()
@@ -485,7 +482,7 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if !fd.admit(ctx) {
+	if !fd.admit(ctx, clk) {
 		fd.shedQueue.Add(1)
 		fd.shedResponse(w, r, "admission queue full")
 		return
@@ -493,8 +490,8 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-fd.sem }()
 	fd.admitted.Add(1)
 
-	start := fd.clock.Now()
-	pc.fd, pc.r = fd, r
+	start := clk.Now()
+	pc.fd, pc.r, pc.clk = fd, r, clk
 	// One string serves as the span name and, past its prefix, as the
 	// operation.
 	name, _ := fd.spanNames.Get(spanKey{r.Method, r.URL.Path}, spanName)
@@ -505,22 +502,23 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		fd.completed.Add(1)
-		fd.metrics.Record("frontdoor.proxy", fd.clock.Now().Sub(start), pc.resp.StatusCode >= http.StatusInternalServerError)
+		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), pc.resp.StatusCode >= http.StatusInternalServerError)
 		copyResponse(w, pc.resp)
 	case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicasSaturated):
 		fd.shedBusy.Add(1)
 		fd.shedResponse(w, r, err.Error())
 	default:
 		fd.errored.Add(1)
-		fd.metrics.Record("frontdoor.proxy", fd.clock.Now().Sub(start), true)
+		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), true)
 		rest.WriteError(w, r, http.StatusBadGateway, "all replica attempts failed: %v", err)
 	}
 }
 
 // admit claims an in-flight slot, waiting in the bounded queue when the
 // door is saturated. False means shed. The wait is bounded by
-// QueueTimeout on the door's clock (see FrontDoorConfig.QueueDepth).
-func (fd *FrontDoor) admit(ctx context.Context) bool {
+// QueueTimeout on clk, the request's clock (see
+// FrontDoorConfig.QueueDepth).
+func (fd *FrontDoor) admit(ctx context.Context, clk vtime.Clock) bool {
 	select {
 	case fd.sem <- struct{}{}:
 		return true
@@ -533,7 +531,7 @@ func (fd *FrontDoor) admit(ctx context.Context) bool {
 	defer fd.queued.Add(-1)
 	qctx, cancel := ctx, context.CancelFunc(func() {})
 	if fd.queueTimeout > 0 {
-		qctx, cancel = fd.clock.WithTimeout(ctx, fd.queueTimeout)
+		qctx, cancel = clk.WithTimeout(ctx, fd.queueTimeout)
 	}
 	defer cancel()
 	select {

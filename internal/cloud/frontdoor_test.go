@@ -77,7 +77,7 @@ func TestFrontDoorNoReplicasSheds(t *testing.T) {
 // measurably fewer picks — the defining property of p2c over EWMA scores.
 func TestFrontDoorP2CSkewedLatency(t *testing.T) {
 	clock := vtime.NewVirtual(epoch)
-	fd := NewFrontDoor(FrontDoorConfig{Clock: clock, Seed: 7})
+	fd := NewFrontDoor(FrontDoorConfig{Seed: 7})
 	// Virtual sleeps advance the shared clock, so the slow replica's
 	// samples land in its EWMA while fast replicas stay near zero.
 	fd.Add(NewLocalReplica("fast-a", sleepHandler(time.Millisecond), 0))
@@ -294,7 +294,7 @@ func TestFrontDoorLeaseExpiryDropsReplica(t *testing.T) {
 			t.Fatalf("publish %s: %v", name, err)
 		}
 	}
-	fd := NewFrontDoor(FrontDoorConfig{Clock: clock})
+	fd := NewFrontDoor(FrontDoorConfig{})
 	dial := func(e registry.Entry) (*Replica, error) {
 		return NewLocalReplica(e.Name, okHandler(e.Name), 0), nil
 	}
@@ -325,10 +325,9 @@ func TestFrontDoorLeaseExpiryDropsReplica(t *testing.T) {
 // TestFrontDoorPerReplicaCapSheds: when every replica is at its own cap,
 // the door answers 503 (shedBusy), not 502.
 func TestFrontDoorPerReplicaCapSheds(t *testing.T) {
-	clock := vtime.NewVirtual(epoch)
 	block := make(chan struct{})
 	started := make(chan struct{})
-	fd := NewFrontDoor(FrontDoorConfig{Clock: clock, MaxInFlight: 8})
+	fd := NewFrontDoor(FrontDoorConfig{MaxInFlight: 8})
 	fd.Add(NewLocalReplica("tiny", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		started <- struct{}{}
 		<-block

@@ -23,6 +23,7 @@ import (
 	"soc/internal/reliability"
 	"soc/internal/session"
 	"soc/internal/simtest"
+	"soc/internal/vtime"
 	"soc/internal/workflow"
 )
 
@@ -252,15 +253,16 @@ func Dependability() (string, error) {
 	}
 	replica2 := func(context.Context) error { return nil }
 
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
+	// The breakers' cooldowns run on a virtual clock nothing advances:
+	// once open, replica1's circuit stays open for the whole run.
+	ctx := vtime.WithClock(context.Background(), vtime.NewVirtual(time.Unix(0, 0)))
 	// Threshold 1: the first failure opens the circuit, so the sticky
 	// failover immediately prefers the healthy replica afterwards.
-	b1, err := reliability.NewBreaker(1, time.Minute, clock)
+	b1, err := reliability.NewBreaker(1, time.Minute)
 	if err != nil {
 		return "", err
 	}
-	b2, err := reliability.NewBreaker(1, time.Minute, clock)
+	b2, err := reliability.NewBreaker(1, time.Minute)
 	if err != nil {
 		return "", err
 	}
@@ -276,7 +278,6 @@ func Dependability() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ctx := context.Background()
 	succeeded, failed := 0, 0
 	for i := 0; i < 40; i++ {
 		err := group.Do(ctx, func(ctx context.Context, g guarded) error {
@@ -293,12 +294,12 @@ func Dependability() (string, error) {
 	var b strings.Builder
 	b.WriteString("A6 — dependability: fault injection with breaker + failover\n\n")
 	fmt.Fprintf(&b, "client calls: %d succeeded, %d failed\n", succeeded, failed)
-	fmt.Fprintf(&b, "replica1 breaker: %d ok, %d failed, %d rejected (state %s)\n", s1, f1, r1, b1.State())
-	fmt.Fprintf(&b, "replica2 breaker: %d ok, %d failed, %d rejected (state %s)\n", s2, f2, r2, b2.State())
+	fmt.Fprintf(&b, "replica1 breaker: %d ok, %d failed, %d rejected (state %s)\n", s1, f1, r1, b1.State(ctx))
+	fmt.Fprintf(&b, "replica2 breaker: %d ok, %d failed, %d rejected (state %s)\n", s2, f2, r2, b2.State(ctx))
 	if failed != 0 {
 		return b.String(), fmt.Errorf("experiments: failover failed to mask all faults")
 	}
-	if b1.State() == reliability.Closed {
+	if b1.State(ctx) == reliability.Closed {
 		return b.String(), fmt.Errorf("experiments: replica1 breaker never opened")
 	}
 	return b.String(), nil

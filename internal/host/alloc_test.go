@@ -192,10 +192,10 @@ func noopClient(t *testing.T, timeout time.Duration) *Client {
 
 // TestClientCallAllocCeilings pins both bindings end to end over one
 // in-memory exchange, measured on go1.24 and given 1. Without a Timeout
-// (17 and 29) the client half's own share is the span context (1), the
+// (17 and 26) the client half's own share is the span context (1), the
 // request (4) and the answer — map, key, value (3 to 5); the rest is the
 // exchange (3) and the host's dispatch of the no-op; callplane.Do adds
-// nothing. With the 30 s Timeout every default client carries (18 and 30)
+// nothing. With the 30 s Timeout every default client carries (18 and 27)
 // it adds the deadline, context and body guard in one (1). Through
 // http.Client.Do the same four calls measured 36, 34, 59 and 56.
 func TestClientCallAllocCeilings(t *testing.T) {
@@ -205,8 +205,8 @@ func TestClientCallAllocCeilings(t *testing.T) {
 		timeout    time.Duration
 		rest, soap float64
 	}{
-		{0, 18, 30},
-		{30 * time.Second, 19, 31},
+		{0, 18, 27},
+		{30 * time.Second, 19, 28},
 	} {
 		c := noopClient(t, tc.timeout)
 		rest := func() {

@@ -56,7 +56,7 @@ func (h *Host) cacheMiddleware(c *respcache.Cache) rest.Middleware {
 				next(w, r, p)
 				return
 			}
-			entry, hit := c.Do(key, func() (*respcache.Entry, bool) {
+			entry, hit := c.DoContext(r.Context(), key, func() (*respcache.Entry, bool) {
 				rec := respcache.NewRecorder()
 				// Mark the miss so the dispatch span downstream annotates
 				// itself "respcache=miss".

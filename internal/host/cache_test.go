@@ -91,20 +91,70 @@ func TestCacheMiddlewareHit(t *testing.T) {
 }
 
 func TestCacheMiddlewareTTLExpiry(t *testing.T) {
-	h, pure, _, c := newCachedHost(t, 8, time.Minute)
+	h, pure, _, _ := newCachedHost(t, 8, time.Minute)
+	// Entries age on the clock the request's context carries.
 	clock := vtime.NewVirtual(time.Unix(1000, 0))
-	c.UseClock(clock)
+	ctx := vtime.WithClock(context.Background(), clock)
+	get := func() string {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/services/Calc/invoke/Square?n=7", nil).WithContext(ctx))
+		return w.Header().Get("X-Cache")
+	}
 
-	getInvoke(h, "/services/Calc/invoke/Square?n=7")
+	get()
 	clock.Advance(30 * time.Second)
-	if w := getInvoke(h, "/services/Calc/invoke/Square?n=7"); w.Header().Get("X-Cache") != "HIT" {
+	if get() != "HIT" {
 		t.Fatal("entry expired before TTL")
 	}
 	clock.Advance(31 * time.Second) // 61s > TTL since fill
-	if w := getInvoke(h, "/services/Calc/invoke/Square?n=7"); w.Header().Get("X-Cache") != "MISS" {
+	if get() != "MISS" {
 		t.Fatal("entry served past TTL")
 	}
 	if n := pure.Load(); n != 2 {
+		t.Errorf("handler ran %d times, want 2", n)
+	}
+}
+
+// TestCacheMiddlewarePanickingOp: an idempotent operation that panics
+// answers 500 through Recovery every time it is asked, and never wedges
+// its cache key — the second identical request runs the handler again
+// instead of parking on the first one's flight.
+func TestCacheMiddlewarePanickingOp(t *testing.T) {
+	var runs atomic.Int64
+	svc, err := core.NewService("Fragile", "http://soc.example/fragile", "test service")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = svc.AddOperation(core.Operation{
+		Name:       "Crash",
+		Idempotent: true,
+		Input:      []core.Param{{Name: "n", Type: core.Int}},
+		Output:     []core.Param{{Name: "result", Type: core.Int}},
+		Handler: func(context.Context, core.Values) (core.Values, error) {
+			runs.Add(1)
+			panic("handler bug")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New()
+	h.MustMount(svc)
+	h.UseResponseCache(8, time.Minute)
+
+	for i := 1; i <= 2; i++ {
+		done := make(chan int, 1)
+		go func() { done <- getInvoke(h, "/services/Fragile/invoke/Crash?n=1").Code }()
+		select {
+		case code := <-done:
+			if code != http.StatusInternalServerError {
+				t.Fatalf("request %d: status %d, want 500", i, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d still blocked after 5s: the panicked fill wedged its key", i)
+		}
+	}
+	if n := runs.Load(); n != 2 {
 		t.Errorf("handler ran %d times, want 2", n)
 	}
 }

@@ -156,12 +156,9 @@ func (h *Host) Mount(svc *core.Service) error {
 			for k, v := range req.Params {
 				args[k] = v
 			}
-			// Join the caller's trace: transport header first (extracted by
-			// soap.Server), then the in-message SocTrace header entry.
-			remote, ok := telemetry.RemoteFromContext(ctx)
-			if !ok {
-				remote, _ = telemetry.ParseTraceParent(req.Header[telemetry.SOAPHeaderName])
-			}
+			// Join the caller's trace: soap.Server has put a valid
+			// transport header into the SocTrace entry over the envelope's.
+			remote, _ := telemetry.ParseTraceParent(req.Header[telemetry.SOAPHeaderName])
 			out, err := h.dispatch(ctx, m, opName, "soap", remote, args)
 			if err != nil {
 				if errors.Is(err, core.ErrBadRequest) || errors.Is(err, core.ErrNotFound) {

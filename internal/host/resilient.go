@@ -12,7 +12,6 @@ import (
 	"soc/internal/core"
 	"soc/internal/reliability"
 	"soc/internal/telemetry"
-	"soc/internal/vtime"
 )
 
 // ErrReplicaUnhealthy marks a replica skipped because the health checker
@@ -26,6 +25,10 @@ type Fallback func(ctx context.Context, service, op string, args core.Values) (c
 // Policy configures a ResilientClient. The zero value gets sensible
 // defaults: 3 attempts with 10 ms base backoff, 5-failure breakers with a
 // 1 s cooldown, a 10 s per-attempt timeout, and a 64-call bulkhead.
+// Policy holds no clock: every timed layer — backoffs, per-attempt
+// timeouts, breaker cooldowns — runs on the clock of the context each
+// Call carries (vtime.ClockFrom), so a caller on a vtime.Virtual gets
+// the whole stack in virtual time by threading it through that context.
 type Policy struct {
 	// Timeout bounds each individual attempt; 0 means 10 s.
 	Timeout time.Duration
@@ -47,11 +50,6 @@ type Policy struct {
 	// Tracer records the call's trace — root span, per-attempt spans,
 	// skip events; nil uses the process default.
 	Tracer *telemetry.Tracer
-	// Clock is the time source the per-replica breakers consult for their
-	// cooldowns; nil means the wall clock. The simulation harness sets a
-	// vtime.Virtual here (and threads the same clock via context for the
-	// retry/timeout layers) so breaker recovery happens in virtual time.
-	Clock vtime.Clock
 	// Health, when set, is the checker whose classification failover
 	// consults: demoted replicas are skipped while any replica is healthy.
 	// The caller builds it over the same replica URLs, starts it (or
@@ -119,12 +117,8 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 	}
 	policy = policy.withDefaults()
 	rc := &ResilientClient{policy: policy, byURL: make(map[string]*replica, len(baseURLs))}
-	var now func() time.Time
-	if policy.Clock != nil {
-		now = policy.Clock.Now
-	}
 	for _, u := range baseURLs {
-		br, err := reliability.NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown, now)
+		br, err := reliability.NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)
 		if err != nil {
 			return nil, err
 		}

@@ -257,10 +257,10 @@ func TestResilientClientBreakerIsolation(t *testing.T) {
 		}
 	}
 	// The dead replica's breaker opened; the live one's stayed closed.
-	if got := rc.replicas[0].breaker.State(); got != reliability.Open {
+	if got := rc.replicas[0].breaker.State(ctx); got != reliability.Open {
 		t.Errorf("dead replica breaker = %v, want open", got)
 	}
-	if got := rc.replicas[1].breaker.State(); got != reliability.Closed {
+	if got := rc.replicas[1].breaker.State(ctx); got != reliability.Closed {
 		t.Errorf("live replica breaker = %v, want closed", got)
 	}
 }

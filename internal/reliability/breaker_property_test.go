@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // breakerModel is an independent reference implementation of the breaker
@@ -55,9 +57,9 @@ func TestBreakerPropertyAgainstModel(t *testing.T) {
 		threshold := 1 + rng.Intn(4)
 		cooldown := time.Duration(1+rng.Intn(10)) * time.Second
 
-		clock := time.Unix(0, 0)
-		now := func() time.Time { return clock }
-		b, err := NewBreaker(threshold, cooldown, now)
+		clock := vtime.NewVirtual(time.Unix(0, 0))
+		ctx := vtime.WithClock(context.Background(), clock)
+		b, err := NewBreaker(threshold, cooldown)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,12 +68,12 @@ func TestBreakerPropertyAgainstModel(t *testing.T) {
 
 		for step := 0; step < 400; step++ {
 			if rng.Intn(3) == 0 {
-				clock = clock.Add(time.Duration(rng.Intn(int(2 * cooldown))))
+				clock.Advance(time.Duration(rng.Intn(int(2 * cooldown))))
 			}
 			succeeds := rng.Intn(2) == 0
-			admitted := model.call(clock, succeeds)
+			admitted := model.call(clock.Now(), succeeds)
 			var ran bool
-			err := b.Do(context.Background(), func(context.Context) error {
+			err := b.Do(ctx, func(context.Context) error {
 				ran = true
 				if succeeds {
 					return nil
@@ -99,9 +101,9 @@ func TestBreakerPropertyAgainstModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: admitted failure returned %v", seed, step, err)
 				}
 			}
-			if got, want := b.State(), model.state; got != want {
+			if got, want := b.State(ctx), model.state; got != want {
 				// State() itself advances Open→HalfOpen; mirror it.
-				model.advance(clock)
+				model.advance(clock.Now())
 				if got != model.state {
 					t.Fatalf("seed %d step %d: state=%v model=%v", seed, step, got, want)
 				}

@@ -73,7 +73,7 @@ func TestWithTimeoutVirtualClock(t *testing.T) {
 
 func TestBreakerOnVirtualClock(t *testing.T) {
 	v := vtime.NewVirtual(time.Unix(0, 0))
-	b, err := NewBreaker(2, time.Second, v.Now)
+	b, err := NewBreaker(2, time.Second)
 	if err != nil {
 		t.Fatalf("breaker: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestBreakerOnVirtualClock(t *testing.T) {
 	boom := errors.New("boom")
 	fail := func(context.Context) error { return boom }
 	ok := func(context.Context) error { return nil }
-	ctx := context.Background()
+	ctx := vtime.WithClock(context.Background(), v)
 
 	for i := 0; i < 2; i++ {
 		if err := b.Do(ctx, fail); !errors.Is(err, boom) {
@@ -114,7 +114,8 @@ func TestBreakerOnVirtualClock(t *testing.T) {
 
 func TestBreakerProbeFailureReopensViaHook(t *testing.T) {
 	v := vtime.NewVirtual(time.Unix(0, 0))
-	b, err := NewBreaker(1, time.Second, v.Now)
+	ctx := vtime.WithClock(context.Background(), v)
+	b, err := NewBreaker(1, time.Second)
 	if err != nil {
 		t.Fatalf("breaker: %v", err)
 	}
@@ -124,10 +125,10 @@ func TestBreakerProbeFailureReopensViaHook(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	//soclint:ignore errdiscard the error outcomes are asserted through the transition hook below
-	_ = b.Do(context.Background(), func(context.Context) error { return boom })
+	_ = b.Do(ctx, func(context.Context) error { return boom })
 	v.Advance(time.Second)
 	//soclint:ignore errdiscard the error outcomes are asserted through the transition hook below
-	_ = b.Do(context.Background(), func(context.Context) error { return boom })
+	_ = b.Do(ctx, func(context.Context) error { return boom })
 	want := []string{"closed>open", "open>half-open", "half-open>open"}
 	if fmt.Sprint(edges) != fmt.Sprint(want) {
 		t.Fatalf("transitions %v, want %v", edges, want)
@@ -136,7 +137,8 @@ func TestBreakerProbeFailureReopensViaHook(t *testing.T) {
 
 func TestStateReportsHalfOpenThroughHook(t *testing.T) {
 	v := vtime.NewVirtual(time.Unix(0, 0))
-	b, err := NewBreaker(1, time.Second, v.Now)
+	ctx := vtime.WithClock(context.Background(), v)
+	b, err := NewBreaker(1, time.Second)
 	if err != nil {
 		t.Fatalf("breaker: %v", err)
 	}
@@ -145,11 +147,11 @@ func TestStateReportsHalfOpenThroughHook(t *testing.T) {
 		edges = append(edges, fmt.Sprintf("%s>%s", from, to))
 	}
 	//soclint:ignore errdiscard only the state transition matters here
-	_ = b.Do(context.Background(), func(context.Context) error { return errors.New("boom") })
+	_ = b.Do(ctx, func(context.Context) error { return errors.New("boom") })
 	v.Advance(2 * time.Second)
 	// Merely observing the state after cooldown performs the open→half-open
 	// transition, and the hook must see it.
-	if st := b.State(); st != HalfOpen {
+	if st := b.State(ctx); st != HalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", st)
 	}
 	want := []string{"closed>open", "open>half-open"}

@@ -110,7 +110,8 @@ func (s BreakerState) String() string {
 // Breaker is a circuit breaker: after FailureThreshold consecutive
 // failures it opens and rejects calls for Cooldown; the first probe after
 // the cooldown half-opens the circuit, and its outcome closes or re-opens
-// it.
+// it. The cooldown runs on the clock of the context each call carries
+// (vtime.ClockFrom).
 type Breaker struct {
 	FailureThreshold int
 	Cooldown         time.Duration
@@ -128,7 +129,6 @@ type Breaker struct {
 	failures  int
 	openedAt  time.Time
 	probing   bool
-	now       func() time.Time
 	rejected  uint64
 	succeeded uint64
 	failed    uint64
@@ -160,30 +160,28 @@ func (b *Breaker) fire(edges []transition) {
 	}
 }
 
-// NewBreaker returns a closed breaker. now=nil uses wall time.
-func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) (*Breaker, error) {
+// NewBreaker returns a closed breaker.
+func NewBreaker(threshold int, cooldown time.Duration) (*Breaker, error) {
 	if threshold < 1 || cooldown <= 0 {
 		return nil, fmt.Errorf("reliability: bad breaker config threshold=%d cooldown=%v", threshold, cooldown)
 	}
-	if now == nil {
-		now = vtime.Real{}.Now
-	}
-	return &Breaker{FailureThreshold: threshold, Cooldown: cooldown, state: Closed, now: now}, nil
+	return &Breaker{FailureThreshold: threshold, Cooldown: cooldown, state: Closed}, nil
 }
 
-// State returns the current state (advancing Open → HalfOpen when the
-// cooldown has elapsed).
-func (b *Breaker) State() BreakerState {
+// State returns the current state, advancing Open → HalfOpen when the
+// cooldown has elapsed on ctx's clock.
+func (b *Breaker) State(ctx context.Context) BreakerState {
+	now := vtime.ClockFrom(ctx).Now()
 	b.mu.Lock()
-	edges := b.advanceLocked(nil)
+	edges := b.advanceLocked(now, nil)
 	state := b.state
 	b.mu.Unlock()
 	b.fire(edges)
 	return state
 }
 
-func (b *Breaker) advanceLocked(edges []transition) []transition {
-	if b.state == Open && b.now().Sub(b.openedAt) >= b.Cooldown {
+func (b *Breaker) advanceLocked(now time.Time, edges []transition) []transition {
+	if b.state == Open && now.Sub(b.openedAt) >= b.Cooldown {
 		edges = b.setStateLocked(HalfOpen, edges)
 	}
 	return edges
@@ -197,8 +195,10 @@ func (b *Breaker) advanceLocked(edges []transition) []transition {
 // A deadline applied below the breaker (a per-attempt timeout) leaves ctx
 // live and counts as a failure.
 func (b *Breaker) Do(ctx context.Context, fn func(ctx context.Context) error) error {
+	clk := vtime.ClockFrom(ctx)
+	now := clk.Now()
 	b.mu.Lock()
-	edges := b.advanceLocked(nil)
+	edges := b.advanceLocked(now, nil)
 	probe := false
 	switch b.state {
 	case Open:
@@ -236,7 +236,7 @@ func (b *Breaker) Do(ctx context.Context, fn func(ctx context.Context) error) er
 		b.failures++
 		if probe || b.failures >= b.FailureThreshold {
 			edges = b.setStateLocked(Open, edges)
-			b.openedAt = b.now()
+			b.openedAt = clk.Now()
 		}
 		b.mu.Unlock()
 		b.fire(edges)

@@ -102,8 +102,7 @@ func TestRetryContextCancel(t *testing.T) {
 }
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {
-	now := time.Unix(0, 0)
-	b, err := NewBreaker(3, time.Minute, func() time.Time { return now })
+	b, err := NewBreaker(3, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +114,8 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if b.State() != Open {
-		t.Fatalf("state = %v", b.State())
+	if b.State(ctx) != Open {
+		t.Fatalf("state = %v", b.State(ctx))
 	}
 	if err := b.Do(ctx, fail); !errors.Is(err, ErrOpen) {
 		t.Errorf("open call: %v", err)
@@ -128,49 +127,49 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 }
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
-	now := time.Unix(0, 0)
-	b, _ := NewBreaker(1, time.Minute, func() time.Time { return now })
-	ctx := context.Background()
+	v := vtime.NewVirtual(time.Unix(0, 0))
+	b, _ := NewBreaker(1, time.Minute)
+	ctx := vtime.WithClock(context.Background(), v)
 	_ = b.Do(ctx, func(context.Context) error { return errors.New("x") })
-	if b.State() != Open {
+	if b.State(ctx) != Open {
 		t.Fatal("not open")
 	}
-	now = now.Add(2 * time.Minute)
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v", b.State())
+	v.Advance(2 * time.Minute)
+	if b.State(ctx) != HalfOpen {
+		t.Fatalf("state = %v", b.State(ctx))
 	}
 	// Successful probe closes.
 	if err := b.Do(ctx, func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != Closed {
-		t.Errorf("state after probe = %v", b.State())
+	if b.State(ctx) != Closed {
+		t.Errorf("state after probe = %v", b.State(ctx))
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	now := time.Unix(0, 0)
-	b, _ := NewBreaker(1, time.Minute, func() time.Time { return now })
-	ctx := context.Background()
+	v := vtime.NewVirtual(time.Unix(0, 0))
+	b, _ := NewBreaker(1, time.Minute)
+	ctx := vtime.WithClock(context.Background(), v)
 	_ = b.Do(ctx, func(context.Context) error { return errors.New("x") })
-	now = now.Add(2 * time.Minute)
+	v.Advance(2 * time.Minute)
 	_ = b.Do(ctx, func(context.Context) error { return errors.New("still down") })
-	if b.State() != Open {
-		t.Errorf("state = %v", b.State())
+	if b.State(ctx) != Open {
+		t.Errorf("state = %v", b.State(ctx))
 	}
 	// And the cooldown restarted: not half-open yet.
-	now = now.Add(30 * time.Second)
-	if b.State() != Open {
-		t.Errorf("state after partial cooldown = %v", b.State())
+	v.Advance(30 * time.Second)
+	if b.State(ctx) != Open {
+		t.Errorf("state after partial cooldown = %v", b.State(ctx))
 	}
 }
 
 func TestBreakerSingleProbe(t *testing.T) {
-	now := time.Unix(0, 0)
-	b, _ := NewBreaker(1, time.Minute, func() time.Time { return now })
-	ctx := context.Background()
+	v := vtime.NewVirtual(time.Unix(0, 0))
+	b, _ := NewBreaker(1, time.Minute)
+	ctx := vtime.WithClock(context.Background(), v)
 	_ = b.Do(ctx, func(context.Context) error { return errors.New("x") })
-	now = now.Add(2 * time.Minute)
+	v.Advance(2 * time.Minute)
 
 	probeStarted := make(chan struct{})
 	release := make(chan struct{})
@@ -191,8 +190,8 @@ func TestBreakerSingleProbe(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if b.State() != Closed {
-		t.Errorf("state = %v", b.State())
+	if b.State(ctx) != Closed {
+		t.Errorf("state = %v", b.State(ctx))
 	}
 }
 
@@ -205,7 +204,7 @@ func TestBreakerCallerGaveUpIsNotAFailure(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	b, _ := NewBreaker(2, time.Minute, nil)
+	b, _ := NewBreaker(2, time.Minute)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 5; i++ {
@@ -213,8 +212,8 @@ func TestBreakerCallerGaveUpIsNotAFailure(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if _, failed, _ := b.Counters(); b.State() != Closed || failed != 0 {
-		t.Fatalf("after caller-cancelled calls: state %v failed %d, want closed and 0", b.State(), failed)
+	if _, failed, _ := b.Counters(); b.State(context.Background()) != Closed || failed != 0 {
+		t.Fatalf("after caller-cancelled calls: state %v failed %d, want closed and 0", b.State(context.Background()), failed)
 	}
 
 	perAttempt := func(ctx context.Context) error { return WithTimeout(ctx, time.Millisecond, hang) }
@@ -223,8 +222,8 @@ func TestBreakerCallerGaveUpIsNotAFailure(t *testing.T) {
 			t.Fatalf("per-attempt timeout %d: %v", i, err)
 		}
 	}
-	if _, failed, _ := b.Counters(); b.State() != Open || failed != 2 {
-		t.Fatalf("after per-attempt timeouts: state %v failed %d, want open and 2", b.State(), failed)
+	if _, failed, _ := b.Counters(); b.State(context.Background()) != Open || failed != 2 {
+		t.Fatalf("after per-attempt timeouts: state %v failed %d, want open and 2", b.State(context.Background()), failed)
 	}
 }
 
@@ -232,25 +231,26 @@ func TestBreakerCallerGaveUpIsNotAFailure(t *testing.T) {
 // gave up reaches no verdict — the breaker stays half-open and the next
 // caller probes.
 func TestBreakerCancelledProbeFreesTheSlot(t *testing.T) {
-	now := time.Unix(0, 0)
-	b, _ := NewBreaker(1, time.Minute, func() time.Time { return now })
-	_ = b.Do(context.Background(), func(context.Context) error { return errors.New("x") })
-	now = now.Add(2 * time.Minute)
+	v := vtime.NewVirtual(time.Unix(0, 0))
+	clocked := vtime.WithClock(context.Background(), v)
+	b, _ := NewBreaker(1, time.Minute)
+	_ = b.Do(clocked, func(context.Context) error { return errors.New("x") })
+	v.Advance(2 * time.Minute)
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(clocked)
 	err := b.Do(ctx, func(ctx context.Context) error {
 		cancel()
 		return ctx.Err()
 	})
-	if !errors.Is(err, context.Canceled) || b.State() != HalfOpen {
-		t.Fatalf("cancelled probe: err %v, state %v; want context.Canceled and half-open", err, b.State())
+	if !errors.Is(err, context.Canceled) || b.State(clocked) != HalfOpen {
+		t.Fatalf("cancelled probe: err %v, state %v; want context.Canceled and half-open", err, b.State(clocked))
 	}
 	ran := false
-	if err := b.Do(context.Background(), func(context.Context) error { ran = true; return nil }); err != nil || !ran {
+	if err := b.Do(clocked, func(context.Context) error { ran = true; return nil }); err != nil || !ran {
 		t.Fatalf("next caller: err %v, ran %v; want it admitted as the probe", err, ran)
 	}
-	if b.State() != Closed {
-		t.Fatalf("state after the next probe succeeded = %v", b.State())
+	if b.State(clocked) != Closed {
+		t.Fatalf("state after the next probe succeeded = %v", b.State(clocked))
 	}
 	if _, failed, rejected := b.Counters(); failed != 1 || rejected != 0 {
 		t.Fatalf("counters failed=%d rejected=%d, want 1 and 0", failed, rejected)
@@ -258,10 +258,10 @@ func TestBreakerCancelledProbeFreesTheSlot(t *testing.T) {
 }
 
 func TestBreakerValidation(t *testing.T) {
-	if _, err := NewBreaker(0, time.Second, nil); err == nil {
+	if _, err := NewBreaker(0, time.Second); err == nil {
 		t.Error("threshold 0 accepted")
 	}
-	if _, err := NewBreaker(1, 0, nil); err == nil {
+	if _, err := NewBreaker(1, 0); err == nil {
 		t.Error("cooldown 0 accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package respcache
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -119,7 +120,7 @@ func TestCacheSingleflightStampede(t *testing.T) {
 func TestCacheConcurrentExpiry(t *testing.T) {
 	c := New(64, time.Minute)
 	clock := vtime.NewVirtual(time.Unix(0, 0))
-	c.UseClock(clock)
+	ctx := vtime.WithClock(context.Background(), clock)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -133,7 +134,7 @@ func TestCacheConcurrentExpiry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.Do("aging", func() (*Entry, bool) {
+				c.DoContext(ctx, "aging", func() (*Entry, bool) {
 					return &Entry{Status: 200, Body: []byte("v")}, true
 				})
 			}

@@ -15,6 +15,7 @@
 package respcache
 
 import (
+	"context"
 	"hash/maphash"
 	"net/http"
 	"sync"
@@ -58,11 +59,14 @@ func (e *Entry) WriteTo(w http.ResponseWriter) {
 }
 
 // flight is one in-progress fill. Waiters block on wg and then read
-// entry; the publisher writes entry before wg.Done, so the WaitGroup's
-// happens-before edge makes the read safe.
+// entry; the publisher writes entry and filled before wg.Done, so the
+// WaitGroup's happens-before edge makes the read safe. filled stays
+// false when fill panicked: there is no entry to share.
 type flight struct {
-	wg    sync.WaitGroup
-	entry *Entry
+	wg     sync.WaitGroup
+	entry  *Entry
+	store  bool
+	filled bool
 }
 
 // item is one cached entry inside a shard. entry and expires are written
@@ -88,9 +92,6 @@ type shard struct {
 	misses   atomic.Uint64
 }
 
-// clockFn adapts a time source for atomic storage.
-type clockFn func() time.Time
-
 // Cache is a TTL'd LRU response cache with singleflight fill, safe for
 // concurrent use.
 type Cache struct {
@@ -98,7 +99,6 @@ type Cache struct {
 	mask   uint64
 	ttl    time.Duration
 	seed   maphash.Seed
-	now    atomic.Pointer[clockFn]
 }
 
 // shardCount picks the power-of-two stripe count for a capacity: roughly
@@ -138,7 +138,6 @@ func New(capacity int, ttl time.Duration) *Cache {
 			flights:  make(map[string]*flight),
 		}
 	}
-	c.UseClock(nil)
 	return c
 }
 
@@ -147,19 +146,6 @@ func (c *Cache) shardFor(key string) *shard {
 		return c.shards[0]
 	}
 	return c.shards[maphash.String(c.seed, key)&c.mask]
-}
-
-func (c *Cache) clock() clockFn { return *c.now.Load() }
-
-// UseClock points the cache's TTL arithmetic at clk (vtime.Clock); nil
-// restores the wall clock. This is the hook the deterministic simulation
-// harness and the expiry tests use so cached entries age in virtual time.
-func (c *Cache) UseClock(clk vtime.Clock) {
-	fn := clockFn(vtime.Real{}.Now)
-	if clk != nil {
-		fn = clk.Now
-	}
-	c.now.Store(&fn)
 }
 
 // Len reports the number of cached entries (including any expired ones
@@ -188,12 +174,12 @@ func (c *Cache) Stats() (hits, misses uint64) {
 // its recency. Expired entries read as misses and are left for insertion
 // pressure (or a replacing put) to clear — deleting here would need the
 // write lock the hit path exists to avoid.
-func (s *shard) get(key string, now func() time.Time, ttl time.Duration) (*Entry, bool) {
+func (s *shard) get(key string, clk vtime.Clock, ttl time.Duration) (*Entry, bool) {
 	it, ok := s.items[key]
 	if !ok {
 		return nil, false
 	}
-	if ttl > 0 && !now().Before(it.expires) {
+	if ttl > 0 && !clk.Now().Before(it.expires) {
 		return nil, false
 	}
 	it.touched.Store(s.seq.Add(1))
@@ -203,8 +189,8 @@ func (s *shard) get(key string, now func() time.Time, ttl time.Duration) (*Entry
 // put inserts (or replaces) the entry under the shard write lock and
 // evicts least-recently-touched items past the shard capacity (expired
 // items lose ties by construction: they haven't been touched recently).
-func (s *shard) put(key string, e *Entry, now func() time.Time, ttl time.Duration) {
-	expires := now().Add(ttl)
+func (s *shard) put(key string, e *Entry, clk vtime.Clock, ttl time.Duration) {
+	expires := clk.Now().Add(ttl)
 	if it, ok := s.items[key]; ok {
 		it.entry, it.expires = e, expires
 		it.touched.Store(s.seq.Add(1))
@@ -225,45 +211,49 @@ func (s *shard) put(key string, e *Entry, now func() time.Time, ttl time.Duratio
 	}
 }
 
-// Do returns the response for key, filling on a miss. fill's second
-// result says whether to store the response (non-cacheable responses —
-// errors, for example — are still returned to every collapsed waiter,
-// just not kept). hit reports whether fill was NOT invoked by this call:
-// either the entry was fresh in cache, or an identical in-flight request
-// produced it.
+// Do is DoContext on the wall clock.
 func (c *Cache) Do(key string, fill func() (*Entry, bool)) (e *Entry, hit bool) {
+	return c.DoContext(context.Background(), key, fill)
+}
+
+// DoContext returns the response for key, filling on a miss. Entries
+// age on ctx's clock (vtime.ClockFrom). fill's second result says
+// whether to store the response (non-cacheable responses — errors, for
+// example — are still returned to every collapsed waiter, just not
+// kept). hit reports whether fill was NOT invoked by this call: either
+// the entry was fresh in cache, or an identical in-flight request
+// produced it. A fill that panics releases its key on the way out —
+// nothing is cached, and each collapsed waiter runs fill itself — and
+// the panic goes on to the caller.
+func (c *Cache) DoContext(ctx context.Context, key string, fill func() (*Entry, bool)) (e *Entry, hit bool) {
 	s := c.shardFor(key)
-	now := c.clock()
+	clk := vtime.ClockFrom(ctx)
 
 	// Fast path: a fresh entry or a joinable flight needs only the
 	// shard read lock, so concurrent hits don't serialize.
 	s.mu.RLock()
-	if e, ok := s.get(key, now, c.ttl); ok {
+	if e, ok := s.get(key, clk, c.ttl); ok {
 		s.mu.RUnlock()
 		s.hits.Add(1)
 		return e, true
 	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.RUnlock()
-		s.hits.Add(1)
-		f.wg.Wait()
-		return f.entry, true
+		return s.join(f, fill)
 	}
 	s.mu.RUnlock()
 
 	// Slow path: take the write lock and re-check, since another miss
 	// may have filled or opened a flight in the window.
 	s.mu.Lock()
-	if e, ok := s.get(key, now, c.ttl); ok {
+	if e, ok := s.get(key, clk, c.ttl); ok {
 		s.mu.Unlock()
 		s.hits.Add(1)
 		return e, true
 	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
-		s.hits.Add(1)
-		f.wg.Wait()
-		return f.entry, true
+		return s.join(f, fill)
 	}
 	f := &flight{}
 	f.wg.Add(1)
@@ -271,17 +261,37 @@ func (c *Cache) Do(key string, fill func() (*Entry, bool)) (e *Entry, hit bool) 
 	s.misses.Add(1)
 	s.mu.Unlock()
 
-	entry, store := fill()
-	f.entry = entry
+	defer s.land(key, f, clk, c.ttl)
+	f.entry, f.store = fill()
+	f.filled = true
+	return f.entry, false
+}
 
+// land closes key's flight on every exit from its fill, a panic
+// included: it stores what a fill that returned asked to keep, then
+// wakes the waiters.
+func (s *shard) land(key string, f *flight, clk vtime.Clock, ttl time.Duration) {
 	s.mu.Lock()
 	delete(s.flights, key)
-	if store && entry != nil {
-		s.put(key, entry, now, c.ttl)
+	if f.filled && f.store && f.entry != nil {
+		s.put(key, f.entry, clk, ttl)
 	}
 	s.mu.Unlock()
 	f.wg.Done()
-	return entry, false
+}
+
+// join waits for another caller's fill of the same key and returns its
+// entry as a hit. When that fill panicked there is no entry: the waiter
+// runs fill itself, uncached.
+func (s *shard) join(f *flight, fill func() (*Entry, bool)) (*Entry, bool) {
+	f.wg.Wait()
+	if f.filled {
+		s.hits.Add(1)
+		return f.entry, true
+	}
+	s.misses.Add(1)
+	e, _ := fill()
+	return e, false
 }
 
 // Invalidate drops the entry for key, if present.

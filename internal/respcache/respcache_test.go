@@ -1,6 +1,7 @@
 package respcache
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -35,18 +36,18 @@ func TestCacheHitAndMiss(t *testing.T) {
 
 func TestCacheTTLExpiry(t *testing.T) {
 	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
 	c := New(4, time.Minute)
-	c.UseClock(clock)
 	calls := 0
 	fill := func() (*Entry, bool) { calls++; return entry("v"), true }
 
-	c.Do("k", fill)
+	c.DoContext(ctx, "k", fill)
 	clock.Advance(59 * time.Second)
-	if _, hit := c.Do("k", fill); !hit {
+	if _, hit := c.DoContext(ctx, "k", fill); !hit {
 		t.Fatal("entry expired before TTL")
 	}
 	clock.Advance(2 * time.Second) // past the minute
-	if _, hit := c.Do("k", fill); hit {
+	if _, hit := c.DoContext(ctx, "k", fill); hit {
 		t.Fatal("entry survived past TTL")
 	}
 	if calls != 2 {
@@ -123,6 +124,67 @@ func TestCacheSingleflight(t *testing.T) {
 		if string(e.Body) != "once" {
 			t.Fatalf("result %d = %q, want the single flight's response", i, e.Body)
 		}
+	}
+}
+
+// TestCachePanickingFillReleasesWaiters: a fill that panics must not
+// wedge its key. The panic reaches the filling caller, every collapsed
+// waiter wakes and serves itself, nothing is cached, and the next caller
+// fills afresh.
+func TestCachePanickingFillReleasesWaiters(t *testing.T) {
+	c := New(4, time.Minute)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do("k", func() (*Entry, bool) {
+			close(started)
+			<-release
+			panic("fill failed")
+		})
+	}()
+	<-started
+	const waiters = 8
+	type result struct {
+		e   *Entry
+		hit bool
+	}
+	results := make(chan result, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			e, hit := c.Do("k", func() (*Entry, bool) { return entry("own"), false })
+			results <- result{e, hit}
+		}()
+	}
+	// Give waiters a moment to join the flight, then let it panic.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+
+	deadline := time.After(5 * time.Second)
+	select {
+	case v := <-panicked:
+		if v != "fill failed" {
+			t.Fatalf("filling caller recovered %v, want the fill's panic", v)
+		}
+	case <-deadline:
+		t.Fatal("filling caller never returned")
+	}
+	for i := 0; i < waiters; i++ {
+		select {
+		case r := <-results:
+			if r.hit || string(r.e.Body) != "own" {
+				t.Fatalf("waiter got hit=%v body %q, want its own uncached response", r.hit, r.e.Body)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d waiters still parked on the panicked flight", waiters-i, waiters)
+		}
+	}
+	if _, hit := c.Do("k", func() (*Entry, bool) { return entry("v"), true }); hit {
+		t.Fatal("a panicked fill left an entry behind")
+	}
+	if h, m := c.Stats(); h != 0 || m != waiters+2 {
+		t.Errorf("stats = %d hits %d misses, want 0/%d", h, m, waiters+2)
 	}
 }
 

@@ -314,6 +314,9 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 		qosAgg:       map[string]*QoSAgg{},
 		seed:         seed,
 	}
+	// Every step runs under w.ctx, so its clock is the one the clients'
+	// retries and breakers, the replicas' response caches, the door and
+	// the autoscaler read: none of them is handed a clock of its own.
 	w.ctx = vtime.WithClock(context.Background(), w.clock)
 
 	// The QoS registry holds one entry per static replica: the health
@@ -365,7 +368,6 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 			MaxConcurrent:    16,
 			HTTPClient:       httpClient,
 			Tracer:           w.clientTracer,
-			Clock:            w.clock,
 			Health:           hc,
 		}, urls...)
 		if err != nil {
@@ -391,12 +393,11 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 			policy.MinReplicas--
 		}
 		w.leases = registry.New(registry.WithClock(w.clock.Now), registry.WithLease(doorLease))
-		w.fd = cloud.NewFrontDoor(cloud.FrontDoorConfig{Clock: w.clock, Seed: seed})
+		w.fd = cloud.NewFrontDoor(cloud.FrontDoorConfig{Seed: seed})
 		scaler, err := cloud.NewAutoscaler(w.fd, doorLauncher{w}, cloud.AutoscalerOptions{
 			Policy:    policy,
 			Cooldown:  cfg.Cooldown,
 			Interval:  time.Second,
-			Clock:     w.clock,
 			Directory: w.leases,
 			Category:  "replica",
 		})
@@ -496,9 +497,10 @@ func (w *World) retire(r *simReplica) {
 }
 
 // boot starts a fresh incarnation of the replica: new host, new service
-// state, empty response cache on the virtual clock. Idempotent-operation
-// handlers are wrapped to count successful executions per distinct
-// input — the raw data of the cache-once invariant.
+// state, empty response cache (aging on the requests' virtual clock).
+// Idempotent-operation handlers are wrapped to count successful
+// executions per distinct input — the raw data of the cache-once
+// invariant.
 func (r *simReplica) boot() error {
 	r.incarnation++
 	r.alive = true
@@ -536,8 +538,7 @@ func (r *simReplica) boot() error {
 			return err
 		}
 	}
-	cache := h.UseResponseCache(cacheCapacity, cacheTTL)
-	cache.UseClock(r.w.clock)
+	h.UseResponseCache(cacheCapacity, cacheTTL)
 	r.h = h
 	// Recover the durable directory from the replica's disk: the write-
 	// ahead log (as salvaged after any crash) rebuilds exactly the acked

@@ -701,7 +701,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusBadRequest, ClientFault("malformed envelope: %v", err))
 		return
 	}
-	if action := strings.Trim(r.Header.Get("SOAPAction"), `"`); action != "" {
+	// "Soapaction" is the canonical key: Get canonicalizes any other
+	// spelling into a fresh string on every request.
+	if action := strings.Trim(r.Header.Get("Soapaction"), `"`); action != "" {
 		// SOAPAction is conventionally namespace#operation or just the
 		// operation; the suffix must match the body operation.
 		if !strings.HasSuffix(action, req.Operation) {
@@ -714,10 +716,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusBadRequest, ClientFault("unknown operation %q", req.Operation))
 		return
 	}
-	// Lift the trace context (if any) off the transport so handlers can
-	// join the caller's trace; the in-message SocTrace header entry is
-	// available to handlers via req.Header as a fallback.
-	resp, err := h(telemetry.ExtractHTTP(r.Context(), r.Header), *req)
+	// A valid transport trace parent overrides the envelope's SocTrace
+	// entry, so a handler joins the caller's trace from that one entry.
+	if tp := r.Header.Get(telemetry.HeaderName); tp != "" {
+		if _, ok := telemetry.ParseTraceParent(tp); ok {
+			req.Header[telemetry.SOAPHeaderName] = tp
+		}
+	}
+	resp, err := h(r.Context(), *req)
 	if err != nil {
 		var f *Fault
 		if !errors.As(err, &f) {

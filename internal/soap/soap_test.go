@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"soc/internal/telemetry"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -184,6 +186,44 @@ func TestServerSOAPActionMismatch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerTransportTraceParentWins: a handler reads the caller's trace
+// parent from the request's SocTrace entry, which a valid X-Soc-Trace
+// transport header overrides; an absent or malformed one leaves the
+// envelope's entry as sent.
+func TestServerTransportTraceParentWins(t *testing.T) {
+	const (
+		envelope  = "00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01"
+		transport = "00-4bf92f3577b34da6a3ce929d0e0e4736-b7ad6b7169203331-01"
+	)
+	var seen string
+	s := NewServer("http://soc.example/echo")
+	if err := s.Handle("Echo", func(_ context.Context, req Message) (Message, error) {
+		seen = req.Header[telemetry.SOAPHeaderName]
+		return Message{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := Encode(Message{Operation: "Echo", Header: map[string]string{telemetry.SOAPHeaderName: envelope}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ header, want string }{
+		{transport, transport},
+		{"", envelope},
+		{"00-not-a-trace-parent-01", envelope},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(payload))
+		if tc.header != "" {
+			r.Header.Set(telemetry.HeaderName, tc.header)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || seen != tc.want {
+			t.Errorf("X-Soc-Trace %q: status %d, handler saw SocTrace %q, want %q", tc.header, w.Code, seen, tc.want)
+		}
 	}
 }
 

@@ -167,7 +167,6 @@ func FromHTTPHeader(h http.Header) (SpanContext, bool) {
 
 type (
 	spanKey      struct{}
-	remoteKey    struct{}
 	tracerKey    struct{}
 	cacheMissKey struct{}
 )
@@ -181,19 +180,6 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
-}
-
-// ContextWithRemote returns a context carrying a remote parent span
-// context (typically extracted from an incoming request); spans started
-// under it join the remote trace.
-func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, remoteKey{}, sc)
-}
-
-// RemoteFromContext returns the remote parent stored by ContextWithRemote.
-func RemoteFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(remoteKey{}).(SpanContext)
-	return sc, ok
 }
 
 // ContextWithTracer returns a context carrying a tracer, so layers
@@ -210,28 +196,18 @@ func TracerFromContext(ctx context.Context) *Tracer {
 }
 
 // SpanContextOf resolves the identity a child span would be parented on:
-// the active span's context, the remote parent, or invalid.
+// the active span's context, or invalid. A remote parent never rides the
+// context; it is passed as a value (StartSpanRemote, Tracer.Event).
 func SpanContextOf(ctx context.Context) SpanContext {
 	if sp := SpanFromContext(ctx); sp != nil {
 		return sp.Context()
 	}
-	sc, _ := RemoteFromContext(ctx)
-	return sc
+	return SpanContext{}
 }
 
 // Annotate attaches a key/value annotation to the active span, if any.
 func Annotate(ctx context.Context, key, value string) {
 	SpanFromContext(ctx).Annotate(key, value)
-}
-
-// ExtractHTTP lifts the X-Soc-Trace request header into the context as a
-// remote parent. Requests without (or with malformed) headers return ctx
-// unchanged, costing nothing on untraced traffic.
-func ExtractHTTP(ctx context.Context, h http.Header) context.Context {
-	if sc, ok := FromHTTPHeader(h); ok {
-		return ContextWithRemote(ctx, sc)
-	}
-	return ctx
 }
 
 // InjectHTTP stamps the active span's context into the X-Soc-Trace

@@ -56,17 +56,19 @@ func TestHTTPInjectExtract(t *testing.T) {
 	}
 	want := sp.Context()
 
-	sctx := ExtractHTTP(context.Background(), h)
-	got, ok := RemoteFromContext(sctx)
+	got, ok := FromHTTPHeader(h)
 	if !ok || got != want {
 		t.Fatalf("extracted %+v ok=%v, want %+v", got, ok, want)
 	}
 	sp.End()
 
-	// Absent header: context unchanged.
-	base := context.Background()
-	if ExtractHTTP(base, make(http.Header)) != base {
-		t.Error("ExtractHTTP allocated a context for an untraced request")
+	// Absent header: no parent, and an untraced request costs nothing.
+	untraced := make(http.Header)
+	if sc, ok := FromHTTPHeader(untraced); ok || sc.Valid() {
+		t.Errorf("untraced request yielded parent %+v", sc)
+	}
+	if n := testing.AllocsPerRun(100, func() { FromHTTPHeader(untraced) }); n != 0 {
+		t.Errorf("FromHTTPHeader allocated %.1f/op for an untraced request", n)
 	}
 	// No active span: no header written.
 	h2 := make(http.Header)

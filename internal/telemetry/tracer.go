@@ -188,8 +188,8 @@ func (t *Tracer) start(kind Kind, name string, parent SpanContext) *Span {
 	return sp
 }
 
-// StartSpan starts a span parented on the context's active span, else
-// its remote parent, else a fresh trace. The returned context carries
+// StartSpan starts a span parented on the context's active span, else a
+// fresh trace. The returned context carries
 // the new span, so nested calls become children and InjectHTTP can stamp
 // outbound requests. On a nil tracer it returns (nil, ctx).
 func (t *Tracer) StartSpan(ctx context.Context, kind Kind, name string) (*Span, context.Context) {
