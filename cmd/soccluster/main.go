@@ -104,7 +104,6 @@ func main() {
 		Cooldown:  *cooldown,
 		Interval:  *interval,
 		Directory: reg,
-		Category:  "replica",
 	})
 	if err != nil {
 		log.Fatalf("soccluster: %v", err)
@@ -162,7 +161,7 @@ func (l *localLauncher) Launch(_ context.Context, id int) (*cloud.Replica, error
 	}
 	if err := l.reg.Publish(registry.Entry{
 		Name:     name,
-		Category: "replica",
+		Category: cloud.ReplicaCategory,
 		Endpoint: "local://" + name,
 		Doc:      "soccluster in-process replica",
 		Provider: "soccluster",

@@ -91,7 +91,7 @@ func newServer(dir string) (*server, *workflow.Orchestrator, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	orch, err := workflow.OpenOrchestrator(fs, workflow.Options{Deterministic: true})
+	orch, err := workflow.OpenOrchestrator(fs, workflow.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

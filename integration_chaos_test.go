@@ -399,7 +399,7 @@ func TestIntegrationChaosFrontDoorReplicaKill(t *testing.T) {
 		lr := &liveReplica{name: name, alive: &atomic.Bool{}}
 		lr.alive.Store(true)
 		lr.rep = cloud.NewReplica(name, aliveTransport{alive: lr.alive, rt: cloud.HandlerTransport(h)}, 0)
-		if err := reg.Publish(registry.Entry{Name: name, Category: "replica", Endpoint: "local://" + name}); err != nil {
+		if err := reg.Publish(registry.Entry{Name: name, Category: cloud.ReplicaCategory, Endpoint: "local://" + name}); err != nil {
 			t.Fatal(err)
 		}
 		fd.Add(lr.rep)
@@ -426,9 +426,7 @@ func TestIntegrationChaosFrontDoorReplicaKill(t *testing.T) {
 				}
 			}
 		}
-		if _, _, err := fd.SyncMembership(reg.ByCategory("replica"), nil); err != nil {
-			t.Fatalf("sync: %v", err)
-		}
+		fd.SyncMembership(reg.ByCategory(cloud.ReplicaCategory))
 	}
 
 	// 40 virtual seconds at 50 req/s; the kill lands at t=15s, the lease

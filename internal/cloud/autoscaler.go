@@ -22,6 +22,11 @@ type Launcher interface {
 	Stop(ctx context.Context, rep *Replica) error
 }
 
+// ReplicaCategory is the registry category under which a Launcher
+// publishes each replica's lease; the autoscaler reads the live leases
+// in it.
+const ReplicaCategory = "replica"
+
 // AutoscalerOptions configure the real autoscaler.
 type AutoscalerOptions struct {
 	// Policy is the pure sizing rule; ReplicaCapacity is per evaluation
@@ -32,16 +37,11 @@ type AutoscalerOptions struct {
 	// Interval is Run's evaluation period — the policy window.
 	Interval time.Duration
 	// Directory, when set, makes membership registry-driven: each Tick
-	// reconciles the front door's rotation against the live lease view in
-	// Category, so replicas whose leases expired (killed, wedged) drop
-	// out of rotation and out of the autoscaler's books.
+	// prunes the front door's rotation against the live leases in
+	// ReplicaCategory, so replicas whose leases expired (killed, wedged)
+	// drop out of rotation and out of the autoscaler's books. A live
+	// lease the autoscaler did not launch never joins the rotation.
 	Directory registry.Directory
-	// Category selects which registry entries are cluster replicas.
-	Category string
-	// Dial turns a registry entry the autoscaler didn't launch (e.g. a
-	// remote replica that joined on its own) into a rotation member; nil
-	// ignores foreign entries.
-	Dial func(registry.Entry) (*Replica, error)
 }
 
 // Autoscaler sizes a live cluster: each Tick it measures demand (admitted
@@ -152,12 +152,7 @@ func (a *Autoscaler) Tick(ctx context.Context) error {
 	// Replicas whose leases expired leave the rotation; if one of them is
 	// on our books it is dead, not drained — stop it and forget it.
 	if a.opts.Directory != nil {
-		live := a.liveEntries()
-		dial := a.opts.Dial
-		if dial == nil {
-			dial = func(registry.Entry) (*Replica, error) { return nil, fmt.Errorf("unmanaged entry ignored") }
-		}
-		_, _, _ = a.fd.SyncMembership(live, dial)
+		a.fd.SyncMembership(a.opts.Directory.ByCategory(ReplicaCategory))
 		survivors := a.running[:0]
 		for _, rep := range a.running {
 			if a.fd.Replica(rep.Name()) != nil {
@@ -218,14 +213,6 @@ func (a *Autoscaler) Tick(ctx context.Context) error {
 		a.cool.Fire(now)
 	}
 	return firstErr
-}
-
-// liveEntries returns the registry's current live replica view.
-func (a *Autoscaler) liveEntries() []registry.Entry {
-	if a.opts.Category != "" {
-		return a.opts.Directory.ByCategory(a.opts.Category)
-	}
-	return a.opts.Directory.List(true)
 }
 
 // Run evaluates every Interval on ctx's clock until ctx is done. It is

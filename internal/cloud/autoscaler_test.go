@@ -26,7 +26,7 @@ func (l *fakeLauncher) Launch(ctx context.Context, id int) (*Replica, error) {
 	name := fmt.Sprintf("replica-%d", id)
 	l.launchedNames = append(l.launchedNames, name)
 	if l.reg != nil {
-		if err := l.reg.Publish(registry.Entry{Name: name, Category: "replica", Endpoint: "local://" + name}); err != nil {
+		if err := l.reg.Publish(registry.Entry{Name: name, Category: ReplicaCategory, Endpoint: "local://" + name}); err != nil {
 			return nil, err
 		}
 	}
@@ -187,7 +187,6 @@ func TestAutoscalerLeaseExpiryReapsDeadReplica(t *testing.T) {
 	a, err := NewAutoscaler(fd, l, AutoscalerOptions{
 		Policy:    Policy{MinReplicas: 2, MaxReplicas: 4, ReplicaCapacity: 100, TargetUtilization: 1},
 		Directory: reg,
-		Category:  "replica",
 	})
 	if err != nil {
 		t.Fatalf("NewAutoscaler: %v", err)
@@ -216,6 +215,41 @@ func TestAutoscalerLeaseExpiryReapsDeadReplica(t *testing.T) {
 	}
 	if fd.Replica("replica-2") != nil {
 		t.Fatalf("expired replica still in rotation")
+	}
+}
+
+// TestAutoscalerIgnoresForeignLease: a live replica lease the autoscaler
+// did not launch never enters the rotation or the scaler's books.
+func TestAutoscalerIgnoresForeignLease(t *testing.T) {
+	clock := vtime.NewVirtual(epoch)
+	reg := registry.New(registry.WithLease(time.Minute), registry.WithClock(clock.Now))
+	if err := reg.Publish(registry.Entry{Name: "foreign", Category: ReplicaCategory, Endpoint: "local://foreign"}); err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	l := &fakeLauncher{reg: reg}
+	fd := NewFrontDoor(FrontDoorConfig{})
+	a, err := NewAutoscaler(fd, l, AutoscalerOptions{
+		Policy:    Policy{MinReplicas: 2, MaxReplicas: 4, ReplicaCapacity: 100, TargetUtilization: 1},
+		Directory: reg,
+	})
+	if err != nil {
+		t.Fatalf("NewAutoscaler: %v", err)
+	}
+	ctx := vtime.WithClock(context.Background(), clock)
+	if err := a.Prime(ctx); err != nil {
+		t.Fatalf("Prime: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		clock.Advance(time.Second)
+		if err := a.Tick(ctx); err != nil {
+			t.Fatalf("Tick %d: %v", i, err)
+		}
+		if fd.Replica("foreign") != nil {
+			t.Fatalf("tick %d: the foreign lease joined the rotation", i)
+		}
+	}
+	if got, st := len(fd.Replicas()), a.Stats(); got != 2 || st.Running != 2 || st.Launched != 2 {
+		t.Fatalf("rotation holds %d replicas, books %+v; want the 2 launched", got, st)
 	}
 }
 

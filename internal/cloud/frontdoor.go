@@ -70,9 +70,9 @@ type FrontDoorConfig struct {
 // sheds each arrival (bounded queue, 503 + Retry-After once saturated),
 // picks a replica by power-of-two-choices over in-flight count × EWMA
 // latency, and proxies the exchange over the callplane spine so every
-// hop lands in the trace tree. Membership is a copy-on-write rotation,
-// either managed directly (Add/Remove) or reconciled from the registry's
-// live lease view (SyncMembership).
+// hop lands in the trace tree. Membership is a copy-on-write rotation:
+// replicas join by Add, and leave by Remove or when the registry's live
+// lease view no longer holds them (SyncMembership).
 type FrontDoor struct {
 	maxInFlight  int
 	queueDepth   int
@@ -114,8 +114,7 @@ type rotation struct {
 	eligible []*Replica
 }
 
-// NewFrontDoor builds the front door; replicas join via Add or
-// SyncMembership.
+// NewFrontDoor builds the front door; replicas join via Add.
 func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
@@ -245,48 +244,31 @@ func (fd *FrontDoor) storeLocked(all []*Replica) {
 	fd.rotation.Store(rot)
 }
 
-// SyncMembership reconciles the rotation against the registry's live
-// lease view, making the registry the source of truth: entries without a
-// rotation member are dialed and added; members whose entry is gone
-// (lease expired or unpublished) are removed from rotation. Draining
-// members are left alone — the autoscaler owns their exit.
-func (fd *FrontDoor) SyncMembership(live []registry.Entry, dial func(registry.Entry) (*Replica, error)) (added, removed int, err error) {
-	byName := make(map[string]registry.Entry, len(live))
+// SyncMembership prunes the rotation against the registry's live lease
+// view and returns how many members it removed: a member whose entry is
+// gone (lease expired or unpublished) leaves the rotation. Draining
+// members are left alone — the autoscaler owns their exit. A live entry
+// with no rotation member is ignored: replicas join only by Add.
+func (fd *FrontDoor) SyncMembership(live []registry.Entry) (removed int) {
+	byName := make(map[string]bool, len(live))
 	for _, e := range live {
-		byName[e.Name] = e
+		byName[e.Name] = true
 	}
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	cur := fd.rotation.Load()
-	next := make([]*Replica, 0, len(live))
-	have := make(map[string]bool, len(cur.all))
+	next := make([]*Replica, 0, len(cur.all))
 	for _, r := range cur.all {
-		if _, ok := byName[r.Name()]; ok || r.Draining() {
+		if byName[r.Name()] || r.Draining() {
 			next = append(next, r)
-			have[r.Name()] = true
 		} else {
 			removed++
 		}
 	}
-	var firstErr error
-	for _, e := range live {
-		if have[e.Name] {
-			continue
-		}
-		rep, derr := dial(e)
-		if derr != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dial %s: %w", e.Name, derr)
-			}
-			continue
-		}
-		next = append(next, rep)
-		added++
-	}
-	if added > 0 || removed > 0 {
+	if removed > 0 {
 		fd.storeLocked(next)
 	}
-	return added, removed, firstErr
+	return removed
 }
 
 // FrontDoorStats is the door's own counter block (replica detail lives on
@@ -438,12 +420,11 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 	t0 := pc.clk.Now()
 	rsp, err := rep.rt.RoundTrip(req)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			// The caller gave up — it disconnected, or its own deadline
-			// passed — which says nothing about the replica: no latency
-			// sample, no failure, and no sibling to replay a request
-			// nobody waits for.
-			return cerr
+		if vtime.GaveUp(ctx, err) {
+			// The caller gave up, which says nothing about the replica:
+			// no latency sample, no failure, and no sibling to replay a
+			// request nobody waits for.
+			return ctx.Err()
 		}
 		// A fast connection-refused must not make a dead replica
 		// look attractive: penalize the EWMA with at least a

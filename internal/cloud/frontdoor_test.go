@@ -289,17 +289,15 @@ func TestFrontDoorMetriczMatchesHost(t *testing.T) {
 func TestFrontDoorLeaseExpiryDropsReplica(t *testing.T) {
 	clock := vtime.NewVirtual(epoch)
 	reg := registry.New(registry.WithLease(time.Minute), registry.WithClock(clock.Now))
+	fd := NewFrontDoor(FrontDoorConfig{})
 	for _, name := range []string{"r1", "r2"} {
-		if err := reg.Publish(registry.Entry{Name: name, Category: "replica", Endpoint: "local"}); err != nil {
+		if err := reg.Publish(registry.Entry{Name: name, Category: ReplicaCategory, Endpoint: "local"}); err != nil {
 			t.Fatalf("publish %s: %v", name, err)
 		}
+		fd.Add(NewLocalReplica(name, okHandler(name), 0))
 	}
-	fd := NewFrontDoor(FrontDoorConfig{})
-	dial := func(e registry.Entry) (*Replica, error) {
-		return NewLocalReplica(e.Name, okHandler(e.Name), 0), nil
-	}
-	if added, removed, err := fd.SyncMembership(reg.ByCategory("replica"), dial); err != nil || added != 2 || removed != 0 {
-		t.Fatalf("initial sync: added=%d removed=%d err=%v", added, removed, err)
+	if removed := fd.SyncMembership(reg.ByCategory(ReplicaCategory)); removed != 0 {
+		t.Fatalf("initial sync removed %d live replicas", removed)
 	}
 
 	// r1 keeps heartbeating; r2 goes silent and its lease expires.
@@ -308,8 +306,8 @@ func TestFrontDoorLeaseExpiryDropsReplica(t *testing.T) {
 		t.Fatalf("heartbeat: %v", err)
 	}
 	clock.Advance(40 * time.Second)
-	if added, removed, err := fd.SyncMembership(reg.ByCategory("replica"), dial); err != nil || added != 0 || removed != 1 {
-		t.Fatalf("post-expiry sync: added=%d removed=%d err=%v", added, removed, err)
+	if removed := fd.SyncMembership(reg.ByCategory(ReplicaCategory)); removed != 1 {
+		t.Fatalf("post-expiry sync removed %d replicas, want 1", removed)
 	}
 	if fd.Replica("r2") != nil {
 		t.Fatalf("expired replica still in rotation")

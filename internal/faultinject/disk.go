@@ -2,8 +2,6 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"soc/internal/wal"
 )
@@ -51,15 +49,14 @@ type DiskPlan struct {
 
 // DiskInjector perturbs wal.FS implementations deterministically: the
 // decision for the n-th write (or sync) of a named file is a pure
-// function of (seed, name, n), exactly like Injector's per-operation
-// scheme — so a fixed seed replays the same disk faults regardless of
-// interleaving. Safe for concurrent use.
+// function of (seed, name, n), from the same ledger as Injector's — so
+// a fixed seed replays the same disk faults regardless of interleaving.
+// Its counters (Counts) are keyed "file|outcome", where outcome is
+// pass, werror, short or syncerror. Safe for concurrent use.
 type DiskInjector struct {
-	plan DiskPlan
+	rule DiskRule
 
-	mu     sync.Mutex
-	calls  map[string]uint64
-	counts map[string]uint64
+	ledger
 }
 
 // NewDisk returns a disk injector for the plan.
@@ -67,11 +64,7 @@ func NewDisk(plan DiskPlan) (*DiskInjector, error) {
 	if err := plan.Rule.validate(); err != nil {
 		return nil, err
 	}
-	return &DiskInjector{
-		plan:   plan,
-		calls:  map[string]uint64{},
-		counts: map[string]uint64{},
-	}, nil
+	return &DiskInjector{rule: plan.Rule, ledger: ledger{seed: plan.Seed}}, nil
 }
 
 // FS wraps base so every file written through it draws from the fault
@@ -81,31 +74,6 @@ func (di *DiskInjector) FS(base wal.FS) wal.FS {
 	return &faultFS{di: di, base: base}
 }
 
-// Counts snapshots the injection counters, keyed "file|outcome" where
-// outcome is pass, werror, short or syncerror.
-func (di *DiskInjector) Counts() map[string]uint64 {
-	di.mu.Lock()
-	defer di.mu.Unlock()
-	out := make(map[string]uint64, len(di.counts))
-	for k, v := range di.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Injected totals every non-pass disk fault injected so far.
-func (di *DiskInjector) Injected() uint64 {
-	di.mu.Lock()
-	defer di.mu.Unlock()
-	var total uint64
-	for k, v := range di.counts {
-		if len(k) < 5 || k[len(k)-5:] != "|pass" {
-			total += v
-		}
-	}
-	return total
-}
-
 // diskOutcome is one disk operation's resolved fault.
 type diskOutcome struct {
 	kind string // "pass", "werror", "short", "syncerror"
@@ -113,22 +81,16 @@ type diskOutcome struct {
 }
 
 // decide resolves the fault for the next operation on key ("name|write"
-// or "name|sync"), seeded from (plan seed, key, call index).
+// or "name|sync"), drawing from that call's ledger PRNG.
 func (di *DiskInjector) decide(key string, bufLen int) diskOutcome {
-	r := di.plan.Rule
-
-	di.mu.Lock()
-	n := di.calls[key]
-	di.calls[key] = n + 1
-	di.mu.Unlock()
-
+	r := di.rule
+	n := di.next(key)
 	if r.zero() {
 		di.count(key, "pass")
 		return diskOutcome{kind: "pass"}
 	}
 
-	mix := uint64(n) * 0x9E3779B97F4A7C15 // golden-ratio sequence spreads indices
-	rng := rand.New(rand.NewSource(di.plan.Seed ^ int64(mix) ^ hashOp(key)))
+	rng := di.rng(key, n)
 	d := diskOutcome{kind: "pass"}
 	switch {
 	case bufLen >= 0 && r.WriteErrorRate > 0 && rng.Float64() < r.WriteErrorRate:
@@ -143,12 +105,6 @@ func (di *DiskInjector) decide(key string, bufLen int) diskOutcome {
 	}
 	di.count(key, d.kind)
 	return d
-}
-
-func (di *DiskInjector) count(key, what string) {
-	di.mu.Lock()
-	di.counts[key+"|"+what]++
-	di.mu.Unlock()
 }
 
 type faultFS struct {

@@ -137,8 +137,9 @@ type decision struct {
 	corrupt bool
 }
 
-// Injector evaluates a Plan deterministically. It is safe for concurrent
-// use.
+// Injector evaluates a Plan deterministically. Its counters (Counts)
+// are keyed "operation|outcome", where outcome is pass, error, drop,
+// hang, latency or corrupt. It is safe for concurrent use.
 type Injector struct {
 	plan Plan
 
@@ -147,9 +148,7 @@ type Injector struct {
 	// attempts failed by design. Nil uses the process default.
 	Tracer *telemetry.Tracer
 
-	mu     sync.Mutex
-	calls  map[string]uint64 // per-op call index
-	counts map[string]uint64 // "op|outcome" and "op|corrupt"/"op|latency"
+	ledger
 }
 
 // New returns an injector for the plan.
@@ -162,11 +161,7 @@ func New(plan Plan) (*Injector, error) {
 			return nil, fmt.Errorf("%v (operation %q)", err, op)
 		}
 	}
-	return &Injector{
-		plan:   plan,
-		calls:  map[string]uint64{},
-		counts: map[string]uint64{},
-	}, nil
+	return &Injector{plan: plan, ledger: ledger{seed: plan.Seed}}, nil
 }
 
 func (inj *Injector) rule(op string) Rule {
@@ -176,24 +171,17 @@ func (inj *Injector) rule(op string) Rule {
 	return inj.plan.Default
 }
 
-// decide resolves the fault plan for the next call of op. The per-call
-// PRNG is seeded from (plan seed, op, call index) so the n-th call of an
-// operation always draws the same faults, independent of interleaving.
+// decide resolves the fault plan for the next call of op, drawing from
+// that call's ledger PRNG.
 func (inj *Injector) decide(op string) decision {
 	r := inj.rule(op)
-
-	inj.mu.Lock()
-	n := inj.calls[op]
-	inj.calls[op] = n + 1
-	inj.mu.Unlock()
-
+	n := inj.next(op)
 	if r.zero() {
 		inj.count(op, string(Pass))
 		return decision{outcome: Pass}
 	}
 
-	mix := uint64(n) * 0x9E3779B97F4A7C15 // golden-ratio sequence spreads indices
-	rng := rand.New(rand.NewSource(inj.plan.Seed ^ int64(mix) ^ hashOp(op)))
+	rng := inj.rng(op, n)
 	errRate, dropRate, hangRate, latRate, corruptRate :=
 		r.ErrorRate, r.DropRate, r.HangRate, r.LatencyRate, r.CorruptRate
 	if r.Burst.active(n) {
@@ -240,6 +228,37 @@ func (inj *Injector) decide(op string) decision {
 	return d
 }
 
+// ledger is the seeded decision bookkeeping both injectors embed: a
+// call index per key, the PRNG each call draws from, and the outcome
+// counters. The PRNG of a key's n-th call is seeded from (seed, key, n),
+// so the n-th call always draws the same faults, independent of
+// interleaving. Safe for concurrent use.
+type ledger struct {
+	seed int64
+
+	mu     sync.Mutex
+	calls  map[string]uint64 // per-key call index
+	counts map[string]uint64 // "key|outcome"
+}
+
+// next returns key's call index and advances it.
+func (l *ledger) next(key string) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.calls == nil {
+		l.calls = map[string]uint64{}
+	}
+	n := l.calls[key]
+	l.calls[key] = n + 1
+	return n
+}
+
+// rng returns the PRNG of key's n-th call.
+func (l *ledger) rng(key string, n uint64) *rand.Rand {
+	mix := n * 0x9E3779B97F4A7C15 // golden-ratio sequence spreads indices
+	return rand.New(rand.NewSource(l.seed ^ int64(mix) ^ hashOp(key)))
+}
+
 func hashOp(op string) int64 {
 	var h uint64 = 1469598103934665603 // FNV-1a
 	for i := 0; i < len(op); i++ {
@@ -247,6 +266,39 @@ func hashOp(op string) int64 {
 		h *= 1099511628211
 	}
 	return int64(h)
+}
+
+func (l *ledger) count(key, what string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.counts == nil {
+		l.counts = map[string]uint64{}
+	}
+	l.counts[key+"|"+what]++
+}
+
+// Counts snapshots the injection counters, keyed "key|outcome".
+func (l *ledger) Counts() map[string]uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]uint64, len(l.counts))
+	for k, v := range l.counts {
+		out[k] = v
+	}
+	return out
+}
+
+// Injected totals every non-pass fault injected so far.
+func (l *ledger) Injected() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var total uint64
+	for k, v := range l.counts {
+		if !strings.HasSuffix(k, "|"+string(Pass)) {
+			total += v
+		}
+	}
+	return total
 }
 
 func (inj *Injector) tracer() *telemetry.Tracer {
@@ -264,37 +316,6 @@ func (inj *Injector) event(sc telemetry.SpanContext, op, what string) {
 		return
 	}
 	inj.tracer().Event(sc, telemetry.KindFault, op, "fault", what)
-}
-
-func (inj *Injector) count(op, what string) {
-	inj.mu.Lock()
-	inj.counts[op+"|"+what]++
-	inj.mu.Unlock()
-}
-
-// Counts snapshots the injection counters, keyed "operation|outcome"
-// where outcome is pass, error, drop, hang, latency or corrupt.
-func (inj *Injector) Counts() map[string]uint64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make(map[string]uint64, len(inj.counts))
-	for k, v := range inj.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Injected totals every non-pass fault injected so far.
-func (inj *Injector) Injected() uint64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	var total uint64
-	for k, v := range inj.counts {
-		if !strings.HasSuffix(k, "|"+string(Pass)) {
-			total += v
-		}
-	}
-	return total
 }
 
 // String summarizes the counters, sorted, for test logs.

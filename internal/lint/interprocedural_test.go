@@ -230,12 +230,12 @@ func TestAnalyzerTestsReachTestFiles(t *testing.T) {
 	}
 }
 
-// TestRuntimeBudget asserts a full-module soclint run — loading from a
-// cold loader, building the flow graph, running every analyzer over
-// every unit — finishes inside the budget, so interprocedural analysis
-// cannot quietly turn `make lint` into a coffee break. Override the
-// budget with SOCLINT_BUDGET (a time.ParseDuration string) on slow
-// machines.
+// TestRuntimeBudget asserts the shared full-module soclint run —
+// loading from a cold loader, building the flow graph, running every
+// analyzer over every unit — finishes inside the budget, so
+// interprocedural analysis cannot quietly turn `make lint` into a
+// coffee break. Override the budget with SOCLINT_BUDGET (a
+// time.ParseDuration string) on slow machines.
 func TestRuntimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module analysis; skipped in -short")
@@ -249,28 +249,9 @@ func TestRuntimeBudget(t *testing.T) {
 		budget = d
 	}
 
-	root, err := ModuleRoot()
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	start := time.Now()
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	loader.Tests = true
-	paths, err := loader.ModulePackages()
-	if err != nil {
-		t.Fatalf("listing module packages: %v", err)
-	}
-	runner := &Runner{Analyzers: DefaultAnalyzers(), Config: DefaultConfig()}
-	_, units, err := runner.RunModule(loader, paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	t.Logf("full-module run: %d units in %s (budget %s)", units, elapsed.Round(time.Millisecond), budget)
-	if elapsed > budget {
-		t.Errorf("full-module analysis took %s, over the %s budget", elapsed, budget)
+	run := fullModuleRun(t)
+	t.Logf("full-module run: %d units in %s (budget %s)", run.units, run.elapsed.Round(time.Millisecond), budget)
+	if run.elapsed > budget {
+		t.Errorf("full-module analysis took %s, over the %s budget", run.elapsed, budget)
 	}
 }

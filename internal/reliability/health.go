@@ -48,10 +48,9 @@ func HTTPProbe(client *http.Client, path string) ProbeFunc {
 
 // HealthCheckerConfig configures a HealthChecker.
 type HealthCheckerConfig struct {
-	// Interval between probe rounds (> 0).
+	// Interval between probe rounds (> 0); it also bounds each probe,
+	// so a probe never outlives its round.
 	Interval time.Duration
-	// Timeout bounds each probe; 0 means Interval.
-	Timeout time.Duration
 	// FallThreshold is how many consecutive probe failures demote a
 	// healthy replica; 0 means 1 (demote on first failure).
 	FallThreshold int
@@ -63,8 +62,6 @@ type HealthCheckerConfig struct {
 	// OnProbe, when set, observes every probe outcome — the hook that
 	// feeds measured health into registry QoS records.
 	OnProbe func(replica string, healthy bool, rtt time.Duration)
-	// OnTransition, when set, observes demotions and promotions.
-	OnTransition func(replica string, healthy bool)
 }
 
 // replicaHealth is the checker's view of one replica.
@@ -105,9 +102,6 @@ func NewHealthChecker(cfg HealthCheckerConfig, replicas ...string) (*HealthCheck
 	}
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("reliability: health interval %v", cfg.Interval)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval
 	}
 	if cfg.FallThreshold <= 0 {
 		cfg.FallThreshold = 1
@@ -190,7 +184,7 @@ func (hc *HealthChecker) CheckNow(ctx context.Context) {
 	wg.Wait()
 }
 
-// Check probes one replica under a Timeout deadline on the context's
+// Check probes one replica under an Interval deadline on the context's
 // clock, applies the fall/rise thresholds and returns the probe's error.
 // The RTT it reports to OnProbe is measured on the same clock. A probe
 // that fails because ctx ended is nobody's fault: it is not counted,
@@ -201,11 +195,11 @@ func (hc *HealthChecker) Check(ctx context.Context, replica string) error {
 		return errUnknownReplica(replica)
 	}
 	clk := vtime.ClockFrom(ctx)
-	pctx, cancel := clk.WithTimeout(ctx, hc.cfg.Timeout)
+	pctx, cancel := clk.WithTimeout(ctx, hc.cfg.Interval)
 	defer cancel()
 	start := clk.Now()
 	err := hc.cfg.Probe(pctx, replica)
-	if err != nil && ctx.Err() != nil {
+	if vtime.GaveUp(ctx, err) {
 		return err
 	}
 	hc.observe(replica, err, clk.Now().Sub(start))
@@ -221,14 +215,12 @@ func (hc *HealthChecker) observe(replica string, err error, rtt time.Duration) {
 	st := hc.state[replica]
 	hc.probes++
 	st.lastErr = err
-	var transitioned bool
 	if err == nil {
 		st.succseq++
 		st.failseq = 0
 		if !st.healthy && st.succseq >= hc.cfg.RiseThreshold {
 			st.healthy = true
 			hc.promotions++
-			transitioned = true
 		}
 	} else {
 		st.failseq++
@@ -236,17 +228,12 @@ func (hc *HealthChecker) observe(replica string, err error, rtt time.Duration) {
 		if st.healthy && st.failseq >= hc.cfg.FallThreshold {
 			st.healthy = false
 			hc.demotions++
-			transitioned = true
 		}
 	}
-	healthy := st.healthy
 	hc.mu.Unlock()
 
 	if hc.cfg.OnProbe != nil {
 		hc.cfg.OnProbe(replica, err == nil, rtt)
-	}
-	if transitioned && hc.cfg.OnTransition != nil {
-		hc.cfg.OnTransition(replica, healthy)
 	}
 }
 

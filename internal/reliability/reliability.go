@@ -221,7 +221,7 @@ func (b *Breaker) Do(ctx context.Context, fn func(ctx context.Context) error) er
 	edges = nil
 
 	err := fn(ctx)
-	gaveUp := err != nil && ctx.Err() != nil
+	gaveUp := vtime.GaveUp(ctx, err)
 
 	b.mu.Lock()
 	if probe {

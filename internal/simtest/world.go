@@ -399,7 +399,6 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 			Cooldown:  cfg.Cooldown,
 			Interval:  time.Second,
 			Directory: w.leases,
-			Category:  "replica",
 		})
 		if err != nil {
 			return nil, err
@@ -465,7 +464,7 @@ func (l doorLauncher) Launch(_ context.Context, id int) (*cloud.Replica, error) 
 		return nil, err
 	}
 	r.rep = cloud.NewReplica(r.name, r.rt, 0)
-	if err := l.w.leases.Publish(registry.Entry{Name: r.name, Category: "replica", Endpoint: r.baseURL, Provider: "simtest"}); err != nil {
+	if err := l.w.leases.Publish(registry.Entry{Name: r.name, Category: cloud.ReplicaCategory, Endpoint: r.baseURL, Provider: "simtest"}); err != nil {
 		return nil, err
 	}
 	return r.rep, nil
@@ -570,7 +569,6 @@ func (r *simReplica) boot() error {
 	orch, err := workflow.OpenOrchestrator(r.wfFaultFS, workflow.Options{
 		WAL:           wal.Options{SegmentBytes: segmentBytes},
 		SnapshotEvery: workflowSnapshotEvery,
-		Deterministic: true,
 		Mutation:      r.w.cfg.Mutation,
 	})
 	if err != nil {

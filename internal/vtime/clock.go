@@ -186,3 +186,12 @@ func Expired(ctx context.Context, c Clock) error {
 	}
 	return nil
 }
+
+// GaveUp reports whether err is a failure that came after the caller's
+// context ended: the caller disconnected, was cancelled or passed its
+// own deadline. Such a failure says nothing about whatever was called,
+// so breakers, health checks, the front door and the workflow engine
+// charge it to nobody.
+func GaveUp(ctx context.Context, err error) bool {
+	return err != nil && ctx.Err() != nil
+}

@@ -136,3 +136,30 @@ func TestDeadlineOfRealContext(t *testing.T) {
 		t.Fatalf("DeadlineOf = %v (ok=%v), want the context deadline", got, ok)
 	}
 }
+
+func TestGaveUp(t *testing.T) {
+	live := context.Background()
+	cancelled, cancel := context.WithCancel(live)
+	cancel()
+	expired, cancel2 := context.WithTimeout(live, -time.Second)
+	defer cancel2()
+	fail := errors.New("replica down")
+	cases := []struct {
+		name string
+		ctx  context.Context
+		err  error
+		want bool
+	}{
+		{"live caller, success", live, nil, false},
+		{"live caller, failure", live, fail, false},
+		{"live caller, its callee's deadline", live, context.DeadlineExceeded, false},
+		{"cancelled caller, success", cancelled, nil, false},
+		{"cancelled caller, failure", cancelled, fail, true},
+		{"expired caller, failure", expired, context.DeadlineExceeded, true},
+	}
+	for _, tc := range cases {
+		if got := GaveUp(tc.ctx, tc.err); got != tc.want {
+			t.Errorf("%s: GaveUp = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

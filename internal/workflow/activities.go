@@ -174,7 +174,8 @@ func (s *Sequence) Execute(ctx context.Context, st *State) error {
 }
 
 // Parallel runs branches concurrently and joins them (AND-split/AND-join).
-// The first branch fault cancels the remaining branches' context.
+// The first branch fault cancels the remaining branches' context. Under
+// an Orchestrator the branches run one by one in definition order.
 type Parallel struct {
 	Label    string
 	Branches []Activity
@@ -192,9 +193,9 @@ func (p *Parallel) Validate() error {
 }
 
 func (p *Parallel) Execute(ctx context.Context, st *State) error {
-	// Deterministic journaled mode runs branches in definition order:
-	// the AND-join semantics are unchanged, and a crash still lands
-	// "mid-Parallel" — some branches journaled done, the rest not.
+	// A journaled run takes branches in definition order: the AND-join
+	// semantics are unchanged, and a crash still lands "mid-Parallel" —
+	// some branches journaled done, the rest not.
 	if st.sequential() {
 		for i, b := range p.Branches {
 			if err := exec(ctx, b, st.branchScope("b", i)); err != nil {
@@ -300,7 +301,9 @@ func (w *While) Execute(ctx context.Context, st *State) error {
 // Pick waits for the first of several events (the event-driven OR-join):
 // each branch has a guard channel; the first channel to deliver runs its
 // activity and the rest are abandoned. A timeout branch fires after
-// Timeout when no event arrives.
+// Timeout when no event arrives. Under an Orchestrator a Pick does not
+// wait: it takes the first ready event in definition order, and with
+// none ready it expires at once.
 type Pick struct {
 	Label   string
 	Events  []PickBranch
@@ -392,7 +395,7 @@ func (p *Pick) wait(ctx context.Context) (idx int, payload any, expired bool, er
 	}
 }
 
-// poll is wait without the race, for deterministic orchestrators: each
+// poll is wait without the race, for journaled runs: each
 // branch's event channel is tried once, in definition order, and a pick
 // with no event ready has expired — virtual-time-safe and a pure
 // function of the event sources. A caller that gave up decides nothing:

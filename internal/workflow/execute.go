@@ -8,6 +8,8 @@ import (
 	"maps"
 	"slices"
 	"sync"
+
+	"soc/internal/vtime"
 )
 
 // journalRun is the per-(instance, incarnation) execution context of a
@@ -16,7 +18,6 @@ import (
 type journalRun struct {
 	o    *Orchestrator
 	inst *Instance
-	seq  bool
 
 	mu       sync.Mutex
 	counters map[string]int
@@ -39,7 +40,6 @@ func newJournalRun(o *Orchestrator, inst *Instance) *journalRun {
 	jr := &journalRun{
 		o:        o,
 		inst:     inst,
-		seq:      o.opts.Deterministic,
 		counters: map[string]int{},
 		prior: priorState{
 			dones:      map[string]Record{},
@@ -175,7 +175,7 @@ func (jr *journalRun) execInvoke(ctx context.Context, inv *Invoke, st *State) er
 		// or one that fired inside the invoker — is not clean: the call
 		// may have reached the provider, so the start stays in flight and
 		// its pessimistic compensation runs.
-		clean := ctx.Err() == nil && !errors.Is(err, ErrJournal) &&
+		clean := !vtime.GaveUp(ctx, err) && !errors.Is(err, ErrJournal) &&
 			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 		if clean {
 			if aerr := jr.append(Record{Kind: recStepFault, Key: key, Err: err.Error()}); aerr != nil {
@@ -195,16 +195,12 @@ func (jr *journalRun) execInvoke(ctx context.Context, inv *Invoke, st *State) er
 // execPick journals the branch decision: the winning branch (or
 // expiry) and its payload are acked before the continuation runs, so
 // replay re-runs the same continuation without re-racing the events.
-// A deterministic orchestrator polls instead of racing.
+// A journaled pick polls its events instead of racing them.
 func (jr *journalRun) execPick(ctx context.Context, p *Pick, st *State) error {
 	key := jr.nextKey(st.path, p.Label)
 	rec, decided := jr.prior.picks[key]
 	if !decided {
-		decide := p.wait
-		if jr.seq {
-			decide = p.poll
-		}
-		idx, payload, expired, err := decide(ctx)
+		idx, payload, expired, err := p.poll(ctx)
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,8 @@ import (
 // iteration an isolated child scope seeded from a snapshot of the parent
 // (so branches cannot race); when CollectVar is set, each iteration's
 // value of that variable is gathered, in index order, into the parent
-// variable of the same name as a []any.
+// variable of the same name as a []any. Under an Orchestrator the
+// isolated iterations run one by one in index order.
 type ForEach struct {
 	Label      string
 	Items      string
@@ -78,8 +79,8 @@ func (f *ForEach) Execute(ctx context.Context, st *State) error {
 		}
 		childVars[i] = vars
 	}
-	// Deterministic journaled mode keeps the isolated child scopes but
-	// runs iterations in index order; a crash still lands mid-ForEach.
+	// A journaled run keeps the isolated child scopes but runs
+	// iterations in index order; a crash still lands mid-ForEach.
 	if st.sequential() {
 		for i := range items {
 			if err := exec(ctx, f.Body, st.child("i", i, childVars[i])); err != nil {

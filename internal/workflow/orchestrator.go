@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"soc/internal/vtime"
 	"soc/internal/wal"
 )
 
@@ -35,12 +36,11 @@ type Options struct {
 	// SnapshotEvery folds the journal into a snapshot after this many
 	// appends (default 64; <0 disables).
 	SnapshotEvery int
-	// Deterministic runs Parallel branches and parallel ForEach
-	// iterations sequentially in definition order and polls Pick
-	// branches instead of racing goroutines, so the journal append
-	// order — and therefore the simulation hash — is a pure function
-	// of the schedule. Resume semantics are identical; only scheduling
-	// changes.
+	// Deterministic is ignored: every journaled run takes Parallel
+	// branches and parallel ForEach iterations in definition order and
+	// polls Pick events, so its journal append order is a pure function
+	// of the event sources. The field stays only because the benchmark
+	// harness still sets it.
 	Deterministic bool
 	// Mutation enables one of the Mutation* fault hooks (tests only).
 	Mutation string
@@ -430,7 +430,7 @@ func (o *Orchestrator) drive(ctx context.Context, inst *Instance, wf *Workflow) 
 			}
 			o.journal.maybeSnapshot()
 			return Result{ID: inst.id, Status: StatusCompleted, Vars: st.Vars.Snapshot()}, nil
-		case errors.Is(err, ErrJournal) || ctx.Err() != nil:
+		case errors.Is(err, ErrJournal) || vtime.GaveUp(ctx, err):
 			// The journal is down or the caller gave up: nothing was
 			// committed past the last ack, so stay pending.
 			return o.pendingResult(inst, err), err

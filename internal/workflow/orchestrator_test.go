@@ -187,11 +187,10 @@ func openOrch(t *testing.T, fs wal.FS, inv *stubInvoker, opts Options) *Orchestr
 	return o
 }
 
-// tryOpenOrch opens a deterministic orchestrator over fs with the
-// everything definition and its compensators bound to inv.
+// tryOpenOrch opens an orchestrator over fs with the everything
+// definition and its compensators bound to inv.
 func tryOpenOrch(t *testing.T, fs wal.FS, inv *stubInvoker, opts Options) (*Orchestrator, error) {
 	t.Helper()
-	opts.Deterministic = true
 	o, err := OpenOrchestrator(fs, opts)
 	if err != nil {
 		return nil, err
@@ -599,7 +598,7 @@ func TestScopeAbsorbsInvokeFault(t *testing.T) {
 		}},
 	}}
 	fs := wal.NewMemFS(19)
-	o, err := OpenOrchestrator(fs, Options{Deterministic: true})
+	o, err := OpenOrchestrator(fs, Options{})
 	if err != nil {
 		t.Fatalf("OpenOrchestrator: %v", err)
 	}
@@ -623,7 +622,7 @@ func TestScopeAbsorbsInvokeFault(t *testing.T) {
 	}
 }
 
-// TestPickExpiryReplays: an unarmed deterministic Pick expires
+// TestPickExpiryReplays: an unarmed journaled Pick expires
 // immediately; after a crash past the pick record the decision is
 // replayed (not re-raced) and the expiry continuation resumes.
 func TestPickExpiryReplays(t *testing.T) {
@@ -646,7 +645,7 @@ func TestPickExpiryReplays(t *testing.T) {
 	// Probe for the ordinal of the post-expiry invoke's done record.
 	probeInv := newStubInvoker()
 	probeFS := wal.NewMemFS(4)
-	probe, err := OpenOrchestrator(probeFS, Options{Deterministic: true})
+	probe, err := OpenOrchestrator(probeFS, Options{})
 	if err != nil {
 		t.Fatalf("OpenOrchestrator: %v", err)
 	}
@@ -660,7 +659,7 @@ func TestPickExpiryReplays(t *testing.T) {
 
 	inv := newStubInvoker()
 	fs := wal.NewMemFS(23)
-	o1, err := OpenOrchestrator(fs, Options{Deterministic: true})
+	o1, err := OpenOrchestrator(fs, Options{})
 	if err != nil {
 		t.Fatalf("OpenOrchestrator: %v", err)
 	}
@@ -671,7 +670,7 @@ func TestPickExpiryReplays(t *testing.T) {
 	}
 	_ = o1.Close()
 
-	o2, err := OpenOrchestrator(fs, Options{Deterministic: true})
+	o2, err := OpenOrchestrator(fs, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -843,7 +842,7 @@ func TestCompensationParityAcrossEngines(t *testing.T) {
 	inv := newStubInvoker()
 	inv.fail["Commit"] = "ledger down"
 	wf := mustWorkflow(t, "everything", everythingRoot(inv))
-	o, err := OpenOrchestrator(wal.NewMemFS(9), Options{Deterministic: true})
+	o, err := OpenOrchestrator(wal.NewMemFS(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1000,7 +999,7 @@ func timeoutSaga(t *testing.T, inv *stubInvoker, fail func(ctx context.Context) 
 			Inputs:       map[string]string{"token": "token"},
 			Compensation: &Undo{Name: "uncommit", ArgsFrom: map[string]string{"token": "token"}}},
 	}}
-	o, err := OpenOrchestrator(wal.NewMemFS(47), Options{Deterministic: true})
+	o, err := OpenOrchestrator(wal.NewMemFS(47), Options{})
 	if err != nil {
 		t.Fatalf("OpenOrchestrator: %v", err)
 	}
@@ -1076,8 +1075,8 @@ func TestCallerCancelStaysPending(t *testing.T) {
 }
 
 // TestPickSameUnderBothEngines runs one Pick definition under
-// Workflow.Run and under a racing and a deterministic Orchestrator: the
-// same branch runs with the same payload, or the same error comes back.
+// Workflow.Run and under an Orchestrator: the same branch runs with the
+// same payload, or the same error comes back.
 // A pick whose caller gave up journals no decision, so resuming it waits
 // for the event afresh.
 func TestPickSameUnderBothEngines(t *testing.T) {
@@ -1152,38 +1151,98 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 			}
 			check("Workflow.Run", out, errText)
 
-			for _, deterministic := range []bool{false, true} {
-				engine := fmt.Sprintf("Orchestrator(Deterministic=%v)", deterministic)
-				o, err := OpenOrchestrator(wal.NewMemFS(53), Options{Deterministic: deterministic})
-				if err != nil {
-					t.Fatalf("OpenOrchestrator: %v", err)
+			const engine = "Orchestrator"
+			o, err := OpenOrchestrator(wal.NewMemFS(53), Options{})
+			if err != nil {
+				t.Fatalf("OpenOrchestrator: %v", err)
+			}
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			o.Define(mustWorkflow(t, "picky", tc.pick(cancel)))
+			res, _ := o.Start(ctx, "wf-1", "picky", nil)
+			check(engine, res.Vars, res.Err)
+			if res.Status != tc.wantStatus {
+				t.Errorf("%s: status %s, want %s", engine, res.Status, tc.wantStatus)
+			}
+			if res.Status != StatusPending {
+				return
+			}
+			picks := 0
+			for _, r := range o.lookup("wf-1").snapshotRecords() {
+				if r.Kind == recPick {
+					picks++
 				}
-				ctx, cancel = context.WithCancel(context.Background())
-				defer cancel()
-				o.Define(mustWorkflow(t, "picky", tc.pick(cancel)))
-				res, _ := o.Start(ctx, "wf-1", "picky", nil)
-				check(engine, res.Vars, res.Err)
-				if res.Status != tc.wantStatus {
-					t.Errorf("%s: status %s, want %s", engine, res.Status, tc.wantStatus)
-				}
-				if res.Status != StatusPending {
-					continue
-				}
-				picks := 0
-				for _, r := range o.lookup("wf-1").snapshotRecords() {
-					if r.Kind == recPick {
-						picks++
-					}
-				}
-				if picks != 0 {
-					t.Errorf("%s: the abandoned pick journaled %d pick records, want 0", engine, picks)
-				}
-				res, err = o.Resume(context.Background(), "wf-1")
-				if err != nil || res.Status != StatusCompleted || res.Vars["winner"] != "event" || res.Vars["evt"] != "payload" {
-					t.Errorf("%s: resumed to %s winner=%v evt=%v err=%v, want completed winner=event evt=payload",
-						engine, res.Status, res.Vars["winner"], res.Vars["evt"], err)
-				}
+			}
+			if picks != 0 {
+				t.Errorf("%s: the abandoned pick journaled %d pick records, want 0", engine, picks)
+			}
+			res, err = o.Resume(context.Background(), "wf-1")
+			if err != nil || res.Status != StatusCompleted || res.Vars["winner"] != "event" || res.Vars["evt"] != "payload" {
+				t.Errorf("%s: resumed to %s winner=%v evt=%v err=%v, want completed winner=event evt=payload",
+					engine, res.Status, res.Vars["winner"], res.Vars["evt"], err)
 			}
 		})
 	}
+}
+
+// TestJournaledRunHasOneSchedule: an orchestrator opened with zero
+// Options runs a Parallel's branches in definition order, so the
+// journal holds their step records in that order on every run, and
+// decides a Pick with no ready event at once instead of waiting out
+// its Timeout.
+func TestJournaledRunHasOneSchedule(t *testing.T) {
+	t.Run("parallel in definition order", func(t *testing.T) {
+		branches := make([]Activity, 4)
+		for i := range branches {
+			branches[i] = &Task{Label: fmt.Sprintf("step%d", i), Fn: func(context.Context, *Vars) error { return nil }}
+		}
+		o, err := OpenOrchestrator(wal.NewMemFS(61), Options{})
+		if err != nil {
+			t.Fatalf("OpenOrchestrator: %v", err)
+		}
+		o.Define(mustWorkflow(t, "fan", &Parallel{Label: "fan", Branches: branches}))
+		want := []string{"/fan#0/b0/step0#0", "/fan#0/b1/step1#0", "/fan#0/b2/step2#0", "/fan#0/b3/step3#0"}
+		for run := 0; run < 20; run++ {
+			id := fmt.Sprintf("wf-%02d", run)
+			if res, err := o.Start(context.Background(), id, "fan", nil); err != nil || res.Status != StatusCompleted {
+				t.Fatalf("run %d: %s, %v", run, res.Status, err)
+			}
+			var order []string
+			for _, r := range o.lookup(id).snapshotRecords() {
+				if r.Kind == recDone {
+					order = append(order, r.Key)
+				}
+			}
+			if !slices.Equal(order, want) {
+				t.Fatalf("run %d journaled its branches as %v, want %v", run, order, want)
+			}
+		}
+	})
+	t.Run("pick does not wait out its timeout", func(t *testing.T) {
+		o, err := OpenOrchestrator(wal.NewMemFS(62), Options{})
+		if err != nil {
+			t.Fatalf("OpenOrchestrator: %v", err)
+		}
+		o.Define(mustWorkflow(t, "idle", &Pick{Label: "idle", Timeout: time.Hour,
+			OnExpire: &Assign{Label: "expired", Var: "expired", Expr: func(*Vars) any { return true }},
+			Events: []PickBranch{{
+				Wait: func(context.Context) <-chan any { return make(chan any) },
+				Then: &Assign{Label: "evt", Var: "evt", Expr: func(*Vars) any { return true }},
+			}}}))
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan Result, 1)
+		go func() {
+			res, _ := o.Start(ctx, "wf-1", "idle", nil)
+			done <- res
+		}()
+		select {
+		case res := <-done:
+			if res.Status != StatusCompleted || res.Vars["expired"] != true {
+				t.Fatalf("idle pick ended %s with %v, want completed through OnExpire", res.Status, res.Vars)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("journaled pick still waiting on its one-hour timeout after 5s")
+		}
+	})
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // raceRoot is a definition built to provoke data races the -race
-// detector can see: Parallel branches and parallel ForEach iterations
-// run as real goroutines (non-deterministic mode) and every branch
-// mutates the shared scope through its journaled overlay.
+// detector can see when many instances of it run at once: every one
+// fans out through Parallel and a parallel ForEach, and every branch
+// mutates the instance scope through its journaled overlay.
 func raceRoot(inv Invoker) Activity {
 	branches := make([]Activity, 4)
 	for i := range branches {
@@ -45,8 +45,8 @@ func raceRoot(inv Invoker) Activity {
 	}}
 }
 
-// openRaceOrch opens a NON-deterministic orchestrator (real goroutine
-// fan-out) with both definitions registered.
+// openRaceOrch opens an orchestrator with both definitions registered,
+// for tests that drive it from concurrent goroutines.
 func openRaceOrch(t *testing.T, fs wal.FS, inv *stubInvoker) *Orchestrator {
 	t.Helper()
 	o, err := OpenOrchestrator(fs, Options{})

@@ -159,8 +159,9 @@ func (st *State) child(prefix string, i int, vars *Vars) *State {
 }
 
 // sequential reports whether fan-out composites must run their
-// branches in definition order (deterministic journaled mode).
-func (st *State) sequential() bool { return st.jr != nil && st.jr.seq }
+// branches in definition order: every journaled run does, so its
+// journal append order is a pure function of the event sources.
+func (st *State) sequential() bool { return st.jr != nil }
 
 // Trace records executed activities in order.
 type Trace struct {
