@@ -4,11 +4,12 @@ GO ?= go
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
 ## mode), race-enabled tests, the flake gate (concurrent orchestration,
-## the durable-machine hammer and call-plane deadlines, 20 race-enabled
-## repeats), the fuzz targets, the deterministic simulation corpus, the
-## exhaustive WAL, workflow-journal and registry crash-point corpora, the
-## end-to-end performance check, the open-loop load smoke, and the
-## cluster + workflow orchestration smokes
+## the durable-machine hammer, call-plane deadlines and the registry's
+## concurrent readers, 20 race-enabled repeats), the fuzz targets, the
+## deterministic simulation corpus, the exhaustive WAL, workflow-journal
+## and registry crash-point corpora, the end-to-end performance check,
+## the open-loop load smoke, and the cluster + workflow orchestration
+## smokes
 ci: build lint-ci race flake fuzz sim crash perf load-smoke cluster-smoke workflow-smoke
 
 build:
@@ -64,11 +65,14 @@ race:
 ## (TestDoDeadline…): the deadline context's clock races a blocked
 ## transport, a stalled body, the caller's cancel and Close, and waiters
 ## and child contexts arriving meanwhile (…Conformance,
-## …CancelsChildrenWithoutWatchers, …Hammer)
+## …CancelsChildrenWithoutWatchers, …Hammer), and the registry's readers
+## (Get, Search, SearchQoS, List) racing republish, unpublish, heartbeat
+## and eviction under the directory's one lock
 flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
 	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane
+	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry
 
 ## fuzz: run each fuzz target for 20 s beyond its committed seeds
 ## (testdata/fuzz/, which plain `go test` already replays):

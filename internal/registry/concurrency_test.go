@@ -2,15 +2,15 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// TestLookupDuringPublishConsistent drives readers through the RCU
-// snapshot path while a writer republishes the same entry with paired
-// Doc/Endpoint values: every Get must observe one of the two complete
-// versions, never a torn mix — the atomicity the copy-on-write snapshot
-// exists to guarantee.
+// TestLookupDuringPublishConsistent drives readers through Get while a
+// writer republishes the same entry with paired Doc/Endpoint values:
+// every Get must observe one of the two complete versions, never a torn
+// mix — the atomicity the directory's lock exists to guarantee.
 func TestLookupDuringPublishConsistent(t *testing.T) {
 	r := seeded(t)
 	versions := map[string]string{
@@ -45,8 +45,8 @@ func TestLookupDuringPublishConsistent(t *testing.T) {
 
 // TestSearchDuringHeartbeatAndEvict runs the full read surface (Search,
 // List, ByCategory, Categories) against concurrent lease renewal and
-// eviction — the mixed read/write schedule the striped QoS store and the
-// snapshot swap must survive under the race detector.
+// eviction — the mixed read/write schedule the directory's lock must
+// survive under the race detector.
 func TestSearchDuringHeartbeatAndEvict(t *testing.T) {
 	r := seeded(t)
 	for i := 0; i < 32; i++ {
@@ -83,5 +83,75 @@ func TestSearchDuringHeartbeatAndEvict(t *testing.T) {
 		r.ByCategory("bulk")
 		r.Categories()
 	}
+	wg.Wait()
+}
+
+// TestSearchDuringRepublishConsistent is the ranked-lookup twin of
+// TestLookupDuringPublishConsistent: a writer republishes one entry with
+// paired Doc/Endpoint values, unpublishing it between versions, while
+// Search and SearchQoS readers check every hit. A hit must hold the query
+// token in its Doc and carry that version's Endpoint: a ranking taken from
+// one state and an entry copied from another would break one of the two.
+func TestSearchDuringRepublishConsistent(t *testing.T) {
+	q := NewQoS(seeded(t))
+	type version struct{ token, doc, endpoint string }
+	versions := []version{
+		{"alphaflip", "alphaflip flavored directory entry", "http://alpha"},
+		{"bravoflip", "bravoflip flavored directory entry", "http://bravo"},
+	}
+	check := func(v version, hit Entry) {
+		if !slices.Contains(tokenize(hit.Doc), v.token) || hit.Endpoint != v.endpoint {
+			t.Errorf("query %q hit %s: doc %q with endpoint %q", v.token, hit.Name, hit.Doc, hit.Endpoint)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, reader := range []func(v version){
+		func(v version) {
+			matches, err := q.Search(v.token, 0)
+			if err != nil {
+				t.Errorf("Search: %v", err)
+			}
+			for _, m := range matches {
+				check(v, m.Entry)
+			}
+		},
+		func(v version) {
+			matches, err := q.SearchQoS(v.token, 0)
+			if err != nil {
+				t.Errorf("SearchQoS: %v", err)
+			}
+			for _, m := range matches {
+				check(v, m.Entry)
+			}
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				reader(versions[i%2])
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		v := versions[i%2]
+		if err := q.Publish(Entry{Name: "Flip", Doc: v.doc, Endpoint: v.endpoint}); err != nil {
+			t.Errorf("republish: %v", err)
+			break
+		}
+		if i%3 == 2 {
+			if err := q.Unpublish("Flip"); err != nil {
+				t.Errorf("unpublish: %v", err)
+				break
+			}
+		}
+	}
+	close(stop)
 	wg.Wait()
 }

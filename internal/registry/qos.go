@@ -120,14 +120,18 @@ type qosScored struct {
 // the unsorted candidate set, sorts exactly once on the final
 // quality-weighted score (the relevance ordering Search would impose is
 // thrown away here, so computing it would be wasted work), and copies
-// full entries only for the top `limit` survivors.
+// full entries only for the top `limit` survivors. It holds the
+// registry's read lock throughout and takes the QoS lock inside it, so
+// the lock order is registry → QoS.
 func (r *QoSRegistry) SearchQoS(query string, limit int) ([]QoSMatch, error) {
 	qTokens := tokenize(query)
 	if len(qTokens) == 0 {
 		return nil, fmt.Errorf("%w: empty query", ErrInvalid)
 	}
-	s := r.Registry.load()
-	ranked := s.searchScored(qTokens, r.Registry.now())
+	reg := r.Registry
+	reg.mu.RLock()
+	defer reg.mu.RUnlock()
+	ranked := reg.searchScored(qTokens, reg.now())
 	weighted := make([]qosScored, 0, len(ranked))
 	for _, m := range ranked {
 		q, ok := r.QoSOf(m.name)
@@ -151,7 +155,7 @@ func (r *QoSRegistry) SearchQoS(query string, limit int) ([]QoSMatch, error) {
 	out := make([]QoSMatch, len(weighted))
 	for i, w := range weighted {
 		out[i] = QoSMatch{
-			Entry:     *s.entries[w.name],
+			Entry:     *reg.entries[w.name],
 			Relevance: w.relevance,
 			Quality:   w.quality,
 			Score:     w.score,

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -54,13 +53,12 @@ type Entry struct {
 // Available reports whether the entry's lease is current at t.
 func (e *Entry) Available(t time.Time) bool { return t.Before(e.LeaseExpires) }
 
-// snapshot is one immutable registry state. Readers load it atomically
-// and never take a lock; writers build a copied successor under wmu and
-// publish it with one atomic store (RCU). Entries and posting maps are
-// shared structurally between snapshots — a write copies only the outer
-// maps and the inner values it touches, and nothing reachable from a
-// published snapshot is ever mutated again.
-type snapshot struct {
+// Registry is an in-memory service directory, safe for concurrent use.
+// One RWMutex guards the directory: lookups share the read lock, and a
+// mutation takes the write lock and changes only the entry and the
+// postings it touches.
+type Registry struct {
+	mu      sync.RWMutex
 	entries map[string]*Entry
 	// index is the inverted keyword index: token → entry name →
 	// normalized term frequency. It is maintained incrementally on
@@ -75,14 +73,7 @@ type snapshot struct {
 	// query clock is before it, every entry is live and search skips all
 	// per-entry liveness checks (the common steady-state fast path).
 	minLease time.Time
-}
 
-// Registry is an in-memory service directory, safe for concurrent use.
-// Lookups are lock-free snapshot reads; publishes serialize on a writer
-// mutex and never block a reader.
-type Registry struct {
-	wmu   sync.Mutex
-	snap  atomic.Pointer[snapshot]
 	lease time.Duration
 	now   func() time.Time
 }
@@ -99,56 +90,29 @@ func WithClock(now func() time.Time) Option { return func(r *Registry) { r.now =
 // New returns an empty registry.
 func New(opts ...Option) *Registry {
 	r := &Registry{
-		lease: 5 * time.Minute,
-		now:   time.Now,
-	}
-	r.snap.Store(&snapshot{
 		entries: map[string]*Entry{},
 		index:   map[string]map[string]float64{},
 		docTF:   map[string]map[string]float64{},
-	})
+		lease:   5 * time.Minute,
+		now:     time.Now,
+	}
 	for _, o := range opts {
 		o(r)
 	}
 	return r
 }
 
-// load returns the current immutable snapshot.
-func (r *Registry) load() *snapshot { return r.snap.Load() }
-
-// cloneForWrite copies the current snapshot's outer maps. The caller must
-// hold wmu, mutate only via the snapshot's copy-on-write helpers (or by
-// installing fresh *Entry values), and install the result with publish.
-func (r *Registry) cloneForWrite() *snapshot {
-	old := r.snap.Load()
-	ns := &snapshot{
-		entries: make(map[string]*Entry, len(old.entries)+1),
-		index:   make(map[string]map[string]float64, len(old.index)),
-		docTF:   make(map[string]map[string]float64, len(old.docTF)),
-	}
-	for k, v := range old.entries {
-		ns.entries[k] = v
-	}
-	for k, v := range old.index {
-		ns.index[k] = v
-	}
-	for k, v := range old.docTF {
-		ns.docTF[k] = v
-	}
-	return ns
-}
-
-// publish recomputes the snapshot's lease horizon and installs it as the
-// current state. The caller must hold wmu.
-func (r *Registry) publish(ns *snapshot) {
+// resetHorizon recomputes the lease horizon after a mutation. The caller
+// must hold the write lock.
+func (r *Registry) resetHorizon() {
+	r.minLease = time.Time{}
 	first := true
-	for _, e := range ns.entries {
-		if first || e.LeaseExpires.Before(ns.minLease) {
-			ns.minLease = e.LeaseExpires
+	for _, e := range r.entries {
+		if first || e.LeaseExpires.Before(r.minLease) {
+			r.minLease = e.LeaseExpires
 			first = false
 		}
 	}
-	r.snap.Store(ns)
 }
 
 var categoryRE = regexp.MustCompile(`^[a-z0-9-]+(/[a-z0-9-]+)*$`)
@@ -169,28 +133,38 @@ func (r *Registry) Publish(e Entry) error {
 	if err := validateEntry(e); err != nil {
 		return err
 	}
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.install(r.resolve(e))
+	return nil
+}
+
+// resolve stamps e with what a publish grants now: the Published time of
+// an entry it re-registers (or now, for a new one) and a fresh lease. The
+// caller must hold the lock.
+func (r *Registry) resolve(e Entry) Entry {
 	now := r.now()
-	ns := r.cloneForWrite()
-	if old, ok := ns.entries[e.Name]; ok {
+	if old, ok := r.entries[e.Name]; ok {
 		e.Published = old.Published
 	} else {
 		e.Published = now
 	}
 	e.LeaseExpires = now.Add(r.lease)
-	copied := e
-	ns.entries[e.Name] = &copied
-	ns.indexEntry(&copied)
-	r.publish(ns)
-	return nil
+	return e
+}
+
+// install puts e in the directory as given and replaces its postings. The
+// caller must hold the write lock.
+func (r *Registry) install(e Entry) {
+	r.entries[e.Name] = &e
+	r.indexEntry(&e)
+	r.resetHorizon()
 }
 
 // indexEntry (re)computes the entry's term-frequency vector and installs
-// its postings, copying each touched posting map (never mutating one
-// shared with a published snapshot).
-func (s *snapshot) indexEntry(e *Entry) {
-	s.unindex(e.Name)
+// its postings.
+func (r *Registry) indexEntry(e *Entry) {
+	r.unindex(e.Name)
 	toks := docTokens(e)
 	tf := make(map[string]float64, len(toks))
 	for _, t := range toks {
@@ -200,39 +174,27 @@ func (s *snapshot) indexEntry(e *Entry) {
 	for t := range tf {
 		tf[t] /= norm
 	}
-	s.docTF[e.Name] = tf
+	r.docTF[e.Name] = tf
 	for t, v := range tf {
-		old := s.index[t]
-		post := make(map[string]float64, len(old)+1)
-		for n, pv := range old {
-			post[n] = pv
+		post := r.index[t]
+		if post == nil {
+			post = map[string]float64{}
+			r.index[t] = post
 		}
 		post[e.Name] = v
-		s.index[t] = post
 	}
 }
 
-// unindex removes the entry's postings, copying each touched posting map.
-func (s *snapshot) unindex(name string) {
-	tf, ok := s.docTF[name]
-	if !ok {
-		return
-	}
-	for t := range tf {
-		old := s.index[t]
-		if len(old) <= 1 {
-			delete(s.index, t)
-			continue
+// unindex removes the entry's postings.
+func (r *Registry) unindex(name string) {
+	for t := range r.docTF[name] {
+		post := r.index[t]
+		delete(post, name)
+		if len(post) == 0 {
+			delete(r.index, t)
 		}
-		post := make(map[string]float64, len(old)-1)
-		for n, v := range old {
-			if n != name {
-				post[n] = v
-			}
-		}
-		s.index[t] = post
 	}
-	delete(s.docTF, name)
+	delete(r.docTF, name)
 }
 
 // prepare resolves what Publish would install for e — validation,
@@ -244,15 +206,9 @@ func (r *Registry) prepare(e Entry) (Entry, error) {
 	if err := validateEntry(e); err != nil {
 		return Entry{}, err
 	}
-	s := r.load()
-	now := r.now()
-	if old, ok := s.entries[e.Name]; ok {
-		e.Published = old.Published
-	} else {
-		e.Published = now
-	}
-	e.LeaseExpires = now.Add(r.lease)
-	return e, nil
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.resolve(e), nil
 }
 
 // restore installs an entry verbatim — Published and LeaseExpires
@@ -263,69 +219,58 @@ func (r *Registry) restore(e Entry) error {
 	if err := validateEntry(e); err != nil {
 		return err
 	}
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	ns := r.cloneForWrite()
-	copied := e
-	ns.entries[e.Name] = &copied
-	ns.indexEntry(&copied)
-	r.publish(ns)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.install(e)
 	return nil
 }
 
 // setLease pins an entry's lease expiry to an exact instant — the replay
 // primitive behind durable heartbeats.
 func (r *Registry) setLease(name string, t time.Time) error {
-	return r.updateEntry(name, func(e *Entry) { e.LeaseExpires = t })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.renew(name, t)
 }
 
 // Heartbeat renews the lease of an entry.
 func (r *Registry) Heartbeat(name string) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	expires := r.now().Add(r.lease)
-	return r.updateEntryLocked(name, func(e *Entry) { e.LeaseExpires = expires })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.renew(name, r.now().Add(r.lease))
 }
 
-// updateEntry applies fn to a copy of the named entry and publishes the
-// resulting snapshot (postings are unaffected: indexed fields never
-// change through this path).
-func (r *Registry) updateEntry(name string, fn func(*Entry)) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	return r.updateEntryLocked(name, fn)
-}
-
-func (r *Registry) updateEntryLocked(name string, fn func(*Entry)) error {
-	ns := r.cloneForWrite()
-	e, ok := ns.entries[name]
+// renew moves the named entry's lease expiry to t. Indexed fields never
+// change through this path, so the postings stay as they are. The caller
+// must hold the write lock.
+func (r *Registry) renew(name string, t time.Time) error {
+	e, ok := r.entries[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	copied := *e
-	fn(&copied)
-	ns.entries[name] = &copied
-	r.publish(ns)
+	e.LeaseExpires = t
+	r.resetHorizon()
 	return nil
 }
 
 // Unpublish removes an entry.
 func (r *Registry) Unpublish(name string) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	ns := r.cloneForWrite()
-	if _, ok := ns.entries[name]; !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	delete(ns.entries, name)
-	ns.unindex(name)
-	r.publish(ns)
+	delete(r.entries, name)
+	r.unindex(name)
+	r.resetHorizon()
 	return nil
 }
 
 // Get returns the entry by name.
 func (r *Registry) Get(name string) (Entry, error) {
-	e, ok := r.load().entries[name]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.entries[name]
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -335,15 +280,16 @@ func (r *Registry) Get(name string) (Entry, error) {
 // List returns all entries sorted by name. When liveOnly, lapsed leases
 // are filtered out.
 func (r *Registry) List(liveOnly bool) []Entry {
-	s := r.load()
+	r.mu.RLock()
 	now := r.now()
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
+	out := make([]Entry, 0, len(r.entries))
+	for _, e := range r.entries {
 		if liveOnly && !e.Available(now) {
 			continue
 		}
 		out = append(out, *e)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -379,21 +325,20 @@ func (r *Registry) Categories() []string {
 // Evict removes entries whose lease lapsed more than grace ago; it returns
 // the evicted names.
 func (r *Registry) Evict(grace time.Duration) []string {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
+	r.mu.Lock()
 	now := r.now()
 	var evicted []string
-	ns := r.cloneForWrite()
-	for name, e := range ns.entries {
+	for name, e := range r.entries {
 		if now.Sub(e.LeaseExpires) > grace {
-			delete(ns.entries, name)
-			ns.unindex(name)
+			delete(r.entries, name)
+			r.unindex(name)
 			evicted = append(evicted, name)
 		}
 	}
 	if len(evicted) > 0 {
-		r.publish(ns)
+		r.resetHorizon()
 	}
+	r.mu.Unlock()
 	sort.Strings(evicted)
 	return evicted
 }
@@ -447,8 +392,9 @@ func (r *Registry) Search(query string, limit int) ([]Match, error) {
 	if len(qTokens) == 0 {
 		return nil, fmt.Errorf("%w: empty query", ErrInvalid)
 	}
-	s := r.load()
-	ranked := s.searchScored(qTokens, r.now())
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	ranked := r.searchScored(qTokens, r.now())
 	sortScored(ranked)
 	if limit > 0 && len(ranked) > limit {
 		ranked = ranked[:limit]
@@ -458,7 +404,7 @@ func (r *Registry) Search(query string, limit int) ([]Match, error) {
 	}
 	matches := make([]Match, len(ranked))
 	for i, sc := range ranked {
-		matches[i] = Match{Entry: *s.entries[sc.name], Score: sc.score}
+		matches[i] = Match{Entry: *r.entries[sc.name], Score: sc.score}
 	}
 	return matches, nil
 }
@@ -486,17 +432,18 @@ func sortScored(ranked []scored) {
 // Term frequencies come from the index as built at publish time; document
 // frequency and corpus size are computed over live entries at query time,
 // keeping scores identical to a full scan of the live corpus. When the
-// snapshot's lease horizon says every entry is live (the steady state),
-// all per-entry liveness checks collapse to map-length reads.
-func (s *snapshot) searchScored(qTokens []string, now time.Time) []scored {
-	if len(s.entries) == 0 {
+// lease horizon says every entry is live (the steady state), all
+// per-entry liveness checks collapse to map-length reads. The caller must
+// hold the read lock.
+func (r *Registry) searchScored(qTokens []string, now time.Time) []scored {
+	if len(r.entries) == 0 {
 		return nil
 	}
-	allLive := now.Before(s.minLease)
-	n := len(s.entries)
+	allLive := now.Before(r.minLease)
+	n := len(r.entries)
 	if !allLive {
 		n = 0
-		for _, e := range s.entries {
+		for _, e := range r.entries {
 			if e.Available(now) {
 				n++
 			}
@@ -508,7 +455,7 @@ func (s *snapshot) searchScored(qTokens []string, now time.Time) []scored {
 	nf := float64(n)
 	var scores map[string]float64
 	for _, q := range qTokens {
-		post := s.index[q]
+		post := r.index[q]
 		if len(post) == 0 {
 			continue
 		}
@@ -516,7 +463,7 @@ func (s *snapshot) searchScored(qTokens []string, now time.Time) []scored {
 		if !allLive {
 			df = 0
 			for name := range post {
-				if e, ok := s.entries[name]; ok && e.Available(now) {
+				if e, ok := r.entries[name]; ok && e.Available(now) {
 					df++
 				}
 			}
@@ -534,7 +481,7 @@ func (s *snapshot) searchScored(qTokens []string, now time.Time) []scored {
 			}
 		} else {
 			for name, tf := range post {
-				if e, ok := s.entries[name]; ok && e.Available(now) {
+				if e, ok := r.entries[name]; ok && e.Available(now) {
 					scores[name] += tf * idf
 				}
 			}
@@ -552,5 +499,7 @@ func (s *snapshot) searchScored(qTokens []string, now time.Time) []scored {
 
 // Len reports the number of entries (including lapsed ones).
 func (r *Registry) Len() int {
-	return len(r.load().entries)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.entries)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // Task is a leaf activity running an arbitrary function — the "code
@@ -479,7 +481,8 @@ func (s *Scope) Execute(ctx context.Context, st *State) error {
 	return nil // fault handled
 }
 
-// Delay pauses the workflow — the "wait" activity.
+// Delay pauses the workflow — the "wait" activity. It waits on the
+// context's clock (vtime.ClockFrom), so a simulated run does not wait.
 type Delay struct {
 	Label string
 	D     time.Duration
@@ -495,12 +498,5 @@ func (d *Delay) Validate() error {
 }
 
 func (d *Delay) Execute(ctx context.Context, _ *State) error {
-	t := time.NewTimer(d.D)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return vtime.Sleep(ctx, d.D)
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func task(name string, fn func(v *Vars)) *Task {
@@ -497,6 +499,31 @@ func TestDelay(t *testing.T) {
 	wf2, _ := New("w2", &Delay{Label: "long", D: 5 * time.Second})
 	if _, _, err := wf2.Run(ctx, nil); err == nil {
 		t.Error("cancellation ignored")
+	}
+}
+
+// TestDelayOnVirtualClock: a Delay waits on the context's clock, so under
+// a vtime.Virtual an hour-long wait returns at once and moves the clock by
+// exactly that hour.
+func TestDelayOnVirtualClock(t *testing.T) {
+	start := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	clock := vtime.NewVirtual(start)
+	wf, _ := New("w", &Delay{Label: "hour", D: time.Hour})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := wf.Run(vtime.WithClock(context.Background(), clock), nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an hour's Delay on a virtual clock waited on the wall clock")
+	}
+	if got := clock.Now().Sub(start); got != time.Hour {
+		t.Errorf("virtual clock advanced %v, want 1h", got)
 	}
 }
 
