@@ -65,14 +65,21 @@ race:
 ## (TestDoDeadline…): the deadline context's clock races a blocked
 ## transport, a stalled body, the caller's cancel and Close, and waiters
 ## and child contexts arriving meanwhile (…Conformance,
-## …CancelsChildrenWithoutWatchers, …Hammer), and the registry's readers
+## …CancelsChildrenWithoutWatchers, …Hammer), the registry's readers
 ## (Get, Search, SearchQoS, List) racing republish, unpublish, heartbeat
-## and eviction under the directory's one lock
+## and eviction under the directory's one lock, and the request path's
+## other locked tables: the metrics set's records racing its report, a
+## binding client's per-operation records filled concurrently, the front
+## door's picks racing membership churn, and the host's dispatch racing
+## Mount
 flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
-	$(GO) test -race -count=20 -run TestDoDeadline ./internal/callplane
+	$(GO) test -race -count=20 -run 'TestDoDeadline|TestRecordsResolveOncePerKeyAndStayBounded' ./internal/callplane
 	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry
+	$(GO) test -race -count=20 -run TestReportAgreesWithRecords ./internal/telemetry
+	$(GO) test -race -count=20 -run TestFrontDoorChurnParallel ./internal/cloud
+	$(GO) test -race -count=20 -run TestMountDuringInvokeParallel ./internal/host
 
 ## fuzz: run each fuzz target for 20 s beyond its committed seeds
 ## (testdata/fuzz/, which plain `go test` already replays):

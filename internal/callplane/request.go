@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 
 	"soc/internal/telemetry"
 )
@@ -228,11 +227,11 @@ func Forward(ctx context.Context, r *http.Request, body []byte, owner Releaser) 
 
 // Records is a binding client's table of per-operation records (a Route,
 // and whatever else the binding resolves once per operation), filled on
-// the first call to each. Reads are one atomic load and a map lookup;
-// fills copy the map. The zero value is ready to use.
+// the first call to each. A read takes the read lock; a fill takes the
+// write lock. The zero value is ready to use.
 type Records[K comparable, V any] struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[K]V]
+	mu sync.RWMutex
+	m  map[K]V
 }
 
 // maxRecords bounds the table: a client fed operation names from outside
@@ -241,10 +240,11 @@ const maxRecords = 1024
 
 // Get returns the record of key, resolving it first if the table has none.
 func (t *Records[K, V]) Get(key K, resolve func(K) (V, error)) (V, error) {
-	if m := t.m.Load(); m != nil {
-		if v, ok := (*m)[key]; ok {
-			return v, nil
-		}
+	t.mu.RLock()
+	v, ok := t.m[key]
+	t.mu.RUnlock()
+	if ok {
+		return v, nil
 	}
 	v, err := resolve(key)
 	if err != nil {
@@ -252,21 +252,15 @@ func (t *Records[K, V]) Get(key K, resolve func(K) (V, error)) (V, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var old map[K]V
-	if m := t.m.Load(); m != nil {
-		old = *m
-	}
-	if prior, ok := old[key]; ok {
+	if prior, ok := t.m[key]; ok {
 		return prior, nil
 	}
-	if len(old) >= maxRecords {
+	if len(t.m) >= maxRecords {
 		return v, nil
 	}
-	next := make(map[K]V, len(old)+1)
-	for k, r := range old {
-		next[k] = r
+	if t.m == nil {
+		t.m = make(map[K]V)
 	}
-	next[key] = v
-	t.m.Store(&next)
+	t.m[key] = v
 	return v, nil
 }

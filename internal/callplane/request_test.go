@@ -185,7 +185,10 @@ func TestRecordsResolveOncePerKeyAndStayBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(*recs.m.Load()); n != maxRecords {
+	recs.mu.RLock()
+	n := len(recs.m)
+	recs.mu.RUnlock()
+	if n != maxRecords {
 		t.Fatalf("table holds %d records, bound is %d", n, maxRecords)
 	}
 	// Past the bound a key still resolves, per call.

@@ -313,7 +313,10 @@ func TestAutoscalerDrainProperty(t *testing.T) {
 				t.Fatalf("seed %d step %d: replica stopped with requests in flight", seed, step)
 			}
 			// Draining replicas are out of the eligible pick set.
-			for _, rep := range fd.rotation.Load().eligible {
+			fd.mu.Lock()
+			eligible := fd.eligible
+			fd.mu.Unlock()
+			for _, rep := range eligible {
 				if rep.Draining() {
 					t.Fatalf("seed %d step %d: draining replica in eligible set", seed, step)
 				}

@@ -70,9 +70,10 @@ type FrontDoorConfig struct {
 // sheds each arrival (bounded queue, 503 + Retry-After once saturated),
 // picks a replica by power-of-two-choices over in-flight count × EWMA
 // latency, and proxies the exchange over the callplane spine so every
-// hop lands in the trace tree. Membership is a copy-on-write rotation:
-// replicas join by Add, and leave by Remove or when the registry's live
-// lease view no longer holds them (SyncMembership).
+// hop lands in the trace tree. Membership is the rotation under the
+// door's one mutex, which also guards the pick PRNG: replicas join by
+// Add, and leave by Remove or when the registry's live lease view no
+// longer holds them (SyncMembership).
 type FrontDoor struct {
 	maxInFlight  int
 	queueDepth   int
@@ -82,8 +83,13 @@ type FrontDoor struct {
 	metrics *telemetry.Metrics
 	chain   callplane.Transport
 
-	rotation atomic.Pointer[rotation]
-	mu       sync.Mutex // guards rotation rebuilds and the pick PRNG
+	// mu guards the rotation and the pick PRNG. all is every member (for
+	// /clusterz), eligible the non-draining subset picks draw from. A
+	// change replaces both slices rather than editing them, so a slice
+	// read under mu stays valid after it is released.
+	mu       sync.Mutex
+	all      []*Replica
+	eligible []*Replica
 	rng      *rand.Rand
 
 	sem    chan struct{}
@@ -105,13 +111,6 @@ type spanKey struct{ method, path string }
 // result, so a path seen before costs no concatenation.
 func spanName(k spanKey) (string, error) {
 	return "frontdoor." + k.method + " " + k.path, nil
-}
-
-// rotation is the copy-on-write membership view: all replicas for
-// /clusterz, the non-draining subset for picking.
-type rotation struct {
-	all      []*Replica
-	eligible []*Replica
 }
 
 // NewFrontDoor builds the front door; replicas join via Add.
@@ -137,7 +136,6 @@ func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sem:          make(chan struct{}, cfg.MaxInFlight),
 	}
-	fd.rotation.Store(&rotation{})
 	fd.chain = callplane.Chain(callplane.Terminal,
 		callplane.WithSpan(cfg.Tracer, telemetry.KindClient),
 		callplane.WithRetry(retryPolicy),
@@ -163,9 +161,8 @@ var retryPolicy = reliability.RetryPolicy{
 func (fd *FrontDoor) Add(rep *Replica) {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	cur := fd.rotation.Load()
-	next := make([]*Replica, 0, len(cur.all)+1)
-	for _, r := range cur.all {
+	next := make([]*Replica, 0, len(fd.all)+1)
+	for _, r := range fd.all {
 		if r.Name() != rep.Name() {
 			next = append(next, r)
 		}
@@ -180,10 +177,9 @@ func (fd *FrontDoor) Add(rep *Replica) {
 func (fd *FrontDoor) Remove(name string) *Replica {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	cur := fd.rotation.Load()
 	var removed *Replica
-	next := make([]*Replica, 0, len(cur.all))
-	for _, r := range cur.all {
+	next := make([]*Replica, 0, len(fd.all))
+	for _, r := range fd.all {
 		if r.Name() == name {
 			removed = r
 			continue
@@ -202,9 +198,8 @@ func (fd *FrontDoor) Remove(name string) *Replica {
 func (fd *FrontDoor) MarkDraining(name string, draining bool) *Replica {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	cur := fd.rotation.Load()
 	var found *Replica
-	for _, r := range cur.all {
+	for _, r := range fd.all {
 		if r.Name() == name {
 			found = r
 			break
@@ -214,13 +209,15 @@ func (fd *FrontDoor) MarkDraining(name string, draining bool) *Replica {
 		return nil
 	}
 	found.SetDraining(draining)
-	fd.storeLocked(append([]*Replica(nil), cur.all...))
+	fd.storeLocked(fd.all)
 	return found
 }
 
 // Replica returns the named rotation member (nil if absent).
 func (fd *FrontDoor) Replica(name string) *Replica {
-	for _, r := range fd.rotation.Load().all {
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	for _, r := range fd.all {
 		if r.Name() == name {
 			return r
 		}
@@ -230,18 +227,21 @@ func (fd *FrontDoor) Replica(name string) *Replica {
 
 // Replicas snapshots the rotation (draining members included).
 func (fd *FrontDoor) Replicas() []*Replica {
-	return append([]*Replica(nil), fd.rotation.Load().all...)
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	return append([]*Replica(nil), fd.all...)
 }
 
-// storeLocked publishes a new rotation; fd.mu must be held.
+// storeLocked installs all as the rotation and rebuilds the eligible
+// set from it; fd.mu must be held.
 func (fd *FrontDoor) storeLocked(all []*Replica) {
-	rot := &rotation{all: all, eligible: make([]*Replica, 0, len(all))}
+	eligible := make([]*Replica, 0, len(all))
 	for _, r := range all {
 		if !r.Draining() {
-			rot.eligible = append(rot.eligible, r)
+			eligible = append(eligible, r)
 		}
 	}
-	fd.rotation.Store(rot)
+	fd.all, fd.eligible = all, eligible
 }
 
 // SyncMembership prunes the rotation against the registry's live lease
@@ -256,9 +256,8 @@ func (fd *FrontDoor) SyncMembership(live []registry.Entry) (removed int) {
 	}
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	cur := fd.rotation.Load()
-	next := make([]*Replica, 0, len(cur.all))
-	for _, r := range cur.all {
+	next := make([]*Replica, 0, len(fd.all))
+	for _, r := range fd.all {
 		if byName[r.Name()] || r.Draining() {
 			next = append(next, r)
 		} else {
@@ -324,7 +323,7 @@ func (fd *FrontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/healthz":
 		rest.WriteResponse(w, r, http.StatusOK, map[string]any{
 			"status":   "ok",
-			"replicas": len(fd.rotation.Load().all),
+			"replicas": len(fd.Replicas()),
 		})
 	default:
 		fd.proxy(w, r)
@@ -332,15 +331,15 @@ func (fd *FrontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (fd *FrontDoor) handleClusterz(w http.ResponseWriter, r *http.Request) {
-	rot := fd.rotation.Load()
+	all := fd.Replicas()
 	report := clusterzReport{
 		MaxInFlight:       fd.maxInFlight,
 		QueueDepth:        fd.queueDepth,
 		QueueTimeoutNanos: int64(fd.queueTimeout),
 		Stats:             fd.Stats(),
-		Replicas:          make([]ReplicaStatus, len(rot.all)),
+		Replicas:          make([]ReplicaStatus, len(all)),
 	}
-	for i, rep := range rot.all {
+	for i, rep := range all {
 		report.Replicas[i] = rep.Status()
 	}
 	rest.WriteResponse(w, r, http.StatusOK, report)
@@ -530,7 +529,8 @@ func (fd *FrontDoor) admit(ctx context.Context, clk vtime.Clock) bool {
 // passes the replica that just failed as exclude, so the failover hop
 // always lands on a sibling when one exists.
 func (fd *FrontDoor) pickAcquired(exclude string) (*Replica, error) {
-	reps := fd.rotation.Load().eligible
+	fd.mu.Lock()
+	reps := fd.eligible
 	if exclude != "" && len(reps) > 1 {
 		rest := make([]*Replica, 0, len(reps)-1)
 		for _, r := range reps {
@@ -542,6 +542,16 @@ func (fd *FrontDoor) pickAcquired(exclude string) (*Replica, error) {
 			reps = rest
 		}
 	}
+	// Two distinct indices from the seeded PRNG, drawn only when there
+	// are two replicas to choose between.
+	var i, j int
+	if n := len(reps); n > 1 {
+		i, j = fd.rng.Intn(n), fd.rng.Intn(n-1)
+		if j >= i {
+			j++
+		}
+	}
+	fd.mu.Unlock()
 	switch len(reps) {
 	case 0:
 		return nil, ErrNoReplica
@@ -552,7 +562,6 @@ func (fd *FrontDoor) pickAcquired(exclude string) (*Replica, error) {
 		}
 		return nil, ErrReplicasSaturated
 	}
-	i, j := fd.twoIndices(len(reps))
 	a, b := reps[i], reps[j]
 	if b.score() < a.score() {
 		a, b = b, a
@@ -572,18 +581,6 @@ func (fd *FrontDoor) pickAcquired(exclude string) (*Replica, error) {
 		}
 	}
 	return nil, ErrReplicasSaturated
-}
-
-// twoIndices draws two distinct indices from the seeded pick PRNG.
-func (fd *FrontDoor) twoIndices(n int) (int, int) {
-	fd.mu.Lock()
-	i := fd.rng.Intn(n)
-	j := fd.rng.Intn(n - 1)
-	fd.mu.Unlock()
-	if j >= i {
-		j++
-	}
-	return i, j
 }
 
 // copyResponse relays a replica's buffered response to the client. Header

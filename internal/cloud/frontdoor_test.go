@@ -404,3 +404,78 @@ func TestFrontDoorCallerGaveUpIsNotAReplicaFailure(t *testing.T) {
 		})
 	}
 }
+
+// TestFrontDoorChurnParallel: proxied requests race a writer that adds,
+// removes and drains replicas. Every request ends in a replica's 200 or
+// the door's own 503 or 502, and once the churn stops a drained replica
+// receives no further pick.
+func TestFrontDoorChurnParallel(t *testing.T) {
+	fd := NewFrontDoor(FrontDoorConfig{Seed: 3})
+	reps := make([]*Replica, 5)
+	for i := range reps {
+		reps[i] = NewLocalReplica(fmt.Sprintf("r%d", i), okHandler("ok"), 0)
+	}
+	done := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rep := reps[i%len(reps)]
+			switch i % 3 {
+			case 0:
+				fd.Add(rep)
+			case 1:
+				fd.MarkDraining(rep.Name(), i%2 == 0)
+			case 2:
+				fd.Remove(reps[(i+2)%len(reps)].Name())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				rec := httptest.NewRecorder()
+				fd.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/x", nil))
+				switch rec.Code {
+				case http.StatusOK, http.StatusServiceUnavailable, http.StatusBadGateway:
+				default:
+					t.Errorf("request %d: status %d", i, rec.Code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	churn.Wait()
+
+	// Drain the replica p2c favours most, so a pick that ignored the
+	// draining flag would land on it.
+	drained := reps[0]
+	for _, rep := range reps {
+		fd.Add(rep)
+		fd.MarkDraining(rep.Name(), false)
+		if rep.score() < drained.score() {
+			drained = rep
+		}
+	}
+	fd.MarkDraining(drained.Name(), true)
+	before := drained.Picks()
+	for i := 0; i < 200; i++ {
+		if rec := get(t, fd, "/x"); rec.Code != http.StatusOK {
+			t.Fatalf("after churn, call %d: %d", i, rec.Code)
+		}
+	}
+	if got := drained.Picks(); got != before {
+		t.Fatalf("draining replica %s picked %d times after the churn stopped", drained.Name(), got-before)
+	}
+}

@@ -74,12 +74,10 @@ const tracerCapacity = 512
 // tracer ring (GET /tracez) and folds into the shared instrument set
 // (GET /metricz, GET /services/{name}/stats).
 type Host struct {
-	// wmu serializes Mount; lookups read the mounts map through an
-	// atomic pointer (copy-on-write), so the per-request path — which
-	// resolves the mount table two or three times per request — never
-	// touches a lock.
-	wmu    sync.Mutex
-	mounts atomic.Pointer[map[string]*mounted]
+	// mu guards mounts: Mount takes the write lock, every lookup the
+	// read lock.
+	mu     sync.RWMutex
+	mounts map[string]*mounted
 	// draining flips the healthz verdict to 503 while the host empties
 	// out ahead of a scale-down; every other route keeps serving.
 	draining atomic.Bool
@@ -95,12 +93,11 @@ type Host struct {
 // New returns an empty host.
 func New() *Host {
 	h := &Host{
+		mounts: make(map[string]*mounted),
 		router: rest.NewRouter(),
 		instr:  telemetry.NewMetrics(),
 		tracer: telemetry.NewTracer(tracerCapacity),
 	}
-	empty := make(map[string]*mounted)
-	h.mounts.Store(&empty)
 	h.router.Use(rest.Recovery())
 	must := func(err error) {
 		if err != nil {
@@ -134,10 +131,9 @@ func (h *Host) Mount(svc *core.Service) error {
 	if svc == nil {
 		return fmt.Errorf("%w: nil service", ErrMount)
 	}
-	h.wmu.Lock()
-	defer h.wmu.Unlock()
-	old := *h.mounts.Load()
-	if _, dup := old[svc.Name]; dup {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, dup := h.mounts[svc.Name]; dup {
 		return fmt.Errorf("%w: duplicate service %q", ErrMount, svc.Name)
 	}
 	m := &mounted{
@@ -176,12 +172,7 @@ func (h *Host) Mount(svc *core.Service) error {
 			return err
 		}
 	}
-	next := make(map[string]*mounted, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[svc.Name] = m
-	h.mounts.Store(&next)
+	h.mounts[svc.Name] = m
 	return nil
 }
 
@@ -221,16 +212,19 @@ func (h *Host) Service(name string) (*core.Service, bool) {
 	return m.svc, true
 }
 
-// mount returns the precompiled dispatch table for a service — one
-// atomic load, no lock.
+// mount returns the precompiled dispatch table for a service.
 func (h *Host) mount(name string) (*mounted, bool) {
-	m, ok := (*h.mounts.Load())[name]
+	h.mu.RLock()
+	m, ok := h.mounts[name]
+	h.mu.RUnlock()
 	return m, ok
 }
 
 // Names lists mounted service names, sorted.
 func (h *Host) Names() []string {
-	return mountNames(*h.mounts.Load())
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return mountNames(h.mounts)
 }
 
 // ServeHTTP implements http.Handler.
@@ -267,12 +261,13 @@ type serviceDesc struct {
 }
 
 func (h *Host) handleList(w http.ResponseWriter, r *http.Request, _ rest.Params) {
-	mounts := *h.mounts.Load()
-	out := make([]serviceSummary, 0, len(mounts))
-	for _, name := range mountNames(mounts) {
-		s := mounts[name].svc
+	h.mu.RLock()
+	out := make([]serviceSummary, 0, len(h.mounts))
+	for _, name := range mountNames(h.mounts) {
+		s := h.mounts[name].svc
 		out = append(out, serviceSummary{Name: s.Name, Namespace: s.Namespace, Doc: s.Doc, Category: s.Category})
 	}
+	h.mu.RUnlock()
 	rest.WriteResponse(w, r, http.StatusOK, out)
 }
 
@@ -359,13 +354,14 @@ func (h *Host) Draining() bool { return h.draining.Load() }
 // draining, which probes see as 503 so no new traffic arrives.
 func (h *Host) handleHealthz(w http.ResponseWriter, r *http.Request, _ rest.Params) {
 	stats := h.instr.Snapshot()
-	mounts := *h.mounts.Load()
-	report := healthReport{Status: "ok", Services: make(map[string]serviceHealth, len(mounts))}
+	report := healthReport{Status: "ok"}
 	status := http.StatusOK
 	if h.Draining() {
 		report.Status, status = "draining", http.StatusServiceUnavailable
 	}
-	for name, m := range mounts {
+	h.mu.RLock()
+	report.Services = make(map[string]serviceHealth, len(h.mounts))
+	for name, m := range h.mounts {
 		svc := m.svc
 		sh := serviceHealth{Status: "ok", Operations: len(svc.Operations())}
 		for _, op := range svc.Operations() {
@@ -379,6 +375,7 @@ func (h *Host) handleHealthz(w http.ResponseWriter, r *http.Request, _ rest.Para
 		}
 		report.Services[name] = sh
 	}
+	h.mu.RUnlock()
 	rest.WriteResponse(w, r, status, report)
 }
 

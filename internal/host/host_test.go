@@ -3,10 +3,12 @@ package host
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"soc/internal/core"
@@ -229,5 +231,66 @@ func TestClientContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := c.Call(ctx, "Calc", "Add", core.Values{"a": 1, "b": 2}); err == nil {
 		t.Error("canceled context accepted")
+	}
+}
+
+// TestMountDuringInvokeParallel: invocations and listings of a mounted
+// service race a writer mounting fresh ones. Each new service answers as
+// soon as its Mount returns, and mounting it again still fails.
+func TestMountDuringInvokeParallel(t *testing.T) {
+	h := New()
+	h.MustMount(calcService(t))
+	serve := func(path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			paths := []string{"/services/Calc/invoke/Add?a=1&b=2", "/services", "/healthz"}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if code := serve(paths[i%len(paths)]); code != http.StatusOK {
+					t.Errorf("GET %s: status %d", paths[i%len(paths)], code)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		svc, err := core.NewService(fmt.Sprintf("Echo%d", i), "http://soc.example/echo", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.MustAddOperation(core.Operation{
+			Name:   "Echo",
+			Input:  []core.Param{{Name: "text", Type: core.String}},
+			Output: []core.Param{{Name: "echo", Type: core.String}},
+			Handler: func(_ context.Context, in core.Values) (core.Values, error) {
+				return core.Values{"echo": in.Str("text")}, nil
+			},
+		})
+		if err := h.Mount(svc); err != nil {
+			t.Fatal(err)
+		}
+		if code := serve("/services/" + svc.Name + "/invoke/Echo?text=hi"); code != http.StatusOK {
+			t.Fatalf("%s right after Mount: status %d", svc.Name, code)
+		}
+		if err := h.Mount(svc); !errors.Is(err, ErrMount) {
+			t.Fatalf("duplicate Mount of %s: %v", svc.Name, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n := len(h.Names()); n != 51 {
+		t.Fatalf("%d services mounted, want 51", n)
 	}
 }

@@ -4,7 +4,10 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -65,4 +68,34 @@ func TestMetricsRecordAllocCeiling(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("Record+RecordCached = %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// TestMetricsKeyMemoryCeiling prices a fresh operation key: its first
+// Record allocates the key's one instrument block, whose histogram is
+// 9,240 B, plus its share of the map's growth. A 10 % margin over the
+// histogram leaves 924 B for the counters, the size-class round-up
+// (9,256 B → 9,472 B) and the map; the block measures about 9.6 KB per
+// key. A table that copied itself on every insert, or a block per core,
+// pays a multiple of that.
+func TestMetricsKeyMemoryCeiling(t *testing.T) {
+	const keys = 500
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("Svc%d.Op", i)
+	}
+	m := NewMetrics()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range names {
+		m.Record(k, time.Millisecond, false)
+	}
+	runtime.ReadMemStats(&after)
+	perKey := float64(after.TotalAlloc-before.TotalAlloc) / keys
+	histBytes := reflect.TypeFor[Histogram]().Size()
+	limit := 1.1 * float64(histBytes)
+	if perKey > limit {
+		t.Fatalf("a fresh metric key allocates %.0f B, ceiling %.0f B (1.1 × the %d B histogram)",
+			perKey, limit, histBytes)
+	}
+	t.Logf("%.0f B per fresh key (ceiling %.0f B)", perKey, limit)
 }

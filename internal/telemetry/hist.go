@@ -22,7 +22,7 @@ const histBuckets = (41 - histSubBits) << histSubBits
 // concurrent recording: every Record is three atomic adds and a CAS-free
 // max update, so the measurement plane never becomes the convoy it is
 // trying to observe. It is the one latency distribution in the tree —
-// loadgen's open-loop samples and every /metricz stripe. The zero value
+// loadgen's open-loop samples and every /metricz operation. The zero value
 // is ready to use; it holds no pointers.
 type Histogram struct {
 	count   atomic.Uint64
@@ -81,16 +81,6 @@ func (h *Histogram) raiseMax(v int64) {
 			return
 		}
 	}
-}
-
-// merge folds o's samples into h, reading each of o's buckets once.
-func (h *Histogram) merge(o *Histogram) {
-	for i := range o.buckets {
-		h.buckets[i].Add(o.buckets[i].Load())
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	h.raiseMax(o.max.Load())
 }
 
 // Count returns the number of recorded samples.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,119 +26,64 @@ func (m OpMetrics) MeanTime() time.Duration {
 	return m.TotalTime / time.Duration(m.Calls)
 }
 
-// opStripe is one stripe of an operation's instruments: the error and
+// opBlock is the live instrument block of one operation: the error and
 // cache-hit counters, then the latency histogram whose count and sum are
-// the call counter and total handler time. Every field is atomic: the
-// record path takes no lock at all. The ~9 KB of buckets keep the hot
-// head of one stripe off the next stripe's (the tail buckets, ~minutes,
-// are never touched), so no padding is needed.
-type opStripe struct {
+// the call counter and total handler time. Every field is atomic, so
+// recording into a block takes no lock once its key is resolved.
+type opBlock struct {
 	errors    atomic.Uint64
 	cacheHits atomic.Uint64
 	latency   Histogram
 }
 
-// stripedOp is the live instrument block of one operation: counters
-// striped so concurrent recorders on different cores touch different
-// cache lines. Snapshot sums the stripes' counters; Report also merges
-// their histograms.
-type stripedOp struct {
-	stripes []opStripe
-}
-
-func (o *stripedOp) sum() OpMetrics {
-	var out OpMetrics
-	for i := range o.stripes {
-		s := &o.stripes[i]
-		out.Calls += s.latency.count.Load()
-		out.Errors += s.errors.Load()
-		out.CacheHits += s.cacheHits.Load()
-		out.TotalTime += time.Duration(s.latency.sum.Load())
+func (o *opBlock) sum() OpMetrics {
+	return OpMetrics{
+		Calls:     o.latency.count.Load(),
+		Errors:    o.errors.Load(),
+		CacheHits: o.cacheHits.Load(),
+		TotalTime: time.Duration(o.latency.sum.Load()),
 	}
-	return out
 }
-
-// stripeToken carries a stripe index between Record calls via a sync.Pool
-// — per-P pools make the token a cheap core-affine stripe hint.
-type stripeToken struct{ idx uint32 }
 
 // Metrics is a concurrency-safe registry of per-operation instruments
 // keyed "Service.Operation" — the single instrument set shared by host
-// metrics, /metricz and the trace plane. The hot record path is
-// lock-free: an RCU-style atomic map resolves the key, and the counters
-// are striped atomics. The mutex guards only first-time key insertion
-// and map replacement.
+// metrics, /metricz and the trace plane. A key resolves under the read
+// lock; only a key's first record takes the write lock to insert its
+// block.
 type Metrics struct {
-	mu      sync.Mutex
-	m       atomic.Pointer[map[string]*stripedOp]
-	stripes int
-	tokens  sync.Pool
-	tokSeq  atomic.Uint32
-}
-
-// metricsStripes picks the per-op stripe count: one per core, power of
-// two, capped at 8. A single-core box gets one stripe and skips token
-// dispatch entirely.
-func metricsStripes() int {
-	n := 1
-	for n*2 <= runtime.NumCPU() && n < 8 {
-		n *= 2
-	}
-	return n
+	mu sync.RWMutex
+	m  map[string]*opBlock
 }
 
 // NewMetrics returns an empty instrument set.
 func NewMetrics() *Metrics {
-	x := &Metrics{stripes: metricsStripes()}
-	m := make(map[string]*stripedOp)
-	x.m.Store(&m)
-	x.tokens.New = func() any {
-		return &stripeToken{idx: x.tokSeq.Add(1) % uint32(x.stripes)}
-	}
-	return x
+	return &Metrics{m: make(map[string]*opBlock)}
 }
 
-// stripe picks the stripe to record on. With one stripe (single-core)
-// it's free; otherwise a pooled token supplies a core-affine index.
-func (x *Metrics) stripe(o *stripedOp) *opStripe {
-	if x.stripes == 1 {
-		return &o.stripes[0]
-	}
-	tok := x.tokens.Get().(*stripeToken)
-	s := &o.stripes[tok.idx]
-	x.tokens.Put(tok)
-	return s
-}
-
-// get resolves (or lazily creates) the instrument block for key. The
-// fast path is one atomic load and a map read; insertion copies the map
-// under the mutex and swings the pointer (RCU), so readers never block.
-func (x *Metrics) get(key string) *stripedOp {
-	if om, ok := (*x.m.Load())[key]; ok {
+// get resolves (or lazily creates) the instrument block for key.
+func (x *Metrics) get(key string) *opBlock {
+	x.mu.RLock()
+	om, ok := x.m[key]
+	x.mu.RUnlock()
+	if ok {
 		return om
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	old := *x.m.Load()
-	if om, ok := old[key]; ok {
+	if om, ok := x.m[key]; ok {
 		return om
 	}
-	om := &stripedOp{stripes: make([]opStripe, x.stripes)}
-	next := make(map[string]*stripedOp, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = om
-	x.m.Store(&next)
+	om = &opBlock{}
+	x.m[key] = om
 	return om
 }
 
 // Record folds one real (handler-executed) call into the instruments.
 func (x *Metrics) Record(key string, d time.Duration, failed bool) {
-	s := x.stripe(x.get(key))
-	s.latency.Record(d)
+	om := x.get(key)
+	om.latency.Record(d)
 	if failed {
-		s.errors.Add(1)
+		om.errors.Add(1)
 	}
 }
 
@@ -148,16 +92,17 @@ func (x *Metrics) Record(key string, d time.Duration, failed bool) {
 // a cached answer says nothing about handler latency, and counting its
 // ~zero duration would flatter every latency-derived quality score.
 func (x *Metrics) RecordCached(key string) {
-	x.stripe(x.get(key)).cacheHits.Add(1)
+	x.get(key).cacheHits.Add(1)
 }
 
-// Snapshot copies the instrument set. Counters are summed per key with
+// Snapshot copies the instrument set. Counters are read per key with
 // atomic loads; a snapshot taken while recorders are in flight is a
 // monotone cut, not a single instant.
 func (x *Metrics) Snapshot() map[string]OpMetrics {
-	m := *x.m.Load()
-	out := make(map[string]OpMetrics, len(m))
-	for k, v := range m {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	out := make(map[string]OpMetrics, len(x.m))
+	for k, v := range x.m {
 		out[k] = v.sum()
 	}
 	return out
@@ -182,25 +127,22 @@ type MetricsReport struct {
 	Operations map[string]opReport `json:"operations"`
 }
 
-// Report renders the instrument set as the /metricz document, merging
-// each operation's stripes into one histogram for its percentiles.
+// Report renders the instrument set as the /metricz document, the
+// percentiles read from each operation's histogram.
 func (x *Metrics) Report() MetricsReport {
-	m := *x.m.Load()
-	report := MetricsReport{Operations: make(map[string]opReport, len(m))}
-	for key, o := range m {
-		var lat Histogram
-		for i := range o.stripes {
-			lat.merge(&o.stripes[i].latency)
-		}
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	report := MetricsReport{Operations: make(map[string]opReport, len(x.m))}
+	for key, o := range x.m {
 		om := o.sum()
 		report.Operations[key] = opReport{
 			Calls:     om.Calls,
 			Errors:    om.Errors,
 			CacheHits: om.CacheHits,
 			MeanNanos: int64(om.MeanTime()),
-			P50Nanos:  int64(lat.Quantile(0.50)),
-			P99Nanos:  int64(lat.Quantile(0.99)),
-			MaxNanos:  int64(lat.Max()),
+			P50Nanos:  int64(o.latency.Quantile(0.50)),
+			P99Nanos:  int64(o.latency.Quantile(0.99)),
+			MaxNanos:  int64(o.latency.Max()),
 		}
 	}
 	return report
@@ -208,11 +150,12 @@ func (x *Metrics) Report() MetricsReport {
 
 // Keys returns the sorted operation keys with any recorded activity.
 func (x *Metrics) Keys() []string {
-	m := *x.m.Load()
-	out := make([]string, 0, len(m))
-	for k := range m {
+	x.mu.RLock()
+	out := make([]string, 0, len(x.m))
+	for k := range x.m {
 		out = append(out, k)
 	}
+	x.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"soc/internal/telemetry"
+	"soc/internal/vtime"
 )
 
 // ErrDefinition reports an invalid workflow definition.
@@ -335,10 +336,11 @@ func plainExec(ctx context.Context, a Activity, st *State) error {
 		return err
 	}
 	sp, ctx := telemetry.StartSpanFromContext(ctx, telemetry.KindWorkflow, a.Name())
-	start := time.Now()
+	clk := vtime.ClockFrom(ctx)
+	start := clk.Now()
 	err := a.Execute(ctx, st)
 	sp.EndErr(err)
-	entry := TraceEntry{Activity: a.Name(), Start: start, Elapsed: time.Since(start)}
+	entry := TraceEntry{Activity: a.Name(), Start: start, Elapsed: clk.Now().Sub(start)}
 	if err != nil {
 		entry.Err = err.Error()
 	}

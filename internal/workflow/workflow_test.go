@@ -527,6 +527,27 @@ func TestDelayOnVirtualClock(t *testing.T) {
 	}
 }
 
+// TestTraceEntryOnVirtualClock: a trace entry is stamped by the context's
+// clock, so under a vtime.Virtual an activity that sleeps an hour starts
+// at the virtual start and lasts exactly that hour.
+func TestTraceEntryOnVirtualClock(t *testing.T) {
+	start := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	clock := vtime.NewVirtual(start)
+	wf, _ := New("w", &Task{Label: "nap", Fn: func(ctx context.Context, _ *Vars) error {
+		return vtime.Sleep(ctx, time.Hour)
+	}})
+	_, trace, err := wf.Run(vtime.WithClock(context.Background(), clock), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace.Entries) != 1 {
+		t.Fatalf("trace = %+v", trace.Entries)
+	}
+	if e := trace.Entries[0]; !e.Start.Equal(start) || e.Elapsed != time.Hour {
+		t.Errorf("entry start %v elapsed %v, want %v and 1h", e.Start, e.Elapsed, start)
+	}
+}
+
 func TestTraceRecordsErrors(t *testing.T) {
 	wf, _ := New("w", failing("bad", "oops"))
 	_, trace, _ := wf.Run(context.Background(), nil)
