@@ -71,7 +71,8 @@ race:
 ## other locked tables: the metrics set's records racing its report, a
 ## binding client's per-operation records filled concurrently, the front
 ## door's picks racing membership churn, and the host's dispatch racing
-## Mount
+## Mount; and sampled traces whole or absent across a client, a door and
+## three hosts whose tracers race to record them
 flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
@@ -79,7 +80,7 @@ flake:
 	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry
 	$(GO) test -race -count=20 -run TestReportAgreesWithRecords ./internal/telemetry
 	$(GO) test -race -count=20 -run TestFrontDoorChurnParallel ./internal/cloud
-	$(GO) test -race -count=20 -run TestMountDuringInvokeParallel ./internal/host
+	$(GO) test -race -count=20 -run 'TestMountDuringInvokeParallel|TestTracesWholeOrAbsent' ./internal/host
 
 ## fuzz: run each fuzz target for 20 s beyond its committed seeds
 ## (testdata/fuzz/, which plain `go test` already replays):

@@ -89,7 +89,8 @@ func run() error {
 	}
 	fmt.Printf("replicas: A=%s (always faults)  B=%s (always faults)  C=%s (faults once)\n\n", urls[0], urls[1], urls[2])
 
-	tracer := telemetry.NewTracer(256)
+	// Rate 1: the demo's one call is the trace it prints.
+	tracer := telemetry.NewSamplingTracer(256, 1)
 	rc, err := host.NewResilientClient(host.Policy{
 		Timeout: 2 * time.Second,
 		Retry: reliability.RetryPolicy{

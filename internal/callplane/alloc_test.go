@@ -23,13 +23,13 @@ func TestRequestConstructorAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := telemetry.NewTracer(8)
+	tr := telemetry.NewSamplingTracer(8, 1)
 	var req *http.Request
 	allocs := testing.AllocsPerRun(200, func() {
 		sp, ctx := tr.StartSpan(context.Background(), telemetry.KindClient, rt.Name)
 		body := GetBuffer()
 		body.B = append(body.B, "{}"...)
-		req = rt.NewRequest(ctx, body)
+		req = rt.NewRequest(ctx, sp.TraceParent(), body)
 		_ = req.Body.Close()
 		sp.End()
 	})
@@ -69,7 +69,7 @@ func TestDoAllocCeilings(t *testing.T) {
 	}{{0, 0}, {30 * time.Second, 1}} {
 		hc := &http.Client{Transport: transport, Timeout: tc.timeout}
 		var req *http.Request
-		build := func() { req = rt.NewRequest(context.Background(), nil) }
+		build := func() { req = rt.NewRequest(context.Background(), "", nil) }
 		building := testing.AllocsPerRun(200, build)
 		allocs := testing.AllocsPerRun(200, func() {
 			build()

@@ -52,7 +52,7 @@ func TestInvocationName(t *testing.T) {
 }
 
 func TestNewRequestInjectsTrace(t *testing.T) {
-	tr := telemetry.NewTracer(8)
+	tr := telemetry.NewSamplingTracer(8, 1)
 	sp, ctx := tr.StartSpan(context.Background(), telemetry.KindClient, "Calc.Add")
 	defer sp.End()
 
@@ -78,7 +78,7 @@ func TestNewRequestInjectsTrace(t *testing.T) {
 }
 
 func TestWithSpanRecordsRoot(t *testing.T) {
-	tr := telemetry.NewTracer(8)
+	tr := telemetry.NewSamplingTracer(8, 1)
 	boom := errors.New("boom")
 	inv := &Invocation{Service: "Calc", Operation: "Add", Binding: "rest",
 		Do: func(ctx context.Context, inv *Invocation) error { return boom }}
@@ -100,7 +100,7 @@ func TestWithSpanRecordsRoot(t *testing.T) {
 }
 
 func TestWithAttemptSpanNumbersAndBreakerAnnotation(t *testing.T) {
-	tr := telemetry.NewTracer(8)
+	tr := telemetry.NewSamplingTracer(8, 1)
 	br, err := reliability.NewBreaker(1, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestWithFailoverDefaultSkipErr(t *testing.T) {
 // The full resilient shape: a trace tree with one root, per-attempt child
 // spans, and the server-side exchange visible through the payload func.
 func TestResilientChainTraceShape(t *testing.T) {
-	tr := telemetry.NewTracer(32)
+	tr := telemetry.NewSamplingTracer(32, 1)
 	fo, err := reliability.NewFailover("http://a", "http://b")
 	if err != nil {
 		t.Fatal(err)

@@ -56,6 +56,15 @@ import (
 // Do takes req over: it rebinds it to the deadline context in place, so
 // the caller must have built req for this call and not use it afterwards.
 func Do(hc *http.Client, req *http.Request) (*http.Response, error) {
+	// http.Transport may still deliver a request whose context is already
+	// done when a pooled connection answers first; a canceled call is
+	// never sent.
+	if err := req.Context().Err(); err != nil {
+		if req.Body != nil {
+			_ = req.Body.Close()
+		}
+		return nil, err
+	}
 	rt := hc.Transport
 	if rt == nil {
 		rt = http.DefaultTransport

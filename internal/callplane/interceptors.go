@@ -13,18 +13,16 @@ import (
 // WithSpan opens the root client span of the invocation, named
 // Service.Operation, annotated with the binding and — when retries or
 // failover multiplied delivery — the total attempt count; it joins the
-// trace of inv.Remote when the context carries no span of its own. A nil
-// tracer makes this a no-op interceptor.
+// trace of inv.Remote when the context carries no trace of its own. A nil
+// tracer makes this a no-op interceptor, and so does an unsampled trace.
 func WithSpan(t *telemetry.Tracer, kind telemetry.Kind) Interceptor {
 	return func(next Transport) Transport {
 		return TransportFunc(func(ctx context.Context, inv *Invocation) error {
-			// Parentage as StartSpan resolves it: the context's active span
-			// first, then the remote the inbound hop carried.
-			remote := inv.Remote
-			if telemetry.SpanFromContext(ctx) != nil {
-				remote = telemetry.SpanContext{}
+			parent, unsampled := traceOf(ctx, inv)
+			if unsampled {
+				return next.RoundTrip(ctx, inv)
 			}
-			sp, ctx := t.StartSpanRemote(ctx, kind, inv.Name(), remote)
+			sp, ctx := t.StartSpanRemote(ctx, kind, inv.Name(), parent)
 			if sp != nil {
 				if inv.Binding != "" {
 					sp.Annotate("binding", inv.Binding)
@@ -43,14 +41,31 @@ func WithSpan(t *telemetry.Tracer, kind telemetry.Kind) Interceptor {
 	}
 }
 
+// traceOf resolves the invocation's trace as StartSpan would: the
+// context's first, then the remote the inbound hop carried. A hop on an
+// unsampled remote leaves its context as it found it, so the attempt
+// below reads the decision from inv.Remote too.
+func traceOf(ctx context.Context, inv *Invocation) (parent telemetry.SpanContext, unsampled bool) {
+	parent = telemetry.SpanContextOf(ctx)
+	if !parent.Valid() {
+		parent = inv.Remote
+	}
+	return parent, parent.Valid() && !parent.Sampled
+}
+
 // WithAttemptSpan numbers each delivery attempt and records it as a child
 // span carrying the chosen replica; a breaker rejection is annotated
 // "breaker=open" so failed attempts explain themselves in the trace tree.
+// On an unsampled trace it only numbers the attempt.
 func WithAttemptSpan(t *telemetry.Tracer) Interceptor {
 	return func(next Transport) Transport {
 		return TransportFunc(func(ctx context.Context, inv *Invocation) error {
 			inv.Attempt++
-			sp, ctx := t.StartSpan(ctx, telemetry.KindClient, "attempt")
+			parent, unsampled := traceOf(ctx, inv)
+			if unsampled {
+				return next.RoundTrip(ctx, inv)
+			}
+			sp, ctx := t.StartSpanRemote(ctx, telemetry.KindClient, "attempt", parent)
 			if sp != nil {
 				sp.Attempt = inv.Attempt
 				sp.Target = inv.Target

@@ -13,8 +13,8 @@ import (
 )
 
 // NewRequest builds an outbound HTTP request bound to ctx (deadline and
-// cancelation) with the active span's trace context stamped into the
-// X-Soc-Trace header. Together with Route.NewRequest and Forward below it
+// cancelation) with the context's trace stamped into the X-Soc-Trace
+// header. Together with Route.NewRequest and Forward below it
 // is the module's context→request construction site; the soclint
 // ctxpropagate rule flags any other.
 func NewRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
@@ -126,11 +126,14 @@ func (rb *replayBody) Close() error {
 	return nil
 }
 
-// outbound is one request with what travels with it, in one allocation.
+// outbound is one request with what travels with it, in one allocation:
+// the body reader, the trace header's value slice, and the context that
+// carries an unsampled root's trace.
 type outbound struct {
-	req   http.Request
-	body  replayBody
-	trace [1]string
+	req       http.Request
+	body      replayBody
+	trace     [1]string
+	unsampled telemetry.Unsampled
 }
 
 // bind points o.req at a copy of tmpl bound to ctx with body as its
@@ -189,22 +192,30 @@ func NewRoute(method, rawURL, name string, header ...string) (*Route, error) {
 	return rt, nil
 }
 
-// NewRequest builds a request over the route bound to ctx, with the active
-// span's trace context stamped like NewRequest does. body, which may be
-// nil, becomes the request body and is released when the transport closes
-// it: the caller gives it up here. The request is not replayable (GetBody
-// is nil), so a 307/308 redirect is returned to the caller, not followed.
-// The URL and the header value slices are shared between requests and
-// must be treated as read-only, as the RoundTripper contract already asks.
-func (rt *Route) NewRequest(ctx context.Context, body *Buffer) *http.Request {
+// NewRequest builds a request over the route bound to ctx, with
+// traceparent — the call's, from telemetry.Tracer.StartCall; "" for an
+// untraced call — in the X-Soc-Trace header. When ctx carries no trace,
+// the call is an unsampled root, and the request's context carries its
+// trace instead, in the request's own allocation: an in-process handler
+// then inherits the decision without a context value of its own. body,
+// which may be nil, becomes the request body and is released when the
+// transport closes it: the caller gives it up here. The request is not
+// replayable (GetBody is nil), so a 307/308 redirect is returned to the
+// caller, not followed. The URL and the header value slices are shared
+// between requests and must be treated as read-only, as the RoundTripper
+// contract already asks.
+func (rt *Route) NewRequest(ctx context.Context, traceparent string, body *Buffer) *http.Request {
 	o := &outbound{}
 	h := make(http.Header, len(rt.header)+1)
 	for _, kv := range rt.header {
 		h[kv.key] = kv.vals
 	}
-	if sp := telemetry.SpanFromContext(ctx); sp != nil {
-		o.trace[0] = sp.TraceParent()
+	if traceparent != "" {
+		o.trace[0] = traceparent
 		h[telemetry.HeaderName] = o.trace[:]
+		if !telemetry.SpanContextOf(ctx).Valid() {
+			ctx = o.unsampled.Bind(ctx, traceparent)
+		}
 	}
 	var payload []byte
 	var owner Releaser

@@ -41,7 +41,7 @@ func TestHandlerTransportAllocCeiling(t *testing.T) {
 // and pinned at that plus 10 %.
 func TestFrontDoorHopAllocCeiling(t *testing.T) {
 	contentType, answer := []string{"application/json"}, []byte(`{"ok":true}`)
-	fd := NewFrontDoor(FrontDoorConfig{Tracer: telemetry.NewTracer(64)})
+	fd := NewFrontDoor(FrontDoorConfig{Tracer: telemetry.NewSamplingTracer(64, 1)})
 	fd.Add(NewLocalReplica("r", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header()["Content-Type"] = contentType

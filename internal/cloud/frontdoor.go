@@ -59,7 +59,10 @@ type FrontDoorConfig struct {
 	// QueueTimeout bounds the wait for a slot (0 = 100ms, negative = no
 	// bound beyond the request's own deadline).
 	QueueTimeout time.Duration
-	// Tracer records proxy spans; nil disables tracing.
+	// Tracer records proxy spans; nil disables tracing. A request that
+	// arrives with a traceparent keeps its caller's sampling decision;
+	// one without makes the door the root, sampled at the tracer's rate.
+	// Either way the request is forwarded with its headers unchanged.
 	Tracer *telemetry.Tracer
 	// Seed fixes the power-of-two-choices PRNG (0 = 1), so virtual-clock
 	// runs replay identically.

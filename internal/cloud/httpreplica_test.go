@@ -49,7 +49,7 @@ func TestHTTPReplicaOverLoopback(t *testing.T) {
 
 	// An unsampled replica scores lowest, so the dead one is picked within
 	// two calls; every call still lands on the live sibling.
-	sc := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID()}
+	sc := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID(), Sampled: true}
 	const calls = 4
 	for i := 0; i < calls; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/echo", strings.NewReader(fmt.Sprint("ping ", i)))

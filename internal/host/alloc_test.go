@@ -161,6 +161,73 @@ func TestSOAPDispatchAllocCeiling(t *testing.T) {
 	}
 }
 
+// noopHost is a host with one no-op operation, Noop.Ping.
+func noopHost(t *testing.T) *Host {
+	t.Helper()
+	svc, err := core.NewService("Noop", "http://soc.example/noop", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = svc.AddOperation(core.Operation{
+		Name:   "Ping",
+		Output: []core.Param{{Name: "ok", Type: core.Bool}},
+		Handler: func(_ context.Context, _ core.Values) (core.Values, error) {
+			return core.Values{"ok": true}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New()
+	h.MustMount(svc)
+	return h
+}
+
+// TestUnsampledInvokeAllocCeiling: a REST invoke whose root drew
+// "unsampled", through a front door and a host, allocates one more than
+// the same invoke with every tracer nil — the traceparent its root
+// formats. The door starts no span, and the host adds no context value:
+// the request's own allocation carries the trace to it.
+func TestUnsampledInvokeAllocCeiling(t *testing.T) {
+	ctx := context.Background()
+	args := core.Values{}
+	stack := func(tracer func() *telemetry.Tracer) *Client {
+		h := noopHost(t)
+		h.tracer = tracer()
+		fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Tracer: tracer()})
+		fd.Add(cloud.NewLocalReplica("r", h, 0))
+		return &Client{
+			BaseURL:    "http://door.test",
+			HTTPClient: &http.Client{Transport: cloud.HandlerTransport(fd)},
+			Tracer:     tracer(),
+		}
+	}
+	never := stack(func() *telemetry.Tracer { return telemetry.NewSamplingTracer(64, 0) })
+	untraced := stack(func() *telemetry.Tracer { return nil })
+	unsampled := func() {
+		if out, err := never.Call(ctx, "Noop", "Ping", args); err != nil || out["ok"] != true {
+			t.Fatal(out, err)
+		}
+	}
+	// Client.Call falls back to the default tracer; call is the same
+	// exchange with no span of its own.
+	bare := func() {
+		if out, err := untraced.call(ctx, "Noop", "Ping", args); err != nil || out["ok"] != true {
+			t.Fatal(out, err)
+		}
+	}
+	unsampled()
+	bare()
+	got, base := testing.AllocsPerRun(200, unsampled), testing.AllocsPerRun(200, bare)
+	if got > base+1 {
+		t.Errorf("an unsampled invoke allocates %.1f/op, the untraced one %.1f: ceiling +1", got, base)
+	}
+	t.Logf("unsampled %.1f allocs/op, untraced %.1f", got, base)
+	if n := never.Tracer.Recorded(); n != 0 {
+		t.Errorf("the client recorded %d spans of unsampled traces", n)
+	}
+}
+
 // noopClient is a client over cloud.HandlerTransport straight to a host
 // with one no-op operation: what the client half itself allocates per
 // call, plus callplane.Do under the given Timeout and the host's dispatch
@@ -186,7 +253,7 @@ func noopClient(t *testing.T, timeout time.Duration) *Client {
 	return &Client{
 		BaseURL:    "http://noop.test",
 		HTTPClient: &http.Client{Transport: cloud.HandlerTransport(h), Timeout: timeout},
-		Tracer:     telemetry.NewTracer(64),
+		Tracer:     telemetry.NewSamplingTracer(64, 1),
 	}
 }
 
@@ -241,6 +308,7 @@ func TestInvokeKeyAllocCeiling(t *testing.T) {
 	r := httptest.NewRequest(http.MethodPost, "/services/Calc/invoke/Square", nil)
 	inbound := io.NopCloser(body)
 	p := rest.Params{"name": "Calc", "op": "Square"}
+	m, _ := h.mount("Calc")
 	const posted = `{ "n" : 1.2e1, "pad": ["x", {"b": null, "a": "é"}] }`
 	var key string
 	derive := func() {
@@ -248,7 +316,7 @@ func TestInvokeKeyAllocCeiling(t *testing.T) {
 		r.Body = inbound // release leaves NoBody behind
 		k := keyerPool.Get().(*cacheKeyer)
 		var ok bool
-		if key, _, ok = h.cacheKey(k, r, p); !ok {
+		if key, _, ok = h.cacheKey(k, r, p, m); !ok {
 			t.Fatal("not cacheable")
 		}
 		if replay, _ := io.ReadAll(r.Body); string(replay) != posted {

@@ -21,8 +21,10 @@ import (
 // buffer; larger requests bypass the cache rather than pin memory.
 const maxCacheableBody = 1 << 20
 
-// UseResponseCache installs the idempotent-response cache as router
-// middleware and returns the cache for inspection and invalidation.
+// UseResponseCache installs the idempotent-response cache in front of
+// the host's dispatch and returns the cache for inspection and
+// invalidation. It sits innermost, after the mount lookup and inside every
+// middleware installed with Use; a second call replaces the cache.
 //
 // Only invocation traffic is considered — REST invoke (GET or POST) and
 // the SOAP endpoint — and only for operations explicitly declared
@@ -42,70 +44,64 @@ const maxCacheableBody = 1 << 20
 // by the TTL, and Invalidate is available for explicit busts.
 func (h *Host) UseResponseCache(capacity int, ttl time.Duration) *respcache.Cache {
 	c := respcache.New(capacity, ttl)
-	h.Use(h.cacheMiddleware(c))
+	h.cache = c
 	return c
 }
 
-func (h *Host) cacheMiddleware(c *respcache.Cache) rest.Middleware {
-	return func(next rest.HandlerFunc) rest.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-			k := keyerPool.Get().(*cacheKeyer)
-			defer k.release(r)
-			key, opKey, ok := h.cacheKey(k, r, p)
-			if !ok {
-				next(w, r, p)
-				return
-			}
-			entry, hit := c.DoContext(r.Context(), key, func() (*respcache.Entry, bool) {
-				rec := respcache.NewRecorder()
-				// Mark the miss so the dispatch span downstream annotates
-				// itself "respcache=miss".
-				next(rec, r.WithContext(telemetry.MarkCacheMiss(r.Context())), p)
-				e := rec.Entry()
-				return e, e.Status == http.StatusOK
-			})
-			if hit {
-				// Direct canonical-key assignment of a shared value slice:
-				// Header.Set canonicalizes and allocates a fresh []string on
-				// every hit, which is measurable on the replay path. The
-				// shared slices are full (len == cap), so a handler appending
-				// to one reallocates instead of mutating it.
-				w.Header()["X-Cache"] = xCacheHit
-				// A hit is a zero-duration cached span in the caller's
-				// trace — and deliberately NOT a latency sample: cached
-				// answers would flatter every latency-derived QoS score.
-				sc, _ := telemetry.FromHTTPHeader(r.Header)
-				h.tracer.Event(sc, telemetry.KindCache, opKey, "respcache", "hit")
-				h.instr.RecordCached(opKey)
-			} else {
-				w.Header()["X-Cache"] = xCacheMiss
-			}
-			entry.WriteTo(w)
-		}
+// serve answers an invocation of the mounted service m — through the
+// response cache when the host has one and the request is cacheable.
+func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted) {
+	if h.cache == nil {
+		h.invoke(w, r, p, m)
+		return
 	}
+	k := keyerPool.Get().(*cacheKeyer)
+	defer k.release(r)
+	key, opKey, ok := h.cacheKey(k, r, p, m)
+	if !ok {
+		h.invoke(w, r, p, m)
+		return
+	}
+	sc, traced := telemetry.FromHTTPHeader(r.Header)
+	entry, hit := h.cache.DoContext(r.Context(), key, func() (*respcache.Entry, bool) {
+		rec := respcache.NewRecorder()
+		inner := r
+		if !traced || sc.Sampled {
+			// Mark the miss so the dispatch span downstream annotates
+			// itself "respcache=miss"; an unsampled trace has no span.
+			inner = r.WithContext(telemetry.MarkCacheMiss(r.Context()))
+		}
+		h.invoke(rec, inner, p, m)
+		e := rec.Entry()
+		return e, e.Status == http.StatusOK
+	})
+	if hit {
+		// Direct canonical-key assignment of a shared value slice:
+		// Header.Set canonicalizes and allocates a fresh []string on
+		// every hit, which is measurable on the replay path. The shared
+		// slices are full (len == cap), so a handler appending to one
+		// reallocates instead of mutating it.
+		w.Header()["X-Cache"] = xCacheHit
+		// A hit is a zero-duration cached span in the caller's trace —
+		// and deliberately NOT a latency sample: cached answers would
+		// flatter every latency-derived QoS score.
+		h.tracer.Event(sc, telemetry.KindCache, opKey, "respcache", "hit")
+		h.instr.RecordCached(opKey)
+	} else {
+		w.Header()["X-Cache"] = xCacheMiss
+	}
+	entry.WriteTo(w)
 }
 
-// cacheKey derives the cache key for cacheable requests, plus the
-// operation key ("Service.Operation") for cache-hit instrumentation. ok
-// is false for anything that must bypass the cache: non-invocation
-// routes, unknown or non-idempotent operations, unparseable bodies,
-// oversized bodies.
-func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params) (key, opKey string, ok bool) {
-	name := p["name"]
-	if name == "" {
-		return "", "", false
-	}
-	m, ok := h.mount(name)
-	if !ok {
-		return "", "", false
-	}
-	if opName := p["op"]; opName != "" {
+// cacheKey derives the cache key for a cacheable invocation of m, plus
+// the operation key ("Service.Operation") for cache-hit instrumentation.
+// ok is false for anything that must bypass the cache: non-idempotent
+// operations, unparseable bodies, oversized bodies.
+func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounted) (key, opKey string, ok bool) {
+	if opName, isREST := p["op"]; isREST {
 		return h.invokeKey(k, r, m, opName)
 	}
-	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/soap") {
-		return h.soapKey(k, r, m)
-	}
-	return "", "", false
+	return h.soapKey(k, r, m)
 }
 
 func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) (string, string, bool) {

@@ -107,12 +107,12 @@ func (c *Client) Call(ctx context.Context, service, op string, args core.Values)
 	if err != nil {
 		return nil, err
 	}
-	sp, ctx := c.tracer().StartSpan(ctx, telemetry.KindClient, ep.rest.Name)
+	sp, tp, ctx := c.tracer().StartCall(ctx, telemetry.KindClient, ep.rest.Name)
 	if sp != nil {
 		sp.Target = c.BaseURL
 		sp.Annotate("binding", "rest")
 	}
-	out, err := c.exchange(ctx, ep.rest, args)
+	out, err := c.exchange(ctx, tp, ep.rest, args)
 	sp.EndErr(err)
 	return out, err
 }
@@ -124,13 +124,13 @@ func (c *Client) call(ctx context.Context, service, op string, args core.Values)
 	if err != nil {
 		return nil, err
 	}
-	return c.exchange(ctx, ep.rest, args)
+	return c.exchange(ctx, telemetry.TraceParentOf(ctx), ep.rest, args)
 }
 
-// exchange posts args over the route and decodes the answer. Request and
-// response bytes live in pooled buffers; the returned map and everything
-// in it is fresh and the caller's own.
-func (c *Client) exchange(ctx context.Context, rt *callplane.Route, args core.Values) (core.Values, error) {
+// exchange posts args over the route, with traceparent tp, and decodes
+// the answer. Request and response bytes live in pooled buffers; the
+// returned map and everything in it is fresh and the caller's own.
+func (c *Client) exchange(ctx context.Context, tp string, rt *callplane.Route, args core.Values) (core.Values, error) {
 	body := callplane.GetBuffer()
 	var err error
 	if body.B, err = appendJSONObject(body.B, args); err != nil {
@@ -139,7 +139,7 @@ func (c *Client) exchange(ctx context.Context, rt *callplane.Route, args core.Va
 	}
 	// The request owns the body from here: the transport may still be
 	// sending it when Do returns, so it is released at Body.Close.
-	resp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, body))
+	resp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, tp, body))
 	if err != nil {
 		return nil, fmt.Errorf("%w: transport: %w", ErrRemote, err)
 	}

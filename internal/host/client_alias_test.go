@@ -43,7 +43,7 @@ func echoService(t testing.TB) *core.Service {
 // pools, the benchmark's request workloads run on.
 func newEchoCluster(t testing.TB, replicas int) *Client {
 	t.Helper()
-	fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Tracer: telemetry.NewTracer(64)})
+	fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Tracer: telemetry.NewSamplingTracer(64, 1)})
 	for i := 0; i < replicas; i++ {
 		h := New()
 		h.MustMount(echoService(t))
@@ -53,7 +53,7 @@ func newEchoCluster(t testing.TB, replicas int) *Client {
 	return &Client{
 		BaseURL:    "http://echo.test",
 		HTTPClient: &http.Client{Transport: cloud.HandlerTransport(fd), Timeout: 30 * time.Second},
-		Tracer:     telemetry.NewTracer(64),
+		Tracer:     telemetry.NewSamplingTracer(64, 1),
 	}
 }
 
@@ -120,7 +120,7 @@ func TestClientFollowsItsFields(t *testing.T) {
 	if _, err := c.Call(ctx, "Echo", "Tag", core.Values{"text": "x", "n": 1}); err != nil {
 		t.Fatal(err)
 	}
-	tr := telemetry.NewTracer(8)
+	tr := telemetry.NewSamplingTracer(8, 1)
 	c.BaseURL, c.HTTPClient, c.Tracer = "http://elsewhere.test", b.HTTPClient, tr
 	if _, err := c.Call(ctx, "Echo", "Tag", core.Values{"text": "y", "n": 2}); err != nil {
 		t.Fatal(err)

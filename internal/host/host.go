@@ -25,6 +25,7 @@ import (
 
 	"soc/internal/callplane"
 	"soc/internal/core"
+	"soc/internal/respcache"
 	"soc/internal/rest"
 	"soc/internal/soap"
 	"soc/internal/telemetry"
@@ -69,10 +70,17 @@ func releaseValues(v core.Values) {
 // run's worth of dispatches without unbounded growth.
 const tracerCapacity = 512
 
+// tracerRate is the share of the traces a host roots that it samples:
+// all of them. A host roots only a call that arrived untraced — a curl, a
+// door without a tracer — which no caller upstream is paying to trace,
+// and a dispatch on a trace a caller rooted inherits that caller's
+// decision whatever this rate is.
+const tracerRate = 1
+
 // Host serves a set of core services over SOAP and REST. Every dispatch
-// — either binding — runs under a server span recorded in the host's
-// tracer ring (GET /tracez) and folds into the shared instrument set
-// (GET /metricz, GET /services/{name}/stats).
+// — either binding — folds into the shared instrument set (GET /metricz,
+// GET /services/{name}/stats), and one on a sampled trace runs under a
+// server span recorded in the host's tracer ring (GET /tracez).
 type Host struct {
 	// mu guards mounts: Mount takes the write lock, every lookup the
 	// read lock.
@@ -84,6 +92,8 @@ type Host struct {
 	router   *rest.Router
 	instr    *telemetry.Metrics
 	tracer   *telemetry.Tracer
+	// cache, when set, answers idempotent invocations (UseResponseCache).
+	cache *respcache.Cache
 	// BaseURL, when set, is used as the advertised endpoint prefix in
 	// generated WSDL (e.g. "http://host:port"). Unset hosts advertise
 	// a relative endpoint.
@@ -96,7 +106,7 @@ func New() *Host {
 		mounts: make(map[string]*mounted),
 		router: rest.NewRouter(),
 		instr:  telemetry.NewMetrics(),
-		tracer: telemetry.NewTracer(tracerCapacity),
+		tracer: telemetry.NewSamplingTracer(tracerCapacity, tracerRate),
 	}
 	h.router.Use(rest.Recovery())
 	must := func(err error) {
@@ -110,7 +120,7 @@ func New() *Host {
 	// scan cost, never which handler wins.
 	must(h.router.GET("/services/{name}/invoke/{op}", h.handleInvoke))
 	must(h.router.POST("/services/{name}/invoke/{op}", h.handleInvoke))
-	must(h.router.POST("/services/{name}/soap", h.handleSOAP))
+	must(h.router.POST("/services/{name}/soap", h.handleInvoke))
 	must(h.router.GET("/services/{name}/stats", h.handleStats))
 	must(h.router.GET("/services/{name}", h.handleDescribe))
 	must(h.router.GET("/services", h.handleList))
@@ -184,16 +194,18 @@ func (h *Host) MustMount(svc *core.Service) {
 }
 
 // dispatch is the one observed invocation both bindings end in: a server
-// span joined to the caller's trace (remote, else ctx's active span),
-// annotated with the binding and a response-cache miss, and the handler's
-// time and outcome folded into the instrument set. The transport's
-// request context flows through, so client cancellation reaches the
-// handler.
+// span joined to the caller's trace (remote, else ctx's), annotated with
+// the binding and a response-cache miss, and the handler's time and
+// outcome folded into the instrument set. On an unsampled trace there is
+// no span, and the handler's context carries the trace so that its nested
+// calls stay unsampled — ctx itself when it already does, as an in-process
+// caller's request context does. The transport's request context flows
+// through, so client cancellation reaches the handler.
 func (h *Host) dispatch(ctx context.Context, m *mounted, op, binding string, remote telemetry.SpanContext, args core.Values) (core.Values, error) {
 	metricKey := m.metricKey(op)
 	sp, spanCtx := h.tracer.StartSpanRemote(ctx, telemetry.KindServer, metricKey, remote)
 	sp.Annotate("binding", binding)
-	if telemetry.IsCacheMiss(ctx) {
+	if sp != nil && telemetry.IsCacheMiss(ctx) {
 		sp.Annotate("respcache", "miss")
 	}
 	start := time.Now()
@@ -407,19 +419,22 @@ func (h *Host) handleStats(w http.ResponseWriter, r *http.Request, p rest.Params
 	rest.WriteResponse(w, r, http.StatusOK, out)
 }
 
-func (h *Host) handleSOAP(w http.ResponseWriter, r *http.Request, p rest.Params) {
+// handleInvoke serves both invocation routes, REST (p carries "op") and
+// SOAP (it carries none): the mount table is read once, here, for the
+// cache and the dispatch alike.
+func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Params) {
 	m, ok := h.mount(p["name"])
 	if !ok {
 		rest.WriteError(w, r, http.StatusNotFound, "no service %q", p["name"])
 		return
 	}
-	m.soapSrv.ServeHTTP(w, r)
+	h.serve(w, r, p, m)
 }
 
-func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Params) {
-	m, ok := h.mount(p["name"])
-	if !ok {
-		rest.WriteError(w, r, http.StatusNotFound, "no service %q", p["name"])
+// invoke dispatches one invocation of m over the route's binding.
+func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted) {
+	if _, isREST := p["op"]; !isREST {
+		m.soapSrv.ServeHTTP(w, r)
 		return
 	}
 	args := acquireValues()

@@ -98,7 +98,7 @@ func TestResilientCallUnderFaultsOneTraceTree(t *testing.T) {
 	srvC := httptest.NewServer(hC)
 	defer srvC.Close()
 
-	ct := telemetry.NewTracer(256)
+	ct := telemetry.NewSamplingTracer(256, 1)
 	rc, err := NewResilientClient(tracedPolicy(ct), srvA.URL, srvB.URL, srvC.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestRespcacheTraceAnnotationsAndMetrics(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	ct := telemetry.NewTracer(64)
+	ct := telemetry.NewSamplingTracer(64, 1)
 	c := NewClient(srv.URL)
 	c.Tracer = ct
 	ctx := context.Background()
@@ -322,7 +322,7 @@ func TestWorkflowCompositionOneTraceAcrossThreeHosts(t *testing.T) {
 	srvC2 := httptest.NewServer(hC2)
 	defer srvC2.Close()
 
-	ct := telemetry.NewTracer(256)
+	ct := telemetry.NewSamplingTracer(256, 1)
 	cA := NewClient(srvA.URL)
 	cA.Tracer = ct
 	rcB, err := NewResilientClient(tracedPolicy(ct), srvB.URL)

@@ -40,7 +40,7 @@ func TestClientSearchAllocCeiling(t *testing.T) {
 	c := &registry.Client{
 		BaseURL:    "http://registry.test",
 		HTTPClient: &http.Client{Transport: cloud.HandlerTransport(registry.NewAPI(reg)), Timeout: 30 * time.Second},
-		Tracer:     telemetry.NewTracer(64),
+		Tracer:     telemetry.NewSamplingTracer(64, 1),
 	}
 	search := func() {
 		matches, err := c.Search(context.Background(), "keyword status", 5)

@@ -307,9 +307,10 @@ type World struct {
 func NewWorld(cfg Config, seed int64) (*World, error) {
 	cfg = cfg.withDefaults()
 	w := &World{
-		cfg:          cfg,
-		clock:        vtime.NewVirtual(simEpoch),
-		clientTracer: telemetry.NewTracer(4096),
+		cfg:   cfg,
+		clock: vtime.NewVirtual(simEpoch),
+		// Every trace sampled: the trace invariants check each call's tree.
+		clientTracer: telemetry.NewSamplingTracer(4096, 1),
 		handlerRuns:  map[string]int{},
 		qosAgg:       map[string]*QoSAgg{},
 		seed:         seed,

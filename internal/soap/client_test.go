@@ -62,7 +62,7 @@ func TestClientRequestShape(t *testing.T) {
 		srv.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	tr := telemetry.NewTracer(8)
+	tr := telemetry.NewSamplingTracer(8, 1)
 	c := &Client{Tracer: tr}
 	req := Message{
 		Operation: "Echo", Namespace: "urn:x",
@@ -79,7 +79,7 @@ func TestClientRequestShape(t *testing.T) {
 	if len(spans) != 1 || spans[0].Name != "Echo" {
 		t.Fatalf("spans = %+v", spans)
 	}
-	tp := telemetry.FormatTraceParent(telemetry.SpanContext{TraceID: spans[0].TraceID, SpanID: spans[0].SpanID})
+	tp := telemetry.FormatTraceParent(telemetry.SpanContext{TraceID: spans[0].TraceID, SpanID: spans[0].SpanID, Sampled: true})
 	if transportTrace != tp {
 		t.Errorf("transport trace = %q, want %q", transportTrace, tp)
 	}

@@ -808,20 +808,20 @@ func newRoute(k routeKey) (*callplane.Route, error) {
 // returned as *Fault errors. The context cancels the in-flight HTTP
 // request, not just the wait for it.
 func (c *Client) Call(ctx context.Context, url string, req Message) (Message, error) {
-	sp, ctx := c.startSpan(ctx, url, req.Operation)
-	resp, err := c.call(ctx, sp, url, req)
+	sp, tp, ctx := c.startSpan(ctx, url, req.Operation)
+	resp, err := c.call(ctx, tp, url, req)
 	sp.EndErr(err)
 	return resp, err
 }
 
-func (c *Client) call(ctx context.Context, sp *telemetry.Span, url string, req Message) (Message, error) {
+func (c *Client) call(ctx context.Context, tp, url string, req Message) (Message, error) {
 	var hbuf [4]Param
 	var pbuf [8]Param
 	header, params, err := req.lists(hbuf[:0], pbuf[:0])
 	if err != nil {
 		return Message{}, err
 	}
-	data, err := c.exchange(ctx, sp, url, req.Namespace, req.Operation, header, params)
+	data, err := c.exchange(ctx, tp, url, req.Namespace, req.Operation, header, params)
 	if err != nil {
 		return Message{}, err
 	}
@@ -833,14 +833,14 @@ func (c *Client) call(ctx context.Context, sp *telemetry.Span, url string, req M
 // wants only the response's parameters: params are sent in the order
 // given, and the returned map is the caller's own.
 func (c *Client) CallParams(ctx context.Context, url, namespace, operation string, params []Param) (map[string]string, error) {
-	sp, ctx := c.startSpan(ctx, url, operation)
-	out, err := c.callParams(ctx, sp, url, namespace, operation, params)
+	sp, tp, ctx := c.startSpan(ctx, url, operation)
+	out, err := c.callParams(ctx, tp, url, namespace, operation, params)
 	sp.EndErr(err)
 	return out, err
 }
 
-func (c *Client) callParams(ctx context.Context, sp *telemetry.Span, url, namespace, operation string, params []Param) (map[string]string, error) {
-	data, err := c.exchange(ctx, sp, url, namespace, operation, nil, params)
+func (c *Client) callParams(ctx context.Context, tp, url, namespace, operation string, params []Param) (map[string]string, error) {
+	data, err := c.exchange(ctx, tp, url, namespace, operation, nil, params)
 	if err != nil {
 		return nil, err
 	}
@@ -859,22 +859,24 @@ func (c *Client) callParams(ctx context.Context, sp *telemetry.Span, url, namesp
 	return out, nil
 }
 
-func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemetry.Span, context.Context) {
-	sp, ctx := c.tracer().StartSpan(ctx, telemetry.KindClient, operation)
+// startSpan starts the call's client span and returns the traceparent
+// its request carries (telemetry.Tracer.StartCall).
+func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemetry.Span, string, context.Context) {
+	sp, tp, ctx := c.tracer().StartCall(ctx, telemetry.KindClient, operation)
 	if sp != nil {
 		sp.Target = url
 		sp.Annotate("binding", "soap")
 	}
-	return sp, ctx
+	return sp, tp, ctx
 }
 
 // exchange posts one envelope and returns the response body in a pooled
-// buffer, which the caller releases. With a span, its trace context
+// buffer, which the caller releases. On a traced call, its traceparent tp
 // replaces any SocTrace entry among the header entries (sorted by name).
-func (c *Client) exchange(ctx context.Context, sp *telemetry.Span, url, namespace, operation string, header, params []Param) (*callplane.Buffer, error) {
+func (c *Client) exchange(ctx context.Context, tp, url, namespace, operation string, header, params []Param) (*callplane.Buffer, error) {
 	var tbuf [4]Param
-	if sp != nil {
-		header = withTrace(tbuf[:0], header, sp.TraceParent())
+	if tp != "" {
+		header = withTrace(tbuf[:0], header, tp)
 	}
 	rt, err := c.routes.Get(routeKey{url, namespace, operation}, newRoute)
 	if err != nil {
@@ -887,7 +889,7 @@ func (c *Client) exchange(ctx context.Context, sp *telemetry.Span, url, namespac
 	}
 	// The request owns the body from here: the transport may still be
 	// sending it when Do returns, so it is released at Body.Close.
-	httpResp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, body))
+	httpResp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, tp, body))
 	if err != nil {
 		return nil, fmt.Errorf("soap: transport: %w", err)
 	}

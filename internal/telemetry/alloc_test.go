@@ -17,7 +17,7 @@ import (
 // the span (one WithValue), and a recorded Event must allocate nothing at
 // steady state.
 func TestSpanAllocCeiling(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewSamplingTracer(64, 1)
 	// Prime the pool and the ring.
 	sp, _ := tr.StartSpan(context.Background(), KindClient, "warm")
 	sp.End()
@@ -33,10 +33,36 @@ func TestSpanAllocCeiling(t *testing.T) {
 	}
 }
 
+// On an unsampled trace a call root formats its traceparent and nothing
+// else, and a hop — a span, a remote, an event — allocates nothing.
+func TestUnsampledAllocCeiling(t *testing.T) {
+	tr := NewSamplingTracer(64, 0)
+	ctx := context.Background()
+	_, tp, _ := tr.StartCall(ctx, KindClient, "warm")
+	if allocs := testing.AllocsPerRun(200, func() {
+		sp, _, _ := tr.StartCall(ctx, KindClient, "Calc.Add")
+		sp.EndErr(nil)
+	}); allocs > 1 {
+		t.Errorf("an unsampled call root = %.1f allocs/op, want <= 1", allocs)
+	}
+	var u Unsampled
+	inner := u.Bind(ctx, tp)
+	remote, _ := ParseTraceParent(tp)
+	if allocs := testing.AllocsPerRun(200, func() {
+		sp, _ := tr.StartSpanRemote(inner, KindServer, "Calc.Add", remote)
+		sp.EndErr(nil)
+		sp, _ = tr.StartSpan(inner, KindClient, "attempt")
+		sp.EndErr(nil)
+		tr.Event(remote, KindCache, "Calc.Add", "respcache", "hit")
+	}); allocs > 0 {
+		t.Errorf("hops on an unsampled trace = %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func TestEventAllocCeiling(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewSamplingTracer(64, 1)
 	tr.Event(SpanContext{}, KindCache, "warm", "", "")
-	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	allocs := testing.AllocsPerRun(200, func() {
 		tr.Event(parent, KindCache, "Calc.Add", "respcache", "hit")
 	})
@@ -47,7 +73,7 @@ func TestEventAllocCeiling(t *testing.T) {
 
 func TestHeaderParseAllocCeiling(t *testing.T) {
 	h := make(http.Header)
-	h.Set(HeaderName, FormatTraceParent(SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}))
+	h.Set(HeaderName, FormatTraceParent(SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}))
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, ok := FromHTTPHeader(h); !ok {
 			t.Fatal("parse failed")

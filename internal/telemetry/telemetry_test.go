@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -10,17 +11,23 @@ import (
 )
 
 func TestTraceParentRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
-	wire := FormatTraceParent(sc)
-	if len(wire) != traceParentLen {
-		t.Fatalf("wire length = %d, want %d (%q)", len(wire), traceParentLen, wire)
-	}
-	if !strings.HasPrefix(wire, "00-") || !strings.HasSuffix(wire, "-01") {
-		t.Fatalf("unexpected wire form %q", wire)
-	}
-	got, ok := ParseTraceParent(wire)
-	if !ok || got != sc {
-		t.Fatalf("round trip: got %+v ok=%v, want %+v", got, ok, sc)
+	for _, sampled := range []bool{true, false} {
+		sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: sampled}
+		wire := FormatTraceParent(sc)
+		if len(wire) != traceParentLen {
+			t.Fatalf("wire length = %d, want %d (%q)", len(wire), traceParentLen, wire)
+		}
+		flags := "-00"
+		if sampled {
+			flags = "-01"
+		}
+		if !strings.HasPrefix(wire, "00-") || !strings.HasSuffix(wire, flags) {
+			t.Fatalf("unexpected wire form %q", wire)
+		}
+		got, ok := ParseTraceParent(wire)
+		if !ok || got != sc {
+			t.Fatalf("round trip: got %+v ok=%v, want %+v", got, ok, sc)
+		}
 	}
 }
 
@@ -34,20 +41,125 @@ func TestParseTraceParentRejects(t *testing.T) {
 		// zero span ID
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
 		"000af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01",
+		// version ff is invalid, and version and flags are hex
+		"ff-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01",
+		"0x-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01",
+		"00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-0z",
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceParent(s); ok {
 			t.Errorf("ParseTraceParent(%q) accepted, want reject", s)
 		}
 	}
-	// Foreign version and flags are tolerated.
-	if _, ok := ParseTraceParent("01-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-00"); !ok {
-		t.Error("version 01 rejected, want tolerated")
+	// Foreign version and flags are tolerated; bit 0 is the sampled flag.
+	for s, sampled := range map[string]bool{
+		"01-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-00": false,
+		"00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-03": true,
+		"00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-02": false,
+	} {
+		if sc, ok := ParseTraceParent(s); !ok || sc.Sampled != sampled {
+			t.Errorf("ParseTraceParent(%q) = %+v ok=%v, want sampled=%v", s, sc, ok, sampled)
+		}
+	}
+}
+
+// The sampler draws once per root: deterministic, at its rate, and not
+// every Nth — so two alternating operations are both traced.
+func TestSamplerDrawsRoots(t *testing.T) {
+	const roots = 4096
+	for _, rate := range []float64{0, 1.0 / 16, 0.25, 1} {
+		tr := NewSamplingTracer(roots, rate)
+		var kept [2]int
+		for k := uint64(1); k <= roots; k++ {
+			sp, _ := tr.StartSpan(context.Background(), KindClient, "op")
+			if (sp != nil) != newSampler(rate).sampled(k) {
+				t.Fatalf("rate %v: root %d sampled=%v, the sampler says otherwise", rate, k, sp != nil)
+			}
+			if sp != nil {
+				kept[k%2]++
+			}
+			sp.End()
+		}
+		n := kept[0] + kept[1]
+		if int(tr.Recorded()) != n {
+			t.Errorf("rate %v: recorded %d spans for %d sampled roots", rate, tr.Recorded(), n)
+		}
+		if want := rate * roots; math.Abs(float64(n)-want) > 4*math.Sqrt(want+1) {
+			t.Errorf("rate %v: sampled %d of %d roots, want about %.0f", rate, n, roots, want)
+		}
+		if rate > 0 && rate < 1 && (kept[0] == 0 || kept[1] == 0) {
+			t.Errorf("rate %v: odd and even roots sampled %v times: the draw aliases", rate, kept)
+		}
+	}
+	if NewTracer(1).sampler != newSampler(1.0/16) {
+		t.Error("NewTracer does not sample 1 in 16 roots")
+	}
+}
+
+// Every hop of an unsampled trace inherits the root's decision: no span,
+// no event, no draw, and the traceparent forwarded as it arrived.
+func TestUnsampledTracePropagates(t *testing.T) {
+	tr := NewSamplingTracer(8, 0)
+	sp, ctx := tr.StartSpan(context.Background(), KindClient, "root")
+	if sp != nil {
+		t.Fatal("a rate-0 tracer sampled a root")
+	}
+	root := SpanContextOf(ctx)
+	if !root.Valid() || root.Sampled {
+		t.Fatalf("unsampled root's context carries %+v", root)
+	}
+	tp := TraceParentOf(ctx)
+	if got, ok := ParseTraceParent(tp); !ok || got != root || !strings.HasSuffix(tp, "-00") {
+		t.Fatalf("traceparent %q does not name the root %+v", tp, root)
+	}
+	// A rate-1 tracer downstream inherits the decision and never draws.
+	down := NewSamplingTracer(8, 1)
+	child, cctx := down.StartSpan(ctx, KindInternal, "child")
+	remote, rctx := down.StartSpanRemote(context.Background(), KindServer, "remote", root)
+	call, callTP, callCtx := down.StartCall(ctx, KindClient, "call")
+	if child != nil || remote != nil || call != nil {
+		t.Fatal("a hop on an unsampled trace started a span")
+	}
+	if cctx != ctx || callCtx != ctx || callTP != tp {
+		t.Fatal("a hop on an unsampled trace changed its context or traceparent")
+	}
+	if sc := SpanContextOf(rctx); sc != root {
+		t.Fatalf("the context of an unsampled remote carries %+v, want %+v", sc, root)
+	}
+	if _, again := down.StartSpanRemote(rctx, KindServer, "again", root); again != rctx {
+		t.Fatal("a context already carrying the trace was wrapped again")
+	}
+	down.Event(root, KindCache, "hit", "respcache", "hit")
+	if down.Recorded() != 0 || down.roots.Load() != 0 {
+		t.Fatalf("downstream recorded %d spans and drew %d roots", down.Recorded(), down.roots.Load())
+	}
+	// A sampled root formats its traceparent once and carries its span.
+	sampled, stp, sctx := down.StartCall(context.Background(), KindClient, "call")
+	if sampled == nil || stp != sampled.TraceParent() || SpanFromContext(sctx) != sampled {
+		t.Fatal("a sampled call root did not start and carry its span")
+	}
+	sampled.End()
+}
+
+// Unsampled.Bind makes a context out of storage the caller owns.
+func TestUnsampledBind(t *testing.T) {
+	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	tp := FormatTraceParent(sc)
+	type key struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	var u Unsampled
+	ctx := u.Bind(parent, tp)
+	if SpanContextOf(ctx) != sc || TraceParentOf(ctx) != tp || ctx.Value(key{}) != "v" {
+		t.Fatal("a bound context lost the trace or its parent's values")
+	}
+	cancel()
+	if ctx.Err() == nil {
+		t.Fatal("a bound context does not see its parent's cancelation")
 	}
 }
 
 func TestHTTPInjectExtract(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewSamplingTracer(8, 1)
 	sp, ctx := tr.StartSpan(context.Background(), KindClient, "Calc.Add")
 	h := make(http.Header)
 	InjectHTTP(ctx, h)
@@ -79,7 +191,7 @@ func TestHTTPInjectExtract(t *testing.T) {
 }
 
 func TestSpanParentage(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewSamplingTracer(8, 1)
 	root, ctx := tr.StartSpan(context.Background(), KindClient, "root")
 	rootCtx := root.Context()
 	child, cctx := tr.StartSpan(ctx, KindInternal, "child")
@@ -105,8 +217,8 @@ func TestSpanParentage(t *testing.T) {
 }
 
 func TestStartSpanRemote(t *testing.T) {
-	tr := NewTracer(8)
-	remote := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	tr := NewSamplingTracer(8, 1)
+	remote := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	sp, _ := tr.StartSpanRemote(context.Background(), KindServer, "Echo.Echo", remote)
 	if sp.TraceID != remote.TraceID || sp.Parent != remote.SpanID {
 		t.Fatalf("remote parentage lost: %+v", sp)
@@ -124,7 +236,7 @@ func TestStartSpanRemote(t *testing.T) {
 }
 
 func TestAnnotationsBounded(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewSamplingTracer(4, 1)
 	sp, _ := tr.StartSpan(context.Background(), KindClient, "x")
 	for i := 0; i < MaxAnnotations+3; i++ {
 		sp.Annotate("k", "v")
@@ -139,7 +251,7 @@ func TestAnnotationsBounded(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewSamplingTracer(4, 1)
 	for i := 0; i < 10; i++ {
 		sp, _ := tr.StartSpan(context.Background(), KindInternal, string(rune('a'+i)))
 		sp.End()
@@ -165,8 +277,8 @@ func TestRingWrap(t *testing.T) {
 }
 
 func TestEvent(t *testing.T) {
-	tr := NewTracer(8)
-	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	tr := NewSamplingTracer(8, 1)
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	tr.Event(parent, KindCache, "Echo.Echo", "respcache", "hit")
 	spans := tr.Snapshot()
 	if len(spans) != 1 {
@@ -196,7 +308,7 @@ func TestNilTracerSafe(t *testing.T) {
 }
 
 func TestBuildTraces(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewSamplingTracer(16, 1)
 	root, ctx := tr.StartSpan(context.Background(), KindClient, "Calc.Add")
 	rootSC := root.Context()
 	a1, _ := tr.StartSpan(ctx, KindClient, "attempt")
@@ -279,7 +391,7 @@ func TestMetrics(t *testing.T) {
 }
 
 func TestContextTracerPlumbing(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewSamplingTracer(8, 1)
 	ctx := ContextWithTracer(context.Background(), tr)
 	if TracerFromContext(ctx) != tr {
 		t.Fatal("tracer not carried")

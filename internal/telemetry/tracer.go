@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,12 +77,13 @@ func (sp *Span) Annotations() []Annotation {
 	return sp.ann[:sp.nann]
 }
 
-// Context returns the span's propagated identity.
+// Context returns the span's propagated identity. Only a sampled trace
+// has spans, so a span's context is always sampled.
 func (sp *Span) Context() SpanContext {
 	if sp == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID}
+	return SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Sampled: true}
 }
 
 // TraceParent returns the wire value for the X-Soc-Trace header and the
@@ -142,27 +144,49 @@ type tracerSlot struct {
 // so concurrent span ends don't serialize on a global mutex. The zero
 // ring is allocated on first record, so idle tracers cost a struct. A
 // nil *Tracer is valid and records nothing.
+//
+// A tracer samples the traces whose root it starts, at its rate R: the
+// k-th root is sampled iff splitmix64 of k, from a fixed seed, falls
+// below R·2⁶⁴ — one atomic add and no lock per root. Every later hop, in
+// this tracer or another, inherits the root's decision and never draws.
+// The draw is deterministic, so a fixed sequence of roots samples the
+// same ones on every run, and it is a hash, not every Nth: a workload
+// that alternates two operations gets both traced.
 type Tracer struct {
 	capacity int
+	sampler  sampler
 
 	initMu sync.Mutex
 	ring   atomic.Pointer[[]tracerSlot]
 	// next is the total recorded count; span i (1-based) lives in slot
 	// (i-1) mod capacity.
 	next atomic.Uint64
+	// roots counts the roots this tracer started, sampled or not.
+	roots atomic.Uint64
 }
 
 // DefaultCapacity is the ring size used for NewTracer(0) and the
 // package default tracer.
 const DefaultCapacity = 1024
 
+// defaultSampleRate is the share of roots NewTracer samples; DESIGN.md
+// §"Call plane" says why 1/16.
+const defaultSampleRate = 1.0 / 16
+
 // NewTracer returns a tracer keeping the last capacity spans
-// (capacity <= 0 means DefaultCapacity).
+// (capacity <= 0 means DefaultCapacity) that samples 1 in 16 of the
+// traces it roots.
 func NewTracer(capacity int) *Tracer {
+	return NewSamplingTracer(capacity, defaultSampleRate)
+}
+
+// NewSamplingTracer is NewTracer sampling its roots at rate: 1 samples
+// every trace it starts, 0 none, and rate is clamped to [0, 1].
+func NewSamplingTracer(capacity int, rate float64) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{capacity: capacity}
+	return &Tracer{capacity: capacity, sampler: newSampler(rate)}
 }
 
 var defaultTracer = NewTracer(DefaultCapacity)
@@ -170,6 +194,40 @@ var defaultTracer = NewTracer(DefaultCapacity)
 // Default returns the process-wide tracer that clients fall back to when
 // no tracer was configured explicitly.
 func Default() *Tracer { return defaultTracer }
+
+// sampler is a tracer's rate R: threshold is R·2⁶⁴ for R < 1, and every
+// marks R = 1.
+type sampler struct {
+	threshold uint64
+	every     bool
+}
+
+func newSampler(rate float64) sampler {
+	switch {
+	case rate >= 1:
+		return sampler{every: true}
+	case rate > 0:
+		return sampler{threshold: uint64(math.Ldexp(rate, 64))}
+	}
+	return sampler{}
+}
+
+// samplerSeed fixes the draw, so that it repeats from run to run.
+const samplerSeed = 0x5eed_50c0_7ace_0001
+
+// sampled reports whether the k-th root is: the SplitMix64 finalizer of
+// step k, below the threshold.
+func (s sampler) sampled(k uint64) bool {
+	z := samplerSeed + k*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return s.every || z^z>>31 < s.threshold
+}
+
+// sampleRoot draws the decision of the next root this tracer starts.
+func (t *Tracer) sampleRoot() bool {
+	return t.sampler.sampled(t.roots.Add(1))
+}
 
 // start acquires a pooled span with resolved parentage.
 func (t *Tracer) start(kind Kind, name string, parent SpanContext) *Span {
@@ -188,37 +246,68 @@ func (t *Tracer) start(kind Kind, name string, parent SpanContext) *Span {
 	return sp
 }
 
-// StartSpan starts a span parented on the context's active span, else a
-// fresh trace. The returned context carries
-// the new span, so nested calls become children and InjectHTTP can stamp
-// outbound requests. On a nil tracer it returns (nil, ctx).
+// StartSpan starts a span parented on the context's trace, else a fresh
+// root. The returned context carries the new span, so nested calls become
+// children and InjectHTTP can stamp outbound requests. On an unsampled
+// trace it returns a nil span and ctx itself; an unsampled root returns
+// a nil span and a context carrying its trace, so nested calls stay
+// unsampled. On a nil tracer it returns (nil, ctx).
 func (t *Tracer) StartSpan(ctx context.Context, kind Kind, name string) (*Span, context.Context) {
-	if t == nil {
-		return nil, ctx
-	}
-	sp := t.start(kind, name, SpanContextOf(ctx))
-	return sp, ContextWithSpan(ctx, sp)
+	return t.StartSpanRemote(ctx, kind, name, SpanContext{})
 }
 
 // StartSpanRemote is StartSpan with an explicit remote parent (from a
 // protocol-level header); an invalid remote falls back to the context.
+// An unsampled remote starts no span, and the context returned carries it
+// — ctx itself when ctx already carries that trace.
 func (t *Tracer) StartSpanRemote(ctx context.Context, kind Kind, name string, remote SpanContext) (*Span, context.Context) {
 	if t == nil {
 		return nil, ctx
 	}
+	cur := SpanContextOf(ctx)
 	if !remote.Valid() {
-		remote = SpanContextOf(ctx)
+		remote = cur
+	}
+	switch {
+	case !remote.Valid():
+		if !t.sampleRoot() {
+			return nil, withUnsampled(ctx, SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()})
+		}
+	case !remote.Sampled:
+		if cur.TraceID == remote.TraceID && !cur.Sampled {
+			return nil, ctx
+		}
+		return nil, withUnsampled(ctx, remote)
 	}
 	sp := t.start(kind, name, remote)
 	return sp, ContextWithSpan(ctx, sp)
 }
 
+// StartCall starts the span of a call that sends one request, as
+// StartSpan does, and returns the traceparent that request carries
+// ("" when untraced). On an unsampled trace it starts no span and returns
+// ctx itself. An unsampled root, unlike StartSpan's, adds nothing to the
+// context either: formatting the traceparent is its one allocation, and
+// callplane.Route.NewRequest carries the trace in the request's context.
+func (t *Tracer) StartCall(ctx context.Context, kind Kind, name string) (*Span, string, context.Context) {
+	parent := SpanContextOf(ctx)
+	if t == nil || parent.Valid() && !parent.Sampled {
+		return nil, TraceParentOf(ctx), ctx
+	}
+	if !parent.Valid() && !t.sampleRoot() {
+		return nil, FormatTraceParent(SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}), ctx
+	}
+	sp := t.start(kind, name, parent)
+	return sp, sp.TraceParent(), ContextWithSpan(ctx, sp)
+}
+
 // Event records an already-complete zero-duration span parented on
-// remote (an invalid remote starts a fresh trace) — how cache hits and
-// injected faults appear in traces without a live span. Cache-kind
-// events are marked Cached. Steady-state cost: zero allocations.
+// remote — how cache hits and injected faults appear in traces without a
+// live span. An unsampled remote records nothing; an invalid one makes
+// the event a root, sampled like any other. Cache-kind events are marked
+// Cached. Steady-state cost: zero allocations.
 func (t *Tracer) Event(remote SpanContext, kind Kind, name, key, value string) {
-	if t == nil {
+	if t == nil || remote.Valid() && !remote.Sampled || !remote.Valid() && !t.sampleRoot() {
 		return
 	}
 	sp := Span{
