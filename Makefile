@@ -85,12 +85,16 @@ flake:
 ## fuzz: run each fuzz target for 20 s beyond its committed seeds
 ## (testdata/fuzz/, which plain `go test` already replays):
 ## ParseTraceParent against an encoding/hex reference and a format/parse
-## round trip, and the REST binding's JSON object decoder against
-## encoding/json. A crasher lands in testdata/fuzz/ and is committed with
-## its fix
+## round trip, the REST binding's JSON object decoder against
+## encoding/json, and xmlkit's Scanner (through SAX) against encoding/xml
+## plus the escapers against the Scanner. The Scanner's seeds include the
+## golden contracts, kilobytes each, so each new input it finds is
+## minimized for 1 s rather than the default 60 s. A crasher lands in
+## testdata/fuzz/ and is committed with its fix
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceParent$$' -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONObject$$' -fuzztime 20s ./internal/host
+	$(GO) test -run '^$$' -fuzz '^FuzzScanner$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/xmlkit
 
 ## chaos: just the fault-injection chaos suite, verbosely
 chaos:

@@ -183,11 +183,18 @@ func noopHost(t *testing.T) *Host {
 	return h
 }
 
-// TestUnsampledInvokeAllocCeiling: a REST invoke whose root drew
+// TestUnsampledInvokeAllocCeiling: an invoke whose root drew
 // "unsampled", through a front door and a host, allocates one more than
-// the same invoke with every tracer nil — the traceparent its root
-// formats. The door starts no span, and the host adds no context value:
-// the request's own allocation carries the trace to it.
+// the same invoke untraced — the traceparent its root formats. The door
+// starts no span, and the host adds no context value: the request's own
+// allocation carries the trace to it.
+//
+// On REST the untraced invoke has every tracer nil. Every SOAP client
+// traces (a nil Tracer falls back to the default), so the SOAP row has two
+// halves: the root against the same call nested under a context that
+// already carries the trace, and, at the host, a traced envelope against
+// an untraced one: the SocTrace entry that the transport header overrides
+// is not decoded.
 func TestUnsampledInvokeAllocCeiling(t *testing.T) {
 	ctx := context.Background()
 	args := core.Values{}
@@ -204,27 +211,77 @@ func TestUnsampledInvokeAllocCeiling(t *testing.T) {
 	}
 	never := stack(func() *telemetry.Tracer { return telemetry.NewSamplingTracer(64, 0) })
 	untraced := stack(func() *telemetry.Tracer { return nil })
-	unsampled := func() {
-		if out, err := never.Call(ctx, "Noop", "Ping", args); err != nil || out["ok"] != true {
-			t.Fatal(out, err)
+	const tp = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-00"
+	var node telemetry.Unsampled
+	nested := node.Bind(ctx, tp)
+	rest := func(call func() (core.Values, error)) func() {
+		return func() {
+			if out, err := call(); err != nil || out["ok"] != true {
+				t.Fatal(out, err)
+			}
 		}
 	}
-	// Client.Call falls back to the default tracer; call is the same
-	// exchange with no span of its own.
-	bare := func() {
-		if out, err := untraced.call(ctx, "Noop", "Ping", args); err != nil || out["ok"] != true {
-			t.Fatal(out, err)
+	soapCall := func(ctx context.Context) func() {
+		return func() {
+			out, err := never.CallSOAP(ctx, "Noop", "Ping", "http://soc.example/noop", args)
+			if err != nil || out["ok"] != "true" {
+				t.Fatal(out, err)
+			}
 		}
 	}
-	unsampled()
-	bare()
-	got, base := testing.AllocsPerRun(200, unsampled), testing.AllocsPerRun(200, bare)
-	if got > base+1 {
-		t.Errorf("an unsampled invoke allocates %.1f/op, the untraced one %.1f: ceiling +1", got, base)
+	for _, row := range []struct {
+		name            string
+		unsampled, base func()
+	}{
+		// Client.Call falls back to the default tracer; call is the same
+		// exchange with no span of its own.
+		{"REST", rest(func() (core.Values, error) { return never.Call(ctx, "Noop", "Ping", args) }),
+			rest(func() (core.Values, error) { return untraced.call(ctx, "Noop", "Ping", args) })},
+		{"SOAP", soapCall(ctx), soapCall(nested)},
+	} {
+		row.unsampled()
+		row.base()
+		got, base := testing.AllocsPerRun(200, row.unsampled), testing.AllocsPerRun(200, row.base)
+		if got > base+1 {
+			t.Errorf("an unsampled %s invoke allocates %.1f/op, its baseline %.1f: ceiling +1", row.name, got, base)
+		}
+		t.Logf("%s: unsampled %.1f allocs/op, baseline %.1f", row.name, got, base)
 	}
-	t.Logf("unsampled %.1f allocs/op, untraced %.1f", got, base)
 	if n := never.Tracer.Recorded(); n != 0 {
 		t.Errorf("the client recorded %d spans of unsampled traces", n)
+	}
+
+	h := noopHost(t)
+	dispatch := func(traced bool) (func(), *httptest.ResponseRecorder) {
+		m := soap.Message{Operation: "Ping", Namespace: "http://soc.example/noop"}
+		if traced {
+			m.Header = map[string]string{telemetry.SOAPHeaderName: tp}
+		}
+		env, err := soap.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := bytes.NewReader(env)
+		r := httptest.NewRequest(http.MethodPost, "/services/Noop/soap", io.NopCloser(body))
+		if traced {
+			r.Header.Set(telemetry.HeaderName, tp)
+		}
+		w := httptest.NewRecorder()
+		return func() {
+			body.Reset(env)
+			w.Body.Reset()
+			h.ServeHTTP(w, r)
+		}, w
+	}
+	traced, tw := dispatch(true)
+	bare, _ := dispatch(false)
+	traced()
+	bare()
+	if tw.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", tw.Code, tw.Body.String())
+	}
+	if got, base := testing.AllocsPerRun(200, traced), testing.AllocsPerRun(200, bare); got > base {
+		t.Errorf("the host's dispatch of a traced SOAP envelope allocates %.1f/op, of an untraced one %.1f: ceiling +0", got, base)
 	}
 }
 

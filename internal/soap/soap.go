@@ -123,9 +123,6 @@ func (m *Message) resetForReuse() {
 	m.ParamOrder = m.ParamOrder[:0]
 }
 
-// xmlProlog matches encoding/xml's xml.Header.
-const xmlProlog = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
-
 // validName reports whether s is usable as an element name without
 // re-parsing ambiguity. The check is deliberately loose (prefixes pass);
 // it exists to stop markup injection through operation or parameter
@@ -200,7 +197,7 @@ func appendEnvelope(dst []byte, namespace, operation string, header, params []Pa
 	if !validName(operation) {
 		return dst, fmt.Errorf("%w: invalid operation name %q", ErrProtocol, operation)
 	}
-	dst = append(dst, xmlProlog...)
+	dst = append(dst, xmlkit.Header...)
 	dst = append(dst, `<soap:Envelope xmlns:soap="`...)
 	dst = append(dst, EnvelopeNS...)
 	dst = append(dst, `">`...)
@@ -274,7 +271,7 @@ func appendFault(dst []byte, f *Fault) ([]byte, error) {
 	if f == nil {
 		return dst, fmt.Errorf("%w: nil fault", ErrProtocol)
 	}
-	dst = append(dst, xmlProlog...)
+	dst = append(dst, xmlkit.Header...)
 	dst = append(dst, `<soap:Envelope xmlns:soap="`...)
 	dst = append(dst, EnvelopeNS...)
 	dst = append(dst, `"><soap:Body><soap:Fault><faultcode>soap:`...)
@@ -332,7 +329,7 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 // and maps of the returned Message.
 func DecodeBytes(data []byte) (Message, error) {
 	m := Message{Params: map[string]string{}, Header: map[string]string{}}
-	if err := decodeInto(&m, data); err != nil {
+	if err := decodeInto(&m, data, false); err != nil {
 		return Message{}, err
 	}
 	return m, nil
@@ -368,8 +365,10 @@ func nextElement(s *xmlkit.Scanner) (scanEvent, error) {
 }
 
 // decodeInto decodes the envelope into m, reusing m's maps and slices
-// (the pooled-request fast path of Server.ServeHTTP).
-func decodeInto(m *Message, data []byte) error {
+// (the pooled-request fast path of Server.ServeHTTP). With skipTrace the
+// Header's SocTrace entry is checked but not copied: the caller has a
+// transport value that overrides it.
+func decodeInto(m *Message, data []byte, skipTrace bool) error {
 	s := xmlkit.AcquireScanner(data)
 	defer xmlkit.ReleaseScanner(s)
 	bp := getEncBuf()
@@ -402,7 +401,7 @@ func decodeInto(m *Message, data []byte) error {
 		}
 		switch string(s.LocalName()) {
 		case "Header":
-			if err := decodeHeader(s, m, &scratch); err != nil {
+			if err := decodeHeader(s, m, &scratch, skipTrace); err != nil {
 				return err
 			}
 		case "Body":
@@ -428,8 +427,9 @@ func decodeInto(m *Message, data []byte) error {
 	return nil
 }
 
-// decodeHeader consumes a <Header> subtree into m.Header.
-func decodeHeader(s *xmlkit.Scanner, m *Message, scratch *[]byte) error {
+// decodeHeader consumes a <Header> subtree into m.Header, all but a
+// SocTrace entry under skipTrace.
+func decodeHeader(s *xmlkit.Scanner, m *Message, scratch *[]byte, skipTrace bool) error {
 	base := s.Depth() // depth of the Header element itself
 	for {
 		ev, err := nextElement(s)
@@ -448,6 +448,12 @@ func decodeHeader(s *xmlkit.Scanner, m *Message, scratch *[]byte) error {
 			// Intern the trace-context entry name: it appears on every
 			// traced call and the comparison itself doesn't allocate.
 			if string(s.LocalName()) == telemetry.SOAPHeaderName {
+				if skipTrace {
+					if err := skipSubtree(s); err != nil {
+						return fmt.Errorf("%w: %v", ErrProtocol, err)
+					}
+					continue
+				}
 				name = telemetry.SOAPHeaderName
 			} else {
 				name = string(s.LocalName())
@@ -686,12 +692,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusMethodNotAllowed, ClientFault("SOAP requires POST, got %s", r.Method))
 		return
 	}
+	// A valid transport trace parent overrides the envelope's SocTrace
+	// entry, so a handler joins the caller's trace from that one entry,
+	// and the entry it overrides is not decoded.
+	tp := r.Header.Get(telemetry.HeaderName)
+	if _, ok := telemetry.ParseTraceParent(tp); !ok {
+		tp = ""
+	}
 	req := acquireMessage()
 	defer releaseMessage(req)
 	bp := getEncBuf()
 	body, err := readAllInto((*bp)[:0], r.Body)
 	if err == nil {
-		err = decodeInto(req, body)
+		err = decodeInto(req, body, tp != "")
 	} else {
 		err = fmt.Errorf("%w: reading envelope: %v", ErrProtocol, err)
 	}
@@ -716,12 +729,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusBadRequest, ClientFault("unknown operation %q", req.Operation))
 		return
 	}
-	// A valid transport trace parent overrides the envelope's SocTrace
-	// entry, so a handler joins the caller's trace from that one entry.
-	if tp := r.Header.Get(telemetry.HeaderName); tp != "" {
-		if _, ok := telemetry.ParseTraceParent(tp); ok {
-			req.Header[telemetry.SOAPHeaderName] = tp
-		}
+	if tp != "" {
+		req.Header[telemetry.SOAPHeaderName] = tp
 	}
 	resp, err := h(r.Context(), *req)
 	if err != nil {
@@ -849,7 +858,7 @@ func (c *Client) callParams(ctx context.Context, tp, url, namespace, operation s
 	// parameters: their strings are fresh, the map is sized to them.
 	resp := acquireMessage()
 	defer releaseMessage(resp)
-	if err := decodeInto(resp, data.B); err != nil {
+	if err := decodeInto(resp, data.B, false); err != nil {
 		return nil, err
 	}
 	out := make(map[string]string, len(resp.Params))

@@ -16,6 +16,28 @@ func benchDoc(services int) string {
 	return b.String()
 }
 
+// BenchmarkScan is the bare tokenizer under SAX and the DOM: one
+// checked pass, nothing decoded or copied out.
+func BenchmarkScan(b *testing.B) {
+	doc := []byte(benchDoc(200))
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	s := AcquireScanner(doc)
+	defer ReleaseScanner(s)
+	for i := 0; i < b.N; i++ {
+		s.Reset(doc)
+		for {
+			kind, err := s.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if kind == NoToken {
+				break
+			}
+		}
+	}
+}
+
 func BenchmarkSAXParse(b *testing.B) {
 	doc := benchDoc(200)
 	b.SetBytes(int64(len(doc)))

@@ -1,7 +1,6 @@
 package xmlkit
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
@@ -183,7 +182,7 @@ func (b *domBuilder) Comment(text string) error {
 	return nil
 }
 
-// ParseDocument parses r into a Document.
+// ParseDocument reads r whole and parses it into a Document.
 func ParseDocument(r io.Reader) (*Document, error) {
 	b := &domBuilder{doc: &Document{}}
 	if err := Parse(r, b); err != nil {
@@ -194,18 +193,24 @@ func ParseDocument(r io.Reader) (*Document, error) {
 
 // ParseDocumentString parses an in-memory document.
 func ParseDocumentString(doc string) (*Document, error) {
-	return ParseDocument(strings.NewReader(doc))
+	b := &domBuilder{doc: &Document{}}
+	if err := ParseString(doc, b); err != nil {
+		return nil, err
+	}
+	return b.doc, nil
 }
+
+// Header is the XML declaration Document.Write and the soap encoder put
+// first.
+const Header = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
 // Write serializes the document to w with 2-space indentation.
 func (d *Document) Write(w io.Writer) error {
 	if d.Root == nil {
 		return fmt.Errorf("%w: empty document", ErrParse)
 	}
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	return writeNode(w, d.Root, 0)
+	_, err := w.Write(appendNode([]byte(Header), d.Root, 0))
+	return err
 }
 
 // String serializes the document to a string; it returns "" on error.
@@ -217,51 +222,39 @@ func (d *Document) String() string {
 	return b.String()
 }
 
-func writeNode(w io.Writer, n *Node, depth int) error {
-	indent := strings.Repeat("  ", depth)
+func appendNode(dst []byte, n *Node, depth int) []byte {
+	for i := 0; i < depth; i++ {
+		dst = append(dst, "  "...)
+	}
 	switch n.Type {
 	case TextNode:
-		var esc strings.Builder
-		if err := xml.EscapeText(&esc, []byte(n.Data)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s%s\n", indent, esc.String())
-		return err
+		return append(EscapeElementText(dst, n.Data), '\n')
 	case CommentNode:
-		_, err := fmt.Fprintf(w, "%s<!--%s-->\n", indent, n.Data)
-		return err
+		dst = append(append(dst, "<!--"...), n.Data...)
+		return append(dst, "-->\n"...)
 	}
-	var attrs strings.Builder
+	dst = append(append(dst, '<'), n.Name...)
 	for _, a := range n.Attrs {
-		var esc strings.Builder
-		if err := xml.EscapeText(&esc, []byte(a.Value)); err != nil {
-			return err
+		dst = append(append(append(dst, ' '), a.Name...), `="`...)
+		dst = append(EscapeAttrValue(dst, a.Value), '"')
+	}
+	switch {
+	case len(n.Children) == 0:
+		return append(dst, "/>\n"...)
+	case len(n.Children) == 1 && n.Children[0].Type == TextNode:
+		// A single text child renders inline: <a>text</a>.
+		dst = EscapeElementText(append(dst, '>'), n.Children[0].Data)
+	default:
+		dst = append(dst, ">\n"...)
+		for _, c := range n.Children {
+			dst = appendNode(dst, c, depth+1)
 		}
-		fmt.Fprintf(&attrs, " %s=%q", a.Name, esc.String())
-	}
-	if len(n.Children) == 0 {
-		_, err := fmt.Fprintf(w, "%s<%s%s/>\n", indent, n.Name, attrs.String())
-		return err
-	}
-	// Single text child renders inline: <a>text</a>.
-	if len(n.Children) == 1 && n.Children[0].Type == TextNode {
-		var esc strings.Builder
-		if err := xml.EscapeText(&esc, []byte(n.Children[0].Data)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", indent, n.Name, attrs.String(), esc.String(), n.Name)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s<%s%s>\n", indent, n.Name, attrs.String()); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := writeNode(w, c, depth+1); err != nil {
-			return err
+		for i := 0; i < depth; i++ {
+			dst = append(dst, "  "...)
 		}
 	}
-	_, err := fmt.Fprintf(w, "%s</%s>\n", indent, n.Name)
-	return err
+	dst = append(append(append(dst, "</"...), n.Name...), '>')
+	return append(dst, '\n')
 }
 
 // ElementNames returns the sorted distinct element names in the document —

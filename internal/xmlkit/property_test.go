@@ -9,7 +9,8 @@ import (
 )
 
 // genTree builds a random DOM tree from a seed: bounded depth and fanout,
-// element names from a fixed alphabet, text from printable runes.
+// element names from a fixed alphabet, text from printable runes, markup
+// characters, a backslash, a tab and a newline.
 func genTree(rng *rand.Rand, depth int) *Node {
 	names := []string{"svc", "op", "param", "doc", "item"}
 	n := NewElement(names[rng.Intn(len(names))])
@@ -33,7 +34,7 @@ func genTree(rng *rand.Rand, depth int) *Node {
 }
 
 func genText(rng *rand.Rand) string {
-	alphabet := "abcXYZ019 <>&\"'."
+	alphabet := "abcXYZ019 <>&\"'.\\\t\n"
 	n := rng.Intn(12) + 1
 	var b strings.Builder
 	for i := 0; i < n; i++ {

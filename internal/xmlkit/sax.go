@@ -1,14 +1,15 @@
 // Package xmlkit is the XML data representation and processing substrate
 // of CSE445 unit 4: SAX-style streaming parsing, a DOM tree model, an
 // XPath-subset evaluator, a lightweight schema validator, and an
-// XSLT-subset stylesheet processor. It is built
-// on encoding/xml's tokenizer so the wire-level parsing is battle-tested
-// while the three processing models (SAX, DOM, XPath) taught in the course
-// are implemented here.
+// XSLT-subset stylesheet processor. One hand-written tokenizer, Scanner,
+// reads all XML in the package: SAX Parse is a loop over it, the DOM is
+// built from SAX events, and soc/internal/soap decodes envelopes on it
+// directly. It checks well-formedness in the same pass, and the escapers
+// beside it (EscapeElementText, EscapeAttrValue, which Document.Write
+// uses too) write only what it accepts.
 package xmlkit
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -58,73 +59,65 @@ func (BaseHandler) Comment(string) error                            { return nil
 
 var _ Handler = BaseHandler{}
 
-// Parse streams the document from r, pushing events into h. It verifies
-// well-formedness (every start tag closed, single root element).
+// Parse reads the document from r whole, then scans it, pushing events
+// into h. Element and attribute names arrive as local names, text and
+// attribute values decoded. Scanner checks well-formedness (every start
+// tag closed, a single root element, XML 1.0 characters) as it goes.
 func Parse(r io.Reader, h Handler) error {
-	if h == nil {
-		return fmt.Errorf("%w: nil handler", ErrParse)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrParse, err)
 	}
-	dec := xml.NewDecoder(r)
-	if err := h.StartDocument(); err != nil {
-		return err
-	}
-	depth := 0
-	roots := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrParse, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if depth == 0 {
-				roots++
-				if roots > 1 {
-					return fmt.Errorf("%w: multiple root elements", ErrParse)
-				}
-			}
-			depth++
-			attrs := make([]Attr, len(t.Attr))
-			for i, a := range t.Attr {
-				attrs[i] = Attr{Name: a.Name.Local, Value: a.Value}
-			}
-			if err := h.StartElement(t.Name.Local, attrs); err != nil {
-				return err
-			}
-		case xml.EndElement:
-			depth--
-			if err := h.EndElement(t.Name.Local); err != nil {
-				return err
-			}
-		case xml.CharData:
-			if err := h.Characters(string(t)); err != nil {
-				return err
-			}
-		case xml.ProcInst:
-			if err := h.ProcessingInstruction(t.Target, string(t.Inst)); err != nil {
-				return err
-			}
-		case xml.Comment:
-			if err := h.Comment(string(t)); err != nil {
-				return err
-			}
-		}
-	}
-	if depth != 0 {
-		return fmt.Errorf("%w: %d unclosed elements", ErrParse, depth)
-	}
-	if roots == 0 {
-		return fmt.Errorf("%w: no root element", ErrParse)
-	}
-	return h.EndDocument()
+	return parse(data, h)
 }
 
 // ParseString is Parse over an in-memory document.
 func ParseString(doc string, h Handler) error {
-	return Parse(strings.NewReader(doc), h)
+	return parse([]byte(doc), h)
+}
+
+func parse(data []byte, h Handler) error {
+	if h == nil {
+		return fmt.Errorf("%w: nil handler", ErrParse)
+	}
+	if err := h.StartDocument(); err != nil {
+		return err
+	}
+	s := AcquireScanner(data)
+	defer ReleaseScanner(s)
+	var text []byte
+	for {
+		kind, err := s.Next()
+		if err != nil {
+			return err
+		}
+		switch kind {
+		case NoToken:
+			return h.EndDocument()
+		case StartToken:
+			attrs := make([]Attr, len(s.Attrs()))
+			for i, a := range s.Attrs() {
+				attrs[i].Name = string(localName(a.Name))
+				if attrs[i].Value, err = AttrValue(a.Value); err != nil {
+					return err
+				}
+			}
+			err = h.StartElement(string(s.LocalName()), attrs)
+		case EndToken:
+			err = h.EndElement(string(s.LocalName()))
+		case TextToken:
+			if text, err = s.AppendTo(text[:0]); err == nil {
+				err = h.Characters(string(text))
+			}
+		case CommentToken:
+			err = h.Comment(string(s.RawText()))
+		case ProcInstToken:
+			err = h.ProcessingInstruction(string(s.Name()), string(s.RawText()))
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // CountingHandler tallies SAX events — useful both as an example handler

@@ -7,26 +7,29 @@ import (
 	"unicode/utf8"
 )
 
-// Scanner is a pull-mode XML tokenizer over an in-memory document — the
-// zero-allocation fast path under soc/internal/soap's envelope codec. It
-// trades the generality of encoding/xml (DTD entity definitions, custom
-// charsets, io.Reader streaming) for speed: names, attributes and text are
-// returned as sub-slices of the input buffer, so a full envelope scan
-// performs no heap allocation beyond what the caller copies out.
+// Scanner is a pull-mode XML tokenizer over an in-memory document, and the
+// package's one XML reader: SAX Parse, the DOM built on it and
+// soc/internal/soap's envelope codec all read through it. Names,
+// attributes and text are returned as sub-slices of the input buffer, so a
+// full scan performs no heap allocation beyond what the caller copies out.
 //
-// The scanner verifies well-formedness as it goes: tags must nest and
-// match, exactly one root element must be present, and only the five
-// predefined entities plus numeric character references are accepted.
-// It is not safe for concurrent use; acquire one per goroutine with
-// AcquireScanner and return it with ReleaseScanner.
+// The scanner checks well-formedness in the same single pass: tags nest
+// and match and exactly one root element is present; every character is
+// an XML 1.0 Char in well-formed UTF-8, character references included;
+// only the five predefined entities are known; "]]>" does not occur in
+// content, nor "--" inside a comment; element and attribute names are XML
+// names with at most one colon; a DOCTYPE comes at most once, before the
+// root, and is skipped; and an XML declaration names no version but 1.0
+// and no encoding but UTF-8. There is no DTD processing and no charset
+// conversion. It is not safe for concurrent use; acquire one per goroutine
+// with AcquireScanner and return it with ReleaseScanner.
 type Scanner struct {
 	data []byte
 	pos  int
 
 	// Current token state, valid until the next call to Next.
-	kind  TokenKind
-	name  []byte // element name for Start/End tokens (raw, with prefix)
-	text  []byte // raw text for Text tokens (entities still encoded)
+	name  []byte // element name (raw, with prefix) or PI target
+	text  []byte // raw text, comment or instruction (entities still encoded)
 	cdata bool   // current Text token came from a CDATA section
 	attrs []RawAttr
 
@@ -35,6 +38,7 @@ type Scanner struct {
 	// warm-up.
 	openElems []([]byte)
 	roots     int
+	doctype   bool
 	// pendingEnd is set after a self-closing tag: the next call to Next
 	// synthesizes the matching EndToken without consuming input.
 	pendingEnd bool
@@ -52,6 +56,12 @@ const (
 	EndToken
 	// TextToken is character data or a CDATA section.
 	TextToken
+	// CommentToken is a comment; RawText is what lies between "<!--" and
+	// "-->".
+	CommentToken
+	// ProcInstToken is a processing instruction, the XML declaration
+	// included; Name is its target and RawText its instruction.
+	ProcInstToken
 )
 
 // RawAttr is one attribute of a StartToken; Value holds the raw bytes
@@ -83,13 +93,13 @@ func ReleaseScanner(s *Scanner) {
 func (s *Scanner) Reset(data []byte) {
 	s.data = data
 	s.pos = 0
-	s.kind = NoToken
 	s.name = nil
 	s.text = nil
 	s.cdata = false
 	s.attrs = s.attrs[:0]
 	s.openElems = s.openElems[:0]
 	s.roots = 0
+	s.doctype = false
 	s.pendingEnd = false
 	// Skip a UTF-8 byte-order mark if present.
 	if len(s.data) >= 3 && s.data[0] == 0xEF && s.data[1] == 0xBB && s.data[2] == 0xBF {
@@ -97,21 +107,24 @@ func (s *Scanner) Reset(data []byte) {
 	}
 }
 
-// Kind returns the current token kind.
-func (s *Scanner) Kind() TokenKind { return s.kind }
-
-// Name returns the current element name (raw, including any prefix). The
-// slice aliases the input buffer and is invalidated by Next.
+// Name returns the current element name (raw, including any prefix) or
+// processing-instruction target. The slice aliases the input buffer and
+// is invalidated by Next.
 func (s *Scanner) Name() []byte { return s.name }
 
 // LocalName returns the element name with any namespace prefix stripped.
-func (s *Scanner) LocalName() []byte {
-	for i := len(s.name) - 1; i >= 0; i-- {
-		if s.name[i] == ':' {
-			return s.name[i+1:]
+func (s *Scanner) LocalName() []byte { return localName(s.name) }
+
+// localName is a qualified name's local part: what follows its one colon,
+// unless the prefix or the local part would be empty, when it is the whole
+// name (as encoding/xml reads it).
+func localName(name []byte) []byte {
+	for i, c := range name {
+		if c == ':' && i > 0 && i < len(name)-1 {
+			return name[i+1:]
 		}
 	}
-	return s.name
+	return name
 }
 
 // Attrs returns the current start tag's attributes. The slices alias the
@@ -143,10 +156,9 @@ func (s *Scanner) Next() (TokenKind, error) {
 	s.attrs = s.attrs[:0]
 	if s.pendingEnd {
 		s.pendingEnd = false
-		s.kind = EndToken
 		s.name = s.openElems[len(s.openElems)-1]
 		s.openElems = s.openElems[:len(s.openElems)-1]
-		return s.kind, nil
+		return EndToken, nil
 	}
 	for s.pos < len(s.data) {
 		if s.data[s.pos] != '<' {
@@ -158,15 +170,11 @@ func (s *Scanner) Next() (TokenKind, error) {
 		}
 		switch s.data[s.pos+1] {
 		case '?':
-			if err := s.skipUntil("?>"); err != nil {
-				return NoToken, err
-			}
+			return s.scanProcInst()
 		case '!':
 			switch {
 			case hasPrefixAt(s.data, s.pos, "<!--"):
-				if err := s.skipUntil("-->"); err != nil {
-					return NoToken, err
-				}
+				return s.scanComment()
 			case hasPrefixAt(s.data, s.pos, "<![CDATA["):
 				return s.scanCDATA()
 			case hasPrefixAt(s.data, s.pos, "<!DOCTYPE"):
@@ -188,21 +196,11 @@ func (s *Scanner) Next() (TokenKind, error) {
 	if s.roots == 0 {
 		return NoToken, s.errf("no root element")
 	}
-	s.kind = NoToken
 	return NoToken, nil
 }
 
 func hasPrefixAt(data []byte, pos int, prefix string) bool {
 	return len(data)-pos >= len(prefix) && string(data[pos:pos+len(prefix)]) == prefix
-}
-
-func (s *Scanner) skipUntil(terminator string) error {
-	idx := indexFrom(s.data, s.pos, terminator)
-	if idx < 0 {
-		return s.errf("unterminated %q section", terminator)
-	}
-	s.pos = idx + len(terminator)
-	return nil
 }
 
 func indexFrom(data []byte, from int, sub string) int {
@@ -212,36 +210,138 @@ func indexFrom(data []byte, from int, sub string) int {
 	return -1
 }
 
+// isChar reports whether r is an XML 1.0 Char.
+func isChar(r rune) bool {
+	return r >= 0x20 && r <= 0xD7FF || r == '\t' || r == '\n' || r == '\r' ||
+		r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= utf8.MaxRune
+}
+
+// char checks the character at s.pos and steps over it.
+func (s *Scanner) char(where string) error {
+	r, n := utf8.DecodeRune(s.data[s.pos:])
+	if r == utf8.RuneError && n == 1 {
+		return s.errf("invalid UTF-8 in %s", where)
+	}
+	if !isChar(r) {
+		return s.errf("illegal character %U in %s", r, where)
+	}
+	s.pos += n
+	return nil
+}
+
+// checkChars steps over data[s.pos:end], which must be Chars.
+func (s *Scanner) checkChars(end int, where string) error {
+	for s.pos < end {
+		if c := s.data[s.pos]; c >= ' ' && c < utf8.RuneSelf {
+			s.pos++
+		} else if err := s.char(where); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// skipDoctype passes over a DOCTYPE declaration, bounding it as
+// encoding/xml bounds a directive: quoted strings and comments may hold
+// '>', and any other '<' opens a nested declaration that needs its own.
 func (s *Scanner) skipDoctype() error {
+	if s.roots > 0 || s.doctype {
+		return s.errf("DOCTYPE outside the prolog")
+	}
+	s.doctype = true
+	var quote byte
 	depth := 0
-	for i := s.pos; i < len(s.data); i++ {
-		switch s.data[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case '>':
-			if depth <= 0 {
-				s.pos = i + 1
-				return nil
+	for i := s.pos + len("<!DOCTYPE"); i < len(s.data); i++ {
+		switch c := s.data[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
 			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == '>' && depth > 0:
+			depth--
+		case c == '>':
+			if err := s.checkChars(i, "DOCTYPE"); err != nil {
+				return err
+			}
+			s.pos = i + 1
+			return nil
+		case c == '<' && hasPrefixAt(s.data, i, "<!--"):
+			end := indexFrom(s.data, i+len("<!--"), "-->")
+			if end < 0 {
+				return s.errf("unterminated comment in DOCTYPE")
+			}
+			i = end + len("--")
+		case c == '<':
+			depth++
 		}
 	}
 	return s.errf("unterminated DOCTYPE")
 }
 
-// scanText captures raw character data up to the next '<'. Text outside
-// the root element is tolerated here (SOAP decoding skips whitespace);
+// scanText captures character data up to the next '<'. Text outside the
+// root element is tolerated here (SOAP decoding skips whitespace);
 // well-formedness of the element structure is still enforced.
 func (s *Scanner) scanText() (TokenKind, error) {
 	start := s.pos
-	for s.pos < len(s.data) && s.data[s.pos] != '<' {
-		s.pos++
+	if err := s.scanData('<'); err != nil {
+		return NoToken, err
 	}
-	s.kind = TextToken
 	s.text = s.data[start:s.pos]
 	s.cdata = false
-	return s.kind, nil
+	return TextToken, nil
+}
+
+// plain marks the bytes that character data holds with no further look:
+// ASCII Chars but '<', '&', ']' and the quotes.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	t['\t'], t['\n'], t['\r'] = true, true, true
+	t['<'], t['&'], t[']'], t['"'], t['\''] = false, false, false, false, false
+	return t
+}()
+
+// scanData advances over character data up to stop: '<' for content, the
+// closing quote for an attribute value. Every character must be a Char
+// and every reference well formed; content may not hold "]]>", nor an
+// attribute value '<'.
+func (s *Scanner) scanData(stop byte) error {
+	for s.pos < len(s.data) {
+		i := s.pos
+		for i < len(s.data) && plain[s.data[i]] {
+			i++
+		}
+		if s.pos = i; i == len(s.data) {
+			break
+		}
+		switch c := s.data[i]; {
+		case c == stop:
+			return nil
+		case c == '<':
+			return s.errf("'<' in attribute value")
+		case c == '&':
+			r, n := ref(s.data[s.pos:])
+			if n == 0 {
+				return s.errf("malformed entity or character reference")
+			}
+			if !isChar(r) {
+				return s.errf("character reference to %U", r)
+			}
+			s.pos += n
+		case c == ']' && stop == '<' && hasPrefixAt(s.data, s.pos, "]]>"):
+			return s.errf(`"]]>" in content`)
+		case c < ' ' || c >= utf8.RuneSelf:
+			if err := s.char("character data"); err != nil {
+				return err
+			}
+		default:
+			s.pos++
+		}
+	}
+	return nil
 }
 
 func (s *Scanner) scanCDATA() (TokenKind, error) {
@@ -250,39 +350,146 @@ func (s *Scanner) scanCDATA() (TokenKind, error) {
 	if end < 0 {
 		return NoToken, s.errf("unterminated CDATA section")
 	}
-	s.kind = TextToken
-	s.text = s.data[start:end]
 	s.cdata = true
-	s.pos = end + len("]]>")
-	return s.kind, nil
+	return s.markup(TextToken, start, end, len("]]>"), "CDATA section")
 }
 
-// isNameByte reports bytes acceptable inside an element or attribute
-// name. Multi-byte UTF-8 name characters pass through unvalidated — the
-// scanner compares names, it does not police the XML name grammar.
-func isNameByte(c byte) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		return true
-	case c == '_', c == '-', c == '.', c == ':', c >= 0x80:
-		return true
+// markup ends a token whose text is data[start:end], which must be Chars,
+// and steps over its terminator of n bytes.
+func (s *Scanner) markup(kind TokenKind, start, end, n int, where string) (TokenKind, error) {
+	s.pos = start
+	if err := s.checkChars(end, where); err != nil {
+		return NoToken, err
 	}
-	return false
+	s.text = s.data[start:end]
+	s.pos = end + n
+	return kind, nil
 }
 
-func (s *Scanner) scanName() ([]byte, error) {
+// scanComment reads a comment. It ends at its first "--", which must be
+// the start of "-->".
+func (s *Scanner) scanComment() (TokenKind, error) {
+	start := s.pos + len("<!--")
+	end := indexFrom(s.data, start, "--")
+	if end < 0 {
+		return NoToken, s.errf("unterminated comment")
+	}
+	if !hasPrefixAt(s.data, end, "-->") {
+		s.pos = end
+		return NoToken, s.errf(`"--" inside a comment`)
+	}
+	return s.markup(CommentToken, start, end, len("-->"), "comment")
+}
+
+// scanProcInst reads a processing instruction: a target name, optional
+// space, and the instruction up to "?>". The XML declaration (target
+// "xml") may name version 1.0 and the UTF-8 encoding and no others.
+func (s *Scanner) scanProcInst() (TokenKind, error) {
+	s.pos += len("<?")
+	target, err := s.scanName(false)
+	if err != nil {
+		return NoToken, err
+	}
+	s.skipSpace()
 	start := s.pos
-	for s.pos < len(s.data) && isNameByte(s.data[s.pos]) {
-		s.pos++
+	end := indexFrom(s.data, start, "?>")
+	if end < 0 {
+		return NoToken, s.errf("unterminated processing instruction")
 	}
-	if s.pos == start {
+	inst := s.data[start:end]
+	if string(target) == "xml" {
+		if v := declParam(inst, "version="); len(v) > 0 && string(v) != "1.0" {
+			return NoToken, s.errf("unsupported XML version %q", v)
+		}
+		if e := declParam(inst, "encoding="); len(e) > 0 && !bytes.EqualFold(e, []byte("UTF-8")) {
+			return NoToken, s.errf("unsupported encoding %q", e)
+		}
+	}
+	s.name = target
+	return s.markup(ProcInstToken, start, end, len("?>"), "processing instruction")
+}
+
+// declParam reads a parameter of the XML declaration the way encoding/xml
+// does: the value in quotes after the first `param=` (the '=' included in
+// param) that a quote follows, or nil.
+func declParam(decl []byte, param string) []byte {
+	for i := 0; i < len(decl); {
+		k := bytes.Index(decl[i:], []byte(param))
+		if k < 0 || i+k+len(param) >= len(decl) {
+			return nil
+		}
+		i += k + len(param) + 1
+		if q := decl[i-1]; q == '"' || q == '\'' {
+			if end := bytes.IndexByte(decl[i:], q); end >= 0 {
+				return decl[i : i+end]
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// nameByte marks the ASCII bytes a name may hold: 1, or 2 for the colon.
+var nameByte = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = 1, 1
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = 1
+	}
+	t['_'], t['-'], t['.'], t[':'] = 1, 1, 1, 2
+	return t
+}()
+
+// isNameRune reports the non-ASCII NameStartChar (first) or NameChar
+// runes of XML 1.0, fifth edition.
+func isNameRune(r rune, first bool) bool {
+	switch {
+	case r >= 0xC0 && r <= 0xD6, r >= 0xD8 && r <= 0xF6, r >= 0xF8 && r <= 0x2FF,
+		r >= 0x370 && r <= 0x37D, r >= 0x37F && r <= 0x1FFF, r >= 0x200C && r <= 0x200D,
+		r >= 0x2070 && r <= 0x218F, r >= 0x2C00 && r <= 0x2FEF, r >= 0x3001 && r <= 0xD7FF,
+		r >= 0xF900 && r <= 0xFDCF, r >= 0xFDF0 && r <= 0xFFFD, r >= 0x10000 && r <= 0xEFFFF:
+		return true
+	case first:
+		return false
+	}
+	return r == 0xB7 || r >= 0x300 && r <= 0x36F || r >= 0x203F && r <= 0x2040
+}
+
+// scanName reads an XML name; an element or attribute name (qname) may
+// hold one colon at most, as Namespaces in XML require. Like encoding/xml,
+// it takes every non-ASCII byte as part of the name, so a rune outside the
+// name ranges is an error, not the name's end.
+func (s *Scanner) scanName(qname bool) ([]byte, error) {
+	start, i, colons := s.pos, s.pos, 0
+	for i < len(s.data) {
+		c := s.data[i]
+		if k := nameByte[c]; k != 0 {
+			colons += int(k >> 1)
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			break
+		}
+		r, n := utf8.DecodeRune(s.data[i:])
+		if r == utf8.RuneError && n == 1 || !isNameRune(r, i == start) {
+			s.pos = i
+			return nil, s.errf("invalid name character %U", r)
+		}
+		i += n
+	}
+	s.pos = i
+	if i == start {
 		return nil, s.errf("expected name")
 	}
-	c := s.data[start]
-	if c >= '0' && c <= '9' || c == '-' || c == '.' {
+	if c := s.data[start]; c >= '0' && c <= '9' || c == '-' || c == '.' {
 		return nil, s.errf("invalid name start %q", c)
 	}
-	return s.data[start:s.pos], nil
+	if qname && colons > 1 {
+		return nil, s.errf("name %s has more than one colon", s.data[start:i])
+	}
+	return s.data[start:i], nil
 }
 
 func (s *Scanner) skipSpace() {
@@ -301,7 +508,7 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 		return NoToken, s.errf("multiple root elements")
 	}
 	s.pos++ // consume '<'
-	name, err := s.scanName()
+	name, err := s.scanName(true)
 	if err != nil {
 		return NoToken, err
 	}
@@ -313,36 +520,29 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 		switch s.data[s.pos] {
 		case '>':
 			s.pos++
-			s.kind = StartToken
-			s.name = name
-			if len(s.openElems) == 0 {
-				s.roots++
-			}
-			s.openElems = append(s.openElems, name)
-			return s.kind, nil
 		case '/':
 			if s.pos+1 >= len(s.data) || s.data[s.pos+1] != '>' {
 				return NoToken, s.errf("malformed self-closing tag <%s", name)
 			}
 			s.pos += 2
-			s.kind = StartToken
-			s.name = name
-			if len(s.openElems) == 0 {
-				s.roots++
-			}
-			s.openElems = append(s.openElems, name)
 			s.pendingEnd = true
-			return s.kind, nil
 		default:
 			if err := s.scanAttr(); err != nil {
 				return NoToken, err
 			}
+			continue
 		}
+		s.name = name
+		if len(s.openElems) == 0 {
+			s.roots++
+		}
+		s.openElems = append(s.openElems, name)
+		return StartToken, nil
 	}
 }
 
 func (s *Scanner) scanAttr() error {
-	name, err := s.scanName()
+	name, err := s.scanName(true)
 	if err != nil {
 		return err
 	}
@@ -358,11 +558,8 @@ func (s *Scanner) scanAttr() error {
 	quote := s.data[s.pos]
 	s.pos++
 	start := s.pos
-	for s.pos < len(s.data) && s.data[s.pos] != quote {
-		if s.data[s.pos] == '<' {
-			return s.errf("'<' in attribute value of %s", name)
-		}
-		s.pos++
+	if err := s.scanData(quote); err != nil {
+		return err
 	}
 	if s.pos >= len(s.data) {
 		return s.errf("unterminated attribute value of %s", name)
@@ -374,7 +571,7 @@ func (s *Scanner) scanAttr() error {
 
 func (s *Scanner) scanEndTag() (TokenKind, error) {
 	s.pos += 2 // consume "</"
-	name, err := s.scanName()
+	name, err := s.scanName(true)
 	if err != nil {
 		return NoToken, err
 	}
@@ -391,38 +588,20 @@ func (s *Scanner) scanEndTag() (TokenKind, error) {
 		return NoToken, s.errf("mismatched end tag </%s>, open <%s>", name, open)
 	}
 	s.openElems = s.openElems[:len(s.openElems)-1]
-	s.kind = EndToken
 	s.name = name
-	return s.kind, nil
+	return EndToken, nil
 }
 
-// RawText returns the current Text token's raw bytes, entities still
-// encoded. The slice aliases the input buffer.
+// RawText returns the current Text token's raw bytes (entities still
+// encoded), a comment's text or a processing instruction's instruction.
+// The slice aliases the input buffer.
 func (s *Scanner) RawText() []byte { return s.text }
 
 // AppendTo appends the current Text token's decoded content to dst:
 // entity references are resolved (except inside CDATA sections, which
 // carry no markup) and line endings are normalized to "\n".
 func (s *Scanner) AppendTo(dst []byte) ([]byte, error) {
-	if s.cdata {
-		return appendNormalized(dst, s.text), nil
-	}
-	return appendUnescaped(dst, s.text, true)
-}
-
-// appendNormalized copies raw with "\r\n" and "\r" folded to "\n".
-func appendNormalized(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); i++ {
-		if raw[i] == '\r' {
-			dst = append(dst, '\n')
-			if i+1 < len(raw) && raw[i+1] == '\n' {
-				i++
-			}
-			continue
-		}
-		dst = append(dst, raw[i])
-	}
-	return dst
+	return appendDecoded(dst, s.text, s.cdata, false)
 }
 
 // IsWhitespace reports whether the current Text token is entirely XML
@@ -438,164 +617,145 @@ func (s *Scanner) IsWhitespace() bool {
 	return true
 }
 
-// AppendText appends the current Text token's content to dst with
-// entities decoded and XML line endings ("\r\n", "\r") normalized to
-// "\n", returning the extended slice.
-func AppendText(dst, raw []byte) ([]byte, error) {
-	return appendUnescaped(dst, raw, true)
-}
-
-// AttrValue decodes an attribute's raw value (entities decoded; line
-// ends normalized per attribute-value normalization to spaces is NOT
-// applied — callers here compare URIs, which carry no newlines).
+// AttrValue decodes an attribute's raw value: references are resolved
+// and, as XML 1.0 normalizes attribute values, every literal tab, newline
+// and line end ("\r\n" or "\r") becomes one space.
 func AttrValue(raw []byte) (string, error) {
-	if !needsUnescape(raw) {
+	if bytes.IndexAny(raw, "&\t\n\r") < 0 {
 		return string(raw), nil
 	}
-	out, err := appendUnescaped(nil, raw, false)
+	out, err := appendDecoded(nil, raw, false, true)
 	if err != nil {
 		return "", err
 	}
 	return string(out), nil
 }
 
-func needsUnescape(raw []byte) bool {
-	for _, c := range raw {
-		if c == '&' || c == '\r' {
-			return true
-		}
-	}
-	return false
-}
-
-func appendUnescaped(dst, raw []byte, normalizeNewlines bool) ([]byte, error) {
-	for i := 0; i < len(raw); {
+// appendDecoded appends raw to dst with references resolved (unless
+// literal, as in CDATA) and "\r\n" and "\r" folded to "\n", or, in an
+// attribute value (attr), with tabs and line ends folded to spaces.
+func appendDecoded(dst, raw []byte, literal, attr bool) ([]byte, error) {
+	for i := 0; i < len(raw); i++ {
 		c := raw[i]
-		switch c {
-		case '&':
-			end := i + 1
-			for end < len(raw) && end-i < 12 && raw[end] != ';' {
-				end++
+		switch {
+		case c == '&' && !literal:
+			r, n := ref(raw[i:])
+			if n == 0 {
+				return dst, fmt.Errorf("%w: malformed entity or character reference", ErrParse)
 			}
-			if end >= len(raw) || raw[end] != ';' {
-				return dst, fmt.Errorf("%w: unterminated entity", ErrParse)
+			dst = utf8.AppendRune(dst, r)
+			i += n - 1
+			continue
+		case c == '\r':
+			if i+1 < len(raw) && raw[i+1] == '\n' {
+				i++
 			}
-			ent := string(raw[i+1 : end])
-			switch ent {
-			case "amp":
-				dst = append(dst, '&')
-			case "lt":
-				dst = append(dst, '<')
-			case "gt":
-				dst = append(dst, '>')
-			case "quot":
-				dst = append(dst, '"')
-			case "apos":
-				dst = append(dst, '\'')
-			default:
-				r, err := decodeCharRef(ent)
-				if err != nil {
-					return dst, err
-				}
-				dst = utf8.AppendRune(dst, r)
-			}
-			i = end + 1
-		case '\r':
-			if normalizeNewlines {
-				dst = append(dst, '\n')
-				if i+1 < len(raw) && raw[i+1] == '\n' {
-					i++
-				}
-			} else {
-				dst = append(dst, c)
-			}
-			i++
-		default:
-			dst = append(dst, c)
-			i++
+			c = '\n'
 		}
+		if attr && (c == '\t' || c == '\n') {
+			c = ' '
+		}
+		dst = append(dst, c)
 	}
 	return dst, nil
 }
 
-func decodeCharRef(ent string) (rune, error) {
-	if len(ent) < 2 || ent[0] != '#' {
-		return 0, fmt.Errorf("%w: unknown entity &%s;", ErrParse, ent)
+// predefined are the entities XML defines without a DTD.
+var predefined = [...]struct {
+	ref string
+	r   rune
+}{{"&amp;", '&'}, {"&lt;", '<'}, {"&gt;", '>'}, {"&quot;", '"'}, {"&apos;", '\''}}
+
+// ref reads the reference at the start of b and returns the character it
+// stands for and its length, or n == 0 if b does not start with a
+// predefined entity or a well-formed character reference ("&#" decimal
+// ";" or "&#x" hexadecimal ";", at most utf8.MaxRune).
+func ref(b []byte) (r rune, n int) {
+	for _, p := range predefined {
+		if hasPrefixAt(b, 0, p.ref) {
+			return p.r, len(p.ref)
+		}
 	}
-	body := ent[1:]
-	base := 10
-	if body[0] == 'x' || body[0] == 'X' {
-		body = body[1:]
-		base = 16
+	if len(b) < 3 || b[1] != '#' {
+		return 0, 0
 	}
-	var n rune
-	if body == "" {
-		return 0, fmt.Errorf("%w: empty character reference", ErrParse)
+	i, base := 2, rune(10)
+	if b[2] == 'x' {
+		i, base = 3, 16
 	}
-	for _, c := range body {
-		var d rune
-		switch {
+	start := i
+	for ; i < len(b) && b[i] != ';'; i++ {
+		d := rune(16)
+		switch c := b[i]; {
 		case c >= '0' && c <= '9':
-			d = c - '0'
-		case base == 16 && c >= 'a' && c <= 'f':
-			d = c - 'a' + 10
-		case base == 16 && c >= 'A' && c <= 'F':
-			d = c - 'A' + 10
-		default:
-			return 0, fmt.Errorf("%w: bad character reference &%s;", ErrParse, ent)
+			d = rune(c - '0')
+		case c >= 'a' && c <= 'f':
+			d = rune(c-'a') + 10
+		case c >= 'A' && c <= 'F':
+			d = rune(c-'A') + 10
 		}
-		n = n*rune(base) + d
-		if n > utf8.MaxRune {
-			return 0, fmt.Errorf("%w: character reference out of range", ErrParse)
+		if d >= base {
+			return 0, 0
+		}
+		if r = r*base + d; r > utf8.MaxRune {
+			return 0, 0
 		}
 	}
-	return n, nil
+	if i == start || i == len(b) {
+		return 0, 0
+	}
+	return r, i + 1
 }
 
-// EscapeElementText appends s to dst with the characters that cannot
-// appear literally in element content escaped: '&', '<', '>' and '\r'
-// (which XML parsers would otherwise normalize to '\n'). This writes the
-// escaped form directly — no intermediate buffer — which is the soap
+// EscapeElementText appends s to dst escaped for element content: '&',
+// '<' and '>' as entities and '\r' as "&#xD;" (which a reader would
+// otherwise normalize to '\n'). It writes straight into dst, the soap
 // encoder's single-pass fast path.
-func EscapeElementText(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		case '\r':
-			dst = append(dst, "&#xD;"...)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
+func EscapeElementText(dst []byte, s string) []byte { return escape(dst, s, false) }
 
 // EscapeAttrValue appends s to dst escaped for a double-quoted attribute
-// value: '&', '<', '"' plus the whitespace characters attribute-value
-// normalization would fold ('\t', '\n', '\r').
-func EscapeAttrValue(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '"':
-			dst = append(dst, "&quot;"...)
-		case '\t':
-			dst = append(dst, "&#x9;"...)
-		case '\n':
-			dst = append(dst, "&#xA;"...)
-		case '\r':
-			dst = append(dst, "&#xD;"...)
+// value: '&', '<', '"' and the characters attribute-value normalization
+// would fold ('\t', '\n', '\r').
+func EscapeAttrValue(dst []byte, s string) []byte { return escape(dst, s, true) }
+
+// escape writes s for content or an attribute value. Both kinds write an
+// invalid UTF-8 byte or a rune that is not an XML Char as U+FFFD, so what
+// they write always reads back.
+func escape(dst []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		c, n := s[i], 1
+		var esc string
+		switch {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>' && !attr:
+			esc = "&gt;"
+		case c == '"' && attr:
+			esc = "&quot;"
+		case c == '\r':
+			esc = "&#xD;"
+		case c == '\n' && attr:
+			esc = "&#xA;"
+		case c == '\t' && attr:
+			esc = "&#x9;"
+		case c >= ' ' && c < utf8.RuneSelf, c == '\n', c == '\t':
+			i++
+			continue
 		default:
-			dst = append(dst, c)
+			var r rune
+			if r, n = utf8.DecodeRuneInString(s[i:]); isChar(r) && n > 1 {
+				i += n
+				continue
+			}
+			esc = "\uFFFD"
 		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, esc...)
+		i += n
+		last = i
 	}
-	return dst
+	return append(dst, s[last:]...)
 }

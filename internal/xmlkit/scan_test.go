@@ -1,15 +1,20 @@
-package xmlkit
+package xmlkit_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"soc/internal/soap"
+	"soc/internal/xmlkit"
 )
 
 // collectTokens drains the scanner into a compact trace for comparison.
 func collectTokens(t *testing.T, doc string) ([]string, error) {
 	t.Helper()
-	s := AcquireScanner([]byte(doc))
-	defer ReleaseScanner(s)
+	s := xmlkit.AcquireScanner([]byte(doc))
+	defer xmlkit.ReleaseScanner(s)
 	var out []string
 	for {
 		kind, err := s.Next()
@@ -17,21 +22,21 @@ func collectTokens(t *testing.T, doc string) ([]string, error) {
 			return out, err
 		}
 		switch kind {
-		case NoToken:
+		case xmlkit.NoToken:
 			return out, nil
-		case StartToken:
+		case xmlkit.StartToken:
 			entry := "<" + string(s.Name())
 			for _, a := range s.Attrs() {
-				v, err := AttrValue(a.Value)
+				v, err := xmlkit.AttrValue(a.Value)
 				if err != nil {
 					return out, err
 				}
 				entry += " " + string(a.Name) + "=" + v
 			}
 			out = append(out, entry)
-		case EndToken:
+		case xmlkit.EndToken:
 			out = append(out, "</"+string(s.Name()))
-		case TextToken:
+		case xmlkit.TextToken:
 			if s.IsWhitespace() {
 				continue
 			}
@@ -104,6 +109,22 @@ func TestScannerMalformed(t *testing.T) {
 		"truncated tag":      `<a`,
 		"bad name start":     `<1tag/>`,
 		"empty document":     ``,
+		"uppercase X ref":    `<a>&#X41;</a>`,
+		"surrogate ref":      `<a>&#xD800;</a>`,
+		"ref out of range":   `<a>&#x110000;</a>`,
+		"control char":       "<a>\x01</a>",
+		"non-Char in attr":   "<a x='\uFFFE'/>",
+		"non-Char in cdata":  "<a><![CDATA[\x00]]></a>",
+		"non-Char comment":   "<a><!--\x1b--></a>",
+		"comment ends early": `<a><!--></a>`,
+		"comment ends ---":   `<a><!-- x ---></a>`,
+		"name char":          "<a\u00d7/>",
+		"colon name":         `<a x:y:z="1"/>`,
+		"xml version 1.1":    `<?xml version="1.1"?><a/>`,
+		"pi without target":  `<? x?><a/>`,
+		"doctype in root":    `<a><!DOCTYPE a></a>`,
+		"two doctypes":       `<!DOCTYPE a><!DOCTYPE a><a/>`,
+		"element decl":       `<!ELEMENT a ANY><a/>`,
 	}
 	for name, doc := range cases {
 		if _, err := collectTokens(t, doc); err == nil {
@@ -124,18 +145,18 @@ func TestScannerSelfClosingRoot(t *testing.T) {
 }
 
 func TestScannerLocalName(t *testing.T) {
-	s := AcquireScanner([]byte(`<soap:Envelope xmlns:soap="u"><soap:Body/></soap:Envelope>`))
-	defer ReleaseScanner(s)
+	s := xmlkit.AcquireScanner([]byte(`<soap:Envelope xmlns:soap="u"><soap:Body/></soap:Envelope>`))
+	defer xmlkit.ReleaseScanner(s)
 	var locals []string
 	for {
 		kind, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == NoToken {
+		if kind == xmlkit.NoToken {
 			break
 		}
-		if kind == StartToken {
+		if kind == xmlkit.StartToken {
 			locals = append(locals, string(s.LocalName()))
 		}
 	}
@@ -148,26 +169,26 @@ func TestEscapeElementTextRoundTrip(t *testing.T) {
 	for _, val := range []string{
 		"plain", "a&b<c>d", `"quoted" & 'apos'`, "tab\tnl\ncr\rend", "uni ☃ 漢",
 	} {
-		doc := append([]byte("<v>"), EscapeElementText(nil, val)...)
+		doc := append([]byte("<v>"), xmlkit.EscapeElementText(nil, val)...)
 		doc = append(doc, "</v>"...)
-		s := AcquireScanner(doc)
+		s := xmlkit.AcquireScanner(doc)
 		var got []byte
 		for {
 			kind, err := s.Next()
 			if err != nil {
 				t.Fatalf("%q: %v", val, err)
 			}
-			if kind == NoToken {
+			if kind == xmlkit.NoToken {
 				break
 			}
-			if kind == TextToken {
+			if kind == xmlkit.TextToken {
 				got, err = s.AppendTo(got)
 				if err != nil {
 					t.Fatalf("%q: %v", val, err)
 				}
 			}
 		}
-		ReleaseScanner(s)
+		xmlkit.ReleaseScanner(s)
 		want := strings.ReplaceAll(strings.ReplaceAll(val, "\r\n", "\n"), "\r", "\n")
 		if string(got) != want && val != "tab\tnl\ncr\rend" {
 			t.Errorf("round trip %q = %q", val, got)
@@ -180,16 +201,16 @@ func TestEscapeElementTextRoundTrip(t *testing.T) {
 }
 
 func TestScannerZeroAlloc(t *testing.T) {
-	doc := []byte(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body><Echo xmlns="http://soc.example/echo"><text>hello world</text></Echo></soap:Body></soap:Envelope>`)
-	s := AcquireScanner(doc)
-	defer ReleaseScanner(s)
+	doc := []byte(xmlkit.Header + `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><!-- c --><soap:Body><Echo xmlns="http://soc.example/echo"><text>hello &amp; world ☃</text></Echo></soap:Body></soap:Envelope>`)
+	s := xmlkit.AcquireScanner(doc)
+	defer xmlkit.ReleaseScanner(s)
 	// Warm up internal slices (attr and element stacks grow once).
 	for {
 		kind, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == NoToken {
+		if kind == xmlkit.NoToken {
 			break
 		}
 	}
@@ -200,12 +221,59 @@ func TestScannerZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kind == NoToken {
+			if kind == xmlkit.NoToken {
 				return
 			}
 		}
 	})
 	if allocs > 0 {
 		t.Errorf("scan allocates %.1f per document, want 0", allocs)
+	}
+}
+
+// splitInputs are documents that XML 1.0 forbids and that the SOAP path
+// once accepted while the DOM refused them. Each is a SOAP envelope but
+// for its one defect: okInput is the same envelope without it.
+var splitInputs = []struct{ name, doc string }{
+	{"character reference to U+0000", splitEnvelope("", "&#0;")},
+	{"invalid UTF-8 in text", splitEnvelope("", "a\xffb")},
+	{"]]> in content", splitEnvelope("", "a]]>b")},
+	{"-- inside a comment", splitEnvelope("", "<!-- a -- b -->")},
+	{"name with two colons", splitEnvelope("", "<a:b:c/>")},
+	{"encoding other than UTF-8", splitEnvelope(`<?xml version="1.0" encoding="latin1"?>`, "x")},
+}
+
+var okInput = splitEnvelope(xmlkit.Header, "a &amp; b <!-- a - b --><c/>")
+
+func splitEnvelope(prolog, text string) string {
+	return fmt.Sprintf(`%s<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body>`+
+		`<Echo xmlns="http://soc.example/echo"><text>%s</text></Echo></soap:Body></soap:Envelope>`, prolog, text)
+}
+
+// TestSplitInputsRejectedOnEveryPath: the Scanner, SAX, the DOM and the
+// SOAP codec all refuse each split input, and all accept okInput.
+func TestSplitInputsRejectedOnEveryPath(t *testing.T) {
+	paths := []struct {
+		name string
+		want error
+		read func(doc string) error
+	}{
+		{"Scanner", xmlkit.ErrParse, func(doc string) error { return scanAll([]byte(doc)) }},
+		{"Parse", xmlkit.ErrParse, func(doc string) error { return xmlkit.ParseString(doc, xmlkit.BaseHandler{}) }},
+		{"ParseDocumentString", xmlkit.ErrParse, func(doc string) error { _, err := xmlkit.ParseDocumentString(doc); return err }},
+		{"soap.DecodeBytes", soap.ErrProtocol, func(doc string) error { _, err := soap.DecodeBytes([]byte(doc)); return err }},
+	}
+	for _, p := range paths {
+		if err := p.read(okInput); err != nil {
+			t.Errorf("%s rejects the control envelope: %v", p.name, err)
+		}
+		for _, in := range splitInputs {
+			err := p.read(in.doc)
+			if err == nil {
+				t.Errorf("%s accepts %s: %q", p.name, in.name, in.doc)
+			} else if !errors.Is(err, p.want) {
+				t.Errorf("%s rejects %s with %v, not %v", p.name, in.name, err, p.want)
+			}
+		}
 	}
 }
