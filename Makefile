@@ -71,14 +71,16 @@ race:
 ## other locked tables: the metrics set's records racing its report, a
 ## binding client's per-operation records filled concurrently, the front
 ## door's picks racing membership churn, and the host's dispatch racing
-## Mount; and sampled traces whole or absent across a client, a door and
-## three hosts whose tracers race to record them
+## Mount; sampled traces whole or absent across a client, a door and
+## three hosts whose tracers race to record them; and cursor readers of
+## a trace ring (Since) racing its recorders, each seeing every span once
+## in order or counting it lost
 flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
 	$(GO) test -race -count=20 -run 'TestDoDeadline|TestRecordsResolveOncePerKeyAndStayBounded' ./internal/callplane
 	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry
-	$(GO) test -race -count=20 -run TestReportAgreesWithRecords ./internal/telemetry
+	$(GO) test -race -count=20 -run 'TestReportAgreesWithRecords|TestSinceAgainstConcurrentRecorders' ./internal/telemetry
 	$(GO) test -race -count=20 -run TestFrontDoorChurnParallel ./internal/cloud
 	$(GO) test -race -count=20 -run 'TestMountDuringInvokeParallel|TestTracesWholeOrAbsent' ./internal/host
 

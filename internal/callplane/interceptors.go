@@ -18,7 +18,7 @@ import (
 func WithSpan(t *telemetry.Tracer, kind telemetry.Kind) Interceptor {
 	return func(next Transport) Transport {
 		return TransportFunc(func(ctx context.Context, inv *Invocation) error {
-			parent, unsampled := traceOf(ctx, inv)
+			parent, unsampled := TraceOf(ctx, inv)
 			if unsampled {
 				return next.RoundTrip(ctx, inv)
 			}
@@ -41,11 +41,11 @@ func WithSpan(t *telemetry.Tracer, kind telemetry.Kind) Interceptor {
 	}
 }
 
-// traceOf resolves the invocation's trace as StartSpan would: the
+// TraceOf resolves the invocation's trace as StartSpan would: the
 // context's first, then the remote the inbound hop carried. A hop on an
 // unsampled remote leaves its context as it found it, so the attempt
 // below reads the decision from inv.Remote too.
-func traceOf(ctx context.Context, inv *Invocation) (parent telemetry.SpanContext, unsampled bool) {
+func TraceOf(ctx context.Context, inv *Invocation) (parent telemetry.SpanContext, unsampled bool) {
 	parent = telemetry.SpanContextOf(ctx)
 	if !parent.Valid() {
 		parent = inv.Remote
@@ -61,7 +61,7 @@ func WithAttemptSpan(t *telemetry.Tracer) Interceptor {
 	return func(next Transport) Transport {
 		return TransportFunc(func(ctx context.Context, inv *Invocation) error {
 			inv.Attempt++
-			parent, unsampled := traceOf(ctx, inv)
+			parent, unsampled := TraceOf(ctx, inv)
 			if unsampled {
 				return next.RoundTrip(ctx, inv)
 			}

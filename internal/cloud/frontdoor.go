@@ -475,12 +475,15 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 
 	start := clk.Now()
 	pc.fd, pc.r, pc.clk = fd, r, clk
-	// One string serves as the span name and, past its prefix, as the
-	// operation.
-	name, _ := fd.spanNames.Get(spanKey{r.Method, r.URL.Path}, spanName)
-	pc.inv.Service, pc.inv.Operation, pc.inv.SpanName = "frontdoor", name[len("frontdoor."):], name
 	pc.inv.Binding = "proxy"
 	pc.inv.Remote, _ = telemetry.FromHTTPHeader(r.Header)
+	// Only the request's span reads its name, so an untraced door or an
+	// unsampled trace skips the lookup. One string serves as the span
+	// name and, past its prefix, as the operation.
+	if _, unsampled := callplane.TraceOf(ctx, &pc.inv); fd.tracer != nil && !unsampled {
+		name, _ := fd.spanNames.Get(spanKey{r.Method, r.URL.Path}, spanName)
+		pc.inv.Service, pc.inv.Operation, pc.inv.SpanName = "frontdoor", name[len("frontdoor."):], name
+	}
 	err := fd.chain.RoundTrip(ctx, &pc.inv)
 	switch {
 	case err == nil:

@@ -405,6 +405,49 @@ func TestFrontDoorCallerGaveUpIsNotAReplicaFailure(t *testing.T) {
 	}
 }
 
+// TestFrontDoorUnsampledSkipsSpanName: only a sampled request's span
+// reads its name, so unsampled requests leave the door's name table
+// empty and a sampled one fills it.
+func TestFrontDoorUnsampledSkipsSpanName(t *testing.T) {
+	fd := NewFrontDoor(FrontDoorConfig{Tracer: telemetry.NewSamplingTracer(16, 1)})
+	fd.Add(NewLocalReplica("r1", okHandler("ok"), 0))
+	const path = "/services/Echo/invoke/Echo"
+	send := func(sampled bool) {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		sc := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID(), Sampled: sampled}
+		req.Header.Set(telemetry.HeaderName, telemetry.FormatTraceParent(sc))
+		rec := httptest.NewRecorder()
+		fd.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sampled=%t: got %d", sampled, rec.Code)
+		}
+	}
+	// Get resolves only a key the table lacks.
+	cached := func() bool {
+		miss := false
+		_, _ = fd.spanNames.Get(spanKey{http.MethodGet, path}, func(k spanKey) (string, error) {
+			miss = true
+			return spanName(k)
+		})
+		return !miss
+	}
+	for i := 0; i < 3; i++ {
+		send(false)
+	}
+	if cached() {
+		t.Fatal("unsampled requests looked up the span name")
+	}
+	fd = NewFrontDoor(FrontDoorConfig{Tracer: telemetry.NewSamplingTracer(16, 1)})
+	fd.Add(NewLocalReplica("r1", okHandler("ok"), 0))
+	send(true)
+	if !cached() {
+		t.Fatal("a sampled request left the span name table empty")
+	}
+	if spans := fd.tracer.Snapshot(); len(spans) == 0 || spans[len(spans)-1].Name != "frontdoor.GET "+path {
+		t.Fatalf("sampled request's spans = %+v, want the door's root last", spans)
+	}
+}
+
 // TestFrontDoorChurnParallel: proxied requests race a writer that adds,
 // removes and drains replicas. Every request ends in a replica's 200 or
 // the door's own 503 or 502, and once the churn stops a drained replica

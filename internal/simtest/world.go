@@ -229,6 +229,7 @@ type simReplica struct {
 	alive       bool
 	incarnation int
 	h           *host.Host
+	spanCursor  uint64            // how far drain has read h's tracer
 	rt          http.RoundTripper // fault injector wrapped around delivery
 
 	// disk is the replica's simulated disk: it survives restarts (it is
@@ -261,6 +262,7 @@ type World struct {
 	clock        *vtime.Virtual
 	ctx          context.Context
 	clientTracer *telemetry.Tracer
+	clientCursor uint64 // how far drain has read clientTracer
 	replicas     []*simReplica
 	clients      []*host.ResilientClient
 	health       *reliability.HealthChecker
@@ -539,7 +541,7 @@ func (r *simReplica) boot() error {
 		}
 	}
 	h.UseResponseCache(cacheCapacity, cacheTTL)
-	r.h = h
+	r.h, r.spanCursor = h, 0
 	// Recover the durable directory from the replica's disk: the write-
 	// ahead log (as salvaged after any crash) rebuilds exactly the acked
 	// directory state of the previous incarnations.
@@ -713,7 +715,7 @@ func (w *World) runStep(i int, st Step) StepRecord {
 		r := w.replicas[mod(st.Replica, len(w.replicas))]
 		// Archive anything still in the dying incarnation's ring before
 		// the host is replaced (normally empty: every step drains).
-		w.pendingSpans = append(w.pendingSpans, drain(r.h.Tracer())...)
+		w.pendingSpans = append(w.pendingSpans, drain(r.h.Tracer(), &r.spanCursor)...)
 		if err := r.boot(); err != nil {
 			// A failed boot (recovery tripped over an injected disk fault)
 			// leaves the replica down; a later restart retries.
@@ -783,9 +785,9 @@ func (w *World) runStep(i int, st Step) StepRecord {
 
 	sr.ElapsedMs = int64(w.clock.Now().Sub(start) / time.Millisecond)
 	spans := append([]telemetry.Span(nil), w.pendingSpans...)
-	spans = append(spans, drain(w.clientTracer)...)
+	spans = append(spans, drain(w.clientTracer, &w.clientCursor)...)
 	for _, r := range w.replicas {
-		spans = append(spans, drain(r.h.Tracer())...)
+		spans = append(spans, drain(r.h.Tracer(), &r.spanCursor)...)
 	}
 	sr.Spans = spans
 	sr.Delivered = w.stepDelivered
@@ -1106,9 +1108,10 @@ func (w *World) checkSettled(step int) []Violation {
 	return out
 }
 
-func drain(t *telemetry.Tracer) []telemetry.Span {
-	s := t.Snapshot()
-	t.Reset()
+// drain returns the spans t recorded since *cursor and advances it.
+func drain(t *telemetry.Tracer, cursor *uint64) []telemetry.Span {
+	s, next, _ := t.Since(*cursor)
+	*cursor = next
 	return s
 }
 

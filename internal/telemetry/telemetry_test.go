@@ -3,9 +3,11 @@ package telemetry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -270,9 +272,93 @@ func TestRingWrap(t *testing.T) {
 	if tr.Recorded() != 10 {
 		t.Fatalf("Recorded = %d, want 10", tr.Recorded())
 	}
-	tr.Reset()
-	if tr.Snapshot() != nil || tr.Recorded() != 0 {
-		t.Fatal("Reset did not clear the ring")
+	// A cursor the ring has lapped reads what survives and counts the
+	// rest: after b (seq 2), c–f were overwritten.
+	spans, next, lost := tr.Since(2)
+	if names := spanNames(spans); names != "ghij" || next != 10 || lost != 4 {
+		t.Fatalf("Since(2) = %q next=%d lost=%d, want \"ghij\" next=10 lost=4", names, next, lost)
+	}
+	if spans, next, lost := tr.Since(10); spans != nil || next != 10 || lost != 0 {
+		t.Fatalf("Since(10) = %d spans next=%d lost=%d, want none at 10", len(spans), next, lost)
+	}
+	var nilTracer *Tracer
+	if spans, next, lost := nilTracer.Since(7); spans != nil || next != 7 || lost != 0 {
+		t.Fatalf("nil Since(7) = %d spans next=%d lost=%d, want (nil, 7, 0)", len(spans), next, lost)
+	}
+}
+
+func spanNames(spans []Span) string {
+	var b strings.Builder
+	for _, sp := range spans {
+		b.WriteString(sp.Name)
+	}
+	return b.String()
+}
+
+// TestSinceAgainstConcurrentRecorders runs cursor readers while
+// recorders fill a small ring (run it under -race): each reader sees every
+// recorder's spans in the order it recorded them, never twice, and every
+// sequence number is either read or counted lost.
+func TestSinceAgainstConcurrentRecorders(t *testing.T) {
+	const recorders, readers, perRecorder = 4, 3, 2000
+	tr := NewSamplingTracer(64, 1)
+	var recording sync.WaitGroup
+	for g := 0; g < recorders; g++ {
+		recording.Add(1)
+		go func() {
+			defer recording.Done()
+			for i := 1; i <= perRecorder; i++ {
+				sp, _ := tr.StartSpan(context.Background(), KindInternal, "r")
+				sp.Target, sp.Attempt = string(rune('a'+g)), i
+				sp.End()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { recording.Wait(); close(done) }()
+
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			var cursor, read, lost uint64
+			last := map[string]int{}
+			for finished := false; ; {
+				select {
+				case <-done:
+					finished = true
+				default:
+				}
+				spans, next, l := tr.Since(cursor)
+				if next < cursor || uint64(len(spans))+l != next-cursor {
+					errs <- fmt.Sprintf("Since(%d) = %d spans, next %d, lost %d: (cursor, next] not accounted for", cursor, len(spans), next, l)
+					return
+				}
+				for _, sp := range spans {
+					if sp.Attempt <= last[sp.Target] {
+						errs <- fmt.Sprintf("recorder %s: span %d read after %d", sp.Target, sp.Attempt, last[sp.Target])
+						return
+					}
+					last[sp.Target] = sp.Attempt
+				}
+				cursor, read, lost = next, read+uint64(len(spans)), lost+l
+				// A pass that starts after every recorder returned reads
+				// to the end, so it is the last one.
+				if finished && cursor == tr.Recorded() {
+					break
+				}
+			}
+			if total := uint64(recorders * perRecorder); read+lost != total {
+				errs <- fmt.Sprintf("read %d + lost %d != recorded %d", read, lost, total)
+				return
+			}
+			t.Logf("reader: %d spans read, %d lost", read, lost)
+			errs <- ""
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		if e := <-errs; e != "" {
+			t.Error(e)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +32,9 @@ type Annotation struct {
 }
 
 // Span is one timed unit of work in a trace. Fields are exported because
-// Tracer.Snapshot returns spans by value for inspection; live spans are
-// owned by the tracer's pool and must only be touched through methods.
+// Tracer.Since and Tracer.Snapshot return finished spans by value, copied
+// out of the ring; live spans are owned by the tracer's pool and must only
+// be touched through methods.
 type Span struct {
 	TraceID TraceID
 	SpanID  SpanID
@@ -141,9 +141,10 @@ type tracerSlot struct {
 // capacity spans survive, older ones are overwritten — the per-host
 // always-on flight recorder behind GET /tracez. The ring position is
 // claimed with one atomic increment and each position has its own lock,
-// so concurrent span ends don't serialize on a global mutex. The zero
-// ring is allocated on first record, so idle tracers cost a struct. A
-// nil *Tracer is valid and records nothing.
+// so concurrent span ends don't serialize on a global mutex. Readers walk
+// the sequence numbers from a cursor (Since); the ring is allocated on
+// first record and never dropped, so idle tracers cost a struct. A nil
+// *Tracer is valid and records nothing.
 //
 // A tracer samples the traces whose root it starts, at its rate R: the
 // k-th root is sampled iff splitmix64 of k, from a fixed seed, falls
@@ -156,8 +157,8 @@ type Tracer struct {
 	capacity int
 	sampler  sampler
 
-	initMu sync.Mutex
-	ring   atomic.Pointer[[]tracerSlot]
+	ringOnce sync.Once
+	ring     []tracerSlot
 	// next is the total recorded count; span i (1-based) lives in slot
 	// (i-1) mod capacity.
 	next atomic.Uint64
@@ -330,20 +331,10 @@ func (t *Tracer) Event(remote SpanContext, kind Kind, name, key, value string) {
 	t.record(&sp)
 }
 
-// slots returns the ring, allocating it on first use (double-checked so
-// the steady state is one atomic load).
+// slots returns the ring, allocating it on first use.
 func (t *Tracer) slots() []tracerSlot {
-	if r := t.ring.Load(); r != nil {
-		return *r
-	}
-	t.initMu.Lock()
-	defer t.initMu.Unlock()
-	if r := t.ring.Load(); r != nil {
-		return *r
-	}
-	r := make([]tracerSlot, t.capacity)
-	t.ring.Store(&r)
-	return r
+	t.ringOnce.Do(func() { t.ring = make([]tracerSlot, t.capacity) })
+	return t.ring
 }
 
 // record copies the finished span value into the ring: claim a sequence
@@ -365,36 +356,52 @@ func (t *Tracer) record(sp *Span) {
 	s.mu.Unlock()
 }
 
-// Snapshot returns the retained spans, oldest first (ascending record
-// order).
-func (t *Tracer) Snapshot() []Span {
+// Since returns the spans recorded after cursor, oldest first, with the
+// cursor to pass next time and the number of spans after cursor that the
+// ring overwrote before they could be read: every sequence number in
+// (cursor, next] is either returned or counted in lost. It stops before a
+// sequence number whose writer has claimed its slot but not yet filled
+// it, so a later call resumes there. Cursor 0 reads from the oldest span
+// retained; a nil tracer returns (nil, cursor, 0).
+func (t *Tracer) Since(cursor uint64) (spans []Span, next, lost uint64) {
 	if t == nil {
-		return nil
+		return nil, cursor, 0
 	}
-	r := t.ring.Load()
-	if r == nil {
-		return nil
+	end := t.next.Load()
+	if end <= cursor {
+		return nil, cursor, 0
 	}
-	ring := *r
-	type seqSpan struct {
-		seq  uint64
-		span Span
+	// end > 0, so the ring exists: record fills it before claiming a
+	// sequence number.
+	ring, capacity := t.ring, uint64(t.capacity)
+	seq := cursor + 1
+	if end > capacity && seq <= end-capacity {
+		lost = end - capacity - cursor
+		seq = end - capacity + 1
 	}
-	filled := make([]seqSpan, 0, len(ring))
-	for i := range ring {
-		s := &ring[i]
+	spans = make([]Span, 0, end-seq+1)
+	for ; seq <= end; seq++ {
+		s := &ring[(seq-1)%capacity]
 		s.mu.Lock()
-		if s.seq > 0 {
-			filled = append(filled, seqSpan{seq: s.seq, span: s.span})
+		switch {
+		case s.seq == seq:
+			spans = append(spans, s.span)
+		case s.seq > seq:
+			lost++
+		default:
+			s.mu.Unlock()
+			return spans, seq - 1, lost
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(filled, func(i, j int) bool { return filled[i].seq < filled[j].seq })
-	out := make([]Span, len(filled))
-	for i, f := range filled {
-		out[i] = f.span
-	}
-	return out
+	return spans, end, lost
+}
+
+// Snapshot returns the retained spans, oldest first (ascending record
+// order).
+func (t *Tracer) Snapshot() []Span {
+	spans, _, _ := t.Since(0)
+	return spans
 }
 
 // Recorded reports how many spans were ever recorded (including ones the
@@ -404,15 +411,4 @@ func (t *Tracer) Recorded() uint64 {
 		return 0
 	}
 	return t.next.Load()
-}
-
-// Reset drops all retained spans.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.initMu.Lock()
-	defer t.initMu.Unlock()
-	t.ring.Store(nil)
-	t.next.Store(0)
 }

@@ -204,12 +204,19 @@ func ParseDocumentString(doc string) (*Document, error) {
 // first.
 const Header = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
-// Write serializes the document to w with 2-space indentation.
+// Write serializes the document to w with 2-space indentation. It writes
+// nothing and returns an ErrParse error if the tree holds what no XML
+// document can: a name the Scanner would refuse, or a comment holding
+// "--" or ending in '-'.
 func (d *Document) Write(w io.Writer) error {
 	if d.Root == nil {
 		return fmt.Errorf("%w: empty document", ErrParse)
 	}
-	_, err := w.Write(appendNode([]byte(Header), d.Root, 0))
+	out, err := appendNode([]byte(Header), d.Root, 0)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(out)
 	return err
 }
 
@@ -222,39 +229,61 @@ func (d *Document) String() string {
 	return b.String()
 }
 
-func appendNode(dst []byte, n *Node, depth int) []byte {
+func appendNode(dst []byte, n *Node, depth int) ([]byte, error) {
 	for i := 0; i < depth; i++ {
 		dst = append(dst, "  "...)
 	}
 	switch n.Type {
 	case TextNode:
-		return append(EscapeElementText(dst, n.Data), '\n')
+		return append(EscapeElementText(dst, n.Data), '\n'), nil
 	case CommentNode:
+		if strings.Contains(n.Data, "--") || strings.HasSuffix(n.Data, "-") {
+			return nil, fmt.Errorf("%w: comment %q holds \"--\" or ends in '-'", ErrParse, n.Data)
+		}
 		dst = append(append(dst, "<!--"...), n.Data...)
-		return append(dst, "-->\n"...)
+		return append(dst, "-->\n"...), nil
+	}
+	if err := checkName(n.Name); err != nil {
+		return nil, err
 	}
 	dst = append(append(dst, '<'), n.Name...)
 	for _, a := range n.Attrs {
+		if err := checkName(a.Name); err != nil {
+			return nil, err
+		}
 		dst = append(append(append(dst, ' '), a.Name...), `="`...)
 		dst = append(EscapeAttrValue(dst, a.Value), '"')
 	}
 	switch {
 	case len(n.Children) == 0:
-		return append(dst, "/>\n"...)
+		return append(dst, "/>\n"...), nil
 	case len(n.Children) == 1 && n.Children[0].Type == TextNode:
 		// A single text child renders inline: <a>text</a>.
 		dst = EscapeElementText(append(dst, '>'), n.Children[0].Data)
 	default:
 		dst = append(dst, ">\n"...)
 		for _, c := range n.Children {
-			dst = appendNode(dst, c, depth+1)
+			var err error
+			if dst, err = appendNode(dst, c, depth+1); err != nil {
+				return nil, err
+			}
 		}
 		for i := 0; i < depth; i++ {
 			dst = append(dst, "  "...)
 		}
 	}
 	dst = append(append(append(dst, "</"...), n.Name...), '>')
-	return append(dst, '\n')
+	return append(dst, '\n'), nil
+}
+
+// checkName returns an ErrParse error unless name is one element or
+// attribute name, by the Scanner's rule.
+func checkName(name string) error {
+	s := Scanner{data: []byte(name)}
+	if _, err := s.scanName(true); err != nil || s.pos < len(name) {
+		return fmt.Errorf("%w: %q is not an XML name", ErrParse, name)
+	}
+	return nil
 }
 
 // ElementNames returns the sorted distinct element names in the document —

@@ -50,6 +50,9 @@ func FuzzScanner(f *testing.F) {
 		"<a>&#xD800;</a>",
 		"<a\u2070/>",
 		"<a/><!DOCTYPE a>", "<!ELEMENT a ANY><a/>",
+		"x<a/>", "<a/>&amp;", "<![CDATA[ ]]><a/>",
+		`<a b="1"c='2'/>`, `<a b='"'/>`,
+		`<a><?xml version="1.0"?></a>`, ` <?xml version="1.0"?><a/>`, "\uFEFF<?xml version='1.0'?><a/>",
 		"<a x='1\t2\r\n3\n'/>",
 		"\uFEFF<a/>",
 	} {
@@ -116,11 +119,20 @@ func checkAgainstEncodingXML(t *testing.T, data []byte) {
 //   - it checks names against the tables of XML 1.0's fourth edition,
 //     narrower than the fifth's, which the Scanner follows;
 //   - it takes any "<!…>" declaration anywhere, where XML 1.0 allows one
-//     DOCTYPE, before the root (readWithEncodingXML reports this one);
+//     DOCTYPE, before the root;
+//   - it takes character data outside the root element, where XML 1.0
+//     allows only whitespace and no CDATA section;
+//   - it takes attributes with no whitespace between them;
+//   - it takes an XML declaration anywhere, where XML 1.0 allows one, at
+//     the start of the document;
 //   - it does not normalize attribute values: equal folds the tabs and
 //     line ends that XML 1.0 turns into spaces;
 //   - it reads a byte-order mark as character data (readWithEncodingXML
 //     drops it).
+//
+// readWithEncodingXML reports the markup departures (declarations,
+// character data outside the root, attribute spacing and the XML
+// declaration's place).
 var (
 	markupChar    = regexp.MustCompile(`(illegal character U\+[0-9A-F]+|invalid UTF-8) in (comment|processing instruction|DOCTYPE)$`)
 	surrogateRef  = regexp.MustCompile(`character reference to U\+D[89A-F][0-9A-F]{2}$`)
@@ -140,6 +152,7 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 	d := xml.NewDecoder(bytes.NewReader(data))
 	depth, roots, doctypes := 0, 0, 0
 	for {
+		off := d.InputOffset()
 		tok, err := d.Token()
 		if err == io.EOF {
 			break
@@ -147,8 +160,12 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 		if err != nil {
 			return nil, "", err
 		}
+		raw := data[off:d.InputOffset()]
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if unspacedAttr(raw) {
+				departs = fmt.Sprintf("an attribute with no whitespace before it in %s", raw)
+			}
 			if depth == 0 {
 				if roots++; roots > 1 {
 					return nil, "", fmt.Errorf("multiple root elements")
@@ -164,10 +181,19 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 			depth--
 			events = append(events, "</"+t.Name.Local)
 		case xml.CharData:
+			if off == 0 {
+				t = bytes.TrimPrefix(t, []byte("\uFEFF"))
+			}
+			if depth == 0 && (bytes.HasPrefix(raw, []byte("<![CDATA[")) || len(bytes.Trim(t, " \t\r\n")) > 0) {
+				departs = fmt.Sprintf("the character data %q outside the root element", raw)
+			}
 			events = append(events, "#"+string(t))
 		case xml.Comment:
 			events = append(events, "!"+string(t))
 		case xml.ProcInst:
+			if t.Target == "xml" && off != 0 && !(off == 3 && bytes.HasPrefix(data, []byte("\uFEFF"))) {
+				departs = fmt.Sprintf("an XML declaration at offset %d", off)
+			}
 			events = append(events, "?"+t.Target+" "+string(t.Inst))
 		case xml.Directive:
 			if !bytes.HasPrefix(t, []byte("DOCTYPE")) || roots > 0 || doctypes > 0 {
@@ -179,12 +205,29 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 	if roots == 0 {
 		return nil, "", fmt.Errorf("no root element")
 	}
-	if bytes.HasPrefix(data, []byte("\uFEFF")) {
-		if events[0] = strings.Replace(events[0], "\uFEFF", "", 1); events[0] == "#" {
-			events = events[1:]
-		}
+	if events[0] == "#" { // a byte-order mark alone
+		events = events[1:]
 	}
 	return events, departs, nil
+}
+
+// unspacedAttr reports whether a raw start tag that encoding/xml accepted
+// has an attribute no whitespace precedes: an attribute value's closing
+// quote followed by anything but whitespace or the tag's end.
+func unspacedAttr(tag []byte) bool {
+	var quote byte
+	for i, c := range tag {
+		switch {
+		case quote != 0 && c == quote:
+			quote = 0
+			if next := tag[i+1]; !strings.ContainsRune(" \t\r\n/>", rune(next)) {
+				return true
+			}
+		case quote == 0 && (c == '"' || c == '\''):
+			quote = c
+		}
+	}
+	return false
 }
 
 type recorder struct{ events []string }

@@ -14,13 +14,16 @@ import (
 // full scan performs no heap allocation beyond what the caller copies out.
 //
 // The scanner checks well-formedness in the same single pass: tags nest
-// and match and exactly one root element is present; every character is
+// and match, exactly one root element is present and nothing but
+// whitespace, comments, processing instructions and a DOCTYPE lies
+// outside it; whitespace separates attributes; every character is
 // an XML 1.0 Char in well-formed UTF-8, character references included;
 // only the five predefined entities are known; "]]>" does not occur in
 // content, nor "--" inside a comment; element and attribute names are XML
 // names with at most one colon; a DOCTYPE comes at most once, before the
-// root, and is skipped; and an XML declaration names no version but 1.0
-// and no encoding but UTF-8. There is no DTD processing and no charset
+// root, and is skipped; and an XML declaration comes first, if at all (a
+// byte-order mark may precede it), and names no version but 1.0 and no
+// encoding but UTF-8. There is no DTD processing and no charset
 // conversion. It is not safe for concurrent use; acquire one per goroutine
 // with AcquireScanner and return it with ReleaseScanner.
 type Scanner struct {
@@ -102,10 +105,13 @@ func (s *Scanner) Reset(data []byte) {
 	s.doctype = false
 	s.pendingEnd = false
 	// Skip a UTF-8 byte-order mark if present.
-	if len(s.data) >= 3 && s.data[0] == 0xEF && s.data[1] == 0xBB && s.data[2] == 0xBF {
-		s.pos = 3
+	if hasPrefixAt(s.data, 0, bom) {
+		s.pos = len(bom)
 	}
 }
+
+// bom is the UTF-8 byte-order mark.
+const bom = "\uFEFF"
 
 // Name returns the current element name (raw, including any prefix) or
 // processing-instruction target. The slice aliases the input buffer and
@@ -280,9 +286,9 @@ func (s *Scanner) skipDoctype() error {
 	return s.errf("unterminated DOCTYPE")
 }
 
-// scanText captures character data up to the next '<'. Text outside the
-// root element is tolerated here (SOAP decoding skips whitespace);
-// well-formedness of the element structure is still enforced.
+// scanText captures character data up to the next '<'. Outside the root
+// element it may only be whitespace, which is still returned (SOAP
+// decoding skips it).
 func (s *Scanner) scanText() (TokenKind, error) {
 	start := s.pos
 	if err := s.scanData('<'); err != nil {
@@ -290,6 +296,10 @@ func (s *Scanner) scanText() (TokenKind, error) {
 	}
 	s.text = s.data[start:s.pos]
 	s.cdata = false
+	if len(s.openElems) == 0 && !s.IsWhitespace() {
+		s.pos = start
+		return NoToken, s.errf("character data outside the root element")
+	}
 	return TextToken, nil
 }
 
@@ -345,6 +355,9 @@ func (s *Scanner) scanData(stop byte) error {
 }
 
 func (s *Scanner) scanCDATA() (TokenKind, error) {
+	if len(s.openElems) == 0 {
+		return NoToken, s.errf("CDATA section outside the root element")
+	}
 	start := s.pos + len("<![CDATA[")
 	end := indexFrom(s.data, start, "]]>")
 	if end < 0 {
@@ -383,8 +396,10 @@ func (s *Scanner) scanComment() (TokenKind, error) {
 
 // scanProcInst reads a processing instruction: a target name, optional
 // space, and the instruction up to "?>". The XML declaration (target
-// "xml") may name version 1.0 and the UTF-8 encoding and no others.
+// "xml") opens the document, after a byte-order mark if any, and may name
+// version 1.0 and the UTF-8 encoding and no others.
 func (s *Scanner) scanProcInst() (TokenKind, error) {
+	first := s.pos == 0 || s.pos == len(bom) && hasPrefixAt(s.data, 0, bom)
 	s.pos += len("<?")
 	target, err := s.scanName(false)
 	if err != nil {
@@ -398,6 +413,9 @@ func (s *Scanner) scanProcInst() (TokenKind, error) {
 	}
 	inst := s.data[start:end]
 	if string(target) == "xml" {
+		if !first {
+			return NoToken, s.errf("XML declaration not at the start of the document")
+		}
 		if v := declParam(inst, "version="); len(v) > 0 && string(v) != "1.0" {
 			return NoToken, s.errf("unsupported XML version %q", v)
 		}
@@ -492,16 +510,17 @@ func (s *Scanner) scanName(qname bool) ([]byte, error) {
 	return s.data[start:i], nil
 }
 
-func (s *Scanner) skipSpace() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\r', '\n':
-			s.pos++
-		default:
-			return
-		}
+// skipSpace steps over whitespace and reports whether there was any.
+func (s *Scanner) skipSpace() bool {
+	start := s.pos
+	for s.pos < len(s.data) && isSpace(s.data[s.pos]) {
+		s.pos++
 	}
+	return s.pos > start
 }
+
+// isSpace reports whether c is XML whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 func (s *Scanner) scanStartTag() (TokenKind, error) {
 	if s.roots > 0 && len(s.openElems) == 0 {
@@ -513,7 +532,7 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 		return NoToken, err
 	}
 	for {
-		s.skipSpace()
+		spaced := s.skipSpace()
 		if s.pos >= len(s.data) {
 			return NoToken, s.errf("unterminated start tag <%s", name)
 		}
@@ -527,6 +546,9 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 			s.pos += 2
 			s.pendingEnd = true
 		default:
+			if !spaced {
+				return NoToken, s.errf("no whitespace before an attribute of <%s", name)
+			}
 			if err := s.scanAttr(); err != nil {
 				return NoToken, err
 			}
@@ -608,9 +630,7 @@ func (s *Scanner) AppendTo(dst []byte) ([]byte, error) {
 // whitespace (so a structural decoder can skip it without unescaping).
 func (s *Scanner) IsWhitespace() bool {
 	for _, c := range s.text {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-		default:
+		if !isSpace(c) {
 			return false
 		}
 	}

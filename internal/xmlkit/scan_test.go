@@ -125,11 +125,30 @@ func TestScannerMalformed(t *testing.T) {
 		"doctype in root":    `<a><!DOCTYPE a></a>`,
 		"two doctypes":       `<!DOCTYPE a><!DOCTYPE a><a/>`,
 		"element decl":       `<!ELEMENT a ANY><a/>`,
+		"text before root":   `x<a/>`,
+		"text after root":    `<a/>&amp;`,
+		"cdata outside root": `<![CDATA[ ]]><a/>`,
+		"unspaced attrs":     `<a b="1"c="2"/>`,
+		"decl inside root":   `<a><?xml version="1.0"?></a>`,
+		"decl after space":   ` <?xml version="1.0"?><a/>`,
+		"second decl":        `<?xml version="1.0"?><?xml version="1.0"?><a/>`,
 	}
 	for name, doc := range cases {
 		if _, err := collectTokens(t, doc); err == nil {
 			t.Errorf("%s: scan(%q) succeeded", name, doc)
 		}
+	}
+}
+
+// TestScannerPrologAndSpacing: what may lie outside the root, a
+// declaration after a byte-order mark and whitespace between attributes.
+func TestScannerPrologAndSpacing(t *testing.T) {
+	got, err := collectTokens(t, "\uFEFF<?xml version='1.0'?>\n<!-- c -->\n<a b='1'\tc=\"2\"\n/>\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, "|") != "<a b=1 c=2|</a" {
+		t.Errorf("tokens = %v", got)
 	}
 }
 

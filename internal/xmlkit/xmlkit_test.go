@@ -219,6 +219,49 @@ func TestDOMSerializeEscapes(t *testing.T) {
 	}
 }
 
+// TestDOMWriteRoundTripsOrRefuses: what Document.Write writes, the
+// Scanner reads back to the same tree; a comment or name no XML document
+// can hold is refused with ErrParse instead of written.
+func TestDOMWriteRoundTripsOrRefuses(t *testing.T) {
+	build := func(name, attr, comment string) *Document {
+		root := NewElement(name)
+		root.SetAttr(attr, "v")
+		root.AppendChild(&Node{Type: CommentNode, Data: comment})
+		root.AppendChild(NewElement("b")).AppendChild(NewText("t"))
+		return &Document{Root: root}
+	}
+	var b strings.Builder
+	if err := build("p:a", "x-y.z", " a - b ").Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := ParseDocumentString(b.String())
+	if err != nil {
+		t.Fatalf("reparse of %q: %v", b.String(), err)
+	}
+	if c := doc.Root.Children[0]; doc.Root.Name != "a" || c.Type != CommentNode || c.Data != " a - b " || doc.Root.ChildText("b") != "t" {
+		t.Fatalf("round trip of %q gave %+v", b.String(), doc.Root)
+	}
+	if v, _ := doc.Root.Attr("x-y.z"); v != "v" {
+		t.Fatalf("attribute read back as %q", v)
+	}
+
+	for _, bad := range []struct{ name, attr, comment string }{
+		{"a", "x", "x -- y"},
+		{"a", "x", "x-"},
+		{"a b", "x", ""},
+		{"1a", "x", ""},
+		{"", "x", ""},
+		{"a", "x=", ""},
+		{"a", "x:y:z", ""},
+		{"a\u00d7", "x", ""},
+	} {
+		b.Reset()
+		if err := build(bad.name, bad.attr, bad.comment).Write(&b); !errors.Is(err, ErrParse) || b.Len() != 0 {
+			t.Errorf("Write(<%s %s='v'><!--%s-->) = %v, wrote %q; want ErrParse and nothing", bad.name, bad.attr, bad.comment, err, b.String())
+		}
+	}
+}
+
 func TestElementNames(t *testing.T) {
 	doc, _ := ParseDocumentString(catalog)
 	names := doc.ElementNames()
