@@ -164,14 +164,16 @@ func StateManagement(requests int) (string, error) {
 	var b strings.Builder
 	b.WriteString("A4 — session/cache state management hit-ratio sweep (Zipf workload)\n\n")
 	fmt.Fprintf(&b, "%10s %10s\n", "capacity", "hit ratio")
+	// A clock that never moves: the sweep measures capacity, not TTL.
+	ctx := vtime.WithClock(context.Background(), vtime.NewVirtual(time.Unix(0, 0)))
 	for _, capacity := range []int{16, 64, 256, 1024} {
 		c, err := session.NewCache(capacity)
 		if err != nil {
 			return "", err
 		}
 		for _, k := range keys {
-			if _, ok := c.Get(k); !ok {
-				c.Put(k, "rendered")
+			if _, ok := c.Get(ctx, k); !ok {
+				c.Put(ctx, k, "rendered")
 			}
 		}
 		fmt.Fprintf(&b, "%10d %9.1f%%\n", capacity, c.HitRatio()*100)

@@ -311,11 +311,11 @@ func (inj *Injector) tracer() *telemetry.Tracer {
 // event records an injected fault as a child event of the perturbed
 // call's span. Untraced calls stay silent — an orphan fault span with no
 // trace to hang from would only clutter the ring.
-func (inj *Injector) event(sc telemetry.SpanContext, op, what string) {
+func (inj *Injector) event(ctx context.Context, sc telemetry.SpanContext, op, what string) {
 	if !sc.Valid() {
 		return
 	}
-	inj.tracer().Event(sc, telemetry.KindFault, op, "fault", what)
+	inj.tracer().Event(ctx, sc, telemetry.KindFault, op, "fault", what)
 }
 
 // String summarizes the counters, sorted, for test logs.
@@ -378,10 +378,10 @@ func (inj *Injector) Middleware() rest.Middleware {
 				sleepCtx(r.Context(), d.latency)
 			}
 			if d.corrupt {
-				inj.event(sc, op, "corrupt")
+				inj.event(r.Context(), sc, op, "corrupt")
 			}
 			if d.outcome != Pass {
-				inj.event(sc, op, string(d.outcome))
+				inj.event(r.Context(), sc, op, string(d.outcome))
 			}
 			switch d.outcome {
 			case Hung:
@@ -493,10 +493,10 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		sleepCtx(req.Context(), d.latency)
 	}
 	if d.corrupt {
-		t.inj.event(sc, op, "corrupt")
+		t.inj.event(req.Context(), sc, op, "corrupt")
 	}
 	if d.outcome != Pass {
-		t.inj.event(sc, op, string(d.outcome))
+		t.inj.event(req.Context(), sc, op, string(d.outcome))
 	}
 	switch d.outcome {
 	case Hung:

@@ -85,7 +85,7 @@ func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *m
 		// A hit is a zero-duration cached span in the caller's trace —
 		// and deliberately NOT a latency sample: cached answers would
 		// flatter every latency-derived QoS score.
-		h.tracer.Event(sc, telemetry.KindCache, opKey, "respcache", "hit")
+		h.tracer.Event(r.Context(), sc, telemetry.KindCache, opKey, "respcache", "hit")
 		h.instr.RecordCached(opKey)
 	} else {
 		w.Header()["X-Cache"] = xCacheMiss

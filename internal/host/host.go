@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"soc/internal/callplane"
 	"soc/internal/core"
@@ -29,7 +27,9 @@ import (
 	"soc/internal/rest"
 	"soc/internal/soap"
 	"soc/internal/telemetry"
+	"soc/internal/vtime"
 	"soc/internal/wsdl"
+	"soc/internal/xmlkit"
 )
 
 // ErrMount reports an invalid mount.
@@ -195,12 +195,12 @@ func (h *Host) MustMount(svc *core.Service) {
 
 // dispatch is the one observed invocation both bindings end in: a server
 // span joined to the caller's trace (remote, else ctx's), annotated with
-// the binding and a response-cache miss, and the handler's time and
-// outcome folded into the instrument set. On an unsampled trace there is
-// no span, and the handler's context carries the trace so that its nested
-// calls stay unsampled — ctx itself when it already does, as an in-process
-// caller's request context does. The transport's request context flows
-// through, so client cancellation reaches the handler.
+// the binding and a response-cache miss, and the handler's time on ctx's
+// clock and its outcome folded into the instrument set. On an unsampled
+// trace there is no span, and the handler's context carries the trace so
+// that its nested calls stay unsampled — ctx itself when it already does,
+// as an in-process caller's request context does. The transport's request
+// context flows through, so client cancellation reaches the handler.
 func (h *Host) dispatch(ctx context.Context, m *mounted, op, binding string, remote telemetry.SpanContext, args core.Values) (core.Values, error) {
 	metricKey := m.metricKey(op)
 	sp, spanCtx := h.tracer.StartSpanRemote(ctx, telemetry.KindServer, metricKey, remote)
@@ -208,9 +208,10 @@ func (h *Host) dispatch(ctx context.Context, m *mounted, op, binding string, rem
 	if sp != nil && telemetry.IsCacheMiss(ctx) {
 		sp.Annotate("respcache", "miss")
 	}
-	start := time.Now()
+	clock := vtime.ClockFrom(ctx)
+	start := clock.Now()
 	out, err := m.svc.Invoke(spanCtx, op, args)
-	h.instr.Record(metricKey, time.Since(start), err != nil)
+	h.instr.Record(metricKey, clock.Now().Sub(start), err != nil)
 	sp.EndErr(err)
 	return out, err
 }
@@ -472,7 +473,7 @@ func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *
 	if rest.Negotiate(r) == "xml" {
 		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, valuesToXML(p["op"]+"Response", out))
+		_, _ = w.Write(valuesToXML(p["op"]+"Response", out))
 		return
 	}
 	writeInvokeResult(w, r, out)
@@ -521,18 +522,14 @@ func writeInvokeResult(w http.ResponseWriter, r *http.Request, out core.Values) 
 	_, _ = w.Write(buf.B[compact:])
 }
 
-func valuesToXML(root string, v core.Values) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<%s>", root)
+// valuesToXML writes a result as <root><key>value</key>…</root>, each
+// value escaped so that any string reads back.
+func valuesToXML(root string, v core.Values) []byte {
+	b := fmt.Appendf(nil, "<%s>", root)
 	for _, k := range v.Keys() {
-		fmt.Fprintf(&b, "<%s>%s</%s>", k, xmlEscape(core.FormatValue(v[k])), k)
+		b = fmt.Appendf(b, "<%s>", k)
+		b = xmlkit.EscapeElementText(b, core.FormatValue(v[k]))
+		b = fmt.Appendf(b, "</%s>", k)
 	}
-	fmt.Fprintf(&b, "</%s>", root)
-	return b.String()
-}
-
-var xmlReplacer = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func xmlEscape(s string) string {
-	return xmlReplacer.Replace(s)
+	return fmt.Appendf(b, "</%s>", root)
 }

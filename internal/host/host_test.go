@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"soc/internal/core"
+	"soc/internal/xmlkit"
 )
 
 func calcService(t *testing.T) *core.Service {
@@ -110,6 +111,35 @@ func TestRESTInvokeXML(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(body), "<sum>3</sum>") {
 		t.Errorf("xml invoke body = %s", body)
+	}
+}
+
+// TestRESTInvokeXMLEscapesEveryValue: an XML result is a document
+// xmlkit reads back, whatever its values hold — markup characters, a
+// carriage return and a control character, which is no XML Char and is
+// written as U+FFFD.
+func TestRESTInvokeXMLEscapesEveryValue(t *testing.T) {
+	svc, err := core.NewService("Raw", "http://soc.example/raw", "returns a hostile string")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.MustAddOperation(core.Operation{
+		Name:   "Get",
+		Output: []core.Param{{Name: "v", Type: core.String}},
+		Handler: func(context.Context, core.Values) (core.Values, error) {
+			return core.Values{"v": "a\x01b\rc<&>"}, nil
+		},
+	})
+	h := New()
+	h.MustMount(svc)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/services/Raw/invoke/Get?format=xml", nil))
+	doc, err := xmlkit.ParseDocument(w.Body)
+	if err != nil {
+		t.Fatalf("the XML result does not parse: %v", err)
+	}
+	if got := doc.Root.ChildText("v"); doc.Root.Name != "GetResponse" || got != "a\uFFFDb\rc<&>" {
+		t.Fatalf("read back <%s> with v = %q", doc.Root.Name, got)
 	}
 }
 

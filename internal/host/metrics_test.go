@@ -3,10 +3,15 @@ package host
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"soc/internal/core"
+	"soc/internal/telemetry"
+	"soc/internal/vtime"
 )
 
 func TestHostMetricsRecordBothBindings(t *testing.T) {
@@ -85,5 +90,44 @@ func TestStatsEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 404 {
 		t.Errorf("ghost stats = %d", resp2.StatusCode)
+	}
+}
+
+// TestDispatchTimesOnTheRequestClock: a request whose context carries a
+// virtual clock is timed on it, so a handler that sleeps 250 ms of
+// virtual time yields a server span and a latency sample of exactly
+// 250 ms, with no wall time leaking into either.
+func TestDispatchTimesOnTheRequestClock(t *testing.T) {
+	const nap = 250 * time.Millisecond
+	svc, err := core.NewService("Sleepy", "http://soc.example/sleepy", "sleeps on the request's clock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.MustAddOperation(core.Operation{
+		Name:   "Nap",
+		Output: []core.Param{{Name: "ok", Type: core.Bool}},
+		Handler: func(ctx context.Context, _ core.Values) (core.Values, error) {
+			return core.Values{"ok": true}, vtime.Sleep(ctx, nap)
+		},
+	})
+	h := New()
+	h.MustMount(svc)
+	ctx := vtime.WithClock(context.Background(), vtime.NewVirtual(time.Unix(1000, 0)))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/services/Sleepy/invoke/Nap", strings.NewReader("{}")).WithContext(ctx))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	var server []telemetry.Span
+	for _, sp := range h.tracer.Snapshot() {
+		if sp.Kind == telemetry.KindServer && sp.Name == "Sleepy.Nap" {
+			server = append(server, sp)
+		}
+	}
+	if len(server) != 1 || server[0].Duration != nap || !server[0].Start.Equal(time.Unix(1000, 0)) {
+		t.Fatalf("server spans = %+v, want one starting at the virtual epoch and lasting %v", server, nap)
+	}
+	if got := h.instr.Snapshot()["Sleepy.Nap"]; got.Calls != 1 || got.TotalTime != nap {
+		t.Fatalf("metrics = %+v, want 1 call of %v", got, nap)
 	}
 }

@@ -147,7 +147,7 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 		},
 		OnSkip: func(ctx context.Context, inv *callplane.Invocation) {
 			rc.skipped.Add(1)
-			tr.Event(telemetry.SpanContextOf(ctx), telemetry.KindClient, "skip", "replica", inv.Target)
+			tr.Event(ctx, telemetry.SpanContextOf(ctx), telemetry.KindClient, "skip", "replica", inv.Target)
 		},
 		OnAttempt: func(ctx context.Context, inv *callplane.Invocation) {
 			rc.attempts.Add(1)

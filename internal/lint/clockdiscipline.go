@@ -7,19 +7,20 @@ import (
 
 // ClockDiscipline enforces the virtual-clock discipline of the
 // dependability stack: packages whose behavior the deterministic
-// simulation harness must control in virtual time (Config.ClockScope —
-// reliability, respcache, faultinject) may not read or wait on the wall
-// clock directly. Every timestamp, sleep, timer, ticker and deadline
-// there must go through the vtime.Clock threaded via context (vtime.Now
-// / vtime.Sleep / ClockFrom(ctx).WithTimeout / an injected clock),
-// because one stray time.Now, time.NewTimer or context.WithTimeout is
-// exactly one site where a simulated run silently leaks real time and
-// stops being reproducible. The sanctioned wall-clock sites — vtime.Real
-// itself, and the health checker's shutdown watchdog — carry
-// //soclint:ignore directives explaining why.
+// simulation harness must control in virtual time (Config.ClockScope;
+// DefaultConfig lists them) may not read or wait on the wall clock
+// directly. Every timestamp, sleep, timer, ticker and deadline there must
+// go through the vtime.Clock the context carries (vtime.Now, vtime.Sleep,
+// vtime.ClockFrom(ctx).WithTimeout), because one stray time.Now,
+// time.NewTimer or context.WithTimeout is exactly one site where a
+// simulated run silently leaks real time and stops being reproducible.
+// Naming vtime.Real outside package vtime is the same leak spelled as a
+// Clock, so it is a finding too. The sanctioned wall-clock sites —
+// vtime.Real's own methods, and the health checker's shutdown watchdog —
+// carry //soclint:ignore directives explaining why.
 var ClockDiscipline = &Analyzer{
 	Name: "clockdiscipline",
-	Doc:  "forbids direct wall-clock reads/waits/deadlines (time.Now, time.Sleep, timers, context.WithTimeout) in clock-disciplined packages; use vtime.Clock",
+	Doc:  "forbids direct wall-clock reads/waits/deadlines (time.Now, time.Sleep, timers, context.WithTimeout, vtime.Real) in clock-disciplined packages; use the context's vtime.Clock",
 	Run:  runClockDiscipline,
 }
 
@@ -47,6 +48,9 @@ var wallClockFuncs = map[string]map[string]bool{
 	},
 }
 
+// vtimePath is the package whose Real clock only vtime itself may name.
+const vtimePath = "soc/internal/vtime"
+
 func runClockDiscipline(pass *Pass) error {
 	if !InScope(pass.Path, pass.Config.ClockScope) {
 		return nil
@@ -58,6 +62,12 @@ func runClockDiscipline(pass *Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
+				return true
+			}
+			if tn, ok := pass.Info.Uses[sel.Sel].(*types.TypeName); ok {
+				if tn.Pkg() != nil && tn.Pkg().Path() == vtimePath && tn.Name() == "Real" {
+					pass.Reportf(sel.Pos(), "vtime.Real in a clock-disciplined package is the wall clock behind the context's back; read vtime.ClockFrom(ctx)")
+				}
 				return true
 			}
 			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)

@@ -118,10 +118,15 @@ func DefaultConfig() Config {
 		ClockScope: []string{
 			"soc/internal/cloud",
 			"soc/internal/faultinject",
+			"soc/internal/host",
 			"soc/internal/loadgen",
 			"soc/internal/reliability",
 			"soc/internal/respcache",
+			"soc/internal/security",
+			"soc/internal/session",
+			"soc/internal/telemetry",
 			"soc/internal/vtime",
+			"soc/internal/webapp",
 		},
 		DurableScope: []string{
 			"soc/internal/registry",

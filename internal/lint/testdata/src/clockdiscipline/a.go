@@ -6,6 +6,8 @@ package clockdiscipline
 import (
 	"context"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func reads() time.Time {
@@ -49,6 +51,17 @@ type injectable struct {
 func defaulted() *injectable {
 	//soclint:ignore clockdiscipline real-clock default behind an injectable hook, fixture for the sanctioned pattern
 	return &injectable{now: time.Now}
+}
+
+// wallClock names the wall Clock instead of reading the context's.
+func wallClock() time.Time {
+	var c vtime.Clock = vtime.Real{} // want `vtime.Real in a clock-disciplined package`
+	return c.Now()
+}
+
+// contextClock is the sanctioned way: the clock the context carries.
+func contextClock(ctx context.Context) time.Time {
+	return vtime.ClockFrom(ctx).Now()
 }
 
 // arithmetic-only uses of the time package are fine.

@@ -55,7 +55,7 @@ func New(dataDir string) (*App, error) {
 		webapp.Field{Name: "ssn", Label: "SSN", Required: true, Pattern: webapp.PatternSSN},
 		webapp.Field{Name: "address", Label: "Address", Required: true},
 		webapp.Field{Name: "dob", Label: "Date of birth", Required: true,
-			Pattern: webapp.PatternDate, Validate: webapp.ValidDate(nil)},
+			Pattern: webapp.PatternDate, Validate: webapp.ValidDate},
 		webapp.Field{Name: "income", Label: "Annual income", Required: true, Pattern: `\d+(\.\d+)?`},
 		webapp.Field{Name: "amount", Label: "Loan amount", Required: true, Pattern: `\d+(\.\d+)?`},
 	)

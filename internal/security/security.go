@@ -9,6 +9,7 @@
 package security
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -32,6 +33,8 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+
+	"soc/internal/vtime"
 )
 
 // ErrAuth reports failed authentication or verification.
@@ -304,21 +307,18 @@ func (p PasswordPolicy) Check(password string) error {
 	return nil
 }
 
-// TokenService issues and verifies HMAC-signed bearer tokens with expiry.
+// TokenService issues and verifies HMAC-signed bearer tokens with expiry,
+// on the clock of the context each call is handed.
 type TokenService struct {
 	key []byte
-	now func() time.Time
 }
 
 // NewTokenService returns a token service; key must be ≥ 16 bytes.
-func NewTokenService(key []byte, now func() time.Time) (*TokenService, error) {
+func NewTokenService(key []byte) (*TokenService, error) {
 	if len(key) < 16 {
 		return nil, errors.New("security: token key must be at least 16 bytes")
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &TokenService{key: append([]byte(nil), key...), now: now}, nil
+	return &TokenService{key: append([]byte(nil), key...)}, nil
 }
 
 type tokenClaims struct {
@@ -328,11 +328,11 @@ type tokenClaims struct {
 }
 
 // Issue returns a signed token for subject valid for ttl.
-func (t *TokenService) Issue(subject string, roles []string, ttl time.Duration) (string, error) {
+func (t *TokenService) Issue(ctx context.Context, subject string, roles []string, ttl time.Duration) (string, error) {
 	if subject == "" || ttl <= 0 {
 		return "", fmt.Errorf("%w: invalid claims", ErrAuth)
 	}
-	payload, err := json.Marshal(tokenClaims{Subject: subject, Roles: roles, Expires: t.now().Add(ttl).Unix()})
+	payload, err := json.Marshal(tokenClaims{Subject: subject, Roles: roles, Expires: vtime.Now(ctx).Add(ttl).Unix()})
 	if err != nil {
 		return "", err
 	}
@@ -343,7 +343,7 @@ func (t *TokenService) Issue(subject string, roles []string, ttl time.Duration) 
 }
 
 // Verify checks signature and expiry and returns the subject and roles.
-func (t *TokenService) Verify(token string) (subject string, roles []string, err error) {
+func (t *TokenService) Verify(ctx context.Context, token string) (subject string, roles []string, err error) {
 	parts := strings.SplitN(token, ".", 2)
 	if len(parts) != 2 {
 		return "", nil, fmt.Errorf("%w: malformed token", ErrAuth)
@@ -365,7 +365,7 @@ func (t *TokenService) Verify(token string) (subject string, roles []string, err
 	if err := json.Unmarshal(payload, &claims); err != nil {
 		return "", nil, fmt.Errorf("%w: bad claims", ErrAuth)
 	}
-	if t.now().Unix() >= claims.Expires {
+	if vtime.Now(ctx).Unix() >= claims.Expires {
 		return "", nil, fmt.Errorf("%w: token expired", ErrAuth)
 	}
 	return claims.Subject, claims.Roles, nil
@@ -570,7 +570,6 @@ type AuditLog struct {
 	mu     sync.Mutex
 	max    int
 	events []AuditEvent
-	now    func() time.Time
 }
 
 // AuditEvent is one audit record.
@@ -583,21 +582,19 @@ type AuditEvent struct {
 }
 
 // NewAuditLog returns a log keeping at most max events (oldest dropped).
-func NewAuditLog(max int, now func() time.Time) *AuditLog {
+func NewAuditLog(max int) *AuditLog {
 	if max <= 0 {
 		max = 1024
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &AuditLog{max: max, now: now}
+	return &AuditLog{max: max}
 }
 
-// Record appends an event.
-func (l *AuditLog) Record(actor, action, target string, allowed bool) {
+// Record appends an event stamped with ctx's clock.
+func (l *AuditLog) Record(ctx context.Context, actor, action, target string, allowed bool) {
+	now := vtime.Now(ctx)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, AuditEvent{Time: l.now(), Actor: actor, Action: action, Target: target, Allowed: allowed})
+	l.events = append(l.events, AuditEvent{Time: now, Actor: actor, Action: action, Target: target, Allowed: allowed})
 	if len(l.events) > l.max {
 		l.events = l.events[len(l.events)-l.max:]
 	}

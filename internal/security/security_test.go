@@ -2,6 +2,7 @@ package security
 
 import (
 	"bytes"
+	"context"
 	"crypto/hmac"
 	"crypto/pbkdf2"
 	"crypto/sha256"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func TestPBKDF2KnownVectors(t *testing.T) {
@@ -274,44 +277,46 @@ func TestPasswordPolicy(t *testing.T) {
 }
 
 func TestTokenServiceRoundTrip(t *testing.T) {
-	now := time.Unix(1000, 0)
-	ts, err := NewTokenService([]byte("0123456789abcdef"), func() time.Time { return now })
+	clock := vtime.NewVirtual(time.Unix(1000, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	ts, err := NewTokenService([]byte("0123456789abcdef"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, err := ts.Issue("alice", []string{"admin", "user"}, time.Hour)
+	tok, err := ts.Issue(ctx, "alice", []string{"admin", "user"}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, roles, err := ts.Verify(tok)
+	sub, roles, err := ts.Verify(ctx, tok)
 	if err != nil || sub != "alice" || len(roles) != 2 {
 		t.Errorf("verify = %q %v %v", sub, roles, err)
 	}
-	now = now.Add(2 * time.Hour)
-	if _, _, err := ts.Verify(tok); !errors.Is(err, ErrAuth) {
+	clock.Advance(2 * time.Hour)
+	if _, _, err := ts.Verify(ctx, tok); !errors.Is(err, ErrAuth) {
 		t.Errorf("expired token: %v", err)
 	}
 }
 
 func TestTokenServiceRejections(t *testing.T) {
-	ts, _ := NewTokenService([]byte("0123456789abcdef"), nil)
-	if _, err := ts.Issue("", nil, time.Hour); err == nil {
+	ctx := context.Background()
+	ts, _ := NewTokenService([]byte("0123456789abcdef"))
+	if _, err := ts.Issue(ctx, "", nil, time.Hour); err == nil {
 		t.Error("empty subject accepted")
 	}
-	if _, err := ts.Issue("x", nil, 0); err == nil {
+	if _, err := ts.Issue(ctx, "x", nil, 0); err == nil {
 		t.Error("zero ttl accepted")
 	}
-	tok, _ := ts.Issue("bob", nil, time.Hour)
-	other, _ := NewTokenService([]byte("fedcba9876543210"), nil)
-	if _, _, err := other.Verify(tok); !errors.Is(err, ErrAuth) {
+	tok, _ := ts.Issue(ctx, "bob", nil, time.Hour)
+	other, _ := NewTokenService([]byte("fedcba9876543210"))
+	if _, _, err := other.Verify(ctx, tok); !errors.Is(err, ErrAuth) {
 		t.Errorf("cross-key verify: %v", err)
 	}
 	for _, bad := range []string{"", "x", "a.b", "!!.!!"} {
-		if _, _, err := ts.Verify(bad); !errors.Is(err, ErrAuth) {
+		if _, _, err := ts.Verify(ctx, bad); !errors.Is(err, ErrAuth) {
 			t.Errorf("Verify(%q): %v", bad, err)
 		}
 	}
-	if _, err := NewTokenService([]byte("short"), nil); err == nil {
+	if _, err := NewTokenService([]byte("short")); err == nil {
 		t.Error("short key accepted")
 	}
 }
@@ -450,15 +455,30 @@ func TestRandomStringRejects(t *testing.T) {
 }
 
 func TestAuditLog(t *testing.T) {
-	now := time.Unix(0, 0)
-	l := NewAuditLog(3, func() time.Time { return now })
-	l.Record("alice", "read", "reports", true)
-	l.Record("bob", "write", "reports", false)
-	l.Record("eve", "read", "secrets", false)
-	l.Record("mallory", "delete", "all", false) // evicts alice's event
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	l := NewAuditLog(3)
+	for _, e := range []struct {
+		actor, action, target string
+		allowed               bool
+	}{
+		{"alice", "read", "reports", true},
+		{"bob", "write", "reports", false},
+		{"eve", "read", "secrets", false},
+		{"mallory", "delete", "all", false}, // evicts alice's event
+	} {
+		l.Record(ctx, e.actor, e.action, e.target, e.allowed)
+		clock.Advance(time.Second)
+	}
 	events := l.Events()
 	if len(events) != 3 || events[0].Actor != "bob" {
 		t.Errorf("events = %+v", events)
+	}
+	// Each event is stamped with the clock of the context it was recorded in.
+	for i, e := range events {
+		if want := time.Unix(int64(i+1), 0); !e.Time.Equal(want) {
+			t.Errorf("event %d (%s) at %v, want %v", i, e.Actor, e.Time, want)
+		}
 	}
 	if l.Denials() != 3 {
 		t.Errorf("denials = %d", l.Denials())

@@ -44,7 +44,7 @@ func NewCatalog(dataDir string) (*Catalog, error) {
 	}
 	c := &Catalog{
 		Policy:     security.NewRBAC(),
-		Audit:      security.NewAuditLog(4096, nil),
+		Audit:      security.NewAuditLog(4096),
 		Cache:      cache,
 		Carts:      NewCarts(),
 		Buffers:    NewBuffers(),

@@ -166,11 +166,11 @@ func NewAccessControl(policy *security.RBAC, audit *security.AuditLog) (*core.Se
 			{Name: "permission", Type: core.String},
 		},
 		Output: []core.Param{{Name: "allowed", Type: core.Bool}, {Name: "reason", Type: core.String}},
-		Handler: func(_ context.Context, in core.Values) (core.Values, error) {
+		Handler: func(ctx context.Context, in core.Values) (core.Values, error) {
 			err := policy.Check(in.Str("user"), in.Str("permission"))
 			allowed := err == nil
 			if audit != nil {
-				audit.Record(in.Str("user"), "check", in.Str("permission"), allowed)
+				audit.Record(ctx, in.Str("user"), "check", in.Str("permission"), allowed)
 			}
 			reason := ""
 			if err != nil {

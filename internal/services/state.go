@@ -31,14 +31,14 @@ func NewCaching(cache *session.Cache) (*core.Service, error) {
 				{Name: "dependency", Type: core.String, Optional: true},
 			},
 			Output: []core.Param{{Name: "ok", Type: core.Bool}},
-			Handler: func(_ context.Context, in core.Values) (core.Values, error) {
+			Handler: func(ctx context.Context, in core.Values) (core.Values, error) {
 				if in.Str("key") == "" {
 					return nil, fmt.Errorf("empty key")
 				}
 				if dep := in.Str("dependency"); dep != "" {
-					cache.Put(in.Str("key"), in.Str("value"), dep)
+					cache.Put(ctx, in.Str("key"), in.Str("value"), dep)
 				} else {
-					cache.Put(in.Str("key"), in.Str("value"))
+					cache.Put(ctx, in.Str("key"), in.Str("value"))
 				}
 				return core.Values{"ok": true}, nil
 			},
@@ -48,8 +48,8 @@ func NewCaching(cache *session.Cache) (*core.Service, error) {
 			Doc:    "fetches a cached value; found=false on miss",
 			Input:  []core.Param{{Name: "key", Type: core.String}},
 			Output: []core.Param{{Name: "value", Type: core.String}, {Name: "found", Type: core.Bool}},
-			Handler: func(_ context.Context, in core.Values) (core.Values, error) {
-				v, ok := cache.Get(in.Str("key"))
+			Handler: func(ctx context.Context, in core.Values) (core.Values, error) {
+				v, ok := cache.Get(ctx, in.Str("key"))
 				s, _ := v.(string)
 				return core.Values{"value": s, "found": ok}, nil
 			},

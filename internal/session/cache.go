@@ -2,20 +2,23 @@ package session
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"sync"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // Cache is the web-data cache of the course's state-management unit: LRU
 // eviction, per-entry TTL, dependency keys for grouped invalidation (the
 // ASP.NET "cache dependency" pattern), and hit/miss accounting for the
-// state-management experiment.
+// state-management experiment. Entries age on the clock of the context
+// each Put and Get is handed.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	ttl      time.Duration
-	now      func() time.Time
 	order    *list.List // front = most recent
 	items    map[string]*list.Element
 	byDep    map[string]map[string]bool // dependency → keys
@@ -36,9 +39,6 @@ type CacheOption func(*Cache)
 // WithCacheTTL sets the default entry TTL (default 5 minutes).
 func WithCacheTTL(d time.Duration) CacheOption { return func(c *Cache) { c.ttl = d } }
 
-// WithCacheClock sets the time source for tests.
-func WithCacheClock(now func() time.Time) CacheOption { return func(c *Cache) { c.now = now } }
-
 // NewCache returns an LRU+TTL cache with the given capacity.
 func NewCache(capacity int, opts ...CacheOption) (*Cache, error) {
 	if capacity <= 0 {
@@ -47,7 +47,6 @@ func NewCache(capacity int, opts ...CacheOption) (*Cache, error) {
 	c := &Cache{
 		capacity: capacity,
 		ttl:      5 * time.Minute,
-		now:      time.Now,
 		order:    list.New(),
 		items:    make(map[string]*list.Element),
 		byDep:    make(map[string]map[string]bool),
@@ -60,7 +59,7 @@ func NewCache(capacity int, opts ...CacheOption) (*Cache, error) {
 
 // Put stores a value under key with the default TTL and optional
 // dependency keys.
-func (c *Cache) Put(key string, value any, deps ...string) {
+func (c *Cache) Put(ctx context.Context, key string, value any, deps ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -69,7 +68,7 @@ func (c *Cache) Put(key string, value any, deps ...string) {
 	for c.order.Len() >= c.capacity {
 		c.removeLocked(c.order.Back())
 	}
-	item := &cacheItem{key: key, value: value, expires: c.now().Add(c.ttl), deps: deps}
+	item := &cacheItem{key: key, value: value, expires: vtime.Now(ctx).Add(c.ttl), deps: deps}
 	el := c.order.PushFront(item)
 	c.items[key] = el
 	for _, d := range deps {
@@ -81,7 +80,7 @@ func (c *Cache) Put(key string, value any, deps ...string) {
 }
 
 // Get returns the cached value and whether it was present and fresh.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(ctx context.Context, key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -90,7 +89,7 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	item := el.Value.(*cacheItem)
-	if c.now().After(item.expires) {
+	if vtime.Now(ctx).After(item.expires) {
 		c.removeLocked(el)
 		c.misses++
 		return nil, false
@@ -103,15 +102,15 @@ func (c *Cache) Get(key string) (any, bool) {
 // GetOrCompute returns the cached value or computes, stores, and returns
 // it. Concurrent computations of the same key may race; last write wins —
 // acceptable for idempotent loads.
-func (c *Cache) GetOrCompute(key string, compute func() (any, error), deps ...string) (any, error) {
-	if v, ok := c.Get(key); ok {
+func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() (any, error), deps ...string) (any, error) {
+	if v, ok := c.Get(ctx, key); ok {
 		return v, nil
 	}
 	v, err := compute()
 	if err != nil {
 		return nil, err
 	}
-	c.Put(key, v, deps...)
+	c.Put(ctx, key, v, deps...)
 	return v, nil
 }
 

@@ -1,13 +1,17 @@
 package session
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // These tests pin the full request-cycle behavior of the session layer:
@@ -88,7 +92,7 @@ func TestDistinctClientsGetDistinctSessions(t *testing.T) {
 
 func TestSessionConcurrentMutation(t *testing.T) {
 	m := NewManager()
-	s := m.Create()
+	s := m.Create(context.Background())
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -113,9 +117,14 @@ func TestSessionConcurrentMutation(t *testing.T) {
 }
 
 func TestExpiredSessionReplacedInRequestCycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewManager(WithTTL(time.Minute), WithClock(func() time.Time { return now }))
-	srv := httptest.NewServer(visitHandler(m))
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	m := NewManager(WithTTL(time.Minute))
+	// Every request the server reads carries the virtual clock.
+	srv := httptest.NewUnstartedServer(visitHandler(m))
+	srv.Config.BaseContext = func(net.Listener) context.Context {
+		return vtime.WithClock(context.Background(), clock)
+	}
+	srv.Start()
 	defer srv.Close()
 
 	jar := &singleCookie{}
@@ -140,7 +149,7 @@ func TestExpiredSessionReplacedInRequestCycle(t *testing.T) {
 	if got := do(); got != "1|x;" {
 		t.Fatalf("first request: %q", got)
 	}
-	now = now.Add(2 * time.Minute) // session TTL elapses
+	clock.Advance(2 * time.Minute) // session TTL elapses
 	if got := do(); got != "1|x;" {
 		t.Fatalf("expired session kept its state: %q", got)
 	}

@@ -6,6 +6,7 @@
 package session
 
 import (
+	"context"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -19,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // ErrNoSession reports a missing or expired session.
@@ -77,12 +80,12 @@ func (s *Session) Keys() []string {
 	return out
 }
 
-// Manager creates, resolves and expires sessions.
+// Manager creates, resolves and expires sessions on the clock of the
+// context each call is handed.
 type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
 	ttl      time.Duration
-	now      func() time.Time
 	// CookieName is the correlation cookie (default "SOCSESSION").
 	CookieName string
 }
@@ -93,15 +96,11 @@ type ManagerOption func(*Manager)
 // WithTTL sets the session lifetime (default 30 minutes).
 func WithTTL(d time.Duration) ManagerOption { return func(m *Manager) { m.ttl = d } }
 
-// WithClock sets the time source for tests.
-func WithClock(now func() time.Time) ManagerOption { return func(m *Manager) { m.now = now } }
-
 // NewManager returns an empty session manager.
 func NewManager(opts ...ManagerOption) *Manager {
 	m := &Manager{
 		sessions:   make(map[string]*Session),
 		ttl:        30 * time.Minute,
-		now:        time.Now,
 		CookieName: "SOCSESSION",
 	}
 	for _, o := range opts {
@@ -119,8 +118,8 @@ func newID() string {
 }
 
 // Create starts a new session.
-func (m *Manager) Create() *Session {
-	now := m.now()
+func (m *Manager) Create(ctx context.Context) *Session {
+	now := vtime.Now(ctx)
 	s := &Session{
 		ID:      newID(),
 		Created: now,
@@ -134,14 +133,14 @@ func (m *Manager) Create() *Session {
 }
 
 // Get resolves a session by id, renewing its expiry (sliding window).
-func (m *Manager) Get(id string) (*Session, error) {
+func (m *Manager) Get(ctx context.Context, id string) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.sessions[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	now := m.now()
+	now := vtime.Now(ctx)
 	if now.After(s.Expires) {
 		delete(m.sessions, id)
 		return nil, fmt.Errorf("%w: %q expired", ErrNoSession, id)
@@ -165,10 +164,10 @@ func (m *Manager) Len() int {
 }
 
 // Sweep removes expired sessions, returning how many were collected.
-func (m *Manager) Sweep() int {
+func (m *Manager) Sweep(ctx context.Context) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := m.now()
+	now := vtime.Now(ctx)
 	n := 0
 	for id, s := range m.sessions {
 		if now.After(s.Expires) {
@@ -180,14 +179,16 @@ func (m *Manager) Sweep() int {
 }
 
 // FromRequest resolves the request's session from the cookie, creating
-// one (and setting the cookie) when absent or expired.
+// one (and setting the cookie) when absent or expired, on the clock of
+// the request's context.
 func (m *Manager) FromRequest(w http.ResponseWriter, r *http.Request) *Session {
+	ctx := r.Context()
 	if c, err := r.Cookie(m.CookieName); err == nil {
-		if s, err := m.Get(c.Value); err == nil {
+		if s, err := m.Get(ctx, c.Value); err == nil {
 			return s
 		}
 	}
-	s := m.Create()
+	s := m.Create(ctx)
 	http.SetCookie(w, &http.Cookie{
 		Name:     m.CookieName,
 		Value:    s.ID,

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -8,17 +9,20 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func TestSessionLifecycle(t *testing.T) {
+	ctx := context.Background()
 	m := NewManager()
-	s := m.Create()
+	s := m.Create(ctx)
 	if s.ID == "" || m.Len() != 1 {
 		t.Fatalf("create: %+v", s)
 	}
 	s.Set("user", "ada")
 	s.Set("count", 3)
-	got, err := m.Get(s.ID)
+	got, err := m.Get(ctx, s.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,39 +41,41 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Error("delete failed")
 	}
 	m.Destroy(s.ID)
-	if _, err := m.Get(s.ID); !errors.Is(err, ErrNoSession) {
+	if _, err := m.Get(ctx, s.ID); !errors.Is(err, ErrNoSession) {
 		t.Errorf("after destroy: %v", err)
 	}
 }
 
 func TestSessionExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewManager(WithClock(func() time.Time { return now }), WithTTL(time.Minute))
-	s := m.Create()
-	now = now.Add(30 * time.Second)
-	if _, err := m.Get(s.ID); err != nil {
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	m := NewManager(WithTTL(time.Minute))
+	s := m.Create(ctx)
+	clock.Advance(30 * time.Second)
+	if _, err := m.Get(ctx, s.ID); err != nil {
 		t.Fatalf("mid-ttl: %v", err)
 	}
 	// Sliding window: the Get above renewed to +90s.
-	now = now.Add(59 * time.Second)
-	if _, err := m.Get(s.ID); err != nil {
+	clock.Advance(59 * time.Second)
+	if _, err := m.Get(ctx, s.ID); err != nil {
 		t.Fatalf("slid window: %v", err)
 	}
-	now = now.Add(2 * time.Minute)
-	if _, err := m.Get(s.ID); !errors.Is(err, ErrNoSession) {
+	clock.Advance(2 * time.Minute)
+	if _, err := m.Get(ctx, s.ID); !errors.Is(err, ErrNoSession) {
 		t.Errorf("expired: %v", err)
 	}
 }
 
 func TestSweep(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewManager(WithClock(func() time.Time { return now }), WithTTL(time.Minute))
-	m.Create()
-	m.Create()
-	keep := m.Create()
-	now = now.Add(2 * time.Minute)
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	m := NewManager(WithTTL(time.Minute))
+	m.Create(ctx)
+	m.Create(ctx)
+	keep := m.Create(ctx)
+	clock.Advance(2 * time.Minute)
 	_ = keep // expired too; renew impossible now
-	if n := m.Sweep(); n != 3 {
+	if n := m.Sweep(ctx); n != 3 {
 		t.Errorf("swept %d, want 3", n)
 	}
 	if m.Len() != 0 {
@@ -189,16 +195,17 @@ func TestAppState(t *testing.T) {
 }
 
 func TestCacheBasics(t *testing.T) {
+	ctx := context.Background()
 	c, err := NewCache(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	c.Put(ctx, "a", 1)
+	c.Put(ctx, "b", 2)
+	if v, ok := c.Get(ctx, "a"); !ok || v != 1 {
 		t.Errorf("a = %v,%v", v, ok)
 	}
-	if _, ok := c.Get("zzz"); ok {
+	if _, ok := c.Get(ctx, "zzz"); ok {
 		t.Error("phantom hit")
 	}
 	h, m := c.Stats()
@@ -211,15 +218,16 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
+	ctx := context.Background()
 	c, _ := NewCache(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Get("a")    // a is now most recent
-	c.Put("c", 3) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put(ctx, "a", 1)
+	c.Put(ctx, "b", 2)
+	c.Get(ctx, "a")    // a is now most recent
+	c.Put(ctx, "c", 3) // evicts b
+	if _, ok := c.Get(ctx, "b"); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(ctx, "a"); !ok {
 		t.Error("a evicted despite recency")
 	}
 	if c.Len() != 2 {
@@ -228,31 +236,33 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheTTL(t *testing.T) {
-	now := time.Unix(0, 0)
-	c, _ := NewCache(10, WithCacheTTL(time.Minute), WithCacheClock(func() time.Time { return now }))
-	c.Put("k", "v")
-	now = now.Add(30 * time.Second)
-	if _, ok := c.Get("k"); !ok {
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	c, _ := NewCache(10, WithCacheTTL(time.Minute))
+	c.Put(ctx, "k", "v")
+	clock.Advance(30 * time.Second)
+	if _, ok := c.Get(ctx, "k"); !ok {
 		t.Error("fresh entry missed")
 	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("k"); ok {
+	clock.Advance(2 * time.Minute)
+	if _, ok := c.Get(ctx, "k"); ok {
 		t.Error("stale entry served")
 	}
 }
 
 func TestCacheDependencyInvalidation(t *testing.T) {
+	ctx := context.Background()
 	c, _ := NewCache(10)
-	c.Put("user:1:profile", "p1", "user:1")
-	c.Put("user:1:orders", "o1", "user:1", "orders")
-	c.Put("user:2:profile", "p2", "user:2")
+	c.Put(ctx, "user:1:profile", "p1", "user:1")
+	c.Put(ctx, "user:1:orders", "o1", "user:1", "orders")
+	c.Put(ctx, "user:2:profile", "p2", "user:2")
 	if n := c.InvalidateDependency("user:1"); n != 2 {
 		t.Errorf("invalidated %d, want 2", n)
 	}
-	if _, ok := c.Get("user:1:profile"); ok {
+	if _, ok := c.Get(ctx, "user:1:profile"); ok {
 		t.Error("dependent entry survived")
 	}
-	if _, ok := c.Get("user:2:profile"); !ok {
+	if _, ok := c.Get(ctx, "user:2:profile"); !ok {
 		t.Error("unrelated entry dropped")
 	}
 	if n := c.InvalidateDependency("user:1"); n != 0 {
@@ -261,21 +271,23 @@ func TestCacheDependencyInvalidation(t *testing.T) {
 }
 
 func TestCacheInvalidateSingle(t *testing.T) {
+	ctx := context.Background()
 	c, _ := NewCache(10)
-	c.Put("k", 1)
+	c.Put(ctx, "k", 1)
 	c.Invalidate("k")
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get(ctx, "k"); ok {
 		t.Error("invalidated entry served")
 	}
 	c.Invalidate("never-existed") // must not panic
 }
 
 func TestCacheGetOrCompute(t *testing.T) {
+	ctx := context.Background()
 	c, _ := NewCache(10)
 	calls := 0
 	load := func() (any, error) { calls++; return "value", nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.GetOrCompute("k", load)
+		v, err := c.GetOrCompute(ctx, "k", load)
 		if err != nil || v != "value" {
 			t.Fatalf("GetOrCompute: %v %v", v, err)
 		}
@@ -284,20 +296,21 @@ func TestCacheGetOrCompute(t *testing.T) {
 		t.Errorf("compute ran %d times", calls)
 	}
 	boom := errors.New("load failed")
-	if _, err := c.GetOrCompute("bad", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.GetOrCompute(ctx, "bad", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestCacheReplaceKeepsCapacity(t *testing.T) {
+	ctx := context.Background()
 	c, _ := NewCache(2)
-	c.Put("a", 1)
-	c.Put("a", 2) // replace, not grow
-	c.Put("b", 3)
+	c.Put(ctx, "a", 1)
+	c.Put(ctx, "a", 2) // replace, not grow
+	c.Put(ctx, "b", 3)
 	if c.Len() != 2 {
 		t.Errorf("len = %d", c.Len())
 	}
-	if v, _ := c.Get("a"); v != 2 {
+	if v, _ := c.Get(ctx, "a"); v != 2 {
 		t.Errorf("a = %v", v)
 	}
 }

@@ -53,7 +53,7 @@ func TestUnsampledAllocCeiling(t *testing.T) {
 		sp.EndErr(nil)
 		sp, _ = tr.StartSpan(inner, KindClient, "attempt")
 		sp.EndErr(nil)
-		tr.Event(remote, KindCache, "Calc.Add", "respcache", "hit")
+		tr.Event(inner, remote, KindCache, "Calc.Add", "respcache", "hit")
 	}); allocs > 0 {
 		t.Errorf("hops on an unsampled trace = %.1f allocs/op, want 0", allocs)
 	}
@@ -61,10 +61,11 @@ func TestUnsampledAllocCeiling(t *testing.T) {
 
 func TestEventAllocCeiling(t *testing.T) {
 	tr := NewSamplingTracer(64, 1)
-	tr.Event(SpanContext{}, KindCache, "warm", "", "")
+	ctx := context.Background()
+	tr.Event(ctx, SpanContext{}, KindCache, "warm", "", "")
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	allocs := testing.AllocsPerRun(200, func() {
-		tr.Event(parent, KindCache, "Calc.Add", "respcache", "hit")
+		tr.Event(ctx, parent, KindCache, "Calc.Add", "respcache", "hit")
 	})
 	if allocs > 0 {
 		t.Fatalf("Event = %.1f allocs/op, want 0", allocs)

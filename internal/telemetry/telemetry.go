@@ -286,11 +286,6 @@ func TraceParentOf(ctx context.Context) string {
 	return ""
 }
 
-// Annotate attaches a key/value annotation to the active span, if any.
-func Annotate(ctx context.Context, key, value string) {
-	SpanFromContext(ctx).Annotate(key, value)
-}
-
 // InjectHTTP stamps the context's trace into the X-Soc-Trace request
 // header. An untraced context means no header: untraced calls stay
 // untraced.

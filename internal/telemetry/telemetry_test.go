@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func TestTraceParentRoundTrip(t *testing.T) {
@@ -131,7 +133,7 @@ func TestUnsampledTracePropagates(t *testing.T) {
 	if _, again := down.StartSpanRemote(rctx, KindServer, "again", root); again != rctx {
 		t.Fatal("a context already carrying the trace was wrapped again")
 	}
-	down.Event(root, KindCache, "hit", "respcache", "hit")
+	down.Event(rctx, root, KindCache, "hit", "respcache", "hit")
 	if down.Recorded() != 0 || down.roots.Load() != 0 {
 		t.Fatalf("downstream recorded %d spans and drew %d roots", down.Recorded(), down.roots.Load())
 	}
@@ -365,7 +367,7 @@ func TestSinceAgainstConcurrentRecorders(t *testing.T) {
 func TestEvent(t *testing.T) {
 	tr := NewSamplingTracer(8, 1)
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
-	tr.Event(parent, KindCache, "Echo.Echo", "respcache", "hit")
+	tr.Event(context.Background(), parent, KindCache, "Echo.Echo", "respcache", "hit")
 	spans := tr.Snapshot()
 	if len(spans) != 1 {
 		t.Fatalf("recorded %d spans, want 1", len(spans))
@@ -379,6 +381,39 @@ func TestEvent(t *testing.T) {
 	}
 }
 
+// A span starts and ends on the clock of the context it started in, and
+// an event is stamped with its context's clock.
+func TestSpansReadTheContextClock(t *testing.T) {
+	tr := NewSamplingTracer(8, 1)
+	clock := vtime.NewVirtual(time.Unix(1_000, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	sp, sctx := tr.StartSpan(ctx, KindServer, "Echo.Echo")
+	clock.Advance(250 * time.Millisecond)
+	// The child starts in sctx, so it reads the same clock.
+	child, _ := tr.StartSpan(sctx, KindInternal, "inner")
+	clock.Advance(time.Second)
+	child.End()
+	tr.Event(sctx, sp.Context(), KindCache, "hit", "", "")
+	sp.End()
+	spans := tr.Snapshot()
+	if len(spans) != 3 {
+		t.Fatalf("recorded %d spans, want 3", len(spans))
+	}
+	start := time.Unix(1_000, 0)
+	for i, want := range []struct {
+		start time.Time
+		dur   time.Duration
+	}{
+		{start.Add(250 * time.Millisecond), time.Second},
+		{start.Add(1250 * time.Millisecond), 0},
+		{start, 1250 * time.Millisecond},
+	} {
+		if got := spans[i]; !got.Start.Equal(want.start) || got.Duration != want.dur {
+			t.Errorf("span %q: start %v, duration %v; want %v, %v", got.Name, got.Start, got.Duration, want.start, want.dur)
+		}
+	}
+}
+
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	sp, ctx := tr.StartSpan(context.Background(), KindClient, "x")
@@ -387,7 +422,7 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	sp.Annotate("k", "v")
 	sp.EndErr(errors.New("x"))
-	tr.Event(SpanContext{}, KindFault, "f", "", "")
+	tr.Event(ctx, SpanContext{}, KindFault, "f", "", "")
 	if tr.Snapshot() != nil || tr.Recorded() != 0 {
 		t.Fatal("nil tracer recorded")
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // Kind classifies a span by the layer that emitted it.
@@ -56,7 +58,8 @@ type Span struct {
 	nann uint8
 
 	tracer *Tracer
-	tp     string // cached traceparent wire value
+	clock  vtime.Clock // the clock the span started on, and ends on
+	tp     string      // cached traceparent wire value
 }
 
 // Annotate attaches a note; annotations beyond MaxAnnotations are
@@ -107,7 +110,7 @@ func (sp *Span) EndErr(err error) {
 	if sp == nil {
 		return
 	}
-	sp.Duration = time.Since(sp.Start)
+	sp.Duration = sp.clock.Now().Sub(sp.Start)
 	if err != nil {
 		sp.Err = err.Error()
 	}
@@ -230,8 +233,8 @@ func (t *Tracer) sampleRoot() bool {
 	return t.sampler.sampled(t.roots.Add(1))
 }
 
-// start acquires a pooled span with resolved parentage.
-func (t *Tracer) start(kind Kind, name string, parent SpanContext) *Span {
+// start acquires a pooled span with resolved parentage, timed on ctx's clock.
+func (t *Tracer) start(ctx context.Context, kind Kind, name string, parent SpanContext) *Span {
 	sp := spanPool.Get().(*Span)
 	if parent.Valid() {
 		sp.TraceID = parent.TraceID
@@ -242,7 +245,8 @@ func (t *Tracer) start(kind Kind, name string, parent SpanContext) *Span {
 	sp.SpanID = NewSpanID()
 	sp.Name = name
 	sp.Kind = kind
-	sp.Start = time.Now()
+	sp.clock = vtime.ClockFrom(ctx)
+	sp.Start = sp.clock.Now()
 	sp.tracer = t
 	return sp
 }
@@ -280,7 +284,7 @@ func (t *Tracer) StartSpanRemote(ctx context.Context, kind Kind, name string, re
 		}
 		return nil, withUnsampled(ctx, remote)
 	}
-	sp := t.start(kind, name, remote)
+	sp := t.start(ctx, kind, name, remote)
 	return sp, ContextWithSpan(ctx, sp)
 }
 
@@ -298,16 +302,16 @@ func (t *Tracer) StartCall(ctx context.Context, kind Kind, name string) (*Span, 
 	if !parent.Valid() && !t.sampleRoot() {
 		return nil, FormatTraceParent(SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}), ctx
 	}
-	sp := t.start(kind, name, parent)
+	sp := t.start(ctx, kind, name, parent)
 	return sp, sp.TraceParent(), ContextWithSpan(ctx, sp)
 }
 
-// Event records an already-complete zero-duration span parented on
-// remote — how cache hits and injected faults appear in traces without a
-// live span. An unsampled remote records nothing; an invalid one makes
-// the event a root, sampled like any other. Cache-kind events are marked
-// Cached. Steady-state cost: zero allocations.
-func (t *Tracer) Event(remote SpanContext, kind Kind, name, key, value string) {
+// Event records an already-complete zero-duration span, stamped on ctx's
+// clock and parented on remote — how cache hits and injected faults appear
+// in traces without a live span. An unsampled remote records nothing; an
+// invalid one makes the event a root, sampled like any other. Cache-kind
+// events are marked Cached. Steady-state cost: zero allocations.
+func (t *Tracer) Event(ctx context.Context, remote SpanContext, kind Kind, name, key, value string) {
 	if t == nil || remote.Valid() && !remote.Sampled || !remote.Valid() && !t.sampleRoot() {
 		return
 	}
@@ -315,7 +319,7 @@ func (t *Tracer) Event(remote SpanContext, kind Kind, name, key, value string) {
 		SpanID: NewSpanID(),
 		Name:   name,
 		Kind:   kind,
-		Start:  time.Now(),
+		Start:  vtime.Now(ctx),
 		Cached: kind == KindCache,
 	}
 	if remote.Valid() {
@@ -351,6 +355,7 @@ func (t *Tracer) record(sp *Span) {
 		s.seq = seq
 		s.span = *sp
 		s.span.tracer = nil
+		s.span.clock = nil
 		s.span.tp = ""
 	}
 	s.mu.Unlock()

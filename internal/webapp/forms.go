@@ -1,11 +1,14 @@
 package webapp
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"regexp"
 	"strings"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 // Field validates one form input.
@@ -15,8 +18,9 @@ type Field struct {
 	Required bool
 	// Pattern, when non-empty, must match the whole value.
 	Pattern string
-	// Validate, when set, runs after the pattern check.
-	Validate func(value string) error
+	// Validate, when set, runs after the pattern check, handed the
+	// context the form is validated in.
+	Validate func(ctx context.Context, value string) error
 	compiled *regexp.Regexp
 }
 
@@ -74,7 +78,7 @@ func (e Errors) Error() string {
 }
 
 // ValidateValues checks raw values against the form.
-func (f *Form) ValidateValues(values map[string]string) (map[string]string, Errors) {
+func (f *Form) ValidateValues(ctx context.Context, values map[string]string) (map[string]string, Errors) {
 	clean := map[string]string{}
 	errs := Errors{}
 	for _, fd := range f.fields {
@@ -90,7 +94,7 @@ func (f *Form) ValidateValues(values map[string]string) (map[string]string, Erro
 			continue
 		}
 		if fd.Validate != nil {
-			if err := fd.Validate(v); err != nil {
+			if err := fd.Validate(ctx, v); err != nil {
 				errs[fd.Name] = err.Error()
 				continue
 			}
@@ -100,7 +104,8 @@ func (f *Form) ValidateValues(values map[string]string) (map[string]string, Erro
 	return clean, errs
 }
 
-// ValidateRequest parses the request form and validates it.
+// ValidateRequest parses the request form and validates it in the
+// request's context.
 func (f *Form) ValidateRequest(r *http.Request) (map[string]string, Errors) {
 	if err := r.ParseForm(); err != nil {
 		return nil, Errors{"_form": "unparsable form: " + err.Error()}
@@ -109,7 +114,7 @@ func (f *Form) ValidateRequest(r *http.Request) (map[string]string, Errors) {
 	for _, fd := range f.fields {
 		values[fd.Name] = r.PostFormValue(fd.Name)
 	}
-	return f.ValidateValues(values)
+	return f.ValidateValues(r.Context(), values)
 }
 
 // Common field patterns for course projects.
@@ -120,19 +125,14 @@ const (
 )
 
 // ValidDate verifies a YYYY-MM-DD value is a real calendar date no later
-// than now.
-func ValidDate(now func() time.Time) func(string) error {
-	if now == nil {
-		now = time.Now
+// than now on ctx's clock.
+func ValidDate(ctx context.Context, v string) error {
+	t, err := time.Parse("2006-01-02", v)
+	if err != nil {
+		return fmt.Errorf("not a valid date")
 	}
-	return func(v string) error {
-		t, err := time.Parse("2006-01-02", v)
-		if err != nil {
-			return fmt.Errorf("not a valid date")
-		}
-		if t.After(now()) {
-			return fmt.Errorf("date is in the future")
-		}
-		return nil
+	if t.After(vtime.Now(ctx)) {
+		return fmt.Errorf("date is in the future")
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package webapp
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"soc/internal/session"
+	"soc/internal/vtime"
 )
 
 // TestPostbackRoundTrip models the classic ASP.NET-style postback the
@@ -23,12 +25,13 @@ func TestPostbackRoundTrip(t *testing.T) {
 	}
 	form, err := NewForm(
 		Field{Name: "ssn", Required: true, Pattern: PatternSSN},
-		Field{Name: "dob", Required: true, Pattern: PatternDate,
-			Validate: ValidDate(func() time.Time { return time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC) })},
+		Field{Name: "dob", Required: true, Pattern: PatternDate, Validate: ValidDate},
 	)
 	if err != nil {
 		t.Fatalf("form: %v", err)
 	}
+	// Each postback arrives in a context whose clock reads 2026-08-06.
+	ctx := vtime.WithClock(context.Background(), vtime.NewVirtual(time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)))
 
 	// "Render" the page: server state sealed into the token.
 	token, err := vs.Encode(map[string]string{"step": "2", "applicant": "alice"})
@@ -39,7 +42,7 @@ func TestPostbackRoundTrip(t *testing.T) {
 	postback := func(token, ssn, dob string) (map[string]string, map[string]string, Errors) {
 		t.Helper()
 		body := url.Values{"__viewstate": {token}, "ssn": {ssn}, "dob": {dob}}
-		req := httptest.NewRequest(http.MethodPost, "/apply", strings.NewReader(body.Encode()))
+		req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/apply", strings.NewReader(body.Encode()))
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 		state, vsErr := vs.Decode(req.PostFormValue("__viewstate"))
 		if vsErr != nil {

@@ -2,12 +2,15 @@ package webapp
 
 import (
 	"bytes"
+	"context"
 	"image/color"
 	"image/png"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"soc/internal/vtime"
 )
 
 func TestCanvasBasics(t *testing.T) {
@@ -188,14 +191,15 @@ func TestFormValidation(t *testing.T) {
 	form, err := NewForm(
 		Field{Name: "name", Required: true},
 		Field{Name: "ssn", Label: "SSN", Required: true, Pattern: PatternSSN},
-		Field{Name: "dob", Label: "Date of birth", Pattern: PatternDate,
-			Validate: ValidDate(func() time.Time { return time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC) })},
+		Field{Name: "dob", Label: "Date of birth", Pattern: PatternDate, Validate: ValidDate},
 		Field{Name: "email", Pattern: PatternEmail},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, errs := form.ValidateValues(map[string]string{
+	clock := vtime.NewVirtual(time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC))
+	ctx := vtime.WithClock(context.Background(), clock)
+	clean, errs := form.ValidateValues(ctx, map[string]string{
 		"name": " Ada Lovelace ", "ssn": "123-45-6789", "dob": "1990-12-10", "email": "ada@example.com",
 	})
 	if !errs.Ok() {
@@ -205,7 +209,7 @@ func TestFormValidation(t *testing.T) {
 		t.Errorf("not trimmed: %q", clean["name"])
 	}
 
-	_, errs = form.ValidateValues(map[string]string{"ssn": "123456789"})
+	_, errs = form.ValidateValues(ctx, map[string]string{"ssn": "123456789"})
 	if errs.Ok() {
 		t.Fatal("invalid form accepted")
 	}
@@ -216,13 +220,17 @@ func TestFormValidation(t *testing.T) {
 		t.Errorf("ssn error = %q", errs["ssn"])
 	}
 
-	_, errs = form.ValidateValues(map[string]string{
-		"name": "x", "ssn": "123-45-6789", "dob": "2099-01-01",
-	})
+	tomorrow := map[string]string{"name": "x", "ssn": "123-45-6789", "dob": "2014-02-02"}
+	_, errs = form.ValidateValues(ctx, tomorrow)
 	if errs["dob"] != "date is in the future" {
 		t.Errorf("dob error = %q", errs["dob"])
 	}
-	_, errs = form.ValidateValues(map[string]string{
+	// "Now" is the clock of the context the form is validated in.
+	clock.Advance(24 * time.Hour)
+	if _, errs = form.ValidateValues(ctx, tomorrow); !errs.Ok() {
+		t.Errorf("a day later, %v", errs)
+	}
+	_, errs = form.ValidateValues(ctx, map[string]string{
 		"name": "x", "ssn": "123-45-6789", "dob": "1990-13-45",
 	})
 	if errs["dob"] == "" {

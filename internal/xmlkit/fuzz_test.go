@@ -52,6 +52,7 @@ func FuzzScanner(f *testing.F) {
 		"<a/><!DOCTYPE a>", "<!ELEMENT a ANY><a/>",
 		"x<a/>", "<a/>&amp;", "<![CDATA[ ]]><a/>",
 		`<a b="1"c='2'/>`, `<a b='"'/>`,
+		`<a p:b="1" c = '=' p:b="2" xmlns:p="u"/>`,
 		`<a><?xml version="1.0"?></a>`, ` <?xml version="1.0"?><a/>`, "\uFEFF<?xml version='1.0'?><a/>",
 		"<a x='1\t2\r\n3\n'/>",
 		"\uFEFF<a/>",
@@ -123,6 +124,7 @@ func checkAgainstEncodingXML(t *testing.T, data []byte) {
 //   - it takes character data outside the root element, where XML 1.0
 //     allows only whitespace and no CDATA section;
 //   - it takes attributes with no whitespace between them;
+//   - it takes a start tag that repeats an attribute name;
 //   - it takes an XML declaration anywhere, where XML 1.0 allows one, at
 //     the start of the document;
 //   - it does not normalize attribute values: equal folds the tabs and
@@ -131,8 +133,8 @@ func checkAgainstEncodingXML(t *testing.T, data []byte) {
 //     drops it).
 //
 // readWithEncodingXML reports the markup departures (declarations,
-// character data outside the root, attribute spacing and the XML
-// declaration's place).
+// character data outside the root, attribute spacing and repeats, and the
+// XML declaration's place).
 var (
 	markupChar    = regexp.MustCompile(`(illegal character U\+[0-9A-F]+|invalid UTF-8) in (comment|processing instruction|DOCTYPE)$`)
 	surrogateRef  = regexp.MustCompile(`character reference to U\+D[89A-F][0-9A-F]{2}$`)
@@ -165,6 +167,9 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 		case xml.StartElement:
 			if unspacedAttr(raw) {
 				departs = fmt.Sprintf("an attribute with no whitespace before it in %s", raw)
+			}
+			if repeatedAttr(raw) {
+				departs = fmt.Sprintf("a repeated attribute name in %s", raw)
 			}
 			if depth == 0 {
 				if roots++; roots > 1 {
@@ -209,6 +214,29 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 		events = events[1:]
 	}
 	return events, departs, nil
+}
+
+// repeatedAttr reports whether a raw start tag that encoding/xml accepted
+// names an attribute twice, comparing raw names as the Scanner does.
+func repeatedAttr(tag []byte) bool {
+	const space = " \t\r\n"
+	seen := map[string]bool{}
+	i := bytes.IndexAny(tag, space) // the element name's end; -1 if no attributes
+	for i >= 0 {
+		i = len(tag) - len(bytes.TrimLeft(tag[i:], space))
+		eq := bytes.IndexByte(tag[i:], '=')
+		if eq < 0 { // only the tag's end is left
+			return false
+		}
+		name := string(bytes.TrimRight(tag[i:i+eq], space))
+		if seen[name] {
+			return true
+		}
+		seen[name] = true
+		q := i + eq + 1 + bytes.IndexAny(tag[i+eq+1:], `"'`)
+		i = q + 2 + bytes.IndexByte(tag[q+1:], tag[q]) // past the closing quote
+	}
+	return false
 }
 
 // unspacedAttr reports whether a raw start tag that encoding/xml accepted

@@ -35,6 +35,9 @@ type Scanner struct {
 	text  []byte // raw text, comment or instruction (entities still encoded)
 	cdata bool   // current Text token came from a CDATA section
 	attrs []RawAttr
+	// attrIndex indexes attrs by name once a start tag has more than
+	// linearAttrs of them (seenAttr).
+	attrIndex []int32
 
 	// openElems tracks open element names for end-tag matching; the
 	// slices alias data so the stack itself is allocation-free after
@@ -568,6 +571,10 @@ func (s *Scanner) scanAttr() error {
 	if err != nil {
 		return err
 	}
+	// A start tag may not repeat an attribute name (XML 1.0 §3.1).
+	if s.seenAttr(name) {
+		return s.errf("duplicate attribute %s", name)
+	}
 	s.skipSpace()
 	if s.pos >= len(s.data) || s.data[s.pos] != '=' {
 		return s.errf("attribute %s missing '='", name)
@@ -587,8 +594,58 @@ func (s *Scanner) scanAttr() error {
 		return s.errf("unterminated attribute value of %s", name)
 	}
 	s.attrs = append(s.attrs, RawAttr{Name: name, Value: s.data[start:s.pos]})
+	if n := len(s.attrs); n > linearAttrs {
+		slot, _ := s.attrSlot(name)
+		s.attrIndex[slot] = int32(n)
+	}
 	s.pos++ // closing quote
 	return nil
+}
+
+// linearAttrs is how many attributes a start tag may have before
+// seenAttr stops comparing a name against each and looks it up in
+// attrIndex, so that a tag of thousands of attributes is checked in
+// linear time.
+const linearAttrs = 8
+
+// seenAttr reports whether the current start tag already has an
+// attribute with this raw name.
+func (s *Scanner) seenAttr(name []byte) bool {
+	n := len(s.attrs)
+	if n < linearAttrs {
+		for _, a := range s.attrs {
+			if bytes.Equal(a.Name, name) {
+				return true
+			}
+		}
+		return false
+	}
+	if n == linearAttrs || 4*n > len(s.attrIndex) {
+		// Rebuild at a load of 1/8, reusing the last table's storage.
+		s.attrIndex = append(s.attrIndex[:0], make([]int32, 8*n)...)
+		for i, a := range s.attrs {
+			slot, _ := s.attrSlot(a.Name)
+			s.attrIndex[slot] = int32(i + 1)
+		}
+	}
+	_, found := s.attrSlot(name)
+	return found
+}
+
+// attrSlot finds name in attrIndex, an open-addressed table of indexes
+// into attrs plus one (0 is empty) hashed by FNV-1a: the slot that holds
+// it, or the empty slot where it goes.
+func (s *Scanner) attrSlot(name []byte) (slot int, found bool) {
+	h := uint32(2166136261)
+	for _, c := range name {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	for slot = int(h % uint32(len(s.attrIndex))); s.attrIndex[slot] != 0; slot = (slot + 1) % len(s.attrIndex) {
+		if bytes.Equal(s.attrs[s.attrIndex[slot]-1].Name, name) {
+			return slot, true
+		}
+	}
+	return slot, false
 }
 
 func (s *Scanner) scanEndTag() (TokenKind, error) {

@@ -94,48 +94,77 @@ func TestScannerDoctypeSkipped(t *testing.T) {
 
 func TestScannerMalformed(t *testing.T) {
 	cases := map[string]string{
-		"no root":            `not xml`,
-		"unclosed":           `<a><b></b>`,
-		"mismatched":         `<a></b>`,
-		"multiple roots":     `<a/><b/>`,
-		"stray end":          `</a>`,
-		"bad entity":         `<a>&bogus;</a>`,
-		"unterminated ent":   `<a>&amp</a>`,
-		"unterminated attr":  `<a x="1></a>`,
-		"attr missing value": `<a x></a>`,
-		"lt in attr":         `<a x="<"></a>`,
-		"unterminated cdata": `<a><![CDATA[x</a>`,
-		"unterminated pi":    `<?xml <a/>`,
-		"truncated tag":      `<a`,
-		"bad name start":     `<1tag/>`,
-		"empty document":     ``,
-		"uppercase X ref":    `<a>&#X41;</a>`,
-		"surrogate ref":      `<a>&#xD800;</a>`,
-		"ref out of range":   `<a>&#x110000;</a>`,
-		"control char":       "<a>\x01</a>",
-		"non-Char in attr":   "<a x='\uFFFE'/>",
-		"non-Char in cdata":  "<a><![CDATA[\x00]]></a>",
-		"non-Char comment":   "<a><!--\x1b--></a>",
-		"comment ends early": `<a><!--></a>`,
-		"comment ends ---":   `<a><!-- x ---></a>`,
-		"name char":          "<a\u00d7/>",
-		"colon name":         `<a x:y:z="1"/>`,
-		"xml version 1.1":    `<?xml version="1.1"?><a/>`,
-		"pi without target":  `<? x?><a/>`,
-		"doctype in root":    `<a><!DOCTYPE a></a>`,
-		"two doctypes":       `<!DOCTYPE a><!DOCTYPE a><a/>`,
-		"element decl":       `<!ELEMENT a ANY><a/>`,
-		"text before root":   `x<a/>`,
-		"text after root":    `<a/>&amp;`,
-		"cdata outside root": `<![CDATA[ ]]><a/>`,
-		"unspaced attrs":     `<a b="1"c="2"/>`,
-		"decl inside root":   `<a><?xml version="1.0"?></a>`,
-		"decl after space":   ` <?xml version="1.0"?><a/>`,
-		"second decl":        `<?xml version="1.0"?><?xml version="1.0"?><a/>`,
+		"no root":             `not xml`,
+		"unclosed":            `<a><b></b>`,
+		"mismatched":          `<a></b>`,
+		"multiple roots":      `<a/><b/>`,
+		"stray end":           `</a>`,
+		"bad entity":          `<a>&bogus;</a>`,
+		"unterminated ent":    `<a>&amp</a>`,
+		"unterminated attr":   `<a x="1></a>`,
+		"attr missing value":  `<a x></a>`,
+		"lt in attr":          `<a x="<"></a>`,
+		"unterminated cdata":  `<a><![CDATA[x</a>`,
+		"unterminated pi":     `<?xml <a/>`,
+		"truncated tag":       `<a`,
+		"bad name start":      `<1tag/>`,
+		"empty document":      ``,
+		"uppercase X ref":     `<a>&#X41;</a>`,
+		"surrogate ref":       `<a>&#xD800;</a>`,
+		"ref out of range":    `<a>&#x110000;</a>`,
+		"control char":        "<a>\x01</a>",
+		"non-Char in attr":    "<a x='\uFFFE'/>",
+		"non-Char in cdata":   "<a><![CDATA[\x00]]></a>",
+		"non-Char comment":    "<a><!--\x1b--></a>",
+		"comment ends early":  `<a><!--></a>`,
+		"comment ends ---":    `<a><!-- x ---></a>`,
+		"name char":           "<a\u00d7/>",
+		"colon name":          `<a x:y:z="1"/>`,
+		"xml version 1.1":     `<?xml version="1.1"?><a/>`,
+		"pi without target":   `<? x?><a/>`,
+		"doctype in root":     `<a><!DOCTYPE a></a>`,
+		"two doctypes":        `<!DOCTYPE a><!DOCTYPE a><a/>`,
+		"element decl":        `<!ELEMENT a ANY><a/>`,
+		"text before root":    `x<a/>`,
+		"text after root":     `<a/>&amp;`,
+		"cdata outside root":  `<![CDATA[ ]]><a/>`,
+		"unspaced attrs":      `<a b="1"c="2"/>`,
+		"decl inside root":    `<a><?xml version="1.0"?></a>`,
+		"decl after space":    ` <?xml version="1.0"?><a/>`,
+		"second decl":         `<?xml version="1.0"?><?xml version="1.0"?><a/>`,
+		"duplicate attr":      `<a b="1" b="2"/>`,
+		"duplicate qualified": `<a p:b="1" p:b="2" xmlns:p="u"/>`,
 	}
 	for name, doc := range cases {
 		if _, err := collectTokens(t, doc); err == nil {
 			t.Errorf("%s: scan(%q) succeeded", name, doc)
+		}
+	}
+}
+
+// TestScannerDuplicateAttrInLongTag: past the first few attributes the
+// duplicate check indexes the names, and still finds a repeat of any of
+// them, in tags of every size one scanner meets in turn.
+func TestScannerDuplicateAttrInLongTag(t *testing.T) {
+	tag := func(n int, dup string) string {
+		var b strings.Builder
+		b.WriteString("<a")
+		for i := range n {
+			fmt.Fprintf(&b, " n%d='%d'", i, i)
+		}
+		if dup != "" {
+			b.WriteString(" " + dup + "='x'")
+		}
+		return b.String() + "/>"
+	}
+	for _, n := range []int{7, 8, 9, 33, 300, 9} {
+		if got, err := collectTokens(t, tag(n, "")); err != nil || len(got) != 2 {
+			t.Errorf("%d distinct attributes: %v, %v", n, got, err)
+		}
+		for _, dup := range []string{"n0", fmt.Sprintf("n%d", n/2), fmt.Sprintf("n%d", n-1)} {
+			if _, err := collectTokens(t, tag(n, dup)); err == nil {
+				t.Errorf("%d attributes and a second %s accepted", n, dup)
+			}
 		}
 	}
 }
