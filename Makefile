@@ -18,12 +18,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-## lint: the static-analysis gate — go vet plus the repo's own soclint
-## analyzers (context propagation, body closing, lock discipline and
-## ordering, goroutine-leak and atomic-access discipline, client
-## timeouts, the one exchange path, error discards, pool reset
-## discipline). Test files are analyzed too; soclint prints its
-## wall-clock cost on stderr.
+## lint: the static-analysis gate — go vet (whose copylocks check is the
+## repo's rule against copying a lock) plus the repo's own soclint
+## analyzers (context propagation, body closing, locks held across
+## blocking calls, lock ordering, goroutine-leak and atomic-access
+## discipline, client timeouts, the one exchange path, error discards,
+## pool reset discipline). Test files are analyzed too; soclint prints
+## its wall-clock cost on stderr.
 lint: vet soclint
 
 ## lint-ci: the same gate with soclint emitting one JSON object per

@@ -217,9 +217,6 @@ func (g *Graph) Chan(key string) *ChanFacts { return g.chans[key] }
 // SortedFuncs returns every node ordered by ID for deterministic walks.
 func (g *Graph) SortedFuncs() []*Func { return g.sorted }
 
-// FuncAt returns the declared function whose name sits at pos.
-func (g *Graph) FuncAt(pos token.Pos) *Func { return g.funcByPos[pos] }
-
 // FuncOf returns the node for a statically known callee, nil for
 // functions outside the graph.
 func (g *Graph) FuncOf(obj *types.Func) *Func {
@@ -270,10 +267,21 @@ func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 		}
 	}
 	// Pass 2: scan bodies — summaries, static edges, channel facts,
-	// dynamic/dispatch sites, address-taken functions.
+	// dynamic/dispatch sites, address-taken functions. A function literal
+	// in a package-level initializer is scanned as its own node, with
+	// nothing held.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok {
+					ast.Inspect(gd, func(n ast.Node) bool {
+						lit, isLit := n.(*ast.FuncLit)
+						if isLit {
+							g.scanLitBody(pkg, lit, file.Name.Name, nil)
+						}
+						return !isLit
+					})
+				}
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue

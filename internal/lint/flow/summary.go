@@ -8,10 +8,13 @@ import (
 )
 
 // Summary is the per-function digest analyzers query. It is computed
-// once at graph build from a lock-aware linear scan of the body: the
-// scan tracks which mutex classes are held at every point (the same
-// conservative straight-line discipline locksafe uses) and records the
-// concurrency-relevant events it passes.
+// once at graph build from a lock-aware linear scan of the body, the
+// module's one held-lock walker: the scan tracks which mutexes are held
+// at every point (straight-line, with each branch, loop body and case
+// starting from a copy of the set before it) and records the
+// concurrency-relevant events it passes. lockorder reads its Acquires
+// and CallsUnder, locksafe its CallsUnder, Sends and Recvs, goleak its
+// spawns and channel operations.
 type Summary struct {
 	// Acquires are the Lock/RLock sites, each with the lock classes
 	// already held there.
@@ -64,6 +67,9 @@ type LockRelease struct {
 type HeldLock struct {
 	Lock Class
 	Base string
+	// Expr is the lock as written at the acquisition: "c.mu", or "mu"
+	// for a local mutex.
+	Expr string
 	Pos  token.Pos
 }
 
@@ -96,10 +102,16 @@ type SpawnSite struct {
 }
 
 // ChanUse is one channel operation resolved to a class (Zero class when
-// the channel expression is not a named field/variable).
+// the channel expression is not a named field/variable, as in
+// <-time.After(d) or <-ctx.Done()).
 type ChanUse struct {
 	Chan Class
 	Pos  token.Pos
+	// Held lists the locks held at the operation.
+	Held []HeldLock
+	// Select is the position of the select statement whose case this
+	// operation is, token.NoPos outside one.
+	Select token.Pos
 	// NonBlocking marks operations inside a select with a default case —
 	// they cannot block at all.
 	NonBlocking bool
@@ -111,6 +123,7 @@ type ChanUse struct {
 
 // selectInfo is the scanner's context while inside one select statement.
 type selectInfo struct {
+	pos        token.Pos
 	hasDefault bool
 	recvs      []Class
 }
@@ -166,17 +179,17 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
-			if cls, base, name, ok := s.mutexOp(call); ok {
+			if lock, name, ok := s.mutexOp(call); ok {
 				switch name {
 				case "Lock", "RLock":
 					s.fn.Summary.Acquires = append(s.fn.Summary.Acquires, LockAcquire{
-						Lock: cls, Base: base, Pos: call.Pos(), Reader: name == "RLock", Held: copyHeld(held),
+						Lock: lock.Lock, Base: lock.Base, Pos: lock.Pos, Reader: name == "RLock", Held: copyHeld(held),
 					})
-					return append(held, HeldLock{Lock: cls, Base: base, Pos: call.Pos()})
+					return append(held, lock)
 				case "Unlock", "RUnlock":
-					s.fn.Summary.Releases = append(s.fn.Summary.Releases, LockRelease{Lock: cls, Pos: call.Pos()})
+					s.fn.Summary.Releases = append(s.fn.Summary.Releases, LockRelease{Lock: lock.Lock, Pos: lock.Pos})
 					for i := len(held) - 1; i >= 0; i-- {
-						if held[i].Lock.Key == cls.Key && held[i].Base == base {
+						if held[i].Lock.Key == lock.Lock.Key && held[i].Base == lock.Base {
 							return append(held[:i:i], held[i+1:]...)
 						}
 					}
@@ -213,13 +226,13 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 		// the lock stays held for the rest of the scan, which is the
 		// truth the order graph needs. Other deferred calls run (at
 		// latest) under whatever is still held here.
-		if _, _, name, ok := s.mutexOp(st.Call); ok && (name == "Unlock" || name == "RUnlock") {
+		if _, name, ok := s.mutexOp(st.Call); ok && (name == "Unlock" || name == "RUnlock") {
 			return held
 		}
 		s.call(st.Call, held, Deferred)
 		s.callArgs(st.Call, held)
 	case *ast.SendStmt:
-		s.chanSend(st)
+		s.chanSend(st, held)
 		s.expr(st.Chan, held)
 		s.expr(st.Value, held)
 	case *ast.IfStmt:
@@ -242,12 +255,15 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 		}
 		s.loopDepth++
 		s.block(st.Body.List, copyHeld(held))
+		if st.Post != nil {
+			s.stmt(st.Post, copyHeld(held))
+		}
 		s.loopDepth--
 	case *ast.RangeStmt:
 		if t := s.pkg.Info.TypeOf(st.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
 				cls := s.g.classOf(s.pkg, st.X)
-				s.fn.Summary.Recvs = append(s.fn.Summary.Recvs, ChanUse{Chan: cls, Pos: st.X.Pos()})
+				s.fn.Summary.Recvs = append(s.fn.Summary.Recvs, ChanUse{Chan: cls, Pos: st.X.Pos(), Held: copyHeld(held)})
 				if cf := s.g.chanFactsFor(cls); cf != nil {
 					cf.Ranges = append(cf.Ranges, st.X.Pos())
 				}
@@ -258,7 +274,7 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 		s.block(st.Body.List, copyHeld(held))
 		s.loopDepth--
 	case *ast.SelectStmt:
-		info := &selectInfo{}
+		info := &selectInfo{pos: st.Pos()}
 		var comms []*ast.CommClause
 		for _, c := range st.Body.List {
 			cc, ok := c.(*ast.CommClause)
@@ -275,6 +291,10 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 					info.recvs = append(info.recvs, cls)
 				}
 			}
+		}
+		if len(comms) == 0 {
+			// select {} blocks forever, as a receive from a nil channel.
+			s.fn.Summary.Recvs = append(s.fn.Summary.Recvs, ChanUse{Pos: st.Pos(), Held: copyHeld(held), Select: st.Pos()})
 		}
 		prev := s.sel
 		s.sel = info
@@ -300,6 +320,10 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 			}
 		}
 	case *ast.TypeSwitchStmt:
+		if st.Init != nil {
+			held = s.stmt(st.Init, held)
+		}
+		s.stmt(st.Assign, held)
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				s.block(cc.Body, copyHeld(held))
@@ -356,7 +380,7 @@ func (s *scanner) expr(e ast.Expr, held []HeldLock) {
 		s.scanLit(e, nil)
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
-			s.chanRecv(e)
+			s.chanRecv(e, held)
 		}
 		s.expr(e.X, held)
 	case *ast.BinaryExpr:
@@ -410,21 +434,10 @@ func (s *scanner) callArgs(call *ast.CallExpr, held []HeldLock) {
 // the given held-set (callback assumption) while attributing summary
 // facts to the literal's node.
 func (s *scanner) scanLit(lit *ast.FuncLit, held []HeldLock) *Func {
-	id := "lit@" + s.g.posKey(lit.Pos())
-	if f, ok := s.g.Funcs[id]; ok {
+	f, fresh := s.g.scanLitBody(s.pkg, lit, s.fn.Name, held)
+	if !fresh {
 		return f
 	}
-	pos := s.g.Fset.Position(lit.Pos())
-	f := &Func{
-		ID:   id,
-		Name: fmt.Sprintf("%s.func@%d", s.fn.Name, pos.Line),
-		Pkg:  s.pkg,
-		Lit:  lit,
-	}
-	s.g.Funcs[id] = f
-	sub := &scanner{g: s.g, pkg: s.pkg, fn: f}
-	sub.funcHeader(lit.Type, nil)
-	sub.block(lit.Body.List, held)
 	// The literal runs on the spawner/callee's schedule, but its
 	// summary facts surface through the enclosing function's edges: add
 	// a synthetic static edge so transitive queries descend into it.
@@ -446,7 +459,9 @@ func (s *scanner) spawn(st *ast.GoStmt, held []HeldLock) {
 	site := SpawnSite{Pos: st.Pos(), In: s.fn, InLoop: s.loopDepth > 0, Stmt: st}
 	switch fun := ast.Unparen(st.Call.Fun).(type) {
 	case *ast.FuncLit:
-		site.Target = s.scanLitSpawned(fun)
+		// No synthetic edge, held locks or Done-select facts: the
+		// goroutine runs on its own.
+		site.Target, _ = s.g.scanLitBody(s.pkg, fun, s.fn.Name, nil)
 	default:
 		obj := CalleeFunc(s.pkg.Info, st.Call)
 		site.Obj = obj
@@ -460,25 +475,25 @@ func (s *scanner) spawn(st *ast.GoStmt, held []HeldLock) {
 	}
 }
 
-// scanLitSpawned is scanLit without the synthetic synchronous edge and
-// without inheriting held locks or Done-select facts.
-func (s *scanner) scanLitSpawned(lit *ast.FuncLit) *Func {
-	id := "lit@" + s.g.posKey(lit.Pos())
-	if f, ok := s.g.Funcs[id]; ok {
-		return f
+// scanLitBody scans a function literal as a node of its own, named
+// after the function it sits in, with the given held-set; fresh is false
+// when the literal already has its node.
+func (g *Graph) scanLitBody(pkg *Package, lit *ast.FuncLit, outer string, held []HeldLock) (f *Func, fresh bool) {
+	id := "lit@" + g.posKey(lit.Pos())
+	if f, ok := g.Funcs[id]; ok {
+		return f, false
 	}
-	pos := s.g.Fset.Position(lit.Pos())
-	f := &Func{
+	f = &Func{
 		ID:   id,
-		Name: fmt.Sprintf("%s.func@%d", s.fn.Name, pos.Line),
-		Pkg:  s.pkg,
+		Name: fmt.Sprintf("%s.func@%d", outer, g.Fset.Position(lit.Pos()).Line),
+		Pkg:  pkg,
 		Lit:  lit,
 	}
-	s.g.Funcs[id] = f
-	sub := &scanner{g: s.g, pkg: s.pkg, fn: f}
+	g.Funcs[id] = f
+	sub := &scanner{g: g, pkg: pkg, fn: f}
 	sub.funcHeader(lit.Type, nil)
-	sub.block(lit.Body.List, nil)
-	return f
+	sub.block(lit.Body.List, held)
+	return f, true
 }
 
 // call records one call site: an edge when the callee resolves, a
@@ -539,20 +554,20 @@ func (s *scanner) call(call *ast.CallExpr, held []HeldLock, kind CallKind) {
 	}
 }
 
-// chanRecv records one receive, noting Done() receives specially.
-func (s *scanner) chanRecv(recv *ast.UnaryExpr) {
+// chanRecv records one receive, noting Done() receives specially. A
+// receive from a call's result (<-time.After(d), <-ctx.Done()) has the
+// Zero class.
+func (s *scanner) chanRecv(recv *ast.UnaryExpr, held []HeldLock) {
 	operand := ast.Unparen(recv.X)
 	if call, ok := operand.(*ast.CallExpr); ok {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
 			if t := s.pkg.Info.TypeOf(sel.X); t != nil && isContext(t) {
 				s.fn.Summary.SelectsOnDone = true
-				return
 			}
 		}
-		return
 	}
 	cls := s.g.classOf(s.pkg, operand)
-	use := ChanUse{Chan: cls, Pos: recv.Pos()}
+	use := ChanUse{Chan: cls, Pos: recv.Pos(), Held: copyHeld(held)}
 	s.applySelect(&use)
 	s.fn.Summary.Recvs = append(s.fn.Summary.Recvs, use)
 	if cf := s.g.chanFactsFor(cls); cf != nil {
@@ -560,9 +575,9 @@ func (s *scanner) chanRecv(recv *ast.UnaryExpr) {
 	}
 }
 
-func (s *scanner) chanSend(st *ast.SendStmt) {
+func (s *scanner) chanSend(st *ast.SendStmt, held []HeldLock) {
 	cls := s.g.classOf(s.pkg, st.Chan)
-	use := ChanUse{Chan: cls, Pos: st.Pos()}
+	use := ChanUse{Chan: cls, Pos: st.Pos(), Held: copyHeld(held)}
 	s.applySelect(&use)
 	s.fn.Summary.Sends = append(s.fn.Summary.Sends, use)
 	if cf := s.g.chanFactsFor(cls); cf != nil {
@@ -576,6 +591,7 @@ func (s *scanner) applySelect(use *ChanUse) {
 	if s.sel == nil {
 		return
 	}
+	use.Select = s.sel.pos
 	use.NonBlocking = s.sel.hasDefault
 	for _, rc := range s.sel.recvs {
 		if rc.Key != use.Chan.Key {
@@ -639,24 +655,25 @@ func (s *scanner) markTaken(id *ast.Ident) {
 
 // mutexOp resolves call as a Lock/RLock/Unlock/RUnlock on a sync.Mutex
 // or sync.RWMutex (including promoted methods via embedding), returning
-// the lock class, instance base and method name.
-func (s *scanner) mutexOp(call *ast.CallExpr) (cls Class, base, name string, ok bool) {
+// the lock as a held-set entry and the method name.
+func (s *scanner) mutexOp(call *ast.CallExpr) (lock HeldLock, name string, ok bool) {
 	fn := CalleeFunc(s.pkg.Info, call)
 	if fn == nil {
-		return Class{}, "", "", false
+		return HeldLock{}, "", false
 	}
 	switch fn.Name() {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return Class{}, "", "", false
+		return HeldLock{}, "", false
 	}
 	if !isSyncLockMethod(fn) {
-		return Class{}, "", "", false
+		return HeldLock{}, "", false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return Class{}, "", "", false
+		return HeldLock{}, "", false
 	}
+	var cls Class
 	if isSyncLockType(s.pkg.Info.TypeOf(sel.X)) {
 		cls = s.g.classOf(s.pkg, sel.X)
 	} else {
@@ -665,9 +682,9 @@ func (s *scanner) mutexOp(call *ast.CallExpr) (cls Class, base, name string, ok 
 		cls = s.g.embeddedLockClass(s.pkg, sel.X)
 	}
 	if cls.Zero() {
-		return Class{}, "", "", false
+		return HeldLock{}, "", false
 	}
-	return cls, baseExpr(sel.X), fn.Name(), true
+	return HeldLock{Lock: cls, Base: baseExpr(sel.X), Expr: types.ExprString(sel.X), Pos: call.Pos()}, fn.Name(), true
 }
 
 func isSyncLockMethod(fn *types.Func) bool {

@@ -94,6 +94,51 @@ func (s *S) two() {
 	}
 }
 
+// TestMutationLockSafe: a critical section that only counts is fine;
+// one time.Sleep added under the lock must give exactly one finding,
+// naming the lock it is held under.
+func TestMutationLockSafe(t *testing.T) {
+	const clean = `package locksafem
+
+import (
+	"sync"
+	"time"
+)
+
+type C struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *C) tick() {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	time.Sleep(time.Millisecond)
+}
+`
+	mutated := strings.Replace(clean, "\tc.n++\n", "\tc.n++\n\ttime.Sleep(time.Millisecond)\n", 1)
+	if mutated == clean {
+		t.Fatal("mutation did not apply")
+	}
+
+	cfg := func(p string) Config { return Config{LockBlockScope: []string{p}} }
+
+	pkg := writePackage(t, "locksafe_clean", map[string]string{"a.go": clean})
+	if fs := runOn(t, "locksafe", pkg, cfg(pkg.Path)); len(fs) != 0 {
+		t.Errorf("clean variant produced findings: %v", fs)
+	}
+
+	pkg = writePackage(t, "locksafe_mutated", map[string]string{"a.go": mutated})
+	fs := runOn(t, "locksafe", pkg, cfg(pkg.Path))
+	if len(fs) != 1 {
+		t.Fatalf("got %d findings for one sleep under the lock, want 1: %v", len(fs), fs)
+	}
+	if !strings.Contains(fs[0].Message, "time.Sleep while holding c.mu") {
+		t.Errorf("finding does not name the lock: %q", fs[0].Message)
+	}
+}
+
 // TestMutationGoLeak: a goroutine joined by draining its result channel
 // is fine; deleting the drain leaves it parked forever and must be
 // flagged.

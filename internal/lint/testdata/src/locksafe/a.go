@@ -1,5 +1,5 @@
 // Package locksafe is a golden-file fixture for the locksafe analyzer:
-// no copying lock-bearing values, no blocking while a mutex is held.
+// no blocking while a mutex is held. (Lock copies are go vet's.)
 package locksafe
 
 import (
@@ -13,27 +13,6 @@ import (
 type counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-func (c counter) Value() int { // want `receiver passes a lock by value`
-	return c.n
-}
-
-func byValueParam(c counter) int { // want `parameter passes a lock by value`
-	return c.n
-}
-
-func assignCopy(c *counter) {
-	snapshot := *c // want `assignment copies a lock-bearing value`
-	_ = snapshot.n
-}
-
-func rangeCopy(cs []counter) int {
-	total := 0
-	for _, c := range cs { // want `range clause copies a lock-bearing value`
-		total += c.n
-	}
-	return total
 }
 
 func sleepUnderLock(c *counter) {
@@ -56,6 +35,143 @@ func exchangeUnderLock(c *counter, hc *http.Client, req *http.Request) error {
 		return err
 	}
 	return resp.Body.Close()
+}
+
+func recvUnderLock(c *counter, ch chan int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return <-ch // want `channel receive while holding c.mu`
+}
+
+func recvParamUnderLock(c *counter, in <-chan int) {
+	c.mu.Lock()
+	c.n = <-in // want `channel receive while holding c.mu`
+	c.mu.Unlock()
+}
+
+func timerUnderLock(c *counter, d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	<-time.After(d) // want `channel receive while holding c.mu`
+}
+
+func selectUnderLock(c *counter, in, out chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select { // want `blocking select while holding c.mu`
+	case v := <-in:
+		c.n = v
+	case out <- c.n:
+	}
+}
+
+func waitUnderLock(c *counter, wg *sync.WaitGroup) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	wg.Wait() // want `sync.WaitGroup.Wait while holding c.mu`
+}
+
+func clientUnderLock(c *counter, hc *http.Client, req *http.Request) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := hc.Do(req) // want `http.Client.Do while holding c.mu`
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
+}
+
+type table struct {
+	mu sync.RWMutex
+	m  map[string]int
+}
+
+func (t *table) publish(ch chan int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ch <- t.m["x"] // want `channel send while holding t.mu`
+}
+
+func localMutex(ch chan int) {
+	var mu sync.Mutex
+	mu.Lock()
+	ch <- 1 // want `channel send while holding mu`
+	mu.Unlock()
+}
+
+func labeledLoopSend(c *counter, ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+loop:
+	for i := 0; i < 3; i++ {
+		ch <- i // want `channel send while holding c.mu`
+		if i == c.n {
+			break loop
+		}
+	}
+}
+
+func recvInIfInit(c *counter, ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v := <-ch; v > 0 { // want `channel receive while holding c.mu`
+		c.n = v
+	}
+}
+
+// A function literal passed as an argument runs under the caller's
+// locks: once.Do calls it before returning.
+func callbackUnderLock(c *counter, once *sync.Once) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	once.Do(func() {
+		time.Sleep(time.Millisecond) // want `time.Sleep while holding c.mu`
+	})
+}
+
+// Deferred calls run last in, first out: the Sleep runs before the
+// deferred Unlock, with c.mu still held.
+func deferredSleepUnderLock(c *counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer time.Sleep(time.Millisecond) // want `time.Sleep while holding c.mu`
+}
+
+func rangeUnderLock(c *counter, ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for v := range ch { // want `channel receive while holding c.mu`
+		c.n += v
+	}
+}
+
+func emptySelectUnderLock(c *counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {} // want `blocking select while holding c.mu`
+}
+
+var pkgMu sync.Mutex
+
+// A literal in a package-level initializer is checked like any other.
+var pkgLit = func() {
+	pkgMu.Lock()
+	time.Sleep(time.Millisecond) // want `time.Sleep while holding pkgMu`
+	pkgMu.Unlock()
+}
+
+func typeSwitchRecv(c *counter, ch chan any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch (<-ch).(type) { // want `channel receive while holding c.mu`
+	}
+}
+
+func forPostRecv(c *counter, ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for v := 0; v < 3; v = <-ch { // want `channel receive while holding c.mu`
+	}
 }
 
 // Clean cases below: no findings expected.
@@ -86,6 +202,21 @@ func goroutineEscapes(c *counter) {
 	}()
 }
 
-func pointerParam(c *counter) int {
-	return c.n
+func literalNotCalled(c *counter) func() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return func() {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func releasedInBranch(c *counter, fast bool) {
+	c.mu.Lock()
+	if fast {
+		c.mu.Unlock()
+		time.Sleep(time.Millisecond)
+		return
+	}
+	c.n++
+	c.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -53,6 +54,8 @@ func FuzzScanner(f *testing.F) {
 		"x<a/>", "<a/>&amp;", "<![CDATA[ ]]><a/>",
 		`<a b="1"c='2'/>`, `<a b='"'/>`,
 		`<a p:b="1" c = '=' p:b="2" xmlns:p="u"/>`,
+		`<p:a/>`, `<a p:b="1"/>`, `<a><b xmlns:p="u"/><p:c/></a>`,
+		`<a p:b="1" q:b="2" xmlns:p="u" xmlns:q="u"/>`,
 		`<a><?xml version="1.0"?></a>`, ` <?xml version="1.0"?><a/>`, "\uFEFF<?xml version='1.0'?><a/>",
 		"<a x='1\t2\r\n3\n'/>",
 		"\uFEFF<a/>",
@@ -125,6 +128,9 @@ func checkAgainstEncodingXML(t *testing.T, data []byte) {
 //     allows only whitespace and no CDATA section;
 //   - it takes attributes with no whitespace between them;
 //   - it takes a start tag that repeats an attribute name;
+//   - it takes a prefix no declaration in scope binds, and two
+//     attributes whose prefixes bind one namespace name, which
+//     Namespaces in XML forbid;
 //   - it takes an XML declaration anywhere, where XML 1.0 allows one, at
 //     the start of the document;
 //   - it does not normalize attribute values: equal folds the tabs and
@@ -133,8 +139,8 @@ func checkAgainstEncodingXML(t *testing.T, data []byte) {
 //     drops it).
 //
 // readWithEncodingXML reports the markup departures (declarations,
-// character data outside the root, attribute spacing and repeats, and the
-// XML declaration's place).
+// character data outside the root, attribute spacing and repeats,
+// namespace prefixes, and the XML declaration's place).
 var (
 	markupChar    = regexp.MustCompile(`(illegal character U\+[0-9A-F]+|invalid UTF-8) in (comment|processing instruction|DOCTYPE)$`)
 	surrogateRef  = regexp.MustCompile(`character reference to U\+D[89A-F][0-9A-F]{2}$`)
@@ -153,6 +159,7 @@ func nameDeparture(err error) bool { return nonASCIIName.MatchString(err.Error()
 func readWithEncodingXML(data []byte) (events []string, departs string, err error) {
 	d := xml.NewDecoder(bytes.NewReader(data))
 	depth, roots, doctypes := 0, 0, 0
+	var scopes []map[string]string
 	for {
 		off := d.InputOffset()
 		tok, err := d.Token()
@@ -171,6 +178,9 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 			if repeatedAttr(raw) {
 				departs = fmt.Sprintf("a repeated attribute name in %s", raw)
 			}
+			if fault := namespaceFault(raw, &scopes); fault != "" {
+				departs = fmt.Sprintf("%s in %s", fault, raw)
+			}
 			if depth == 0 {
 				if roots++; roots > 1 {
 					return nil, "", fmt.Errorf("multiple root elements")
@@ -184,6 +194,7 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 			events = append(events, e)
 		case xml.EndElement:
 			depth--
+			scopes = scopes[:len(scopes)-1]
 			events = append(events, "</"+t.Name.Local)
 		case xml.CharData:
 			if off == 0 {
@@ -219,24 +230,86 @@ func readWithEncodingXML(data []byte) (events []string, departs string, err erro
 // repeatedAttr reports whether a raw start tag that encoding/xml accepted
 // names an attribute twice, comparing raw names as the Scanner does.
 func repeatedAttr(tag []byte) bool {
-	const space = " \t\r\n"
+	_, attrs := rawStartTag(tag)
 	seen := map[string]bool{}
-	i := bytes.IndexAny(tag, space) // the element name's end; -1 if no attributes
-	for i >= 0 {
+	for _, a := range attrs {
+		if seen[a.name] {
+			return true
+		}
+		seen[a.name] = true
+	}
+	return false
+}
+
+// namespaceFault names what breaks Namespaces in XML in a raw start tag
+// that encoding/xml accepted, "" if nothing: a prefix no declaration in
+// scope binds, or two attributes with one local name whose prefixes bind
+// one namespace name (compared as written, as the Scanner does). It
+// pushes the tag's scope onto scopes; the end tag pops it.
+func namespaceFault(tag []byte, scopes *[]map[string]string) string {
+	name, attrs := rawStartTag(tag)
+	scope := map[string]string{}
+	if n := len(*scopes); n > 0 {
+		maps.Copy(scope, (*scopes)[n-1])
+	}
+	for _, a := range attrs {
+		if p, local := splitQName(a.name); p == "xmlns" {
+			scope[local] = a.value
+		}
+	}
+	scope["xml"] = "http://www.w3.org/XML/1998/namespace"
+	*scopes = append(*scopes, scope)
+	if p, _ := splitQName(name); p != "" {
+		if _, ok := scope[p]; !ok {
+			return "an undeclared prefix"
+		}
+	}
+	expanded := map[[2]string]bool{}
+	for _, a := range attrs {
+		p, local := splitQName(a.name)
+		if p == "" || p == "xmlns" {
+			continue
+		}
+		uri, ok := scope[p]
+		if !ok {
+			return "an undeclared prefix"
+		}
+		if expanded[[2]string{uri, local}] {
+			return "two attributes with one expanded name"
+		}
+		expanded[[2]string{uri, local}] = true
+	}
+	return ""
+}
+
+// splitQName splits a raw name at its colon, as the Scanner does: a colon
+// first or last leaves the name unprefixed.
+func splitQName(name string) (prefix, local string) {
+	if i := strings.IndexByte(name, ':'); i > 0 && i < len(name)-1 {
+		return name[:i], name[i+1:]
+	}
+	return "", name
+}
+
+type rawAttr struct{ name, value string }
+
+// rawStartTag reads the raw element name and attributes of a start tag
+// that encoding/xml accepted.
+func rawStartTag(tag []byte) (name string, attrs []rawAttr) {
+	const space = " \t\r\n"
+	i := bytes.IndexAny(tag, space+"/>")
+	name = string(tag[1:i])
+	for {
 		i = len(tag) - len(bytes.TrimLeft(tag[i:], space))
 		eq := bytes.IndexByte(tag[i:], '=')
 		if eq < 0 { // only the tag's end is left
-			return false
+			return name, attrs
 		}
-		name := string(bytes.TrimRight(tag[i:i+eq], space))
-		if seen[name] {
-			return true
-		}
-		seen[name] = true
 		q := i + eq + 1 + bytes.IndexAny(tag[i+eq+1:], `"'`)
-		i = q + 2 + bytes.IndexByte(tag[q+1:], tag[q]) // past the closing quote
+		end := q + 1 + bytes.IndexByte(tag[q+1:], tag[q]) // the closing quote
+		attrs = append(attrs, rawAttr{string(bytes.TrimRight(tag[i:i+eq], space)), string(tag[q+1 : end])})
+		i = end + 1
 	}
-	return false
 }
 
 // unspacedAttr reports whether a raw start tag that encoding/xml accepted

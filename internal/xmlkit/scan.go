@@ -20,10 +20,12 @@ import (
 // an XML 1.0 Char in well-formed UTF-8, character references included;
 // only the five predefined entities are known; "]]>" does not occur in
 // content, nor "--" inside a comment; element and attribute names are XML
-// names with at most one colon; a DOCTYPE comes at most once, before the
-// root, and is skipped; and an XML declaration comes first, if at all (a
-// byte-order mark may precede it), and names no version but 1.0 and no
-// encoding but UTF-8. There is no DTD processing and no charset
+// names with at most one colon, each prefix is declared in scope (xml
+// needs no declaration) and no start tag has two attributes with one
+// expanded name, as Namespaces in XML require; a DOCTYPE comes at most
+// once, before the root, and is skipped; and an XML declaration comes
+// first, if at all (a byte-order mark may precede it), and names no
+// version but 1.0 and no encoding but UTF-8. There is no DTD processing and no charset
 // conversion. It is not safe for concurrent use; acquire one per goroutine
 // with AcquireScanner and return it with ReleaseScanner.
 type Scanner struct {
@@ -38,13 +40,27 @@ type Scanner struct {
 	// attrIndex indexes attrs by name once a start tag has more than
 	// linearAttrs of them (seenAttr).
 	attrIndex []int32
+	// attrNS holds, once a start tag is read, the namespace name of each
+	// prefixed attribute (nil for the others and for declarations).
+	attrNS [][]byte
+	// colon is set when a name read since the current start tag began
+	// holds a colon: a tag without one needs no namespace processing.
+	colon bool
 
-	// openElems tracks open element names for end-tag matching; the
-	// slices alias data so the stack itself is allocation-free after
-	// warm-up.
-	openElems []([]byte)
-	roots     int
-	doctype   bool
+	// openElems tracks open element names for end-tag matching, each
+	// with the length ns had before its own declarations; the slices
+	// alias data so the stack itself is allocation-free after warm-up.
+	openElems []openElem
+	// ns holds the prefix declarations (xmlns:p="uri") of the open
+	// elements, innermost last. prefixes numbers every prefix seen so
+	// far; inScope[k] is one plus the index in ns of prefix k's
+	// innermost declaration, 0 when it is unbound. Both outlive a Reset,
+	// so after warm-up a declaration allocates nothing.
+	ns       []nsBinding
+	prefixes map[string]int32
+	inScope  []int32
+	roots    int
+	doctype  bool
 	// pendingEnd is set after a self-closing tag: the next call to Next
 	// synthesizes the matching EndToken without consuming input.
 	pendingEnd bool
@@ -69,6 +85,27 @@ const (
 	// included; Name is its target and RawText its instruction.
 	ProcInstToken
 )
+
+type openElem struct {
+	name []byte
+	ns   int
+}
+
+// nsBinding is one prefix declaration: the prefix's number, its URI (raw,
+// as written) and the inScope entry it shadows.
+type nsBinding struct {
+	prefix int32
+	uri    []byte
+	shadow int32
+}
+
+// xmlNSName is the namespace the prefix xml is bound to without a
+// declaration.
+var xmlNSName = []byte("http://www.w3.org/XML/1998/namespace")
+
+// maxPrefixes bounds how many prefixes a pooled scanner remembers across
+// documents.
+const maxPrefixes = 64
 
 // RawAttr is one attribute of a StartToken; Value holds the raw bytes
 // between the quotes, entities still encoded (decode with AttrValue).
@@ -104,6 +141,12 @@ func (s *Scanner) Reset(data []byte) {
 	s.cdata = false
 	s.attrs = s.attrs[:0]
 	s.openElems = s.openElems[:0]
+	s.ns = s.ns[:0]
+	if len(s.prefixes) > maxPrefixes {
+		s.prefixes = nil
+		s.inScope = s.inScope[:0]
+	}
+	clear(s.inScope)
 	s.roots = 0
 	s.doctype = false
 	s.pendingEnd = false
@@ -165,8 +208,7 @@ func (s *Scanner) Next() (TokenKind, error) {
 	s.attrs = s.attrs[:0]
 	if s.pendingEnd {
 		s.pendingEnd = false
-		s.name = s.openElems[len(s.openElems)-1]
-		s.openElems = s.openElems[:len(s.openElems)-1]
+		s.name = s.closeElem()
 		return EndToken, nil
 	}
 	for s.pos < len(s.data) {
@@ -510,6 +552,7 @@ func (s *Scanner) scanName(qname bool) ([]byte, error) {
 	if qname && colons > 1 {
 		return nil, s.errf("name %s has more than one colon", s.data[start:i])
 	}
+	s.colon = s.colon || colons > 0
 	return s.data[start:i], nil
 }
 
@@ -530,6 +573,7 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 		return NoToken, s.errf("multiple root elements")
 	}
 	s.pos++ // consume '<'
+	s.colon = false
 	name, err := s.scanName(true)
 	if err != nil {
 		return NoToken, err
@@ -557,13 +601,130 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 			}
 			continue
 		}
-		s.name = name
 		if len(s.openElems) == 0 {
 			s.roots++
 		}
-		s.openElems = append(s.openElems, name)
+		s.openElems = append(s.openElems, openElem{name: name, ns: len(s.ns)})
+		if s.colon {
+			if err := s.bindNamespaces(name); err != nil {
+				return NoToken, err
+			}
+		}
+		s.name = name
 		return StartToken, nil
 	}
+}
+
+// closeElem pops the innermost open element and its namespace
+// declarations, returning its name.
+func (s *Scanner) closeElem() []byte {
+	e := s.openElems[len(s.openElems)-1]
+	s.openElems = s.openElems[:len(s.openElems)-1]
+	for len(s.ns) > e.ns {
+		b := s.ns[len(s.ns)-1]
+		s.inScope[b.prefix] = b.shadow
+		s.ns = s.ns[:len(s.ns)-1]
+	}
+	return e.name
+}
+
+// splitName splits a qualified name at its colon into prefix and local
+// part; a name with no colon, or whose prefix or local part would be
+// empty, has no prefix (as localName reads it).
+func splitName(name []byte) (prefix, local []byte) {
+	if l := localName(name); len(l) < len(name) {
+		return name[:len(name)-len(l)-1], l
+	}
+	return nil, name
+}
+
+// bindNamespaces applies Namespaces in XML to a start tag whose
+// attributes are all read: its xmlns:p declarations come into scope, the
+// prefixes of its name and attributes must be declared (xml needs no
+// declaration), and no two attributes may have the same local part and
+// prefixes bound to one namespace (§6.3). Namespace names are compared as
+// written.
+func (s *Scanner) bindNamespaces(name []byte) error {
+	for _, a := range s.attrs {
+		if p, local := splitName(a.Name); string(p) == "xmlns" {
+			s.declare(local, a.Value)
+		}
+	}
+	if p, _ := splitName(name); p != nil {
+		if _, ok := s.lookupNS(p); !ok {
+			return s.errf("undeclared namespace prefix %s in <%s", p, name)
+		}
+	}
+	s.attrNS = s.attrNS[:0]
+	qualified := 0
+	for _, a := range s.attrs {
+		var uri []byte
+		if p, _ := splitName(a.Name); p != nil && string(p) != "xmlns" {
+			var ok bool
+			if uri, ok = s.lookupNS(p); !ok {
+				return s.errf("undeclared namespace prefix %s in attribute %s", p, a.Name)
+			}
+			qualified++
+		}
+		s.attrNS = append(s.attrNS, uri)
+	}
+	if qualified < 2 {
+		return nil
+	}
+	// The raw-name index is done with for this tag: reuse its storage.
+	s.attrIndex = append(s.attrIndex[:0], make([]int32, 8*qualified)...)
+	for i, a := range s.attrs {
+		if s.attrNS[i] == nil {
+			continue
+		}
+		slot, found := s.expandedSlot(i)
+		if found {
+			return s.errf("attributes %s and %s of <%s have one expanded name", s.attrs[s.attrIndex[slot]-1].Name, a.Name, name)
+		}
+		s.attrIndex[slot] = int32(i + 1)
+	}
+	return nil
+}
+
+// declare brings a prefix declaration into scope.
+func (s *Scanner) declare(prefix, uri []byte) {
+	k, ok := s.prefixes[string(prefix)]
+	if !ok {
+		if s.prefixes == nil {
+			s.prefixes = map[string]int32{}
+		}
+		k = int32(len(s.inScope))
+		s.prefixes[string(prefix)] = k
+		s.inScope = append(s.inScope, 0)
+	}
+	s.ns = append(s.ns, nsBinding{prefix: k, uri: uri, shadow: s.inScope[k]})
+	s.inScope[k] = int32(len(s.ns))
+}
+
+// lookupNS returns the namespace name a prefix is bound to in scope.
+func (s *Scanner) lookupNS(prefix []byte) ([]byte, bool) {
+	if string(prefix) == "xml" {
+		return xmlNSName, true
+	}
+	if k, ok := s.prefixes[string(prefix)]; ok && s.inScope[k] != 0 {
+		return s.ns[s.inScope[k]-1].uri, true
+	}
+	return nil, false
+}
+
+// expandedSlot finds the qualified attribute i's expanded name (its
+// namespace name and local part) in attrIndex: the slot of an attribute
+// already there with that name, or the empty slot where i goes.
+func (s *Scanner) expandedSlot(i int) (slot int, found bool) {
+	_, local := splitName(s.attrs[i].Name)
+	h := fnv1a(fnv1a(fnvOffset, s.attrNS[i]), local)
+	for slot = int(h % uint32(len(s.attrIndex))); s.attrIndex[slot] != 0; slot = (slot + 1) % len(s.attrIndex) {
+		j := s.attrIndex[slot] - 1
+		if _, l := splitName(s.attrs[j].Name); bytes.Equal(l, local) && bytes.Equal(s.attrNS[j], s.attrNS[i]) {
+			return slot, true
+		}
+	}
+	return slot, false
 }
 
 func (s *Scanner) scanAttr() error {
@@ -636,16 +797,23 @@ func (s *Scanner) seenAttr(name []byte) bool {
 // into attrs plus one (0 is empty) hashed by FNV-1a: the slot that holds
 // it, or the empty slot where it goes.
 func (s *Scanner) attrSlot(name []byte) (slot int, found bool) {
-	h := uint32(2166136261)
-	for _, c := range name {
-		h = (h ^ uint32(c)) * 16777619
-	}
+	h := fnv1a(fnvOffset, name)
 	for slot = int(h % uint32(len(s.attrIndex))); s.attrIndex[slot] != 0; slot = (slot + 1) % len(s.attrIndex) {
 		if bytes.Equal(s.attrs[s.attrIndex[slot]-1].Name, name) {
 			return slot, true
 		}
 	}
 	return slot, false
+}
+
+const fnvOffset = 2166136261
+
+// fnv1a folds b into the FNV-1a hash h.
+func fnv1a(h uint32, b []byte) uint32 {
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
 }
 
 func (s *Scanner) scanEndTag() (TokenKind, error) {
@@ -662,12 +830,10 @@ func (s *Scanner) scanEndTag() (TokenKind, error) {
 	if len(s.openElems) == 0 {
 		return NoToken, s.errf("unexpected </%s>", name)
 	}
-	open := s.openElems[len(s.openElems)-1]
-	if string(open) != string(name) {
+	if open := s.openElems[len(s.openElems)-1].name; string(open) != string(name) {
 		return NoToken, s.errf("mismatched end tag </%s>, open <%s>", name, open)
 	}
-	s.openElems = s.openElems[:len(s.openElems)-1]
-	s.name = name
+	s.name = s.closeElem()
 	return EndToken, nil
 }
 

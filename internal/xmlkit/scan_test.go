@@ -134,6 +134,10 @@ func TestScannerMalformed(t *testing.T) {
 		"second decl":         `<?xml version="1.0"?><?xml version="1.0"?><a/>`,
 		"duplicate attr":      `<a b="1" b="2"/>`,
 		"duplicate qualified": `<a p:b="1" p:b="2" xmlns:p="u"/>`,
+		"undeclared element":  `<p:a/>`,
+		"undeclared attr":     `<a p:b="1"/>`,
+		"prefix out of scope": `<a><b xmlns:p="u"/><p:c/></a>`,
+		"one expanded name":   `<a p:b="1" q:b="2" xmlns:p="u" xmlns:q="u"/>`,
 	}
 	for name, doc := range cases {
 		if _, err := collectTokens(t, doc); err == nil {
@@ -144,27 +148,50 @@ func TestScannerMalformed(t *testing.T) {
 
 // TestScannerDuplicateAttrInLongTag: past the first few attributes the
 // duplicate check indexes the names, and still finds a repeat of any of
-// them, in tags of every size one scanner meets in turn.
+// them, raw or under another prefix of one namespace, in tags of every
+// size one scanner meets in turn.
 func TestScannerDuplicateAttrInLongTag(t *testing.T) {
-	tag := func(n int, dup string) string {
-		var b strings.Builder
-		b.WriteString("<a")
-		for i := range n {
-			fmt.Fprintf(&b, " n%d='%d'", i, i)
-		}
-		if dup != "" {
-			b.WriteString(" " + dup + "='x'")
-		}
-		return b.String() + "/>"
-	}
-	for _, n := range []int{7, 8, 9, 33, 300, 9} {
-		if got, err := collectTokens(t, tag(n, "")); err != nil || len(got) != 2 {
-			t.Errorf("%d distinct attributes: %v, %v", n, got, err)
-		}
-		for _, dup := range []string{"n0", fmt.Sprintf("n%d", n/2), fmt.Sprintf("n%d", n-1)} {
-			if _, err := collectTokens(t, tag(n, dup)); err == nil {
-				t.Errorf("%d attributes and a second %s accepted", n, dup)
+	for _, form := range []struct{ open, attr, dup string }{
+		{"<a", " n%d='%d'", " "},
+		{"<a xmlns:p='u' xmlns:q='u'", " p:n%d='%d'", " q:"},
+	} {
+		tag := func(n int, dup string) string {
+			var b strings.Builder
+			b.WriteString(form.open)
+			for i := range n {
+				fmt.Fprintf(&b, form.attr, i, i)
 			}
+			if dup != "" {
+				b.WriteString(form.dup + dup + "='x'")
+			}
+			return b.String() + "/>"
+		}
+		for _, n := range []int{7, 8, 9, 33, 300, 9, 1} {
+			if got, err := collectTokens(t, tag(n, "")); err != nil || len(got) != 2 {
+				t.Errorf("%s: %d distinct attributes: %v, %v", form.open, n, got, err)
+			}
+			for _, dup := range []string{"n0", fmt.Sprintf("n%d", n/2), fmt.Sprintf("n%d", n-1)} {
+				if _, err := collectTokens(t, tag(n, dup)); err == nil {
+					t.Errorf("%s: %d attributes and a second %s accepted", form.open, n, dup)
+				}
+			}
+		}
+	}
+}
+
+// TestScannerNamespaces: a declaration is in scope on its element and
+// below it, an inner one shadows an outer one until its element ends,
+// and xml needs none.
+func TestScannerNamespaces(t *testing.T) {
+	for _, doc := range []string{
+		`<p:a xmlns:p="u"><p:b p:c="1"/></p:a>`,
+		`<a xmlns:p="u"><b xmlns:p="v" p:c="1"/><p:d/></a>`,
+		`<a xml:lang="en" b="1" p:b="2" xmlns:p="u"/>`,
+		`<a p:b="1" q:b="2" xmlns:p="u" xmlns:q="v"/>`,
+		`<a xmlns:p="u" xmlns:q="u"><b p:c="1" q:d="2"/></a>`,
+	} {
+		if _, err := collectTokens(t, doc); err != nil {
+			t.Errorf("%s: %v", doc, err)
 		}
 	}
 }

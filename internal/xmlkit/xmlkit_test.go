@@ -225,6 +225,7 @@ func TestDOMSerializeEscapes(t *testing.T) {
 func TestDOMWriteRoundTripsOrRefuses(t *testing.T) {
 	build := func(name, attr, comment string) *Document {
 		root := NewElement(name)
+		root.SetAttr("xmlns:p", "urn:p")
 		root.SetAttr(attr, "v")
 		root.AppendChild(&Node{Type: CommentNode, Data: comment})
 		root.AppendChild(NewElement("b")).AppendChild(NewText("t"))
