@@ -231,6 +231,8 @@ func (s *scanner) stmt(stmt ast.Stmt, held []HeldLock) []HeldLock {
 		}
 		s.call(st.Call, held, Deferred)
 		s.callArgs(st.Call, held)
+	case *ast.IncDecStmt:
+		s.expr(st.X, held)
 	case *ast.SendStmt:
 		s.chanSend(st, held)
 		s.expr(st.Chan, held)
@@ -371,8 +373,15 @@ func (s *scanner) expr(e ast.Expr, held []HeldLock) {
 	case *ast.CallExpr:
 		s.call(e, held, Static)
 		s.callArgs(e, held)
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			s.expr(sel.X, held)
+		// The callee expression is evaluated here too: a receiver, a call
+		// that returns the function (mk(<-ch)()) or an index (fns[<-ch]()).
+		switch fun := ast.Unparen(e.Fun).(type) {
+		case *ast.SelectorExpr:
+			s.expr(fun.X, held)
+		case *ast.CallExpr:
+			s.expr(fun, held)
+		case *ast.IndexExpr:
+			s.expr(fun.Index, held)
 		}
 	case *ast.FuncLit:
 		// A literal not in call/spawn/argument position: call sites

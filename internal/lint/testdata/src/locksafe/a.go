@@ -174,6 +174,26 @@ func forPostRecv(c *counter, ch chan int) {
 	}
 }
 
+func incDecRecv(c *counter, hits map[int]int, ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	hits[<-ch]++ // want `channel receive while holding c.mu`
+}
+
+func pick(int) func() { return func() {} }
+
+func computedCalleeRecv(c *counter, ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pick(<-ch)() // want `channel receive while holding c.mu`
+}
+
+func indexedCalleeRecv(c *counter, fns []func(), ch chan int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fns[<-ch]() // want `channel receive while holding c.mu`
+}
+
 // Clean cases below: no findings expected.
 
 func sleepAfterUnlock(c *counter) {

@@ -206,8 +206,9 @@ const Header = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
 // Write serializes the document to w with 2-space indentation. It writes
 // nothing and returns an ErrParse error if the tree holds what no XML
-// document can: a name the Scanner would refuse, or a comment holding
-// "--" or ending in '-'.
+// document can: a name that is not one element or attribute name, or
+// anything else for which the Scanner refuses what Write built, such as
+// a comment holding "--" or an undeclared prefix.
 func (d *Document) Write(w io.Writer) error {
 	if d.Root == nil {
 		return fmt.Errorf("%w: empty document", ErrParse)
@@ -216,8 +217,22 @@ func (d *Document) Write(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := scanAll(out); err != nil {
+		return err
+	}
 	_, err = w.Write(out)
 	return err
+}
+
+// scanAll reads a whole document and returns the Scanner's first error.
+func scanAll(data []byte) error {
+	s := AcquireScanner(data)
+	defer ReleaseScanner(s)
+	for {
+		if kind, err := s.Next(); err != nil || kind == NoToken {
+			return err
+		}
+	}
 }
 
 // String serializes the document to a string; it returns "" on error.
@@ -237,9 +252,6 @@ func appendNode(dst []byte, n *Node, depth int) ([]byte, error) {
 	case TextNode:
 		return append(EscapeElementText(dst, n.Data), '\n'), nil
 	case CommentNode:
-		if strings.Contains(n.Data, "--") || strings.HasSuffix(n.Data, "-") {
-			return nil, fmt.Errorf("%w: comment %q holds \"--\" or ends in '-'", ErrParse, n.Data)
-		}
 		dst = append(append(dst, "<!--"...), n.Data...)
 		return append(dst, "-->\n"...), nil
 	}

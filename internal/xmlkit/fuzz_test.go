@@ -56,6 +56,7 @@ func FuzzScanner(f *testing.F) {
 		`<a p:b="1" c = '=' p:b="2" xmlns:p="u"/>`,
 		`<p:a/>`, `<a p:b="1"/>`, `<a><b xmlns:p="u"/><p:c/></a>`,
 		`<a p:b="1" q:b="2" xmlns:p="u" xmlns:q="u"/>`,
+		`<a xmlns:p=""/>`, `<a xmlns:xml="u"/>`, `<a xmlns:p="http://www.w3.org/2000/xmlns/"/>`,
 		`<a><?xml version="1.0"?></a>`, ` <?xml version="1.0"?><a/>`, "\uFEFF<?xml version='1.0'?><a/>",
 		"<a x='1\t2\r\n3\n'/>",
 		"\uFEFF<a/>",
@@ -128,9 +129,11 @@ func checkAgainstEncodingXML(t *testing.T, data []byte) {
 //     allows only whitespace and no CDATA section;
 //   - it takes attributes with no whitespace between them;
 //   - it takes a start tag that repeats an attribute name;
-//   - it takes a prefix no declaration in scope binds, and two
-//     attributes whose prefixes bind one namespace name, which
-//     Namespaces in XML forbid;
+//   - it takes a prefix no declaration in scope binds, two attributes
+//     whose prefixes bind one namespace name, an empty prefix
+//     declaration, and a declaration of xmlns, of xml to another name or
+//     of another prefix to xml's or xmlns's name, which Namespaces in XML
+//     forbid;
 //   - it takes an XML declaration anywhere, where XML 1.0 allows one, at
 //     the start of the document;
 //   - it does not normalize attribute values: equal folds the tabs and
@@ -242,9 +245,10 @@ func repeatedAttr(tag []byte) bool {
 }
 
 // namespaceFault names what breaks Namespaces in XML in a raw start tag
-// that encoding/xml accepted, "" if nothing: a prefix no declaration in
-// scope binds, or two attributes with one local name whose prefixes bind
-// one namespace name (compared as written, as the Scanner does). It
+// that encoding/xml accepted, "" if nothing: a declaration that is empty
+// or binds a reserved prefix or namespace name, a prefix no declaration
+// in scope binds, or two attributes with one local name whose prefixes
+// bind one namespace name (compared as written, as the Scanner does). It
 // pushes the tag's scope onto scopes; the end tag pops it.
 func namespaceFault(tag []byte, scopes *[]map[string]string) string {
 	name, attrs := rawStartTag(tag)
@@ -257,8 +261,15 @@ func namespaceFault(tag []byte, scopes *[]map[string]string) string {
 			scope[local] = a.value
 		}
 	}
-	scope["xml"] = "http://www.w3.org/XML/1998/namespace"
+	const xmlName, xmlnsName = "http://www.w3.org/XML/1998/namespace", "http://www.w3.org/2000/xmlns/"
+	scope["xml"] = xmlName
 	*scopes = append(*scopes, scope)
+	for _, a := range attrs {
+		p, local := splitQName(a.name)
+		if p == "xmlns" && (a.value == "" || local == "xmlns" || (local == "xml") != (a.value == xmlName) || a.value == xmlnsName) {
+			return "a reserved or empty namespace declaration"
+		}
+	}
 	if p, _ := splitQName(name); p != "" {
 		if _, ok := scope[p]; !ok {
 			return "an undeclared prefix"

@@ -21,13 +21,18 @@ import (
 // only the five predefined entities are known; "]]>" does not occur in
 // content, nor "--" inside a comment; element and attribute names are XML
 // names with at most one colon, each prefix is declared in scope (xml
-// needs no declaration) and no start tag has two attributes with one
-// expanded name, as Namespaces in XML require; a DOCTYPE comes at most
-// once, before the root, and is skipped; and an XML declaration comes
-// first, if at all (a byte-order mark may precede it), and names no
-// version but 1.0 and no encoding but UTF-8. There is no DTD processing and no charset
-// conversion. It is not safe for concurrent use; acquire one per goroutine
-// with AcquireScanner and return it with ReleaseScanner.
+// needs no declaration), no prefix declaration is empty or binds a
+// reserved prefix or namespace name, and no start tag has two attributes
+// with one expanded name, as Namespaces in XML 1.0 require. Like
+// encoding/xml, it compares namespace names as written, does not check
+// that they are URIs, and lets a default declaration (xmlns="…") take
+// any value and a processing-instruction target hold a colon. A DOCTYPE
+// comes at most once, before the root, and is skipped; and an XML
+// declaration comes first, if at all (a byte-order mark may precede it),
+// and names no version but 1.0 and no encoding but UTF-8. There is no
+// DTD processing and no charset conversion. It is not safe for
+// concurrent use; acquire one per goroutine with AcquireScanner and
+// return it with ReleaseScanner.
 type Scanner struct {
 	data []byte
 	pos  int
@@ -102,6 +107,10 @@ type nsBinding struct {
 // xmlNSName is the namespace the prefix xml is bound to without a
 // declaration.
 var xmlNSName = []byte("http://www.w3.org/XML/1998/namespace")
+
+// xmlnsNSName is the namespace name of the prefix xmlns, which no prefix
+// declaration may bind.
+const xmlnsNSName = "http://www.w3.org/2000/xmlns/"
 
 // maxPrefixes bounds how many prefixes a pooled scanner remembers across
 // documents.
@@ -645,9 +654,15 @@ func splitName(name []byte) (prefix, local []byte) {
 // prefixes bound to one namespace (§6.3). Namespace names are compared as
 // written.
 func (s *Scanner) bindNamespaces(name []byte) error {
+	qualified := 0
 	for _, a := range s.attrs {
-		if p, local := splitName(a.Name); string(p) == "xmlns" {
-			s.declare(local, a.Value)
+		switch p, local := splitName(a.Name); {
+		case string(p) == "xmlns":
+			if err := s.declare(local, a.Value); err != nil {
+				return err
+			}
+		case p != nil:
+			qualified++
 		}
 	}
 	if p, _ := splitName(name); p != nil {
@@ -655,8 +670,10 @@ func (s *Scanner) bindNamespaces(name []byte) error {
 			return s.errf("undeclared namespace prefix %s in <%s", p, name)
 		}
 	}
+	if qualified == 0 {
+		return nil
+	}
 	s.attrNS = s.attrNS[:0]
-	qualified := 0
 	for _, a := range s.attrs {
 		var uri []byte
 		if p, _ := splitName(a.Name); p != nil && string(p) != "xmlns" {
@@ -664,7 +681,6 @@ func (s *Scanner) bindNamespaces(name []byte) error {
 			if uri, ok = s.lookupNS(p); !ok {
 				return s.errf("undeclared namespace prefix %s in attribute %s", p, a.Name)
 			}
-			qualified++
 		}
 		s.attrNS = append(s.attrNS, uri)
 	}
@@ -686,8 +702,19 @@ func (s *Scanner) bindNamespaces(name []byte) error {
 	return nil
 }
 
-// declare brings a prefix declaration into scope.
-func (s *Scanner) declare(prefix, uri []byte) {
+// declare brings the declaration xmlns:prefix="uri" into scope. Its URI
+// may not be empty, xmlns may not be declared, and xml may be bound only
+// to its own namespace name, which no other prefix may take, nor
+// xmlns's (Namespaces in XML 1.0, §3).
+func (s *Scanner) declare(prefix, uri []byte) error {
+	switch {
+	case len(uri) == 0:
+		return s.errf("empty namespace declaration xmlns:%s", prefix)
+	case string(prefix) == "xmlns":
+		return s.errf("the prefix xmlns is declared")
+	case (string(prefix) == "xml") != bytes.Equal(uri, xmlNSName), string(uri) == xmlnsNSName:
+		return s.errf("xmlns:%s binds a reserved namespace name or prefix", prefix)
+	}
 	k, ok := s.prefixes[string(prefix)]
 	if !ok {
 		if s.prefixes == nil {
@@ -699,6 +726,7 @@ func (s *Scanner) declare(prefix, uri []byte) {
 	}
 	s.ns = append(s.ns, nsBinding{prefix: k, uri: uri, shadow: s.inScope[k]})
 	s.inScope[k] = int32(len(s.ns))
+	return nil
 }
 
 // lookupNS returns the namespace name a prefix is bound to in scope.

@@ -138,6 +138,11 @@ func TestScannerMalformed(t *testing.T) {
 		"undeclared attr":     `<a p:b="1"/>`,
 		"prefix out of scope": `<a><b xmlns:p="u"/><p:c/></a>`,
 		"one expanded name":   `<a p:b="1" q:b="2" xmlns:p="u" xmlns:q="u"/>`,
+		"empty prefixed decl": `<a xmlns:p=""/>`,
+		"xmlns declared":      `<a xmlns:xmlns="u"/>`,
+		"xml rebound":         `<a xmlns:xml="u"/>`,
+		"xml name taken":      `<a xmlns:p="http://www.w3.org/XML/1998/namespace"/>`,
+		"xmlns name taken":    `<a xmlns:p="http://www.w3.org/2000/xmlns/"/>`,
 	}
 	for name, doc := range cases {
 		if _, err := collectTokens(t, doc); err == nil {
@@ -181,7 +186,7 @@ func TestScannerDuplicateAttrInLongTag(t *testing.T) {
 
 // TestScannerNamespaces: a declaration is in scope on its element and
 // below it, an inner one shadows an outer one until its element ends,
-// and xml needs none.
+// and xml needs none but may be declared to its own namespace name.
 func TestScannerNamespaces(t *testing.T) {
 	for _, doc := range []string{
 		`<p:a xmlns:p="u"><p:b p:c="1"/></p:a>`,
@@ -189,6 +194,7 @@ func TestScannerNamespaces(t *testing.T) {
 		`<a xml:lang="en" b="1" p:b="2" xmlns:p="u"/>`,
 		`<a p:b="1" q:b="2" xmlns:p="u" xmlns:q="v"/>`,
 		`<a xmlns:p="u" xmlns:q="u"><b p:c="1" q:d="2"/></a>`,
+		`<a xmlns:xml="http://www.w3.org/XML/1998/namespace" xmlns="" xml:lang="en"/>`,
 	} {
 		if _, err := collectTokens(t, doc); err != nil {
 			t.Errorf("%s: %v", doc, err)

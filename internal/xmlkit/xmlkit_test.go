@@ -220,19 +220,20 @@ func TestDOMSerializeEscapes(t *testing.T) {
 }
 
 // TestDOMWriteRoundTripsOrRefuses: what Document.Write writes, the
-// Scanner reads back to the same tree; a comment or name no XML document
-// can hold is refused with ErrParse instead of written.
+// Scanner reads back to the same tree; a comment, name or prefix no XML
+// document can hold is refused with ErrParse instead of written.
 func TestDOMWriteRoundTripsOrRefuses(t *testing.T) {
 	build := func(name, attr, comment string) *Document {
 		root := NewElement(name)
-		root.SetAttr("xmlns:p", "urn:p")
 		root.SetAttr(attr, "v")
 		root.AppendChild(&Node{Type: CommentNode, Data: comment})
 		root.AppendChild(NewElement("b")).AppendChild(NewText("t"))
 		return &Document{Root: root}
 	}
 	var b strings.Builder
-	if err := build("p:a", "x-y.z", " a - b ").Write(&b); err != nil {
+	good := build("p:a", "x-y.z", " a - b ")
+	good.Root.SetAttr("xmlns:p", "urn:p")
+	if err := good.Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	doc, err := ParseDocumentString(b.String())
@@ -255,6 +256,8 @@ func TestDOMWriteRoundTripsOrRefuses(t *testing.T) {
 		{"a", "x=", ""},
 		{"a", "x:y:z", ""},
 		{"a\u00d7", "x", ""},
+		{"p:a", "x", ""},
+		{"a", "p:x", ""},
 	} {
 		b.Reset()
 		if err := build(bad.name, bad.attr, bad.comment).Write(&b); !errors.Is(err, ErrParse) || b.Len() != 0 {
