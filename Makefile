@@ -141,14 +141,16 @@ trace-demo:
 	$(GO) run ./examples/tracedemo
 
 ## perf: both levels of the performance check. Per-function allocation
-## budgets are the AllocsPerRun ceilings in each package's alloc_test.go
-## (built without the race detector, so `race` skips them). End to end
+## budgets are the AllocsPerRun ceilings in each package's alloc_test.go,
+## and per-hop budgets the allocation ledger of one dispatch-light request
+## (alloc_ledger_test.go), whose table -v prints into the log; both are
+## built without the race detector, so `race` skips them. End to end
 ## it is the repository's one benchmark (bench/, BENCHMARK.json) on its
 ## two gated workloads, in both modes, 5 s each: it fails on a wrong
 ## answer, a failed operation or a per-layer budget that does not
 ## reconcile with the end-to-end figure
 perf:
-	$(GO) test -count 1 -run AllocCeiling ./internal/...
+	$(GO) test -count 1 -v -run 'AllocCeiling|AllocLedger' ./...
 	$(GO) run ./bench -workload dispatch-light -seconds 5
 	$(GO) run ./bench -workload crypto-heavy -seconds 5
 

@@ -29,7 +29,7 @@ func TestRequestConstructorAllocCeilings(t *testing.T) {
 		sp, ctx := tr.StartSpan(context.Background(), telemetry.KindClient, rt.Name)
 		body := GetBuffer()
 		body.B = append(body.B, "{}"...)
-		req = rt.NewRequest(ctx, sp.TraceParent(), body)
+		req = rt.NewRequest(ctx, telemetry.CallTraceOf(ctx), body)
 		_ = req.Body.Close()
 		sp.End()
 	})
@@ -69,7 +69,7 @@ func TestDoAllocCeilings(t *testing.T) {
 	}{{0, 0}, {30 * time.Second, 1}} {
 		hc := &http.Client{Transport: transport, Timeout: tc.timeout}
 		var req *http.Request
-		build := func() { req = rt.NewRequest(context.Background(), "", nil) }
+		build := func() { req = rt.NewRequest(context.Background(), telemetry.CallTrace{}, nil) }
 		building := testing.AllocsPerRun(200, build)
 		allocs := testing.AllocsPerRun(200, func() {
 			build()

@@ -192,9 +192,9 @@ func NewRoute(method, rawURL, name string, header ...string) (*Route, error) {
 	return rt, nil
 }
 
-// NewRequest builds a request over the route bound to ctx, with
-// traceparent — the call's, from telemetry.Tracer.StartCall; "" for an
-// untraced call — in the X-Soc-Trace header. When ctx carries no trace,
+// NewRequest builds a request over the route bound to ctx, with the
+// call's trace — from telemetry.Tracer.StartCall; the zero CallTrace for
+// an untraced call — in the X-Soc-Trace header. When ctx carries no trace,
 // the call is an unsampled root, and the request's context carries its
 // trace instead, in the request's own allocation: an in-process handler
 // then inherits the decision without a context value of its own. body,
@@ -204,17 +204,17 @@ func NewRoute(method, rawURL, name string, header ...string) (*Route, error) {
 // caller, not followed. The URL and the header value slices are shared
 // between requests and must be treated as read-only, as the RoundTripper
 // contract already asks.
-func (rt *Route) NewRequest(ctx context.Context, traceparent string, body *Buffer) *http.Request {
+func (rt *Route) NewRequest(ctx context.Context, call telemetry.CallTrace, body *Buffer) *http.Request {
 	o := &outbound{}
 	h := make(http.Header, len(rt.header)+1)
 	for _, kv := range rt.header {
 		h[kv.key] = kv.vals
 	}
-	if traceparent != "" {
-		o.trace[0] = traceparent
+	if call.Header != "" {
+		o.trace[0] = call.Header
 		h[telemetry.HeaderName] = o.trace[:]
 		if !telemetry.SpanContextOf(ctx).Valid() {
-			ctx = o.unsampled.Bind(ctx, traceparent)
+			ctx = o.unsampled.Bind(ctx, call)
 		}
 	}
 	var payload []byte

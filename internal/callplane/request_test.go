@@ -25,7 +25,7 @@ func TestRouteNewRequest(t *testing.T) {
 
 	body := GetBuffer()
 	body.B = append(body.B, `{"a":1}`...)
-	req := rt.NewRequest(ctx, sp.TraceParent(), body)
+	req := rt.NewRequest(ctx, telemetry.CallTraceOf(ctx), body)
 	if req.Method != http.MethodPost || req.URL.String() != "http://example:81/services/Calc/invoke/Add?x=1" || req.Host != "example:81" {
 		t.Fatalf("request line = %s %s host %q", req.Method, req.URL, req.Host)
 	}
@@ -49,12 +49,12 @@ func TestRouteNewRequest(t *testing.T) {
 	// route or the next request.
 	req.Header.Set("Accept", "text/plain")
 	req.Header.Add("Content-Type", "x")
-	if h := rt.NewRequest(context.Background(), "", nil).Header; h.Get("Accept") != "application/json" || len(h["Content-Type"]) != 1 {
+	if h := rt.NewRequest(context.Background(), telemetry.CallTrace{}, nil).Header; h.Get("Accept") != "application/json" || len(h["Content-Type"]) != 1 {
 		t.Fatalf("route headers changed through a request: %v", h)
 	}
 
 	// Untraced, bodiless.
-	req2 := rt.NewRequest(context.Background(), "", nil)
+	req2 := rt.NewRequest(context.Background(), telemetry.CallTrace{}, nil)
 	if _, stamped := req2.Header[telemetry.HeaderName]; stamped {
 		t.Fatal("header stamped without an active span")
 	}

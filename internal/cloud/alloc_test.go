@@ -12,28 +12,6 @@ import (
 	"soc/internal/telemetry"
 )
 
-// TestHandlerTransportAllocCeiling: one in-memory exchange is the
-// exchange itself (writer, response and body reader in one allocation)
-// and the response's header map; the body bytes are pooled.
-func TestHandlerTransportAllocCeiling(t *testing.T) {
-	contentType, pong := []string{"text/plain"}, []byte("pong")
-	rt := HandlerTransport(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header()["Content-Type"] = contentType
-		_, _ = w.Write(pong)
-	}))
-	req := httptest.NewRequest(http.MethodGet, "/ping", nil)
-	allocs := testing.AllocsPerRun(200, func() {
-		resp, err := rt.RoundTrip(req)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatal(resp, err)
-		}
-		_ = resp.Body.Close()
-	})
-	if allocs > 3 {
-		t.Errorf("handlerTransport.RoundTrip allocates %.1f/op, ceiling 3", allocs)
-	}
-}
-
 // TestFrontDoorHopAllocCeiling: one traced, proxied POST over a local
 // replica, both in-memory exchanges included (door ← caller, replica ←
 // door). Measured 9 on go1.24 — two exchanges at 3, the root and attempt

@@ -174,6 +174,12 @@ func (s *Service) Operations() []*Operation {
 
 // Invoke validates args against the operation's input signature, calls the
 // handler, and validates the result against the output signature.
+//
+// The result may be the handler's own map: one that already conforms —
+// every declared output present, no other key, each value of its type's
+// Go representation — is returned as it is, not copied. Callers treat the
+// result as read-only, and a handler does not touch a map after returning
+// it. args is only read; the handler gets a fresh coerced copy.
 func (s *Service) Invoke(ctx context.Context, opName string, args Values) (Values, error) {
 	op, err := s.Operation(opName)
 	if err != nil {
@@ -186,6 +192,9 @@ func (s *Service) Invoke(ctx context.Context, opName string, args Values) (Value
 	out, err := op.Handler(ctx, in)
 	if err != nil {
 		return nil, err
+	}
+	if conforms(op.Output, op.outputIdx, out) {
+		return out, nil
 	}
 	result, err := coerceValues(op.Output, op.outputIdx, out, false)
 	if err != nil {
@@ -231,14 +240,47 @@ func coerceValues(params []Param, known map[string]*Param, vals Values, strict b
 	return out, nil
 }
 
+// conforms reports whether vals is already what non-strict coerceValues
+// would build from it: not nil, every param present, no other key, every
+// value of its param's Go type.
+func conforms(params []Param, known map[string]*Param, vals Values) bool {
+	if vals == nil || len(vals) != len(params) {
+		return false
+	}
+	for k, v := range vals {
+		p, ok := known[k]
+		if !ok || !isGoType(p.Type, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// isGoType reports whether v's dynamic type is t's Go representation.
+func isGoType(t Type, v any) bool {
+	switch v.(type) {
+	case string:
+		return t == String
+	case int64:
+		return t == Int
+	case float64:
+		return t == Float
+	case bool:
+		return t == Bool
+	}
+	return false
+}
+
 // CoerceValue converts v to the Go representation of t: string, int64,
 // float64, or bool. String inputs are parsed; numeric widths are unified.
+// A v already of that type is returned as it is.
 func CoerceValue(t Type, v any) (any, error) {
+	if isGoType(t, v) {
+		return v, nil
+	}
 	switch t {
 	case String:
 		switch x := v.(type) {
-		case string:
-			return x, nil
 		case fmt.Stringer:
 			return x.String(), nil
 		case int64:
@@ -252,8 +294,6 @@ func CoerceValue(t Type, v any) (any, error) {
 		}
 	case Int:
 		switch x := v.(type) {
-		case int64:
-			return x, nil
 		case int:
 			return int64(x), nil
 		case int32:
@@ -272,8 +312,6 @@ func CoerceValue(t Type, v any) (any, error) {
 		}
 	case Float:
 		switch x := v.(type) {
-		case float64:
-			return x, nil
 		case float32:
 			return float64(x), nil
 		case int64:
@@ -289,8 +327,6 @@ func CoerceValue(t Type, v any) (any, error) {
 		}
 	case Bool:
 		switch x := v.(type) {
-		case bool:
-			return x, nil
 		case string:
 			b, err := strconv.ParseBool(strings.TrimSpace(x))
 			if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -270,4 +271,80 @@ func TestMustAddOperationPanics(t *testing.T) {
 		}
 	}()
 	svc.MustAddOperation(Operation{Name: "bad name"})
+}
+
+// A handler's result that does not conform — an undeclared key, a value
+// of another Go type than its parameter's, a missing output — is coerced
+// into a fresh map, and the handler's own map is left as it was.
+func TestInvokeCopiesNonconformingOutput(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		out, want Values
+	}{
+		{"undeclared key", Values{"n": int64(2), "extra": "x"}, Values{"n": int64(2)}},
+		{"other Go type", Values{"n": 2}, Values{"n": int64(2)}},
+		{"lexical form", Values{"n": "2"}, Values{"n": int64(2)}},
+		{"missing output", Values{}, Values{"n": int64(0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := Values{}
+			for k, v := range tc.out {
+				out[k] = v
+			}
+			svc, err := NewService("Copy", "http://soc.example/copy", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.MustAddOperation(Operation{
+				Name:    "Get",
+				Output:  []Param{{Name: "n", Type: Int}},
+				Handler: func(context.Context, Values) (Values, error) { return out, nil },
+			})
+			got, err := svc.Invoke(context.Background(), "Get", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("Invoke = %#v, want %#v", got, tc.want)
+			}
+			if !reflect.DeepEqual(out, tc.out) {
+				t.Errorf("the handler's map became %#v, was %#v", out, tc.out)
+			}
+			got["n"] = int64(99)
+			if !reflect.DeepEqual(out, tc.out) {
+				t.Error("the result shares the handler's map")
+			}
+		})
+	}
+	// A nil result of an operation with no outputs still comes back as an
+	// empty map, which encodes as {} where nil would be null.
+	svc, err := NewService("Nil", "http://soc.example/nil", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.MustAddOperation(Operation{Name: "Do", Handler: func(context.Context, Values) (Values, error) { return nil, nil }})
+	if got, err := svc.Invoke(context.Background(), "Do", nil); err != nil || got == nil {
+		t.Fatalf("Invoke = %#v, %v; want an empty map", got, err)
+	}
+}
+
+// CoerceValue returns a value already of its type's Go representation as
+// it is, and converts the others.
+func TestCoerceValueIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		t    Type
+		in   any
+		want any
+	}{
+		{String, "s", "s"}, {Int, int64(7), int64(7)}, {Float, 1.5, 1.5}, {Bool, true, true},
+		{String, int64(7), "7"}, {Int, 7, int64(7)}, {Float, int64(2), 2.0}, {Bool, "true", true},
+	} {
+		got, err := CoerceValue(tc.t, tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("CoerceValue(%s, %#v) = %#v, %v; want %#v", tc.t, tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := CoerceValue(Int, "x"); err == nil {
+		t.Error(`CoerceValue(int, "x") succeeded`)
+	}
 }

@@ -23,8 +23,9 @@ import (
 
 // TestDispatchAllocCeiling pins the per-request allocation budget of
 // dispatching a no-op operation through the full router + invoke path
-// (route match, params, coercion, metrics, JSON response). Measured 7 —
-// 14 while the result left through an indenting json.Encoder — given 10 %.
+// (route match, params, coercion, metrics, JSON response). Measured 5 —
+// 7 while Invoke copied a conforming result, 14 while the result left
+// through an indenting json.Encoder.
 func TestDispatchAllocCeiling(t *testing.T) {
 	svc, err := core.NewService("Noop", "http://soc.example/noop", "")
 	if err != nil {
@@ -55,8 +56,8 @@ func TestDispatchAllocCeiling(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	if allocs > 8 {
-		t.Errorf("dispatch allocates %.1f/op, ceiling 8", allocs)
+	if allocs > 5 {
+		t.Errorf("dispatch allocates %.1f/op, ceiling 5", allocs)
 	}
 }
 
@@ -108,16 +109,19 @@ func TestDispatchAllocCeilingParallel(t *testing.T) {
 	wg.Wait()
 	runtime.ReadMemStats(&after)
 	// The per-goroutine request/recorder setup amortizes to 0.1 over the
-	// iteration count: measured 7.1, given 10 %.
+	// iteration count: measured 5.1, and one more allocation per op reads
+	// 6.1.
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(workers*iters)
-	if allocs > 8 {
-		t.Errorf("parallel dispatch allocates %.1f/op, ceiling 8", allocs)
+	if allocs > 6 {
+		t.Errorf("parallel dispatch allocates %.1f/op, ceiling 6", allocs)
 	}
 }
 
 // TestSOAPDispatchAllocCeiling pins the SOAP binding of the same
 // router, in process: route match, envelope decode, invoke, envelope
-// encode. Measured 22, given 10 %.
+// encode. Measured 11: 18 while Invoke copied a conforming result, the
+// response's Content-Type slice was fresh and the decode copied the
+// operation's name and namespace.
 func TestSOAPDispatchAllocCeiling(t *testing.T) {
 	echo, err := core.NewService("Echo", "http://soc.example/echo", "echo")
 	if err != nil {
@@ -156,8 +160,8 @@ func TestSOAPDispatchAllocCeiling(t *testing.T) {
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "fox &amp; friends") {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	if allocs > 24 {
-		t.Errorf("SOAP dispatch allocates %.1f/op, ceiling 24", allocs)
+	if allocs > 11 {
+		t.Errorf("SOAP dispatch allocates %.1f/op, ceiling 11", allocs)
 	}
 }
 
@@ -212,8 +216,9 @@ func TestUnsampledInvokeAllocCeiling(t *testing.T) {
 	never := stack(func() *telemetry.Tracer { return telemetry.NewSamplingTracer(64, 0) })
 	untraced := stack(func() *telemetry.Tracer { return nil })
 	const tp = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-00"
+	sc, _ := telemetry.ParseTraceParent(tp)
 	var node telemetry.Unsampled
-	nested := node.Bind(ctx, tp)
+	nested := node.Bind(ctx, telemetry.CallTrace{SpanContext: sc, Header: tp})
 	rest := func(call func() (core.Values, error)) func() {
 		return func() {
 			if out, err := call(); err != nil || out["ok"] != true {
@@ -315,13 +320,13 @@ func noopClient(t *testing.T, timeout time.Duration) *Client {
 }
 
 // TestClientCallAllocCeilings pins both bindings end to end over one
-// in-memory exchange, measured on go1.24 and given 1. Without a Timeout
-// (17 and 26) the client half's own share is the span context (1), the
-// request (4) and the answer — map, key, value (3 to 5); the rest is the
-// exchange (3) and the host's dispatch of the no-op; callplane.Do adds
-// nothing. With the 30 s Timeout every default client carries (18 and 27)
-// it adds the deadline, context and body guard in one (1). Through
-// http.Client.Do the same four calls measured 36, 34, 59 and 56.
+// in-memory exchange, measured on go1.24. Without a Timeout (15 and 18)
+// the client half's own share is the span context (1), the request (4)
+// and the answer — map, key, value (3 to 5); the rest is the exchange (3)
+// and the host's dispatch of the no-op; callplane.Do adds nothing. With
+// the 30 s Timeout every default client carries (16 and 19) it adds the
+// deadline, context and body guard in one (1). Through http.Client.Do the
+// same four calls measured 36, 34, 59 and 56.
 func TestClientCallAllocCeilings(t *testing.T) {
 	ctx := context.Background()
 	args := core.Values{}
@@ -329,8 +334,8 @@ func TestClientCallAllocCeilings(t *testing.T) {
 		timeout    time.Duration
 		rest, soap float64
 	}{
-		{0, 18, 27},
-		{30 * time.Second, 19, 28},
+		{0, 15, 18},
+		{30 * time.Second, 16, 19},
 	} {
 		c := noopClient(t, tc.timeout)
 		rest := func() {
@@ -356,9 +361,9 @@ func TestClientCallAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestInvokeKeyAllocCeiling: deriving a POST body's cache key costs the
-// key string and nothing else — the body is read into, canonicalised in
-// and replayed from pooled memory.
+// TestInvokeKeyAllocCeiling: deriving a POST body's cache key allocates
+// nothing — the body is read into, canonicalised in and replayed from
+// pooled memory, and the key is the keyer's own buffer.
 func TestInvokeKeyAllocCeiling(t *testing.T) {
 	h, _, _, _ := newCachedHost(t, 8, time.Minute)
 	body := strings.NewReader("")
@@ -372,9 +377,12 @@ func TestInvokeKeyAllocCeiling(t *testing.T) {
 		body.Reset(posted)
 		r.Body = inbound // release leaves NoBody behind
 		k := keyerPool.Get().(*cacheKeyer)
-		var ok bool
-		if key, _, ok = h.cacheKey(k, r, p, m); !ok {
+		b, _, ok := h.cacheKey(k, r, p, m)
+		if !ok {
 			t.Fatal("not cacheable")
+		}
+		if key == "" {
+			key = string(b) // the first run's, before release reuses the bytes
 		}
 		if replay, _ := io.ReadAll(r.Body); string(replay) != posted {
 			t.Fatalf("inner handler would read %q", replay)
@@ -386,7 +394,7 @@ func TestInvokeKeyAllocCeiling(t *testing.T) {
 		t.Fatalf("key = %q, want %q", key, want)
 	}
 	// io.ReadAll's buffer is the test's own allocation.
-	if allocs := testing.AllocsPerRun(200, derive); allocs > 2+1 {
-		t.Errorf("cacheKey of a POST body allocates %.1f/op, ceiling 2 (+1 for the test's ReadAll)", allocs)
+	if allocs := testing.AllocsPerRun(200, derive); allocs > 0+1 {
+		t.Errorf("cacheKey of a POST body allocates %.1f/op, ceiling 0 (+1 for the test's ReadAll)", allocs)
 	}
 }

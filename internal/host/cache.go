@@ -95,18 +95,19 @@ func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *m
 
 // cacheKey derives the cache key for a cacheable invocation of m, plus
 // the operation key ("Service.Operation") for cache-hit instrumentation.
-// ok is false for anything that must bypass the cache: non-idempotent
-// operations, unparseable bodies, oversized bodies.
-func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounted) (key, opKey string, ok bool) {
+// The key is k's own buffer, valid until k is released. ok is false for
+// anything that must bypass the cache: non-idempotent operations,
+// unparseable bodies, oversized bodies.
+func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounted) (key []byte, opKey string, ok bool) {
 	if opName, isREST := p["op"]; isREST {
 		return h.invokeKey(k, r, m, opName)
 	}
 	return h.soapKey(k, r, m)
 }
 
-func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) (string, string, bool) {
+func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) ([]byte, string, bool) {
 	if !m.idempotent[opName] {
-		return "", "", false
+		return nil, "", false
 	}
 	b := k.canon.buf[:0]
 	b = append(b, r.Method...)
@@ -140,49 +141,49 @@ func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName stri
 	case http.MethodPost:
 		body, ok := k.swapBody(r)
 		if !ok {
-			return "", "", false
+			return nil, "", false
 		}
 		k.canon.buf = b
 		if !k.canon.canonicalJSON(body) {
-			return "", "", false // let the handler produce the error response
+			return nil, "", false // let the handler produce the error response
 		}
 	default:
-		return "", "", false
+		return nil, "", false
 	}
-	return string(k.canon.buf), m.metricKey(opName), true
+	return k.canon.buf, m.metricKey(opName), true
 }
 
-func (h *Host) soapKey(k *cacheKeyer, r *http.Request, m *mounted) (string, string, bool) {
+func (h *Host) soapKey(k *cacheKeyer, r *http.Request, m *mounted) ([]byte, string, bool) {
 	body, ok := k.swapBody(r)
 	if !ok {
-		return "", "", false
+		return nil, "", false
 	}
 	// Only an idempotent operation pays for a decoded message: the
 	// operation's name is learnt without one. The decoded name is checked
 	// again, so what is cached never rests on the two scans agreeing.
 	if !m.idempotent[string(soapOperation(body))] {
-		return "", "", false
+		return nil, "", false
 	}
 	msg, err := soap.DecodeBytes(body)
 	if err != nil || !m.idempotent[msg.Operation] {
-		return "", "", false
+		return nil, "", false
 	}
-	var b strings.Builder
-	b.WriteString("SOAP\x00")
-	b.WriteString(m.metricKey(msg.Operation))
-	b.WriteByte(0)
+	b := append(k.canon.buf[:0], "SOAP\x00"...)
+	b = append(b, m.metricKey(msg.Operation)...)
+	b = append(b, 0)
 	keys := make([]string, 0, len(msg.Params))
-	for k := range msg.Params {
-		keys = append(keys, k)
+	for name := range msg.Params {
+		keys = append(keys, name)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(1)
-		b.WriteString(msg.Params[k])
-		b.WriteByte(0)
+	for _, name := range keys {
+		b = append(b, name...)
+		b = append(b, 1)
+		b = append(b, msg.Params[name]...)
+		b = append(b, 0)
 	}
-	return b.String(), m.metricKey(msg.Operation), true
+	k.canon.buf = b
+	return b, m.metricKey(msg.Operation), true
 }
 
 // soapOperation returns the local name of the first child element of the

@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -462,5 +463,49 @@ func TestCacheKeySpellingsShareAnEntry(t *testing.T) {
 		if w := post(body); w.Code != http.StatusBadRequest || w.Header().Get("X-Cache") != "" {
 			t.Errorf("%s: %d X-Cache=%q, want an uncached 400 from the handler", body, w.Code, w.Header().Get("X-Cache"))
 		}
+	}
+}
+
+// TestCacheHitsOverPooledKeys: goroutines hit and fill the response cache
+// at once, each deriving its keys in a pooled keyer whose buffer the next
+// request overwrites. Every answer must be its own n's square, and each
+// distinct request must miss exactly once: a cache that kept a key's
+// bytes instead of a copy would find its entries under keys that later
+// requests rewrote, and miss again.
+func TestCacheHitsOverPooledKeys(t *testing.T) {
+	// Room for every key: nothing is evicted, so every repeat is a hit.
+	h, _, _, c := newCachedHost(t, 1024, time.Minute)
+	const workers, rounds, keys = 8, 200, 24
+	distinct := map[[2]int]bool{}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < rounds; i++ {
+			distinct[[2]int{i % 2, (w*rounds + i) % keys}] = true
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				n := (w*rounds + i) % keys
+				var req *http.Request
+				if i%2 == 0 {
+					req = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/services/Calc/invoke/Square?n=%d", n), nil)
+				} else {
+					req = httptest.NewRequest(http.MethodPost, "/services/Calc/invoke/Square", strings.NewReader(fmt.Sprintf(`{"n":%d}`, n)))
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if want := fmt.Sprintf(`"result": %d`, n*n); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+					t.Errorf("n=%d: status %d, body %q, want %s", n, rec.Code, rec.Body.String(), want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if _, misses := c.Stats(); misses != uint64(len(distinct)) {
+		t.Errorf("%d misses for %d distinct requests", misses, len(distinct))
 	}
 }

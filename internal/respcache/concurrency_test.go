@@ -134,7 +134,7 @@ func TestCacheConcurrentExpiry(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.DoContext(ctx, "aging", func() (*Entry, bool) {
+				c.DoContext(ctx, []byte("aging"), func() (*Entry, bool) {
 					return &Entry{Status: 200, Body: []byte("v")}, true
 				})
 			}

@@ -141,11 +141,20 @@ func New(capacity int, ttl time.Duration) *Cache {
 	return c
 }
 
-func (c *Cache) shardFor(key string) *shard {
+// shardFor picks key's stripe. A key hashes alike whether it is held as a
+// string or as bytes.
+func shardFor[K string | []byte](c *Cache, key K) *shard {
 	if c.mask == 0 {
 		return c.shards[0]
 	}
-	return c.shards[maphash.String(c.seed, key)&c.mask]
+	var h uint64
+	switch k := any(key).(type) {
+	case string:
+		h = maphash.String(c.seed, k)
+	case []byte:
+		h = maphash.Bytes(c.seed, k)
+	}
+	return c.shards[h&c.mask]
 }
 
 // Len reports the number of cached entries (including any expired ones
@@ -174,8 +183,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 // its recency. Expired entries read as misses and are left for insertion
 // pressure (or a replacing put) to clear — deleting here would need the
 // write lock the hit path exists to avoid.
-func (s *shard) get(key string, clk vtime.Clock, ttl time.Duration) (*Entry, bool) {
-	it, ok := s.items[key]
+func get[K string | []byte](s *shard, key K, clk vtime.Clock, ttl time.Duration) (*Entry, bool) {
+	it, ok := s.items[string(key)]
 	if !ok {
 		return nil, false
 	}
@@ -211,9 +220,15 @@ func (s *shard) put(key string, e *Entry, clk vtime.Clock, ttl time.Duration) {
 	}
 }
 
-// Do is DoContext on the wall clock.
+// Do is DoContext on the wall clock, for a key held as a string.
+//
+// Neither Do nor DoContext is inlined into its caller: a call from another
+// package straight to the generic do has no escape summary, so every
+// caller's fill closure would move to the heap.
+//
+//go:noinline
 func (c *Cache) Do(key string, fill func() (*Entry, bool)) (e *Entry, hit bool) {
-	return c.DoContext(context.Background(), key, fill)
+	return do(c, context.Background(), key, fill)
 }
 
 // DoContext returns the response for key, filling on a miss. Entries
@@ -225,19 +240,30 @@ func (c *Cache) Do(key string, fill func() (*Entry, bool)) (e *Entry, hit bool) 
 // produced it. A fill that panics releases its key on the way out —
 // nothing is cached, and each collapsed waiter runs fill itself — and
 // the panic goes on to the caller.
-func (c *Cache) DoContext(ctx context.Context, key string, fill func() (*Entry, bool)) (e *Entry, hit bool) {
-	s := c.shardFor(key)
+//
+// key is only read, and only during the call: a hit looks it up as it
+// is, and a miss copies it into the string its flight and entry are
+// stored under. The caller may reuse its bytes as soon as DoContext
+// returns.
+//
+//go:noinline
+func (c *Cache) DoContext(ctx context.Context, key []byte, fill func() (*Entry, bool)) (e *Entry, hit bool) {
+	return do(c, ctx, key, fill)
+}
+
+func do[K string | []byte](c *Cache, ctx context.Context, key K, fill func() (*Entry, bool)) (*Entry, bool) {
+	s := shardFor(c, key)
 	clk := vtime.ClockFrom(ctx)
 
 	// Fast path: a fresh entry or a joinable flight needs only the
 	// shard read lock, so concurrent hits don't serialize.
 	s.mu.RLock()
-	if e, ok := s.get(key, clk, c.ttl); ok {
+	if e, ok := get(s, key, clk, c.ttl); ok {
 		s.mu.RUnlock()
 		s.hits.Add(1)
 		return e, true
 	}
-	if f, ok := s.flights[key]; ok {
+	if f, ok := s.flights[string(key)]; ok {
 		s.mu.RUnlock()
 		return s.join(f, fill)
 	}
@@ -246,22 +272,24 @@ func (c *Cache) DoContext(ctx context.Context, key string, fill func() (*Entry, 
 	// Slow path: take the write lock and re-check, since another miss
 	// may have filled or opened a flight in the window.
 	s.mu.Lock()
-	if e, ok := s.get(key, clk, c.ttl); ok {
+	if e, ok := get(s, key, clk, c.ttl); ok {
 		s.mu.Unlock()
 		s.hits.Add(1)
 		return e, true
 	}
-	if f, ok := s.flights[key]; ok {
+	if f, ok := s.flights[string(key)]; ok {
 		s.mu.Unlock()
 		return s.join(f, fill)
 	}
+	// The one copy of the key: the flight and the entry keep it.
+	owned := string(key)
 	f := &flight{}
 	f.wg.Add(1)
-	s.flights[key] = f
+	s.flights[owned] = f
 	s.misses.Add(1)
 	s.mu.Unlock()
 
-	defer s.land(key, f, clk, c.ttl)
+	defer s.land(owned, f, clk, c.ttl)
 	f.entry, f.store = fill()
 	f.filled = true
 	return f.entry, false
@@ -296,7 +324,7 @@ func (s *shard) join(f *flight, fill func() (*Entry, bool)) (*Entry, bool) {
 
 // Invalidate drops the entry for key, if present.
 func (c *Cache) Invalidate(key string) {
-	s := c.shardFor(key)
+	s := shardFor(c, key)
 	s.mu.Lock()
 	delete(s.items, key)
 	s.mu.Unlock()

@@ -41,13 +41,13 @@ func TestCacheTTLExpiry(t *testing.T) {
 	calls := 0
 	fill := func() (*Entry, bool) { calls++; return entry("v"), true }
 
-	c.DoContext(ctx, "k", fill)
+	c.DoContext(ctx, []byte("k"), fill)
 	clock.Advance(59 * time.Second)
-	if _, hit := c.DoContext(ctx, "k", fill); !hit {
+	if _, hit := c.DoContext(ctx, []byte("k"), fill); !hit {
 		t.Fatal("entry expired before TTL")
 	}
 	clock.Advance(2 * time.Second) // past the minute
-	if _, hit := c.DoContext(ctx, "k", fill); hit {
+	if _, hit := c.DoContext(ctx, []byte("k"), fill); hit {
 		t.Fatal("entry survived past TTL")
 	}
 	if calls != 2 {
@@ -213,5 +213,30 @@ func TestCacheInvalidate(t *testing.T) {
 	c.Invalidate("k")
 	if _, hit := c.Do("k", func() (*Entry, bool) { return entry("v2"), true }); hit {
 		t.Fatal("invalidated entry still served")
+	}
+}
+
+// DoContext only reads its key: after a miss fills, the caller may
+// overwrite the bytes it passed, and the entry still answers the key it
+// was stored under, and only that key.
+func TestKeyBytesAreCopiedOnFill(t *testing.T) {
+	c := New(4, time.Minute)
+	ctx := context.Background()
+	key := []byte("Calc.Square\x00n=1")
+	if _, hit := c.DoContext(ctx, key, func() (*Entry, bool) { return entry("1"), true }); hit {
+		t.Fatal("first lookup hit")
+	}
+	copy(key, "Calc.Square\x00n=2")
+	e, hit := c.DoContext(ctx, []byte("Calc.Square\x00n=1"), func() (*Entry, bool) { return entry("refilled"), true })
+	if !hit || string(e.Body) != "1" {
+		t.Fatalf("the stored key = %q after its caller's buffer changed: hit=%v body=%q", "Calc.Square\x00n=1", hit, e.Body)
+	}
+	filled := false
+	e, hit = c.DoContext(ctx, key, func() (*Entry, bool) { filled = true; return entry("4"), true })
+	if hit || !filled || string(e.Body) != "4" {
+		t.Fatalf("the overwritten key answered from the cache: hit=%v body=%q", hit, e.Body)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 }

@@ -328,8 +328,13 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 // scanner — no DOM is materialized; the only allocations are the strings
 // and maps of the returned Message.
 func DecodeBytes(data []byte) (Message, error) {
+	return decodeBytes(data, nil)
+}
+
+// decodeBytes is DecodeBytes with the names known lends.
+func decodeBytes(data []byte, known *names) (Message, error) {
 	m := Message{Params: map[string]string{}, Header: map[string]string{}}
-	if err := decodeInto(&m, data, false); err != nil {
+	if err := decodeInto(&m, data, false, known); err != nil {
 		return Message{}, err
 	}
 	return m, nil
@@ -364,11 +369,40 @@ func nextElement(s *xmlkit.Scanner) (scanEvent, error) {
 	}
 }
 
+// names lends a decode the strings it would otherwise copy out of the
+// envelope: the operation names the caller expects, each mapped to
+// itself, and the namespace. A name it does not hold is copied out of the
+// envelope.
+type names struct {
+	ops map[string]string
+	ns  string
+}
+
+// op is the operation name spelled by b.
+func (n *names) op(b []byte) string {
+	if n != nil {
+		if name, ok := n.ops[string(b)]; ok {
+			return name
+		}
+	}
+	return string(b)
+}
+
+// namespace is the xmlns value whose raw attribute text is raw.
+func (n *names) namespace(raw []byte) (string, error) {
+	// Text with no reference and no tab or line end reads as written.
+	if n != nil && string(raw) == n.ns && bytes.IndexAny(raw, "&\t\n\r") < 0 {
+		return n.ns, nil
+	}
+	return xmlkit.AttrValue(raw)
+}
+
 // decodeInto decodes the envelope into m, reusing m's maps and slices
 // (the pooled-request fast path of Server.ServeHTTP). With skipTrace the
 // Header's SocTrace entry is checked but not copied: the caller has a
-// transport value that overrides it.
-func decodeInto(m *Message, data []byte, skipTrace bool) error {
+// transport value that overrides it. known, which may be nil, lends the
+// operation name and namespace.
+func decodeInto(m *Message, data []byte, skipTrace bool, known *names) error {
 	s := xmlkit.AcquireScanner(data)
 	defer xmlkit.ReleaseScanner(s)
 	bp := getEncBuf()
@@ -409,7 +443,7 @@ func decodeInto(m *Message, data []byte, skipTrace bool) error {
 				return fmt.Errorf("%w: multiple Body elements", ErrProtocol)
 			}
 			sawBody = true
-			if fault, err = decodeBody(s, m, &scratch); err != nil {
+			if fault, err = decodeBody(s, m, &scratch, known); err != nil {
 				return err
 			}
 		default:
@@ -469,7 +503,7 @@ func decodeHeader(s *xmlkit.Scanner, m *Message, scratch *[]byte, skipTrace bool
 
 // decodeBody consumes a <Body> subtree: exactly one child, either an
 // operation element (into m) or a soap:Fault (returned).
-func decodeBody(s *xmlkit.Scanner, m *Message, scratch *[]byte) (*Fault, error) {
+func decodeBody(s *xmlkit.Scanner, m *Message, scratch *[]byte, known *names) (*Fault, error) {
 	base := s.Depth()
 	children := 0
 	var fault *Fault
@@ -500,7 +534,7 @@ func decodeBody(s *xmlkit.Scanner, m *Message, scratch *[]byte) (*Fault, error) 
 				if fault, err = decodeFault(s, scratch); err != nil {
 					return nil, err
 				}
-			} else if err := decodeOperation(s, m, scratch); err != nil {
+			} else if err := decodeOperation(s, m, scratch, known); err != nil {
 				return nil, err
 			}
 		}
@@ -509,10 +543,10 @@ func decodeBody(s *xmlkit.Scanner, m *Message, scratch *[]byte) (*Fault, error) 
 
 // decodeOperation consumes the operation element: its name, xmlns, and
 // child parameters in document order.
-func decodeOperation(s *xmlkit.Scanner, m *Message, scratch *[]byte) error {
-	m.Operation = string(s.LocalName())
+func decodeOperation(s *xmlkit.Scanner, m *Message, scratch *[]byte, known *names) error {
+	m.Operation = known.op(s.LocalName())
 	if raw, ok := s.Attr("xmlns"); ok {
-		ns, err := xmlkit.AttrValue(raw)
+		ns, err := known.namespace(raw)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrProtocol, err)
 		}
@@ -652,6 +686,9 @@ type Server struct {
 	// respNames precomputes "<op>Response" per operation at registration
 	// time so the dispatch fast path does not concatenate per request.
 	respNames map[string]string
+	// opNames maps each operation name to itself: a request's decode
+	// takes the name from here instead of copying it.
+	opNames map[string]string
 }
 
 // NewServer returns an empty SOAP endpoint for the namespace.
@@ -660,6 +697,7 @@ func NewServer(namespace string) *Server {
 		Namespace: namespace,
 		handlers:  make(map[string]HandlerFunc),
 		respNames: make(map[string]string),
+		opNames:   make(map[string]string),
 	}
 }
 
@@ -675,6 +713,7 @@ func (s *Server) Handle(operation string, h HandlerFunc) error {
 	}
 	s.handlers[operation] = h
 	s.respNames[operation] = operation + "Response"
+	s.opNames[operation] = operation
 	return nil
 }
 
@@ -704,7 +743,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	bp := getEncBuf()
 	body, err := readAllInto((*bp)[:0], r.Body)
 	if err == nil {
-		err = decodeInto(req, body, tp != "")
+		err = decodeInto(req, body, tp != "", &names{ops: s.opNames, ns: s.Namespace})
 	} else {
 		err = fmt.Errorf("%w: reading envelope: %v", ErrProtocol, err)
 	}
@@ -747,7 +786,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if resp.Namespace == "" {
 		resp.Namespace = s.Namespace
 	}
-	w.Header().Set("Content-Type", ContentType)
+	w.Header()["Content-Type"] = contentType
 	// EncodeTo fails with ErrProtocol before writing anything, so the
 	// fault still owns the status line; any other error is the client
 	// gone mid-write.
@@ -756,13 +795,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// contentType is the Content-Type value every response shares, assigned
+// by its canonical key: Header.Set would allocate a fresh slice per
+// response. It is full (len == cap), so a middleware appending to it
+// reallocates instead of mutating it.
+var contentType = []string{ContentType}
+
 func writeFault(w http.ResponseWriter, status int, f *Fault) {
 	out, err := EncodeFault(f)
 	if err != nil {
 		http.Error(w, f.String, status)
 		return
 	}
-	w.Header().Set("Content-Type", ContentType)
+	w.Header()["Content-Type"] = contentType
 	w.WriteHeader(status)
 	_, _ = w.Write(out)
 }
@@ -781,11 +826,19 @@ type Client struct {
 	Tracer *telemetry.Tracer
 
 	// routes holds, per endpoint and operation, what every request to it
-	// shares: the parsed URL and the Content-Type and SOAPAction headers.
-	routes callplane.Records[routeKey, *callplane.Route]
+	// shares: the parsed URL and the Content-Type and SOAPAction headers,
+	// and the names its answers spell.
+	routes callplane.Records[routeKey, *route]
 }
 
 type routeKey struct{ url, namespace, operation string }
+
+// route is one operation's requests and the names of their answers: the
+// "<op>Response" element a Server writes, in the request's namespace.
+type route struct {
+	req    *callplane.Route
+	answer names
+}
 
 // defaultHTTPClient serves every Client that has none of its own.
 var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
@@ -804,52 +857,57 @@ func (c *Client) tracer() *telemetry.Tracer {
 	return telemetry.Default()
 }
 
-func newRoute(k routeKey) (*callplane.Route, error) {
+func newRoute(k routeKey) (*route, error) {
 	action := k.operation
 	if k.namespace != "" {
 		action = k.namespace + "#" + k.operation
 	}
-	return callplane.NewRoute(http.MethodPost, k.url, k.operation,
+	req, err := callplane.NewRoute(http.MethodPost, k.url, k.operation,
 		"Content-Type", ContentType, "SOAPAction", `"`+action+`"`)
+	if err != nil {
+		return nil, err
+	}
+	resp := k.operation + "Response"
+	return &route{req: req, answer: names{ops: map[string]string{resp: resp}, ns: k.namespace}}, nil
 }
 
 // Call sends the message to url and decodes the response. SOAP faults are
 // returned as *Fault errors. The context cancels the in-flight HTTP
 // request, not just the wait for it.
 func (c *Client) Call(ctx context.Context, url string, req Message) (Message, error) {
-	sp, tp, ctx := c.startSpan(ctx, url, req.Operation)
-	resp, err := c.call(ctx, tp, url, req)
+	sp, tc, ctx := c.startSpan(ctx, url, req.Operation)
+	resp, err := c.call(ctx, tc, url, req)
 	sp.EndErr(err)
 	return resp, err
 }
 
-func (c *Client) call(ctx context.Context, tp, url string, req Message) (Message, error) {
+func (c *Client) call(ctx context.Context, tc telemetry.CallTrace, url string, req Message) (Message, error) {
 	var hbuf [4]Param
 	var pbuf [8]Param
 	header, params, err := req.lists(hbuf[:0], pbuf[:0])
 	if err != nil {
 		return Message{}, err
 	}
-	data, err := c.exchange(ctx, tp, url, req.Namespace, req.Operation, header, params)
+	data, answer, err := c.exchange(ctx, tc, url, req.Namespace, req.Operation, header, params)
 	if err != nil {
 		return Message{}, err
 	}
 	defer data.Release()
-	return DecodeBytes(data.B)
+	return decodeBytes(data.B, answer)
 }
 
 // CallParams is Call for a binding that holds its arguments as a list and
 // wants only the response's parameters: params are sent in the order
 // given, and the returned map is the caller's own.
 func (c *Client) CallParams(ctx context.Context, url, namespace, operation string, params []Param) (map[string]string, error) {
-	sp, tp, ctx := c.startSpan(ctx, url, operation)
-	out, err := c.callParams(ctx, tp, url, namespace, operation, params)
+	sp, tc, ctx := c.startSpan(ctx, url, operation)
+	out, err := c.callParams(ctx, tc, url, namespace, operation, params)
 	sp.EndErr(err)
 	return out, err
 }
 
-func (c *Client) callParams(ctx context.Context, tp, url, namespace, operation string, params []Param) (map[string]string, error) {
-	data, err := c.exchange(ctx, tp, url, namespace, operation, nil, params)
+func (c *Client) callParams(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (map[string]string, error) {
+	data, answer, err := c.exchange(ctx, tc, url, namespace, operation, nil, params)
 	if err != nil {
 		return nil, err
 	}
@@ -858,7 +916,7 @@ func (c *Client) callParams(ctx context.Context, tp, url, namespace, operation s
 	// parameters: their strings are fresh, the map is sized to them.
 	resp := acquireMessage()
 	defer releaseMessage(resp)
-	if err := decodeInto(resp, data.B, false); err != nil {
+	if err := decodeInto(resp, data.B, false, answer); err != nil {
 		return nil, err
 	}
 	out := make(map[string]string, len(resp.Params))
@@ -868,47 +926,48 @@ func (c *Client) callParams(ctx context.Context, tp, url, namespace, operation s
 	return out, nil
 }
 
-// startSpan starts the call's client span and returns the traceparent
-// its request carries (telemetry.Tracer.StartCall).
-func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemetry.Span, string, context.Context) {
-	sp, tp, ctx := c.tracer().StartCall(ctx, telemetry.KindClient, operation)
+// startSpan starts the call's client span and returns the trace its
+// request carries (telemetry.Tracer.StartCall).
+func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemetry.Span, telemetry.CallTrace, context.Context) {
+	sp, tc, ctx := c.tracer().StartCall(ctx, telemetry.KindClient, operation)
 	if sp != nil {
 		sp.Target = url
 		sp.Annotate("binding", "soap")
 	}
-	return sp, tp, ctx
+	return sp, tc, ctx
 }
 
 // exchange posts one envelope and returns the response body in a pooled
-// buffer, which the caller releases. On a traced call, its traceparent tp
-// replaces any SocTrace entry among the header entries (sorted by name).
-func (c *Client) exchange(ctx context.Context, tp, url, namespace, operation string, header, params []Param) (*callplane.Buffer, error) {
+// buffer, which the caller releases, and the names the answer is expected
+// to spell. On a traced call, its traceparent (tc.Header) replaces any
+// SocTrace entry among the header entries (sorted by name).
+func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, header, params []Param) (*callplane.Buffer, *names, error) {
 	var tbuf [4]Param
-	if tp != "" {
-		header = withTrace(tbuf[:0], header, tp)
+	if tc.Header != "" {
+		header = withTrace(tbuf[:0], header, tc.Header)
 	}
 	rt, err := c.routes.Get(routeKey{url, namespace, operation}, newRoute)
 	if err != nil {
-		return nil, fmt.Errorf("soap: building request: %w", err)
+		return nil, nil, fmt.Errorf("soap: building request: %w", err)
 	}
 	body := callplane.GetBuffer()
 	if body.B, err = appendEnvelope(body.B, namespace, operation, header, params); err != nil {
 		body.Release()
-		return nil, err
+		return nil, nil, err
 	}
 	// The request owns the body from here: the transport may still be
 	// sending it when Do returns, so it is released at Body.Close.
-	httpResp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, tp, body))
+	httpResp, err := callplane.Do(c.httpClient(), rt.req.NewRequest(ctx, tc, body))
 	if err != nil {
-		return nil, fmt.Errorf("soap: transport: %w", err)
+		return nil, nil, fmt.Errorf("soap: transport: %w", err)
 	}
 	defer httpResp.Body.Close()
 	data := callplane.GetBuffer()
 	if err := data.FillResponse(httpResp.Body); err != nil {
 		data.Release()
-		return nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
+		return nil, nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
 	}
-	return data, nil
+	return data, &rt.answer, nil
 }
 
 // withTrace appends header to out with the SocTrace entry set to

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -336,5 +337,29 @@ func TestFaultHelpers(t *testing.T) {
 	}
 	if ServerFault("x").Code != "Server" {
 		t.Error("ServerFault code wrong")
+	}
+}
+
+// A decode lent names reads the same message as one that copies: a
+// lent string is used only where the envelope spells it exactly, and an
+// xmlns written with a reference or a line end is decoded, not lent.
+func TestDecodeWithLentNames(t *testing.T) {
+	known := &names{ops: map[string]string{"Echo": "Echo", "a&amp;b": "a&amp;b"}, ns: "urn:a&amp;b"}
+	for _, env := range []string{
+		`<Envelope><Body><Echo xmlns="urn:echo"><text>hi</text></Echo></Body></Envelope>`,
+		`<Envelope><Body><Other xmlns="urn:a&amp;b"><text>hi</text></Other></Body></Envelope>`,
+		"<Envelope><Body><Echo xmlns=\"urn:a\nb\"/></Body></Envelope>",
+	} {
+		want, err := DecodeBytes([]byte(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBytes([]byte(env), known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Operation != want.Operation || got.Namespace != want.Namespace || !reflect.DeepEqual(got.Params, want.Params) {
+			t.Errorf("%s: lent names decoded %+v, copies %+v", env, got, want)
+		}
 	}
 }

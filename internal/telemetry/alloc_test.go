@@ -38,7 +38,7 @@ func TestSpanAllocCeiling(t *testing.T) {
 func TestUnsampledAllocCeiling(t *testing.T) {
 	tr := NewSamplingTracer(64, 0)
 	ctx := context.Background()
-	_, tp, _ := tr.StartCall(ctx, KindClient, "warm")
+	_, call, _ := tr.StartCall(ctx, KindClient, "warm")
 	if allocs := testing.AllocsPerRun(200, func() {
 		sp, _, _ := tr.StartCall(ctx, KindClient, "Calc.Add")
 		sp.EndErr(nil)
@@ -46,8 +46,8 @@ func TestUnsampledAllocCeiling(t *testing.T) {
 		t.Errorf("an unsampled call root = %.1f allocs/op, want <= 1", allocs)
 	}
 	var u Unsampled
-	inner := u.Bind(ctx, tp)
-	remote, _ := ParseTraceParent(tp)
+	inner := u.Bind(ctx, call)
+	remote := call.SpanContext
 	if allocs := testing.AllocsPerRun(200, func() {
 		sp, _ := tr.StartSpanRemote(inner, KindServer, "Calc.Add", remote)
 		sp.EndErr(nil)

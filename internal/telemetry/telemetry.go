@@ -220,11 +220,10 @@ type Unsampled struct {
 }
 
 // Bind makes u a context under parent that carries the unsampled trace
-// whose wire value is tp (which must parse) and returns it.
-func (u *Unsampled) Bind(parent context.Context, tp string) context.Context {
-	sc, _ := ParseTraceParent(tp)
-	sc.Sampled = false
-	u.Context, u.sc, u.tp = parent, sc, tp
+// call names, and returns it.
+func (u *Unsampled) Bind(parent context.Context, call CallTrace) context.Context {
+	u.Context, u.sc, u.tp = parent, call.SpanContext, call.Header
+	u.sc.Sampled = false
 	return u
 }
 
@@ -270,21 +269,35 @@ func SpanContextOf(ctx context.Context) SpanContext {
 	return SpanContext{}
 }
 
-// TraceParentOf returns the wire value an outbound request made under ctx
-// carries: the active span's, the unsampled trace's as it arrived, or ""
-// for an untraced context.
-func TraceParentOf(ctx context.Context) string {
+// CallTrace is the trace one outbound request carries: the identity its
+// callee parents on, and the X-Soc-Trace value that spells it. The zero
+// value is an untraced call. Tracer.StartCall returns one, so that
+// callplane.Route.NewRequest gets the identity with its wire value and
+// need not parse back what was just formatted.
+type CallTrace struct {
+	SpanContext
+	Header string
+}
+
+// CallTraceOf returns the trace an outbound request made under ctx
+// carries: the active span's, the unsampled trace's as it arrived, or the
+// zero CallTrace for an untraced context.
+func CallTraceOf(ctx context.Context) CallTrace {
 	switch v := ctx.Value(traceKey{}).(type) {
 	case *Span:
-		return v.TraceParent()
+		return CallTrace{v.Context(), v.TraceParent()}
 	case *Unsampled:
-		if v.tp != "" {
-			return v.tp
+		if v.tp == "" {
+			return CallTrace{v.sc, FormatTraceParent(v.sc)}
 		}
-		return FormatTraceParent(v.sc)
+		return CallTrace{v.sc, v.tp}
 	}
-	return ""
+	return CallTrace{}
 }
+
+// TraceParentOf returns the wire value an outbound request made under ctx
+// carries (CallTraceOf), or "" for an untraced context.
+func TraceParentOf(ctx context.Context) string { return CallTraceOf(ctx).Header }
 
 // InjectHTTP stamps the context's trace into the X-Soc-Trace request
 // header. An untraced context means no header: untraced calls stay

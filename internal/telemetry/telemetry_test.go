@@ -124,7 +124,7 @@ func TestUnsampledTracePropagates(t *testing.T) {
 	if child != nil || remote != nil || call != nil {
 		t.Fatal("a hop on an unsampled trace started a span")
 	}
-	if cctx != ctx || callCtx != ctx || callTP != tp {
+	if cctx != ctx || callCtx != ctx || callTP != (CallTrace{root, tp}) {
 		t.Fatal("a hop on an unsampled trace changed its context or traceparent")
 	}
 	if sc := SpanContextOf(rctx); sc != root {
@@ -139,7 +139,7 @@ func TestUnsampledTracePropagates(t *testing.T) {
 	}
 	// A sampled root formats its traceparent once and carries its span.
 	sampled, stp, sctx := down.StartCall(context.Background(), KindClient, "call")
-	if sampled == nil || stp != sampled.TraceParent() || SpanFromContext(sctx) != sampled {
+	if sampled == nil || stp != (CallTrace{sampled.Context(), sampled.TraceParent()}) || SpanFromContext(sctx) != sampled {
 		t.Fatal("a sampled call root did not start and carry its span")
 	}
 	sampled.End()
@@ -152,7 +152,7 @@ func TestUnsampledBind(t *testing.T) {
 	type key struct{}
 	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
 	var u Unsampled
-	ctx := u.Bind(parent, tp)
+	ctx := u.Bind(parent, CallTrace{sc, tp})
 	if SpanContextOf(ctx) != sc || TraceParentOf(ctx) != tp || ctx.Value(key{}) != "v" {
 		t.Fatal("a bound context lost the trace or its parent's values")
 	}

@@ -289,21 +289,23 @@ func (t *Tracer) StartSpanRemote(ctx context.Context, kind Kind, name string, re
 }
 
 // StartCall starts the span of a call that sends one request, as
-// StartSpan does, and returns the traceparent that request carries
-// ("" when untraced). On an unsampled trace it starts no span and returns
-// ctx itself. An unsampled root, unlike StartSpan's, adds nothing to the
-// context either: formatting the traceparent is its one allocation, and
-// callplane.Route.NewRequest carries the trace in the request's context.
-func (t *Tracer) StartCall(ctx context.Context, kind Kind, name string) (*Span, string, context.Context) {
+// StartSpan does, and returns the trace that request carries (the zero
+// CallTrace when untraced). On an unsampled trace it starts no span and
+// returns ctx itself. An unsampled root, unlike StartSpan's, adds nothing
+// to the context either: formatting the traceparent is its one
+// allocation, and callplane.Route.NewRequest carries the trace in the
+// request's context.
+func (t *Tracer) StartCall(ctx context.Context, kind Kind, name string) (*Span, CallTrace, context.Context) {
 	parent := SpanContextOf(ctx)
 	if t == nil || parent.Valid() && !parent.Sampled {
-		return nil, TraceParentOf(ctx), ctx
+		return nil, CallTraceOf(ctx), ctx
 	}
 	if !parent.Valid() && !t.sampleRoot() {
-		return nil, FormatTraceParent(SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}), ctx
+		sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+		return nil, CallTrace{sc, FormatTraceParent(sc)}, ctx
 	}
 	sp := t.start(ctx, kind, name, parent)
-	return sp, sp.TraceParent(), ContextWithSpan(ctx, sp)
+	return sp, CallTrace{sp.Context(), sp.TraceParent()}, ContextWithSpan(ctx, sp)
 }
 
 // Event records an already-complete zero-duration span, stamped on ctx's
