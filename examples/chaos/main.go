@@ -123,6 +123,19 @@ func run() error {
 	}
 	fmt.Printf("naive client     : %3d/%d calls failed (%.0f%%)  [injected on A: %s]\n",
 		naiveFail, *calls, 100*float64(naiveFail)/float64(*calls), injA)
+	// What the reliability block diagrams of the dependability chapter
+	// predict from that measured availability: two such services composed
+	// in series, and the three replicas (B down) side by side.
+	a := 1 - float64(naiveFail)/float64(*calls)
+	series, err := reliability.SeriesAvailability(a, a)
+	if err != nil {
+		return err
+	}
+	redundant, err := reliability.ParallelAvailability(a, 0, a)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("block diagrams   : one replica %.2f, two in series %.2f, A|B|C in parallel %.2f\n", a, series, redundant)
 
 	// --- Resilient client across all three replicas. ---
 	urls := []string{urlA, urlB, urlC}

@@ -2,7 +2,8 @@
 // the CSE446 "software integration" exercise. The workflow generates a
 // strong password with one service, encrypts it with another, caches the
 // ciphertext with a third, and verifies the round trip, with a fault
-// handler demonstrating BPEL-style scopes.
+// handler demonstrating BPEL-style scopes; a second, failing workflow
+// shows a scope compensating the step it already ran.
 package main
 
 import (
@@ -104,4 +105,34 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("cached ciphertext present: %v\n", cached.Bool("found"))
+
+	// A saga: the booking step registers how to undo itself, a later step
+	// faults, and the scope runs the undo — the cache write is gone.
+	saga, err := workflow.New("saga", &workflow.Scope{Label: "order", Body: &workflow.Sequence{
+		Label: "book", Steps: []workflow.Activity{
+			&workflow.Invoke{
+				Label: "hold", Service: "Caching", Operation: "Put",
+				Invoker: invoker,
+				Inputs:  map[string]string{"key": "holdKey", "value": "order", "dependency": "order"},
+			},
+			&workflow.Task{Label: "register-undo", Fn: func(ctx context.Context, v *workflow.Vars) error {
+				return workflow.Compensate(ctx, "release", map[string]any{"dependency": v.GetString("order")})
+			}},
+			&workflow.Task{Label: "pay", Fn: func(context.Context, *workflow.Vars) error {
+				return fmt.Errorf("card declined")
+			}},
+		}}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	saga.DefineCompensator("release", func(ctx context.Context, args map[string]any) error {
+		_, err := client.Call(ctx, "Caching", "InvalidateDependency", core.Values(args))
+		return err
+	})
+	_, _, err = saga.Run(context.Background(), map[string]any{"holdKey": "hold:1", "order": "order-9"})
+	held, lookupErr := client.Call(context.Background(), "Caching", "Get", core.Values{"key": "hold:1"})
+	if lookupErr != nil {
+		log.Fatal(lookupErr)
+	}
+	fmt.Printf("\nsaga: %v; hold still cached after the undo: %v\n", err, held.Bool("found"))
 }

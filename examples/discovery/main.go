@@ -65,6 +65,14 @@ func main() {
 	onto := ontology.NewStore()
 	must(onto.Add("LoanQuote", ontology.SubClassOf, "FinancialProduct"))
 	must(onto.Add("Forecast", ontology.SubClassOf, "Prediction"))
+	must(onto.Add("FinancialProduct", ontology.SubClassOf, "Product"))
+	must(onto.Add("quote-17", ontology.TypeOf, "LoanQuote"))
+	fmt.Println("\nontology (chapter 11):")
+	for _, t := range onto.Query("?", ontology.SubClassOf, "?") {
+		fmt.Printf("  %s %s %s\n", t.S, t.P, t.O)
+	}
+	fmt.Printf("  LoanQuote: direct superclasses %v, all %v; FinancialProduct instances %v\n",
+		onto.Objects("LoanQuote", ontology.SubClassOf), onto.Superclasses("LoanQuote"), onto.InstancesOf("FinancialProduct"))
 	sem := registry.NewSemantic(base, onto)
 	must(sem.Annotate("FastLoans", []string{"CreditScore"}, []string{"LoanQuote"}))
 	must(sem.Annotate("SlowLoans", []string{"CreditScore"}, []string{"LoanQuote"}))

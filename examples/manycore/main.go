@@ -1,7 +1,9 @@
 // Manycore: the CSE445 multithreading unit's performance study — validate
 // the Collatz conjecture sequentially, with static partitioning, and with
 // TBB-style dynamic scheduling, then print the paper's Figure 3 (the
-// projection to 32 cores on the virtual-time executor) for the same range.
+// projection to 32 cores on the virtual-time executor) for the same range,
+// with the course's speedup laws and a tour of its TBB-style abstractions
+// in between.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"soc/internal/collatz"
 	"soc/internal/experiments"
 	"soc/internal/perf"
+	"soc/internal/vtime"
 )
 
 func main() {
@@ -47,7 +50,21 @@ func main() {
 	td := measure("dynamic", func() (collatz.Result, error) { return collatz.ValidateDynamic(lo, hi, workers) })
 	s, _ := perf.Speedup(t1, td)
 	e, _ := perf.Efficiency(t1, td, workers)
-	fmt.Printf("\ndynamic on %d cores: speedup %.2fx, efficiency %.0f%%\n\n", workers, s, e*100)
+	fmt.Printf("\ndynamic on %d cores: speedup %.2fx, efficiency %.0f%%\n", workers, s, e*100)
+	if work, err := perf.Work(td, workers); err == nil {
+		fmt.Printf("work (p x Tp) %v against %v sequential\n", work, t1)
+	}
+	// The serial fraction the measured speedup implies (Karp-Flatt), and
+	// what Amdahl's and Gustafson's laws predict from it at 32 cores.
+	if f, err := perf.SerialFraction(s, workers); err == nil && f >= 0 && f <= 1 {
+		a, _ := perf.Amdahl(f, 32)
+		g, _ := perf.Gustafson(f, 32)
+		fmt.Printf("serial fraction %.3f: Amdahl predicts %.1fx at 32 cores, Gustafson %.1fx\n", f, a, g)
+	}
+	fmt.Println()
+
+	tbbTour(lo, lo+20_000, workers)
+	fmt.Println()
 
 	// The projection to the paper's 32 cores is Figure 3 itself — its cost
 	// model and core counts (socbench -exp fig3), on this range.
@@ -58,4 +75,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(report)
+
+	// Scheduling order matters on the virtual cores too: the chunks in
+	// range order (greedy list scheduling) against longest first (LPT).
+	tasks, err := collatz.Tasks(lo, hi, 5000)
+	must(err)
+	ex, err := vtime.NewExecutor(vtime.Config{})
+	must(err)
+	greedy, err := ex.Run(tasks, 32)
+	must(err)
+	lpt, err := ex.RunLPT(tasks, 32)
+	must(err)
+	fmt.Printf("\n32 virtual cores, %d chunks: makespan %d in range order, %d longest first\n",
+		len(tasks), greedy.Makespan, lpt.Makespan)
+}
+
+func must(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
 }

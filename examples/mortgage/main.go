@@ -1,6 +1,7 @@
 // Mortgage: drives the Figure 4 web application end-to-end as a real HTTP
 // client — subscribe, get denied or approved by the credit-score service,
-// create a password, and log in.
+// create a password, and log in — then reopen the provider's account.xml
+// store and update and delete the account there.
 package main
 
 import (
@@ -13,10 +14,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
 	"time"
 
 	"soc/internal/mortgageapp"
 	"soc/internal/services"
+	"soc/internal/xmlstore"
 )
 
 func main() {
@@ -78,5 +81,28 @@ func main() {
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	fmt.Printf("GET  /account/%s -> %d %s\n", userID, resp.StatusCode, data)
-	fmt.Printf("\naccount.xml lives in %s\n", dataDir)
+
+	// The provider's data layer (chapter 10): reopen account.xml as the
+	// back office would, list it, change a field and close the account.
+	server.Close()
+	accounts, err := xmlstore.Open(filepath.Join(dataDir, "account.xml"), "accounts", "account")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\naccount.xml reopened (salvaged: %v):\n", accounts.Report().Salvaged)
+	for _, rec := range accounts.All() {
+		fmt.Printf("  %s %s\n", rec.ID, rec.Fields["name"])
+	}
+	rec, err := accounts.Get(userID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rec.Fields["address"] = "2 Difference Engine Row"
+	if err := accounts.Update(rec); err != nil {
+		log.Fatal(err)
+	}
+	if err := accounts.Delete(userID); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("updated, then closed %s: %d accounts left\n", userID, accounts.Len())
 }

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -83,8 +84,18 @@ func TestIntegrationFullRepository(t *testing.T) {
 	}
 
 	// 4. All twelve catalog services are listed by the host.
-	list, err := svcClient.List(ctx)
-	if err != nil || len(list) != 12 {
+	req, err := http.NewRequest(http.MethodGet, server.URL+"/services", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list []struct{ Name string }
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || len(list) != 12 {
 		t.Fatalf("host list = %d services, %v", len(list), err)
 	}
 }

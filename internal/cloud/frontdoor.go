@@ -301,10 +301,6 @@ func (fd *FrontDoor) Stats() FrontDoorStats {
 	}
 }
 
-// Metrics exposes the door's instrument set (frontdoor.proxy latency and
-// outcome counters, frontdoor.shed) for composition into wider reports.
-func (fd *FrontDoor) Metrics() *telemetry.Metrics { return fd.metrics }
-
 // clusterzReport is the GET /clusterz document: the balancer's live view,
 // the sibling of /metricz and /tracez.
 type clusterzReport struct {

@@ -145,7 +145,7 @@ func TestFrontDoorShedsWhenSaturated(t *testing.T) {
 	if st := fd.Stats(); st.ShedQueue != 1 || st.Admitted != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if snap := fd.Metrics().Snapshot(); snap["frontdoor.shed"].Calls != 1 {
+	if snap := fd.metrics.Snapshot(); snap["frontdoor.shed"].Calls != 1 {
 		t.Fatalf("frontdoor.shed not metered: %+v", snap["frontdoor.shed"])
 	}
 }
@@ -269,7 +269,7 @@ func TestFrontDoorMetriczShape(t *testing.T) {
 // for these four records (TestReportGolden).
 func TestFrontDoorMetriczMatchesHost(t *testing.T) {
 	fd := NewFrontDoor(FrontDoorConfig{})
-	m := fd.Metrics()
+	m := fd.metrics
 	m.Record("Calc.Add", 50*time.Microsecond, false)
 	m.Record("Calc.Add", 2*time.Second, true)
 	m.RecordCached("Calc.Add")

@@ -59,6 +59,8 @@ func NewLocalReplica(name string, h http.Handler, maxInFlight int) *Replica {
 // supplies the Transport and the Timeout of every exchange (callplane.Do:
 // redirects are relayed, not followed, and Jar and CheckRedirect are not
 // consulted); nil gets a 30s-timeout default.
+//
+//soclint:ignore unreached ROADMAP 13(b): the loopback replicas of the dispatch-socket workload; its loopback test keeps it working until then
 func NewHTTPReplica(name, baseURL string, client *http.Client, maxInFlight int) (*Replica, error) {
 	base, err := url.Parse(baseURL)
 	if err != nil {

@@ -33,12 +33,9 @@ type Enrollment struct {
 	CSE598   int
 	// PrintedTotal is the total column as printed in the paper. For
 	// 2009 Fall the paper prints 45 although 33+10=43; we preserve the
-	// printed value and expose Computed() separately.
+	// printed value and leave the sum to the reader.
 	PrintedTotal int
 }
-
-// Computed returns CSE445+CSE598.
-func (e Enrollment) Computed() int { return e.CSE445 + e.CSE598 }
 
 // EnrollmentTable is Table 4 of the paper, verbatim.
 var EnrollmentTable = []Enrollment{

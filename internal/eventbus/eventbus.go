@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 )
@@ -183,80 +184,48 @@ func (b *Bus) Stats() (published, deliveries, drops int64) {
 }
 
 // WaitAny blocks until any subscription delivers, returning the event and
-// the index of the subscription that fired.
+// the index of the subscription that fired. It receives from that one
+// subscription only, so the others keep their events; a cancelled
+// subscription is skipped.
 func WaitAny(ctx context.Context, subs ...*Subscription) (Event, int, error) {
 	if len(subs) == 0 {
 		return Event{}, -1, errors.New("eventbus: no subscriptions")
 	}
-	// Funnel pattern: one goroutine per subscription forwarding the
-	// first event.
-	type hit struct {
-		e   Event
-		idx int
-	}
-	ch := make(chan hit, len(subs))
-	done := make(chan struct{})
-	defer close(done)
+	cases := make([]reflect.SelectCase, len(subs)+1)
 	for i, s := range subs {
-		go func(i int, s *Subscription) {
-			select {
-			case e, ok := <-s.C:
-				if ok {
-					select {
-					case ch <- hit{e, i}:
-					case <-done:
-					}
-				}
-			case <-done:
-			case <-ctx.Done():
-			}
-		}(i, s)
+		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(s.C)}
 	}
-	select {
-	case h := <-ch:
-		return h.e, h.idx, nil
-	case <-ctx.Done():
-		return Event{}, -1, ctx.Err()
+	cases[len(subs)] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())}
+	for {
+		i, v, ok := reflect.Select(cases)
+		if i == len(subs) {
+			return Event{}, -1, ctx.Err()
+		}
+		if ok {
+			return v.Interface().(Event), i, nil
+		}
+		cases[i].Chan = reflect.Value{} // closed: a zero Chan is never chosen
 	}
 }
 
 // WaitAll blocks until every subscription has delivered at least one
-// event, returning them in subscription order.
+// event, returning them in subscription order. It takes one event from
+// each subscription in turn, so a failure leaves the rest untouched.
 func WaitAll(ctx context.Context, subs ...*Subscription) ([]Event, error) {
 	if len(subs) == 0 {
 		return nil, errors.New("eventbus: no subscriptions")
 	}
 	out := make([]Event, len(subs))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
 	for i, s := range subs {
-		wg.Add(1)
-		go func(i int, s *Subscription) {
-			defer wg.Done()
-			select {
-			case e, ok := <-s.C:
-				if !ok {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = ErrClosed
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = e
-			case <-ctx.Done():
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				mu.Unlock()
+		select {
+		case e, ok := <-s.C:
+			if !ok {
+				return nil, ErrClosed
 			}
-		}(i, s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			out[i] = e
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	return out, nil
 }

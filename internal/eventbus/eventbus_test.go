@@ -179,3 +179,29 @@ func TestWaitAll(t *testing.T) {
 		t.Error("empty WaitAll accepted")
 	}
 }
+
+// TestWaitAnyLeavesOtherEvents: WaitAny takes its event from the one
+// subscription that fired; an event already waiting on another stays
+// there for the next wait.
+func TestWaitAnyLeavesOtherEvents(t *testing.T) {
+	b := New(4)
+	a, _ := b.Subscribe("a")
+	c, _ := b.Subscribe("c")
+	for round := 0; round < 20; round++ {
+		_, _ = b.Publish("a", round)
+		_, _ = b.Publish("c", round)
+		seen := map[string]bool{}
+		for n := 0; n < 2; n++ {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			e, _, err := WaitAny(ctx, a, c)
+			cancel()
+			if err != nil {
+				t.Fatalf("round %d, wait %d: %v (an event was swallowed)", round, n, err)
+			}
+			seen[e.Topic] = true
+		}
+		if !seen["a"] || !seen["c"] {
+			t.Fatalf("round %d: got %v, want one event from each subscription", round, seen)
+		}
+	}
+}

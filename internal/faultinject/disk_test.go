@@ -84,8 +84,8 @@ func TestDiskInjectorZeroRuleAlwaysPasses(t *testing.T) {
 			t.Fatalf("sync %d: %v", i, err)
 		}
 	}
-	if di.Injected() != 0 {
-		t.Fatalf("zero rule injected %d faults: %v", di.Injected(), di.Counts())
+	if injected(&di.ledger) != 0 {
+		t.Fatalf("zero rule injected %d faults: %v", injected(&di.ledger), di.Counts())
 	}
 }
 

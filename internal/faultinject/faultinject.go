@@ -288,19 +288,6 @@ func (l *ledger) Counts() map[string]uint64 {
 	return out
 }
 
-// Injected totals every non-pass fault injected so far.
-func (l *ledger) Injected() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total uint64
-	for k, v := range l.counts {
-		if !strings.HasSuffix(k, "|"+string(Pass)) {
-			total += v
-		}
-	}
-	return total
-}
-
 func (inj *Injector) tracer() *telemetry.Tracer {
 	if inj.Tracer != nil {
 		return inj.Tracer

@@ -27,6 +27,6 @@ func Example() {
 	e := &env{}
 	r := m.NewRunner()
 	_ = r.Run(context.Background(), e, 100)
-	fmt.Println(r.Current(), e.n)
+	fmt.Println(r.History[len(r.History)-1], e.n)
 	// Output: done 3
 }

@@ -144,12 +144,6 @@ func (b *Builder[E]) Build() (*Machine[E], error) {
 	return m, nil
 }
 
-// Name returns the machine name.
-func (m *Machine[E]) Name() string { return m.name }
-
-// Initial returns the start state.
-func (m *Machine[E]) Initial() string { return m.initial }
-
 // States returns the sorted state names.
 func (m *Machine[E]) States() []string {
 	out := make([]string, 0, len(m.states))
@@ -159,9 +153,6 @@ func (m *Machine[E]) States() []string {
 	sort.Strings(out)
 	return out
 }
-
-// IsAccepting reports whether s is an accepting state.
-func (m *Machine[E]) IsAccepting(s string) bool { return m.accepting[s] }
 
 // Runner executes a machine instance against an environment.
 type Runner[E any] struct {
@@ -176,15 +167,6 @@ type Runner[E any] struct {
 func (m *Machine[E]) NewRunner() *Runner[E] {
 	return &Runner[E]{m: m, current: m.initial, History: []string{m.initial}}
 }
-
-// Current returns the current state.
-func (r *Runner[E]) Current() string { return r.current }
-
-// Steps returns the number of transitions fired.
-func (r *Runner[E]) Steps() int { return r.steps }
-
-// Done reports whether the runner sits in an accepting state.
-func (r *Runner[E]) Done() bool { return r.m.accepting[r.current] }
 
 // Step evaluates the current state's transitions in declaration order and
 // fires the first enabled one. It reports ErrStuck when none is enabled.
@@ -211,11 +193,13 @@ func (r *Runner[E]) Step(ctx context.Context, env E) error {
 
 // Run steps the machine until it reaches an accepting state, gets stuck,
 // errors, or exceeds maxSteps.
+//
+//soclint:ignore unreached PAPER.md's VPL + internal/fsm row: running a machine to an accepting state; nav steps its machines one robot move at a time
 func (r *Runner[E]) Run(ctx context.Context, env E, maxSteps int) error {
 	if maxSteps <= 0 {
 		return fmt.Errorf("%w: maxSteps=%d", ErrDefinition, maxSteps)
 	}
-	for !r.Done() {
+	for !r.m.accepting[r.current] {
 		if r.steps >= maxSteps {
 			return fmt.Errorf("%w: %d", ErrStepLimit, maxSteps)
 		}

@@ -38,12 +38,12 @@ func TestRunToAccepting(t *testing.T) {
 	if err := r.Run(context.Background(), env, 100); err != nil {
 		t.Fatal(err)
 	}
-	if env.n != 5 || r.Current() != "done" || !r.Done() {
-		t.Errorf("n=%d state=%s", env.n, r.Current())
+	if env.n != 5 || r.current != "done" || !m.accepting[r.current] {
+		t.Errorf("n=%d state=%s", env.n, r.current)
 	}
 	// 5 increments + 1 final transition.
-	if r.Steps() != 6 {
-		t.Errorf("steps = %d", r.Steps())
+	if r.steps != 6 {
+		t.Errorf("steps = %d", r.steps)
 	}
 	if len(r.History) != 7 || r.History[0] != "counting" || r.History[6] != "done" {
 		t.Errorf("history = %v", r.History)
@@ -66,8 +66,8 @@ func TestGuardPriorityIsDeclarationOrder(t *testing.T) {
 	if err := r.Step(context.Background(), struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Current() != "b" {
-		t.Errorf("state = %s, want b", r.Current())
+	if r.current != "b" {
+		t.Errorf("state = %s, want b", r.current)
 	}
 }
 
@@ -166,14 +166,14 @@ func TestContextCancel(t *testing.T) {
 
 func TestStatesAndAccessors(t *testing.T) {
 	m := buildCounter(t, 1)
-	if m.Name() != "counter" || m.Initial() != "counting" {
-		t.Errorf("identity: %s %s", m.Name(), m.Initial())
+	if m.name != "counter" || m.initial != "counting" {
+		t.Errorf("identity: %s %s", m.name, m.initial)
 	}
 	states := m.States()
 	if len(states) != 2 || states[0] != "counting" {
 		t.Errorf("states = %v", states)
 	}
-	if !m.IsAccepting("done") || m.IsAccepting("counting") {
+	if !m.accepting["done"] || m.accepting["counting"] {
 		t.Error("accepting flags wrong")
 	}
 }

@@ -206,38 +206,3 @@ func (c *Client) Describe(ctx context.Context, service string) (*wsdl.Descriptio
 	}
 	return wsdl.Parse(bytes.NewReader(data.B))
 }
-
-// List fetches the hosted service summaries.
-func (c *Client) List(ctx context.Context) ([]ServiceInfo, error) {
-	req, err := callplane.NewRequest(ctx, http.MethodGet, c.BaseURL+"/services", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := callplane.Do(c.httpClient(), req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: transport: %w", ErrRemote, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: status %d", ErrRemote, resp.StatusCode)
-	}
-	data := callplane.GetBuffer()
-	defer data.Release()
-	if err := data.FillResponse(resp.Body); err != nil {
-		return nil, fmt.Errorf("%w: reading list: %w", ErrRemote, err)
-	}
-	var out []ServiceInfo
-	if err := json.Unmarshal(data.B, &out); err != nil {
-		return nil, fmt.Errorf("%w: decoding list: %v", ErrRemote, err)
-	}
-	return out, nil
-}
-
-// ServiceInfo is one entry of a service listing.
-type ServiceInfo struct {
-	Name      string `json:"name"`
-	Namespace string `json:"namespace"`
-	Doc       string `json:"doc"`
-	Category  string `json:"category"`
-}

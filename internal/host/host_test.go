@@ -2,6 +2,7 @@ package host
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -220,10 +221,9 @@ func TestListServices(t *testing.T) {
 		},
 	})
 	h.MustMount(second)
-	c := NewClient(ts.URL)
-	list, err := c.List(context.Background())
+	list, err := listServices(ts.URL)
 	if err != nil {
-		t.Fatalf("List: %v", err)
+		t.Fatalf("GET /services: %v", err)
 	}
 	if len(list) != 2 || list[0].Name != "Calc" || list[1].Name != "Echo" {
 		t.Errorf("list = %+v", list)
@@ -323,4 +323,28 @@ func TestMountDuringInvokeParallel(t *testing.T) {
 	if n := len(h.Names()); n != 51 {
 		t.Fatalf("%d services mounted, want 51", n)
 	}
+}
+
+// serviceInfo is one entry of the GET /services listing.
+type serviceInfo struct {
+	Name string `json:"name"`
+}
+
+// listServices fetches a host's GET /services summaries as JSON.
+func listServices(baseURL string) ([]serviceInfo, error) {
+	req, err := http.NewRequest(http.MethodGet, baseURL+"/services", nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	var out []serviceInfo
+	return out, json.NewDecoder(resp.Body).Decode(&out)
 }

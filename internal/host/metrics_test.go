@@ -3,8 +3,10 @@ package host
 import (
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,7 +47,7 @@ func TestHostMetricsRecordBothBindings(t *testing.T) {
 	if add.MeanTime() < 0 || add.TotalTime <= 0 {
 		t.Errorf("Add timing = %+v", add)
 	}
-	keys := h.instr.Keys()
+	keys := slices.Sorted(maps.Keys(h.instr.Snapshot()))
 	if len(keys) != 2 || keys[0] != "Calc.Add" || keys[1] != "Calc.Div" {
 		t.Errorf("keys = %v", keys)
 	}

@@ -186,15 +186,6 @@ func (rc *ResilientClient) Breaker(url string) *reliability.Breaker {
 	return nil
 }
 
-// Replicas lists the replica base URLs in registration order.
-func (rc *ResilientClient) Replicas() []string {
-	out := make([]string, len(rc.replicas))
-	for i, r := range rc.replicas {
-		out[i] = r.url
-	}
-	return out
-}
-
 // Counters reports attempts issued, failover hops, unhealthy skips and
 // fallback answers served.
 func (rc *ResilientClient) Counters() (attempts, failovers, skipped, fallbacks uint64) {

@@ -48,8 +48,10 @@ type Package struct {
 	Path string
 	// Files are the parsed sources backing Info.
 	Files []*ast.File
-	// Info is the type information covering exactly Files.
-	Info *types.Info
+	// Info is the type information covering exactly Files, and Types
+	// the package it checked.
+	Info  *types.Info
+	Types *types.Package
 }
 
 // CallKind classifies a call-graph edge.
@@ -165,6 +167,9 @@ type Graph struct {
 	// pending indirect call sites and interface dispatch sites
 	dynSites  []dynSite
 	dispSites []dispSite
+	// byMethod indexes the pointer types of the module's non-generic
+	// named types by the names in their method sets.
+	byMethod map[string][]types.Type
 
 	// memo is scratch space for analyzers that compute module-wide
 	// results once (keyed by analyzer-chosen strings).
@@ -183,7 +188,7 @@ type dynSite struct {
 type dispSite struct {
 	caller *Func
 	iface  *types.Interface
-	method string
+	method *types.Func
 	pos    token.Pos
 }
 
@@ -223,8 +228,12 @@ func (g *Graph) FuncOf(obj *types.Func) *Func {
 	if obj == nil {
 		return nil
 	}
-	return g.funcByPos[obj.Pos()]
+	return g.funcByPos[obj.Origin().Pos()]
 }
+
+// LitOf returns the node of a function literal, nil when the scan
+// never reached it.
+func (g *Graph) LitOf(lit *ast.FuncLit) *Func { return g.Funcs["lit@"+g.posKey(lit.Pos())] }
 
 // Build constructs the graph over the given packages. Packages must share
 // one token.FileSet and one loader-coherent type universe (stdlib objects
@@ -237,6 +246,7 @@ func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 		funcByPos:    map[token.Pos]*Func{},
 		chans:        map[string]*ChanFacts{},
 		taken:        map[*Func]bool{},
+		byMethod:     map[string][]types.Type{},
 		memo:         map[string]any{},
 		acquiresMemo: map[*Func]map[string]AcqWitness{},
 		inProgress:   map[*Func]bool{},
@@ -471,39 +481,115 @@ func compatibleSignatures(a, b *types.Signature) bool {
 		a.Variadic() == b.Variadic()
 }
 
+// resolveDispatch gives each interface call site an edge to the method
+// every module type implementing the interface runs for it: a method
+// declared on the type, or one promoted through an embedded field (a
+// struct embedding *core satisfies the interface even when *core alone
+// does not). Generic types are left out.
 func (g *Graph) resolveDispatch() {
+	var named []*types.Named
+	for _, pkg := range g.Packages {
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+				named = append(named, n)
+			}
+		}
+	}
+	sort.Slice(named, func(i, j int) bool { return named[i].Obj().Pos() < named[j].Obj().Pos() })
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		ms := types.NewMethodSet(ptr)
+		for i := 0; i < ms.Len(); i++ {
+			name := ms.At(i).Obj().Name()
+			g.byMethod[name] = append(g.byMethod[name], ptr)
+		}
+	}
 	for _, site := range g.dispSites {
-		for _, cand := range g.sortedDecls() {
-			if cand.Obj == nil {
-				continue
-			}
-			sig, ok := cand.Obj.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil || cand.Obj.Name() != site.method {
-				continue
-			}
-			rt := sig.Recv().Type()
-			if types.Implements(rt, site.iface) ||
-				types.Implements(types.NewPointer(rt), site.iface) {
+		for _, t := range g.implementers(site.iface) {
+			if callee := g.methodOf(t, site.method); callee != nil {
 				site.caller.Calls = append(site.caller.Calls, &Call{
-					Caller: site.caller, Callee: cand, Obj: cand.Obj, Kind: Dispatch, Pos: site.pos,
+					Caller: site.caller, Callee: callee, Obj: callee.Obj, Kind: Dispatch, Pos: site.pos,
 				})
 			}
 		}
 	}
 }
 
-func (g *Graph) sortedDecls() []*Func {
-	if g.sorted != nil {
-		return g.sorted
-	}
+// MethodsFor returns the methods through which module types implement
+// iface: for each implementing type, the node each method of iface
+// resolves to.
+func (g *Graph) MethodsFor(iface *types.Interface) []*Func {
 	var out []*Func
-	for _, f := range g.Funcs {
-		if f.Decl != nil {
-			out = append(out, f)
+	for _, t := range g.implementers(iface) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if f := g.methodOf(t, iface.Method(i)); f != nil {
+				out = append(out, f)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// implementers returns the pointer types of the module's non-generic
+// named types that implement iface.
+func (g *Graph) implementers(iface *types.Interface) []types.Type {
+	if iface.NumMethods() == 0 {
+		return nil
+	}
+	var out []types.Type
+	for _, t := range g.byMethod[iface.Method(0).Name()] {
+		if implements(t, iface) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// methodOf returns the node of the method m names on t, nil when it is
+// outside the graph.
+func (g *Graph) methodOf(t types.Type, m *types.Func) *Func {
+	obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
+	fn, _ := obj.(*types.Func)
+	return g.FuncOf(fn)
+}
+
+// implements reports whether t has every method of iface with the same
+// signature, telling named types apart by package path and name rather
+// than by identity: a module package with tests is checked twice (as
+// its importers see it, and with its _test.go files), so an interface
+// and a type implementing it may come from different checks.
+func implements(t types.Type, iface *types.Interface) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok || sigKey(fn.Type().(*types.Signature)) != sigKey(m.Type().(*types.Signature)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigKey renders a signature's parameter and result types, without
+// their names, with every named type qualified by its package path.
+func sigKey(sig *types.Signature) string {
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), nil))
+			b.WriteByte(',')
+		}
+		b.WriteByte(')')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 // baseExpr renders the receiver/base of a selector chain for

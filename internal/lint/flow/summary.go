@@ -407,6 +407,8 @@ func (s *scanner) expr(e ast.Expr, held []HeldLock) {
 	case *ast.IndexExpr:
 		s.expr(e.X, held)
 		s.expr(e.Index, held)
+	case *ast.IndexListExpr:
+		s.expr(e.X, held)
 	case *ast.SliceExpr:
 		s.expr(e.X, held)
 		s.expr(e.Low, held)
@@ -544,7 +546,7 @@ func (s *scanner) call(call *ast.CallExpr, held []HeldLock, kind CallKind) {
 	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
 			if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-				s.g.dispSites = append(s.g.dispSites, dispSite{caller: s.fn, iface: iface, method: obj.Name(), pos: call.Pos()})
+				s.g.dispSites = append(s.g.dispSites, dispSite{caller: s.fn, iface: iface, method: obj, pos: call.Pos()})
 			}
 			return
 		}
@@ -723,8 +725,16 @@ func isSyncLockType(t types.Type) bool {
 // CalleeFunc resolves the called function or method of call, or nil for
 // indirect calls (function values, conversions, builtins).
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	// An explicit instantiation, f[int](x), calls f.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

@@ -160,7 +160,7 @@ func unboundedReason(g *flow.Graph, f *flow.Func, visited map[*flow.Func]bool, d
 // channelJoined recognizes the result-funnel join: the spawned body sends
 // its result on a channel the spawning function receives from, so the
 // spawner drains its own fan-out (the errs-channel pattern of
-// workflow.Parallel and eventbus.WaitAny). An approximation: the drain
+// workflow.Parallel). An approximation: the drain
 // count is not checked, so stragglers must terminate by another
 // discipline — which the bounded-body check already enforced for their
 // sends (buffered or escapable).

@@ -139,6 +139,41 @@ func (c *C) tick() {
 	}
 }
 
+// TestFlowExplicitInstantiation: a lock taken inside a generic function
+// that is reached only as lockB[int](s, 1) is on the call graph, so the
+// inversion it closes is a cycle.
+func TestFlowExplicitInstantiation(t *testing.T) {
+	const src = `package genericm
+
+import "sync"
+
+type S struct{ a, b sync.Mutex }
+
+func lockB[T any](s *S, _ T) {
+	s.b.Lock()
+	s.b.Unlock()
+}
+
+func (s *S) one() {
+	s.a.Lock()
+	lockB[int](s, 1)
+	s.a.Unlock()
+}
+
+func (s *S) two() {
+	s.b.Lock()
+	s.a.Lock()
+	s.a.Unlock()
+	s.b.Unlock()
+}
+`
+	pkg := writePackage(t, "generic_instantiation", map[string]string{"a.go": src})
+	fs := runOn(t, "lockorder", pkg, Config{LockOrderScope: []string{pkg.Path}})
+	if len(fs) != 1 || !strings.Contains(fs[0].Message, "via genericm.lockB") {
+		t.Fatalf("got %v, want the a/b cycle through lockB[int]", fs)
+	}
+}
+
 // TestMutationGoLeak: a goroutine joined by draining its result channel
 // is fine; deleting the drain leaves it parked forever and must be
 // flagged.

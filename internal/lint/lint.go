@@ -483,6 +483,7 @@ func DefaultAnalyzers() []*Analyzer {
 		NoClientLiteral,
 		PoolReset,
 		UnsafeImport,
+		Unreached,
 	}
 }
 

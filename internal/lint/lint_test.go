@@ -38,12 +38,10 @@ func testLoader(t *testing.T) *Loader {
 }
 
 // loadFixture typechecks the testdata fixture package for the named
-// analyzer under a synthetic module-local import path.
+// analyzer under its module-local import path, with its _test.go files.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	path := "soc/internal/lint/testdata/src/" + name
-	pkg, err := testLoader(t).LoadDir(dir, path)
+	pkg, err := testLoader(t).Load("soc/internal/lint/testdata/src/" + name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -115,6 +113,7 @@ func TestGoldenFixtures(t *testing.T) {
 			return Config{GoLeakScope: []string{p}, RequestPathScope: []string{p}}
 		}},
 		{"atomicdiscipline", func(p string) Config { return Config{AtomicScope: []string{p}} }},
+		{"unreached", func(string) Config { return Config{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

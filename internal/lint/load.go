@@ -38,7 +38,7 @@ type Package struct {
 // the fact base covers sources and test files alike.
 func (p *Package) FlowPackage() *flow.Package {
 	files := append(append([]*ast.File(nil), p.Files...), p.TestFiles...)
-	return &flow.Package{Path: p.Path, Files: files, Info: p.Info}
+	return &flow.Package{Path: p.Path, Files: files, Info: p.Info, Types: p.Types}
 }
 
 // Loader parses and typechecks packages of one module from source. It is

@@ -5,15 +5,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"soc/internal/lint/flow"
 )
 
 // moduleRun is one cold soclint run over the whole module: a fresh
 // loader with test files on, the default analyzer registry and policy,
 // through RunModule — the same run `make lint` makes. TestSoclintSelfCheck
-// checks its findings and TestRuntimeBudget its wall time, so the
-// package type-checks the module once, not twice.
+// checks its findings, TestRuntimeBudget its wall time and
+// TestMutationUnreached its flow graph, so the package type-checks the
+// module once, not three times.
 type moduleRun struct {
 	findings []Finding
+	graph    *flow.Graph
 	paths    int
 	units    int
 	elapsed  time.Duration
@@ -55,7 +59,7 @@ func runModuleCold() moduleRun {
 	if err != nil {
 		return moduleRun{err: err}
 	}
-	return moduleRun{findings: findings, paths: len(paths), units: units, elapsed: time.Since(start)}
+	return moduleRun{findings: findings, graph: runner.Flow, paths: len(paths), units: units, elapsed: time.Since(start)}
 }
 
 // TestSoclintSelfCheck asserts that the repository passes its own
@@ -73,5 +77,33 @@ func TestSoclintSelfCheck(t *testing.T) {
 	}
 	for _, f := range run.findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestMutationUnreached removes the stdlib-interface root rule from the
+// module-wide walk: the two methods only the standard library calls —
+// context's AfterFunc hook on callplane's deadline body and the loader's
+// types.Importer method — must then be reported, and must not be with
+// the rule on.
+func TestMutationUnreached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs the full-module run; skipped in -short")
+	}
+	g := fullModuleRun(t).graph
+	reported := func(stdlibRoots bool) map[string]bool {
+		out := map[string]bool{}
+		for _, f := range unreachedFuncs(g, stdlibRoots) {
+			out[f.Name] = true
+		}
+		return out
+	}
+	with, without := reported(true), reported(false)
+	for _, name := range []string{"callplane.deadlineBody.AfterFunc", "lint.Loader.Import"} {
+		if with[name] {
+			t.Errorf("%s reported with the stdlib-interface rule on", name)
+		}
+		if !without[name] {
+			t.Errorf("%s not reported with the stdlib-interface rule removed", name)
+		}
 	}
 }

@@ -8,7 +8,7 @@ func BenchmarkGenerate(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m, err := Generate(31, 31, alg, int64(i))
-				if err != nil || !m.Solvable() {
+				if err != nil || !solvable(m) {
 					b.Fatalf("seed %d: %v", i, err)
 				}
 			}

@@ -54,9 +54,6 @@ var (
 	dy = [4]int{-1, 0, 1, 0}
 )
 
-// Delta returns the (dx, dy) step for the direction.
-func (d Dir) Delta() (int, int) { return dx[d], dy[d] }
-
 // Cell is a grid coordinate.
 type Cell struct{ X, Y int }
 
@@ -302,15 +299,6 @@ func (m *Maze) Distances(from Cell) ([][]int, error) {
 		}
 	}
 	return dist, nil
-}
-
-// Solvable reports whether the goal is reachable from the start.
-func (m *Maze) Solvable() bool {
-	dist, err := m.Distances(m.Start)
-	if err != nil {
-		return false
-	}
-	return dist[m.Goal.Y][m.Goal.X] >= 0
 }
 
 // ShortestPath returns a minimal start→goal cell sequence (inclusive), or

@@ -19,7 +19,7 @@ func TestDirHelpers(t *testing.T) {
 	if North.String() != "north" || Dir(9).String() == "" {
 		t.Error("String wrong")
 	}
-	dxv, dyv := South.Delta()
+	dxv, dyv := dx[South], dy[South]
 	if dxv != 0 || dyv != 1 {
 		t.Error("Delta wrong")
 	}
@@ -39,7 +39,7 @@ func TestNewAllWalls(t *testing.T) {
 			}
 		}
 	}
-	if m.Solvable() {
+	if solvable(m) {
 		t.Error("fully-walled maze reported solvable")
 	}
 }
@@ -81,7 +81,7 @@ func TestGeneratePerfectMazes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate(%v,%d): %v", alg, seed, err)
 			}
-			if !m.Solvable() {
+			if !solvable(m) {
 				t.Errorf("alg %v seed %d: unsolvable", alg, seed)
 			}
 			// A perfect maze over N cells has exactly N-1 open internal
@@ -120,7 +120,7 @@ func TestGenerateDivisionSolvable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !m.Solvable() {
+		if !solvable(m) {
 			t.Errorf("division seed %d unsolvable", seed)
 		}
 	}
@@ -252,4 +252,10 @@ func TestStringHasMarkers(t *testing.T) {
 	if !strings.Contains(s, " S ") || !strings.Contains(s, " G ") {
 		t.Errorf("markers missing:\n%s", s)
 	}
+}
+
+// solvable reports whether the goal is reachable from the start.
+func solvable(m *Maze) bool {
+	_, err := m.ShortestPath()
+	return err == nil
 }

@@ -226,6 +226,3 @@ func (a *App) account(w http.ResponseWriter, r *http.Request, p rest.Params) {
 		"amount": rec.Fields["amount"],
 	})
 }
-
-// Mortgage exposes the underlying service (for mounting on a Host).
-func (a *App) Mortgage() *core.Service { return a.mortgage }

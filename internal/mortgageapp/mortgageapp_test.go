@@ -258,9 +258,9 @@ func TestMortgageAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := app.Mortgage()
+	svc := app.mortgage
 	if svc == nil || svc.Name != "Mortgage" {
-		t.Errorf("Mortgage() = %v", svc)
+		t.Errorf("mortgage service = %v", svc)
 	}
 }
 

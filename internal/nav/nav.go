@@ -166,9 +166,6 @@ func newTwoDistance() *twoDistance {
 
 func (t *twoDistance) Name() string { return AlgTwoDistance }
 
-// Machine exposes the underlying FSM (for DOT export, Figure 2).
-func (t *twoDistance) Machine() *fsm.Machine[*robot.Robot] { return t.machine }
-
 // TwoDistanceDOT renders the two-distance controller's state machine in
 // Graphviz DOT — the mechanical form of the paper's Figure 2.
 func TwoDistanceDOT() string { return newTwoDistance().machine.DOT() }

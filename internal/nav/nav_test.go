@@ -152,7 +152,7 @@ func TestTwoDistanceMachineExport(t *testing.T) {
 	if !ok {
 		t.Fatal("wrong controller type")
 	}
-	dot := td.Machine().DOT()
+	dot := td.machine.DOT()
 	for _, want := range []string{"decide", "escape", "done", "greedy-unvisited"} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q", want)

@@ -60,20 +60,6 @@ func (s *Store) Add(subject, predicate, object string) error {
 	return nil
 }
 
-// Has reports whether the exact triple is asserted.
-func (s *Store) Has(subject, predicate, object string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.triples[Triple{subject, predicate, object}]
-}
-
-// Len reports the number of asserted triples.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.triples)
-}
-
 // Query returns triples matching the pattern; "" or "?" in a position is
 // a wildcard. Results are sorted for determinism.
 func (s *Store) Query(subject, predicate, object string) []Triple {

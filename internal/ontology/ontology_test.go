@@ -27,21 +27,21 @@ func financeOntology(t *testing.T) *Store {
 
 func TestAddAndQuery(t *testing.T) {
 	s := financeOntology(t)
-	if s.Len() != 7 {
-		t.Errorf("len = %d", s.Len())
+	if len(s.triples) != 7 {
+		t.Errorf("len = %d", len(s.triples))
 	}
 	if err := s.Add("", "p", "o"); err == nil {
 		t.Error("empty subject accepted")
 	}
 	// Idempotent add.
 	_ = s.Add("Loan", SubClassOf, "FinancialProduct")
-	if s.Len() != 7 {
-		t.Errorf("duplicate add changed len to %d", s.Len())
+	if len(s.triples) != 7 {
+		t.Errorf("duplicate add changed len to %d", len(s.triples))
 	}
-	if !s.Has("Mortgage", SubClassOf, "Loan") {
+	if !s.triples[Triple{"Mortgage", SubClassOf, "Loan"}] {
 		t.Error("Has missed asserted triple")
 	}
-	if s.Has("Loan", SubClassOf, "Mortgage") {
+	if s.triples[Triple{"Loan", SubClassOf, "Mortgage"}] {
 		t.Error("Has found phantom triple")
 	}
 	all := s.Query("", SubClassOf, "")

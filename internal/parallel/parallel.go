@@ -49,81 +49,28 @@ func (o Options) grain(n, workers int) int {
 // For executes body(i) for every i in [lo, hi) using a dynamic
 // (work-stealing-like) chunked schedule: workers repeatedly claim the next
 // grain-sized chunk from a shared counter, which balances irregular
-// iteration costs the way TBB's auto partitioner does.
+// iteration costs the way TBB's auto partitioner does. It is Reduce with
+// nothing to fold.
 func For(lo, hi int, body func(i int), opts Options) error {
 	if body == nil {
 		return fmt.Errorf("%w: nil body", ErrBadRange)
 	}
-	if hi < lo {
-		return fmt.Errorf("%w: [%d,%d)", ErrBadRange, lo, hi)
-	}
-	n := hi - lo
-	if n == 0 {
-		return nil
-	}
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
-	grain := opts.grain(n, workers)
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(atomic.AddInt64(&next, int64(grain))) - grain
-				if start >= n {
-					return
-				}
-				end := start + grain
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					body(lo + i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
+	_, err := Reduce(lo, hi, struct{}{},
+		func(i int) struct{} { body(i); return struct{}{} },
+		func(struct{}, struct{}) struct{} { return struct{}{} }, opts)
+	return err
 }
 
 // ForStatic executes body(i) for i in [lo, hi) with a static block
-// partition: worker w gets one contiguous block. It mirrors the naive
-// partitioning students implement first, and is the baseline against which
-// the dynamic schedule's load balancing is measured.
+// partition: each worker gets one contiguous block, the dynamic schedule
+// with a grain of a whole block. It mirrors the naive partitioning
+// students implement first, and is the baseline against which the
+// dynamic schedule's load balancing is measured.
 func ForStatic(lo, hi int, body func(i int), opts Options) error {
-	if body == nil {
-		return fmt.Errorf("%w: nil body", ErrBadRange)
+	if n, w := hi-lo, opts.workers(); n > 0 {
+		opts.Grain = (n + w - 1) / w
 	}
-	if hi < lo {
-		return fmt.Errorf("%w: [%d,%d)", ErrBadRange, lo, hi)
-	}
-	n := hi - lo
-	if n == 0 {
-		return nil
-	}
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		start := lo + w*n/workers
-		end := lo + (w+1)*n/workers
-		go func(start, end int) {
-			defer wg.Done()
-			for i := start; i < end; i++ {
-				body(i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
-	return nil
+	return For(lo, hi, body, opts)
 }
 
 // Reduce computes combine over map(i) for i in [lo, hi). Each worker folds

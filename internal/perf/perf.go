@@ -41,17 +41,14 @@ func Efficiency(t1, tp time.Duration, p int) (float64, error) {
 	return s / float64(p), nil
 }
 
-// Work returns p*Tp, the processor-time product actually consumed.
+// Work returns p*Tp, the processor-time product actually consumed (the
+// course also calls it the cost of a parallel computation).
 func Work(tp time.Duration, p int) (time.Duration, error) {
 	if p <= 0 || tp <= 0 {
 		return 0, fmt.Errorf("%w: p=%d tp=%v", ErrBadInput, p, tp)
 	}
 	return time.Duration(int64(tp) * int64(p)), nil
 }
-
-// Cost is a synonym for Work in the course terminology: the cost of a
-// parallel computation is processors times parallel time.
-func Cost(tp time.Duration, p int) (time.Duration, error) { return Work(tp, p) }
 
 // Amdahl returns the speedup predicted by Amdahl's law for a program whose
 // serial fraction is f (0 <= f <= 1) on p processors:

@@ -51,10 +51,6 @@ func TestWorkAndCost(t *testing.T) {
 	if w != 12*time.Second {
 		t.Errorf("work = %v, want 12s", w)
 	}
-	c, err := Cost(3*time.Second, 4)
-	if err != nil || c != w {
-		t.Errorf("cost = %v err=%v, want %v", c, err, w)
-	}
 }
 
 func TestAmdahlLimits(t *testing.T) {

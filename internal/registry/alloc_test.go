@@ -117,7 +117,7 @@ func reopenBytesPerEntry(t *testing.T, n int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Len(); got != n {
+	if got := entryCount(d.Registry); got != n {
 		t.Fatalf("reopened %d entries, want %d", got, n)
 	}
 	if err := d.Close(); err != nil {

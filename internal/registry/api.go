@@ -251,13 +251,6 @@ func (c *Client) Get(ctx context.Context, name string) (Entry, error) {
 	return e, err
 }
 
-// List fetches live entries.
-func (c *Client) List(ctx context.Context) ([]Entry, error) {
-	var out []Entry
-	err := c.do(ctx, "List", http.MethodGet, "/registry/services", nil, &out)
-	return out, err
-}
-
 // Search performs a ranked keyword search.
 func (c *Client) Search(ctx context.Context, query string, limit int) ([]Match, error) {
 	var out []Match

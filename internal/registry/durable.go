@@ -143,6 +143,8 @@ func (d *DurableRegistry) Heartbeat(name string) error {
 // survives a restart. It returns the evicted names, sorted; a failed
 // append stops the sweep, and the names it did not reach stay for a
 // later call.
+//
+//soclint:ignore unreached ROADMAP 22(a) and 15: the evict-lost-on-restart hook of the bug zoo and the churn loops sweep lapsed leases with it
 func (d *DurableRegistry) Evict(grace time.Duration) []string {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -158,13 +160,6 @@ func (d *DurableRegistry) Evict(grace time.Duration) []string {
 		evicted = append(evicted, e.Name)
 	}
 	return evicted
-}
-
-// Snapshot forces a snapshot + compaction now.
-func (d *DurableRegistry) Snapshot() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	return d.m.Snapshot()
 }
 
 // Recovery reports what the opening recovery found (snapshot index,

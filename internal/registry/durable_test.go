@@ -115,7 +115,7 @@ func TestDurableRegistrySnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := d2.Len(); got != 23 {
+	if got := entryCount(d2.Registry); got != 23 {
 		t.Fatalf("recovered %d entries, want 23", got)
 	}
 	info := d2.Recovery()
@@ -222,7 +222,7 @@ func TestDurableRegistryEvictSurvivesRestart(t *testing.T) {
 	if _, err := d2.Get("Alpha"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("evicted Alpha came back after a restart: %v", err)
 	}
-	if got := d2.Len(); got != 1 {
+	if got := entryCount(d2.Registry); got != 1 {
 		t.Fatalf("recovered %d entries, want 1 (recovery %s)", got, d2.Recovery())
 	}
 }

@@ -40,7 +40,7 @@ func goldenRegistry(t *testing.T) *wal.MemFS {
 	step("heartbeat Beta", d.Heartbeat("Beta"))
 	step("unpublish Alpha", d.Unpublish("Alpha"))
 	step("republish Gamma", d.Publish(testEntry("Gamma")))
-	step("snapshot", d.Snapshot())
+	step("snapshot", d.m.Snapshot())
 	step("publish Delta", d.Publish(testEntry("Delta")))
 	step("close", d.Close())
 	return fs

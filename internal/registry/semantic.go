@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"soc/internal/ontology"
@@ -65,24 +64,18 @@ func (r *SemanticRegistry) Discover(inputs, outputs []string) ([]SemanticMatch, 
 	if len(outputs) == 0 {
 		return nil, fmt.Errorf("%w: request needs at least one output concept", ErrInvalid)
 	}
-	request := ontology.ServiceProfile{Inputs: inputs, Outputs: outputs}
-	var out []SemanticMatch
+	entries := map[string]Entry{}
+	var adverts []ontology.ServiceProfile
 	for _, e := range r.List(true) {
-		profile, ok := r.Profile(e.Name)
-		if !ok {
-			continue
+		if profile, ok := r.Profile(e.Name); ok {
+			entries[e.Name] = e
+			adverts = append(adverts, profile)
 		}
-		d := r.onto.MatchService(request, profile)
-		if d == ontology.Fail {
-			continue
-		}
-		out = append(out, SemanticMatch{Entry: e, Degree: d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree != out[j].Degree {
-			return out[i].Degree < out[j].Degree
-		}
-		return out[i].Entry.Name < out[j].Entry.Name
-	})
+	ranked := r.onto.RankServices(ontology.ServiceProfile{Inputs: inputs, Outputs: outputs}, adverts)
+	out := make([]SemanticMatch, len(ranked))
+	for i, s := range ranked {
+		out[i] = SemanticMatch{Entry: entries[s.Profile.Name], Degree: s.Degree}
+	}
 	return out, nil
 }

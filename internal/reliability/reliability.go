@@ -306,9 +306,6 @@ func (b *Bulkhead) Do(ctx context.Context, fn func(ctx context.Context) error) e
 	}
 }
 
-// InUse reports occupied slots.
-func (b *Bulkhead) InUse() int { return len(b.slots) }
-
 // Failover tries replicas in order until one succeeds, remembering the
 // last healthy replica to try first next time (sticky failover).
 type Failover[T any] struct {

@@ -308,8 +308,8 @@ func TestBulkhead(t *testing.T) {
 	}
 	<-inFlight
 	<-inFlight
-	if b.InUse() != 2 {
-		t.Errorf("in use = %d", b.InUse())
+	if len(b.slots) != 2 {
+		t.Errorf("in use = %d", len(b.slots))
 	}
 	if err := b.Do(ctx, func(context.Context) error { return nil }); !errors.Is(err, ErrBulkheadFull) {
 		t.Errorf("third call: %v", err)

@@ -58,8 +58,8 @@ func TestCacheConcurrentMixed(t *testing.T) {
 func TestCacheLRUBoundUnderChurn(t *testing.T) {
 	const capacity = 128
 	c := New(capacity, 0)
-	if c.Shards() < 2 {
-		t.Fatalf("capacity %d got %d shards, want a sharded cache", capacity, c.Shards())
+	if len(c.shards) < 2 {
+		t.Fatalf("capacity %d got %d shards, want a sharded cache", capacity, len(c.shards))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

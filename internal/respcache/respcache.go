@@ -323,16 +323,14 @@ func (s *shard) join(f *flight, fill func() (*Entry, bool)) (*Entry, bool) {
 }
 
 // Invalidate drops the entry for key, if present.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func (c *Cache) Invalidate(key string) {
 	s := shardFor(c, key)
 	s.mu.Lock()
 	delete(s.items, key)
 	s.mu.Unlock()
 }
-
-// Shards reports the stripe count, for tests asserting the sharding
-// policy.
-func (c *Cache) Shards() int { return len(c.shards) }
 
 // Recorder is an http.ResponseWriter that captures the response for
 // caching while it is produced.

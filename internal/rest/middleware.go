@@ -34,6 +34,8 @@ func Recovery() Middleware {
 }
 
 // Logging writes one line per request to logger (nil uses log.Default()).
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func Logging(logger *log.Logger) Middleware {
 	if logger == nil {
 		logger = log.Default()
@@ -78,6 +80,8 @@ type Authenticator func(token string) (principal string, ok bool)
 type principalKey struct{}
 
 // Principal returns the authenticated principal stored by BearerAuth.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func Principal(r *http.Request) (string, bool) {
 	v, ok := r.Context().Value(principalKey{}).(string)
 	return v, ok
@@ -85,6 +89,8 @@ func Principal(r *http.Request) (string, bool) {
 
 // BearerAuth rejects requests without a valid "Authorization: Bearer ..."
 // header and stores the principal in the request context.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func BearerAuth(auth Authenticator) Middleware {
 	return func(next HandlerFunc) HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request, p Params) {
@@ -107,6 +113,8 @@ func BearerAuth(auth Authenticator) Middleware {
 
 // RateLimit applies a global token bucket: capacity burst, refilled at
 // perSecond tokens per second. Exhausted buckets yield 429.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func RateLimit(burst int, perSecond float64) Middleware {
 	tb := &tokenBucket{tokens: float64(burst), capacity: float64(burst), rate: perSecond, last: time.Now()}
 	return func(next HandlerFunc) HandlerFunc {
@@ -128,6 +136,7 @@ type tokenBucket struct {
 	last     time.Time
 }
 
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func (tb *tokenBucket) allow() bool {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -147,6 +156,8 @@ func (tb *tokenBucket) allow() bool {
 // Timeout cancels the request context after d; handlers that honor the
 // context stop early, and the middleware writes 503 if the deadline
 // elapsed before the handler finished writing.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func Timeout(d time.Duration) Middleware {
 	return func(next HandlerFunc) HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request, p Params) {
@@ -177,6 +188,8 @@ func Timeout(d time.Duration) Middleware {
 
 // RequestID stamps each request with a monotonically increasing id header
 // (X-Request-ID) for tracing across composed services.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func RequestID() Middleware {
 	var mu sync.Mutex
 	var n uint64

@@ -117,15 +117,12 @@ func (rt *Router) Handle(method, pattern string, h HandlerFunc) error {
 	return nil
 }
 
-// GET, POST, PUT and DELETE are Handle shorthands.
+// GET, POST and DELETE are Handle shorthands.
 func (rt *Router) GET(pattern string, h HandlerFunc) error {
 	return rt.Handle(http.MethodGet, pattern, h)
 }
 func (rt *Router) POST(pattern string, h HandlerFunc) error {
 	return rt.Handle(http.MethodPost, pattern, h)
-}
-func (rt *Router) PUT(pattern string, h HandlerFunc) error {
-	return rt.Handle(http.MethodPut, pattern, h)
 }
 func (rt *Router) DELETE(pattern string, h HandlerFunc) error {
 	return rt.Handle(http.MethodDelete, pattern, h)
@@ -267,6 +264,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Routes lists registered "METHOD pattern" strings, sorted.
+//
+//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
 func (rt *Router) Routes() []string {
 	out := make([]string, len(rt.routes))
 	for i, r := range rt.routes {

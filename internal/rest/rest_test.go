@@ -79,7 +79,7 @@ func TestRouterRoot(t *testing.T) {
 func TestRouterNotFoundAndMethodNotAllowed(t *testing.T) {
 	rt := NewRouter()
 	_ = rt.GET("/a", func(w http.ResponseWriter, r *http.Request, p Params) {})
-	_ = rt.PUT("/a", func(w http.ResponseWriter, r *http.Request, p Params) {})
+	_ = rt.Handle(http.MethodPut, "/a", func(w http.ResponseWriter, r *http.Request, p Params) {})
 	w := doReq(t, rt, "POST", "/a", "", nil)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("code = %d", w.Code)

@@ -287,8 +287,8 @@ func TestSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 1 {
-		t.Errorf("len = %d", s.Len())
+	if len(s.robots) != 1 {
+		t.Errorf("len = %d", len(s.robots))
 	}
 	if _, err := s.Get(id); err != nil {
 		t.Errorf("Get: %v", err)

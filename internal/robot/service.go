@@ -65,13 +65,6 @@ func (s *Sessions) Close(id int64) error {
 	return nil
 }
 
-// Len returns the number of live sessions.
-func (s *Sessions) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.robots)
-}
-
 // NewService wraps a session store in the Robot-as-a-Service descriptor.
 // All robot interaction — creating a maze, sensing, moving, running whole
 // command programs — happens through service operations, exactly the

@@ -46,12 +46,6 @@ func NewTwin(primary, mirror *Robot, dropRate float64, seed int64) (*Twin, error
 		rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Primary returns the virtual robot.
-func (t *Twin) Primary() *Robot { return t.primary }
-
-// Mirror returns the physical-robot stand-in.
-func (t *Twin) Mirror() *Robot { return t.mirror }
-
 // Dropped reports how many forwarded commands the link lost.
 func (t *Twin) Dropped() int { return t.dropped }
 

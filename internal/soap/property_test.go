@@ -1,7 +1,6 @@
 package soap
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -58,7 +57,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decode(bytes.NewReader(data))
+		got, err := DecodeBytes(data)
 		if err != nil {
 			return false
 		}
@@ -84,7 +83,7 @@ func TestFaultRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = Decode(bytes.NewReader(data))
+		_, err = DecodeBytes(data)
 		got, ok := err.(*Fault)
 		if !ok {
 			return false

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -291,20 +290,6 @@ func appendFault(dst []byte, f *Fault) ([]byte, error) {
 // EncodeFault renders a fault envelope.
 func EncodeFault(f *Fault) ([]byte, error) {
 	return appendFault(nil, f)
-}
-
-// Decode parses a SOAP envelope. A fault body decodes into a *Fault error.
-func Decode(r io.Reader) (Message, error) {
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	b := (*bp)[:0]
-	var err error
-	b, err = readAllInto(b, r)
-	*bp = b[:0]
-	if err != nil {
-		return Message{}, fmt.Errorf("%w: reading envelope: %v", ErrProtocol, err)
-	}
-	return DecodeBytes(b)
 }
 
 // readAllInto is io.ReadAll appending into a reusable buffer.
@@ -717,11 +702,6 @@ func (s *Server) Handle(operation string, h HandlerFunc) error {
 	return nil
 }
 
-// Operations lists the registered operation names.
-func (s *Server) Operations() []string {
-	return slices.Sorted(maps.Keys(s.handlers))
-}
-
 // ServeHTTP implements http.Handler. The request message handed to the
 // handler is pooled: its maps and slices are valid only for the duration
 // of the handler call, so handlers must copy anything they retain (the
@@ -871,34 +851,10 @@ func newRoute(k routeKey) (*route, error) {
 	return &route{req: req, answer: names{ops: map[string]string{resp: resp}, ns: k.namespace}}, nil
 }
 
-// Call sends the message to url and decodes the response. SOAP faults are
-// returned as *Fault errors. The context cancels the in-flight HTTP
-// request, not just the wait for it.
-func (c *Client) Call(ctx context.Context, url string, req Message) (Message, error) {
-	sp, tc, ctx := c.startSpan(ctx, url, req.Operation)
-	resp, err := c.call(ctx, tc, url, req)
-	sp.EndErr(err)
-	return resp, err
-}
-
-func (c *Client) call(ctx context.Context, tc telemetry.CallTrace, url string, req Message) (Message, error) {
-	var hbuf [4]Param
-	var pbuf [8]Param
-	header, params, err := req.lists(hbuf[:0], pbuf[:0])
-	if err != nil {
-		return Message{}, err
-	}
-	data, answer, err := c.exchange(ctx, tc, url, req.Namespace, req.Operation, header, params)
-	if err != nil {
-		return Message{}, err
-	}
-	defer data.Release()
-	return decodeBytes(data.B, answer)
-}
-
-// CallParams is Call for a binding that holds its arguments as a list and
-// wants only the response's parameters: params are sent in the order
-// given, and the returned map is the caller's own.
+// CallParams sends operation with params, in the order given, to url and
+// returns the response's parameters in a map that is the caller's own.
+// SOAP faults are returned as *Fault errors. The context cancels the
+// in-flight HTTP request, not just the wait for it.
 func (c *Client) CallParams(ctx context.Context, url, namespace, operation string, params []Param) (map[string]string, error) {
 	sp, tc, ctx := c.startSpan(ctx, url, operation)
 	out, err := c.callParams(ctx, tc, url, namespace, operation, params)
@@ -907,7 +863,7 @@ func (c *Client) CallParams(ctx context.Context, url, namespace, operation strin
 }
 
 func (c *Client) callParams(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (map[string]string, error) {
-	data, answer, err := c.exchange(ctx, tc, url, namespace, operation, nil, params)
+	data, answer, err := c.exchange(ctx, tc, url, namespace, operation, params)
 	if err != nil {
 		return nil, err
 	}
@@ -939,12 +895,13 @@ func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemet
 
 // exchange posts one envelope and returns the response body in a pooled
 // buffer, which the caller releases, and the names the answer is expected
-// to spell. On a traced call, its traceparent (tc.Header) replaces any
-// SocTrace entry among the header entries (sorted by name).
-func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, header, params []Param) (*callplane.Buffer, *names, error) {
-	var tbuf [4]Param
+// to spell. A traced call carries its traceparent (tc.Header) as the
+// envelope's one SocTrace header entry.
+func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (*callplane.Buffer, *names, error) {
+	var tbuf [1]Param
+	var header []Param
 	if tc.Header != "" {
-		header = withTrace(tbuf[:0], header, tc.Header)
+		header = append(tbuf[:0], Param{telemetry.SOAPHeaderName, tc.Header})
 	}
 	rt, err := c.routes.Get(routeKey{url, namespace, operation}, newRoute)
 	if err != nil {
@@ -968,23 +925,4 @@ func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, name
 		return nil, nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
 	}
 	return data, &rt.answer, nil
-}
-
-// withTrace appends header to out with the SocTrace entry set to
-// traceParent, keeping the order by name; header itself is not written to.
-func withTrace(out, header []Param, traceParent string) []Param {
-	placed := false
-	for _, h := range header {
-		if !placed && h.Name >= telemetry.SOAPHeaderName {
-			out = append(out, Param{telemetry.SOAPHeaderName, traceParent})
-			placed = true
-		}
-		if h.Name != telemetry.SOAPHeaderName {
-			out = append(out, h)
-		}
-	}
-	if !placed {
-		out = append(out, Param{telemetry.SOAPHeaderName, traceParent})
-	}
-	return out
 }

@@ -27,7 +27,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Decode(bytes.NewReader(data))
+	got, err := DecodeBytes(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestDecodeFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeFault: %v", err)
 	}
-	_, err = Decode(bytes.NewReader(data))
+	_, err = DecodeBytes(data)
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("Decode returned %v, want *Fault", err)
@@ -78,8 +78,8 @@ func TestDecodeMalformed(t *testing.T) {
 		`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Body><a/><b/></soap:Body></soap:Envelope>`,
 	}
 	for _, c := range cases {
-		if _, err := Decode(strings.NewReader(c)); err == nil {
-			t.Errorf("Decode(%q) succeeded", c)
+		if _, err := DecodeBytes([]byte(c)); err == nil {
+			t.Errorf("DecodeBytes(%q) succeeded", c)
 		}
 	}
 }
@@ -115,22 +115,12 @@ func TestServerClientRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(newEchoServer(t))
 	defer ts.Close()
 	c := &Client{}
-	resp, err := c.Call(context.Background(), ts.URL, Message{
-		Operation: "Echo",
-		Namespace: "http://soc.example/echo",
-		Params:    map[string]string{"text": "ping"},
-	})
+	out, err := c.CallParams(context.Background(), ts.URL, "http://soc.example/echo", "Echo", []Param{{"text", "ping"}})
 	if err != nil {
-		t.Fatalf("Call: %v", err)
+		t.Fatalf("CallParams: %v", err)
 	}
-	if resp.Operation != "EchoResponse" {
-		t.Errorf("response op = %q", resp.Operation)
-	}
-	if resp.Params["echo"] != "ping" {
-		t.Errorf("echo = %q", resp.Params["echo"])
-	}
-	if resp.Namespace != "http://soc.example/echo" {
-		t.Errorf("response ns = %q", resp.Namespace)
+	if out["echo"] != "ping" {
+		t.Errorf("echo = %q", out["echo"])
 	}
 }
 
@@ -138,12 +128,12 @@ func TestServerFaultPropagation(t *testing.T) {
 	ts := httptest.NewServer(newEchoServer(t))
 	defer ts.Close()
 	c := &Client{}
-	_, err := c.Call(context.Background(), ts.URL, Message{Operation: "Fail"})
+	_, err := c.CallParams(context.Background(), ts.URL, "", "Fail", nil)
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != "Client" {
 		t.Errorf("err = %v, want Client fault", err)
 	}
-	_, err = c.Call(context.Background(), ts.URL, Message{Operation: "Crash"})
+	_, err = c.CallParams(context.Background(), ts.URL, "", "Crash", nil)
 	if !errors.As(err, &f) || f.Code != "Server" || !strings.Contains(f.String, "internal breakage") {
 		t.Errorf("err = %v, want Server fault", err)
 	}
@@ -153,7 +143,7 @@ func TestServerUnknownOperation(t *testing.T) {
 	ts := httptest.NewServer(newEchoServer(t))
 	defer ts.Close()
 	c := &Client{}
-	_, err := c.Call(context.Background(), ts.URL, Message{Operation: "Nope"})
+	_, err := c.CallParams(context.Background(), ts.URL, "", "Nope", nil)
 	var f *Fault
 	if !errors.As(err, &f) || !strings.Contains(f.String, "unknown operation") {
 		t.Errorf("err = %v", err)
@@ -283,15 +273,14 @@ func TestServerHandleValidation(t *testing.T) {
 	if err := s.Handle("X", func(context.Context, Message) (Message, error) { return Message{}, nil }); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	ops := s.Operations()
-	if len(ops) != 1 || ops[0] != "X" {
+	if ops := s.handlers; len(ops) != 1 || ops["X"] == nil {
 		t.Errorf("ops = %v", ops)
 	}
 }
 
 func TestClientTransportError(t *testing.T) {
 	c := &Client{}
-	if _, err := c.Call(context.Background(), "http://127.0.0.1:1/closed", Message{Operation: "Op"}); err == nil {
+	if _, err := c.CallParams(context.Background(), "http://127.0.0.1:1/closed", "", "Op", nil); err == nil {
 		t.Error("transport error not reported")
 	}
 }
@@ -313,7 +302,7 @@ func TestClientCallContextCancel(t *testing.T) {
 	defer cancel()
 	c := &Client{}
 	start := time.Now()
-	_, err := c.Call(ctx, ts.URL, Message{Operation: "Slow"})
+	_, err := c.CallParams(ctx, ts.URL, "", "Slow", nil)
 	if err == nil {
 		t.Fatal("cancelled call succeeded")
 	}

@@ -83,9 +83,6 @@ func (h *Histogram) raiseMax(v int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Max returns the largest recorded sample.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 

@@ -64,7 +64,7 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	if max := h.Max(); max != 500*time.Millisecond {
 		t.Fatalf("max = %v, want 500ms", max)
 	}
-	if n := h.Count(); n != 1010 {
+	if n := h.count.Load(); n != 1010 {
 		t.Fatalf("count = %d, want 1010", n)
 	}
 }
@@ -134,7 +134,7 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := h.Count(); n != workers*per {
+	if n := h.count.Load(); n != workers*per {
 		t.Fatalf("count = %d, want %d", n, workers*per)
 	}
 	if max := h.Max(); max != workers*time.Millisecond {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,16 +145,4 @@ func (x *Metrics) Report() MetricsReport {
 		}
 	}
 	return report
-}
-
-// Keys returns the sorted operation keys with any recorded activity.
-func (x *Metrics) Keys() []string {
-	x.mu.RLock()
-	out := make([]string, 0, len(x.m))
-	for k := range x.m {
-		out = append(out, k)
-	}
-	x.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }

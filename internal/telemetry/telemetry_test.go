@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -506,7 +508,7 @@ func TestMetrics(t *testing.T) {
 		op.P99Nanos < int64(15*time.Millisecond) || op.MaxNanos != int64(15*time.Millisecond) {
 		t.Fatalf("report = %+v", op)
 	}
-	if keys := m.Keys(); len(keys) != 1 || keys[0] != "Calc.Add" {
+	if keys := slices.Sorted(maps.Keys(m.Snapshot())); len(keys) != 1 || keys[0] != "Calc.Add" {
 		t.Fatalf("keys = %v", keys)
 	}
 }

@@ -55,9 +55,6 @@ func NewOSFS(dir string) (*OSFS, error) {
 	return &OSFS{dir: dir}, nil
 }
 
-// Dir returns the root directory.
-func (o *OSFS) Dir() string { return o.dir }
-
 // Create implements FS.
 func (o *OSFS) Create(name string) (File, error) {
 	return os.Create(filepath.Join(o.dir, name))

@@ -176,6 +176,8 @@ func (m *MemFS) RawFile(name string) ([]byte, bool) {
 // WriteDurable installs name with data as fully synced content in a
 // fully synced namespace — the state a file reaches after write + fsync +
 // dir fsync. Tests use it to lay out on-disk scenarios byte-for-byte.
+//
+//soclint:ignore unreached test support: waltest lays out damaged disk images with it
 func (m *MemFS) WriteDurable(name string, data []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -185,22 +187,6 @@ func (m *MemFS) WriteDurable(name string, data []byte) {
 	for n, fl := range m.cur {
 		m.dur[n] = fl
 	}
-}
-
-// FlipBit flips one bit of the stored byte at off in name — at-rest
-// corruption, durable state included.
-func (m *MemFS) FlipBit(name string, off int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.cur[name]
-	if !ok {
-		return &fs.PathError{Op: "flipbit", Path: name, Err: fs.ErrNotExist}
-	}
-	if off < 0 || off >= len(f.data) {
-		return fmt.Errorf("wal: flipbit %s: offset %d out of %d bytes", name, off, len(f.data))
-	}
-	f.data[off] ^= 0x01
-	return nil
 }
 
 type memHandle struct {

@@ -253,14 +253,6 @@ func Open(fs FS, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// LastIndex returns the highest acknowledged record index (0 when the
-// log is empty).
-func (l *Log) LastIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
-}
-
 // Append writes one record and returns its index. When Append returns
 // nil the record is durable: the frame is written and fsynced into a
 // directory-fsynced segment. On a failed or short write the partial

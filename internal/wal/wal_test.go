@@ -46,8 +46,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 			t.Fatalf("append %d got index %d", i, idx)
 		}
 	}
-	if got := l.LastIndex(); got != 5 {
-		t.Fatalf("LastIndex = %d, want 5", got)
+	if got := l.next - 1; got != 5 {
+		t.Fatalf("last index = %d, want 5", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -156,8 +156,8 @@ func TestCompactionRetainsSnapshotGenerations(t *testing.T) {
 			newest = n
 		}
 	}
-	if err := fs.FlipBit(newest, headerLen+frameHeader+1); err != nil {
-		t.Fatalf("FlipBit: %v", err)
+	if err := flipBit(fs, newest, headerLen+frameHeader+1); err != nil {
+		t.Fatalf("flipBit: %v", err)
 	}
 	_, rec := reopen(t, fs, Options{})
 	if string(rec.Snapshot) != "snap-3" {
@@ -205,8 +205,8 @@ func TestBitFlipCorruptionDropsTail(t *testing.T) {
 	// corrupt record and everything after it must be dropped.
 	frameLen := frameHeader + len("record-1")
 	off := headerLen + 2*frameLen + frameHeader + 3
-	if err := fs.FlipBit(names[0], off); err != nil {
-		t.Fatalf("FlipBit: %v", err)
+	if err := flipBit(fs, names[0], off); err != nil {
+		t.Fatalf("flipBit: %v", err)
 	}
 	_, rec := reopen(t, fs, Options{})
 	if rec.Info.Replayed != 2 || !rec.Info.Salvaged {
@@ -250,7 +250,7 @@ func TestFailedWriteRollsBack(t *testing.T) {
 	mustAppend(t, l, "keep")
 	ffs := &flakyFS{FS: fs, failWrites: 1}
 	l2 := &Log{fs: ffs, opts: Options{}.withDefaults()}
-	l2.next = l.LastIndex() + 1
+	l2.next = l.next
 	if _, err := l2.Append([]byte("lost")); err == nil {
 		t.Fatal("expected write failure")
 	}
@@ -373,8 +373,8 @@ func TestDamagedOnlySnapshotFailsOpen(t *testing.T) {
 	for i := 6; i <= 8; i++ {
 		mustAppend(t, l, fmt.Sprintf("new-%d", i))
 	}
-	if err := fs.FlipBit(snapPrefix+fmt.Sprintf("%016x", 5)+snapSuffix, headerLen+frameHeader+1); err != nil {
-		t.Fatalf("FlipBit: %v", err)
+	if err := flipBit(fs, snapPrefix+fmt.Sprintf("%016x", 5)+snapSuffix, headerLen+frameHeader+1); err != nil {
+		t.Fatalf("flipBit: %v", err)
 	}
 	_, _, err := Open(fs, Options{})
 	if !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "records 1..5 missing") {
@@ -399,8 +399,8 @@ func TestDamagedMiddleSegmentFailsOpen(t *testing.T) {
 		t.Fatalf("no segment %s in %v", mid, names)
 	}
 	// Damage record 5, the second frame of the segment holding 4-6.
-	if err := fs.FlipBit(mid, len(raw)-frameHeader-len("rec-6")-1); err != nil {
-		t.Fatalf("FlipBit: %v", err)
+	if err := flipBit(fs, mid, len(raw)-frameHeader-len("rec-6")-1); err != nil {
+		t.Fatalf("flipBit: %v", err)
 	}
 	_, _, err := Open(fs, Options{SegmentBytes: 40})
 	if !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "records 5..6 missing") {
@@ -487,4 +487,20 @@ func TestCrashRecoveryCycleDeterministic(t *testing.T) {
 	if run(8) == a {
 		t.Fatal("different seeds produced identical traces; rng not wired through")
 	}
+}
+
+// flipBit flips one bit of the stored byte at off in name — at-rest
+// corruption, durable state included.
+func flipBit(m *MemFS, name string, off int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.cur[name]
+	if !ok {
+		return fmt.Errorf("flipbit %s: no such file", name)
+	}
+	if off < 0 || off >= len(f.data) {
+		return fmt.Errorf("flipbit %s: offset %d out of %d bytes", name, off, len(f.data))
+	}
+	f.data[off] ^= 0x01
+	return nil
 }

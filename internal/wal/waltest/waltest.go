@@ -59,6 +59,8 @@ type damage struct {
 }
 
 // Run runs the sweeps and fails t at the first image recovery gets wrong.
+//
+//soclint:ignore unreached test support: the crash harness the registry and workflow crash tests run
 func Run[T, S any](t *testing.T, c Case[T, S], sweeps ...Sweep) {
 	t.Helper()
 	for _, s := range sweeps {
@@ -70,6 +72,8 @@ func Run[T, S any](t *testing.T, c Case[T, S], sweeps ...Sweep) {
 
 // Sweep runs the script, then recovers from every image of s and returns
 // the first failure.
+//
+//soclint:ignore unreached test support: the crash harness the registry and workflow crash tests run
 func (c Case[T, S]) Sweep(s Sweep) error {
 	r := &recorder{MemFS: wal.NewMemFS(1), bounds: map[string][]int{}}
 	states, errs := make([]S, 1), []error{} // states[k]: after k records
@@ -123,6 +127,8 @@ func (c Case[T, S]) Sweep(s Sweep) error {
 
 // recover holds d's image to d: first the bare log, opened on a copy, then
 // a tenant opened on the image itself.
+//
+//soclint:ignore unreached test support: the crash harness the registry and workflow crash tests run
 func (c Case[T, S]) recover(states []S, d damage) error {
 	l, rec, logErr := wal.Open(d.img.Durable(), wal.Options{})
 	tn, err := c.Open(d.img)
@@ -158,6 +164,8 @@ func (c Case[T, S]) recover(states []S, d damage) error {
 // damaged at off. A segment holds a record whose frame ends at or before
 // the damage; the newest intact snapshot holds every record up to its
 // index.
+//
+//soclint:ignore unreached test support: the crash harness the registry and workflow crash tests run
 func (r *recorder) expect(names []string, s Sweep, file string, off, size int) damage {
 	d := damage{where: fmt.Sprintf("%s %s@%d", s, file, off)}
 	intact := func(name string) bool { return name != file || s == Cut && off == size }
@@ -205,6 +213,8 @@ func (r *recorder) expect(names []string, s Sweep, file string, off, size int) d
 
 // EnvInt reads an integer knob of at least least from the environment,
 // or returns def when it is unset.
+//
+//soclint:ignore unreached test support: the crash harness the registry and workflow crash tests run
 func EnvInt(t *testing.T, name string, def, least int) int {
 	t.Helper()
 	env := os.Getenv(name)
@@ -218,6 +228,7 @@ func EnvInt(t *testing.T, name string, def, least int) int {
 	return v
 }
 
+//soclint:ignore unreached test support: the crash harness the registry and workflow crash tests run
 func snapIndex(name string) (int, bool) {
 	var idx int
 	_, err := fmt.Sscanf(name, "snap-%016x.snap", &idx)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,7 +74,7 @@ func (e Errors) Error() string {
 	for k, v := range e {
 		parts = append(parts, k+": "+v)
 	}
-	sortStrings(parts)
+	slices.Sort(parts)
 	return "webapp: invalid form: " + strings.Join(parts, "; ")
 }
 

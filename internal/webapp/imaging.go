@@ -35,21 +35,12 @@ func NewCanvas(w, h int) (*Canvas, error) {
 	return c, nil
 }
 
-// Size returns the canvas dimensions.
-func (c *Canvas) Size() (int, int) {
-	b := c.img.Bounds()
-	return b.Dx(), b.Dy()
-}
-
 // Set paints one pixel (silently clipped).
 func (c *Canvas) Set(x, y int, col color.Color) {
 	if image.Pt(x, y).In(c.img.Bounds()) {
 		c.img.Set(x, y, col)
 	}
 }
-
-// At reads one pixel.
-func (c *Canvas) At(x, y int) color.Color { return c.img.At(x, y) }
 
 // FillRect fills the rectangle [x,x+w)×[y,y+h).
 func (c *Canvas) FillRect(x, y, w, h int, col color.Color) {
@@ -189,71 +180,6 @@ func BarChart(title string, labels []string, values []float64, w, h int) (*Canva
 		c.Text(x, bottom+6, truncate(labels[i], slot/(GlyphW+1)), 1, black)
 	}
 	return c, nil
-}
-
-// LineChart renders one or more series as polylines with a y-axis scaled
-// to the global max.
-func LineChart(title string, series map[string][]float64, w, h int) (*Canvas, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("%w: no series", ErrImage)
-	}
-	var n int
-	maxV := 0.0
-	for name, vals := range series {
-		if len(vals) < 2 {
-			return nil, fmt.Errorf("%w: series %q needs >= 2 points", ErrImage, name)
-		}
-		if n == 0 {
-			n = len(vals)
-		} else if len(vals) != n {
-			return nil, fmt.Errorf("%w: ragged series lengths", ErrImage)
-		}
-		for _, v := range vals {
-			if v > maxV {
-				maxV = v
-			}
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	c, err := NewCanvas(w, h)
-	if err != nil {
-		return nil, err
-	}
-	black := color.RGBA{0, 0, 0, 0xff}
-	c.Text(8, 6, title, 2, black)
-	top, bottom, left := 28, h-16, 30
-	plotW, plotH := w-left-12, bottom-top
-	c.Line(left, top, left, bottom, black)
-	c.Line(left, bottom, w-10, bottom, black)
-	// Deterministic series order for reproducible images.
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	for si, name := range names {
-		vals := series[name]
-		col := Palette[si%len(Palette)]
-		for i := 1; i < len(vals); i++ {
-			x0 := left + (i-1)*plotW/(n-1)
-			x1 := left + i*plotW/(n-1)
-			y0 := bottom - int(float64(plotH)*vals[i-1]/maxV)
-			y1 := bottom - int(float64(plotH)*vals[i]/maxV)
-			c.Line(x0, y0, x1, y1, col)
-		}
-		c.Text(left+6, top+2+si*10, name, 1, col)
-	}
-	return c, nil
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 func truncate(s string, n int) string {

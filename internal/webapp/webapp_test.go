@@ -18,15 +18,15 @@ func TestCanvasBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, h := c.Size()
+	w, h := c.img.Bounds().Dx(), c.img.Bounds().Dy()
 	if w != 10 || h != 8 {
 		t.Errorf("size = %dx%d", w, h)
 	}
 	red := color.RGBA{0xff, 0, 0, 0xff}
 	c.Set(3, 3, red)
-	r, _, _, _ := c.At(3, 3).RGBA()
+	r, _, _, _ := c.img.At(3, 3).RGBA()
 	if r>>8 != 0xff {
-		t.Errorf("pixel not red: %v", c.At(3, 3))
+		t.Errorf("pixel not red: %v", c.img.At(3, 3))
 	}
 	c.Set(-1, -1, red) // clipped, no panic
 	c.Set(99, 99, red)
@@ -45,7 +45,7 @@ func TestLineEndpoints(t *testing.T) {
 	black := color.RGBA{0, 0, 0, 0xff}
 	c.Line(2, 3, 15, 11, black)
 	for _, pt := range [][2]int{{2, 3}, {15, 11}} {
-		r, g, b, _ := c.At(pt[0], pt[1]).RGBA()
+		r, g, b, _ := c.img.At(pt[0], pt[1]).RGBA()
 		if r != 0 || g != 0 || b != 0 {
 			t.Errorf("endpoint %v not drawn", pt)
 		}
@@ -59,7 +59,7 @@ func TestTextRendersInk(t *testing.T) {
 	ink := 0
 	for y := 0; y < 30; y++ {
 		for x := 0; x < 100; x++ {
-			r, g, b, _ := c.At(x, y).RGBA()
+			r, g, b, _ := c.img.At(x, y).RGBA()
 			if r == 0 && g == 0 && b == 0 {
 				ink++
 			}
@@ -128,29 +128,6 @@ func TestBarChart(t *testing.T) {
 func TestBarChartZeroValues(t *testing.T) {
 	if _, err := BarChart("zeros", []string{"a", "b"}, []float64{0, 0}, 120, 90); err != nil {
 		t.Errorf("all-zero chart: %v", err)
-	}
-}
-
-func TestLineChart(t *testing.T) {
-	series := map[string][]float64{
-		"cse445": {25, 24, 35, 33, 42, 30, 42, 44},
-		"cse598": {14, 21, 23, 10, 34, 52, 35, 90},
-	}
-	c, err := LineChart("Enrollment", series, 400, 240)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.PNG(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LineChart("x", nil, 100, 100); err == nil {
-		t.Error("empty series accepted")
-	}
-	if _, err := LineChart("x", map[string][]float64{"a": {1}}, 100, 100); err == nil {
-		t.Error("single-point series accepted")
-	}
-	if _, err := LineChart("x", map[string][]float64{"a": {1, 2}, "b": {1, 2, 3}}, 100, 100); err == nil {
-		t.Error("ragged series accepted")
 	}
 }
 

@@ -78,13 +78,6 @@ func (v *Vars) GetInt(key string) int64 {
 	return 0
 }
 
-// GetBool reads a variable as a bool.
-func (v *Vars) GetBool(key string) bool {
-	val, _ := v.Get(key)
-	b, _ := val.(bool)
-	return b
-}
-
 // Set writes a variable.
 func (v *Vars) Set(key string, val any) {
 	v.mu.Lock()

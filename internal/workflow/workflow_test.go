@@ -131,7 +131,7 @@ func TestIfBranches(t *testing.T) {
 	mk := func() *Workflow {
 		wf, _ := New("if", &If{
 			Label: "check",
-			Cond:  func(v *Vars) bool { return v.GetBool("flag") },
+			Cond:  func(v *Vars) bool { b, _ := v.Get("flag"); return b == true },
 			Then:  &Assign{Label: "t", Var: "result", Expr: func(*Vars) any { return "then" }},
 			Else:  &Assign{Label: "e", Var: "result", Expr: func(*Vars) any { return "else" }},
 		})
