@@ -89,7 +89,9 @@ flake:
 ## (testdata/fuzz/, which plain `go test` already replays):
 ## ParseTraceParent against an encoding/hex reference and a format/parse
 ## round trip, the REST binding's JSON object decoder against
-## encoding/json, and xmlkit's Scanner (through SAX) against encoding/xml
+## encoding/json, the host's SOAP cache key from its one decode of an
+## envelope against a decode of its own (soap.DecodeBytes, parameters
+## sorted), and xmlkit's Scanner (through SAX) against encoding/xml
 ## plus the escapers against the Scanner. The Scanner's seeds include the
 ## golden contracts, kilobytes each, so each new input it finds is
 ## minimized for 1 s rather than the default 60 s. A crasher lands in
@@ -97,6 +99,7 @@ flake:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceParent$$' -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONObject$$' -fuzztime 20s ./internal/host
+	$(GO) test -run '^$$' -fuzz '^FuzzSOAPCacheKey$$' -fuzztime 20s ./internal/host
 	$(GO) test -run '^$$' -fuzz '^FuzzScanner$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/xmlkit
 
 ## chaos: just the fault-injection chaos suite, verbosely

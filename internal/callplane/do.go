@@ -35,13 +35,15 @@ import (
 // touched — when the caller has read the body to its end or closed it, or
 // the exchange failed.
 //
-// An exchange that ends in time and on which nobody waited costs that one
-// allocation and no runtime timer: Err compares the clock, and the timer
-// and the hook on a cancelable parent are armed at the first Done or
-// AfterFunc call. A cancelable context derived from it directly
-// (http.Transport's WithCancelCause, the front door's queue timeout on the
-// wall clock) hangs on its AfterFunc method, as context.propagateCancel
-// has asked a foreign parent to since Go 1.21, and needs no goroutine.
+// An exchange that ends in time and on which nobody waited costs no
+// runtime timer, and one allocation at most: none for a request
+// Route.NewRequest or Forward built with a body, which holds the deadline
+// as a field. Err compares the clock, and the timer and the hook on a
+// cancelable parent are armed at the first Done or AfterFunc call. A
+// cancelable context derived from it directly (http.Transport's
+// WithCancelCause, the front door's queue timeout on the wall clock)
+// hangs on its AfterFunc method, as context.propagateCancel has asked a
+// foreign parent to since Go 1.21, and needs no goroutine.
 //
 // Two limits follow from not being a stdlib context. A cancelable context
 // derived below a WithValue layer (a span context) does not see that
@@ -73,7 +75,8 @@ func Do(hc *http.Client, req *http.Request) (*http.Response, error) {
 	if hc.Timeout > 0 {
 		deadline := time.Now().Add(hc.Timeout)
 		if cur, ok := req.Context().Deadline(); !ok || deadline.Before(cur) {
-			dl = &deadlineBody{parent: req.Context(), deadline: deadline}
+			dl = deadlineOf(req)
+			dl.parent, dl.deadline = req.Context(), deadline
 			// WithContext inlines, so its copy stays on the stack (as in
 			// outbound.bind) and the request is not allocated twice.
 			*req = *req.WithContext(dl)
@@ -96,6 +99,16 @@ func Do(hc *http.Client, req *http.Request) (*http.Response, error) {
 		dl.rc, resp.Body = resp.Body, dl
 	}
 	return resp, nil
+}
+
+// deadlineOf is where the deadline of req's exchange lives: in the
+// request's own allocation when Route.NewRequest or Forward built it with
+// a body, else in one of its own.
+func deadlineOf(req *http.Request) *deadlineBody {
+	if rb, ok := req.Body.(*replayBody); ok {
+		return rb.deadline
+	}
+	return new(deadlineBody)
 }
 
 // deadlineBody is the deadline of one exchange: the context.Context the

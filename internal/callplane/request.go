@@ -106,6 +106,9 @@ type replayBody struct {
 	mu    sync.Mutex
 	rd    bytes.Reader
 	owner Releaser
+	// deadline is where Do keeps the exchange's deadline, in the
+	// request's own allocation.
+	deadline *deadlineBody
 }
 
 func (rb *replayBody) Read(p []byte) (int, error) {
@@ -127,13 +130,16 @@ func (rb *replayBody) Close() error {
 }
 
 // outbound is one request with what travels with it, in one allocation:
-// the body reader, the trace header's value slice, and the context that
-// carries an unsampled root's trace.
+// the body reader, the trace header's value slice, the context that
+// carries an unsampled root's trace, and the deadline Do gives the
+// exchange. None is pooled: the response, and the deadline that guards
+// its body, stay the caller's after Do returns.
 type outbound struct {
 	req       http.Request
 	body      replayBody
 	trace     [1]string
 	unsampled telemetry.Unsampled
+	deadline  deadlineBody
 }
 
 // bind points o.req at a copy of tmpl bound to ctx with body as its
@@ -145,7 +151,7 @@ func (o *outbound) bind(ctx context.Context, tmpl *http.Request, body []byte, ow
 	o.req.Body, o.req.GetBody, o.req.ContentLength = http.NoBody, nil, 0
 	if len(body) > 0 {
 		o.body.rd.Reset(body)
-		o.body.owner = owner
+		o.body.owner, o.body.deadline = owner, &o.deadline
 		o.req.Body, o.req.ContentLength = &o.body, int64(len(body))
 	} else if owner != nil {
 		owner.Release()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"soc/internal/rest"
 	"soc/internal/soap"
 	"soc/internal/telemetry"
-	"soc/internal/xmlkit"
 )
 
 // maxCacheableBody bounds how much of a request body the cache keyer will
@@ -49,29 +47,45 @@ func (h *Host) UseResponseCache(capacity int, ttl time.Duration) *respcache.Cach
 }
 
 // serve answers an invocation of the mounted service m — through the
-// response cache when the host has one and the request is cacheable.
+// response cache when the host has one and the request is cacheable. It
+// reads the request once: a SOAP envelope is decoded here, into the keyer,
+// and the trace parent is parsed here, from the X-Soc-Trace header or,
+// when there is none, from the envelope's SocTrace entry; the cache, the
+// dispatch and the answer all take them from there.
 func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted) {
-	if h.cache == nil {
-		h.invoke(w, r, p, m)
-		return
-	}
 	k := keyerPool.Get().(*cacheKeyer)
 	defer k.release(r)
-	key, opKey, ok := h.cacheKey(k, r, p, m)
-	if !ok {
-		h.invoke(w, r, p, m)
+	var req *soap.Message
+	tp := r.Header.Get(telemetry.HeaderName)
+	if _, isREST := p["op"]; !isREST {
+		k.body = callplane.GetBuffer()
+		if !m.soapSrv.ReadRequest(w, r, k.body, &k.soap) {
+			return
+		}
+		req = &k.soap
+		if tp == "" {
+			tp = req.Header[telemetry.SOAPHeaderName]
+		}
+	}
+	sc, _ := telemetry.ParseTraceParent(tp)
+	if h.cache == nil {
+		h.invoke(w, r, p, m, sc, req)
 		return
 	}
-	sc, traced := telemetry.FromHTTPHeader(r.Header)
+	key, opKey, ok := h.cacheKey(k, r, p, m, req)
+	if !ok {
+		h.invoke(w, r, p, m, sc, req)
+		return
+	}
 	entry, hit := h.cache.DoContext(r.Context(), key, func() (*respcache.Entry, bool) {
 		rec := respcache.NewRecorder()
 		inner := r
-		if !traced || sc.Sampled {
+		if !sc.Valid() || sc.Sampled {
 			// Mark the miss so the dispatch span downstream annotates
 			// itself "respcache=miss"; an unsampled trace has no span.
 			inner = r.WithContext(telemetry.MarkCacheMiss(r.Context()))
 		}
-		h.invoke(rec, inner, p, m)
+		h.invoke(rec, inner, p, m, sc, req)
 		e := rec.Entry()
 		return e, e.Status == http.StatusOK
 	})
@@ -93,16 +107,17 @@ func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *m
 	entry.WriteTo(w)
 }
 
-// cacheKey derives the cache key for a cacheable invocation of m, plus
-// the operation key ("Service.Operation") for cache-hit instrumentation.
-// The key is k's own buffer, valid until k is released. ok is false for
-// anything that must bypass the cache: non-idempotent operations,
-// unparseable bodies, oversized bodies.
-func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounted) (key []byte, opKey string, ok bool) {
-	if opName, isREST := p["op"]; isREST {
-		return h.invokeKey(k, r, m, opName)
+// cacheKey derives the cache key for a cacheable invocation of m — of
+// the decoded envelope req on SOAP — plus the operation key
+// ("Service.Operation") for cache-hit instrumentation. The key is k's own
+// buffer, valid until k is released. ok is false for anything that must
+// bypass the cache: non-idempotent operations, unparseable bodies,
+// oversized bodies.
+func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounted, req *soap.Message) (key []byte, opKey string, ok bool) {
+	if req != nil {
+		return h.soapKey(k, m, req)
 	}
-	return h.soapKey(k, r, m)
+	return h.invokeKey(k, r, m, p["op"])
 }
 
 func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) ([]byte, string, bool) {
@@ -153,83 +168,42 @@ func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName stri
 	return k.canon.buf, m.metricKey(opName), true
 }
 
-func (h *Host) soapKey(k *cacheKeyer, r *http.Request, m *mounted) ([]byte, string, bool) {
-	body, ok := k.swapBody(r)
-	if !ok {
+// soapKey is the key of the envelope req: its operation and its
+// parameters sorted by name — each with the value the decode kept, the
+// last of a repeated one — so that whitespace and parameter order in the
+// envelope do not split keys.
+func (h *Host) soapKey(k *cacheKeyer, m *mounted, req *soap.Message) ([]byte, string, bool) {
+	if !m.idempotent[req.Operation] {
 		return nil, "", false
 	}
-	// Only an idempotent operation pays for a decoded message: the
-	// operation's name is learnt without one. The decoded name is checked
-	// again, so what is cached never rests on the two scans agreeing.
-	if !m.idempotent[string(soapOperation(body))] {
-		return nil, "", false
-	}
-	msg, err := soap.DecodeBytes(body)
-	if err != nil || !m.idempotent[msg.Operation] {
-		return nil, "", false
+	var pbuf [8]soap.Param
+	params := pbuf[:0]
+	for _, name := range req.ParamOrder {
+		params = append(params, soap.Param{Name: name, Value: req.Params[name]})
 	}
 	b := append(k.canon.buf[:0], "SOAP\x00"...)
-	b = append(b, m.metricKey(msg.Operation)...)
+	b = append(b, m.metricKey(req.Operation)...)
 	b = append(b, 0)
-	keys := make([]string, 0, len(msg.Params))
-	for name := range msg.Params {
-		keys = append(keys, name)
-	}
-	sort.Strings(keys)
-	for _, name := range keys {
-		b = append(b, name...)
+	for _, p := range soap.SortParams(params) {
+		b = append(b, p.Name...)
 		b = append(b, 1)
-		b = append(b, msg.Params[name]...)
+		b = append(b, p.Value...)
 		b = append(b, 0)
 	}
 	k.canon.buf = b
-	return b, m.metricKey(msg.Operation), true
+	return b, m.metricKey(req.Operation), true
 }
 
-// soapOperation returns the local name of the first child element of the
-// envelope's Body — the operation soap.DecodeBytes reports for a message
-// it accepts — and stops at that start tag. It returns nil where there is
-// none to find, which DecodeBytes rejects too. The name aliases body.
-func soapOperation(body []byte) []byte {
-	s := xmlkit.AcquireScanner(body)
-	defer xmlkit.ReleaseScanner(s)
-	inBody := false
-	for {
-		kind, err := s.Next()
-		switch {
-		case err != nil || kind == xmlkit.NoToken:
-			return nil
-		case kind == xmlkit.EndToken && inBody:
-			return nil // an empty Body
-		case kind != xmlkit.StartToken:
-		case inBody:
-			return s.LocalName()
-		case s.Depth() == 1:
-			if string(s.LocalName()) != "Envelope" {
-				return nil
-			}
-		case string(s.LocalName()) == "Body":
-			inBody = true
-		default:
-			// A Header or a foreign sibling of Body: skip its subtree.
-			for depth := s.Depth() - 1; s.Depth() > depth; {
-				if kind, err := s.Next(); err != nil || kind == xmlkit.NoToken {
-					return nil
-				}
-			}
-		}
-	}
-}
-
-// cacheKeyer is the pooled working memory of one request's key
-// derivation: the key under construction (and the canonicaliser's
-// stack), and the request body read to derive it, which it then replays
-// to the inner handler as the request's Body. Its lifetime is the cache
-// middleware's call: release gives everything back.
+// cacheKeyer is the pooled working memory of one request's reading: the
+// request body — a SOAP envelope, decoded into soap, or a POST invoke's
+// JSON, which it replays to the inner handler as the request's Body — and
+// the key under construction (and the canonicaliser's stack). Its
+// lifetime is serve's call: release gives everything back.
 type cacheKeyer struct {
 	canon  jsonCanon
-	body   *callplane.Buffer // nil unless swapBody ran
+	body   *callplane.Buffer // nil unless swapBody or the SOAP read ran
 	replay bytes.Reader      // over body.B
+	soap   soap.Message      // decoded from body on SOAP
 }
 
 var keyerPool = sync.Pool{New: func() any { return new(cacheKeyer) }}

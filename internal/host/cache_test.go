@@ -17,6 +17,7 @@ import (
 	"soc/internal/core"
 	"soc/internal/respcache"
 	"soc/internal/soap"
+	"soc/internal/telemetry"
 	"soc/internal/vtime"
 )
 
@@ -265,52 +266,43 @@ func TestCacheMiddlewareSOAPNonIdempotentBypass(t *testing.T) {
 	}
 }
 
-// soapOperation names the operation soap.DecodeBytes finds, for every
-// envelope DecodeBytes takes — so a cacheable request keeps its key — and
-// finds none in envelopes that have none to find.
-func TestSOAPOperationMatchesDecode(t *testing.T) {
-	const ns = `xmlns:s="http://schemas.xmlsoap.org/soap/envelope/"`
-	encoded, err := soap.Encode(soap.Message{
-		Operation: "Square", Namespace: "http://soc.example/calc",
-		Header: map[string]string{"SocTrace": "00-ab-cd-01"}, Params: map[string]string{"n": "6"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted, refused := 0, 0
-	for _, env := range []string{
-		string(encoded),
-		`<s:Envelope ` + ns + `><s:Body><Square><n>6</n></Square></s:Body></s:Envelope>`,
-		`<?xml version="1.0"?><!-- c --><Envelope> <Header><Body><Wrong/></Body></Header> <Other><Body><Wrong/></Body></Other>
-			<Body> text <!-- c --> <c:Square xmlns:c="urn:c"/> </Body></Envelope>`,
-		`<Envelope><Header/><Body><Square/></Body></Envelope>`,
-		`<Envelope><Body><Body><Square/></Body></Body></Envelope>`,
-		`<Envelope><Body><Square/><Bump/></Body></Envelope>`, // two children: refused, whatever the first is
-		`<Envelope><Body><Fault><faultcode>Client</faultcode></Fault></Body></Envelope>`,
-		`<Envelope><Body></Body></Envelope>`,
-		`<Envelope><Body/></Envelope>`,
-		`<Envelope><Header><Square/></Header></Envelope>`,
-		`<Envelope></Envelope>`,
-		`<Body><Square/></Body>`,
-		`<Envelope><Body><Square>`,
-		`<Envelope><Header><a></Header><Body><Square/></Body></Envelope>`,
-		`<Envelope><Body><Square></Bump></Body></Envelope>`,
-		``, `not xml`, `<`,
-	} {
-		got := string(soapOperation([]byte(env)))
-		msg, err := soap.DecodeBytes([]byte(env))
-		switch {
-		case err == nil && got != msg.Operation:
-			t.Errorf("%s:\n soapOperation = %q, DecodeBytes found %q", env, got, msg.Operation)
-		case err == nil:
-			accepted++
-		case got == "":
-			refused++
+// A SOAP call whose trace rides only in its envelope's SocTrace entry, with
+// no X-Soc-Trace header, is in that trace on a cache hit as on the miss:
+// the hit's event joins the caller's trace when it is sampled, and there
+// is none when it is not.
+func TestSOAPCacheHitJoinsTheEnvelopeTrace(t *testing.T) {
+	for _, sampled := range []bool{true, false} {
+		h, _, _, _ := newCachedHost(t, 8, time.Minute)
+		caller := telemetry.SpanContext{TraceID: telemetry.NewTraceID(), SpanID: telemetry.NewSpanID(), Sampled: sampled}
+		env, err := soap.Encode(soap.Message{Operation: "Square", Params: map[string]string{"n": "6"},
+			Header: map[string]string{telemetry.SOAPHeaderName: telemetry.FormatTraceParent(caller)}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The corpus must reach both answers, or the loop above proves nothing.
-	if accepted < 5 || refused < 8 {
-		t.Errorf("corpus: %d envelopes accepted, %d found without an operation", accepted, refused)
+		for _, want := range []string{"MISS", "HIT"} {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/services/Calc/soap", strings.NewReader(string(env))))
+			if w.Code != http.StatusOK || w.Header().Get("X-Cache") != want {
+				t.Fatalf("sampled %v: status %d, X-Cache %q, want %s", sampled, w.Code, w.Header().Get("X-Cache"), want)
+			}
+		}
+		spans := h.tracer.Snapshot()
+		if !sampled {
+			if len(spans) != 0 {
+				t.Errorf("unsampled: the host recorded %d spans, want none: %+v", len(spans), spans)
+			}
+			continue
+		}
+		kinds := map[telemetry.Kind]int{}
+		for _, sp := range spans {
+			kinds[sp.Kind]++
+			if sp.TraceID != caller.TraceID || sp.Parent != caller.SpanID {
+				t.Errorf("sampled: %v span %q is not a child of the caller's span", sp.Kind, sp.Name)
+			}
+		}
+		if len(spans) != 2 || kinds[telemetry.KindServer] != 1 || kinds[telemetry.KindCache] != 1 {
+			t.Errorf("sampled: spans %v, want the miss's server span and the hit's cache event", kinds)
+		}
 	}
 }
 

@@ -36,8 +36,9 @@ import (
 var ErrMount = errors.New("host: invalid mount")
 
 // mounted is one service's precompiled dispatch table, resolved once at
-// Mount time: the SOAP endpoint, and the per-operation metric keys so the
-// hot path never concatenates "service.op" per request.
+// Mount time: the SOAP endpoint with the names its requests spell, and the
+// per-operation metric keys so the hot path never concatenates
+// "service.op" per request.
 type mounted struct {
 	svc        *core.Service
 	soapSrv    *soap.Server
@@ -153,32 +154,13 @@ func (h *Host) Mount(svc *core.Service) error {
 		idempotent: make(map[string]bool, len(svc.Operations())),
 	}
 	for _, op := range svc.Operations() {
-		opName := op.Name
-		m.metricKeys[opName] = svc.Name + "." + opName // resolved once, not per request
-		m.idempotent[opName] = op.Idempotent
-		err := m.soapSrv.Handle(opName, func(ctx context.Context, req soap.Message) (soap.Message, error) {
-			args := acquireValues()
-			defer releaseValues(args)
-			for k, v := range req.Params {
-				args[k] = v
-			}
-			// Join the caller's trace: soap.Server has put a valid
-			// transport header into the SocTrace entry over the envelope's.
-			remote, _ := telemetry.ParseTraceParent(req.Header[telemetry.SOAPHeaderName])
-			out, err := h.dispatch(ctx, m, opName, "soap", remote, args)
-			if err != nil {
-				if errors.Is(err, core.ErrBadRequest) || errors.Is(err, core.ErrNotFound) {
-					return soap.Message{}, soap.ClientFault("%v", err)
-				}
-				return soap.Message{}, soap.ServerFault("%v", err)
-			}
-			resp := soap.Message{Params: make(map[string]string, len(out))}
-			for k, v := range out {
-				resp.Params[k] = core.FormatValue(v)
-			}
-			return resp, nil
-		})
-		if err != nil {
+		m.metricKeys[op.Name] = svc.Name + "." + op.Name // resolved once, not per request
+		m.idempotent[op.Name] = op.Idempotent
+		params := make([]string, len(op.Input))
+		for i, p := range op.Input {
+			params[i] = p.Name
+		}
+		if err := m.soapSrv.Declare(op.Name, params...); err != nil {
 			return err
 		}
 	}
@@ -432,14 +414,18 @@ func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Param
 	h.serve(w, r, p, m)
 }
 
-// invoke dispatches one invocation of m over the route's binding.
-func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted) {
-	if _, isREST := p["op"]; !isREST {
-		m.soapSrv.ServeHTTP(w, r)
-		return
-	}
+// invoke dispatches one invocation of m over the route's binding — the
+// envelope req, already decoded, on SOAP — in the trace remote.
+func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted, remote telemetry.SpanContext, req *soap.Message) {
 	args := acquireValues()
 	defer releaseValues(args)
+	if req != nil {
+		for k, v := range req.Params {
+			args[k] = v
+		}
+		h.invokeSOAP(w, r, m, remote, req.Operation, args)
+		return
+	}
 	if r.Method == http.MethodPost {
 		if err := readInvokeBody(r, args); err != nil {
 			rest.WriteError(w, r, http.StatusBadRequest, "body: %v", err)
@@ -455,7 +441,6 @@ func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *
 			}
 		}
 	}
-	remote, _ := telemetry.FromHTTPHeader(r.Header)
 	out, err := h.dispatch(r.Context(), m, p["op"], "rest", remote, args)
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -477,6 +462,27 @@ func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *
 		return
 	}
 	writeInvokeResult(w, r, out)
+}
+
+// invokeSOAP dispatches op with args over SOAP and writes the answer,
+// encoded straight from the result.
+func (h *Host) invokeSOAP(w http.ResponseWriter, r *http.Request, m *mounted, remote telemetry.SpanContext, op string, args core.Values) {
+	out, err := h.dispatch(r.Context(), m, op, "soap", remote, args)
+	if err != nil {
+		if errors.Is(err, core.ErrBadRequest) || errors.Is(err, core.ErrNotFound) {
+			soap.WriteFault(w, soap.ClientFault("%v", err))
+		} else {
+			soap.WriteFault(w, soap.ServerFault("%v", err))
+		}
+		return
+	}
+	var pbuf [8]soap.Param // on the stack for the results services return
+	params := pbuf[:0]
+	for k, v := range out {
+		params = append(params, soap.Param{Name: k, Value: core.FormatValue(v)})
+	}
+	// By name, as the answer always listed them.
+	m.soapSrv.WriteAnswer(w, op, soap.SortParams(params))
 }
 
 // maxInvokeBody bounds a POST invoke body.

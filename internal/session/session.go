@@ -81,11 +81,16 @@ func (s *Session) Keys() []string {
 }
 
 // Manager creates, resolves and expires sessions on the clock of the
-// context each call is handed.
+// context each call is handed. Expired sessions are collected as new ones
+// are created: Create sweeps once a quarter of the TTL has passed on its
+// clock since the last sweep, so the manager holds no more than the
+// sessions created or used in the last TTL and a quarter, and pays one
+// pass over them per quarter TTL.
 type Manager struct {
-	mu       sync.Mutex
-	sessions map[string]*Session
-	ttl      time.Duration
+	mu        sync.Mutex
+	sessions  map[string]*Session
+	lastSweep time.Time // on the clock of the Create that swept
+	ttl       time.Duration
 	// CookieName is the correlation cookie (default "SOCSESSION").
 	CookieName string
 }
@@ -127,6 +132,11 @@ func (m *Manager) Create(ctx context.Context) *Session {
 		values:  make(map[string]any),
 	}
 	m.mu.Lock()
+	// A clock behind the last sweep is another clock: sweep on it too.
+	if since := now.Sub(m.lastSweep); since >= m.ttl/4 || since < 0 {
+		m.sweep(now)
+		m.lastSweep = now
+	}
 	m.sessions[s.ID] = s
 	m.mu.Unlock()
 	return s
@@ -167,7 +177,11 @@ func (m *Manager) Len() int {
 func (m *Manager) Sweep(ctx context.Context) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := vtime.Now(ctx)
+	return m.sweep(vtime.Now(ctx))
+}
+
+// sweep removes the sessions expired at now; m.mu is held.
+func (m *Manager) sweep(now time.Time) int {
 	n := 0
 	for id, s := range m.sessions {
 		if now.After(s.Expires) {

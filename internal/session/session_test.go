@@ -83,6 +83,31 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestCreateCollectsExpiredSessions: cookie-less requests, each of which
+// creates a session that no later request uses, arrive evenly over ten
+// TTLs; the manager never holds more than the sessions of a TTL and a
+// quarter, though nothing calls Sweep.
+func TestCreateCollectsExpiredSessions(t *testing.T) {
+	const (
+		ttl      = time.Minute
+		requests = 10000
+		ttls     = 10
+		perTTL   = requests / ttls
+	)
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	m := NewManager(WithTTL(ttl))
+	peak := 0
+	for i := 0; i < requests; i++ {
+		m.FromRequest(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil).WithContext(ctx))
+		peak = max(peak, m.Len())
+		clock.Advance(ttls * ttl / requests)
+	}
+	if limit := perTTL*5/4 + 1; peak > limit || peak < perTTL {
+		t.Errorf("held at most %d sessions; arrivals per TTL %d, limit %d", peak, perTTL, limit)
+	}
+}
+
 func TestFromRequestCookieFlow(t *testing.T) {
 	m := NewManager()
 	// First request: no cookie → create + Set-Cookie.

@@ -3,7 +3,7 @@
 package soap
 
 import (
-	"io"
+	"net/http"
 	"runtime"
 	"sync"
 	"testing"
@@ -35,19 +35,26 @@ func TestEncodeAllocCeiling(t *testing.T) {
 	}
 }
 
-func TestEncodeToAllocCeiling(t *testing.T) {
-	m := allocMessage()
-	// Warm the buffer pool.
-	if err := EncodeTo(io.Discard, m); err != nil {
+// discard is a ResponseWriter that keeps nothing, over one header map.
+type discard struct{ h http.Header }
+
+func (d discard) Header() http.Header       { return d.h }
+func (discard) WriteHeader(int)             {}
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWriteAnswerAllocCeiling: an answer is encoded in a pooled buffer
+// and written in one call, allocating nothing in steady state.
+func TestWriteAnswerAllocCeiling(t *testing.T) {
+	s := NewServer("http://soc.example/echo")
+	if err := s.Declare("Echo", "text"); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := EncodeTo(io.Discard, m); err != nil {
-			t.Fatal(err)
-		}
-	})
+	w := discard{h: http.Header{}}
+	params := []Param{{"echo", "the quick <brown> fox & friends"}}
+	s.WriteAnswer(w, "Echo", params) // warm the buffer pool
+	allocs := testing.AllocsPerRun(200, func() { s.WriteAnswer(w, "Echo", params) })
 	if allocs > 0 {
-		t.Errorf("EncodeTo allocates %.1f/op in steady state, want 0", allocs)
+		t.Errorf("WriteAnswer allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 

@@ -52,14 +52,15 @@ func TestCallParamsRoundTrip(t *testing.T) {
 func TestClientRequestShape(t *testing.T) {
 	var action, contentType, transportTrace, envelope string
 	srv := NewServer("")
-	_ = srv.Handle("Echo", func(_ context.Context, req Message) (Message, error) { return Message{}, nil })
+	_ = srv.Declare("Echo")
+	echo := serveWith(srv, map[string]func(*Message) ([]Param, error){"Echo": func(*Message) ([]Param, error) { return nil, nil }})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		action, contentType = r.Header.Get("SOAPAction"), r.Header.Get("Content-Type")
 		transportTrace = r.Header.Get(telemetry.HeaderName)
 		b, _ := io.ReadAll(r.Body)
 		envelope = string(b)
 		r.Body = io.NopCloser(strings.NewReader(envelope))
-		srv.ServeHTTP(w, r)
+		echo.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
 	tr := telemetry.NewSamplingTracer(8, 1)

@@ -26,13 +26,14 @@ func sanitizeName(s string, fallback string) string {
 	return out
 }
 
-// sanitizeValue strips the code points encoding/xml cannot carry
-// (control characters other than tab/newline/cr are unrepresentable in
-// XML 1.0) while keeping everything else, including markup characters.
+// sanitizeValue strips the code points XML 1.0 cannot carry (control
+// characters other than tab/newline/cr, and U+FFFE and U+FFFF, which the
+// escaper writes as U+FFFD) and U+FFFD itself, while keeping everything
+// else, including markup characters.
 func sanitizeValue(s string) string {
 	var b strings.Builder
 	for _, r := range s {
-		if r == 0xFFFD || (r < 0x20 && r != '\t' && r != '\n' && r != '\r') {
+		if r >= 0xFFFD && r <= 0xFFFF || (r < 0x20 && r != '\t' && r != '\n' && r != '\r') {
 			continue
 		}
 		b.WriteRune(r)

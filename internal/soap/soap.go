@@ -1,7 +1,7 @@
 // Package soap implements the SOAP 1.1 document-style message protocol of
 // CSE445 unit 3: envelope encoding and decoding, fault reporting, and the
-// HTTP binding (both the server handler and the client), with SOAPAction-
-// based operation dispatch.
+// HTTP binding: the server's reading of a request, checked against its
+// SOAPAction, and writing of the answer, and the client.
 //
 // Messages are document/literal: the body carries a single operation
 // element in the service namespace whose children are the named
@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -98,9 +97,9 @@ func putEncBuf(bp *[]byte) {
 	encPool.Put(bp)
 }
 
-// msgPool recycles decoded request messages inside Server.ServeHTTP. The
-// maps are cleared (not reallocated) between requests, so steady-state
-// request decoding does not grow the heap.
+// msgPool recycles the messages Client decodes answers into. The maps
+// are cleared (not reallocated) between calls, so steady-state decoding
+// does not grow the heap.
 var msgPool = sync.Pool{New: func() any {
 	return &Message{Params: make(map[string]string, 8), Header: make(map[string]string, 2)}
 }}
@@ -249,23 +248,6 @@ func Encode(m Message) ([]byte, error) {
 	return appendMessage(nil, m)
 }
 
-// EncodeTo streams the envelope to w through a pooled buffer: one
-// encoding pass, one Write call, no allocation in steady state. An
-// encoding error (ErrProtocol) is returned before anything is written.
-// This is what Server.ServeHTTP uses to write straight to the
-// ResponseWriter.
-func EncodeTo(w io.Writer, m Message) error {
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	b, err := appendMessage((*bp)[:0], m)
-	*bp = b[:0]
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 func appendFault(dst []byte, f *Fault) ([]byte, error) {
 	if f == nil {
 		return dst, fmt.Errorf("%w: nil fault", ErrProtocol)
@@ -290,23 +272,6 @@ func appendFault(dst []byte, f *Fault) ([]byte, error) {
 // EncodeFault renders a fault envelope.
 func EncodeFault(f *Fault) ([]byte, error) {
 	return appendFault(nil, f)
-}
-
-// readAllInto is io.ReadAll appending into a reusable buffer.
-func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
 }
 
 // DecodeBytes parses an in-memory SOAP envelope on the xmlkit streaming
@@ -355,18 +320,18 @@ func nextElement(s *xmlkit.Scanner) (scanEvent, error) {
 }
 
 // names lends a decode the strings it would otherwise copy out of the
-// envelope: the operation names the caller expects, each mapped to
-// itself, and the namespace. A name it does not hold is copied out of the
-// envelope.
+// envelope: the operation and parameter names the caller expects, each
+// mapped to itself, and the namespace. A name it does not hold is copied
+// out of the envelope.
 type names struct {
-	ops map[string]string
-	ns  string
+	known map[string]string
+	ns    string
 }
 
-// op is the operation name spelled by b.
-func (n *names) op(b []byte) string {
+// name is the operation or parameter name spelled by b.
+func (n *names) name(b []byte) string {
 	if n != nil {
-		if name, ok := n.ops[string(b)]; ok {
+		if name, ok := n.known[string(b)]; ok {
 			return name
 		}
 	}
@@ -383,10 +348,10 @@ func (n *names) namespace(raw []byte) (string, error) {
 }
 
 // decodeInto decodes the envelope into m, reusing m's maps and slices
-// (the pooled-request fast path of Server.ServeHTTP). With skipTrace the
+// (the pooled-request fast path of Server.ReadRequest). With skipTrace the
 // Header's SocTrace entry is checked but not copied: the caller has a
 // transport value that overrides it. known, which may be nil, lends the
-// operation name and namespace.
+// operation and parameter names and the namespace.
 func decodeInto(m *Message, data []byte, skipTrace bool, known *names) error {
 	s := xmlkit.AcquireScanner(data)
 	defer xmlkit.ReleaseScanner(s)
@@ -529,7 +494,7 @@ func decodeBody(s *xmlkit.Scanner, m *Message, scratch *[]byte, known *names) (*
 // decodeOperation consumes the operation element: its name, xmlns, and
 // child parameters in document order.
 func decodeOperation(s *xmlkit.Scanner, m *Message, scratch *[]byte, known *names) error {
-	m.Operation = known.op(s.LocalName())
+	m.Operation = known.name(s.LocalName())
 	if raw, ok := s.Attr("xmlns"); ok {
 		ns, err := known.namespace(raw)
 		if err != nil {
@@ -551,9 +516,8 @@ func decodeOperation(s *xmlkit.Scanner, m *Message, scratch *[]byte, known *name
 				return nil
 			}
 		case scanStart:
-			nameB := s.LocalName()
-			_, dup := m.Params[string(nameB)] // no alloc: map lookup on converted key
-			name := string(nameB)
+			name := known.name(s.LocalName())
+			_, dup := m.Params[name]
 			val, err := readElementText(s, scratch)
 			if err != nil {
 				return err
@@ -654,84 +618,77 @@ func local(name string) string {
 	return name
 }
 
-// HandlerFunc processes one decoded request message and returns the
-// response message. The context is the transport's request context (the
-// HTTP request's, for the Server binding), so cancellation and deadlines
-// propagate into service handlers. Returning a *Fault (or any error)
-// produces a SOAP fault; other errors become Server faults.
-type HandlerFunc func(ctx context.Context, req Message) (Message, error)
-
-// Server is the HTTP binding of a SOAP endpoint. Operations are matched by
-// the body's operation element name; the SOAPAction header, when present,
-// must agree.
+// Server is the server half of a SOAP endpoint's HTTP binding: it reads
+// a request envelope, once, into a message that borrows the names its
+// operations declared, and writes the answer or the fault. The dispatch
+// in between is its user's (package host, which also caches answers).
 type Server struct {
-	// Namespace is the service namespace advertised in responses.
+	// Namespace is the service namespace advertised in answers.
 	Namespace string
-	handlers  map[string]HandlerFunc
-	// respNames precomputes "<op>Response" per operation at registration
-	// time so the dispatch fast path does not concatenate per request.
+	// respNames precomputes "<op>Response" per operation at declaration
+	// time so an answer does not concatenate per request.
 	respNames map[string]string
-	// opNames maps each operation name to itself: a request's decode
-	// takes the name from here instead of copying it.
-	opNames map[string]string
+	// known maps each declared operation and parameter name to itself: a
+	// request's decode takes the names from here instead of copying them.
+	known map[string]string
 }
 
-// NewServer returns an empty SOAP endpoint for the namespace.
+// NewServer returns an endpoint for the namespace with no operations.
 func NewServer(namespace string) *Server {
 	return &Server{
 		Namespace: namespace,
-		handlers:  make(map[string]HandlerFunc),
 		respNames: make(map[string]string),
-		opNames:   make(map[string]string),
+		known:     make(map[string]string),
 	}
 }
 
-// Handle registers a handler for the operation name. The response message
-// returned by h gets the operation's conventional "<op>Response" name and
-// the server namespace unless h set them.
-func (s *Server) Handle(operation string, h HandlerFunc) error {
-	if operation == "" || h == nil {
-		return fmt.Errorf("%w: invalid handler registration", ErrProtocol)
+// Declare adds an operation and the names of its parameters.
+func (s *Server) Declare(operation string, params ...string) error {
+	if operation == "" {
+		return fmt.Errorf("%w: empty operation declared", ErrProtocol)
 	}
-	if _, dup := s.handlers[operation]; dup {
+	if _, dup := s.respNames[operation]; dup {
 		return fmt.Errorf("%w: duplicate operation %q", ErrProtocol, operation)
 	}
-	s.handlers[operation] = h
 	s.respNames[operation] = operation + "Response"
-	s.opNames[operation] = operation
+	s.known[operation] = operation
+	for _, name := range params {
+		s.known[name] = name
+	}
 	return nil
 }
 
-// ServeHTTP implements http.Handler. The request message handed to the
-// handler is pooled: its maps and slices are valid only for the duration
-// of the handler call, so handlers must copy anything they retain (the
-// host binding copies params into core.Values before invoking).
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// maxEnvelope bounds a request envelope; a larger one is refused.
+const maxEnvelope = 1 << 20
+
+// ReadRequest reads the envelope r posts into body and decodes it into
+// req, reusing req's maps, and reports whether it names a declared
+// operation that r's SOAPAction, when set, agrees with. When r carries an
+// X-Soc-Trace header the envelope's SocTrace entry is checked but not
+// copied: the transport's trace parent wins, and whoever reads the trace
+// takes it from there. Otherwise it writes the Client fault to w.
+func (s *Server) ReadRequest(w http.ResponseWriter, r *http.Request, body *callplane.Buffer, req *Message) bool {
 	if r.Method != http.MethodPost {
 		writeFault(w, http.StatusMethodNotAllowed, ClientFault("SOAP requires POST, got %s", r.Method))
-		return
+		return false
 	}
-	// A valid transport trace parent overrides the envelope's SocTrace
-	// entry, so a handler joins the caller's trace from that one entry,
-	// and the entry it overrides is not decoded.
-	tp := r.Header.Get(telemetry.HeaderName)
-	if _, ok := telemetry.ParseTraceParent(tp); !ok {
-		tp = ""
+	if req.Params == nil {
+		req.Params, req.Header = make(map[string]string, 8), make(map[string]string, 2)
 	}
-	req := acquireMessage()
-	defer releaseMessage(req)
-	bp := getEncBuf()
-	body, err := readAllInto((*bp)[:0], r.Body)
+	req.resetForReuse()
+	err := body.Fill(r.Body, maxEnvelope+1)
+	if err == nil && len(body.B) > maxEnvelope {
+		err = fmt.Errorf("larger than %d bytes", maxEnvelope)
+	}
 	if err == nil {
-		err = decodeInto(req, body, tp != "", &names{ops: s.opNames, ns: s.Namespace})
+		skipTrace := r.Header.Get(telemetry.HeaderName) != ""
+		err = decodeInto(req, body.B, skipTrace, &names{known: s.known, ns: s.Namespace})
 	} else {
 		err = fmt.Errorf("%w: reading envelope: %v", ErrProtocol, err)
 	}
-	*bp = body[:0]
-	putEncBuf(bp)
 	if err != nil {
 		writeFault(w, http.StatusBadRequest, ClientFault("malformed envelope: %v", err))
-		return
+		return false
 	}
 	// "Soapaction" is the canonical key: Get canonicalizes any other
 	// spelling into a fresh string on every request.
@@ -740,39 +697,38 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// operation; the suffix must match the body operation.
 		if !strings.HasSuffix(action, req.Operation) {
 			writeFault(w, http.StatusBadRequest, ClientFault("SOAPAction %q does not match operation %q", action, req.Operation))
-			return
+			return false
 		}
 	}
-	h, ok := s.handlers[req.Operation]
-	if !ok {
+	if _, ok := s.respNames[req.Operation]; !ok {
 		writeFault(w, http.StatusBadRequest, ClientFault("unknown operation %q", req.Operation))
-		return
+		return false
 	}
-	if tp != "" {
-		req.Header[telemetry.SOAPHeaderName] = tp
-	}
-	resp, err := h(r.Context(), *req)
+	return true
+}
+
+// WriteAnswer writes the answer to a request for the declared operation:
+// the "<operation>Response" element in the server's namespace holding
+// params in the order given, through a pooled buffer in one Write. An
+// answer that cannot be encoded becomes a Server fault, with nothing
+// written before it.
+func (s *Server) WriteAnswer(w http.ResponseWriter, operation string, params []Param) {
+	bp := getEncBuf()
+	defer putEncBuf(bp)
+	b, err := appendEnvelope((*bp)[:0], s.Namespace, s.respNames[operation], nil, params)
+	*bp = b[:0]
 	if err != nil {
-		var f *Fault
-		if !errors.As(err, &f) {
-			f = ServerFault("%v", err)
-		}
-		writeFault(w, http.StatusInternalServerError, f)
+		WriteFault(w, ServerFault("response encoding: %v", err))
 		return
-	}
-	if resp.Operation == "" {
-		resp.Operation = s.respNames[req.Operation]
-	}
-	if resp.Namespace == "" {
-		resp.Namespace = s.Namespace
 	}
 	w.Header()["Content-Type"] = contentType
-	// EncodeTo fails with ErrProtocol before writing anything, so the
-	// fault still owns the status line; any other error is the client
-	// gone mid-write.
-	if err := EncodeTo(w, resp); errors.Is(err, ErrProtocol) {
-		writeFault(w, http.StatusInternalServerError, ServerFault("response encoding: %v", err))
-	}
+	_, _ = w.Write(b)
+}
+
+// WriteFault writes f as the answer to a request that failed in its
+// dispatch, with status 500 as SOAP 1.1 has it.
+func WriteFault(w http.ResponseWriter, f *Fault) {
+	writeFault(w, http.StatusInternalServerError, f)
 }
 
 // contentType is the Content-Type value every response shares, assigned
@@ -848,7 +804,7 @@ func newRoute(k routeKey) (*route, error) {
 		return nil, err
 	}
 	resp := k.operation + "Response"
-	return &route{req: req, answer: names{ops: map[string]string{resp: resp}, ns: k.namespace}}, nil
+	return &route{req: req, answer: names{known: map[string]string{resp: resp}, ns: k.namespace}}, nil
 }
 
 // CallParams sends operation with params, in the order given, to url and

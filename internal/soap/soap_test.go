@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"soc/internal/callplane"
 	"soc/internal/telemetry"
 )
 
@@ -90,25 +91,47 @@ func TestEncodeFaultNil(t *testing.T) {
 	}
 }
 
-func newEchoServer(t *testing.T) *Server {
+// serveWith is the endpoint a host makes of s: each request read once
+// and answered by the handler of its operation, a handler's error
+// written as its fault.
+func serveWith(s *Server, handlers map[string]func(*Message) ([]Param, error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req Message
+		body := callplane.GetBuffer()
+		defer body.Release()
+		if !s.ReadRequest(w, r, body, &req) {
+			return
+		}
+		out, err := handlers[req.Operation](&req)
+		var f *Fault
+		if err != nil && !errors.As(err, &f) {
+			f = ServerFault("%v", err)
+		}
+		if f != nil {
+			WriteFault(w, f)
+			return
+		}
+		s.WriteAnswer(w, req.Operation, out)
+	})
+}
+
+func newEchoServer(t *testing.T) http.Handler {
 	t.Helper()
 	s := NewServer("http://soc.example/echo")
-	if err := s.Handle("Echo", func(_ context.Context, req Message) (Message, error) {
-		return Message{Params: map[string]string{"echo": req.Params["text"]}}, nil
-	}); err != nil {
-		t.Fatal(err)
+	handlers := map[string]func(*Message) ([]Param, error){
+		"Echo":  func(req *Message) ([]Param, error) { return []Param{{"echo", req.Params["text"]}}, nil },
+		"Fail":  func(*Message) ([]Param, error) { return nil, ClientFault("you asked for it") },
+		"Crash": func(*Message) ([]Param, error) { return nil, errors.New("internal breakage") },
+		// An answer that is not an envelope: a parameter name that is not
+		// an element name.
+		"Unencodable": func(*Message) ([]Param, error) { return []Param{{"not a name", "x"}}, nil },
 	}
-	if err := s.Handle("Fail", func(_ context.Context, req Message) (Message, error) {
-		return Message{}, ClientFault("you asked for it")
-	}); err != nil {
-		t.Fatal(err)
+	for op := range handlers {
+		if err := s.Declare(op, "text"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Handle("Crash", func(_ context.Context, req Message) (Message, error) {
-		return Message{}, errors.New("internal breakage")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return serveWith(s, handlers)
 }
 
 func TestServerClientRoundTrip(t *testing.T) {
@@ -180,10 +203,10 @@ func TestServerSOAPActionMismatch(t *testing.T) {
 	}
 }
 
-// TestServerTransportTraceParentWins: a handler reads the caller's trace
-// parent from the request's SocTrace entry, which a valid X-Soc-Trace
-// transport header overrides; an absent or malformed one leaves the
-// envelope's entry as sent.
+// TestServerTransportTraceParentWins: a request carrying an X-Soc-Trace
+// header, valid or not, has its envelope's SocTrace entry checked but not
+// decoded, so its reader takes the trace from the transport; without one
+// the entry is read as sent.
 func TestServerTransportTraceParentWins(t *testing.T) {
 	const (
 		envelope  = "00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01"
@@ -191,43 +214,40 @@ func TestServerTransportTraceParentWins(t *testing.T) {
 	)
 	var seen string
 	s := NewServer("http://soc.example/echo")
-	if err := s.Handle("Echo", func(_ context.Context, req Message) (Message, error) {
-		seen = req.Header[telemetry.SOAPHeaderName]
-		return Message{}, nil
-	}); err != nil {
+	if err := s.Declare("Echo"); err != nil {
 		t.Fatal(err)
 	}
+	h := serveWith(s, map[string]func(*Message) ([]Param, error){"Echo": func(req *Message) ([]Param, error) {
+		seen = req.Header[telemetry.SOAPHeaderName]
+		return nil, nil
+	}})
 	payload, err := Encode(Message{Operation: "Echo", Header: map[string]string{telemetry.SOAPHeaderName: envelope}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ header, want string }{
-		{transport, transport},
+		{transport, ""},
 		{"", envelope},
-		{"00-not-a-trace-parent-01", envelope},
+		{"00-not-a-trace-parent-01", ""},
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(payload))
 		if tc.header != "" {
 			r.Header.Set(telemetry.HeaderName, tc.header)
 		}
 		w := httptest.NewRecorder()
-		s.ServeHTTP(w, r)
+		seen = "unread"
+		h.ServeHTTP(w, r)
 		if w.Code != http.StatusOK || seen != tc.want {
 			t.Errorf("X-Soc-Trace %q: status %d, handler saw SocTrace %q, want %q", tc.header, w.Code, seen, tc.want)
 		}
 	}
 }
 
-// TestServerWritesThroughEncodeTo: the response body is exactly the
-// envelope Encode renders, and a response that cannot be encoded becomes
-// a 500 Server fault with nothing written before it.
+// TestServerWritesThroughEncodeTo: the answer's body is exactly the
+// envelope Encode renders for it, and an answer that cannot be encoded
+// becomes a 500 Server fault with nothing written before it.
 func TestServerWritesThroughEncodeTo(t *testing.T) {
 	s := newEchoServer(t)
-	if err := s.Handle("Unencodable", func(context.Context, Message) (Message, error) {
-		return Message{Params: map[string]string{"not a name": "x"}}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
 	post := func(op string) *httptest.ResponseRecorder {
 		env, err := Encode(Message{Operation: op, Params: map[string]string{"text": "a<b & c"}})
 		if err != nil {
@@ -259,22 +279,24 @@ func TestServerWritesThroughEncodeTo(t *testing.T) {
 	}
 }
 
+// TestServerHandleValidation: an operation is declared once, with a name,
+// and its parameter names are lent to the decode.
 func TestServerHandleValidation(t *testing.T) {
 	s := NewServer("ns")
-	if err := s.Handle("", func(context.Context, Message) (Message, error) { return Message{}, nil }); err == nil {
+	if err := s.Declare(""); err == nil {
 		t.Error("empty op accepted")
 	}
-	if err := s.Handle("X", nil); err == nil {
-		t.Error("nil handler accepted")
+	if err := s.Declare("X", "a", "b"); err != nil {
+		t.Errorf("valid declaration rejected: %v", err)
 	}
-	if err := s.Handle("X", func(context.Context, Message) (Message, error) { return Message{}, nil }); err != nil {
-		t.Errorf("valid registration rejected: %v", err)
+	if err := s.Declare("X"); err == nil {
+		t.Error("duplicate declaration accepted")
 	}
-	if err := s.Handle("X", func(context.Context, Message) (Message, error) { return Message{}, nil }); err == nil {
-		t.Error("duplicate registration accepted")
+	if len(s.respNames) != 1 || s.respNames["X"] != "XResponse" {
+		t.Errorf("ops = %v", s.respNames)
 	}
-	if ops := s.handlers; len(ops) != 1 || ops["X"] == nil {
-		t.Errorf("ops = %v", ops)
+	if want := map[string]string{"X": "X", "a": "a", "b": "b"}; !reflect.DeepEqual(s.known, want) {
+		t.Errorf("known names = %v, want %v", s.known, want)
 	}
 }
 
@@ -333,9 +355,10 @@ func TestFaultHelpers(t *testing.T) {
 // lent string is used only where the envelope spells it exactly, and an
 // xmlns written with a reference or a line end is decoded, not lent.
 func TestDecodeWithLentNames(t *testing.T) {
-	known := &names{ops: map[string]string{"Echo": "Echo", "a&amp;b": "a&amp;b"}, ns: "urn:a&amp;b"}
+	known := &names{known: map[string]string{"Echo": "Echo", "a&amp;b": "a&amp;b", "text": "text"}, ns: "urn:a&amp;b"}
 	for _, env := range []string{
 		`<Envelope><Body><Echo xmlns="urn:echo"><text>hi</text></Echo></Body></Envelope>`,
+		`<Envelope><Body><Echo><text>a</text><other>b</other><text>c</text></Echo></Body></Envelope>`,
 		`<Envelope><Body><Other xmlns="urn:a&amp;b"><text>hi</text></Other></Body></Envelope>`,
 		"<Envelope><Body><Echo xmlns=\"urn:a\nb\"/></Body></Envelope>",
 	} {
@@ -347,7 +370,8 @@ func TestDecodeWithLentNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Operation != want.Operation || got.Namespace != want.Namespace || !reflect.DeepEqual(got.Params, want.Params) {
+		if got.Operation != want.Operation || got.Namespace != want.Namespace || !reflect.DeepEqual(got.Params, want.Params) ||
+			!reflect.DeepEqual(got.ParamOrder, want.ParamOrder) {
 			t.Errorf("%s: lent names decoded %+v, copies %+v", env, got, want)
 		}
 	}
