@@ -89,7 +89,8 @@ flake:
 ## (testdata/fuzz/, which plain `go test` already replays):
 ## ParseTraceParent against an encoding/hex reference and a format/parse
 ## round trip, the REST binding's JSON object decoder against
-## encoding/json, the host's SOAP cache key from its one decode of an
+## encoding/json (and, with the names it found lent, against its own
+## plain decode), the host's SOAP cache key from its one decode of an
 ## envelope against a decode of its own (soap.DecodeBytes, parameters
 ## sorted), and xmlkit's Scanner (through SAX) against encoding/xml
 ## plus the escapers against the Scanner. The Scanner's seeds include the

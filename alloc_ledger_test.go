@@ -104,23 +104,23 @@ type ledgerOp struct {
 var ledgerOps = []ledgerOp{
 	{name: "REST hit", share: 0.4, svc: "Compute", op: "CollatzSteps", cached: true, ttl: time.Hour,
 		in:     core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{9, 3, 1, 3, 0, 0, 0, 0}, {10, 3, 3, 3, 0, 0, 0, 0}}},
+		budget: [2][numHops]float64{{8, 3, 1, 3, 0, 0, 0, 0}, {9, 3, 3, 3, 0, 0, 0, 0}}},
 	{name: "REST Generate", share: 0.3, svc: "RandomString", op: "Generate", ttl: time.Hour,
 		raw: core.Values{"length": float64(ledgerLength)}, in: core.Values{"length": int64(ledgerLength)},
-		budget: [2][numHops]float64{{9, 3, 1, 3, 2, 0, 2, 4}, {10, 3, 3, 3, 3, 0, 2, 4}}},
+		budget: [2][numHops]float64{{8, 3, 1, 3, 1, 0, 0, 4}, {9, 3, 3, 3, 2, 0, 0, 4}}},
 	{name: "SOAP Generate", share: 0.3, svc: "RandomString", op: "Generate", soap: true, ttl: time.Hour,
 		ns:  services.NamespacePrefix + "randomstring",
 		raw: core.Values{"length": fmt.Sprint(ledgerLength)}, in: core.Values{"length": int64(ledgerLength)},
-		budget: [2][numHops]float64{{8, 3, 1, 3, 1, 1, 2, 4}, {9, 3, 3, 3, 2, 1, 2, 4}}},
+		budget: [2][numHops]float64{{7, 3, 1, 3, 1, 1, 0, 4}, {8, 3, 3, 3, 2, 1, 0, 4}}},
 	// An idempotent SOAP call, which bench does not send: the host keys
 	// and dispatches it from its one decode of the envelope.
 	{name: "SOAP hit", svc: "Compute", op: "CollatzSteps", soap: true, cached: true, ttl: time.Hour,
 		ns: services.NamespacePrefix + "compute", in: core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{10, 3, 1, 3, 0, 1, 0, 0}, {11, 3, 3, 3, 0, 1, 0, 0}}},
+		budget: [2][numHops]float64{{9, 3, 1, 3, 0, 1, 0, 0}, {10, 3, 3, 3, 0, 1, 0, 0}}},
 	{name: "SOAP miss", svc: "Compute", op: "CollatzSteps", soap: true, ttl: time.Nanosecond,
 		ns:  services.NamespacePrefix + "compute",
 		raw: core.Values{"n": fmt.Sprint(ledgerN)}, in: core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{10, 3, 1, 3, 12, 1, 3, 3}, {11, 3, 3, 3, 14, 1, 3, 3}}},
+		budget: [2][numHops]float64{{9, 3, 1, 3, 12, 1, 1, 3}, {10, 3, 3, 3, 14, 1, 1, 3}}},
 }
 
 // call is the benchmark's op: the args map, built fresh as dispatch-light
@@ -500,6 +500,9 @@ func ledger(t *testing.T, o *ledgerOp, sampled bool) (hops [numHops]float64, who
 
 	// core.Service.Invoke's coercion, of the args the binding decoded,
 	// around a handler that allocates nothing; and the real handler.
+	// Invoke coerces its args in place, so each run gets them afresh in
+	// one reused map, emptied and refilled as the host's pooled one is,
+	// which allocates nothing once it has held them.
 	var coerce, handle float64
 	if !o.cached {
 		var stubSvc *core.Service
@@ -508,7 +511,15 @@ func ledger(t *testing.T, o *ledgerOp, sampled bool) (hops [numHops]float64, who
 				stubSvc = s
 			}
 		}
-		coerce = count(t, func() error { _, err := stubSvc.Invoke(ctx, o.op, o.raw); return err })
+		args := core.Values{}
+		coerce = count(t, func() error {
+			clear(args)
+			for k, v := range o.raw {
+				args[k] = v
+			}
+			_, err := stubSvc.Invoke(ctx, o.op, args)
+			return err
+		})
 		handle = count(t, func() error { _, err := op.Handler(ctx, o.in); return err })
 	}
 	hops[hopHost] = served - codec - coerce

@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkSteps27(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Steps(27); err != nil {
 			b.Fatal(err)
 		}
@@ -16,21 +16,21 @@ func BenchmarkSteps27(b *testing.B) {
 func BenchmarkValidate(b *testing.B) {
 	const lo, hi = 1, 50_001
 	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := ValidateSeq(lo, hi); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := ValidateStatic(lo, hi, runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dynamic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := ValidateDynamic(lo, hi, runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}

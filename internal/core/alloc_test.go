@@ -37,7 +37,7 @@ func TestInvokeAliasesConformingOutput(t *testing.T) {
 	}
 	op, _ := svc.Operation("Get")
 	input := testing.AllocsPerRun(200, func() {
-		if _, err := coerceValues(op.Input, op.inputIdx, args, true); err != nil {
+		if _, err := coerceValues(args, op.Input, op.inputIdx, args, true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -175,17 +175,24 @@ func (s *Service) Operations() []*Operation {
 // Invoke validates args against the operation's input signature, calls the
 // handler, and validates the result against the output signature.
 //
+// args is coerced in place and handed to the handler as it is: a value of
+// another Go type than its parameter's is replaced, and a missing optional
+// input is added (into a fresh map when args is nil). The caller gives
+// args up for the call, and neither reads it afterwards as its own
+// arguments nor shares it with another call in flight; the handler reads
+// its input and does not keep it after it returns.
+//
 // The result may be the handler's own map: one that already conforms —
 // every declared output present, no other key, each value of its type's
 // Go representation — is returned as it is, not copied. Callers treat the
 // result as read-only, and a handler does not touch a map after returning
-// it. args is only read; the handler gets a fresh coerced copy.
+// it.
 func (s *Service) Invoke(ctx context.Context, opName string, args Values) (Values, error) {
 	op, err := s.Operation(opName)
 	if err != nil {
 		return nil, err
 	}
-	in, err := coerceValues(op.Input, op.inputIdx, args, true)
+	in, err := coerceValues(args, op.Input, op.inputIdx, args, true)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s.%s: %v", ErrBadRequest, s.Name, opName, err)
 	}
@@ -196,23 +203,27 @@ func (s *Service) Invoke(ctx context.Context, opName string, args Values) (Value
 	if conforms(op.Output, op.outputIdx, out) {
 		return out, nil
 	}
-	result, err := coerceValues(op.Output, op.outputIdx, out, false)
+	result, err := coerceValues(make(Values, len(op.Output)), op.Output, op.outputIdx, out, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s.%s returned invalid output: %v", s.Name, opName, err)
 	}
 	return result, nil
 }
 
-// coerceValues checks vals against the declared params, converting string
-// representations to typed values. When strict, unknown keys are rejected
-// and required params must be present. known is the precomputed index
-// over params (see paramIndex); nil falls back to a scratch index so the
-// helper stays usable on Operations not yet registered.
-func coerceValues(params []Param, known map[string]*Param, vals Values, strict bool) (Values, error) {
+// coerceValues checks vals against the declared params, converting each
+// value to its param's Go representation into dst — vals itself, to
+// coerce in place — and returns dst, a fresh map if it was nil and a
+// param must be filled. When strict, unknown keys are rejected and
+// required params must be present; otherwise unknown keys are dropped and
+// every missing param is filled with its zero value, as an optional one
+// always is. known is the precomputed index over params (see paramIndex);
+// nil falls back to a scratch index so the helper stays usable on
+// Operations not yet registered. After an error dst may hold values
+// already converted.
+func coerceValues(dst Values, params []Param, known map[string]*Param, vals Values, strict bool) (Values, error) {
 	if known == nil {
 		known = paramIndex(params)
 	}
-	out := make(Values, len(params))
 	for k, v := range vals {
 		p, ok := known[k]
 		if !ok {
@@ -225,24 +236,28 @@ func coerceValues(params []Param, known map[string]*Param, vals Values, strict b
 		if err != nil {
 			return nil, fmt.Errorf("parameter %q: %v", k, err)
 		}
-		out[k] = cv
+		// In place, this replaces a key of the map being ranged over,
+		// which the language defines.
+		dst[k] = cv
 	}
 	for _, p := range params {
-		if _, ok := out[p.Name]; ok {
+		if _, ok := dst[p.Name]; ok {
 			continue
 		}
-		if p.Optional || !strict {
-			out[p.Name] = zeroOf(p.Type)
-			continue
+		if !p.Optional && strict {
+			return nil, fmt.Errorf("missing parameter %q", p.Name)
 		}
-		return nil, fmt.Errorf("missing parameter %q", p.Name)
+		if dst == nil {
+			dst = make(Values, len(params))
+		}
+		dst[p.Name] = zeroOf(p.Type)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // conforms reports whether vals is already what non-strict coerceValues
-// would build from it: not nil, every param present, no other key, every
-// value of its param's Go type.
+// would build from it in a fresh map: not nil, every param present, no
+// other key, every value of its param's Go type.
 func conforms(params []Param, known map[string]*Param, vals Values) bool {
 	if vals == nil || len(vals) != len(params) {
 		return false

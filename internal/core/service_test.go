@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -347,4 +350,110 @@ func TestCoerceValueIdentity(t *testing.T) {
 	if _, err := CoerceValue(Int, "x"); err == nil {
 		t.Error(`CoerceValue(int, "x") succeeded`)
 	}
+}
+
+// Invoke coerces the caller's args in place and hands the handler that
+// same map: a value of another Go type is replaced in it, one already of
+// its type is left as it was, and a missing optional input is added.
+func TestInvokeCoercesArgsInPlace(t *testing.T) {
+	svc, _ := NewService("Place", "ns", "")
+	var got Values
+	svc.MustAddOperation(Operation{
+		Name: "Get",
+		Input: []Param{
+			{Name: "n", Type: Int}, {Name: "s", Type: String},
+			{Name: "opt", Type: Float, Optional: true},
+		},
+		Output: []Param{{Name: "n", Type: Int}},
+		Handler: func(_ context.Context, in Values) (Values, error) {
+			got = in
+			return Values{"n": in.Int("n")}, nil
+		},
+	})
+	args := Values{"n": float64(300), "s": "x"}
+	out, err := svc.Invoke(context.Background(), "Get", args)
+	if err != nil || out.Int("n") != 300 {
+		t.Fatalf("Invoke = %v, %v", out, err)
+	}
+	if reflect.ValueOf(got).Pointer() != reflect.ValueOf(args).Pointer() {
+		t.Error("the handler got another map than the caller's")
+	}
+	if want := (Values{"n": int64(300), "s": "x", "opt": float64(0)}); !reflect.DeepEqual(args, want) {
+		t.Errorf("args after Invoke = %#v, want %#v", args, want)
+	}
+}
+
+// A nil args map becomes a fresh one when an optional input must be
+// filled; with every input optional, nil is a valid call.
+func TestInvokeNilArgsWithOptionalInput(t *testing.T) {
+	svc, _ := NewService("Opt", "ns", "")
+	svc.MustAddOperation(Operation{
+		Name:   "Get",
+		Input:  []Param{{Name: "loud", Type: Bool, Optional: true}, {Name: "n", Type: Int, Optional: true}},
+		Output: []Param{{Name: "in", Type: String}},
+		Handler: func(_ context.Context, in Values) (Values, error) {
+			return Values{"in": fmt.Sprint(in.Bool("loud"), len(in), in["n"])}, nil
+		},
+	})
+	out, err := svc.Invoke(context.Background(), "Get", nil)
+	if err != nil || out.Str("in") != "false 2 0" {
+		t.Fatalf("Invoke(nil) = %v, %v; want the two zero inputs", out, err)
+	}
+}
+
+// The strict input checks read as they always did, and a refused call
+// never reaches the handler.
+func TestInvokeStrictErrorsUnchanged(t *testing.T) {
+	svc, _ := NewService("Calc", "ns", "")
+	called := false
+	svc.MustAddOperation(Operation{
+		Name:   "Add",
+		Input:  []Param{{Name: "a", Type: Int}, {Name: "b", Type: Int}},
+		Output: []Param{{Name: "sum", Type: Int}},
+		Handler: func(_ context.Context, in Values) (Values, error) {
+			called = true
+			return Values{"sum": in.Int("a") + in.Int("b")}, nil
+		},
+	})
+	for _, tc := range []struct {
+		args Values
+		want string
+	}{
+		{nil, `core: bad request: Calc.Add: missing parameter "a"`},
+		{Values{"a": int64(1)}, `core: bad request: Calc.Add: missing parameter "b"`},
+		{Values{"a": "1", "b": int64(2), "c": int64(3)}, `core: bad request: Calc.Add: unknown parameter "c"`},
+		{Values{"a": "NaN", "b": int64(2)}, `core: bad request: Calc.Add: parameter "a": "NaN" is not an int`},
+		{Values{"a": 1.5, "b": int64(2)}, `core: bad request: Calc.Add: parameter "a": 1.5 is not an integer`},
+		{Values{"a": true, "b": int64(2)}, `core: bad request: Calc.Add: parameter "a": cannot convert bool to int`},
+	} {
+		_, err := svc.Invoke(context.Background(), "Add", tc.args)
+		if !errors.Is(err, ErrBadRequest) || err.Error() != tc.want {
+			t.Errorf("Invoke(%v) = %v, want %s", tc.args, err, tc.want)
+		}
+	}
+	if called {
+		t.Error("a refused call reached the handler")
+	}
+}
+
+// Concurrent Invokes, each with its own args map, share only the
+// service: under -race, coercion in place touches no shared state.
+func TestInvokeConcurrentOwnArgs(t *testing.T) {
+	svc := addService(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				args := Values{"a": strconv.Itoa(i), "b": float64(g)}
+				out, err := svc.Invoke(context.Background(), "Add", args)
+				if err != nil || out.Int("sum") != int64(i+g) || args["a"] != int64(i) {
+					t.Errorf("Invoke = %v, %v; args %v", out, err, args)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

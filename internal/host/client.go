@@ -55,6 +55,28 @@ type endpointKey struct{ service, op string }
 type endpoint struct {
 	rest    *callplane.Route
 	soapURL string
+	// answer maps the names of the operation's first good REST answer to
+	// themselves — at most maxAnswerNames, each plainly spelled — and is
+	// set once; every later decode borrows its keys from it.
+	answer atomic.Pointer[map[string]string]
+}
+
+// maxAnswerNames bounds the names an endpoint learns from an answer.
+const maxAnswerNames = 32
+
+// learn sets, if it is not set yet, the answer names from out, a good
+// answer's decode that has keys.
+func (ep *endpoint) learn(out core.Values) {
+	if len(out) == 0 || ep.answer.Load() != nil {
+		return
+	}
+	names := make(map[string]string, min(len(out), maxAnswerNames))
+	for k := range out {
+		if len(names) < maxAnswerNames && plainName(k) {
+			names[k] = k
+		}
+	}
+	ep.answer.CompareAndSwap(nil, &names)
 }
 
 // NewClient returns a client for the given base URL.
@@ -112,7 +134,7 @@ func (c *Client) Call(ctx context.Context, service, op string, args core.Values)
 		sp.Target = c.BaseURL
 		sp.Annotate("binding", "rest")
 	}
-	out, err := c.exchange(ctx, call, ep.rest, args)
+	out, err := c.exchange(ctx, call, ep, args)
 	sp.EndErr(err)
 	return out, err
 }
@@ -124,13 +146,14 @@ func (c *Client) call(ctx context.Context, service, op string, args core.Values)
 	if err != nil {
 		return nil, err
 	}
-	return c.exchange(ctx, telemetry.CallTraceOf(ctx), ep.rest, args)
+	return c.exchange(ctx, telemetry.CallTraceOf(ctx), ep, args)
 }
 
-// exchange posts args over the route, carrying the trace call, and
-// decodes the answer. Request and response bytes live in pooled buffers;
-// the returned map and everything in it is fresh and the caller's own.
-func (c *Client) exchange(ctx context.Context, call telemetry.CallTrace, rt *callplane.Route, args core.Values) (core.Values, error) {
+// exchange posts args over the endpoint's REST route, carrying the trace
+// call, and decodes the answer. Request and response bytes live in pooled
+// buffers; the returned map is fresh and the caller's own, its keys
+// borrowed from the endpoint's answer names where it has them.
+func (c *Client) exchange(ctx context.Context, call telemetry.CallTrace, ep *endpoint, args core.Values) (core.Values, error) {
 	body := callplane.GetBuffer()
 	var err error
 	if body.B, err = appendJSONObject(body.B, args); err != nil {
@@ -139,7 +162,7 @@ func (c *Client) exchange(ctx context.Context, call telemetry.CallTrace, rt *cal
 	}
 	// The request owns the body from here: the transport may still be
 	// sending it when Do returns, so it is released at Body.Close.
-	resp, err := callplane.Do(c.httpClient(), rt.NewRequest(ctx, call, body))
+	resp, err := callplane.Do(c.httpClient(), ep.rest.NewRequest(ctx, call, body))
 	if err != nil {
 		return nil, fmt.Errorf("%w: transport: %w", ErrRemote, err)
 	}
@@ -159,9 +182,16 @@ func (c *Client) exchange(ctx context.Context, call telemetry.CallTrace, rt *cal
 		}
 		return nil, fmt.Errorf("%w: status %d", ErrRemote, resp.StatusCode)
 	}
-	out, err := decodeJSONObject(data.B)
+	var names map[string]string
+	if learned := ep.answer.Load(); learned != nil {
+		names = *learned
+	}
+	out, err := decodeJSONObject(nil, data.B, names)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decoding response: %v", ErrRemote, err)
+	}
+	if names == nil {
+		ep.learn(out)
 	}
 	return out, nil
 }

@@ -22,13 +22,14 @@ import (
 // map[string]any: the same inputs accepted and deeply equal values. The
 // oracle allows the two documented differences: errors agree in presence,
 // not in wording, and on an error decodeJSONObject returns no map where
-// json.Unmarshal may have filled part of one. Seeds are in
-// testdata/fuzz/FuzzDecodeJSONObject.
+// json.Unmarshal may have filled part of one. A second decode lends the
+// names the first found, plainly spelled, and one it did not: it must
+// equal the plain decode. Seeds are in testdata/fuzz/FuzzDecodeJSONObject.
 func FuzzDecodeJSONObject(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want map[string]any
 		wantErr := json.Unmarshal(data, &want)
-		got, err := decodeJSONObject(data)
+		got, err := decodeJSONObject(nil, data, nil)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("%q: decodeJSONObject error %v, json.Unmarshal error %v", data, err, wantErr)
 		}
@@ -40,6 +41,16 @@ func FuzzDecodeJSONObject(f *testing.F) {
 		}
 		if !reflect.DeepEqual(map[string]any(got), want) {
 			t.Fatalf("%q:\n got %#v\nwant %#v", data, got, want)
+		}
+		names := map[string]string{"absent": "absent"}
+		for k := range got {
+			if plainName(k) {
+				names[k] = k
+			}
+		}
+		lent, err := decodeJSONObject(nil, data, names)
+		if err != nil || !reflect.DeepEqual(lent, got) {
+			t.Fatalf("%q: with names lent\n got %#v, %v\nwant %#v", data, lent, err, got)
 		}
 	})
 }

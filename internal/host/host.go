@@ -36,12 +36,13 @@ import (
 var ErrMount = errors.New("host: invalid mount")
 
 // mounted is one service's precompiled dispatch table, resolved once at
-// Mount time: the SOAP endpoint with the names its requests spell, and the
-// per-operation metric keys so the hot path never concatenates
-// "service.op" per request.
+// Mount time: the SOAP endpoint with the names its requests spell, the
+// input names a REST request's body spells, and the per-operation metric
+// keys so the hot path never concatenates "service.op" per request.
 type mounted struct {
 	svc        *core.Service
 	soapSrv    *soap.Server
+	inputNames map[string]string // each operation's input names, each to itself: a REST decode's keys
 	metricKeys map[string]string // op name → "service.op"
 	idempotent map[string]bool   // op name → declared Idempotent (the cacheable ones)
 }
@@ -56,8 +57,9 @@ func (m *mounted) metricKey(op string) string {
 }
 
 // valuesPool recycles the argument maps built from transport parameters.
-// Invoke never retains its args map (coercion copies into a fresh map),
-// so the maps can be cleared and reused across requests.
+// Invoke coerces its args map in place and hands it to the handler, and
+// neither keeps it after the call, so once the answer is written the maps
+// can be cleared and reused across requests.
 var valuesPool = sync.Pool{New: func() any { return core.Values{} }}
 
 func acquireValues() core.Values { return valuesPool.Get().(core.Values) }
@@ -150,6 +152,7 @@ func (h *Host) Mount(svc *core.Service) error {
 	m := &mounted{
 		svc:        svc,
 		soapSrv:    soap.NewServer(svc.Namespace),
+		inputNames: make(map[string]string),
 		metricKeys: make(map[string]string, len(svc.Operations())),
 		idempotent: make(map[string]bool, len(svc.Operations())),
 	}
@@ -159,6 +162,7 @@ func (h *Host) Mount(svc *core.Service) error {
 		params := make([]string, len(op.Input))
 		for i, p := range op.Input {
 			params[i] = p.Name
+			m.inputNames[p.Name] = p.Name
 		}
 		if err := m.soapSrv.Declare(op.Name, params...); err != nil {
 			return err
@@ -427,7 +431,7 @@ func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *
 		return
 	}
 	if r.Method == http.MethodPost {
-		if err := readInvokeBody(r, args); err != nil {
+		if err := readInvokeBody(r, args, m.inputNames); err != nil {
 			rest.WriteError(w, r, http.StatusBadRequest, "body: %v", err)
 			return
 		}
@@ -489,19 +493,27 @@ func (h *Host) invokeSOAP(w http.ResponseWriter, r *http.Request, m *mounted, re
 const maxInvokeBody = 1 << 20
 
 // readInvokeBody decodes the JSON object posted to an invoke route into
-// args, through a pooled buffer. Any other body is an error: no JSON, a
-// top-level value that is neither an object nor null, anything but
-// whitespace after it, more than maxInvokeBody bytes.
-func readInvokeBody(r *http.Request, args core.Values) error {
-	body := callplane.GetBuffer()
-	defer body.Release()
-	if err := body.Fill(r.Body, maxInvokeBody+1); err != nil {
-		return err
+// args, each key that names lends borrowed from it: from the cache
+// keyer's bytes when the keyer read the body, else through a pooled
+// buffer. Any body but such an object is an error: no JSON, a top-level
+// value that is neither an object nor null, anything but whitespace after
+// it, more than maxInvokeBody bytes.
+func readInvokeBody(r *http.Request, args core.Values, names map[string]string) error {
+	var data []byte
+	if k, ok := r.Body.(*cacheKeyer); ok && k.body != nil {
+		data = k.body.B
+	} else {
+		body := callplane.GetBuffer()
+		defer body.Release()
+		if err := body.Fill(r.Body, maxInvokeBody+1); err != nil {
+			return err
+		}
+		data = body.B
 	}
-	if len(body.B) > maxInvokeBody {
+	if len(data) > maxInvokeBody {
 		return fmt.Errorf("larger than %d bytes", maxInvokeBody)
 	}
-	_, err := decodeJSONObjectInto(args, body.B)
+	_, err := decodeJSONObject(args, data, names)
 	return err
 }
 

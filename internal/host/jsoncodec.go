@@ -228,10 +228,12 @@ func appendJSONNewline(dst []byte, depth int) []byte {
 	return dst
 }
 
-// jsonReader is a cursor over one JSON text.
+// jsonReader is a cursor over one JSON text; names, when set, lends the
+// keys of the objects it decodes (see decodeJSONObject).
 type jsonReader struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	names map[string]string
 }
 
 func (r *jsonReader) errorf(format string, args ...any) error {
@@ -437,20 +439,17 @@ func (r *jsonReader) str() (string, error) {
 	return string(b), err
 }
 
-// decodeJSONObject decodes a JSON object into a fresh map, value for value
-// what json.Unmarshal stores in a map[string]any: float64 numbers, nested
-// map[string]any and []any, the last of duplicate keys. A top-level null
-// is a nil map; any other top-level value is an error.
-func decodeJSONObject(data []byte) (core.Values, error) {
-	return decodeJSONObjectInto(nil, data)
-}
-
-// decodeJSONObjectInto is decodeJSONObject storing the members in dst — a
-// map the caller owns and json.Unmarshal would have added to the same way
-// — and returning it; a nil dst is a fresh map. After an error dst may hold
-// the members decoded before it.
-func decodeJSONObjectInto(dst core.Values, data []byte) (core.Values, error) {
-	r := jsonReader{data: data}
+// decodeJSONObject decodes a JSON object into dst — a map the caller owns
+// and json.Unmarshal would have added to the same way, or nil for a fresh
+// one — and returns it, value for value what json.Unmarshal stores in a
+// map[string]any: float64 numbers, nested map[string]any and []any, the
+// last of duplicate keys. A top-level null is a nil map; any other
+// top-level value is an error. After an error dst may hold the members
+// decoded before it. names, which may be nil, lends the keys it holds: a
+// plainly spelled key (plainString) found there is that string, not a
+// copy, so its keys are the names they map to.
+func decodeJSONObject(dst core.Values, data []byte, names map[string]string) (core.Values, error) {
+	r := jsonReader{data: data, names: names}
 	var out core.Values
 	switch r.skipSpace() {
 	case '{':
@@ -476,6 +475,29 @@ func decodeJSONObjectInto(dst core.Values, data []byte) (core.Values, error) {
 	return out, nil
 }
 
+// key consumes an object key: the name r.names lends for a plainly
+// spelled one it holds, else a fresh string.
+func (r *jsonReader) key() (string, error) {
+	if s, ok := r.plainString(); ok {
+		if name, ok := r.names[string(s)]; ok {
+			return name, nil
+		}
+		return string(s), nil
+	}
+	return r.str()
+}
+
+// plainName reports whether name is spelled in JSON as its own bytes, so
+// that a decode can find it in a names table by a key's raw bytes.
+func plainName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c >= utf8.RuneSelf || !jsonSafe[c] {
+			return false
+		}
+	}
+	return true
+}
+
 // object decodes the object at the cursor.
 func (r *jsonReader) object(depth int) (map[string]any, error) {
 	m := map[string]any{}
@@ -499,7 +521,7 @@ func (r *jsonReader) members(m map[string]any, depth int) error {
 		if r.skipSpace() != '"' {
 			return r.errorf("want a string key")
 		}
-		key, err := r.str()
+		key, err := r.key()
 		if err != nil {
 			return err
 		}

@@ -240,7 +240,7 @@ func TestDecodeJSONObjectMatchesUnmarshal(t *testing.T) {
 	check := func(text string) bool {
 		var want map[string]any
 		wantErr := json.Unmarshal([]byte(text), &want)
-		got, gotErr := decodeJSONObject([]byte(text))
+		got, gotErr := decodeJSONObject(nil, []byte(text), nil)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Errorf("%q: json.Unmarshal error %v, decodeJSONObject error %v", text, wantErr, gotErr)
 			return false
@@ -325,7 +325,18 @@ func TestReadInvokeBodyMatchesReadJSON(t *testing.T) {
 			want[k] = v
 		}
 		got := core.Values{}
-		gotErr := readInvokeBody(postedTo(text), got)
+		gotErr := readInvokeBody(postedTo(text), got, nil)
+		// A body the cache keyer read is decoded from the keyer's bytes,
+		// to the same arguments or the same refusal.
+		r, kept := postedTo(text), core.Values{}
+		k := keyerPool.Get().(*cacheKeyer)
+		k.swapBody(r)
+		keptErr := readInvokeBody(r, kept, nil)
+		k.release(r)
+		if (keptErr != nil) != (gotErr != nil) || (gotErr == nil && !reflect.DeepEqual(kept, got)) {
+			t.Errorf("%q: from the keyer's bytes %#v, %v; read afresh %#v, %v", text, kept, keptErr, got, gotErr)
+			return false
+		}
 		switch {
 		case gotErr == nil && wantErr != nil:
 			t.Errorf("%q: accepted, rest.ReadJSON said %v", text, wantErr)
@@ -345,9 +356,16 @@ func TestReadInvokeBodyMatchesReadJSON(t *testing.T) {
 	// The bound: a body of exactly 1 MiB is read, one byte more is not.
 	pad := strings.Repeat("x", maxInvokeBody-len(`{"pad":""}`))
 	check(`{"pad":"` + pad + `"}`)
-	if err := readInvokeBody(postedTo(`{"pad":"`+pad+`y"}`), core.Values{}); err == nil {
+	if err := readInvokeBody(postedTo(`{"pad":"`+pad+`y"}`), core.Values{}, nil); err == nil {
 		t.Error("a body past 1 MiB was accepted")
 	}
+	r := postedTo(`{"pad":"` + pad + `y"}`)
+	k := keyerPool.Get().(*cacheKeyer)
+	k.swapBody(r)
+	if err := readInvokeBody(r, core.Values{}, nil); err == nil {
+		t.Error("a body past 1 MiB was accepted from the keyer's bytes")
+	}
+	k.release(r)
 	prop := func(seed int64) bool {
 		g := jsonGen{rand.New(rand.NewSource(seed))}
 		text := g.text(g.object(0))

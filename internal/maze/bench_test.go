@@ -6,11 +6,13 @@ func BenchmarkGenerate(b *testing.B) {
 	algs := map[string]Algorithm{"dfs": DFS, "prim": Prim, "division": Division}
 	for name, alg := range algs {
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := Generate(31, 31, alg, int64(i))
+			var seed int64
+			for b.Loop() {
+				m, err := Generate(31, 31, alg, seed)
 				if err != nil || !solvable(m) {
-					b.Fatalf("seed %d: %v", i, err)
+					b.Fatalf("seed %d: %v", seed, err)
 				}
+				seed++
 			}
 		})
 	}
@@ -21,8 +23,7 @@ func BenchmarkDistances(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := m.Distances(m.Goal); err != nil {
 			b.Fatal(err)
 		}
@@ -35,8 +36,7 @@ func BenchmarkStringParse(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := m.String()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Parse(s); err != nil {
 			b.Fatal(err)
 		}

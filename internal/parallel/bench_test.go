@@ -17,7 +17,7 @@ func skewedWork(i int) int64 {
 
 func BenchmarkForDynamicSkewed(b *testing.B) {
 	var sink int64
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var local int64
 		_ = For(0, 4096, func(j int) { atomic.AddInt64(&local, skewedWork(j)) }, Options{Grain: 64})
 		sink += local
@@ -27,7 +27,7 @@ func BenchmarkForDynamicSkewed(b *testing.B) {
 
 func BenchmarkForStaticSkewed(b *testing.B) {
 	var sink int64
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var local int64
 		_ = ForStatic(0, 4096, func(j int) { atomic.AddInt64(&local, skewedWork(j)) }, Options{})
 		sink += local
@@ -36,7 +36,7 @@ func BenchmarkForStaticSkewed(b *testing.B) {
 }
 
 func BenchmarkReduceSum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		got, err := Reduce(0, 1<<16, int64(0),
 			func(j int) int64 { return int64(j) },
 			func(a, c int64) int64 { return a + c }, Options{})
@@ -55,8 +55,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := make([]int, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := p.Run(in); err != nil {
 			b.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soc/internal/callplane"
@@ -770,10 +771,43 @@ type Client struct {
 type routeKey struct{ url, namespace, operation string }
 
 // route is one operation's requests and the names of their answers: the
-// "<op>Response" element a Server writes, in the request's namespace.
+// "<op>Response" element a Server writes, in the request's namespace, and
+// once the first good answer has come, its parameter names too.
 type route struct {
 	req    *callplane.Route
 	answer names
+	// learned is answer with the parameter names of the operation's first
+	// good answer added — at most maxAnswerNames of them — set once;
+	// every later decode borrows from it.
+	learned atomic.Pointer[names]
+}
+
+// maxAnswerNames bounds the parameter names a route learns from an answer.
+const maxAnswerNames = 32
+
+// names returns what an answer's decode borrows from.
+func (rt *route) names() *names {
+	if n := rt.learned.Load(); n != nil {
+		return n
+	}
+	return &rt.answer
+}
+
+// learn sets, if it is not set yet, the learned names from resp, a good
+// answer's decode that has parameters. An element name is never escaped,
+// so each is spelled in every answer as it reads.
+func (rt *route) learn(resp *Message) {
+	if len(resp.ParamOrder) == 0 || rt.learned.Load() != nil {
+		return
+	}
+	known := make(map[string]string, len(rt.answer.known)+min(len(resp.ParamOrder), maxAnswerNames))
+	for k, v := range rt.answer.known {
+		known[k] = v
+	}
+	for _, name := range resp.ParamOrder[:min(len(resp.ParamOrder), maxAnswerNames)] {
+		known[name] = name
+	}
+	rt.learned.CompareAndSwap(nil, &names{known: known, ns: rt.answer.ns})
 }
 
 // defaultHTTPClient serves every Client that has none of its own.
@@ -819,18 +853,20 @@ func (c *Client) CallParams(ctx context.Context, url, namespace, operation strin
 }
 
 func (c *Client) callParams(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (map[string]string, error) {
-	data, answer, err := c.exchange(ctx, tc, url, namespace, operation, params)
+	data, rt, err := c.exchange(ctx, tc, url, namespace, operation, params)
 	if err != nil {
 		return nil, err
 	}
 	defer data.Release()
 	// Decode as the server does, into a pooled message, and keep only the
-	// parameters: their strings are fresh, the map is sized to them.
+	// parameters: the values are fresh strings, the names the route's
+	// where it has them, the map is sized to them.
 	resp := acquireMessage()
 	defer releaseMessage(resp)
-	if err := decodeInto(resp, data.B, false, answer); err != nil {
+	if err := decodeInto(resp, data.B, false, rt.names()); err != nil {
 		return nil, err
 	}
+	rt.learn(resp)
 	out := make(map[string]string, len(resp.Params))
 	for k, v := range resp.Params {
 		out[k] = v
@@ -850,10 +886,10 @@ func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemet
 }
 
 // exchange posts one envelope and returns the response body in a pooled
-// buffer, which the caller releases, and the names the answer is expected
-// to spell. A traced call carries its traceparent (tc.Header) as the
-// envelope's one SocTrace header entry.
-func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (*callplane.Buffer, *names, error) {
+// buffer, which the caller releases, and the operation's route, which
+// holds the names the answer is expected to spell. A traced call carries
+// its traceparent (tc.Header) as the envelope's one SocTrace header entry.
+func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (*callplane.Buffer, *route, error) {
 	var tbuf [1]Param
 	var header []Param
 	if tc.Header != "" {
@@ -880,5 +916,5 @@ func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, name
 		data.Release()
 		return nil, nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
 	}
-	return data, &rt.answer, nil
+	return data, rt, nil
 }

@@ -130,28 +130,30 @@ func FormatTraceParent(sc SpanContext) string {
 	return string(AppendTraceParent(make([]byte, 0, traceParentLen), sc))
 }
 
-func hexNibble(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
+// hexValue maps each byte to the value of the hex digit it is, either
+// case, and every other byte to 0xff: a lookup per digit, no branch.
+var hexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
 	}
-	return 0, false
-}
+	for i := byte(0); i < 16; i++ {
+		t["0123456789abcdef"[i]] = i
+		t["0123456789ABCDEF"[i]] = i
+	}
+	return t
+}()
 
+// parseHex decodes the 2·len(dst) hex digits of s into dst and reports
+// whether they all were hex digits.
 func parseHex(dst []byte, s string) bool {
+	s = s[:2*len(dst)]
+	var seen byte // the OR of every digit's value: above 0x0f once one is not a digit
 	for i := range dst {
-		hi, ok1 := hexNibble(s[2*i])
-		lo, ok2 := hexNibble(s[2*i+1])
-		if !ok1 || !ok2 {
-			return false
-		}
+		hi, lo := hexValue[s[2*i]], hexValue[s[2*i+1]]
+		seen |= hi | lo
 		dst[i] = hi<<4 | lo
 	}
-	return true
+	return seen <= 0x0f
 }
 
 // ParseTraceParent parses the wire form back into a span context:

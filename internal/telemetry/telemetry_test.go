@@ -549,3 +549,14 @@ func TestCacheMissMark(t *testing.T) {
 		t.Fatal("mark lost")
 	}
 }
+
+// BenchmarkParseTraceParent parses a sampled traceparent, the host's and
+// the door's read of every traced request.
+func BenchmarkParseTraceParent(b *testing.B) {
+	tp := FormatTraceParent(SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true})
+	for b.Loop() {
+		if _, ok := ParseTraceParent(tp); !ok {
+			b.Fatal("parse failed")
+		}
+	}
+}

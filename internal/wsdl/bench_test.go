@@ -15,7 +15,7 @@ func BenchmarkParseContract(b *testing.B) {
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Parse(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	s := AcquireScanner(doc)
 	defer ReleaseScanner(s)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		s.Reset(doc)
 		for {
 			kind, err := s.Next()
@@ -41,7 +41,7 @@ func BenchmarkScan(b *testing.B) {
 func BenchmarkSAXParse(b *testing.B) {
 	doc := benchDoc(200)
 	b.SetBytes(int64(len(doc)))
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c := NewCountingHandler()
 		if err := ParseString(doc, c); err != nil {
 			b.Fatal(err)
@@ -52,7 +52,7 @@ func BenchmarkSAXParse(b *testing.B) {
 func BenchmarkDOMParse(b *testing.B) {
 	doc := benchDoc(200)
 	b.SetBytes(int64(len(doc)))
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := ParseDocumentString(doc); err != nil {
 			b.Fatal(err)
 		}
@@ -64,8 +64,7 @@ func BenchmarkXPathQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		nodes, err := Query(doc.Root, "/catalog/service[@kind='rest']/name")
 		if err != nil || len(nodes) != 200 {
 			b.Fatalf("%d %v", len(nodes), err)
@@ -89,8 +88,7 @@ func BenchmarkSchemaValidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if err := s.Validate(doc); err != nil {
 			b.Fatal(err)
 		}
