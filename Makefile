@@ -75,7 +75,9 @@ race:
 ## Mount; sampled traces whole or absent across a client, a door and
 ## three hosts whose tracers race to record them; and cursor readers of
 ## a trace ring (Since) racing its recorders, each seeing every span once
-## in order or counting it lost
+## in order or counting it lost; and the response cache's fills racing
+## eviction, expiry and replacement, each caller getting its own key's
+## entry
 flake:
 	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
@@ -84,6 +86,7 @@ flake:
 	$(GO) test -race -count=20 -run 'TestReportAgreesWithRecords|TestSinceAgainstConcurrentRecorders' ./internal/telemetry
 	$(GO) test -race -count=20 -run TestFrontDoorChurnParallel ./internal/cloud
 	$(GO) test -race -count=20 -run 'TestMountDuringInvokeParallel|TestTracesWholeOrAbsent' ./internal/host
+	$(GO) test -race -count=20 -run TestCacheFillsRaceEvictionAndReplacement ./internal/respcache
 
 ## fuzz: run each fuzz target for 20 s beyond its committed seeds
 ## (testdata/fuzz/, which plain `go test` already replays):

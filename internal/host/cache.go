@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -20,9 +21,9 @@ import (
 const maxCacheableBody = 1 << 20
 
 // UseResponseCache installs the idempotent-response cache in front of
-// the host's dispatch and returns the cache for inspection and
-// invalidation. It sits innermost, after the mount lookup and inside every
-// middleware installed with Use; a second call replaces the cache.
+// the host's dispatch and returns the cache, for its Stats and Len. It
+// sits innermost, after the mount lookup and inside every middleware
+// installed with Use; a second call replaces the cache.
 //
 // Only invocation traffic is considered — REST invoke (GET or POST) and
 // the SOAP endpoint — and only for operations explicitly declared
@@ -38,8 +39,7 @@ const maxCacheableBody = 1 << 20
 //
 // Only 200 responses are stored; error responses are returned to every
 // collapsed waiter but never cached. Mutations don't flow through keyed
-// routes, so there is no write-path invalidation: staleness is bounded
-// by the TTL, and Invalidate is available for explicit busts.
+// routes, so there is no invalidation: staleness is bounded by the TTL.
 func (h *Host) UseResponseCache(capacity int, ttl time.Duration) *respcache.Cache {
 	c := respcache.New(capacity, ttl)
 	h.cache = c
@@ -203,29 +203,39 @@ type cacheKeyer struct {
 	canon  jsonCanon
 	body   *callplane.Buffer // nil unless swapBody or the SOAP read ran
 	replay bytes.Reader      // over body.B
-	soap   soap.Message      // decoded from body on SOAP
+	// readErr is what cut swapBody's read of the request body short;
+	// the replay ends in it instead of io.EOF.
+	readErr error
+	soap    soap.Message // decoded from body on SOAP
 }
 
 var keyerPool = sync.Pool{New: func() any { return new(cacheKeyer) }}
 
 // swapBody reads the request body (bounded), closes it, and replaces it
-// with the keyer so the inner handler can read the same bytes again.
+// with the keyer so the inner handler can read the same bytes again —
+// and, when the read failed, the same error after them.
 func (k *cacheKeyer) swapBody(r *http.Request) ([]byte, bool) {
 	if r.Body == nil {
 		return nil, false
 	}
 	k.body = callplane.GetBuffer()
-	err := k.body.Fill(r.Body, maxCacheableBody+1)
+	k.readErr = k.body.Fill(r.Body, maxCacheableBody+1)
 	_ = r.Body.Close()
 	k.replay.Reset(k.body.B)
 	r.Body = k
-	if err != nil || len(k.body.B) > maxCacheableBody {
+	if k.readErr != nil || len(k.body.B) > maxCacheableBody {
 		return nil, false
 	}
 	return k.body.B, true
 }
 
-func (k *cacheKeyer) Read(p []byte) (int, error) { return k.replay.Read(p) }
+func (k *cacheKeyer) Read(p []byte) (int, error) {
+	n, err := k.replay.Read(p)
+	if err == io.EOF && k.readErr != nil {
+		err = k.readErr
+	}
+	return n, err
+}
 
 // Close does nothing: the bytes go back when the middleware returns.
 func (k *cacheKeyer) Close() error { return nil }
@@ -235,7 +245,7 @@ func (k *cacheKeyer) reset() {
 	if k.body != nil {
 		k.body.Release()
 	}
-	k.body = nil
+	k.body, k.readErr = nil, nil
 	k.replay.Reset(nil)
 	k.canon.buf, k.canon.idx = k.canon.buf[:0], k.canon.idx[:0]
 }

@@ -3,7 +3,9 @@ package host
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -211,6 +214,30 @@ func TestCacheMiddlewarePOSTCanonicalization(t *testing.T) {
 	}
 	if n := pure.Load(); n != 1 {
 		t.Errorf("handler ran %d times, want 1", n)
+	}
+}
+
+// TestCachePOSTReadErrorIsBadRequest: a POST invoke whose body read
+// fails after a complete JSON object is a 400 with the read's error, on a
+// host with a response cache as on one without: the keyer replays the
+// error after the bytes it read, so no handler runs on a body cut short.
+func TestCachePOSTReadErrorIsBadRequest(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		h, pure, _, _ := newCachedHost(t, 8, time.Minute)
+		if !cached {
+			h.cache = nil
+		}
+		body := io.MultiReader(strings.NewReader(`{"n":3}`), iotest.ErrReader(errors.New("connection reset")))
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/services/Calc/invoke/Square", body)
+		r.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "connection reset") {
+			t.Errorf("cache %v: status %d, body %q; want 400 naming the read error", cached, w.Code, w.Body)
+		}
+		if n := pure.Load(); n != 0 {
+			t.Errorf("cache %v: the handler ran %d times on a body cut short", cached, n)
+		}
 	}
 }
 

@@ -494,13 +494,14 @@ const maxInvokeBody = 1 << 20
 
 // readInvokeBody decodes the JSON object posted to an invoke route into
 // args, each key that names lends borrowed from it: from the cache
-// keyer's bytes when the keyer read the body, else through a pooled
-// buffer. Any body but such an object is an error: no JSON, a top-level
+// keyer's bytes when the keyer read all of the body, else through a
+// pooled buffer (from a keyer whose read failed, its bytes and then its
+// error). Any body but such an object is an error: no JSON, a top-level
 // value that is neither an object nor null, anything but whitespace after
 // it, more than maxInvokeBody bytes.
 func readInvokeBody(r *http.Request, args core.Values, names map[string]string) error {
 	var data []byte
-	if k, ok := r.Body.(*cacheKeyer); ok && k.body != nil {
+	if k, ok := r.Body.(*cacheKeyer); ok && k.body != nil && k.readErr == nil {
 		data = k.body.B
 	} else {
 		body := callplane.GetBuffer()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,10 +14,10 @@ import (
 )
 
 // TestCacheConcurrentMixed hammers every public entry point from
-// concurrent goroutines — hits, misses, replacing puts, invalidation,
-// stats and length reads — so the race detector sees the full sharded
-// locking protocol (read-locked gets with atomic recency stamps, write
-// locked inserts, lock-free counters) in one schedule.
+// concurrent goroutines — hits, misses, stats and length reads — so the
+// race detector sees the full sharded locking protocol (read-locked gets
+// with atomic recency stamps, write locked inserts, lock-free counters)
+// in one schedule.
 func TestCacheConcurrentMixed(t *testing.T) {
 	c := New(256, time.Hour)
 	var ops atomic.Uint64
@@ -35,10 +36,7 @@ func TestCacheConcurrentMixed(t *testing.T) {
 					return
 				}
 				ops.Add(1)
-				switch i % 7 {
-				case 3:
-					c.Invalidate(key)
-				case 5:
+				if i%7 == 5 {
 					c.Len()
 					c.Stats()
 				}
@@ -141,4 +139,71 @@ func TestCacheConcurrentExpiry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCacheFillsRaceEvictionAndReplacement: goroutines miss, fill, join
+// and hit a capacity-2 cache over five keys, whose entries age out on a
+// clock another goroutine advances, so fills race eviction, expiry and
+// the replacing puts that follow it, and collapsed waiters hold records
+// that land, are evicted or are replaced meanwhile. Each caller keys by
+// its own reused byte buffer, and each fill tags its entry with its key:
+// every entry a caller gets must carry the caller's key, so a record
+// handed to a waiter of another key shows here.
+func TestCacheFillsRaceEvictionAndReplacement(t *testing.T) {
+	c := New(2, time.Millisecond)
+	clock := vtime.NewVirtual(time.Unix(0, 0))
+	ctx := vtime.WithClock(context.Background(), clock)
+	keys := []string{"Svc.Op\x00n=1", "Svc.Op\x00n=2", "Svc.Op\x00n=3", "Svc.Op\x00n=4", "Svc.Op\x00n=5"}
+
+	stop := make(chan struct{})
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				clock.Advance(100 * time.Microsecond)
+				runtime.Gosched()
+			}
+		}
+	}()
+	const callers, calls = 8, 400
+	var fills atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 0, 32)
+			for i := 0; i < calls; i++ {
+				k := keys[(g*7+i*3)%len(keys)]
+				buf = append(buf[:0], k...)
+				e, _ := c.DoContext(ctx, buf, func() (*Entry, bool) {
+					fills.Add(1)
+					runtime.Gosched() // let waiters pile onto the flight
+					return &Entry{Status: http.StatusOK, Body: []byte(k)}, true
+				})
+				if string(e.Body) != k {
+					t.Errorf("a caller of %q got the entry of %q", k, e.Body)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-ticked
+
+	hits, misses := c.Stats()
+	if hits+misses != callers*calls {
+		t.Errorf("hits %d + misses %d != %d calls", hits, misses, callers*calls)
+	}
+	if n := fills.Load(); n != int64(misses) || n <= int64(len(keys)) {
+		t.Errorf("%d fills for %d misses over %d keys: want one per miss, and refills past eviction and expiry", n, misses, len(keys))
+	}
+	if n := c.Len(); n > 2 {
+		t.Errorf("cache holds %d entries past capacity 2", n)
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"hash/maphash"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,22 +33,9 @@ type Entry struct {
 	Body   []byte
 }
 
-// cloneHeader deep-copies h with exactly-sized value slices, so the
-// stored slices can later be aliased into response headers append-safely
-// (any append reallocates instead of scribbling on the cached copy).
-func cloneHeader(h http.Header) http.Header {
-	out := make(http.Header, len(h))
-	for k, v := range h {
-		vv := make([]string, len(v))
-		copy(vv, v)
-		out[k] = vv
-	}
-	return out
-}
-
 // WriteTo replays the entry to w. Header value slices are aliased, not
 // copied — they are treated as immutable once cached (Recorder.Entry
-// stores exactly-sized copies, so an append on the response side
+// clips each to its length, so an append on the response side
 // reallocates rather than mutating the shared cache entry).
 func (e *Entry) WriteTo(w http.ResponseWriter) {
 	dst := w.Header()
@@ -58,35 +46,38 @@ func (e *Entry) WriteTo(w http.ResponseWriter) {
 	_, _ = w.Write(e.Body)
 }
 
-// flight is one in-progress fill. Waiters block on wg and then read
-// entry; the publisher writes entry and filled before wg.Done, so the
-// WaitGroup's happens-before edge makes the read safe. filled stays
-// false when fill panicked: there is no entry to share.
-type flight struct {
-	wg     sync.WaitGroup
-	entry  *Entry
-	store  bool
-	filled bool
-}
-
-// item is one cached entry inside a shard. entry and expires are written
-// only under the shard write lock; touched is bumped by readers holding
+// record is one miss, from the fill that opens it to the eviction that
+// drops it: one allocation per miss.
+//
+// While fill runs the record sits in shard.flights. Waiters block on wg
+// and then read entry and filled; the filler writes them before wg.Done,
+// so the WaitGroup's happens-before edge makes the read safe. filled
+// stays false when fill panicked: there is no entry to share.
+//
+// land then moves a record asked to be stored into shard.items. From
+// there on entry is never written again — a replacing put swaps the map
+// value for the new record — so a waiter still holding this one reads
+// what it was given. expires is written under the shard write lock
+// before the record enters the map; touched is bumped by readers holding
 // just the read lock, so it is atomic.
-type item struct {
+type record struct {
+	wg      sync.WaitGroup
 	entry   *Entry
+	store   bool
+	filled  bool
 	expires time.Time
 	touched atomic.Uint64
 }
 
-// shard is one lock stripe: its own map, flights, counters, and LRU
+// shard is one lock stripe: its own items, flights, counters, and LRU
 // clock. Recency is a per-shard atomic sequence stamped on every access;
 // eviction (only on insert past capacity) scans the shard for the
 // minimum stamp — shards are small, so the scan is a handful of loads.
 type shard struct {
 	mu       sync.RWMutex
 	capacity int
-	items    map[string]*item
-	flights  map[string]*flight
+	items    map[string]*record
+	flights  map[string]*record
 	seq      atomic.Uint64
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -134,8 +125,8 @@ func New(capacity int, ttl time.Duration) *Cache {
 		}
 		c.shards[i] = &shard{
 			capacity: cap,
-			items:    make(map[string]*item),
-			flights:  make(map[string]*flight),
+			items:    make(map[string]*record),
+			flights:  make(map[string]*record),
 		}
 	}
 	return c
@@ -195,19 +186,15 @@ func get[K string | []byte](s *shard, key K, clk vtime.Clock, ttl time.Duration)
 	return it.entry, true
 }
 
-// put inserts (or replaces) the entry under the shard write lock and
-// evicts least-recently-touched items past the shard capacity (expired
-// items lose ties by construction: they haven't been touched recently).
-func (s *shard) put(key string, e *Entry, clk vtime.Clock, ttl time.Duration) {
-	expires := clk.Now().Add(ttl)
-	if it, ok := s.items[key]; ok {
-		it.entry, it.expires = e, expires
-		it.touched.Store(s.seq.Add(1))
-		return
-	}
-	it := &item{entry: e, expires: expires}
-	it.touched.Store(s.seq.Add(1))
-	s.items[key] = it
+// put stores the landed record r under key, with the shard write lock
+// held, and evicts least-recently-touched items past the shard capacity
+// (expired items lose ties by construction: they haven't been touched
+// recently). A record already under key is replaced, not written into:
+// whoever still holds it keeps reading the entry it was given.
+func (s *shard) put(key string, r *record, clk vtime.Clock, ttl time.Duration) {
+	r.expires = clk.Now().Add(ttl)
+	r.touched.Store(s.seq.Add(1))
+	s.items[key] = r
 	for len(s.items) > s.capacity {
 		var coldKey string
 		coldSeq := uint64(1<<64 - 1)
@@ -242,9 +229,8 @@ func (c *Cache) Do(key string, fill func() (*Entry, bool)) (e *Entry, hit bool) 
 // the panic goes on to the caller.
 //
 // key is only read, and only during the call: a hit looks it up as it
-// is, and a miss copies it into the string its flight and entry are
-// stored under. The caller may reuse its bytes as soon as DoContext
-// returns.
+// is, and a miss copies it into the string its record is stored under.
+// The caller may reuse its bytes as soon as DoContext returns.
 //
 //go:noinline
 func (c *Cache) DoContext(ctx context.Context, key []byte, fill func() (*Entry, bool)) (e *Entry, hit bool) {
@@ -281,73 +267,62 @@ func do[K string | []byte](c *Cache, ctx context.Context, key K, fill func() (*E
 		s.mu.Unlock()
 		return s.join(f, fill)
 	}
-	// The one copy of the key: the flight and the entry keep it.
+	// The miss's one copy of the key and its one record, stored under
+	// that key as the flight and then as the item.
 	owned := string(key)
-	f := &flight{}
-	f.wg.Add(1)
-	s.flights[owned] = f
+	r := &record{}
+	r.wg.Add(1)
+	s.flights[owned] = r
 	s.misses.Add(1)
 	s.mu.Unlock()
 
-	defer s.land(owned, f, clk, c.ttl)
-	f.entry, f.store = fill()
-	f.filled = true
-	return f.entry, false
+	defer s.land(owned, r, clk, c.ttl)
+	r.entry, r.store = fill()
+	r.filled = true
+	return r.entry, false
 }
 
 // land closes key's flight on every exit from its fill, a panic
-// included: it stores what a fill that returned asked to keep, then
-// wakes the waiters.
-func (s *shard) land(key string, f *flight, clk vtime.Clock, ttl time.Duration) {
+// included: it moves a record whose fill returned and asked to keep its
+// entry into the items, then wakes the waiters.
+func (s *shard) land(key string, r *record, clk vtime.Clock, ttl time.Duration) {
 	s.mu.Lock()
 	delete(s.flights, key)
-	if f.filled && f.store && f.entry != nil {
-		s.put(key, f.entry, clk, ttl)
+	if r.filled && r.store && r.entry != nil {
+		s.put(key, r, clk, ttl)
 	}
 	s.mu.Unlock()
-	f.wg.Done()
+	r.wg.Done()
 }
 
 // join waits for another caller's fill of the same key and returns its
 // entry as a hit. When that fill panicked there is no entry: the waiter
 // runs fill itself, uncached.
-func (s *shard) join(f *flight, fill func() (*Entry, bool)) (*Entry, bool) {
-	f.wg.Wait()
-	if f.filled {
+func (s *shard) join(r *record, fill func() (*Entry, bool)) (*Entry, bool) {
+	r.wg.Wait()
+	if r.filled {
 		s.hits.Add(1)
-		return f.entry, true
+		return r.entry, true
 	}
 	s.misses.Add(1)
 	e, _ := fill()
 	return e, false
 }
 
-// Invalidate drops the entry for key, if present.
-//
-//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
-func (c *Cache) Invalidate(key string) {
-	s := shardFor(c, key)
-	s.mu.Lock()
-	delete(s.items, key)
-	s.mu.Unlock()
-}
-
 // Recorder is an http.ResponseWriter that captures the response for
-// caching while it is produced.
+// caching while it is produced, into the entry it hands over.
 type Recorder struct {
-	status      int
-	header      http.Header
-	body        []byte
+	entry       Entry
 	wroteHeader bool
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{status: http.StatusOK, header: make(http.Header)}
+	return &Recorder{entry: Entry{Status: http.StatusOK, Header: make(http.Header)}}
 }
 
 // Header implements http.ResponseWriter.
-func (r *Recorder) Header() http.Header { return r.header }
+func (r *Recorder) Header() http.Header { return r.entry.Header }
 
 // WriteHeader implements http.ResponseWriter; like the real writer, only
 // the first call sticks.
@@ -355,17 +330,23 @@ func (r *Recorder) WriteHeader(status int) {
 	if r.wroteHeader || status <= 0 {
 		return
 	}
-	r.status = status
+	r.entry.Status = status
 	r.wroteHeader = true
 }
 
 // Write implements http.ResponseWriter.
 func (r *Recorder) Write(p []byte) (int, error) {
-	r.body = append(r.body, p...)
+	r.entry.Body = append(r.entry.Body, p...)
 	return len(p), nil
 }
 
-// Entry snapshots the recorded response.
+// Entry hands over the recorded response: the recorder's own entry, not
+// a copy, so the recorder must not be written to afterwards. Each header
+// value slice is clipped to its length in place, which is what lets
+// Entry.WriteTo alias them: an append on the response side reallocates.
 func (r *Recorder) Entry() *Entry {
-	return &Entry{Status: r.status, Header: cloneHeader(r.header), Body: r.body}
+	for k, v := range r.entry.Header {
+		r.entry.Header[k] = slices.Clip(v)
+	}
+	return &r.entry
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,15 +208,6 @@ func TestCacheDoesNotStoreErrors(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := New(4, time.Minute)
-	c.Do("k", func() (*Entry, bool) { return entry("v"), true })
-	c.Invalidate("k")
-	if _, hit := c.Do("k", func() (*Entry, bool) { return entry("v2"), true }); hit {
-		t.Fatal("invalidated entry still served")
-	}
-}
-
 // DoContext only reads its key: after a miss fills, the caller may
 // overwrite the bytes it passed, and the entry still answers the key it
 // was stored under, and only that key.
@@ -238,5 +230,41 @@ func TestKeyBytesAreCopiedOnFill(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+}
+
+// TestCachedHeaderAppendReallocates: the entry a Recorder hands over
+// keeps the recorder's own header values, clipped to their length, and
+// WriteTo aliases them into each response. An append on the response
+// side — to a value the handler built with room to spare — reallocates,
+// so neither the cached entry nor another response that replayed it
+// changes.
+func TestCachedHeaderAppendReallocates(t *testing.T) {
+	c := New(4, time.Minute)
+	fill := func() (*Entry, bool) {
+		rec := NewRecorder()
+		v := make([]string, 1, 4)
+		v[0] = "a"
+		rec.Header()["X-Tag"] = v
+		_, _ = rec.Write([]byte("v"))
+		return rec.Entry(), true
+	}
+	c.Do("k", fill)
+	var replies []http.Header
+	for _, extra := range []string{"b", "c"} {
+		e, hit := c.Do("k", fill)
+		if !hit {
+			t.Fatal("expected a hit")
+		}
+		w := httptest.NewRecorder()
+		e.WriteTo(w)
+		w.Header().Add("X-Tag", extra)
+		replies = append(replies, w.Header())
+		if got := e.Header["X-Tag"]; len(got) != 1 || cap(got) != 1 || got[0] != "a" {
+			t.Fatalf("cached X-Tag = %q (cap %d) after a response appended %q, want [a] (cap 1)", got, cap(got), extra)
+		}
+	}
+	if got := replies[0]["X-Tag"]; len(got) != 2 || got[1] != "b" {
+		t.Errorf("first response's X-Tag = %q after the second appended, want [a b]", got)
 	}
 }
