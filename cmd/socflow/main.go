@@ -220,7 +220,7 @@ type startRequest struct {
 
 func (s *server) start(w http.ResponseWriter, r *http.Request, def string) {
 	var req startRequest
-	if err := rest.ReadJSON(r, &req, 0); err != nil {
+	if err := rest.ReadJSON(r, &req); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

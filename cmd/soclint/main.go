@@ -11,7 +11,9 @@
 //
 // Packages follow `go build` conventions relative to the module root:
 // `./...` (the default) analyzes the whole module, `./internal/...` a
-// subtree, `./internal/soap` a single package.
+// subtree, `./internal/soap` a single package. The unreached analyzer
+// reports only in a run over every module package: in a run over part
+// of the module, the callers it would need to see may not be loaded.
 //
 //	-only a,b        run only the named analyzers
 //	-json            one JSON object per finding on stdout (suppressed

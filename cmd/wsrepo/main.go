@@ -129,7 +129,7 @@ func buildServer(dataDir, baseURL string) (http.Handler, *host.Host, error) {
 	// Registry lookups join the caller's trace in the same ring the host
 	// dispatches record into, so /tracez shows discovery and invocation
 	// as one tree.
-	api.Use(rest.Tracing(h.Tracer(), nil))
+	api.Use(rest.Tracing(h.Tracer()))
 
 	mux := http.NewServeMux()
 	mux.Handle("/services", h)

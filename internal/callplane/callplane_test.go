@@ -3,7 +3,6 @@ package callplane
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -211,7 +210,6 @@ func TestWithFailoverSweepAndHooks(t *testing.T) {
 		OnHop:      func(ctx context.Context, inv *Invocation) { hops = append(hops, inv.Target) },
 		OnSkip:     func(ctx context.Context, inv *Invocation) { skips = append(skips, inv.Target) },
 		OnAttempt:  func(ctx context.Context, inv *Invocation) { tries = append(tries, inv.Target) },
-		SkipErr:    func(target string) error { return fmt.Errorf("demoted: %s", target) },
 	}
 	inv := &Invocation{Operation: "Op", Do: func(ctx context.Context, inv *Invocation) error {
 		if inv.Target == "http://b" {
@@ -274,8 +272,8 @@ func TestWithFailoverDefaultSkipErr(t *testing.T) {
 	if !errors.Is(err, reliability.ErrAllReplicasFailed) {
 		t.Fatalf("err = %v, want all-replicas-failed wrapping the skip", err)
 	}
-	if !strings.Contains(err.Error(), ErrReplicaSkipped.Error()) {
-		t.Fatalf("err = %v, want default skip error recorded", err)
+	if !strings.Contains(err.Error(), ErrReplicaSkipped.Error()+": http://a") {
+		t.Fatalf("err = %v, want the skip error recorded with its target", err)
 	}
 }
 

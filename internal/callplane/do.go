@@ -49,8 +49,8 @@ import (
 // derived below a WithValue layer (a span context) does not see that
 // method and is watched by the stdlib's own goroutine until that child is
 // cancelled; of the sites under a Do in this module (FrontDoor.admit,
-// rest.Timeout, http.Transport behind rebaseTransport) only the last one,
-// and only below an in-process front door's spans, is in that position.
+// http.Transport behind rebaseTransport) only the last one, and only
+// below an in-process front door's spans, is in that position.
 // And context.Cause on it reads the cause of the nearest cancelable
 // ancestor — nil while that ancestor lives — not one of its own; Err is
 // what tells.

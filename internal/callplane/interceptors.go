@@ -3,6 +3,7 @@ package callplane
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -144,9 +145,6 @@ type FailoverOptions struct {
 	// failover pass. When it returns false, demoted replicas are tried
 	// anyway — a stale health view's long-shot beats a guaranteed failure.
 	AnyHealthy func() bool
-	// SkipErr shapes the error recorded for a skipped replica; nil uses
-	// ErrReplicaSkipped.
-	SkipErr func(target string) error
 	// OnHop fires for every replica after the first within one pass
 	// (including ones then skipped); OnSkip for replicas skipped as
 	// demoted; OnAttempt for replicas actually tried.
@@ -156,6 +154,8 @@ type FailoverOptions struct {
 // WithFailover sweeps the replica group, pointing the invocation's Target
 // at each replica in turn until one delivery succeeds. Sticky preference,
 // ordering, and the all-demoted escape hatch follow reliability.Failover.
+// A replica skipped as demoted records ErrReplicaSkipped wrapped with its
+// target.
 func WithFailover(fo *reliability.Failover[string], opts FailoverOptions) Interceptor {
 	return func(next Transport) Transport {
 		return TransportFunc(func(ctx context.Context, inv *Invocation) error {
@@ -171,10 +171,7 @@ func WithFailover(fo *reliability.Failover[string], opts FailoverOptions) Interc
 					if opts.OnSkip != nil {
 						opts.OnSkip(ctx, inv)
 					}
-					if opts.SkipErr != nil {
-						return opts.SkipErr(target)
-					}
-					return ErrReplicaSkipped
+					return fmt.Errorf("%w: %s", ErrReplicaSkipped, target)
 				}
 				if opts.OnAttempt != nil {
 					opts.OnAttempt(ctx, inv)

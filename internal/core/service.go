@@ -2,11 +2,11 @@
 // primary contribution is teaching a development style in which software
 // is composed from services with standard interfaces, published in
 // directories, and consumed over standard protocols. This package supplies
-// that model — typed service descriptors, an in-process dispatcher, a
-// ServiceHost that exposes each service over both SOAP and REST (with a
-// generated WSDL), and a Client for consuming services — on which the
-// repository catalog (soc/internal/services), the registry, and the
-// workflow engine are built.
+// that model — typed service descriptors and an in-process dispatcher —
+// on which the service host (soc/internal/host, which exposes each
+// service over both SOAP and REST with a generated WSDL, and the clients
+// that consume them), the repository catalog (soc/internal/services),
+// the registry, and the workflow engine are built.
 package core
 
 import (

@@ -135,8 +135,8 @@ func New() *Host {
 
 // Use appends middleware to the host's router (applied to every route,
 // first registered outermost) — the hook that lets a chaos harness wrap
-// request handling with fault injection, or deployments add logging,
-// auth and rate limiting.
+// request handling with fault injection, or a load driver add a stall or
+// per-request work.
 func (h *Host) Use(mw ...rest.Middleware) { h.router.Use(mw...) }
 
 // Mount adds a service to the host.

@@ -319,7 +319,7 @@ func postedTo(text string) *http.Request {
 func TestReadInvokeBodyMatchesReadJSON(t *testing.T) {
 	check := func(text string) bool {
 		var posted map[string]any
-		wantErr := rest.ReadJSON(postedTo(text), &posted, 0)
+		wantErr := rest.ReadJSON(postedTo(text), &posted)
 		want := core.Values{}
 		for k, v := range posted {
 			want[k] = v

@@ -14,10 +14,6 @@ import (
 	"soc/internal/telemetry"
 )
 
-// ErrReplicaUnhealthy marks a replica skipped because the health checker
-// currently classifies it down; failover moves on to the next replica.
-var ErrReplicaUnhealthy = errors.New("host: replica demoted by health checker")
-
 // Fallback produces a degraded-mode answer (cached, default, or
 // approximate) when every replica has failed.
 type Fallback func(ctx context.Context, service, op string, args core.Values) (core.Values, error)
@@ -139,9 +135,6 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 	}
 	tr := policy.Tracer
 	fopts := callplane.FailoverOptions{
-		SkipErr: func(u string) error {
-			return fmt.Errorf("%w: %s", ErrReplicaUnhealthy, u)
-		},
 		OnHop: func(ctx context.Context, inv *callplane.Invocation) {
 			rc.failovers.Add(1)
 		},

@@ -27,6 +27,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -235,6 +236,9 @@ type Pass struct {
 	findings      *[]Finding
 	suppressedOut *[]Finding
 	flowGraph     func() *flow.Graph
+	// partial marks a module run that left some module packages out,
+	// so the flow graph cannot answer what no program reaches.
+	partial bool
 }
 
 // FlowGraph returns the interprocedural view backing this pass: the
@@ -289,6 +293,7 @@ type Runner struct {
 	Suppressed []Finding
 
 	pkgFlows map[*Package]*flow.Graph
+	partial  bool // see Pass.partial
 }
 
 // flowFor returns the graph a pass over pkg should query.
@@ -337,6 +342,7 @@ func (r *Runner) RunPackage(pkg *Package) ([]Finding, error) {
 			findings:      &findings,
 			suppressedOut: &r.Suppressed,
 			flowGraph:     r.flowFor(pkg),
+			partial:       r.partial,
 		}
 		if err := a.Run(pass); err != nil {
 			return findings, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
@@ -350,11 +356,17 @@ func (r *Runner) RunPackage(pkg *Package) ([]Finding, error) {
 // is loaded (with its in-package tests when loader.Tests is set) and its
 // external test package, if any, joins as a unit of its own; one
 // module-wide flow graph over every unit is built when any analyzer is
-// interprocedural; then every unit is run. It returns the active
+// interprocedural; then every unit is run. A run that leaves any module
+// package out is partial (see Pass.partial). It returns the active
 // findings, sorted, and the number of units analyzed; directive-
 // suppressed findings accumulate on r.Suppressed. The soclint driver and
 // the self-check test both call it, so they cannot drift apart.
 func (r *Runner) RunModule(loader *Loader, paths []string) ([]Finding, int, error) {
+	modulePkgs, err := loader.ModulePackages()
+	if err != nil {
+		return nil, 0, err
+	}
+	r.partial = slices.ContainsFunc(modulePkgs, func(p string) bool { return !slices.Contains(paths, p) })
 	var units []*Package
 	for _, path := range paths {
 		pkg, err := loader.Load(path)

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +15,11 @@ import (
 // through RunModule — the same run `make lint` makes. TestSoclintSelfCheck
 // checks its findings, TestRuntimeBudget its wall time and
 // TestMutationUnreached its flow graph, so the package type-checks the
-// module once, not three times.
+// module once, not three times; TestUnreachedPartialRun reuses its loader.
 type moduleRun struct {
 	findings []Finding
 	graph    *flow.Graph
+	loader   *Loader
 	paths    int
 	units    int
 	elapsed  time.Duration
@@ -59,7 +61,7 @@ func runModuleCold() moduleRun {
 	if err != nil {
 		return moduleRun{err: err}
 	}
-	return moduleRun{findings: findings, graph: runner.Flow, paths: len(paths), units: units, elapsed: time.Since(start)}
+	return moduleRun{findings: findings, graph: runner.Flow, loader: loader, paths: len(paths), units: units, elapsed: time.Since(start)}
 }
 
 // TestSoclintSelfCheck asserts that the repository passes its own
@@ -104,6 +106,55 @@ func TestMutationUnreached(t *testing.T) {
 		}
 		if !without[name] {
 			t.Errorf("%s not reported with the stdlib-interface rule removed", name)
+		}
+	}
+}
+
+// TestUnreachedPartialRun runs unreached over part of the module: the
+// examples' mains and internal/parallel, without internal/services, the
+// one caller of parallel.Queue's TryPut, TryTake, Len and Cap. Those
+// methods are live in the full run, and the partial run's own graph
+// misses them, so only the partial-run rule keeps them from being
+// reported: a run that leaves a module package out reports nothing.
+func TestUnreachedPartialRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs the full-module run; skipped in -short")
+	}
+	full := fullModuleRun(t)
+	all, err := full.loader.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range all {
+		if p == "soc/internal/parallel" || strings.HasPrefix(p, "soc/examples/") {
+			paths = append(paths, p)
+		}
+	}
+	runner := &Runner{Analyzers: []*Analyzer{Unreached}, Config: DefaultConfig()}
+	findings, _, err := runner.RunModule(full.loader, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(findings, runner.Suppressed...) {
+		t.Errorf("partial run reported %s", f)
+	}
+
+	live := []string{"parallel.Queue.TryPut", "parallel.Queue.TryTake", "parallel.Queue.Len", "parallel.Queue.Cap"}
+	names := func(g *flow.Graph) map[string]bool {
+		out := map[string]bool{}
+		for _, f := range unreachedFuncs(g, true) {
+			out[f.Name] = true
+		}
+		return out
+	}
+	inFull, inPart := names(full.graph), names(runner.Flow)
+	for _, name := range live {
+		if inFull[name] {
+			t.Errorf("%s unreached in the full run; the test's premise is gone", name)
+		}
+		if !inPart[name] {
+			t.Errorf("%s reached in the partial graph; the test no longer exercises the rule", name)
 		}
 	}
 }

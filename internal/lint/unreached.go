@@ -20,7 +20,9 @@ import (
 // function or method a reached body refers to as a value
 // (http.HandleFunc(p, s.serve), sort.Slice(x, less)). Test code is
 // neither a root nor an edge source, so a function only tests call is
-// reported; a graph with no main in it reports nothing.
+// reported. A graph with no main in it reports nothing, and neither does
+// a module run that left some module package out: the unloaded packages
+// may hold the only callers of what the loaded ones declare.
 //
 // The walk over-approximates reachability — dynamic calls reach every
 // address-taken function of the same arity, interface calls every module
@@ -38,6 +40,9 @@ var Unreached = &Analyzer{
 }
 
 func runUnreached(pass *Pass) error {
+	if pass.partial {
+		return nil
+	}
 	g := pass.FlowGraph()
 	dead := g.Memo("unreached", func() any { return unreachedFuncs(g, true) }).([]*flow.Func)
 	for _, f := range dead {

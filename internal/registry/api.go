@@ -80,7 +80,7 @@ func (a *API) list(w http.ResponseWriter, r *http.Request, _ rest.Params) {
 
 func (a *API) publish(w http.ResponseWriter, r *http.Request, _ rest.Params) {
 	var e Entry
-	if err := rest.ReadJSON(r, &e, 0); err != nil {
+	if err := rest.ReadJSON(r, &e); err != nil {
 		rest.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -1,7 +1,7 @@
 // Package rest is the RESTful service substrate of CSE446's "RESTful
 // service development" unit: a small router with path parameters, JSON/XML
-// content negotiation, and a composable middleware chain (recovery,
-// logging, authentication, rate limiting).
+// content negotiation, and a composable middleware chain (panic recovery
+// and request tracing).
 package rest
 
 import (
@@ -64,11 +64,6 @@ type route struct {
 type Router struct {
 	routes     []route
 	middleware []Middleware
-	// NotFound handles unmatched paths; nil uses http.NotFound.
-	NotFound http.HandlerFunc
-	// MethodNotAllowed handles matched paths with wrong methods; nil
-	// writes a 405 with an Allow header.
-	MethodNotAllowed func(w http.ResponseWriter, r *http.Request, allowed []string)
 }
 
 // NewRouter returns an empty router.
@@ -220,7 +215,8 @@ func match(rte *route, path string) (Params, bool) {
 // ServeHTTP implements http.Handler. The hot loop considers only routes
 // whose method matches, so a path shared across methods (GET and POST
 // invoke, say) never pays for a Params map it will not dispatch with;
-// the Allow set for 405 responses is recomputed on the cold path.
+// the Allow set for 405 responses is recomputed on the cold path. A path
+// no route matches gets http.NotFound.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for i := range rt.routes {
 		rte := &rt.routes[i]
@@ -247,32 +243,12 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(allowed) > 0 {
-		if rt.MethodNotAllowed != nil {
-			rt.MethodNotAllowed(w, r, allowed)
-			return
-		}
 		sort.Strings(allowed)
 		w.Header().Set("Allow", strings.Join(allowed, ", "))
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if rt.NotFound != nil {
-		rt.NotFound(w, r)
-		return
-	}
 	http.NotFound(w, r)
-}
-
-// Routes lists registered "METHOD pattern" strings, sorted.
-//
-//soclint:ignore unreached ROADMAP 30(d): queued for deletion with the tests that check it
-func (rt *Router) Routes() []string {
-	out := make([]string, len(rt.routes))
-	for i, r := range rt.routes {
-		out[i] = r.method + " " + r.pattern
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Negotiate picks "json" or "xml" from the request's Accept header,
@@ -379,13 +355,10 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, format strin
 	})
 }
 
-// ReadJSON decodes the request body as JSON into v, limited to maxBytes
-// (0 means 1 MiB).
-func ReadJSON(r *http.Request, v any, maxBytes int64) error {
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBytes))
+// ReadJSON decodes the request body as JSON into v, limited to 1 MiB;
+// unknown fields are an error.
+func ReadJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("rest: decoding body: %w", err)
