@@ -61,7 +61,9 @@ race:
 ## detector — the interleavings they guard (a snapshot between a journal
 ## ack and its in-memory apply, a Resume against a finishing driver, two
 ## Starts of one id) show up in a minority of runs, so one pass proves
-## little — the durable machine's hammer (appenders racing snapshots,
+## little — the one-schedule check (a Parallel, a parallel ForEach and a
+## Pick give the same order, variables and outcome under Workflow.Run
+## and an Orchestrator on every repeat), the durable machine's hammer (appenders racing snapshots,
 ## then a power cut), and the call plane's deadline tests
 ## (TestDoDeadline…): the deadline context's clock races a blocked
 ## transport, a stalled body, the caller's cancel and Close, and waiters
@@ -79,7 +81,7 @@ race:
 ## eviction, expiry and replacement, each caller getting its own key's
 ## entry
 flake:
-	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID' ./internal/workflow
+	$(GO) test -race -count=20 -run 'TestConcurrentOrchestration|TestConcurrentStartSameID|TestPickSameUnderBothEngines' ./internal/workflow
 	$(GO) test -race -count=20 -run TestMachineHammer ./internal/wal
 	$(GO) test -race -count=20 -run 'TestDoDeadline|TestRecordsResolveOncePerKeyAndStayBounded' ./internal/callplane
 	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry

@@ -272,7 +272,7 @@ func TestWithFailoverDefaultSkipErr(t *testing.T) {
 	if !errors.Is(err, reliability.ErrAllReplicasFailed) {
 		t.Fatalf("err = %v, want all-replicas-failed wrapping the skip", err)
 	}
-	if !strings.Contains(err.Error(), ErrReplicaSkipped.Error()+": http://a") {
+	if !errors.Is(err, ErrReplicaSkipped) || !strings.Contains(err.Error(), "http://a") {
 		t.Fatalf("err = %v, want the skip error recorded with its target", err)
 	}
 }

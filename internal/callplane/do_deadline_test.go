@@ -128,8 +128,7 @@ func TestDoDeadlineConformance(t *testing.T) {
 	})
 
 	t.Run("released", func(t *testing.T) {
-		parent, cancel := context.WithCancel(context.Background())
-		defer cancel()
+		parent := t.Context()
 		dl := exchangeUnder(t, parent, time.Minute)
 		done := dl.Done()
 		if _, err := io.ReadAll(dl); err != nil {

@@ -176,8 +176,7 @@ func TestResilientClientSkipsDemotedReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx := t.Context()
 	hc.Start(ctx)
 	defer hc.Stop()
 	hc.CheckNow(ctx) // demotes the dead replica immediately

@@ -128,6 +128,7 @@ func DefaultConfig() Config {
 			"soc/internal/telemetry",
 			"soc/internal/vtime",
 			"soc/internal/webapp",
+			"soc/internal/workflow",
 		},
 		DurableScope: []string{
 			"soc/internal/registry",

@@ -103,8 +103,7 @@ func TestHealthCheckerHTTPProbeAndLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx := t.Context()
 	hc.Start(ctx)
 	defer hc.Stop()
 

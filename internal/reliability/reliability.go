@@ -323,7 +323,8 @@ func NewFailover[T any](replicas ...T) (*Failover[T], error) {
 }
 
 // Do invokes fn per replica starting from the sticky preference; the first
-// success wins. All failures yield ErrAllReplicasFailed wrapping the last.
+// success wins. All failures yield ErrAllReplicasFailed wrapping the
+// last replica's error, so errors.Is sees both.
 func (f *Failover[T]) Do(ctx context.Context, fn func(ctx context.Context, replica T) error) error {
 	f.mu.Lock()
 	start := f.prefer
@@ -347,7 +348,7 @@ func (f *Failover[T]) Do(ctx context.Context, fn func(ctx context.Context, repli
 		f.mu.Unlock()
 		return nil
 	}
-	return fmt.Errorf("%w: last error: %v", ErrAllReplicasFailed, last)
+	return fmt.Errorf("%w: last error: %w", ErrAllReplicasFailed, last)
 }
 
 // SeriesAvailability is the availability of components that must all work:

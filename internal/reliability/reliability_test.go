@@ -3,6 +3,7 @@ package reliability
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -357,11 +358,15 @@ func TestFailoverStickyPreference(t *testing.T) {
 
 func TestFailoverAllFail(t *testing.T) {
 	f, _ := NewFailover(1, 2)
+	down := errors.New("down")
 	err := f.Do(context.Background(), func(_ context.Context, r int) error {
-		return errors.New("down")
+		return fmt.Errorf("replica %d: %w", r, down)
 	})
-	if !errors.Is(err, ErrAllReplicasFailed) {
-		t.Errorf("err = %v", err)
+	if !errors.Is(err, ErrAllReplicasFailed) || !errors.Is(err, down) {
+		t.Errorf("err = %v, want all-replicas-failed wrapping the last cause", err)
+	}
+	if want := "reliability: all replicas failed: last error: replica 2: down"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 	if _, err := NewFailover[string](); err == nil {
 		t.Error("empty group accepted")

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"soc/internal/vtime"
 )
 
 // Task is a leaf activity running an arbitrary function — the "code
@@ -175,9 +173,11 @@ func (s *Sequence) Execute(ctx context.Context, st *State) error {
 	return nil
 }
 
-// Parallel runs branches concurrently and joins them (AND-split/AND-join).
-// The first branch fault cancels the remaining branches' context. Under
-// an Orchestrator the branches run one by one in definition order.
+// Parallel is the AND-split/AND-join: every branch runs, and the join
+// completes when all have. Branches run one by one in definition order
+// under both engines, so the first branch fault ends the join and no
+// later branch starts; a crash under an Orchestrator still lands
+// "mid-Parallel" — some branches journaled done, the rest not.
 type Parallel struct {
 	Label    string
 	Branches []Activity
@@ -195,33 +195,12 @@ func (p *Parallel) Validate() error {
 }
 
 func (p *Parallel) Execute(ctx context.Context, st *State) error {
-	// A journaled run takes branches in definition order: the AND-join
-	// semantics are unchanged, and a crash still lands "mid-Parallel" —
-	// some branches journaled done, the rest not.
-	if st.sequential() {
-		for i, b := range p.Branches {
-			if err := exec(ctx, b, st.branchScope("b", i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make(chan error, len(p.Branches))
 	for i, b := range p.Branches {
-		go func(i int, b Activity) {
-			errs <- exec(ctx, b, st.branchScope("b", i))
-		}(i, b)
-	}
-	var first error
-	for range p.Branches {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-			cancel()
+		if err := exec(ctx, b, st.branchScope("b", i)); err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // If runs Then when the condition holds, Else (optional) otherwise.
@@ -300,24 +279,23 @@ func (w *While) Execute(ctx context.Context, st *State) error {
 	return nil
 }
 
-// Pick waits for the first of several events (the event-driven OR-join):
-// each branch has a guard channel; the first channel to deliver runs its
-// activity and the rest are abandoned. A timeout branch fires after
-// Timeout when no event arrives. Under an Orchestrator a Pick does not
-// wait: it takes the first ready event in definition order, and with
-// none ready it expires at once.
+// Pick is the event-driven OR-join: each branch has a guard channel,
+// and the first ready event in definition order runs its activity while
+// the rest are abandoned. A Pick does not wait: each event channel is
+// tried once, and with none ready the pick expires at once — OnExpire
+// runs, or the run faults with the timeout fault, which names Timeout.
 type Pick struct {
 	Label   string
 	Events  []PickBranch
 	Timeout time.Duration
-	// OnExpire optionally runs when Timeout elapses with no event.
+	// OnExpire optionally runs when the pick expires with no event.
 	OnExpire Activity
 }
 
 // PickBranch couples an event source with its continuation.
 type PickBranch struct {
-	// Wait returns a channel that delivers when the event fires. It is
-	// called once per execution.
+	// Wait returns a channel that holds the payload once the event has
+	// fired. It is called once per execution and read without blocking.
 	Wait func(ctx context.Context) <-chan any
 	// Var, when non-empty, receives the event payload.
 	Var string
@@ -351,57 +329,18 @@ func (p *Pick) Validate() error {
 }
 
 func (p *Pick) Execute(ctx context.Context, st *State) error {
-	idx, payload, expired, err := p.wait(ctx)
+	idx, payload, expired, err := p.poll(ctx)
 	if err != nil {
 		return err
 	}
 	return p.proceed(ctx, st, idx, payload, expired)
 }
 
-// wait races the branches' events against Timeout and the caller's
-// context: the first event to deliver wins with its payload, Timeout
-// elapsing first is an expiry. The losing waiters are released before
-// wait returns.
-func (p *Pick) wait(ctx context.Context) (idx int, payload any, expired bool, err error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type fired struct {
-		idx     int
-		payload any
-	}
-	ch := make(chan fired, len(p.Events))
-	for idx, e := range p.Events {
-		go func(idx int, e PickBranch) {
-			select {
-			case v, ok := <-e.Wait(ctx):
-				if ok {
-					ch <- fired{idx, v}
-				}
-			case <-ctx.Done():
-			}
-		}(idx, e)
-	}
-	var timeout <-chan time.Time
-	if p.Timeout > 0 {
-		timer := time.NewTimer(p.Timeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	select {
-	case f := <-ch:
-		return f.idx, f.payload, false, nil
-	case <-timeout:
-		return 0, nil, true, nil
-	case <-ctx.Done():
-		return 0, nil, false, ctx.Err()
-	}
-}
-
-// poll is wait without the race, for journaled runs: each
-// branch's event channel is tried once, in definition order, and a pick
-// with no event ready has expired — virtual-time-safe and a pure
-// function of the event sources. A caller that gave up decides nothing:
-// its error comes back instead of an expiry, as it does from wait.
+// poll decides the pick: each branch's event channel is tried once, in
+// definition order, and a pick with no event ready has expired —
+// virtual-time-safe and a pure function of the event sources. A caller
+// that gave up decides nothing: its error comes back instead of an
+// expiry.
 func (p *Pick) poll(ctx context.Context) (idx int, payload any, expired bool, err error) {
 	for i, e := range p.Events {
 		select {
@@ -479,24 +418,4 @@ func (s *Scope) Execute(ctx context.Context, st *State) error {
 		return fmt.Errorf("scope %q: fault handler failed: %w", s.Label, herr)
 	}
 	return nil // fault handled
-}
-
-// Delay pauses the workflow — the "wait" activity. It waits on the
-// context's clock (vtime.ClockFrom), so a simulated run does not wait.
-type Delay struct {
-	Label string
-	D     time.Duration
-}
-
-func (d *Delay) Name() string { return d.Label }
-
-func (d *Delay) Validate() error {
-	if d.Label == "" || d.D < 0 {
-		return fmt.Errorf("%w: delay needs label and non-negative duration", ErrDefinition)
-	}
-	return nil
-}
-
-func (d *Delay) Execute(ctx context.Context, _ *State) error {
-	return vtime.Sleep(ctx, d.D)
 }

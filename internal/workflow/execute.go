@@ -194,8 +194,8 @@ func (jr *journalRun) execInvoke(ctx context.Context, inv *Invoke, st *State) er
 
 // execPick journals the branch decision: the winning branch (or
 // expiry) and its payload are acked before the continuation runs, so
-// replay re-runs the same continuation without re-racing the events.
-// A journaled pick polls its events instead of racing them.
+// replay re-runs the same continuation without polling the events
+// again, whose channels may have moved on since.
 func (jr *journalRun) execPick(ctx context.Context, p *Pick, st *State) error {
 	key := jr.nextKey(st.path, p.Label)
 	rec, decided := jr.prior.picks[key]

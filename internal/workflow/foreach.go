@@ -11,10 +11,12 @@ import (
 //
 // Sequential mode shares the workflow scope. Parallel mode gives every
 // iteration an isolated child scope seeded from a snapshot of the parent
-// (so branches cannot race); when CollectVar is set, each iteration's
-// value of that variable is gathered, in index order, into the parent
-// variable of the same name as a []any. Under an Orchestrator the
-// isolated iterations run one by one in index order.
+// taken before the first iteration, so no iteration sees another's
+// writes; when CollectVar is set, each iteration's value of that
+// variable is gathered, in index order, into the parent variable of the
+// same name as a []any. Iterations run one by one in index order in
+// both modes, under both engines: the first fault ends the loop and no
+// later iteration starts.
 type ForEach struct {
 	Label      string
 	Items      string
@@ -67,50 +69,27 @@ func (f *ForEach) Execute(ctx context.Context, st *State) error {
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// Isolated child scopes, one per iteration, run in index order; a
+	// crash under an Orchestrator still lands mid-ForEach.
 	snapshot := st.Vars.Snapshot()
-	childVars := make([]*Vars, len(items))
+	var results []any
+	if f.CollectVar != "" {
+		results = make([]any, len(items))
+	}
 	for i, item := range items {
 		vars := NewVars(snapshot)
 		vars.Set(f.ItemVar, item)
 		if f.IndexVar != "" {
 			vars.Set(f.IndexVar, int64(i))
 		}
-		childVars[i] = vars
-	}
-	// A journaled run keeps the isolated child scopes but runs
-	// iterations in index order; a crash still lands mid-ForEach.
-	if st.sequential() {
-		for i := range items {
-			if err := exec(ctx, f.Body, st.child("i", i, childVars[i])); err != nil {
-				return err
-			}
+		if err := exec(ctx, f.Body, st.child("i", i, vars)); err != nil {
+			return err
 		}
-	} else {
-		errs := make(chan error, len(items))
-		for i := range items {
-			go func(i int) {
-				errs <- exec(ctx, f.Body, st.child("i", i, childVars[i]))
-			}(i)
-		}
-		var first error
-		for range items {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-				cancel()
-			}
-		}
-		if first != nil {
-			return first
+		if results != nil {
+			results[i], _ = vars.Get(f.CollectVar)
 		}
 	}
-	if f.CollectVar != "" {
-		results := make([]any, len(items))
-		for i, vars := range childVars {
-			v, _ := vars.Get(f.CollectVar)
-			results[i] = v
-		}
+	if results != nil {
 		st.Vars.Set(f.CollectVar, results)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,10 +96,15 @@ func TestForEachParallelIsolation(t *testing.T) {
 	}
 }
 
+// TestForEachParallelFaultCancels: isolated iterations run one by one
+// in index order, so a fault in item k ends the loop before any later
+// item starts.
 func TestForEachParallelFaultCancels(t *testing.T) {
+	var started startLog
 	wf, _ := New("fault", &ForEach{
 		Label: "fan", Items: "items", ItemVar: "x", Parallel: true,
 		Body: &Task{Label: "maybe", Fn: func(_ context.Context, v *Vars) error {
+			started.add(fmt.Sprint(v.GetInt("x")))
 			if v.GetInt("x") == 2 {
 				return errors.New("item 2 exploded")
 			}
@@ -110,6 +116,9 @@ func TestForEachParallelFaultCancels(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "item 2 exploded") {
 		t.Errorf("err = %v", err)
+	}
+	if got := started.ids(); !slices.Equal(got, []string{"0", "1", "2"}) {
+		t.Errorf("items started %v, want [0 1 2]: no item after the fault may start", got)
 	}
 }
 

@@ -36,10 +36,10 @@ type Options struct {
 	// SnapshotEvery folds the journal into a snapshot after this many
 	// appends (default 64; <0 disables).
 	SnapshotEvery int
-	// Deterministic is ignored: every journaled run takes Parallel
-	// branches and parallel ForEach iterations in definition order and
-	// polls Pick events, so its journal append order is a pure function
-	// of the event sources. The field stays only because the benchmark
+	// Deterministic is ignored: every run takes Parallel branches and
+	// parallel ForEach iterations in definition order and polls Pick
+	// events, so its journal append order is a pure function of the
+	// event sources. The field stays only because the benchmark
 	// harness still sets it.
 	Deterministic bool
 	// Mutation enables one of the Mutation* fault hooks (tests only).

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"soc/internal/telemetry"
 	"soc/internal/wal"
 )
 
@@ -1074,9 +1076,10 @@ func TestCallerCancelStaysPending(t *testing.T) {
 	}
 }
 
-// TestPickSameUnderBothEngines runs one Pick definition under
-// Workflow.Run and under an Orchestrator: the same branch runs with the
-// same payload, or the same error comes back.
+// TestPickSameUnderBothEngines runs one definition under Workflow.Run
+// and under an Orchestrator: a Pick runs the same branch with the same
+// payload, or the same error comes back, and a Parallel or a parallel
+// ForEach runs its steps in the same order to the same variables.
 // A pick whose caller gave up journals no decision, so resuming it waits
 // for the event afresh.
 func TestPickSameUnderBothEngines(t *testing.T) {
@@ -1089,34 +1092,46 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 	won := func(label, who string) Activity {
 		return &Assign{Label: label, Var: "winner", Expr: func(*Vars) any { return who }}
 	}
+	// appendOrder is a branch that appends its label to "order", so the
+	// variable spells the order the branches ran in.
+	appendOrder := func(label string) Activity {
+		return &Task{Label: label, Fn: func(_ context.Context, v *Vars) error {
+			v.Set("order", v.GetString("order")+label)
+			return nil
+		}}
+	}
+	size := func(label string) Activity {
+		return &Assign{Label: label, Var: "len", Expr: func(v *Vars) any { return int64(len(v.GetString("item"))) }}
+	}
 	cases := []struct {
 		name string
-		// pick builds the definition; cancel ends the caller's context.
-		pick       func(cancel func()) *Pick
-		wantWinner string
-		wantEvt    any
+		// def builds the definition; cancel ends the caller's context.
+		def      func(cancel func()) Activity
+		wantVars map[string]any
+		// wantNames, when set, is the activity trace both engines record.
+		wantNames  []string
 		wantErr    string
 		wantStatus string
 	}{
-		{name: "event first", wantWinner: "ready", wantEvt: "payload", wantStatus: StatusCompleted,
-			pick: func(func()) *Pick {
+		{name: "event first", wantVars: map[string]any{"winner": "ready", "evt": "payload"}, wantStatus: StatusCompleted,
+			def: func(func()) Activity {
 				return &Pick{Label: "race", Timeout: time.Hour, OnExpire: won("x", "expired"), Events: []PickBranch{
 					{Wait: never, Then: won("n", "never")},
 					{Wait: ready, Var: "evt", Then: won("r", "ready")},
 				}}
 			}},
-		{name: "timeout with OnExpire", wantWinner: "expired", wantStatus: StatusCompleted,
-			pick: func(func()) *Pick {
+		{name: "timeout with OnExpire", wantVars: map[string]any{"winner": "expired"}, wantStatus: StatusCompleted,
+			def: func(func()) Activity {
 				return &Pick{Label: "race", Timeout: 2 * time.Millisecond, OnExpire: won("x", "expired"),
 					Events: []PickBranch{{Wait: never, Var: "evt", Then: won("n", "never")}}}
 			}},
 		{name: "timeout without OnExpire", wantErr: `pick "race" timed out after 2ms`, wantStatus: StatusCompensated,
-			pick: func(func()) *Pick {
+			def: func(func()) Activity {
 				return &Pick{Label: "race", Timeout: 2 * time.Millisecond,
 					Events: []PickBranch{{Wait: never, Then: won("n", "never")}}}
 			}},
 		{name: "caller cancelled", wantErr: "context canceled", wantStatus: StatusPending,
-			pick: func(cancel func()) *Pick {
+			def: func(cancel func()) Activity {
 				// The caller gives up on the first wait; the event is
 				// ready by the time the instance resumes.
 				var gaveUp atomic.Bool
@@ -1129,38 +1144,72 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 						return ready(ctx)
 					}}}}
 			}},
+		{name: "parallel", wantVars: map[string]any{"order": "b0b1b2"}, wantStatus: StatusCompleted,
+			wantNames: []string{"b0", "b1", "b2", "fan"},
+			def: func(func()) Activity {
+				return &Parallel{Label: "fan", Branches: []Activity{appendOrder("b0"), appendOrder("b1"), appendOrder("b2")}}
+			}},
+		{name: "parallel foreach", wantStatus: StatusCompleted,
+			wantVars:  map[string]any{"items": []any{"aa", "bbb", "c"}, "len": []any{int64(2), int64(3), int64(1)}},
+			wantNames: []string{"items", "short", "which", "long", "which", "short", "which", "each", "main"},
+			def: func(func()) Activity {
+				return &Sequence{Label: "main", Steps: []Activity{
+					&Assign{Label: "items", Var: "items", Expr: func(*Vars) any { return []any{"aa", "bbb", "c"} }},
+					&ForEach{Label: "each", Items: "items", ItemVar: "item", Parallel: true, CollectVar: "len",
+						Body: &If{Label: "which", Cond: func(v *Vars) bool { return len(v.GetString("item")) < 3 },
+							Then: size("short"), Else: size("long")}},
+				}}
+			}},
+	}
+	// spanNames lists the activity spans tr recorded, in the order they
+	// ended: the order of Trace.Names(), which the Orchestrator does not
+	// return.
+	spanNames := func(tr *telemetry.Tracer) []string {
+		var names []string
+		for _, sp := range tr.Snapshot() {
+			names = append(names, sp.Name)
+		}
+		return names
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			check := func(engine string, vars map[string]any, errText string) {
+			check := func(engine string, vars map[string]any, errText string, names []string) {
 				t.Helper()
 				if errText != tc.wantErr {
 					t.Errorf("%s: error %q, want %q", engine, errText, tc.wantErr)
 				}
-				if tc.wantErr == "" && (vars["winner"] != tc.wantWinner || vars["evt"] != tc.wantEvt) {
-					t.Errorf("%s: winner=%v evt=%v, want %v/%v", engine, vars["winner"], vars["evt"], tc.wantWinner, tc.wantEvt)
+				if tc.wantErr == "" && !reflect.DeepEqual(vars, tc.wantVars) {
+					t.Errorf("%s: vars %v, want %v", engine, vars, tc.wantVars)
+				}
+				if tc.wantNames != nil && !slices.Equal(names, tc.wantNames) {
+					t.Errorf("%s: trace %v, want %v", engine, names, tc.wantNames)
 				}
 			}
 
-			ctx, cancel := context.WithCancel(context.Background())
+			tr := telemetry.NewSamplingTracer(0, 1)
+			ctx, cancel := context.WithCancel(telemetry.ContextWithTracer(t.Context(), tr))
 			defer cancel()
-			out, _, err := mustWorkflow(t, "picky", tc.pick(cancel)).Run(ctx, nil)
+			out, trace, err := mustWorkflow(t, "picky", tc.def(cancel)).Run(ctx, nil)
 			errText := ""
 			if err != nil {
 				errText = strings.TrimPrefix(err.Error(), ErrFaulted.Error()+": ")
 			}
-			check("Workflow.Run", out, errText)
+			if spans := spanNames(tr); !slices.Equal(spans, trace.Names()) {
+				t.Fatalf("Workflow.Run: spans %v, trace %v", spans, trace.Names())
+			}
+			check("Workflow.Run", out, errText, trace.Names())
 
 			const engine = "Orchestrator"
 			o, err := OpenOrchestrator(wal.NewMemFS(53), Options{})
 			if err != nil {
 				t.Fatalf("OpenOrchestrator: %v", err)
 			}
-			ctx, cancel = context.WithCancel(context.Background())
+			tr = telemetry.NewSamplingTracer(0, 1)
+			ctx, cancel = context.WithCancel(telemetry.ContextWithTracer(t.Context(), tr))
 			defer cancel()
-			o.Define(mustWorkflow(t, "picky", tc.pick(cancel)))
+			o.Define(mustWorkflow(t, "picky", tc.def(cancel)))
 			res, _ := o.Start(ctx, "wf-1", "picky", nil)
-			check(engine, res.Vars, res.Err)
+			check(engine, res.Vars, res.Err, spanNames(tr))
 			if res.Status != tc.wantStatus {
 				t.Errorf("%s: status %s, want %s", engine, res.Status, tc.wantStatus)
 			}
@@ -1229,8 +1278,7 @@ func TestJournaledRunHasOneSchedule(t *testing.T) {
 				Wait: func(context.Context) <-chan any { return make(chan any) },
 				Then: &Assign{Label: "evt", Var: "evt", Expr: func(*Vars) any { return true }},
 			}}}))
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
+		ctx := t.Context()
 		done := make(chan Result, 1)
 		go func() {
 			res, _ := o.Start(ctx, "wf-1", "idle", nil)

@@ -24,7 +24,7 @@ var ErrDefinition = errors.New("workflow: invalid definition")
 var ErrFaulted = errors.New("workflow: faulted")
 
 // Vars is the shared variable scope of a workflow instance. Access is
-// synchronized so parallel branches may read and write concurrently.
+// synchronized, so goroutines a step starts may share it.
 //
 // A Vars may be an overlay (parent non-nil): reads fall through to the
 // parent on a local miss, writes stay local. The journaled executor
@@ -152,11 +152,6 @@ func (st *State) child(prefix string, i int, vars *Vars) *State {
 	return &State{Vars: vars, trace: c.trace, jr: c.jr, path: c.path}
 }
 
-// sequential reports whether fan-out composites must run their
-// branches in definition order: every journaled run does, so its
-// journal append order is a pure function of the event sources.
-func (st *State) sequential() bool { return st.jr != nil }
-
 // Trace records executed activities in order.
 type Trace struct {
 	mu      sync.Mutex
@@ -242,13 +237,14 @@ func validate(a Activity, onPath map[Activity]bool) error {
 // Run executes the workflow with the given initial variables, returning
 // the final scope and the execution trace. A fault that escapes the
 // root runs the compensations the run registered (Invoke.Compensation,
-// Compensate) before Run returns it.
+// Compensate) before Run returns it, wrapped in ErrFaulted with its
+// cause, so errors.Is sees both.
 func (w *Workflow) Run(ctx context.Context, init map[string]any) (map[string]any, *Trace, error) {
 	st := &State{Vars: NewVars(init), trace: &Trace{}}
 	undos := &compCollector{}
 	err := exec(withCompCollector(ctx, undos), w.Root, st)
 	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrFaulted, err)
+		err = fmt.Errorf("%w: %w", ErrFaulted, err)
 		if cerr := w.undo(ctx, undos.comps, nil, nil); cerr != nil {
 			err = fmt.Errorf("%w; %v", err, cerr)
 		}

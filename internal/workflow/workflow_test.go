@@ -4,13 +4,34 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"soc/internal/vtime"
 )
+
+// startLog records the steps that started, in start order; it is safe
+// for steps that start at once.
+type startLog struct {
+	mu      sync.Mutex
+	started []string
+}
+
+func (l *startLog) add(step string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.started = append(l.started, step)
+}
+
+func (l *startLog) ids() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.started)
+}
 
 func task(name string, fn func(v *Vars)) *Task {
 	return &Task{Label: name, Fn: func(_ context.Context, v *Vars) error {
@@ -96,34 +117,32 @@ func TestParallelJoin(t *testing.T) {
 	}
 }
 
+// TestParallelFaultCancelsSiblings: branches run one by one in
+// definition order, so a fault in branch k ends the join before any
+// later branch starts.
 func TestParallelFaultCancelsSiblings(t *testing.T) {
-	slowCancelled := make(chan bool, 1)
+	var started startLog
+	branch := func(label string, err error) Activity {
+		return &Task{Label: label, Fn: func(context.Context, *Vars) error {
+			started.add(label)
+			return err
+		}}
+	}
 	wf, _ := New("par", &Parallel{Label: "split", Branches: []Activity{
-		failing("bad", "branch fault"),
-		&Task{Label: "slow", Fn: func(ctx context.Context, _ *Vars) error {
-			select {
-			case <-ctx.Done():
-				slowCancelled <- true
-				return ctx.Err()
-			case <-time.After(5 * time.Second):
-				slowCancelled <- false
-				return nil
-			}
-		}},
+		branch("ok", nil),
+		branch("bad", errors.New("branch fault")),
+		branch("late1", nil),
+		branch("late2", nil),
 	}})
-	_, _, err := wf.Run(context.Background(), nil)
-	if err == nil || !strings.Contains(err.Error(), "branch fault") {
+	_, trace, err := wf.Run(context.Background(), nil)
+	if !errors.Is(err, ErrFaulted) || !strings.Contains(err.Error(), "branch fault") {
 		t.Errorf("err = %v", err)
 	}
-	// Run returns only after every branch reported, so the verdict is
-	// already buffered — unless the fault cancelled the context before
-	// the slow branch was scheduled, and exec never started it.
-	select {
-	case cancelled := <-slowCancelled:
-		if !cancelled {
-			t.Error("sibling branch not cancelled")
-		}
-	default:
+	if got := started.ids(); !slices.Equal(got, []string{"ok", "bad"}) {
+		t.Errorf("branches started %v, want [ok bad]: no branch after the fault may start", got)
+	}
+	if got := trace.Names(); !slices.Equal(got, []string{"ok", "bad", "split"}) {
+		t.Errorf("trace = %v", got)
 	}
 }
 
@@ -385,8 +404,8 @@ func TestRunCompensatesAfterCancel(t *testing.T) {
 		undoErr = ctx.Err()
 		return nil
 	})
-	if _, _, err := wf.Run(ctx, nil); !errors.Is(err, ErrFaulted) {
-		t.Fatalf("canceled run: err = %v", err)
+	if _, _, err := wf.Run(ctx, nil); !errors.Is(err, ErrFaulted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: err = %v, want ErrFaulted wrapping context.Canceled", err)
 	}
 	if undoErr != nil {
 		t.Errorf("undo saw %v, want a live context", undoErr)
@@ -399,8 +418,8 @@ func TestCompensateOutsideRun(t *testing.T) {
 	}
 }
 
-// TestParallelBranchesRegisterUndos: branches running as real goroutines
-// register on the one per-run list (a -race target).
+// TestParallelBranchesRegisterUndos: every branch's undos land on the
+// one per-run list, and all of them run when a later step faults.
 func TestParallelBranchesRegisterUndos(t *testing.T) {
 	inv := InvokerFunc(func(context.Context, string, string, map[string]any) (map[string]any, error) {
 		return nil, nil
@@ -445,7 +464,6 @@ func TestDefinitionValidation(t *testing.T) {
 		{"nested invalid", &Sequence{Label: "s", Steps: []Activity{&Task{Label: "bad"}}}},
 		{"pick empty", &Pick{Label: "p"}},
 		{"scope without body", &Scope{Label: "sc"}},
-		{"negative delay", &Delay{Label: "d", D: -1}},
 	}
 	for _, c := range cases {
 		if _, err := New("w", c.root); !errors.Is(err, ErrDefinition) {
@@ -482,48 +500,6 @@ func TestContextCancellation(t *testing.T) {
 	wf, _ := New("w", task("t", nil))
 	if _, _, err := wf.Run(ctx, nil); err == nil {
 		t.Error("canceled run succeeded")
-	}
-}
-
-func TestDelay(t *testing.T) {
-	wf, _ := New("w", &Delay{Label: "nap", D: 5 * time.Millisecond})
-	start := time.Now()
-	if _, _, err := wf.Run(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Error("delay too short")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	wf2, _ := New("w2", &Delay{Label: "long", D: 5 * time.Second})
-	if _, _, err := wf2.Run(ctx, nil); err == nil {
-		t.Error("cancellation ignored")
-	}
-}
-
-// TestDelayOnVirtualClock: a Delay waits on the context's clock, so under
-// a vtime.Virtual an hour-long wait returns at once and moves the clock by
-// exactly that hour.
-func TestDelayOnVirtualClock(t *testing.T) {
-	start := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
-	clock := vtime.NewVirtual(start)
-	wf, _ := New("w", &Delay{Label: "hour", D: time.Hour})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := wf.Run(vtime.WithClock(context.Background(), clock), nil)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("an hour's Delay on a virtual clock waited on the wall clock")
-	}
-	if got := clock.Now().Sub(start); got != time.Hour {
-		t.Errorf("virtual clock advanced %v, want 1h", got)
 	}
 }
 
