@@ -216,7 +216,7 @@ func TestIntegrationCrawlerFindsHostedCatalog(t *testing.T) {
 	defer server.Close()
 
 	found, err := crawler.Crawl(context.Background(), []string{server.URL + "/directory.html"},
-		crawler.Config{SameHostOnly: true, MaxPages: 4})
+		crawler.Config{SameHostOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,22 +47,19 @@ type Discovered struct {
 
 // Config tunes a crawl.
 type Config struct {
-	// MaxPages bounds how many directory pages are fetched (default 32).
-	MaxPages int
-	// MaxDepth bounds link-following depth from the seeds (default 3).
-	MaxDepth int
 	// SameHostOnly restricts link following to the seeds' hosts.
 	SameHostOnly bool
-	// HTTPClient performs requests; nil uses a 10 s timeout client.
-	HTTPClient *http.Client
 }
 
-func (c Config) client() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
+// A crawl fetches at most maxPages directory pages, follows links at
+// most maxDepth hops from the seeds, and sends every request through
+// httpClient.
+const (
+	maxPages = 32
+	maxDepth = 3
+)
+
+var httpClient = &http.Client{Timeout: 10 * time.Second}
 
 var linkRE = regexp.MustCompile(`href\s*=\s*["']([^"']+)["']|\b(https?://[^\s"'<>]+)`)
 
@@ -111,13 +108,6 @@ func Crawl(ctx context.Context, seeds []string, cfg Config) ([]Discovered, error
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrCrawl)
 	}
-	if cfg.MaxPages <= 0 {
-		cfg.MaxPages = 32
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 3
-	}
-	client := cfg.client()
 	allowedHosts := map[string]bool{}
 	type item struct {
 		u     string
@@ -152,17 +142,17 @@ func Crawl(ctx context.Context, seeds []string, cfg Config) ([]Discovered, error
 		if kind, ok := looksLikeService(it.u); ok && it.via != "" {
 			if !probed[it.u] {
 				probed[it.u] = true
-				if d, err := probe(ctx, client, it.u, kind); err == nil {
+				if d, err := probe(ctx, httpClient, it.u, kind); err == nil {
 					found = append(found, *d)
 				}
 			}
 			continue
 		}
-		if pages >= cfg.MaxPages || it.depth > cfg.MaxDepth {
+		if pages >= maxPages || it.depth > maxDepth {
 			continue
 		}
 		pages++
-		body, base, err := fetchPage(ctx, client, it.u)
+		body, base, err := fetchPage(ctx, httpClient, it.u)
 		if err != nil {
 			continue
 		}

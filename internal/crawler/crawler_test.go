@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -141,22 +142,50 @@ func TestCrawlValidation(t *testing.T) {
 	}
 }
 
+// TestCrawlRespectsMaxPages: a seed page linking to more pages than the
+// cap gets the crawl to fetch no more than maxPages of them.
 func TestCrawlRespectsMaxPages(t *testing.T) {
-	var pages int32
+	var pages atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&pages, 1)
-		// Endless chain of pages.
-		fmt.Fprintf(w, `<a href="/p%d.html">next</a>`, atomic.LoadInt32(&pages))
+		pages.Add(1)
+		if r.URL.Path == "/" {
+			for i := range maxPages + 8 {
+				fmt.Fprintf(w, `<a href="/p%d.html">p%d</a>`, i, i)
+			}
+		}
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	_, err := Crawl(context.Background(), []string{ts.URL + "/"}, Config{MaxPages: 5, MaxDepth: 100})
-	if err != nil {
+	if _, err := Crawl(context.Background(), []string{ts.URL + "/"}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if atomic.LoadInt32(&pages) > 5 {
-		t.Errorf("fetched %d pages, max 5", pages)
+	if got := pages.Load(); got != maxPages {
+		t.Errorf("fetched %d pages, want the cap of %d", got, maxPages)
+	}
+}
+
+// TestCrawlRespectsMaxDepth: along an endless chain of pages the crawl
+// fetches the seed and the pages up to maxDepth links away, no further.
+func TestCrawlRespectsMaxDepth(t *testing.T) {
+	var mu sync.Mutex
+	var fetched []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		fetched = append(fetched, r.URL.Path)
+		fmt.Fprintf(w, `<a href="/d%d.html">next</a>`, len(fetched))
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	if _, err := Crawl(context.Background(), []string{ts.URL + "/"}, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"/", "/d1.html", "/d2.html", "/d3.html"}; !slices.Equal(fetched, want) {
+		t.Errorf("fetched %v, want %v", fetched, want)
 	}
 }
 

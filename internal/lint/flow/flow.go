@@ -6,7 +6,7 @@
 // sent, received and closed, goroutines spawned, context threading) —
 // and lets analyzers query it transitively: "which locks does this call
 // eventually take?", "does cancellation ever reach a select in this
-// goroutine?", "is this field ever touched outside sync/atomic?".
+// goroutine?", "does any program reach this function?".
 //
 // The package is deliberately stdlib-only (go/ast + go/types), matching
 // the rest of the lint framework, and it makes its approximations
@@ -130,7 +130,7 @@ func (f *Func) Body() *ast.BlockStmt {
 	return nil
 }
 
-// Class identifies a mutex, channel or atomic word statically: the
+// Class identifies a mutex or channel statically: the
 // declared field or variable backing the expression. Two expressions
 // share a Class when they denote the same declaration, so `c.mu` in two
 // methods is one class while two instances of the same type also share
@@ -338,14 +338,6 @@ func funcDisplay(obj *types.Func) string {
 	}
 	return pkg + obj.Name()
 }
-
-// ClassOfExpr canonicalizes the declared variable behind expr — exported
-// for analyzers that walk ASTs themselves (atomicdiscipline's module-wide
-// access scan).
-func (g *Graph) ClassOfExpr(pkg *Package, expr ast.Expr) Class { return g.classOf(pkg, expr) }
-
-// VarClass canonicalizes a variable object directly.
-func (g *Graph) VarClass(v *types.Var, name string) Class { return g.classFor(v, name) }
 
 // classOf canonicalizes the declared object behind expr (a field
 // selector, package var or local var) into a Class.

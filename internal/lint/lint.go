@@ -76,8 +76,9 @@ type Config struct {
 	// unbounded per-request fan-out is how hosts fall over.
 	RequestPathScope []string
 	// AtomicScope lists import-path prefixes subject to the
-	// atomicdiscipline analyzer: a word accessed via sync/atomic
-	// anywhere may never be accessed plainly elsewhere.
+	// atomicdiscipline analyzer: sync/atomic word functions may only
+	// take the address of a local variable; shared words are typed
+	// atomics.
 	AtomicScope []string
 }
 

@@ -188,10 +188,10 @@ func TestTaskGroupLimit(t *testing.T) {
 
 func TestTaskGroupRecursiveSpawn(t *testing.T) {
 	// Fork-join fib, the canonical recursive task-spawning exercise.
-	var fib func(g *TaskGroup, n int, out *int64)
-	fib = func(g *TaskGroup, n int, out *int64) {
+	var fib func(g *TaskGroup, n int, out *atomic.Int64)
+	fib = func(g *TaskGroup, n int, out *atomic.Int64) {
 		if n < 2 {
-			atomic.AddInt64(out, int64(n))
+			out.Add(int64(n))
 			return
 		}
 		inner := NewTaskGroup(0)
@@ -201,14 +201,14 @@ func TestTaskGroupRecursiveSpawn(t *testing.T) {
 			panic(err)
 		}
 	}
-	var result int64
+	var result atomic.Int64
 	g := NewTaskGroup(0)
 	g.Go(func() error { fib(g, 10, &result); return nil })
 	if err := g.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if result != 55 {
-		t.Errorf("fib(10) = %d, want 55", result)
+	if got := result.Load(); got != 55 {
+		t.Errorf("fib(10) = %d, want 55", got)
 	}
 }
 

@@ -328,10 +328,26 @@ func (p *Pick) Validate() error {
 	return nil
 }
 
+// Execute decides the pick and runs the chosen continuation. In a
+// journaled run the decision is journaled before the continuation runs,
+// under the pick's own step key, so replay re-runs the same continuation
+// without polling the events again, whose channels may have moved on
+// since.
 func (p *Pick) Execute(ctx context.Context, st *State) error {
+	if st.jr != nil {
+		if rec, decided := st.jr.prior.picks[st.path]; decided {
+			return p.proceed(ctx, st, rec.Branch, rec.Payload, rec.Expired)
+		}
+	}
 	idx, payload, expired, err := p.poll(ctx)
 	if err != nil {
 		return err
+	}
+	if st.jr != nil {
+		rec := Record{Kind: recPick, Key: st.path, Branch: idx, Expired: expired, Payload: payload}
+		if err := st.jr.append(rec); err != nil {
+			return err
+		}
 	}
 	return p.proceed(ctx, st, idx, payload, expired)
 }

@@ -83,14 +83,12 @@ func (jr *journalRun) append(r Record) error {
 }
 
 // exec routes one activity through the journal: composites re-execute
-// (they are pure control flow over journaled effects), leaves replay
-// from their done record or execute-then-journal.
+// (they are pure control flow over journaled effects; a Pick journals
+// its decision itself), leaves replay from their done record or
+// execute-then-journal.
 func (jr *journalRun) exec(ctx context.Context, a Activity, st *State) error {
-	switch act := a.(type) {
-	case *Pick:
-		return jr.execPick(ctx, act, st)
-	case *Invoke:
-		return jr.execInvoke(ctx, act, st)
+	if inv, ok := a.(*Invoke); ok {
+		return jr.execInvoke(ctx, inv, st)
 	}
 	if isComposite(a) {
 		key := jr.nextKey(st.path, a.Name())
@@ -104,7 +102,7 @@ func (jr *journalRun) exec(ctx context.Context, a Activity, st *State) error {
 // user-defined activities without children are treated as leaves.
 func isComposite(a Activity) bool {
 	switch a.(type) {
-	case *Sequence, *Parallel, *If, *While, *ForEach, *Scope:
+	case *Sequence, *Parallel, *If, *While, *ForEach, *Scope, *Pick:
 		return true
 	}
 	_, ok := a.(children)
@@ -190,26 +188,6 @@ func (jr *journalRun) execInvoke(ctx context.Context, inv *Invoke, st *State) er
 	}
 	overlay.flush()
 	return nil
-}
-
-// execPick journals the branch decision: the winning branch (or
-// expiry) and its payload are acked before the continuation runs, so
-// replay re-runs the same continuation without polling the events
-// again, whose channels may have moved on since.
-func (jr *journalRun) execPick(ctx context.Context, p *Pick, st *State) error {
-	key := jr.nextKey(st.path, p.Label)
-	rec, decided := jr.prior.picks[key]
-	if !decided {
-		idx, payload, expired, err := p.poll(ctx)
-		if err != nil {
-			return err
-		}
-		rec = Record{Kind: recPick, Key: key, Branch: idx, Expired: expired, Payload: payload}
-		if err := jr.append(rec); err != nil {
-			return err
-		}
-	}
-	return p.proceed(ctx, st.scoped(key), rec.Branch, rec.Payload, rec.Expired)
 }
 
 // applyEffects writes a done record's journaled effects into the scope.

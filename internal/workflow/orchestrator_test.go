@@ -1079,7 +1079,8 @@ func TestCallerCancelStaysPending(t *testing.T) {
 // TestPickSameUnderBothEngines runs one definition under Workflow.Run
 // and under an Orchestrator: a Pick runs the same branch with the same
 // payload, or the same error comes back, and a Parallel or a parallel
-// ForEach runs its steps in the same order to the same variables.
+// ForEach runs its steps in the same order to the same variables. Every
+// row records the same activity trace under both engines.
 // A pick whose caller gave up journals no decision, so resuming it waits
 // for the event afresh.
 func TestPickSameUnderBothEngines(t *testing.T) {
@@ -1108,12 +1109,13 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 		// def builds the definition; cancel ends the caller's context.
 		def      func(cancel func()) Activity
 		wantVars map[string]any
-		// wantNames, when set, is the activity trace both engines record.
+		// wantNames is the activity trace both engines record.
 		wantNames  []string
 		wantErr    string
 		wantStatus string
 	}{
 		{name: "event first", wantVars: map[string]any{"winner": "ready", "evt": "payload"}, wantStatus: StatusCompleted,
+			wantNames: []string{"r", "race"},
 			def: func(func()) Activity {
 				return &Pick{Label: "race", Timeout: time.Hour, OnExpire: won("x", "expired"), Events: []PickBranch{
 					{Wait: never, Then: won("n", "never")},
@@ -1121,16 +1123,19 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 				}}
 			}},
 		{name: "timeout with OnExpire", wantVars: map[string]any{"winner": "expired"}, wantStatus: StatusCompleted,
+			wantNames: []string{"x", "race"},
 			def: func(func()) Activity {
 				return &Pick{Label: "race", Timeout: 2 * time.Millisecond, OnExpire: won("x", "expired"),
 					Events: []PickBranch{{Wait: never, Var: "evt", Then: won("n", "never")}}}
 			}},
 		{name: "timeout without OnExpire", wantErr: `pick "race" timed out after 2ms`, wantStatus: StatusCompensated,
+			wantNames: []string{"race"},
 			def: func(func()) Activity {
 				return &Pick{Label: "race", Timeout: 2 * time.Millisecond,
 					Events: []PickBranch{{Wait: never, Then: won("n", "never")}}}
 			}},
 		{name: "caller cancelled", wantErr: "context canceled", wantStatus: StatusPending,
+			wantNames: []string{"race"},
 			def: func(cancel func()) Activity {
 				// The caller gives up on the first wait; the event is
 				// ready by the time the instance resumes.
@@ -1181,7 +1186,7 @@ func TestPickSameUnderBothEngines(t *testing.T) {
 				if tc.wantErr == "" && !reflect.DeepEqual(vars, tc.wantVars) {
 					t.Errorf("%s: vars %v, want %v", engine, vars, tc.wantVars)
 				}
-				if tc.wantNames != nil && !slices.Equal(names, tc.wantNames) {
+				if !slices.Equal(names, tc.wantNames) {
 					t.Errorf("%s: trace %v, want %v", engine, names, tc.wantNames)
 				}
 			}
