@@ -176,7 +176,7 @@ func run() error {
 		}
 		okCount++
 	}
-	attempts, failovers, skipped, _ := rc.Counters()
+	attempts, failovers, skipped := rc.Counters()
 	probes, demotions, promotions := hc.Counters()
 	fmt.Printf("resilient client : %3d/%d calls succeeded (%.0f%%), %d wrong answers  [injected on C: %s]\n",
 		okCount, *calls, 100*float64(okCount)/float64(*calls), wrong, injC)

@@ -1,6 +1,7 @@
 // Package callplane is the single invocation spine every consumer path in
-// the module rides: host.Client, soap.Client, host.ResilientClient and the
-// registry REST client are thin bindings over one Invocation value, one
+// the module rides: host.Client (over either binding, its SOAP calls
+// through a soap.Route), host.ResilientClient and the registry REST
+// client are thin bindings over one Invocation value, one
 // Transport interface and one composable Interceptor chain. The spine is
 // what carries a request's identity end to end — service, operation,
 // binding, chosen replica, attempt number and (via telemetry) trace

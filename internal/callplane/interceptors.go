@@ -82,6 +82,7 @@ func WithAttemptSpan(t *telemetry.Tracer) Interceptor {
 }
 
 // WithTimeout bounds each delivery below it; d <= 0 disables the bound.
+// The delivery runs on the caller's goroutine and must honour its context.
 func WithTimeout(d time.Duration) Interceptor {
 	return func(next Transport) Transport {
 		if d <= 0 {

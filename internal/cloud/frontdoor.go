@@ -433,7 +433,7 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		}
 		rep.observe(elapsed, true)
 		pc.lastFailed = rep.Name()
-		return fmt.Errorf("%w: %s: %v", errExchange, rep.Name(), err)
+		return fmt.Errorf("%w: %s: %w", errExchange, rep.Name(), err)
 	}
 	rep.observe(pc.clk.Now().Sub(t0), rsp.StatusCode >= http.StatusInternalServerError)
 	pc.resp = rsp

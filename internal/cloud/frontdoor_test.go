@@ -183,6 +183,23 @@ func TestFrontDoorRetriesDeadReplica(t *testing.T) {
 	}
 }
 
+// A failed replica exchange keeps its cause: errors.Is sees both the
+// retryable errExchange and the transport's own error.
+func TestReplicaExchangeErrorKeepsItsCause(t *testing.T) {
+	refused := errors.New("connection refused")
+	fd := NewFrontDoor(FrontDoorConfig{})
+	fd.Add(NewReplica("dead", roundTripperFunc(func(*http.Request) (*http.Response, error) {
+		return nil, refused
+	}), 0))
+	req := httptest.NewRequest(http.MethodGet, "/echo", nil)
+	pc := &proxyCall{fd: fd, r: req, clk: vtime.Real{}}
+	err := pc.attempt(req.Context(), &pc.inv)
+	if !errors.Is(err, errExchange) || !errors.Is(err, refused) ||
+		err.Error() != "cloud: replica exchange failed: dead: connection refused" {
+		t.Fatalf("err = %v, want errExchange wrapping the transport's error", err)
+	}
+}
+
 type roundTripperFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripperFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

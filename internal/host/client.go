@@ -39,21 +39,25 @@ type Client struct {
 }
 
 // binding is what the client resolves from its configuration and then
-// keeps: the SOAP binding, and per operation the REST route (parsed URL,
-// span name, shared header slices) and SOAP endpoint, filled on the first
-// call to each. It is valid for the field values it was made from.
+// keeps: per operation and namespace its endpoint, filled on the first
+// call to it. It is valid for the field values it was made from.
 type binding struct {
 	baseURL    string
 	httpClient *http.Client
 	tracer     *telemetry.Tracer
-	soap       soap.Client
 	endpoints  callplane.Records[endpointKey, *endpoint]
 }
 
-type endpointKey struct{ service, op string }
+// endpointKey names an operation; namespace is the one a SOAP call names,
+// and empty for a REST call.
+type endpointKey struct{ service, op, namespace string }
 
+// endpoint holds the routes of both bindings to one operation: the REST
+// route (parsed URL, span name, shared header slices) and the SOAP route
+// (the same for the SOAP endpoint, and the names its answers spell).
 type endpoint struct {
 	rest    *callplane.Route
+	soap    *soap.Route
 	soapURL string
 	// answer maps the names of the operation's first good REST answer to
 	// themselves — at most maxAnswerNames, each plainly spelled — and is
@@ -105,27 +109,30 @@ func (c *Client) binding() *binding {
 	b := c.bound.Load()
 	if b == nil || b.baseURL != c.BaseURL || b.httpClient != c.HTTPClient || b.tracer != c.Tracer {
 		b = &binding{baseURL: c.BaseURL, httpClient: c.HTTPClient, tracer: c.Tracer}
-		b.soap.HTTPClient, b.soap.Tracer = c.HTTPClient, c.Tracer
 		c.bound.Store(b)
 	}
 	return b
 }
 
-func (b *binding) endpoint(service, op string) (*endpoint, error) {
-	return b.endpoints.Get(endpointKey{service, op}, func(k endpointKey) (*endpoint, error) {
+func (b *binding) endpoint(service, op, namespace string) (*endpoint, error) {
+	return b.endpoints.Get(endpointKey{service, op, namespace}, func(k endpointKey) (*endpoint, error) {
 		prefix := b.baseURL + "/services/" + k.service
-		rt, err := callplane.NewRoute(http.MethodPost, prefix+"/invoke/"+k.op, k.service+"."+k.op,
+		rest, err := callplane.NewRoute(http.MethodPost, prefix+"/invoke/"+k.op, k.service+"."+k.op,
 			"Content-Type", "application/json", "Accept", "application/json")
 		if err != nil {
 			return nil, err
 		}
-		return &endpoint{rest: rt, soapURL: prefix + "/soap"}, nil
+		soapRoute, err := soap.NewRoute(prefix+"/soap", k.namespace, k.op)
+		if err != nil {
+			return nil, err
+		}
+		return &endpoint{rest: rest, soap: soapRoute, soapURL: prefix + "/soap"}, nil
 	})
 }
 
 // Call invokes service.op over the REST binding with JSON arguments.
 func (c *Client) Call(ctx context.Context, service, op string, args core.Values) (core.Values, error) {
-	ep, err := c.binding().endpoint(service, op)
+	ep, err := c.binding().endpoint(service, op, "")
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +149,7 @@ func (c *Client) Call(ctx context.Context, service, op string, args core.Values)
 // call is the span-free REST exchange; ResilientClient invokes it under
 // its own per-attempt spans so a resilient call doesn't double-record.
 func (c *Client) call(ctx context.Context, service, op string, args core.Values) (core.Values, error) {
-	ep, err := c.binding().endpoint(service, op)
+	ep, err := c.binding().endpoint(service, op, "")
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +195,7 @@ func (c *Client) exchange(ctx context.Context, call telemetry.CallTrace, ep *end
 	}
 	out, err := decodeJSONObject(nil, data.B, names)
 	if err != nil {
-		return nil, fmt.Errorf("%w: decoding response: %v", ErrRemote, err)
+		return nil, fmt.Errorf("%w: decoding response: %w", ErrRemote, err)
 	}
 	if names == nil {
 		ep.learn(out)
@@ -200,8 +207,7 @@ func (c *Client) exchange(ctx context.Context, call telemetry.CallTrace, ep *end
 // serialized to their lexical forms; results come back as strings (the
 // caller coerces as needed, as any WSDL-driven client would).
 func (c *Client) CallSOAP(ctx context.Context, service, op, namespace string, args core.Values) (map[string]string, error) {
-	b := c.binding()
-	ep, err := b.endpoint(service, op)
+	ep, err := c.binding().endpoint(service, op, namespace)
 	if err != nil {
 		return nil, err
 	}
@@ -210,8 +216,15 @@ func (c *Client) CallSOAP(ctx context.Context, service, op, namespace string, ar
 	for k, v := range args {
 		params = append(params, soap.Param{Name: k, Value: core.FormatValue(v)})
 	}
+	sp, call, ctx := c.tracer().StartCall(ctx, telemetry.KindClient, op)
+	if sp != nil {
+		sp.Target = ep.soapURL
+		sp.Annotate("binding", "soap")
+	}
 	// By name, as the envelope always listed them.
-	return b.soap.CallParams(ctx, ep.soapURL, namespace, op, soap.SortParams(params))
+	out, err := ep.soap.Call(ctx, c.httpClient(), call, soap.SortParams(params))
+	sp.EndErr(err)
+	return out, err
 }
 
 // Describe fetches the WSDL for a service and parses it.

@@ -128,6 +128,22 @@ func TestClientDoesNotFollowRedirects(t *testing.T) {
 	}
 }
 
+// An answer the decoder refuses keeps the decoder's error as its cause.
+func TestClientDecodeErrorKeepsItsCause(t *testing.T) {
+	body := strings.Repeat(`{"a":`, maxJSONDepth+1) + "1" + strings.Repeat("}", maxJSONDepth+1)
+	c := &Client{BaseURL: "http://deep.test", HTTPClient: &http.Client{
+		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			_ = r.Body.Close()
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(body))}, nil
+		}),
+	}}
+	_, err := c.Call(context.Background(), "Calc", "Add", nil)
+	if !errors.Is(err, ErrRemote) || !errors.Is(err, errJSONDepth) ||
+		err.Error() != "host: remote error: decoding response: exceeded max depth" {
+		t.Fatalf("err = %v, want ErrRemote wrapping the decoder's errJSONDepth", err)
+	}
+}
+
 // An answer one byte over the client's buffer bound is reported as too
 // large — it used to be cut at the bound and fail as a JSON syntax error —
 // and one of exactly the bound still decodes.

@@ -52,7 +52,7 @@ func TestClientLearnsAnswerNames(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d = %#v, %v; want %#v", i, got, err, want)
 		}
-		ep, _ := c.binding().endpoint("S", "Op")
+		ep, _ := c.binding().endpoint("S", "Op", "")
 		learned := ep.answer.Load()
 		if learned == nil || !reflect.DeepEqual(*learned, map[string]string{"a": "a", "b": "b"}) {
 			t.Fatalf("after call %d the endpoint learned %v, want a and b", i, learned)
@@ -75,7 +75,7 @@ func TestClientLearnsFromFirstAnswerWithNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ep, _ := c.binding().endpoint("S", "Op")
+	ep, _ := c.binding().endpoint("S", "Op", "")
 	if learned := ep.answer.Load(); learned == nil || !reflect.DeepEqual(*learned, map[string]string{"z": "z"}) {
 		t.Fatalf("learned %v, want z", learned)
 	}
@@ -94,7 +94,7 @@ func TestClientLearnedNamesBounded(t *testing.T) {
 	if _, err := c.Call(context.Background(), "S", "Op", nil); err != nil {
 		t.Fatal(err)
 	}
-	ep, _ := c.binding().endpoint("S", "Op")
+	ep, _ := c.binding().endpoint("S", "Op", "")
 	learned := *ep.answer.Load()
 	if len(learned) != maxAnswerNames {
 		t.Errorf("learned %d names, bound %d", len(learned), maxAnswerNames)
@@ -122,7 +122,7 @@ func TestClientConcurrentFirstAnswers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ep, _ := c.binding().endpoint("S", "Op")
+	ep, _ := c.binding().endpoint("S", "Op", "")
 	if learned := ep.answer.Load(); learned == nil || len(*learned) != 2 {
 		t.Fatalf("learned %v, want a and b", learned)
 	}

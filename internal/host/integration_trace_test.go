@@ -110,7 +110,7 @@ func TestResilientCallUnderFaultsOneTraceTree(t *testing.T) {
 	if out["sum"] != float64(42) {
 		t.Errorf("sum = %v", out["sum"])
 	}
-	attempts, failovers, _, _ := rc.Counters()
+	attempts, failovers, _ := rc.Counters()
 	if attempts != 6 || failovers != 4 {
 		t.Errorf("counters: attempts=%d failovers=%d, want 6 and 4", attempts, failovers)
 	}
@@ -409,8 +409,8 @@ func TestWorkflowCompositionOneTraceAcrossThreeHosts(t *testing.T) {
 		t.Errorf("failover leg's success lacks its dispatch span:\n%s", tree.Format())
 	}
 
-	_, failoversB, _, _ := rcB.Counters()
-	_, failoversC, _, _ := rcC.Counters()
+	_, failoversB, _ := rcB.Counters()
+	_, failoversC, _ := rcC.Counters()
 	if failoversB != 0 || failoversC != 1 {
 		t.Errorf("failovers B=%d C=%d, want 0 and 1", failoversB, failoversC)
 	}

@@ -14,10 +14,6 @@ import (
 	"soc/internal/telemetry"
 )
 
-// Fallback produces a degraded-mode answer (cached, default, or
-// approximate) when every replica has failed.
-type Fallback func(ctx context.Context, service, op string, args core.Values) (core.Values, error)
-
 // Policy configures a ResilientClient. The zero value gets sensible
 // defaults: 3 attempts with 10 ms base backoff, 5-failure breakers with a
 // 1 s cooldown, a 10 s per-attempt timeout, and a 64-call bulkhead.
@@ -37,9 +33,6 @@ type Policy struct {
 	BreakerCooldown time.Duration
 	// MaxConcurrent caps in-flight calls (bulkhead); 0 means 64.
 	MaxConcurrent int
-	// Fallback, when set, serves a degraded answer after all replicas
-	// (and retries) failed — graceful degradation instead of an error.
-	Fallback Fallback
 	// HTTPClient is used by every replica client; nil uses each client's
 	// default. Tests inject fault transports here.
 	HTTPClient *http.Client
@@ -89,13 +82,10 @@ type replica struct {
 // ResilientClient composes the unit-6 reliability primitives around
 // host.Client as one precompiled call-plane chain: root span → bulkhead →
 // retry → health-aware failover → per-attempt span → per-replica breaker
-// → per-attempt timeout → REST exchange — with an optional fallback for
-// graceful degradation when everything is down. One Call under faults
-// renders as one trace tree whose attempt spans carry the replica tried,
-// the attempt number, and breaker/skip annotations. Safe for concurrent
-// use.
+// → per-attempt timeout → REST exchange. One Call under faults renders
+// as one trace tree whose attempt spans carry the replica tried, the
+// attempt number, and breaker/skip annotations. Safe for concurrent use.
 type ResilientClient struct {
-	policy   Policy
 	replicas []*replica
 	byURL    map[string]*replica
 	chain    callplane.Transport
@@ -103,7 +93,6 @@ type ResilientClient struct {
 	attempts  atomic.Uint64 // individual replica attempts
 	failovers atomic.Uint64 // attempts beyond the first within one pass
 	skipped   atomic.Uint64 // replicas skipped while demoted
-	fallbacks atomic.Uint64 // degraded answers served
 }
 
 // NewResilientClient returns a client over the replica base URLs.
@@ -112,7 +101,7 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 		return nil, errors.New("host: resilient client needs at least one replica")
 	}
 	policy = policy.withDefaults()
-	rc := &ResilientClient{policy: policy, byURL: make(map[string]*replica, len(baseURLs))}
+	rc := &ResilientClient{byURL: make(map[string]*replica, len(baseURLs))}
 	for _, u := range baseURLs {
 		br, err := reliability.NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)
 		if err != nil {
@@ -179,15 +168,13 @@ func (rc *ResilientClient) Breaker(url string) *reliability.Breaker {
 	return nil
 }
 
-// Counters reports attempts issued, failover hops, unhealthy skips and
-// fallback answers served.
-func (rc *ResilientClient) Counters() (attempts, failovers, skipped, fallbacks uint64) {
-	return rc.attempts.Load(), rc.failovers.Load(), rc.skipped.Load(), rc.fallbacks.Load()
+// Counters reports attempts issued, failover hops and unhealthy skips.
+func (rc *ResilientClient) Counters() (attempts, failovers, skipped uint64) {
+	return rc.attempts.Load(), rc.failovers.Load(), rc.skipped.Load()
 }
 
 // Call invokes service.op over the REST binding with the full resilience
-// stack. When all replicas fail and a Fallback is configured, its answer
-// (and error) is returned instead.
+// stack.
 func (rc *ResilientClient) Call(ctx context.Context, service, op string, args core.Values) (core.Values, error) {
 	var out core.Values
 	inv := &callplane.Invocation{Service: service, Operation: op, Binding: "rest",
@@ -205,9 +192,5 @@ func (rc *ResilientClient) Call(ctx context.Context, service, op string, args co
 		},
 	}
 	err := rc.chain.RoundTrip(ctx, inv)
-	if err != nil && rc.policy.Fallback != nil {
-		rc.fallbacks.Add(1)
-		return rc.policy.Fallback(ctx, service, op, args)
-	}
 	return out, err
 }

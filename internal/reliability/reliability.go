@@ -257,11 +257,11 @@ func (b *Breaker) Counters() (succeeded, failed, rejected uint64) {
 	return b.succeeded, b.failed, b.rejected
 }
 
-// WithTimeout runs fn with a deadline on the context's clock; when fn
-// ignores the context, the caller is still released after d (fn keeps
-// running until it returns). A virtual deadline (vtime.Virtual) never
-// closes Done, so under the virtual clock the caller waits for fn, and
-// "fn ran past the budget" is read off the clock once fn returns.
+// WithTimeout runs fn on the caller's goroutine with a deadline d away on
+// the context's clock; fn must honour its context. Once that deadline has
+// passed — on the wall clock, or on a vtime.Virtual, whose deadline never
+// closes Done and is read off the clock when fn returns — the result is
+// context.DeadlineExceeded, whatever fn returned.
 func WithTimeout(ctx context.Context, d time.Duration, fn func(ctx context.Context) error) error {
 	if d <= 0 {
 		return errors.New("reliability: non-positive timeout")
@@ -269,17 +269,14 @@ func WithTimeout(ctx context.Context, d time.Duration, fn func(ctx context.Conte
 	clk := vtime.ClockFrom(ctx)
 	ctx, cancel := clk.WithTimeout(ctx, d)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- fn(ctx) }()
-	select {
-	case err := <-done:
-		if exp := vtime.Expired(ctx, clk); exp != nil {
-			return exp
-		}
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
+	err := fn(ctx)
+	if exp := vtime.Expired(ctx, clk); exp != nil {
+		return exp
 	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	return err
 }
 
 // Bulkhead caps concurrent calls to protect a dependency from overload.

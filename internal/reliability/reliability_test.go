@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,6 +286,26 @@ func TestWithTimeout(t *testing.T) {
 	}
 	if err := WithTimeout(context.Background(), 0, func(context.Context) error { return nil }); err == nil {
 		t.Error("zero timeout accepted")
+	}
+}
+
+// TestWithTimeoutRunsOnCallersGoroutine: fn runs on the goroutine that
+// called WithTimeout, not on one of its own, so the caller's frame is on
+// fn's stack.
+func TestWithTimeoutRunsOnCallersGoroutine(t *testing.T) {
+	onCaller := false
+	err := WithTimeout(context.Background(), time.Second, func(context.Context) error {
+		pc := make([]uintptr, 64)
+		frames := runtime.CallersFrames(pc[:runtime.Callers(1, pc)])
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			onCaller = onCaller || strings.HasSuffix(f.Function, ".TestWithTimeoutRunsOnCallersGoroutine")
+		}
+		return nil
+	})
+	if err != nil || !onCaller {
+		t.Fatalf("err %v, caller's frame on fn's stack %v; want nil and true", err, onCaller)
 	}
 }
 

@@ -2,13 +2,12 @@
 // CSE445 unit 6 ("designs and implements the security mechanisms that
 // safeguard the Web applications"): salted iterated password hashing
 // (PBKDF2-HMAC-SHA256, implemented from the RFC against the stdlib
-// primitives), role-based access control, password strength policy (the Figure 4 "Strong?" check), AES-GCM
-// payload encryption for the repository's encryption service, and an
-// audit log.
+// primitives), role-based access control, password strength policy (the
+// Figure 4 "Strong?" check) and AES-GCM payload encryption for the
+// repository's encryption service.
 package security
 
 import (
-	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/pbkdf2"
@@ -25,11 +24,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 	"unicode"
 	"unicode/utf8"
-
-	"soc/internal/vtime"
 )
 
 // ErrAuth reports failed authentication or verification.
@@ -481,53 +477,3 @@ const (
 	AlphabetAlnum    = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 	AlphabetPassword = AlphabetAlnum + "!@#$%^&*-_=+"
 )
-
-// AuditLog records security-relevant events with bounded memory.
-type AuditLog struct {
-	mu     sync.Mutex
-	max    int
-	events []AuditEvent
-}
-
-// AuditEvent is one audit record.
-type AuditEvent struct {
-	Time    time.Time
-	Actor   string
-	Action  string
-	Target  string
-	Allowed bool
-}
-
-// NewAuditLog returns a log keeping at most max events (oldest dropped).
-func NewAuditLog(max int) *AuditLog {
-	if max <= 0 {
-		max = 1024
-	}
-	return &AuditLog{max: max}
-}
-
-// Record appends an event stamped with ctx's clock.
-func (l *AuditLog) Record(ctx context.Context, actor, action, target string, allowed bool) {
-	now := vtime.Now(ctx)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, AuditEvent{Time: now, Actor: actor, Action: action, Target: target, Allowed: allowed})
-	if len(l.events) > l.max {
-		l.events = l.events[len(l.events)-l.max:]
-	}
-}
-
-// Denials counts recorded denials.
-//
-//soclint:ignore unreached ROADMAP 30(d): nothing but tests reads the audit trail; an operator view of it, or its deletion, is queued there
-func (l *AuditLog) Denials() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.events {
-		if !e.Allowed {
-			n++
-		}
-	}
-	return n
-}

@@ -2,7 +2,6 @@ package security
 
 import (
 	"bytes"
-	"context"
 	"crypto/hmac"
 	"crypto/pbkdf2"
 	"crypto/sha256"
@@ -15,9 +14,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"soc/internal/vtime"
 )
 
 func TestPBKDF2KnownVectors(t *testing.T) {
@@ -402,36 +398,5 @@ func TestRandomStringRejects(t *testing.T) {
 	// A source that runs dry mid-redraw is an error, not a short string.
 	if got, err := randomString(bytes.NewReader([]byte{0, 0xff}), 2, "abc"); err == nil {
 		t.Errorf("exhausted source gave %q, nil", got)
-	}
-}
-
-func TestAuditLog(t *testing.T) {
-	clock := vtime.NewVirtual(time.Unix(0, 0))
-	ctx := vtime.WithClock(context.Background(), clock)
-	l := NewAuditLog(3)
-	for _, e := range []struct {
-		actor, action, target string
-		allowed               bool
-	}{
-		{"alice", "read", "reports", true},
-		{"bob", "write", "reports", false},
-		{"eve", "read", "secrets", false},
-		{"mallory", "delete", "all", false}, // evicts alice's event
-	} {
-		l.Record(ctx, e.actor, e.action, e.target, e.allowed)
-		clock.Advance(time.Second)
-	}
-	events := l.events
-	if len(events) != 3 || events[0].Actor != "bob" {
-		t.Errorf("events = %+v", events)
-	}
-	// Each event is stamped with the clock of the context it was recorded in.
-	for i, e := range events {
-		if want := time.Unix(int64(i+1), 0); !e.Time.Equal(want) {
-			t.Errorf("event %d (%s) at %v, want %v", i, e.Actor, e.Time, want)
-		}
-	}
-	if l.Denials() != 3 {
-		t.Errorf("denials = %d", l.Denials())
 	}
 }

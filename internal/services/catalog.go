@@ -19,7 +19,6 @@ type Catalog struct {
 	Services []*core.Service
 
 	Policy     *security.RBAC
-	Audit      *security.AuditLog
 	Cache      *session.Cache
 	Carts      *Carts
 	Buffers    *Buffers
@@ -44,7 +43,6 @@ func NewCatalog(dataDir string) (*Catalog, error) {
 	}
 	c := &Catalog{
 		Policy:     security.NewRBAC(),
-		Audit:      security.NewAuditLog(4096),
 		Cache:      cache,
 		Carts:      NewCarts(),
 		Buffers:    NewBuffers(),
@@ -74,7 +72,7 @@ func NewCatalog(dataDir string) (*Catalog, error) {
 	builders := []func() (*core.Service, error){
 		NewEncryption,
 		NewRandomString,
-		func() (*core.Service, error) { return NewAccessControl(c.Policy, c.Audit) },
+		func() (*core.Service, error) { return NewAccessControl(c.Policy) },
 		func() (*core.Service, error) { return NewGuessingGame(c.Games) },
 		NewDynamicImage,
 		func() (*core.Service, error) { return NewImageVerifier(c.Challenges) },

@@ -148,12 +148,12 @@ func NewRandomString() (*core.Service, error) {
 }
 
 // NewAccessControl builds the access-control service over an RBAC policy.
-func NewAccessControl(policy *security.RBAC, audit *security.AuditLog) (*core.Service, error) {
+func NewAccessControl(policy *security.RBAC) (*core.Service, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("services: nil policy")
 	}
 	svc, err := core.NewService("AccessControl", NamespacePrefix+"accesscontrol",
-		"role-based access control decisions with audit logging")
+		"role-based access control decisions")
 	if err != nil {
 		return nil, err
 	}
@@ -166,17 +166,13 @@ func NewAccessControl(policy *security.RBAC, audit *security.AuditLog) (*core.Se
 			{Name: "permission", Type: core.String},
 		},
 		Output: []core.Param{{Name: "allowed", Type: core.Bool}, {Name: "reason", Type: core.String}},
-		Handler: func(ctx context.Context, in core.Values) (core.Values, error) {
+		Handler: func(_ context.Context, in core.Values) (core.Values, error) {
 			err := policy.Check(in.Str("user"), in.Str("permission"))
-			allowed := err == nil
-			if audit != nil {
-				audit.Record(ctx, in.Str("user"), "check", in.Str("permission"), allowed)
-			}
 			reason := ""
 			if err != nil {
 				reason = err.Error()
 			}
-			return core.Values{"allowed": allowed, "reason": reason}, nil
+			return core.Values{"allowed": err == nil, "reason": reason}, nil
 		},
 	})
 	if err != nil {

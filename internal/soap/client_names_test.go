@@ -9,14 +9,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"soc/internal/telemetry"
+
 	//soclint:ignore unsafeimport compares two strings' data pointers, read only, to tell a borrowed name from a copy
 	"unsafe"
 )
 
-// answering is a client whose every call of Op is answered with the next
-// of answers' parameters, the last one over and over, in an
-// "OpResponse" element of ns.
-func answering(t *testing.T, ns string, answers ...[]Param) *Client {
+// answering is a route to Op at answersURL in ns, and a client over which
+// its every call is answered with the next of answers' parameters, the
+// last one over and over, in an "OpResponse" element of ns.
+func answering(t *testing.T, ns string, answers ...[]Param) (*Route, *http.Client) {
 	t.Helper()
 	var n atomic.Int64
 	rt := roundTrip(func(r *http.Request) (*http.Response, error) {
@@ -34,7 +37,11 @@ func answering(t *testing.T, ns string, answers ...[]Param) *Client {
 			Body:       io.NopCloser(bytes.NewReader(env)),
 		}, nil
 	})
-	return &Client{HTTPClient: &http.Client{Transport: rt}}
+	op, err := NewRoute(answersURL, ns, "Op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op, &http.Client{Transport: rt}
 }
 
 type roundTrip func(*http.Request) (*http.Response, error)
@@ -43,24 +50,11 @@ func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f
 
 const answersURL, answersNS = "http://answers.test/soap", "http://soc.example/answers"
 
-// learnedRoute is the client's route to Op at answersURL.
-func learnedRoute(t *testing.T, c *Client) *route {
-	t.Helper()
-	rt, err := c.routes.Get(routeKey{answersURL, answersNS, "Op"}, func(routeKey) (*route, error) {
-		t.Fatal("no route to Op")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt
-}
-
 // A route learns the parameter names of its first good answer and lends
 // them to every later decode; an answer whose names change decodes right,
 // a name it did not learn being copied.
 func TestClientLearnsAnswerNames(t *testing.T) {
-	c := answering(t, answersNS,
+	op, hc := answering(t, answersNS,
 		[]Param{{"a", "1"}, {"b", "x"}},
 		[]Param{{"c", "true"}},
 		[]Param{{"a", "2"}, {"c", "y"}})
@@ -70,11 +64,11 @@ func TestClientLearnsAnswerNames(t *testing.T) {
 		{"c": "true"},
 		{"a": "2", "c": "y"},
 	} {
-		got, err := c.CallParams(ctx, answersURL, answersNS, "Op", nil)
+		got, err := op.Call(ctx, hc, telemetry.CallTrace{}, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d = %v, %v; want %v", i, got, err, want)
 		}
-		learned := learnedRoute(t, c).learned.Load()
+		learned := op.learned.Load()
 		wantNames := map[string]string{"OpResponse": "OpResponse", "a": "a", "b": "b"}
 		if learned == nil || !reflect.DeepEqual(learned.known, wantNames) || learned.ns != answersNS {
 			t.Fatalf("after call %d the route learned %v, want %v", i, learned, wantNames)
@@ -96,42 +90,42 @@ func TestClientLearnedNamesBounded(t *testing.T) {
 	for _, c := range "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" {
 		many = append(many, Param{string(c), "1"})
 	}
-	c := answering(t, answersNS, nil, many)
+	op, hc := answering(t, answersNS, nil, many)
 	ctx := context.Background()
-	if _, err := c.CallParams(ctx, answersURL, answersNS, "Op", nil); err != nil {
+	if _, err := op.Call(ctx, hc, telemetry.CallTrace{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if learned := learnedRoute(t, c).learned.Load(); learned != nil {
+	if learned := op.learned.Load(); learned != nil {
 		t.Fatalf("an answer with no parameters taught %v", learned.known)
 	}
-	got, err := c.CallParams(ctx, answersURL, answersNS, "Op", nil)
+	got, err := op.Call(ctx, hc, telemetry.CallTrace{}, nil)
 	if err != nil || len(got) != len(many) {
 		t.Fatalf("call = %d parameters, %v; want %d", len(got), err, len(many))
 	}
-	if learned := learnedRoute(t, c).learned.Load(); learned == nil || len(learned.known) != 1+maxAnswerNames {
+	if learned := op.learned.Load(); learned == nil || len(learned.known) != 1+maxAnswerNames {
 		t.Fatalf("learned %v, want the response name and %d parameters", learned, maxAnswerNames)
 	}
 }
 
 // First answers arriving together each decode right, and one table wins.
 func TestClientConcurrentFirstAnswers(t *testing.T) {
-	c := answering(t, answersNS, []Param{{"a", "1"}, {"b", "x"}})
+	op, hc := answering(t, answersNS, []Param{{"a", "1"}, {"b", "x"}})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				got, err := c.CallParams(context.Background(), answersURL, answersNS, "Op", nil)
+				got, err := op.Call(context.Background(), hc, telemetry.CallTrace{}, nil)
 				if err != nil || !reflect.DeepEqual(got, map[string]string{"a": "1", "b": "x"}) {
-					t.Errorf("CallParams = %v, %v", got, err)
+					t.Errorf("Call = %v, %v", got, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if learned := learnedRoute(t, c).learned.Load(); learned == nil || len(learned.known) != 3 {
+	if learned := op.learned.Load(); learned == nil || len(learned.known) != 3 {
 		t.Fatalf("learned %v, want OpResponse, a and b", learned)
 	}
 }

@@ -1,7 +1,8 @@
 // Package soap implements the SOAP 1.1 document-style message protocol of
 // CSE445 unit 3: envelope encoding and decoding, fault reporting, and the
 // HTTP binding: the server's reading of a request, checked against its
-// SOAPAction, and writing of the answer, and the client.
+// SOAPAction, and writing of the answer, and a client's per-operation
+// Route.
 //
 // Messages are document/literal: the body carries a single operation
 // element in the service namespace whose children are the named
@@ -19,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"soc/internal/callplane"
 	"soc/internal/telemetry"
@@ -98,7 +98,7 @@ func putEncBuf(bp *[]byte) {
 	encPool.Put(bp)
 }
 
-// msgPool recycles the messages Client decodes answers into. The maps
+// msgPool recycles the messages Route.Call decodes answers into. The maps
 // are cleared (not reallocated) between calls, so steady-state decoding
 // does not grow the heap.
 var msgPool = sync.Pool{New: func() any {
@@ -749,33 +749,16 @@ func writeFault(w http.ResponseWriter, status int, f *Fault) {
 	_, _ = w.Write(out)
 }
 
-// Client invokes SOAP operations over HTTP — a thin binding over the
-// call plane: trace context rides both the X-Soc-Trace transport header
-// and an in-message SocTrace header entry, so it survives intermediaries
-// that drop either layer. The zero value is ready to use; a Client must
-// not be copied after its first call.
-type Client struct {
-	// HTTPClient supplies the Transport and the Timeout of every request
-	// (callplane.Do: redirects are returned, not followed, and Jar and
-	// CheckRedirect are not consulted); nil uses a 30 s timeout.
-	HTTPClient *http.Client
-	// Tracer records client spans; nil uses the process default.
-	Tracer *telemetry.Tracer
-
-	// routes holds, per endpoint and operation, what every request to it
-	// shares: the parsed URL and the Content-Type and SOAPAction headers,
-	// and the names its answers spell.
-	routes callplane.Records[routeKey, *route]
-}
-
-type routeKey struct{ url, namespace, operation string }
-
-// route is one operation's requests and the names of their answers: the
-// "<op>Response" element a Server writes, in the request's namespace, and
-// once the first good answer has come, its parameter names too.
-type route struct {
-	req    *callplane.Route
-	answer names
+// Route is one operation's requests at one endpoint under one namespace
+// — the parsed URL and the Content-Type and SOAPAction headers every
+// request shares — and the names of their answers: the "<op>Response"
+// element a Server writes, in the request's namespace, and once the first
+// good answer has come, its parameter names too. A Route is safe for
+// concurrent use.
+type Route struct {
+	namespace, operation string
+	req                  *callplane.Route
+	answer               names
 	// learned is answer with the parameter names of the operation's first
 	// good answer added — at most maxAnswerNames of them — set once;
 	// every later decode borrows from it.
@@ -785,8 +768,24 @@ type route struct {
 // maxAnswerNames bounds the parameter names a route learns from an answer.
 const maxAnswerNames = 32
 
+// NewRoute resolves the route of operation under namespace at url.
+func NewRoute(url, namespace, operation string) (*Route, error) {
+	action := operation
+	if namespace != "" {
+		action = namespace + "#" + operation
+	}
+	req, err := callplane.NewRoute(http.MethodPost, url, operation,
+		"Content-Type", ContentType, "SOAPAction", `"`+action+`"`)
+	if err != nil {
+		return nil, fmt.Errorf("soap: building request: %w", err)
+	}
+	resp := operation + "Response"
+	return &Route{namespace: namespace, operation: operation, req: req,
+		answer: names{known: map[string]string{resp: resp}, ns: namespace}}, nil
+}
+
 // names returns what an answer's decode borrows from.
-func (rt *route) names() *names {
+func (rt *Route) names() *names {
 	if n := rt.learned.Load(); n != nil {
 		return n
 	}
@@ -796,7 +795,7 @@ func (rt *route) names() *names {
 // learn sets, if it is not set yet, the learned names from resp, a good
 // answer's decode that has parameters. An element name is never escaped,
 // so each is spelled in every answer as it reads.
-func (rt *route) learn(resp *Message) {
+func (rt *Route) learn(resp *Message) {
 	if len(resp.ParamOrder) == 0 || rt.learned.Load() != nil {
 		return
 	}
@@ -810,54 +809,38 @@ func (rt *route) learn(resp *Message) {
 	rt.learned.CompareAndSwap(nil, &names{known: known, ns: rt.answer.ns})
 }
 
-// defaultHTTPClient serves every Client that has none of its own.
-var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
+// Call posts one envelope of params, in the order given, over hc — a thin
+// binding over the call plane (callplane.Do) — and returns the answer's
+// parameters in a map that is the caller's own. The trace call
+// (telemetry.Tracer.StartCall) rides both the X-Soc-Trace transport
+// header and the envelope's one SocTrace header entry, so it survives
+// intermediaries that drop either layer. SOAP faults are returned as
+// *Fault errors. The context cancels the in-flight HTTP request, not just
+// the wait for it.
+func (rt *Route) Call(ctx context.Context, hc *http.Client, call telemetry.CallTrace, params []Param) (map[string]string, error) {
+	var tbuf [1]Param
+	var header []Param
+	if call.Header != "" {
+		header = append(tbuf[:0], Param{telemetry.SOAPHeaderName, call.Header})
 	}
-	return defaultHTTPClient
-}
-
-func (c *Client) tracer() *telemetry.Tracer {
-	if c.Tracer != nil {
-		return c.Tracer
-	}
-	return telemetry.Default()
-}
-
-func newRoute(k routeKey) (*route, error) {
-	action := k.operation
-	if k.namespace != "" {
-		action = k.namespace + "#" + k.operation
-	}
-	req, err := callplane.NewRoute(http.MethodPost, k.url, k.operation,
-		"Content-Type", ContentType, "SOAPAction", `"`+action+`"`)
-	if err != nil {
+	body := callplane.GetBuffer()
+	var err error
+	if body.B, err = appendEnvelope(body.B, rt.namespace, rt.operation, header, params); err != nil {
+		body.Release()
 		return nil, err
 	}
-	resp := k.operation + "Response"
-	return &route{req: req, answer: names{known: map[string]string{resp: resp}, ns: k.namespace}}, nil
-}
-
-// CallParams sends operation with params, in the order given, to url and
-// returns the response's parameters in a map that is the caller's own.
-// SOAP faults are returned as *Fault errors. The context cancels the
-// in-flight HTTP request, not just the wait for it.
-func (c *Client) CallParams(ctx context.Context, url, namespace, operation string, params []Param) (map[string]string, error) {
-	sp, tc, ctx := c.startSpan(ctx, url, operation)
-	out, err := c.callParams(ctx, tc, url, namespace, operation, params)
-	sp.EndErr(err)
-	return out, err
-}
-
-func (c *Client) callParams(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (map[string]string, error) {
-	data, rt, err := c.exchange(ctx, tc, url, namespace, operation, params)
+	// The request owns the body from here: the transport may still be
+	// sending it when Do returns, so it is released at Body.Close.
+	httpResp, err := callplane.Do(hc, rt.req.NewRequest(ctx, call, body))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("soap: transport: %w", err)
 	}
+	defer httpResp.Body.Close()
+	data := callplane.GetBuffer()
 	defer data.Release()
+	if err := data.FillResponse(httpResp.Body); err != nil {
+		return nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
+	}
 	// Decode as the server does, into a pooled message, and keep only the
 	// parameters: the values are fresh strings, the names the route's
 	// where it has them, the map is sized to them.
@@ -872,49 +855,4 @@ func (c *Client) callParams(ctx context.Context, tc telemetry.CallTrace, url, na
 		out[k] = v
 	}
 	return out, nil
-}
-
-// startSpan starts the call's client span and returns the trace its
-// request carries (telemetry.Tracer.StartCall).
-func (c *Client) startSpan(ctx context.Context, url, operation string) (*telemetry.Span, telemetry.CallTrace, context.Context) {
-	sp, tc, ctx := c.tracer().StartCall(ctx, telemetry.KindClient, operation)
-	if sp != nil {
-		sp.Target = url
-		sp.Annotate("binding", "soap")
-	}
-	return sp, tc, ctx
-}
-
-// exchange posts one envelope and returns the response body in a pooled
-// buffer, which the caller releases, and the operation's route, which
-// holds the names the answer is expected to spell. A traced call carries
-// its traceparent (tc.Header) as the envelope's one SocTrace header entry.
-func (c *Client) exchange(ctx context.Context, tc telemetry.CallTrace, url, namespace, operation string, params []Param) (*callplane.Buffer, *route, error) {
-	var tbuf [1]Param
-	var header []Param
-	if tc.Header != "" {
-		header = append(tbuf[:0], Param{telemetry.SOAPHeaderName, tc.Header})
-	}
-	rt, err := c.routes.Get(routeKey{url, namespace, operation}, newRoute)
-	if err != nil {
-		return nil, nil, fmt.Errorf("soap: building request: %w", err)
-	}
-	body := callplane.GetBuffer()
-	if body.B, err = appendEnvelope(body.B, namespace, operation, header, params); err != nil {
-		body.Release()
-		return nil, nil, err
-	}
-	// The request owns the body from here: the transport may still be
-	// sending it when Do returns, so it is released at Body.Close.
-	httpResp, err := callplane.Do(c.httpClient(), rt.req.NewRequest(ctx, tc, body))
-	if err != nil {
-		return nil, nil, fmt.Errorf("soap: transport: %w", err)
-	}
-	defer httpResp.Body.Close()
-	data := callplane.GetBuffer()
-	if err := data.FillResponse(httpResp.Body); err != nil {
-		data.Release()
-		return nil, nil, fmt.Errorf("%w: reading envelope: %w", ErrProtocol, err)
-	}
-	return data, rt, nil
 }

@@ -137,10 +137,9 @@ func newEchoServer(t *testing.T) http.Handler {
 func TestServerClientRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(newEchoServer(t))
 	defer ts.Close()
-	c := &Client{}
-	out, err := c.CallParams(context.Background(), ts.URL, "http://soc.example/echo", "Echo", []Param{{"text", "ping"}})
+	out, err := call(context.Background(), ts.Client(), ts.URL, "http://soc.example/echo", "Echo", []Param{{"text", "ping"}})
 	if err != nil {
-		t.Fatalf("CallParams: %v", err)
+		t.Fatalf("Call: %v", err)
 	}
 	if out["echo"] != "ping" {
 		t.Errorf("echo = %q", out["echo"])
@@ -150,13 +149,12 @@ func TestServerClientRoundTrip(t *testing.T) {
 func TestServerFaultPropagation(t *testing.T) {
 	ts := httptest.NewServer(newEchoServer(t))
 	defer ts.Close()
-	c := &Client{}
-	_, err := c.CallParams(context.Background(), ts.URL, "", "Fail", nil)
+	_, err := call(context.Background(), ts.Client(), ts.URL, "", "Fail", nil)
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != "Client" {
 		t.Errorf("err = %v, want Client fault", err)
 	}
-	_, err = c.CallParams(context.Background(), ts.URL, "", "Crash", nil)
+	_, err = call(context.Background(), ts.Client(), ts.URL, "", "Crash", nil)
 	if !errors.As(err, &f) || f.Code != "Server" || !strings.Contains(f.String, "internal breakage") {
 		t.Errorf("err = %v, want Server fault", err)
 	}
@@ -165,8 +163,7 @@ func TestServerFaultPropagation(t *testing.T) {
 func TestServerUnknownOperation(t *testing.T) {
 	ts := httptest.NewServer(newEchoServer(t))
 	defer ts.Close()
-	c := &Client{}
-	_, err := c.CallParams(context.Background(), ts.URL, "", "Nope", nil)
+	_, err := call(context.Background(), ts.Client(), ts.URL, "", "Nope", nil)
 	var f *Fault
 	if !errors.As(err, &f) || !strings.Contains(f.String, "unknown operation") {
 		t.Errorf("err = %v", err)
@@ -301,8 +298,7 @@ func TestServerHandleValidation(t *testing.T) {
 }
 
 func TestClientTransportError(t *testing.T) {
-	c := &Client{}
-	if _, err := c.CallParams(context.Background(), "http://127.0.0.1:1/closed", "", "Op", nil); err == nil {
+	if _, err := call(context.Background(), http.DefaultClient, "http://127.0.0.1:1/closed", "", "Op", nil); err == nil {
 		t.Error("transport error not reported")
 	}
 }
@@ -322,9 +318,8 @@ func TestClientCallContextCancel(t *testing.T) {
 	defer ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	c := &Client{}
 	start := time.Now()
-	_, err := c.CallParams(ctx, ts.URL, "", "Slow", nil)
+	_, err := call(ctx, ts.Client(), ts.URL, "", "Slow", nil)
 	if err == nil {
 		t.Fatal("cancelled call succeeded")
 	}

@@ -166,7 +166,7 @@ func (j *journal) append(r Record) error {
 		}
 	}
 	if err := j.m.Append(r); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
+		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	return nil
 }
