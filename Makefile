@@ -73,7 +73,9 @@ race:
 ## and eviction under the directory's one lock, and the request path's
 ## other locked tables: the metrics set's records racing its report, a
 ## binding client's per-operation records filled concurrently, the front
-## door's picks racing membership churn, and the host's dispatch racing
+## door's picks racing membership churn, its pooled per-request state
+## reused by concurrent local replicas answering in place, each response
+## keeping its own status and body, and the host's dispatch racing
 ## Mount; sampled traces whole or absent across a client, a door and
 ## three hosts whose tracers race to record them; and cursor readers of
 ## a trace ring (Since) racing its recorders, each seeing every span once
@@ -86,7 +88,7 @@ flake:
 	$(GO) test -race -count=20 -run 'TestDoDeadline|TestRecordsResolveOncePerKeyAndStayBounded' ./internal/callplane
 	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry
 	$(GO) test -race -count=20 -run 'TestReportAgreesWithRecords|TestSinceAgainstConcurrentRecorders' ./internal/telemetry
-	$(GO) test -race -count=20 -run TestFrontDoorChurnParallel ./internal/cloud
+	$(GO) test -race -count=20 -run 'TestFrontDoorChurnParallel|TestFrontDoorInPlaceParallel' ./internal/cloud
 	$(GO) test -race -count=20 -run 'TestMountDuringInvokeParallel|TestTracesWholeOrAbsent' ./internal/host
 	$(GO) test -race -count=20 -run TestCacheFillsRaceEvictionAndReplacement ./internal/respcache
 

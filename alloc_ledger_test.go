@@ -24,12 +24,13 @@ import (
 // The allocation ledger of one dispatch-light request. The stack is the
 // benchmark's (bench/requests.go), built from the same public
 // constructors: host.Client over cloud.HandlerTransport into a FrontDoor,
-// three local replica hosts behind it, each with a 1024-entry response
-// cache and Compute and RandomString mounted. Each hop is counted on its
-// own, by testing.AllocsPerRun over a harness that runs only that hop: its
-// input is built once, from what the real hop above sent, and the hop
-// below is replaced by a stand-in that replays what the real one answered
-// and allocates nothing. The whole request is counted on the real stack.
+// three local replica hosts behind it, serving in place into the door's
+// writer, each with a 1024-entry response cache and Compute and
+// RandomString mounted. Each hop is counted on its own, by
+// testing.AllocsPerRun over a harness that runs only that hop: its input
+// is built once, from what the real hop above sent, and the hop below is
+// replaced by a stand-in that replays what the real one answered and
+// allocates nothing. The whole request is counted on the real stack.
 // The ledger fails unless the hops add up to the whole exactly: an
 // allocation that only the composition makes — a pool that stops
 // recycling, a context that only a real caller wraps, a copy one layer
@@ -58,7 +59,6 @@ const (
 	hopClient = iota
 	hopClientDoor
 	hopDoor
-	hopDoorReplica
 	hopHost
 	hopSOAPCodec
 	hopCoerce
@@ -70,7 +70,6 @@ var hopNames = [numHops]string{
 	"client: call, NewRequest, Do, decode",
 	"client↔door exchange",
 	"door proxy",
-	"door↔replica exchange",
 	"host: serve, cache (REST: JSON codec)",
 	"SOAP codec: decode, encode",
 	"core.Invoke coercion",
@@ -104,30 +103,30 @@ type ledgerOp struct {
 var ledgerOps = []ledgerOp{
 	{name: "REST hit", share: 0.4, svc: "Compute", op: "CollatzSteps", cached: true, ttl: time.Hour,
 		in:     core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{8, 3, 1, 3, 0, 0, 0, 0}, {9, 3, 3, 3, 0, 0, 0, 0}}},
+		budget: [2][numHops]float64{{8, 3, 1, 0, 0, 0, 0}, {9, 3, 3, 0, 0, 0, 0}}},
 	{name: "REST Generate", share: 0.3, svc: "RandomString", op: "Generate", ttl: time.Hour,
 		raw: core.Values{"length": float64(ledgerLength)}, in: core.Values{"length": int64(ledgerLength)},
-		budget: [2][numHops]float64{{8, 3, 1, 3, 1, 0, 0, 4}, {9, 3, 3, 3, 2, 0, 0, 4}}},
+		budget: [2][numHops]float64{{8, 3, 1, 1, 0, 0, 4}, {9, 3, 3, 2, 0, 0, 4}}},
 	{name: "SOAP Generate", share: 0.3, svc: "RandomString", op: "Generate", soap: true, ttl: time.Hour,
 		ns:  services.NamespacePrefix + "randomstring",
 		raw: core.Values{"length": fmt.Sprint(ledgerLength)}, in: core.Values{"length": int64(ledgerLength)},
-		budget: [2][numHops]float64{{7, 3, 1, 3, 1, 1, 0, 4}, {8, 3, 3, 3, 2, 1, 0, 4}}},
+		budget: [2][numHops]float64{{7, 3, 1, 1, 1, 0, 4}, {8, 3, 3, 2, 1, 0, 4}}},
 	// An idempotent SOAP call, which bench does not send: the host keys
 	// and dispatches it from its one decode of the envelope.
 	{name: "SOAP hit", svc: "Compute", op: "CollatzSteps", soap: true, cached: true, ttl: time.Hour,
 		ns: services.NamespacePrefix + "compute", in: core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{9, 3, 1, 3, 0, 1, 0, 0}, {10, 3, 3, 3, 0, 1, 0, 0}}},
+		budget: [2][numHops]float64{{9, 3, 1, 0, 1, 0, 0}, {10, 3, 3, 0, 1, 0, 0}}},
 	{name: "SOAP miss", svc: "Compute", op: "CollatzSteps", soap: true, ttl: time.Nanosecond,
 		ns:  services.NamespacePrefix + "compute",
 		raw: core.Values{"n": fmt.Sprint(ledgerN)}, in: core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{9, 3, 1, 3, 8, 1, 1, 3}, {10, 3, 3, 3, 10, 1, 1, 3}}},
+		budget: [2][numHops]float64{{9, 3, 1, 8, 1, 1, 3}, {10, 3, 3, 10, 1, 1, 3}}},
 	// An idempotent REST call that misses, which dispatch-light does not
 	// send: the path crypto-heavy's every Decrypt takes — a POST keyed
 	// from its canonical JSON, filled through a recorder and stored, its
 	// entry expired by the next request.
 	{name: "REST miss", svc: "Compute", op: "CollatzSteps", ttl: time.Nanosecond,
 		raw: core.Values{"n": float64(ledgerN)}, in: core.Values{"n": int64(ledgerN)},
-		budget: [2][numHops]float64{{8, 3, 1, 3, 7, 0, 1, 3}, {9, 3, 3, 3, 9, 0, 1, 3}}},
+		budget: [2][numHops]float64{{8, 3, 1, 7, 0, 1, 3}, {9, 3, 3, 9, 0, 1, 3}}},
 }
 
 // call is the benchmark's op: the args map, built fresh as dispatch-light
@@ -190,19 +189,19 @@ func ledgerClient(rt http.RoundTripper, rate float64) *host.Client {
 	}
 }
 
-// ledgerStack builds the whole stack for o; seam wraps the client's
-// transport and each replica's, for the capture run (nil: the real stack).
-func ledgerStack(t *testing.T, o *ledgerOp, rate float64, seam func(string, http.RoundTripper) http.RoundTripper) *host.Client {
+// ledgerStack builds the whole stack for o; seam wraps the door's handler
+// and each replica's, for the capture run (nil: the real stack).
+func ledgerStack(t *testing.T, o *ledgerOp, rate float64, seam func(string, http.Handler) http.Handler) *host.Client {
 	t.Helper()
 	if seam == nil {
-		seam = func(_ string, rt http.RoundTripper) http.RoundTripper { return rt }
+		seam = func(_ string, h http.Handler) http.Handler { return h }
 	}
 	fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Tracer: telemetry.NewTracer(0)})
 	for i := 0; i < ledgerReplicas; i++ {
-		rt := seam("replica", cloud.HandlerTransport(ledgerHost(t, ledgerServices(t), o.ttl)))
-		fd.Add(cloud.NewReplica(fmt.Sprintf("replica-%d", i), rt, ledgerReplicaN))
+		h := seam("replica", ledgerHost(t, ledgerServices(t), o.ttl))
+		fd.Add(cloud.NewLocalReplica(fmt.Sprintf("replica-%d", i), h, ledgerReplicaN))
 	}
-	return ledgerClient(seam("door", cloud.HandlerTransport(fd)), rate)
+	return ledgerClient(cloud.HandlerTransport(seam("door", fd)), rate)
 }
 
 // exchange is one request and its answer as a seam saw them.
@@ -215,29 +214,46 @@ type exchange struct {
 	body         []byte
 }
 
-// capture records the last exchange through each seam.
+// capture is a seam: it serves each request through the handler it wraps
+// and records the last exchange.
 type capture struct {
-	inner http.RoundTripper
+	inner http.Handler
 	last  *exchange
 }
 
-func (c *capture) RoundTrip(req *http.Request) (*http.Response, error) {
+func (c *capture) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	ex := &exchange{method: req.Method, path: req.URL.Path, reqHeader: req.Header.Clone()}
-	if req.Body != nil {
-		ex.reqBody, _ = io.ReadAll(req.Body)
-		_ = req.Body.Close()
-		req.Body = io.NopCloser(bytes.NewReader(ex.reqBody))
+	ex.reqBody, _ = io.ReadAll(req.Body)
+	in := req.WithContext(req.Context())
+	in.Body = io.NopCloser(bytes.NewReader(ex.reqBody))
+	c.inner.ServeHTTP(&tee{ResponseWriter: w, ex: ex}, in)
+	if ex.status == 0 {
+		ex.status = http.StatusOK
 	}
-	resp, err := c.inner.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	ex.status, ex.header = resp.StatusCode, resp.Header.Clone()
-	ex.body, _ = io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	resp.Body = io.NopCloser(bytes.NewReader(ex.body))
+	ex.header = w.Header().Clone()
 	c.last = ex
-	return resp, nil
+}
+
+// tee writes an answer through to the writer it wraps and keeps its
+// status and body in ex.
+type tee struct {
+	http.ResponseWriter
+	ex *exchange
+}
+
+func (t *tee) WriteHeader(code int) {
+	if t.ex.status == 0 {
+		t.ex.status = code
+	}
+	t.ResponseWriter.WriteHeader(code)
+}
+
+func (t *tee) Write(p []byte) (int, error) {
+	if t.ex.status == 0 {
+		t.ex.status = http.StatusOK
+	}
+	t.ex.body = append(t.ex.body, p...)
+	return t.ResponseWriter.Write(p)
 }
 
 // replayBody is a reusable response or request body; it keeps
@@ -269,8 +285,8 @@ func (r *replay) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &r.resp, nil
 }
 
-// ServeHTTP writes the captured answer, as the real handler below an
-// in-memory exchange does: header value slices assigned, not copied.
+// ServeHTTP writes the captured answer, as the real handler below a door
+// or an in-memory exchange does: header value slices assigned, not copied.
 func (r *replay) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	h := w.Header()
 	for k, vs := range r.resp.Header {
@@ -374,11 +390,11 @@ func ledger(t *testing.T, o *ledgerOp, sampled bool) (hops [numHops]float64, who
 	}
 	ctx := context.Background()
 
-	// The capture run: what crosses the client↔door and door↔replica
-	// seams, after enough calls that every replica's cache is warm.
+	// What the door and the replicas are asked and answer, after enough
+	// calls that every replica's cache is warm.
 	door, replicas := &capture{}, []*capture{}
-	client := ledgerStack(t, o, rate, func(at string, rt http.RoundTripper) http.RoundTripper {
-		c := &capture{inner: rt}
+	client := ledgerStack(t, o, rate, func(at string, h http.Handler) http.Handler {
+		c := &capture{inner: h}
 		if at == "door" {
 			door = c
 		} else {
@@ -412,30 +428,27 @@ func ledger(t *testing.T, o *ledgerOp, sampled bool) (hops [numHops]float64, who
 	sdk := ledgerClient(replayDoor, rate)
 	hops[hopClient] = count(t, func() error { return o.call(ctx, sdk) })
 
-	// The two in-memory exchanges, each under a handler that writes the
-	// captured answer.
-	exchanged := func(ex *exchange) float64 {
-		rt := cloud.HandlerTransport(newReplay(ex))
-		req, err := http.NewRequestWithContext(ctx, ex.method, ledgerBase+ex.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return count(t, func() error {
-			resp, err := rt.RoundTrip(req)
-			if err != nil {
-				return err
-			}
-			return resp.Body.Close()
-		})
+	// The in-memory exchange, under a handler that writes the captured
+	// answer.
+	toDoorRT := cloud.HandlerTransport(newReplay(atDoor))
+	doorReq, err := http.NewRequestWithContext(ctx, atDoor.method, ledgerBase+atDoor.path, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hops[hopClientDoor] = exchanged(atDoor)
+	hops[hopClientDoor] = count(t, func() error {
+		resp, err := toDoorRT.RoundTrip(doorReq)
+		if err != nil {
+			return err
+		}
+		return resp.Body.Close()
+	})
 
-	// door: admission, pick, the proxy chain and the relay of the
-	// replica's answer, over replicas that replay it.
+	// door: admission, pick and the proxy chain, over local replicas that
+	// write the captured answer in place.
 	traced, tp := traceCtx(sampled)
 	fd := cloud.NewFrontDoor(cloud.FrontDoorConfig{Tracer: telemetry.NewTracer(0)})
 	for i := 0; i < ledgerReplicas; i++ {
-		fd.Add(cloud.NewReplica(fmt.Sprintf("replica-%d", i), newReplay(atReplica), ledgerReplicaN))
+		fd.Add(cloud.NewLocalReplica(fmt.Sprintf("replica-%d", i), newReplay(atReplica), ledgerReplicaN))
 	}
 	toDoor := newInbound(t, traced, atDoor, tp)
 	w := &sink{h: http.Header{}}
@@ -447,7 +460,6 @@ func ledger(t *testing.T, o *ledgerOp, sampled bool) (hops [numHops]float64, who
 		}
 	}
 	hops[hopDoor] = count(t, serve(fd, toDoor))
-	hops[hopDoorReplica] = exchanged(atReplica)
 
 	// host: routing, the response cache, the binding's codec and
 	// core.Service.Invoke, over services whose handlers allocate nothing.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -202,16 +203,20 @@ func head(b []byte) []byte {
 	return b
 }
 
-// TestFrontDoorRelaysHeaders: multi-valued replica headers arrive whole,
-// and join — not replace — what an outer layer already set on the writer.
+// headerHandler answers 418 with a two-valued X-Multi and X-Outer set.
+var headerHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	w.Header().Add("X-Multi", "a")
+	w.Header().Add("X-Multi", "b")
+	w.Header().Set("X-Outer", "replica")
+	w.WriteHeader(http.StatusTeapot)
+})
+
+// TestFrontDoorRelaysHeaders: multi-valued headers of a relayed replica's
+// response arrive whole, and join — not replace — what an outer layer
+// already set on the writer.
 func TestFrontDoorRelaysHeaders(t *testing.T) {
 	fd := NewFrontDoor(FrontDoorConfig{})
-	fd.Add(NewLocalReplica("r", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Add("X-Multi", "a")
-		w.Header().Add("X-Multi", "b")
-		w.Header().Set("X-Outer", "replica")
-		w.WriteHeader(http.StatusTeapot)
-	}), 0))
+	fd.Add(NewReplica("r", HandlerTransport(headerHandler), 0))
 	rec := httptest.NewRecorder()
 	rec.Header().Set("X-Outer", "outer")
 	fd.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/x", nil))
@@ -228,5 +233,125 @@ func TestFrontDoorRelaysHeaders(t *testing.T) {
 	// an array the replica's side may share.
 	if got := rec.Header()["X-Multi"]; cap(got) != len(got) {
 		t.Errorf("relayed slice has spare capacity %d", cap(got)-len(got))
+	}
+}
+
+// TestFrontDoorInPlaceHeaders: a local replica's handler writes into the
+// client's writer itself, so its Set replaces what an outer layer set
+// there, as it would serving the client directly.
+func TestFrontDoorInPlaceHeaders(t *testing.T) {
+	fd := NewFrontDoor(FrontDoorConfig{})
+	fd.Add(NewLocalReplica("r", headerHandler, 0))
+	rec := httptest.NewRecorder()
+	rec.Header().Set("X-Outer", "outer")
+	fd.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/x", nil))
+	if rec.Code != http.StatusTeapot {
+		t.Fatalf("status %d", rec.Code)
+	}
+	if got := rec.Header()["X-Multi"]; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("X-Multi = %v", got)
+	}
+	if got := rec.Header()["X-Outer"]; len(got) != 1 || got[0] != "replica" {
+		t.Errorf("X-Outer = %v", got)
+	}
+}
+
+// TestFrontDoorInPlaceStatus: the status a local replica answers with in
+// place is the one its EWMA, its failure count and the door's /metricz
+// see: the first WriteHeader's, or 200 when the body comes first or
+// nothing is written.
+func TestFrontDoorInPlaceStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+		code    int
+		failed  bool
+	}{
+		{"503", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusServiceUnavailable) }, 503, true},
+		{"writes nothing", func(http.ResponseWriter, *http.Request) {}, 200, false},
+		{"a second WriteHeader after 200", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(200); w.WriteHeader(503) }, 200, false},
+		{"a second WriteHeader after 502", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(502); w.WriteHeader(200) }, 502, true},
+		{"WriteHeader after the body", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "x"); w.WriteHeader(500) }, 200, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd := NewFrontDoor(FrontDoorConfig{})
+			fd.Add(NewLocalReplica("r", tc.handler, 0))
+			if rec := get(t, fd, "/x"); rec.Code != tc.code {
+				t.Fatalf("client got %d, want %d", rec.Code, tc.code)
+			}
+			var failed uint64
+			if tc.failed {
+				failed = 1
+			}
+			if st := fd.Replica("r").Status(); st.Failed != failed || st.Completed != 1-failed {
+				t.Errorf("replica counted failed %d, completed %d; want failed %d", st.Failed, st.Completed, failed)
+			}
+			if op := fd.metrics.Report().Operations["frontdoor.proxy"]; op.Calls != 1 || op.Errors != failed {
+				t.Errorf("frontdoor.proxy: %d calls, %d errors; want 1, %d", op.Calls, op.Errors, failed)
+			}
+		})
+	}
+}
+
+// TestFrontDoorInPlaceParallel: concurrent requests through one door over
+// three local replicas, each with its own body and status, reuse the
+// door's pooled per-request state. Every response must carry its own
+// status, header and body, and the failures the replicas and /metricz
+// count must be exactly the 5xx answers sent: a status writer carried
+// over from an earlier request would keep that request's code.
+func TestFrontDoorInPlaceParallel(t *testing.T) {
+	fd := NewFrontDoor(FrontDoorConfig{Seed: 3})
+	echo := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		code, err := strconv.Atoi(r.Header.Get("X-Status"))
+		if err != nil {
+			t.Errorf("X-Status: %v", err)
+		}
+		body, _ := io.ReadAll(r.Body)
+		w.Header().Set("X-Echo", string(body))
+		w.WriteHeader(code)
+		_, _ = w.Write(body)
+	})
+	for i := 0; i < 3; i++ {
+		fd.Add(NewLocalReplica(fmt.Sprintf("r%d", i), echo, 0))
+	}
+	codes := []int{200, 201, 404, 500, 503, 200, 502}
+	const goroutines, requests = 8, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				code, body := codes[(g+i)%len(codes)], fmt.Sprintf("g%d-i%d", g, i)
+				req := httptest.NewRequest(http.MethodPost, "/echo", strings.NewReader(body))
+				req.Header.Set("X-Status", strconv.Itoa(code))
+				rec := httptest.NewRecorder()
+				fd.ServeHTTP(rec, req)
+				if rec.Code != code || rec.Body.String() != body || rec.Header().Get("X-Echo") != body {
+					t.Errorf("request %s: got %d %q (X-Echo %q), want %d", body, rec.Code, rec.Body, rec.Header().Get("X-Echo"), code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var want5xx uint64
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < requests; i++ {
+			if codes[(g+i)%len(codes)] >= 500 {
+				want5xx++
+			}
+		}
+	}
+	var failed, completed uint64
+	for _, rep := range fd.Replicas() {
+		st := rep.Status()
+		failed, completed = failed+st.Failed, completed+st.Completed
+	}
+	if failed != want5xx || failed+completed != goroutines*requests {
+		t.Errorf("replicas counted %d failed, %d completed; want %d failed of %d", failed, completed, want5xx, goroutines*requests)
+	}
+	if op := fd.metrics.Report().Operations["frontdoor.proxy"]; op.Calls != goroutines*requests || op.Errors != want5xx {
+		t.Errorf("frontdoor.proxy: %d calls, %d errors; want %d, %d", op.Calls, op.Errors, goroutines*requests, want5xx)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -353,22 +352,48 @@ func (fd *FrontDoor) shedResponse(w http.ResponseWriter, r *http.Request, why st
 }
 
 // proxyCall is the state of one proxied request, pooled: the invocation
-// whose Do it is, the buffered inbound body, and what the attempts leave
-// behind for the relay and for the next attempt.
+// whose Do it is, the buffered inbound body, the client's writer as the
+// replicas see it, and what a failed attempt leaves behind for the next.
 type proxyCall struct {
 	fd   *FrontDoor
 	r    *http.Request
 	clk  vtime.Clock          // the request's, read once
 	inv  callplane.Invocation // inv.Do is bound to this proxyCall once, for its lifetime
 	body *callplane.Buffer    // nil for a bodiless request
-	resp *http.Response
+	w    statusWriter
 	// lastFailed is the replica the previous attempt failed on.
 	lastFailed string
-	// lent counts attempt bodies a transport has not closed yet. A local
-	// replica closes before RoundTrip returns; http.Transport may still be
-	// writing one after an early response, or after its attempt failed.
+	// lent counts attempt bodies a replica has not closed yet. A local
+	// replica closes before its exchange returns; http.Transport may still
+	// be writing one after an early response, or after its attempt failed.
 	lent atomic.Int32
 }
+
+// statusWriter is the client's writer as a replica answers into it: it
+// passes everything through and keeps the answer's status code for the
+// replica's EWMA and the door's /metricz. The first WriteHeader decides
+// it; a body written first, or no answer at all, means 200.
+type statusWriter struct {
+	http.ResponseWriter
+	code int // 0 until the answer's status is known
+}
+
+func (sw *statusWriter) WriteHeader(code int) {
+	if sw.code == 0 {
+		sw.code = code
+	}
+	sw.ResponseWriter.WriteHeader(code)
+}
+
+func (sw *statusWriter) Write(p []byte) (int, error) {
+	if sw.code == 0 {
+		sw.code = http.StatusOK
+	}
+	return sw.ResponseWriter.Write(p)
+}
+
+// failed reports a 5xx answer.
+func (sw *statusWriter) failed() bool { return sw.code >= http.StatusInternalServerError }
 
 var proxyCallPool = sync.Pool{New: func() any {
 	pc := &proxyCall{}
@@ -416,8 +441,7 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 	pc.lent.Add(1)
 	req := callplane.Forward(ctx, pc.r, body, pc)
 	t0 := pc.clk.Now()
-	rsp, err := rep.rt.RoundTrip(req)
-	if err != nil {
+	if err = rep.exchange(&pc.w, req); err != nil {
 		if vtime.GaveUp(ctx, err) {
 			// The caller gave up, which says nothing about the replica:
 			// no latency sample, no failure, and no sibling to replay a
@@ -435,8 +459,7 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		pc.lastFailed = rep.Name()
 		return fmt.Errorf("%w: %s: %w", errExchange, rep.Name(), err)
 	}
-	rep.observe(pc.clk.Now().Sub(t0), rsp.StatusCode >= http.StatusInternalServerError)
-	pc.resp = rsp
+	rep.observe(pc.clk.Now().Sub(t0), pc.w.failed())
 	return nil
 }
 
@@ -470,7 +493,7 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	fd.admitted.Add(1)
 
 	start := clk.Now()
-	pc.fd, pc.r, pc.clk = fd, r, clk
+	pc.fd, pc.r, pc.clk, pc.w.ResponseWriter = fd, r, clk, w
 	pc.inv.Binding = "proxy"
 	pc.inv.Remote, _ = telemetry.FromHTTPHeader(r.Header)
 	// Only the request's span reads its name, so an untraced door or an
@@ -484,8 +507,7 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		fd.completed.Add(1)
-		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), pc.resp.StatusCode >= http.StatusInternalServerError)
-		copyResponse(w, pc.resp)
+		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), pc.w.failed())
 	case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicasSaturated):
 		fd.shedBusy.Add(1)
 		fd.shedResponse(w, r, err.Error())
@@ -583,22 +605,4 @@ func (fd *FrontDoor) pickAcquired(exclude string) (*Replica, error) {
 		}
 	}
 	return nil, ErrReplicasSaturated
-}
-
-// copyResponse relays a replica's buffered response to the client. Header
-// value slices are handed over, not copied, clipped to their length: a
-// replica may have handed over a shared slice itself (a cached entry's),
-// so whoever appends next must reallocate.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	defer func() { _ = resp.Body.Close() }()
-	h := w.Header()
-	for k, vs := range resp.Header {
-		if cur := h[k]; len(cur) > 0 {
-			h[k] = append(cur, vs...)
-		} else {
-			h[k] = vs[:len(vs):len(vs)]
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 }

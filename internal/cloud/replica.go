@@ -15,13 +15,16 @@ import (
 )
 
 // Replica is one live backend in the front door's rotation: a name, an
-// exchange transport (in-process handler or remote base URL), and the
-// lock-free instrument block the power-of-two-choices picker reads —
-// in-flight count, EWMA latency, pick/outcome counters, and the draining
-// flag that takes it out of rotation while existing requests finish.
+// exchange (an in-process handler served in place, or a transport whose
+// answer is relayed), and the lock-free instrument block the
+// power-of-two-choices picker reads — in-flight count, EWMA latency,
+// pick/outcome counters, and the draining flag that takes it out of
+// rotation while existing requests finish.
 type Replica struct {
 	name string
-	rt   http.RoundTripper
+	// exchange serves req into w. An error means nothing was written to
+	// w, so the door may replay req on a sibling.
+	exchange func(w http.ResponseWriter, req *http.Request) error
 	// maxInFlight caps concurrent requests on this replica (0 = no cap);
 	// this is the per-machine capacity the balancer spreads around.
 	maxInFlight int
@@ -41,18 +44,35 @@ type Replica struct {
 	DrainNotify func(bool)
 }
 
-// NewReplica builds a replica over an arbitrary exchange transport. Most
-// callers want NewLocalReplica or NewHTTPReplica; harnesses that need to
-// model process death inject a transport whose RoundTrip fails like a
+// NewReplica builds a replica over an arbitrary exchange transport: the
+// door sends each request through rt and relays the response it returns.
+// Most callers want NewLocalReplica or NewHTTPReplica; harnesses that need
+// to model process death inject a transport whose RoundTrip fails like a
 // dead TCP peer.
 func NewReplica(name string, rt http.RoundTripper, maxInFlight int) *Replica {
-	return &Replica{name: name, rt: rt, maxInFlight: maxInFlight}
+	return &Replica{name: name, maxInFlight: maxInFlight, exchange: func(w http.ResponseWriter, req *http.Request) error {
+		resp, err := rt.RoundTrip(req)
+		if err != nil {
+			return err
+		}
+		relay(w, resp)
+		return nil
+	}}
 }
 
 // NewLocalReplica builds a replica over an in-process handler (e.g. a
-// *host.Host), exchanged through HandlerTransport.
+// *host.Host), which serves each request straight into the door's
+// writer: no response is buffered or relayed. Its exchange cannot fail
+// before the handler runs, so the door never replays a request it sent
+// here.
 func NewLocalReplica(name string, h http.Handler, maxInFlight int) *Replica {
-	return NewReplica(name, HandlerTransport(h), maxInFlight)
+	return &Replica{name: name, maxInFlight: maxInFlight, exchange: func(w http.ResponseWriter, req *http.Request) error {
+		h.ServeHTTP(w, req)
+		// Closing the forwarded body gives the door's buffer back, as a
+		// RoundTripper's close would.
+		_ = req.Body.Close()
+		return nil
+	}}
 }
 
 // NewHTTPReplica builds a replica proxying to a remote base URL. client
@@ -165,11 +185,30 @@ func (r *Replica) Status() ReplicaStatus {
 	}
 }
 
-// HandlerTransport adapts an in-process http.Handler to the RoundTripper
-// exchange a Replica performs: the handler's response is buffered and
-// returned as an *http.Response, so the front door treats local and
-// remote replicas identically (including replaying a request against a
-// different replica after a failure — nothing was written to the client).
+// relay writes a replica's response to the client. Header value slices
+// are handed over, not copied, clipped to their length: a replica may
+// have handed over a shared slice itself (a cached entry's), so whoever
+// appends next must reallocate. What an outer layer already set on w is
+// joined, not replaced.
+func relay(w http.ResponseWriter, resp *http.Response) {
+	defer func() { _ = resp.Body.Close() }()
+	h := w.Header()
+	for k, vs := range resp.Header {
+		if cur := h[k]; len(cur) > 0 {
+			h[k] = append(cur, vs...)
+		} else {
+			h[k] = vs[:len(vs):len(vs)]
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, resp.Body)
+}
+
+// HandlerTransport adapts an in-process http.Handler to an
+// http.RoundTripper: the handler's response is buffered and returned as
+// an *http.Response, so an http.Client can call a server in the same
+// process with no socket. The front door does not use it: a local
+// replica (NewLocalReplica) serves into the door's writer directly.
 func HandlerTransport(h http.Handler) http.RoundTripper {
 	return handlerTransport{h: h}
 }

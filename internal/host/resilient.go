@@ -74,7 +74,6 @@ func (p Policy) withDefaults() Policy {
 // replica is one backend: its client and its private circuit breaker, so
 // one bad replica can't open the circuit for its siblings.
 type replica struct {
-	url     string
 	client  *Client
 	breaker *reliability.Breaker
 }
@@ -86,9 +85,8 @@ type replica struct {
 // as one trace tree whose attempt spans carry the replica tried, the
 // attempt number, and breaker/skip annotations. Safe for concurrent use.
 type ResilientClient struct {
-	replicas []*replica
-	byURL    map[string]*replica
-	chain    callplane.Transport
+	byURL map[string]*replica
+	chain callplane.Transport
 
 	attempts  atomic.Uint64 // individual replica attempts
 	failovers atomic.Uint64 // attempts beyond the first within one pass
@@ -110,9 +108,7 @@ func NewResilientClient(policy Policy, baseURLs ...string) (*ResilientClient, er
 		c := NewClient(u)
 		c.HTTPClient = policy.HTTPClient
 		c.Tracer = policy.Tracer
-		rep := &replica{url: u, client: c, breaker: br}
-		rc.replicas = append(rc.replicas, rep)
-		rc.byURL[u] = rep
+		rc.byURL[u] = &replica{client: c, breaker: br}
 	}
 	fo, err := reliability.NewFailover(baseURLs...)
 	if err != nil {

@@ -231,10 +231,10 @@ func TestResilientClientBreakerIsolation(t *testing.T) {
 		}
 	}
 	// The dead replica's breaker opened; the live one's stayed closed.
-	if got := rc.replicas[0].breaker.State(ctx); got != reliability.Open {
+	if got := rc.Breaker(dead.URL).State(ctx); got != reliability.Open {
 		t.Errorf("dead replica breaker = %v, want open", got)
 	}
-	if got := rc.replicas[1].breaker.State(ctx); got != reliability.Closed {
+	if got := rc.Breaker(live.URL).State(ctx); got != reliability.Closed {
 		t.Errorf("live replica breaker = %v, want closed", got)
 	}
 }
