@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake fuzz chaos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
+.PHONY: ci build vet lint lint-ci soclint soclint-json contracts test race flake fuzz chaos demos short perf load-smoke cluster-smoke workflow-smoke trace-demo sim crash
 
 ## ci: the full gate — build, lint (vet + soclint in machine-readable
 ## mode), race-enabled tests, the flake gate (concurrent orchestration,
@@ -8,9 +8,9 @@ GO ?= go
 ## concurrent readers, 20 race-enabled repeats), the fuzz targets, the
 ## deterministic simulation corpus, the exhaustive WAL, workflow-journal
 ## and registry crash-point corpora, the end-to-end performance check,
-## the open-loop load smoke, and the cluster + workflow orchestration
-## smokes
-ci: build lint-ci race flake fuzz sim crash perf load-smoke cluster-smoke workflow-smoke
+## the open-loop load smoke, the cluster + workflow orchestration
+## smokes, and the fault-injection examples
+ci: build lint-ci race flake fuzz sim crash perf load-smoke cluster-smoke workflow-smoke demos
 
 build:
 	$(GO) build ./...
@@ -113,6 +113,14 @@ fuzz:
 ## chaos: just the fault-injection chaos suite, verbosely
 chaos:
 	$(GO) test -race -v -run TestIntegrationChaos .
+
+## demos: the two examples that put fault injection on a client's links
+## to real localhost replicas — the naive vs resilient comparison
+## (examples/chaos) and the trace of one call through injected faults
+## (examples/tracedemo); either exiting non-zero fails the target
+demos:
+	$(GO) run ./examples/chaos -calls 50
+	$(GO) run ./examples/tracedemo
 
 # Seed corpus for the simulation gate. Override to widen the sweep
 # (SIM_SEEDS=500) or shift it (SIM_FIRST=1000) without editing this file.

@@ -1,10 +1,10 @@
 // Command chaos demonstrates the dependability stack end to end over
-// real HTTP: it serves three replicas of a service — two wrapped in a
-// seeded fault injector (30% errors, latency spikes, a little payload
-// corruption), one fully down — then compares a naive host.Client
-// hammering a single faulty replica against a host.ResilientClient
-// with retries, per-replica breakers, a bulkhead, and health-aware
-// failover across all three.
+// real HTTP: it serves three replicas of a service — two reached through
+// a seeded fault injector on the clients' link (30% errors, latency
+// spikes, a little payload corruption), one fully down — then compares
+// a naive host.Client hammering a single faulty replica against a
+// host.ResilientClient with retries, per-replica breakers, a bulkhead,
+// and health-aware failover across all three.
 //
 //	go run ./examples/chaos [-calls 200] [-seed 445]
 package main
@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"soc/internal/core"
@@ -55,9 +56,20 @@ func newTargetHost(seed int64) (*host.Host, *faultinject.Injector, error) {
 		return nil, nil, err
 	}
 	h := host.New()
-	h.Use(inj.Middleware())
 	h.MustMount(svc)
 	return h, inj, nil
+}
+
+// faultNet is the clients' network: it routes each request by URL host
+// to the fault transport of the replica it addresses. A host with none —
+// the down replica — gets the default transport, so it still refuses.
+type faultNet map[string]http.RoundTripper
+
+func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt, ok := n[req.URL.Host]; ok {
+		return rt.RoundTrip(req)
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // serve binds a handler to an ephemeral localhost port and returns its
@@ -112,9 +124,14 @@ func run() error {
 		return err
 	}
 	fmt.Printf("replicas: A=%s (faulty)  B=%s (down)  C=%s (faulty)\n\n", urlA, urlB, urlC)
+	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: faultNet{
+		strings.TrimPrefix(urlA, "http://"): injA.Transport(nil),
+		strings.TrimPrefix(urlC, "http://"): injC.Transport(nil),
+	}}
 
 	// --- Naive baseline: bare client, single faulty replica. ---
 	naive := host.NewClient(urlA)
+	naive.HTTPClient = httpClient
 	naiveFail := 0
 	for i := 0; i < *calls; i++ {
 		if _, err := naive.Call(ctx, "Target", "Work", core.Values{"x": i}); err != nil {
@@ -154,6 +171,7 @@ func run() error {
 		BreakerCooldown:  50 * time.Millisecond,
 		MaxConcurrent:    32,
 		Health:           hc,
+		HTTPClient:       httpClient,
 	}, urls...)
 	if err != nil {
 		return err

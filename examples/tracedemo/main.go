@@ -1,9 +1,9 @@
 // Command tracedemo walks the unified call plane end to end: it serves
-// three replicas of a Quote service — two forced to fail, one failing
-// only its first call — drives a single resilient call through retry and
-// failover, repeats an idempotent call so the response cache answers it,
-// then merges the client's and every host's span rings and prints the
-// reassembled trace trees. The output is the same rendering GET
+// three replicas of a Quote service — the client's links to two forced
+// to fail, to one failing only its first call — drives a single
+// resilient call through retry and failover, repeats an idempotent call
+// so the response cache answers it, then merges the client's and every
+// host's span rings and prints the reassembled trace trees. The output is the same rendering GET
 // /tracez?format=tree serves on a live host.
 //
 //	go run ./examples/tracedemo
@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"soc/internal/core"
@@ -25,7 +26,7 @@ import (
 	"soc/internal/telemetry"
 )
 
-func newQuoteHost(plan faultinject.Plan) (*host.Host, error) {
+func newQuoteHost() (*host.Host, error) {
 	svc, err := core.NewService("Quote", "http://soc.example/quote", "trace demo target")
 	if err != nil {
 		return nil, err
@@ -40,15 +41,20 @@ func newQuoteHost(plan faultinject.Plan) (*host.Host, error) {
 		},
 	})
 	h := host.New()
-	inj, err := faultinject.New(plan)
-	if err != nil {
-		return nil, err
-	}
-	inj.Tracer = h.Tracer()
-	h.Use(inj.Middleware())
 	h.MustMount(svc)
 	h.UseResponseCache(64, time.Minute)
 	return h, nil
+}
+
+// faultNet is the client's network: it routes each request by URL host
+// to the fault transport of the replica it addresses.
+type faultNet map[string]http.RoundTripper
+
+func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt, ok := n[req.URL.Host]; ok {
+		return rt.RoundTrip(req)
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 func serve(h http.Handler) (string, func(), error) {
@@ -72,10 +78,14 @@ func run() error {
 		"Quote.Price": {ErrorRate: 1e-12, Burst: faultinject.Burst{Every: 1 << 30, Length: 1}},
 	}}
 
+	// Rate 1: the demo's one call is the trace it prints. Each injected
+	// fault is an event in it, under the attempt it failed.
+	tracer := telemetry.NewSamplingTracer(256, 1)
 	hosts := make([]*host.Host, 0, 3)
 	urls := make([]string, 0, 3)
+	links := faultNet{}
 	for _, plan := range []faultinject.Plan{alwaysFail, alwaysFail, failOnce} {
-		h, err := newQuoteHost(plan)
+		h, err := newQuoteHost()
 		if err != nil {
 			return err
 		}
@@ -84,15 +94,20 @@ func run() error {
 			return err
 		}
 		defer stop()
+		inj, err := faultinject.New(plan)
+		if err != nil {
+			return err
+		}
+		inj.Tracer = tracer
+		links[strings.TrimPrefix(u, "http://")] = inj.Transport(nil)
 		hosts = append(hosts, h)
 		urls = append(urls, u)
 	}
 	fmt.Printf("replicas: A=%s (always faults)  B=%s (always faults)  C=%s (faults once)\n\n", urls[0], urls[1], urls[2])
 
-	// Rate 1: the demo's one call is the trace it prints.
-	tracer := telemetry.NewSamplingTracer(256, 1)
 	rc, err := host.NewResilientClient(host.Policy{
-		Timeout: 2 * time.Second,
+		HTTPClient: &http.Client{Timeout: 30 * time.Second, Transport: links},
+		Timeout:    2 * time.Second,
 		Retry: reliability.RetryPolicy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,

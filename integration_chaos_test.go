@@ -41,8 +41,8 @@ func chaosPlan(seed int64) faultinject.Plan {
 	}
 }
 
-// newTargetHost builds a host serving Target.Work wrapped in a fault
-// injector, and returns both.
+// newTargetHost builds a host serving Target.Work and the fault injector
+// of the link to it, and returns both.
 func newTargetHost(t *testing.T, seed int64) (*host.Host, *faultinject.Injector) {
 	t.Helper()
 	svc, err := core.NewService("Target", "http://soc.example/target", "")
@@ -62,8 +62,7 @@ func newTargetHost(t *testing.T, seed int64) (*host.Host, *faultinject.Injector)
 		t.Fatal(err)
 	}
 	h := host.New()
-	h.Use(inj.Middleware())
-	// The idempotent-response cache rides inside the injector on every
+	// The idempotent-response cache rides behind the injector on every
 	// chaos host. Work is not declared idempotent, so requests bypass it —
 	// the suite proves the cache's presence never disturbs fault handling.
 	h.UseResponseCache(64, time.Minute)
@@ -71,9 +70,26 @@ func newTargetHost(t *testing.T, seed int64) (*host.Host, *faultinject.Injector)
 	return h, inj
 }
 
+// faultNet is the clients' network: it routes each request by URL host
+// to the fault transport of the replica it addresses. A host with none —
+// a down replica — gets the default transport, so it still refuses.
+type faultNet map[string]http.RoundTripper
+
+func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt, ok := n[req.URL.Host]; ok {
+		return rt.RoundTrip(req)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// client returns an HTTP client over the network.
+func (n faultNet) client() *http.Client {
+	return &http.Client{Transport: n, Timeout: 30 * time.Second}
+}
+
 // TestIntegrationChaosCachedIdempotent puts the response cache under
 // fault injection with an operation that IS declared idempotent. The
-// cache sits inside the injector, so injected errors short-circuit
+// cache sits behind the injector, so injected errors short-circuit
 // before it and corruption happens after it: only clean handler output
 // is ever stored. The resilient client's retries then land on cache
 // hits — the backend does each distinct computation exactly once no
@@ -106,14 +122,14 @@ func TestIntegrationChaosCachedIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := host.New()
-	h.Use(inj.Middleware())
 	cache := h.UseResponseCache(64, time.Minute)
 	h.MustMount(svc)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
 	rc, err := host.NewResilientClient(host.Policy{
-		Timeout: 2 * time.Second,
+		HTTPClient: faultNet{srv.Listener.Addr().String(): inj.Transport(nil)}.client(),
+		Timeout:    2 * time.Second,
 		Retry: reliability.RetryPolicy{
 			MaxAttempts: 6,
 			BaseDelay:   time.Millisecond,
@@ -164,10 +180,11 @@ func TestIntegrationChaosResilientVsNaive(t *testing.T) {
 	ctx := context.Background()
 
 	// --- Naive baseline: one faulty replica, no resilience. ---
-	naiveHost, _ := newTargetHost(t, chaosSeed)
+	naiveHost, naiveInj := newTargetHost(t, chaosSeed)
 	naiveSrv := httptest.NewServer(naiveHost)
 	defer naiveSrv.Close()
 	naive := host.NewClient(naiveSrv.URL)
+	naive.HTTPClient = faultNet{naiveSrv.Listener.Addr().String(): naiveInj.Transport(nil)}.client()
 	naiveFailures := 0
 	for i := 0; i < calls; i++ {
 		if _, err := naive.Call(ctx, "Target", "Work", core.Values{"x": i}); err != nil {
@@ -204,6 +221,10 @@ func TestIntegrationChaosResilientVsNaive(t *testing.T) {
 	}
 
 	policy := host.Policy{
+		HTTPClient: faultNet{
+			srvA.Listener.Addr().String(): injA.Transport(nil),
+			srvC.Listener.Addr().String(): injC.Transport(nil),
+		}.client(),
 		Timeout: 2 * time.Second,
 		Retry: reliability.RetryPolicy{
 			MaxAttempts: 4,

@@ -360,7 +360,9 @@ type proxyCall struct {
 	clk  vtime.Clock          // the request's, read once
 	inv  callplane.Invocation // inv.Do is bound to this proxyCall once, for its lifetime
 	body *callplane.Buffer    // nil for a bodiless request
-	w    statusWriter
+	// w is the client's writer as the replicas answer into it; the
+	// status it keeps feeds the replica's EWMA and the door's /metricz.
+	w rest.StatusWriter
 	// lastFailed is the replica the previous attempt failed on.
 	lastFailed string
 	// lent counts attempt bodies a replica has not closed yet. A local
@@ -369,31 +371,9 @@ type proxyCall struct {
 	lent atomic.Int32
 }
 
-// statusWriter is the client's writer as a replica answers into it: it
-// passes everything through and keeps the answer's status code for the
-// replica's EWMA and the door's /metricz. The first WriteHeader decides
-// it; a body written first, or no answer at all, means 200.
-type statusWriter struct {
-	http.ResponseWriter
-	code int // 0 until the answer's status is known
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-// failed reports a 5xx answer.
-func (sw *statusWriter) failed() bool { return sw.code >= http.StatusInternalServerError }
+// failed reports a 5xx answer from the replica. No answer at all means
+// 200, as it does to net/http.
+func (pc *proxyCall) failed() bool { return pc.w.Status >= http.StatusInternalServerError }
 
 var proxyCallPool = sync.Pool{New: func() any {
 	pc := &proxyCall{}
@@ -459,7 +439,7 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		pc.lastFailed = rep.Name()
 		return fmt.Errorf("%w: %s: %w", errExchange, rep.Name(), err)
 	}
-	rep.observe(pc.clk.Now().Sub(t0), pc.w.failed())
+	rep.observe(pc.clk.Now().Sub(t0), pc.failed())
 	return nil
 }
 
@@ -507,7 +487,7 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		fd.completed.Add(1)
-		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), pc.w.failed())
+		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), pc.failed())
 	case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicasSaturated):
 		fd.shedBusy.Add(1)
 		fd.shedResponse(w, r, err.Error())

@@ -3,10 +3,12 @@ package cloud
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -100,5 +102,15 @@ func TestHTTPReplicaOverLoopback(t *testing.T) {
 	}
 	if st := cz.Stats; st.Completed != calls || st.Errored != 1 || st.Admitted != st.Completed+st.Errored+st.ShedBusy {
 		t.Fatalf("ledger %+v", st)
+	}
+}
+
+// TestHTTPReplicaBadBaseURL: an unparsable base URL is a configuration
+// error that keeps url.Parse's error as its cause.
+func TestHTTPReplicaBadBaseURL(t *testing.T) {
+	_, err := NewHTTPReplica("bad", "http://[::1", nil, 0)
+	var urlErr *url.Error
+	if !errors.Is(err, ErrConfig) || !errors.As(err, &urlErr) {
+		t.Fatalf("err = %v, want ErrConfig wrapping a *url.Error", err)
 	}
 }

@@ -84,7 +84,7 @@ func NewLocalReplica(name string, h http.Handler, maxInFlight int) *Replica {
 func NewHTTPReplica(name, baseURL string, client *http.Client, maxInFlight int) (*Replica, error) {
 	base, err := url.Parse(baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("%w: replica %s base URL: %v", ErrConfig, name, err)
+		return nil, fmt.Errorf("%w: replica %s base URL: %w", ErrConfig, name, err)
 	}
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}

@@ -2,13 +2,11 @@
 // testing the dependability stack of CSE445 unit 6. A seeded Injector
 // evaluates per-operation fault Rules — added latency, injected errors,
 // dropped and hung requests, payload corruption, optionally concentrated
-// into periodic burst windows — and exposes the same fault plan through
-// two bindings:
-//
-//   - Middleware, a rest.Middleware that perturbs a Host's request
-//     handling from the provider side, and
-//   - Transport, an http.RoundTripper wrapper that perturbs a client's
-//     view of the network from the consumer side.
+// into periodic burst windows — and applies the plan through one
+// binding: Transport, an http.RoundTripper wrapper that perturbs a
+// client's view of the network from the consumer side. A caller that
+// talks to several providers routes each one's requests to its own
+// injector's transport; the simulator's network does the same.
 //
 // Determinism: the decision for the n-th call of an operation is a pure
 // function of (seed, operation, n), so a fixed seed replays the exact
@@ -27,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"soc/internal/rest"
 	"soc/internal/telemetry"
 	"soc/internal/vtime"
 )
@@ -55,15 +52,14 @@ func (b Burst) active(n uint64) bool {
 // Rule is the fault plan for one operation. All rates are probabilities
 // in [0, 1] evaluated independently per call.
 type Rule struct {
-	// ErrorRate injects a failure: the middleware answers 503 without
-	// invoking the handler; the transport synthesizes a 503 response.
+	// ErrorRate injects a failure: the request is not sent and the
+	// caller gets a synthesized 503 problem response.
 	ErrorRate float64
-	// DropRate simulates a broken connection: the middleware panics the
-	// connection closed (client sees EOF); the transport returns a
-	// transport-level error without issuing the request.
+	// DropRate simulates a broken connection: the request is not sent
+	// and the caller gets a transport-level error.
 	DropRate float64
-	// HangRate holds the request until the caller's context expires (or
-	// MaxHang elapses), modelling a stuck dependency.
+	// HangRate holds the request, unsent, until the caller's context
+	// expires (or MaxHang elapses), modelling a stuck dependency.
 	HangRate float64
 	// MaxHang caps a hung request so tests without deadlines still
 	// terminate; 0 means 30 s.
@@ -73,7 +69,7 @@ type Rule struct {
 	LatencyRate   float64
 	Latency       time.Duration
 	LatencyJitter time.Duration
-	// CorruptRate truncates and mangles the response payload after the
+	// CorruptRate truncates and mangles the response body after the
 	// call succeeds, modelling partial writes and bit rot.
 	CorruptRate float64
 	// Burst optionally concentrates all enabled faults into windows.
@@ -144,8 +140,10 @@ type Injector struct {
 	plan Plan
 
 	// Tracer records injected faults as zero-duration fault events in the
-	// trace of the call being perturbed, so a trace tree shows which
-	// attempts failed by design. Nil uses the process default.
+	// trace of the call being perturbed — under the span of the request's
+	// context, else the one its trace header names — so a trace tree
+	// shows which attempts failed by design. It is the calling client's
+	// tracer; nil uses the process default.
 	Tracer *telemetry.Tracer
 
 	ledger
@@ -158,7 +156,7 @@ func New(plan Plan) (*Injector, error) {
 	}
 	for op, r := range plan.Rules {
 		if err := r.validate(); err != nil {
-			return nil, fmt.Errorf("%v (operation %q)", err, op)
+			return nil, fmt.Errorf("%w (operation %q)", err, op)
 		}
 	}
 	return &Injector{plan: plan, ledger: ledger{seed: plan.Seed}}, nil
@@ -343,89 +341,6 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	_ = vtime.Sleep(ctx, d)
 }
 
-// opKey derives the operation key from routed path parameters, falling
-// back to parsing the URL path for unrouted wrappers.
-func opKey(p rest.Params, path string) string {
-	if p != nil && p["name"] != "" && p["op"] != "" {
-		return p["name"] + "." + p["op"]
-	}
-	return pathOp(path)
-}
-
-// Middleware returns the provider-side binding: a rest.Middleware that
-// applies the fault plan before (and after) the wrapped handler. Keys are
-// "Service.Operation" for invocation routes and the raw path otherwise.
-func (inj *Injector) Middleware() rest.Middleware {
-	return func(next rest.HandlerFunc) rest.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-			op := opKey(p, r.URL.Path)
-			d := inj.decide(op)
-			sc, _ := telemetry.FromHTTPHeader(r.Header)
-			if d.latency > 0 {
-				sleepCtx(r.Context(), d.latency)
-			}
-			if d.corrupt {
-				inj.event(r.Context(), sc, op, "corrupt")
-			}
-			if d.outcome != Pass {
-				inj.event(r.Context(), sc, op, string(d.outcome))
-			}
-			switch d.outcome {
-			case Hung:
-				inj.hang(r.Context(), inj.rule(op))
-				rest.WriteError(w, r, http.StatusServiceUnavailable, "faultinject: hung request released")
-				return
-			case Dropped:
-				// Closing the connection mid-response is the closest the
-				// handler layer gets to a dropped TCP stream; writers that
-				// can't hijack abort the handler instead (net/http then
-				// kills the connection without a reply).
-				if hj, ok := w.(http.Hijacker); ok {
-					if conn, _, err := hj.Hijack(); err == nil {
-						_ = conn.Close()
-						return
-					}
-				}
-				panic(http.ErrAbortHandler)
-			case Errored:
-				rest.WriteError(w, r, http.StatusServiceUnavailable, "faultinject: injected error")
-				return
-			}
-			if !d.corrupt {
-				next(w, r, p)
-				return
-			}
-			rec := &recordingWriter{header: http.Header{}}
-			next(rec, r, p)
-			body := corrupt(rec.buf.Bytes())
-			for k, vs := range rec.header {
-				for _, v := range vs {
-					w.Header().Add(k, v)
-				}
-			}
-			w.Header().Del("Content-Length")
-			status := rec.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			w.WriteHeader(status)
-			_, _ = w.Write(body)
-		}
-	}
-}
-
-// recordingWriter buffers a handler's response so the middleware can
-// corrupt it before it reaches the wire.
-type recordingWriter struct {
-	header http.Header
-	buf    bytes.Buffer
-	status int
-}
-
-func (rw *recordingWriter) Header() http.Header         { return rw.header }
-func (rw *recordingWriter) WriteHeader(code int)        { rw.status = code }
-func (rw *recordingWriter) Write(b []byte) (int, error) { return rw.buf.Write(b) }
-
 // corrupt deterministically mangles a payload: truncate to ~half and flip
 // a byte, guaranteeing JSON/XML decoders reject it.
 func corrupt(b []byte) []byte {
@@ -484,6 +399,11 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if d.outcome != Pass {
 		t.inj.event(req.Context(), sc, op, string(d.outcome))
+		// The request is never sent, so its body is closed here, as an
+		// http.RoundTripper must.
+		if req.Body != nil {
+			_ = req.Body.Close()
+		}
 	}
 	switch d.outcome {
 	case Hung:

@@ -3,22 +3,24 @@ package faultinject
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"soc/internal/rest"
 )
 
 // okTransport is a stub backend answering 200 {"ok":true}.
 type okTransport struct{}
 
 func (okTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
 	return &http.Response{
 		StatusCode: http.StatusOK,
 		Header:     http.Header{"Content-Type": []string{"application/json"}},
@@ -163,63 +165,89 @@ func TestHangRespectsContext(t *testing.T) {
 	}
 }
 
-func TestMiddlewareInjectsByOperation(t *testing.T) {
+// send round-trips a POST with a JSON body to path through rt.
+func send(t *testing.T, rt http.RoundTripper, path string) (*http.Response, error) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, "http://x"+path, strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt.RoundTrip(req)
+}
+
+// TestTransportInjectsByOperation pins the keys the transport derives
+// from the Host's URLs — "Service.Operation" for a REST invocation and
+// "Service.soap" for the SOAP endpoint — and the injected 503's problem
+// detail.
+func TestTransportInjectsByOperation(t *testing.T) {
 	inj, err := New(Plan{Seed: 5, Rules: map[string]Rule{
-		"Svc.Bad": {ErrorRate: 1},
+		"Svc.Bad":  {ErrorRate: 1},
+		"Svc.soap": {ErrorRate: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := rest.NewRouter()
-	router.Use(inj.Middleware())
-	if err := router.POST("/services/{name}/invoke/{op}", func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-		rest.WriteResponse(w, r, http.StatusOK, map[string]any{"ok": true})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(router)
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/services/Svc/invoke/Bad", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("faulted op: status %d, want 503", resp.StatusCode)
-	}
-	resp, err = http.Post(srv.URL+"/services/Svc/invoke/Good", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("clean op: status %d, want 200", resp.StatusCode)
+	rt := inj.Transport(okTransport{})
+	for _, c := range []struct {
+		path   string
+		status int
+	}{
+		{"/services/Svc/invoke/Bad", http.StatusServiceUnavailable},
+		{"/services/Svc/invoke/Good", http.StatusOK},
+		{"/services/Svc/soap", http.StatusServiceUnavailable},
+		{"/services/Other/soap", http.StatusOK},
+	} {
+		resp, err := send(t, rt, c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d", c.path, resp.StatusCode, c.status)
+		}
+		if c.status == http.StatusServiceUnavailable && !strings.Contains(string(body), `"detail":"faultinject: injected error"`) {
+			t.Errorf("%s: injected error body = %s", c.path, body)
+		}
 	}
 	counts := inj.Counts()
-	if counts["Svc.Bad|error"] != 1 || counts["Svc.Good|pass"] != 1 {
-		t.Errorf("counters = %v", counts)
+	for _, key := range []string{"Svc.Bad|error", "Svc.Good|pass", "Svc.soap|error", "Other.soap|pass"} {
+		if counts[key] != 1 {
+			t.Errorf("counters = %v, want %s=1", counts, key)
+		}
 	}
-	if injected(&inj.ledger) != 1 {
-		t.Errorf("injected = %d, want 1", injected(&inj.ledger))
+	if injected(&inj.ledger) != 2 {
+		t.Errorf("injected = %d, want 2", injected(&inj.ledger))
 	}
 }
 
-func TestMiddlewareCorruptsPayload(t *testing.T) {
+// sizedTransport answers 200 with a JSON payload whose length it states
+// in both ContentLength and the Content-Length header.
+type sizedTransport struct{}
+
+func (sizedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	payload := `{"answer":42,"padding":"` + strings.Repeat("x", 64) + `"}`
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header: http.Header{
+			"Content-Type":   []string{"application/json"},
+			"Content-Length": []string{strconv.Itoa(len(payload))},
+		},
+		ContentLength: int64(len(payload)),
+		Body:          io.NopCloser(strings.NewReader(payload)),
+		Request:       req,
+	}, nil
+}
+
+func TestTransportCorruptsPayload(t *testing.T) {
 	inj, err := New(Plan{Seed: 5, Default: Rule{CorruptRate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := rest.NewRouter()
-	router.Use(inj.Middleware())
-	if err := router.GET("/services/{name}/invoke/{op}", func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-		rest.WriteResponse(w, r, http.StatusOK, map[string]any{"answer": 42, "padding": strings.Repeat("x", 64)})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(router)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/services/Svc/invoke/Op")
+	resp, err := send(t, inj.Transport(sizedTransport{}), "/services/Svc/invoke/Op")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,26 +257,57 @@ func TestMiddlewareCorruptsPayload(t *testing.T) {
 	if json.Unmarshal(body, &v) == nil {
 		t.Fatalf("corrupted payload still decodes: %q", body)
 	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("ContentLength = %d, body is %d bytes", resp.ContentLength, len(body))
+	}
+	if h := resp.Header.Get("Content-Length"); h != "" {
+		t.Errorf("Content-Length header %q survives corruption", h)
+	}
 }
 
-func TestDropAbortsConnection(t *testing.T) {
-	inj, err := New(Plan{Seed: 5, Rules: map[string]Rule{"Svc.Op": {DropRate: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := rest.NewRouter()
-	router.Use(rest.Recovery(), inj.Middleware())
-	if err := router.GET("/services/{name}/invoke/{op}", func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-		rest.WriteResponse(w, r, http.StatusOK, map[string]any{"ok": true})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(router)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/services/Svc/invoke/Op")
-	if err == nil {
-		resp.Body.Close()
-		t.Fatalf("dropped request produced a response: %d", resp.StatusCode)
+// countingBody is a request body that counts its closes.
+type countingBody struct {
+	io.Reader
+	closes int
+}
+
+func (b *countingBody) Close() error {
+	b.closes++
+	return nil
+}
+
+// TestTransportClosesRequestBody holds the transport to the
+// http.RoundTripper contract: whatever the outcome, the request body is
+// closed exactly once — by the base transport when the request is sent,
+// by the injector when it is not.
+func TestTransportClosesRequestBody(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rule Rule
+	}{
+		{"pass", Rule{}},
+		{"error", Rule{ErrorRate: 1}},
+		{"drop", Rule{DropRate: 1}},
+		{"hang", Rule{HangRate: 1, MaxHang: time.Millisecond}},
+		{"latency", Rule{LatencyRate: 1, Latency: time.Microsecond}},
+		{"corrupt", Rule{CorruptRate: 1}},
+	} {
+		inj, err := New(Plan{Seed: 5, Default: c.rule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := &countingBody{Reader: strings.NewReader("{}")}
+		req, err := http.NewRequest(http.MethodPost, "http://x/services/Svc/invoke/Op", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := inj.Transport(okTransport{}).RoundTrip(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		if body.closes != 1 {
+			t.Errorf("%s: request body closed %d times, want 1", c.name, body.closes)
+		}
 	}
 }
 
@@ -263,6 +322,13 @@ func TestRuleValidation(t *testing.T) {
 		if _, err := New(p); err == nil {
 			t.Errorf("plan %d accepted invalid rule", i)
 		}
+	}
+	// An operation's rule error keeps the validation error as its cause.
+	rule := Rule{ErrorRate: 2}
+	_, err := New(Plan{Rules: map[string]Rule{"Svc.Op": rule}})
+	cause := errors.Unwrap(err)
+	if cause == nil || cause.Error() != rule.validate().Error() {
+		t.Errorf("New(%+v) = %v, want it to wrap %v", rule, err, rule.validate())
 	}
 }
 

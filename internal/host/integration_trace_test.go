@@ -24,18 +24,33 @@ func tracedPolicy(tr *telemetry.Tracer) Policy {
 	return p
 }
 
-// faultedAddHost returns an Add host whose invocations run through a
-// fault injector, with injected faults recorded into the host's tracer.
-func faultedAddHost(t *testing.T, plan faultinject.Plan) (*Host, *faultinject.Injector) {
+// faultNet routes each request by URL host to the fault transport of
+// the server it addresses; a host with none goes out unperturbed.
+type faultNet map[string]http.RoundTripper
+
+func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt, ok := n[req.URL.Host]; ok {
+		return rt.RoundTrip(req)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// faulted puts srv's link on the network behind a fault injector for
+// plan, whose injected faults are recorded into the client tracer ct
+// under the attempt they perturb.
+func (n faultNet) faulted(t *testing.T, srv *httptest.Server, plan faultinject.Plan, ct *telemetry.Tracer) {
 	t.Helper()
-	h := newAddHost(t)
 	inj, err := faultinject.New(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Tracer = h.Tracer()
-	h.Use(inj.Middleware())
-	return h, inj
+	inj.Tracer = ct
+	n[srv.Listener.Addr().String()] = inj.Transport(nil)
+}
+
+// client returns an HTTP client over the network.
+func (n faultNet) client() *http.Client {
+	return &http.Client{Transport: n, Timeout: 30 * time.Second}
 }
 
 // alwaysError fails every call to Calc.Add.
@@ -82,15 +97,13 @@ func hasAnnotation(sp telemetry.Span, key, value string) bool {
 }
 
 // TestResilientCallUnderFaultsOneTraceTree drives a single ResilientClient
-// call across three fault-injected hosts — replicas A and B always fail,
-// C fails only its first call — and asserts that the merged client- and
+// call across three hosts behind fault-injected links — replicas A and B
+// always fail, C fails only its first call — and asserts that the merged client- and
 // provider-side span rings reassemble into exactly one trace tree whose
 // per-attempt spans match the attempt sequence: A err, B err, C err
 // (pass 1), then A err, B err, C ok (retry pass 2).
 func TestResilientCallUnderFaultsOneTraceTree(t *testing.T) {
-	hA, _ := faultedAddHost(t, alwaysError())
-	hB, _ := faultedAddHost(t, alwaysError())
-	hC, _ := faultedAddHost(t, firstCallError())
+	hA, hB, hC := newAddHost(t), newAddHost(t), newAddHost(t)
 	srvA := httptest.NewServer(hA)
 	defer srvA.Close()
 	srvB := httptest.NewServer(hB)
@@ -99,7 +112,13 @@ func TestResilientCallUnderFaultsOneTraceTree(t *testing.T) {
 	defer srvC.Close()
 
 	ct := telemetry.NewSamplingTracer(256, 1)
-	rc, err := NewResilientClient(tracedPolicy(ct), srvA.URL, srvB.URL, srvC.URL)
+	links := faultNet{}
+	links.faulted(t, srvA, alwaysError(), ct)
+	links.faulted(t, srvB, alwaysError(), ct)
+	links.faulted(t, srvC, firstCallError(), ct)
+	policy := tracedPolicy(ct)
+	policy.HTTPClient = links.client()
+	rc, err := NewResilientClient(policy, srvA.URL, srvB.URL, srvC.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +331,10 @@ func TestWorkflowCompositionOneTraceAcrossThreeHosts(t *testing.T) {
 	hA := newAddHost(t)
 	srvA := httptest.NewServer(hA)
 	defer srvA.Close()
-	hB, _ := faultedAddHost(t, firstCallError())
+	hB := newAddHost(t)
 	srvB := httptest.NewServer(hB)
 	defer srvB.Close()
-	hC1, _ := faultedAddHost(t, alwaysError())
+	hC1 := newAddHost(t)
 	srvC1 := httptest.NewServer(hC1)
 	defer srvC1.Close()
 	hC2 := newAddHost(t)
@@ -323,13 +342,18 @@ func TestWorkflowCompositionOneTraceAcrossThreeHosts(t *testing.T) {
 	defer srvC2.Close()
 
 	ct := telemetry.NewSamplingTracer(256, 1)
+	links := faultNet{}
+	links.faulted(t, srvB, firstCallError(), ct)
+	links.faulted(t, srvC1, alwaysError(), ct)
+	policy := tracedPolicy(ct)
+	policy.HTTPClient = links.client()
 	cA := NewClient(srvA.URL)
 	cA.Tracer = ct
-	rcB, err := NewResilientClient(tracedPolicy(ct), srvB.URL)
+	rcB, err := NewResilientClient(policy, srvB.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcC, err := NewResilientClient(tracedPolicy(ct), srvC1.URL, srvC2.URL)
+	rcC, err := NewResilientClient(policy, srvC1.URL, srvC2.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ import (
 // Recovery converts handler panics into 500 responses instead of crashing
 // the server — the first dependability mechanism unit 6 teaches.
 // http.ErrAbortHandler is re-panicked so deliberate connection aborts
-// (e.g. fault injection dropping a request) keep their net/http meaning.
+// (a handler giving up on a request it cannot answer) keep their
+// net/http meaning.
 func Recovery() Middleware {
 	return func(next HandlerFunc) HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request, p Params) {
@@ -28,26 +29,24 @@ func Recovery() Middleware {
 	}
 }
 
-type statusWriter struct {
+// StatusWriter passes a response through to the writer it embeds and
+// keeps the response's status code: the first WriteHeader decides it,
+// and a body written first means 200. Status is 0 until then.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
-	wrote  bool
+	Status int
 }
 
-func (s *statusWriter) WriteHeader(code int) {
-	if s.status == 0 || !s.wrote {
-		s.status = code
+func (s *StatusWriter) WriteHeader(code int) {
+	if s.Status == 0 {
+		s.Status = code
 	}
-	s.wrote = true
 	s.ResponseWriter.WriteHeader(code)
 }
 
-func (s *statusWriter) Write(b []byte) (int, error) {
-	if !s.wrote {
-		s.wrote = true
-		if s.status == 0 {
-			s.status = http.StatusOK
-		}
+func (s *StatusWriter) Write(b []byte) (int, error) {
+	if s.Status == 0 {
+		s.Status = http.StatusOK
 	}
 	return s.ResponseWriter.Write(b)
 }
@@ -67,10 +66,10 @@ func Tracing(t *telemetry.Tracer) Middleware {
 			remote, _ := telemetry.FromHTTPHeader(r.Header)
 			sp, ctx := t.StartSpanRemote(r.Context(), telemetry.KindServer, r.Method+" "+r.URL.Path, remote)
 			sp.Annotate("binding", "rest")
-			sw := &statusWriter{ResponseWriter: w}
+			sw := &StatusWriter{ResponseWriter: w}
 			next(sw, r.WithContext(ctx), p)
-			if sp != nil && sw.status >= 400 {
-				sp.Annotate("status", strconv.Itoa(sw.status))
+			if sp != nil && sw.Status >= 400 {
+				sp.Annotate("status", strconv.Itoa(sw.Status))
 			}
 			sp.End()
 		}

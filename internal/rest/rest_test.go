@@ -240,10 +240,9 @@ func TestRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// TestRecoveryRepanicsAbort pins the pass-through faultinject's drop
-// fault relies on: a handler aborting with http.ErrAbortHandler, bare or
-// wrapped, re-panics through Recovery so net/http kills the connection,
-// and no 500 is written.
+// TestRecoveryRepanicsAbort pins Recovery's pass-through: a handler
+// aborting with http.ErrAbortHandler, bare or wrapped, re-panics through
+// Recovery so net/http kills the connection, and no 500 is written.
 func TestRecoveryRepanicsAbort(t *testing.T) {
 	for _, abort := range []error{http.ErrAbortHandler, fmt.Errorf("drop: %w", http.ErrAbortHandler)} {
 		h := Recovery()(func(w http.ResponseWriter, r *http.Request, p Params) { panic(abort) })

@@ -104,7 +104,7 @@ func NewMortgage(store *xmlstore.Store, lookup ScoreLookup) (*core.Service, erro
 			}
 			score, err := lookup(ctx, in.Str("ssn"))
 			if err != nil {
-				return nil, fmt.Errorf("credit check: %v", err)
+				return nil, fmt.Errorf("credit check: %w", err)
 			}
 			deny := func(reason string) (core.Values, error) {
 				return core.Values{"approved": false, "userId": "", "reason": reason, "score": score}, nil
@@ -131,7 +131,7 @@ func NewMortgage(store *xmlstore.Store, lookup ScoreLookup) (*core.Service, erro
 				},
 			})
 			if err != nil {
-				return nil, fmt.Errorf("persisting application: %v", err)
+				return nil, fmt.Errorf("persisting application: %w", err)
 			}
 			return core.Values{"approved": true, "userId": userID, "reason": "", "score": score}, nil
 		},

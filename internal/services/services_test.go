@@ -3,6 +3,7 @@ package services
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"strings"
 	"testing"
 
@@ -500,5 +501,44 @@ func TestCatalogMortgageUsesCreditService(t *testing.T) {
 	wantScore, _ := CreditScoreOf(ssn)
 	if out.Int("score") != wantScore {
 		t.Errorf("score %d != credit service %d", out.Int("score"), wantScore)
+	}
+}
+
+// TestMortgageApplyKeepsCauses: Apply's errors wrap what failed under
+// them — the score lookup's error, and the account store's.
+func TestMortgageApplyKeepsCauses(t *testing.T) {
+	args := core.Values{
+		"name": "Ada", "ssn": findSSN(t, func(s int64) bool { return s >= ApprovalThreshold }),
+		"income": 90000.0, "amount": 300000.0,
+	}
+
+	errBureau := errors.New("bureau unreachable")
+	store, err := xmlstore.Open(t.TempDir()+"/account.xml", "accounts", "account")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := NewMortgage(store, func(context.Context, string) (int64, error) { return 0, errBureau })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := down.Invoke(ctx, "Apply", args); !errors.Is(err, errBureau) {
+		t.Errorf("lookup failure: err = %v, want it to wrap %v", err, errBureau)
+	}
+
+	// One account stored under the id the next approval would take: the
+	// approval's insert collides with it.
+	store, err = xmlstore.Open(t.TempDir()+"/account.xml", "accounts", "account")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Insert(xmlstore.Record{ID: "U00002", Fields: map[string]string{"ssn": "000-00-0000"}}); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewMortgage(store, func(_ context.Context, ssn string) (int64, error) { return CreditScoreOf(ssn) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Invoke(ctx, "Apply", args); !errors.Is(err, xmlstore.ErrDuplicate) {
+		t.Errorf("store failure: err = %v, want it to wrap xmlstore.ErrDuplicate", err)
 	}
 }

@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"io"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -378,5 +380,51 @@ func TestHealthMutationsTrip(t *testing.T) {
 			}
 			wantViolation(t, rec.Violations, tc.invariant, tc.substr)
 		})
+	}
+}
+
+// countingBody is a request body that counts its closes.
+type countingBody struct {
+	io.Reader
+	closes int
+}
+
+func (b *countingBody) Close() error {
+	b.closes++
+	return nil
+}
+
+// TestDelivererClosesRequestBody holds the simulated wire to the
+// http.RoundTripper contract: a delivery closes the request body once,
+// whether the replica refuses it or serves it.
+func TestDelivererClosesRequestBody(t *testing.T) {
+	w, err := NewWorld(Config{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := w.replicas[0]
+	for _, alive := range []bool{false, true} {
+		r.alive = alive
+		body := &countingBody{Reader: strings.NewReader(`{"ssn":"123-45-6789"}`)}
+		req, err := http.NewRequestWithContext(w.ctx, http.MethodPost, r.baseURL+"/services/CreditScore/invoke/Score", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := deliverer{r}.RoundTrip(req)
+		switch {
+		case !alive && err == nil:
+			resp.Body.Close()
+			t.Errorf("a down replica served the delivery: %d", resp.StatusCode)
+		case alive && err != nil:
+			t.Errorf("a live replica refused the delivery: %v", err)
+		case alive:
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("served delivery answered %d", resp.StatusCode)
+			}
+		}
+		if body.closes != 1 {
+			t.Errorf("alive=%v: request body closed %d times, want 1", alive, body.closes)
+		}
 	}
 }

@@ -617,14 +617,15 @@ func (d deliverer) RoundTrip(req *http.Request) (*http.Response, error) {
 		d.r.life.Late++
 	}
 	if !d.r.alive || stopped {
+		// Refused, the request is never read; a RoundTripper still closes
+		// its body (on the served path HandlerTransport does).
+		if req.Body != nil {
+			_ = req.Body.Close()
+		}
 		return nil, fmt.Errorf("simnet: %s: connection refused", d.r.name)
 	}
 	w.stepDelivered++
-	rec := httptest.NewRecorder()
-	d.r.h.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
+	return cloud.HandlerTransport(d.r.h).RoundTrip(req)
 }
 
 // linkNet routes by URL host to the per-replica fault-injected link.
