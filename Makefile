@@ -9,7 +9,7 @@ GO ?= go
 ## deterministic simulation corpus, the exhaustive WAL, workflow-journal
 ## and registry crash-point corpora, the end-to-end performance check,
 ## the open-loop load smoke, the cluster + workflow orchestration
-## smokes, and the fault-injection examples
+## smokes, and every example
 ci: build lint-ci race flake fuzz sim crash perf load-smoke cluster-smoke workflow-smoke demos
 
 build:
@@ -114,13 +114,15 @@ fuzz:
 chaos:
 	$(GO) test -race -v -run TestIntegrationChaos .
 
-## demos: the two examples that put fault injection on a client's links
-## to real localhost replicas — the naive vs resilient comparison
-## (examples/chaos) and the trace of one call through injected faults
-## (examples/tracedemo); either exiting non-zero fails the target
+## demos: every examples/ main, each an end-to-end drive of one subsystem;
+## any one exiting non-zero fails the target. examples/chaos runs 50 calls
+## and exits non-zero when its resilient client keeps fewer than 99 % of
+## them or takes a wrong answer. Outputs are not compared.
 demos:
 	$(GO) run ./examples/chaos -calls 50
-	$(GO) run ./examples/tracedemo
+	for ex in $(filter-out examples/chaos/,$(wildcard examples/*/)); do \
+		echo "== $$ex"; $(GO) run ./$$ex || exit 1; \
+	done
 
 # Seed corpus for the simulation gate. Override to widen the sweep
 # (SIM_SEEDS=500) or shift it (SIM_FIRST=1000) without editing this file.

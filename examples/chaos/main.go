@@ -210,6 +210,11 @@ func run() error {
 	body, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
 	fmt.Printf("\nGET %s/healthz -> %d\n%s\n", urlA, resp.StatusCode, body)
+	// The chaos suite's floor: the resilient client keeps at least 99 %
+	// of its calls, and no corrupted answer reaches it.
+	if wrong > 0 || 100*okCount < 99*(*calls) {
+		return fmt.Errorf("resilient client: %d/%d calls succeeded, %d wrong answers; want at least 99%% and none wrong", okCount, *calls, wrong)
+	}
 	return nil
 }
 

@@ -216,9 +216,21 @@ func HandlerTransport(h http.Handler) http.RoundTripper {
 type handlerTransport struct{ h http.Handler }
 
 func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	ex := &exchange{code: http.StatusOK, buf: callplane.GetBuffer()}
+	var ex *exchange
+	in := req
+	if req.Body == nil {
+		// A server never hands a handler a nil Body: a bodiless request
+		// is served as a copy with NoBody, held in the exchange's one
+		// allocation, and the caller's request is left alone.
+		b := &bodilessExchange{req: *req}
+		b.req.Body = http.NoBody
+		ex, in = &b.exchange, &b.req
+	} else {
+		ex = new(exchange)
+	}
+	ex.code, ex.buf = http.StatusOK, callplane.GetBuffer()
 	ex.resp.Header = make(http.Header)
-	t.h.ServeHTTP(ex, req)
+	t.h.ServeHTTP(ex, in)
 	if req.Body != nil {
 		// A RoundTripper always closes the request body; for the client
 		// half that is what returns the body's pooled buffer.
@@ -244,6 +256,13 @@ type exchange struct {
 	body  bytes.Reader      // over buf.B once the handler has returned
 	code  int
 	wrote bool
+}
+
+// bodilessExchange is an exchange with the copy of a bodiless request
+// that its handler is given.
+type bodilessExchange struct {
+	exchange
+	req http.Request
 }
 
 func (ex *exchange) Header() http.Header { return ex.resp.Header }

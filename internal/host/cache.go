@@ -1,7 +1,7 @@
 package host
 
 import (
-	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -15,10 +15,6 @@ import (
 	"soc/internal/soap"
 	"soc/internal/telemetry"
 )
-
-// maxCacheableBody bounds how much of a request body the cache keyer will
-// buffer; larger requests bypass the cache rather than pin memory.
-const maxCacheableBody = 1 << 20
 
 // UseResponseCache installs the idempotent-response cache in front of
 // the host's dispatch and returns the cache, for its Stats and Len. It
@@ -48,16 +44,21 @@ func (h *Host) UseResponseCache(capacity int, ttl time.Duration) *respcache.Cach
 
 // serve answers an invocation of the mounted service m — through the
 // response cache when the host has one and the request is cacheable. It
-// reads the request once: a SOAP envelope is decoded here, into the keyer,
-// and the trace parent is parsed here, from the X-Soc-Trace header or,
-// when there is none, from the envelope's SocTrace entry; the cache, the
-// dispatch and the answer all take them from there.
+// is the one place that reads the request and decides its binding: a
+// SOAP envelope is decoded into the keyer, a POST invoke's JSON body is
+// read into the keyer's buffer, and a GET invoke's query is parsed into
+// the keyer's sorted arguments. The trace parent is parsed here too, from
+// the X-Soc-Trace header or, when there is none, from the envelope's
+// SocTrace entry. The cache, the dispatch and the answer all take them
+// from there; nothing after serve reads r.Body or r.URL.Query().
 func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted) {
 	k := keyerPool.Get().(*cacheKeyer)
-	defer k.release(r)
+	defer k.release()
 	var req *soap.Message
 	tp := r.Header.Get(telemetry.HeaderName)
-	if _, isREST := p["op"]; !isREST {
+	_, isREST := p["op"]
+	switch {
+	case !isREST:
 		k.body = callplane.GetBuffer()
 		if !m.soapSrv.ReadRequest(w, r, k.body, &k.soap) {
 			return
@@ -66,15 +67,22 @@ func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *m
 		if tp == "" {
 			tp = req.Header[telemetry.SOAPHeaderName]
 		}
+	case r.Method == http.MethodPost:
+		if err := k.readBody(r.Body); err != nil {
+			rest.WriteError(w, r, http.StatusBadRequest, "body: %v", err)
+			return
+		}
+	default:
+		k.query = queryArgs(k.qbuf[:0], r.URL.RawQuery)
 	}
 	sc, _ := telemetry.ParseTraceParent(tp)
 	if h.cache == nil {
-		h.invoke(w, r, p, m, sc, req)
+		h.invoke(w, r, p, m, sc, k, req)
 		return
 	}
 	key, opKey, ok := h.cacheKey(k, r, p, m, req)
 	if !ok {
-		h.invoke(w, r, p, m, sc, req)
+		h.invoke(w, r, p, m, sc, k, req)
 		return
 	}
 	entry, hit := h.cache.DoContext(r.Context(), key, func() (*respcache.Entry, bool) {
@@ -85,7 +93,7 @@ func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *m
 			// itself "respcache=miss"; an unsampled trace has no span.
 			inner = r.WithContext(telemetry.MarkCacheMiss(r.Context()))
 		}
-		h.invoke(rec, inner, p, m, sc, req)
+		h.invoke(rec, inner, p, m, sc, k, req)
 		e := rec.Entry()
 		return e, e.Status == http.StatusOK
 	})
@@ -108,11 +116,11 @@ func (h *Host) serve(w http.ResponseWriter, r *http.Request, p rest.Params, m *m
 }
 
 // cacheKey derives the cache key for a cacheable invocation of m — of
-// the decoded envelope req on SOAP — plus the operation key
-// ("Service.Operation") for cache-hit instrumentation. The key is k's own
-// buffer, valid until k is released. ok is false for anything that must
-// bypass the cache: non-idempotent operations, unparseable bodies,
-// oversized bodies.
+// the decoded envelope req on SOAP, else of what serve read into k — plus
+// the operation key ("Service.Operation") for cache-hit instrumentation.
+// The key is k's own buffer, valid until k is released. ok is false for
+// anything that must bypass the cache: non-idempotent operations and
+// bodies that are not JSON.
 func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounted, req *soap.Message) (key []byte, opKey string, ok bool) {
 	if req != nil {
 		return h.soapKey(k, m, req)
@@ -120,6 +128,9 @@ func (h *Host) cacheKey(k *cacheKeyer, r *http.Request, p rest.Params, m *mounte
 	return h.invokeKey(k, r, m, p["op"])
 }
 
+// invokeKey is the key of a REST invoke: a POST's JSON body in canonical
+// form, or a GET's arguments as serve sorted them — the negotiated format
+// is already a component of its own.
 func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName string) ([]byte, string, bool) {
 	if !m.idempotent[opName] {
 		return nil, "", false
@@ -131,39 +142,19 @@ func (h *Host) invokeKey(k *cacheKeyer, r *http.Request, m *mounted, opName stri
 	b = append(b, 0)
 	b = append(b, m.metricKey(opName)...)
 	b = append(b, 0)
-	switch r.Method {
-	case http.MethodGet:
-		// Parse the raw query into sorted pairs directly: building a full
-		// url.Values map per request was the hottest call on the cache-hit
-		// path. Semantics match the map form — first value per key wins,
-		// keys sorted, "format" excluded (it is already the negotiated
-		// component above).
-		var qbuf [8]queryPair
-		pairs := parseQueryPairs(qbuf[:0], r.URL.RawQuery)
-		sortPairs(pairs)
-		prev := ""
-		for i, kv := range pairs {
-			if kv.k == "format" || (i > 0 && kv.k == prev) {
-				continue
-			}
-			prev = kv.k
+	k.canon.buf = b
+	if k.body != nil {
+		if !k.canon.canonicalJSON(k.body.B) {
+			return nil, "", false // let the dispatch produce the error response
+		}
+	} else {
+		for _, kv := range k.query {
 			b = append(b, kv.k...)
 			b = append(b, 1)
 			b = append(b, kv.v...)
 			b = append(b, 0)
 		}
 		k.canon.buf = b
-	case http.MethodPost:
-		body, ok := k.swapBody(r)
-		if !ok {
-			return nil, "", false
-		}
-		k.canon.buf = b
-		if !k.canon.canonicalJSON(body) {
-			return nil, "", false // let the handler produce the error response
-		}
-	default:
-		return nil, "", false
 	}
 	return k.canon.buf, m.metricKey(opName), true
 }
@@ -194,67 +185,50 @@ func (h *Host) soapKey(k *cacheKeyer, m *mounted, req *soap.Message) ([]byte, st
 	return b, m.metricKey(req.Operation), true
 }
 
-// cacheKeyer is the pooled working memory of one request's reading: the
-// request body — a SOAP envelope, decoded into soap, or a POST invoke's
-// JSON, which it replays to the inner handler as the request's Body — and
-// the key under construction (and the canonicaliser's stack). Its
-// lifetime is serve's call: release gives everything back.
+// cacheKeyer is the pooled working memory of one invocation's reading:
+// what serve read — a SOAP envelope, decoded into soap, a POST invoke's
+// JSON body, or a GET invoke's arguments — and the key under construction
+// (and the canonicaliser's stack). Its lifetime is serve's call: release
+// gives everything back.
 type cacheKeyer struct {
-	canon  jsonCanon
-	body   *callplane.Buffer // nil unless swapBody or the SOAP read ran
-	replay bytes.Reader      // over body.B
-	// readErr is what cut swapBody's read of the request body short;
-	// the replay ends in it instead of io.EOF.
-	readErr error
-	soap    soap.Message // decoded from body on SOAP
+	canon jsonCanon
+	body  *callplane.Buffer // the envelope or the POST body; nil on a GET
+	soap  soap.Message      // decoded from body on SOAP
+	query []queryPair       // a GET's arguments, in qbuf unless there are more
+	qbuf  [8]queryPair
 }
 
 var keyerPool = sync.Pool{New: func() any { return new(cacheKeyer) }}
 
-// swapBody reads the request body (bounded), closes it, and replaces it
-// with the keyer so the inner handler can read the same bytes again —
-// and, when the read failed, the same error after them.
-func (k *cacheKeyer) swapBody(r *http.Request) ([]byte, bool) {
-	if r.Body == nil {
-		return nil, false
-	}
+// maxInvokeBody bounds a POST invoke body.
+const maxInvokeBody = 1 << 20
+
+// readBody reads a POST invoke's body into the keyer's buffer: all of
+// it, or an error — the read's own, or one naming the bound once more
+// than maxInvokeBody bytes have arrived.
+func (k *cacheKeyer) readBody(body io.Reader) error {
 	k.body = callplane.GetBuffer()
-	k.readErr = k.body.Fill(r.Body, maxCacheableBody+1)
-	_ = r.Body.Close()
-	k.replay.Reset(k.body.B)
-	r.Body = k
-	if k.readErr != nil || len(k.body.B) > maxCacheableBody {
-		return nil, false
+	if err := k.body.Fill(body, maxInvokeBody+1); err != nil {
+		return err
 	}
-	return k.body.B, true
-}
-
-func (k *cacheKeyer) Read(p []byte) (int, error) {
-	n, err := k.replay.Read(p)
-	if err == io.EOF && k.readErr != nil {
-		err = k.readErr
+	if len(k.body.B) > maxInvokeBody {
+		return fmt.Errorf("larger than %d bytes", maxInvokeBody)
 	}
-	return n, err
+	return nil
 }
-
-// Close does nothing: the bytes go back when the middleware returns.
-func (k *cacheKeyer) Close() error { return nil }
 
 // reset empties the keyer, keeping the key buffer's capacity.
 func (k *cacheKeyer) reset() {
 	if k.body != nil {
 		k.body.Release()
 	}
-	k.body, k.readErr = nil, nil
-	k.replay.Reset(nil)
+	clear(k.query) // the strings point into the request
+	k.body, k.query = nil, nil
 	k.canon.buf, k.canon.idx = k.canon.buf[:0], k.canon.idx[:0]
 }
 
 // release ends the keyer's use by the request it served.
-func (k *cacheKeyer) release(r *http.Request) {
-	if r.Body == k {
-		r.Body = http.NoBody // the request outlives the keyer
-	}
+func (k *cacheKeyer) release() {
 	k.reset()
 	if cap(k.canon.buf) <= maxPooledKey {
 		keyerPool.Put(k)
@@ -284,6 +258,22 @@ func sortPairs(pairs []queryPair) {
 			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
 		}
 	}
+}
+
+// queryArgs parses a GET invoke's raw query into its arguments, appended
+// to dst: sorted by name, the first value of each name, and "format" left
+// out — what url.ParseQuery's map holds at [name][0], without the map.
+func queryArgs(dst []queryPair, raw string) []queryPair {
+	pairs := parseQueryPairs(dst, raw)
+	sortPairs(pairs)
+	args := pairs[:0]
+	for i, kv := range pairs {
+		if kv.k == "format" || (i > 0 && kv.k == pairs[i-1].k) {
+			continue
+		}
+		args = append(args, kv)
+	}
+	return args
 }
 
 // parseQueryPairs splits a raw query into unescaped key/value pairs

@@ -9,6 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,6 +95,55 @@ func TestCacheMiddlewareHit(t *testing.T) {
 	}
 	if n := pure.Load(); n != 2 {
 		t.Errorf("handler ran %d times, want 2 (n=7 cached, n=8 fresh)", n)
+	}
+}
+
+// A GET invoke's arguments are the first value of each name, with
+// "format" left out — the negotiated format, not an argument — and a host
+// with a response cache answers as one without, on the miss and the hit.
+func TestCacheGETRepeatedAndFormatParams(t *testing.T) {
+	const path = "/services/Calc/invoke/Square?format=xml&n=3&n=5"
+	h, pure, _, _ := newCachedHost(t, 8, time.Minute)
+	miss, hit := getInvoke(h, path), getInvoke(h, path)
+	h.cache = nil
+	plain := getInvoke(h, path)
+	for _, w := range []*httptest.ResponseRecorder{miss, hit, plain} {
+		if w.Code != 200 || w.Body.String() != "<SquareResponse><result>9</result></SquareResponse>" {
+			t.Errorf("X-Cache %q: status %d, body %q; want 200 and n=3 squared in XML", w.Header().Get("X-Cache"), w.Code, w.Body)
+		}
+	}
+	if hit.Header().Get("X-Cache") != "HIT" {
+		t.Error("the repeated GET was not served from the cache")
+	}
+	if n := pure.Load(); n != 2 {
+		t.Errorf("handler ran %d times, want 2 (the miss and the uncached call)", n)
+	}
+}
+
+// queryArgs against url.ParseQuery on raw queries drawn from the bytes
+// that steer its parse — separators, escapes good and bad, "+", "format",
+// a multi-byte rune, empty pairs: for each, the first value of each name
+// but "format", sorted by name.
+func TestQueryArgsMatchesParseQuery(t *testing.T) {
+	tokens := []string{";", "%", "%zz", "%41", "%c3%a9", "+", "=", "&", "&&", "format", "é", "a", "b", "n", "1", ""}
+	rng := rand.New(rand.NewSource(1))
+	var raw strings.Builder
+	for i := 0; i < 200000; i++ {
+		raw.Reset()
+		for j := rng.Intn(12); j > 0; j-- {
+			raw.WriteString(tokens[rng.Intn(len(tokens))])
+		}
+		values, _ := url.ParseQuery(raw.String())
+		want := []queryPair{}
+		for name, vs := range values {
+			if name != "format" {
+				want = append(want, queryPair{name, vs[0]})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].k < want[j].k })
+		if got := append([]queryPair{}, queryArgs(nil, raw.String())...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n got %q\nwant %q", raw.String(), got, want)
+		}
 	}
 }
 
@@ -219,8 +271,9 @@ func TestCacheMiddlewarePOSTCanonicalization(t *testing.T) {
 
 // TestCachePOSTReadErrorIsBadRequest: a POST invoke whose body read
 // fails after a complete JSON object is a 400 with the read's error, on a
-// host with a response cache as on one without: the keyer replays the
-// error after the bytes it read, so no handler runs on a body cut short.
+// host with a response cache as on one without: the host's one read of
+// the body fails before the cache or the dispatch, so no handler runs on
+// a body cut short.
 func TestCachePOSTReadErrorIsBadRequest(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		h, pure, _, _ := newCachedHost(t, 8, time.Minute)

@@ -83,7 +83,7 @@ func FuzzSOAPCacheKey(f *testing.F) {
 		want, wantOK := soapKeyOracle(m, env)
 		r := httptest.NewRequest(http.MethodPost, "/services/Contracts/soap", bytes.NewReader(env))
 		k := keyerPool.Get().(*cacheKeyer)
-		defer k.release(r)
+		defer k.release()
 		k.body = callplane.GetBuffer()
 		var key []byte
 		ok := m.soapSrv.ReadRequest(httptest.NewRecorder(), r, k.body, &k.soap)
@@ -105,7 +105,7 @@ func FuzzSOAPCacheKey(f *testing.F) {
 // cache: an oversized body, an envelope that does not decode, an
 // operation that is not idempotent.
 func soapKeyOracle(m *mounted, body []byte) (key string, ok bool) {
-	if len(body) > maxCacheableBody {
+	if len(body) > maxInvokeBody { // the envelope's bound is the same 1 MiB
 		return "", false
 	}
 	msg, err := soap.DecodeBytes(body)

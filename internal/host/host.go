@@ -417,32 +417,28 @@ func (h *Host) handleInvoke(w http.ResponseWriter, r *http.Request, p rest.Param
 	h.serve(w, r, p, m)
 }
 
-// invoke dispatches one invocation of m over the route's binding — the
-// envelope req, already decoded, on SOAP — in the trace remote.
-func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted, remote telemetry.SpanContext, req *soap.Message) {
+// invoke dispatches one invocation of m with the input serve read into
+// k — the envelope req, already decoded, on SOAP — in the trace remote.
+func (h *Host) invoke(w http.ResponseWriter, r *http.Request, p rest.Params, m *mounted, remote telemetry.SpanContext, k *cacheKeyer, req *soap.Message) {
 	args := acquireValues()
 	defer releaseValues(args)
 	if req != nil {
-		for k, v := range req.Params {
-			args[k] = v
+		for name, v := range req.Params {
+			args[name] = v
 		}
 		h.invokeSOAP(w, r, m, remote, req.Operation, args)
 		return
 	}
-	if r.Method == http.MethodPost {
-		if err := readInvokeBody(r, args, m.inputNames); err != nil {
+	if k.body != nil {
+		// A POST invoke's arguments: any body but one JSON object (or
+		// null) with only whitespace after it is refused.
+		if _, err := decodeJSONObject(args, k.body.B, m.inputNames); err != nil {
 			rest.WriteError(w, r, http.StatusBadRequest, "body: %v", err)
 			return
 		}
-	} else {
-		for k, vs := range r.URL.Query() {
-			if k == "format" {
-				continue
-			}
-			if len(vs) > 0 {
-				args[k] = vs[0]
-			}
-		}
+	}
+	for _, kv := range k.query {
+		args[kv.k] = kv.v
 	}
 	out, err := h.dispatch(r.Context(), m, p["op"], "rest", remote, args)
 	if err != nil {
@@ -486,35 +482,6 @@ func (h *Host) invokeSOAP(w http.ResponseWriter, r *http.Request, m *mounted, re
 	}
 	// By name, as the answer always listed them.
 	m.soapSrv.WriteAnswer(w, op, soap.SortParams(params))
-}
-
-// maxInvokeBody bounds a POST invoke body.
-const maxInvokeBody = 1 << 20
-
-// readInvokeBody decodes the JSON object posted to an invoke route into
-// args, each key that names lends borrowed from it: from the cache
-// keyer's bytes when the keyer read all of the body, else through a
-// pooled buffer (from a keyer whose read failed, its bytes and then its
-// error). Any body but such an object is an error: no JSON, a top-level
-// value that is neither an object nor null, anything but whitespace after
-// it, more than maxInvokeBody bytes.
-func readInvokeBody(r *http.Request, args core.Values, names map[string]string) error {
-	var data []byte
-	if k, ok := r.Body.(*cacheKeyer); ok && k.body != nil && k.readErr == nil {
-		data = k.body.B
-	} else {
-		body := callplane.GetBuffer()
-		defer body.Release()
-		if err := body.Fill(r.Body, maxInvokeBody+1); err != nil {
-			return err
-		}
-		data = body.B
-	}
-	if len(data) > maxInvokeBody {
-		return fmt.Errorf("larger than %d bytes", maxInvokeBody)
-	}
-	_, err := decodeJSONObject(args, data, names)
-	return err
 }
 
 // jsonContentType is shared by every result written: full (len == cap),

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"soc/internal/cloud"
 	"soc/internal/core"
 	"soc/internal/xmlkit"
 )
@@ -347,4 +349,31 @@ func listServices(baseURL string) ([]serviceInfo, error) {
 	}
 	var out []serviceInfo
 	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
+// A request built with no body reaches the host through
+// cloud.HandlerTransport as it would over a socket — with http.NoBody,
+// refused with a 400 on both invocation routes — and the caller's
+// request keeps its nil Body.
+func TestHandlerTransportBodilessPOST(t *testing.T) {
+	h, _, _, _ := newCachedHost(t, 8, time.Minute)
+	rt := cloud.HandlerTransport(h)
+	for _, path := range []string{"/services/Calc/invoke/Square", "/services/Calc/soap"} {
+		req, err := http.NewRequest(http.MethodPost, "http://host"+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rt.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %q; want 400", path, resp.StatusCode, body)
+		}
+		if req.Body != nil {
+			t.Errorf("%s: the caller's request was given a Body", path)
+		}
+	}
 }

@@ -78,25 +78,8 @@ type Message struct {
 	Header map[string]string
 }
 
-// ---- pooled buffers and messages (the hot-path allocation discipline;
+// ---- pooled messages (the hot-path allocation discipline;
 // see DESIGN.md "Hot-path message plane") ----
-
-// encPool recycles the byte slices the encoder and the transport paths
-// build envelopes in. Oversized buffers are dropped rather than pooled so
-// one huge message cannot pin memory.
-var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-
-const maxPooledBuf = 64 << 10
-
-func getEncBuf() *[]byte { return encPool.Get().(*[]byte) }
-
-func putEncBuf(bp *[]byte) {
-	if cap(*bp) > maxPooledBuf {
-		return
-	}
-	*bp = (*bp)[:0]
-	encPool.Put(bp)
-}
 
 // msgPool recycles the messages Route.Call decodes answers into. The maps
 // are cleared (not reallocated) between calls, so steady-state decoding
@@ -356,9 +339,8 @@ func (n *names) namespace(raw []byte) (string, error) {
 func decodeInto(m *Message, data []byte, skipTrace bool, known *names) error {
 	s := xmlkit.AcquireScanner(data)
 	defer xmlkit.ReleaseScanner(s)
-	bp := getEncBuf()
-	scratch := (*bp)[:0]
-	defer func() { *bp = scratch[:0]; putEncBuf(bp) }()
+	scratch := callplane.GetBuffer()
+	defer scratch.Release()
 
 	ev, err := nextElement(s)
 	if err != nil {
@@ -386,7 +368,7 @@ func decodeInto(m *Message, data []byte, skipTrace bool, known *names) error {
 		}
 		switch string(s.LocalName()) {
 		case "Header":
-			if err := decodeHeader(s, m, &scratch, skipTrace); err != nil {
+			if err := decodeHeader(s, m, &scratch.B, skipTrace); err != nil {
 				return err
 			}
 		case "Body":
@@ -394,7 +376,7 @@ func decodeInto(m *Message, data []byte, skipTrace bool, known *names) error {
 				return fmt.Errorf("%w: multiple Body elements", ErrProtocol)
 			}
 			sawBody = true
-			if fault, err = decodeBody(s, m, &scratch, known); err != nil {
+			if fault, err = decodeBody(s, m, &scratch.B, known); err != nil {
 				return err
 			}
 		default:
@@ -714,16 +696,15 @@ func (s *Server) ReadRequest(w http.ResponseWriter, r *http.Request, body *callp
 // answer that cannot be encoded becomes a Server fault, with nothing
 // written before it.
 func (s *Server) WriteAnswer(w http.ResponseWriter, operation string, params []Param) {
-	bp := getEncBuf()
-	defer putEncBuf(bp)
-	b, err := appendEnvelope((*bp)[:0], s.Namespace, s.respNames[operation], nil, params)
-	*bp = b[:0]
-	if err != nil {
+	buf := callplane.GetBuffer()
+	defer buf.Release()
+	var err error
+	if buf.B, err = appendEnvelope(buf.B, s.Namespace, s.respNames[operation], nil, params); err != nil {
 		WriteFault(w, ServerFault("response encoding: %v", err))
 		return
 	}
 	w.Header()["Content-Type"] = contentType
-	_, _ = w.Write(b)
+	_, _ = w.Write(buf.B)
 }
 
 // WriteFault writes f as the answer to a request that failed in its
