@@ -75,7 +75,10 @@ race:
 ## binding client's per-operation records filled concurrently, the front
 ## door's picks racing membership churn, its pooled per-request state
 ## reused by concurrent local replicas answering in place, each response
-## keeping its own status and body, and the host's dispatch racing
+## keeping its own status and body, and never reused while a transport
+## still holds the request it forwarded (late body readers, a failed
+## first attempt's held body, a loopback exchange's armed deadline),
+## and the host's dispatch racing
 ## Mount; sampled traces whole or absent across a client, a door and
 ## three hosts whose tracers race to record them; and cursor readers of
 ## a trace ring (Since) racing its recorders, each seeing every span once
@@ -88,7 +91,7 @@ flake:
 	$(GO) test -race -count=20 -run 'TestDoDeadline|TestRecordsResolveOncePerKeyAndStayBounded' ./internal/callplane
 	$(GO) test -race -count=20 -run 'TestLookupDuringPublishConsistent|TestSearchDuringHeartbeatAndEvict|TestSearchDuringRepublishConsistent' ./internal/registry
 	$(GO) test -race -count=20 -run 'TestReportAgreesWithRecords|TestSinceAgainstConcurrentRecorders' ./internal/telemetry
-	$(GO) test -race -count=20 -run 'TestFrontDoorChurnParallel|TestFrontDoorInPlaceParallel' ./internal/cloud
+	$(GO) test -race -count=20 -run 'TestFrontDoorChurnParallel|TestFrontDoorInPlaceParallel|TestFrontDoorLateReadersParallel|TestFrontDoorHTTPReplicasParallel' ./internal/cloud
 	$(GO) test -race -count=20 -run 'TestMountDuringInvokeParallel|TestTracesWholeOrAbsent' ./internal/host
 	$(GO) test -race -count=20 -run TestCacheFillsRaceEvictionAndReplacement ./internal/respcache
 

@@ -16,7 +16,8 @@ import (
 // The request constructors are the client half's fixed cost per call:
 // the request with its body reader and trace value (one allocation), its
 // header map (two) and the span's trace-parent string (one, cached on
-// the span) — and for a proxy hop the one shallow copy.
+// the span) — and for a proxy hop the one shallow copy, none when it is
+// made in storage the caller reuses.
 func TestRequestConstructorAllocCeilings(t *testing.T) {
 	rt, err := NewRoute(http.MethodPost, "http://example/services/S/invoke/Op", "S.Op",
 		"Content-Type", "application/json", "Accept", "application/json")
@@ -40,11 +41,19 @@ func TestRequestConstructorAllocCeilings(t *testing.T) {
 	owner := &countingOwner{}
 	payload := []byte("{}")
 	allocs = testing.AllocsPerRun(200, func() {
-		out := Forward(context.Background(), req, payload, owner)
+		out := new(Forwarded).Forward(context.Background(), req, payload, owner)
 		_ = out.Body.Close()
 	})
 	if allocs > 1 {
-		t.Errorf("Forward allocates %.1f/op, ceiling 1", allocs)
+		t.Errorf("Forward on fresh storage allocates %.1f/op, ceiling 1", allocs)
+	}
+	var fwd Forwarded
+	allocs = testing.AllocsPerRun(200, func() {
+		out := fwd.Forward(context.Background(), req, payload, owner)
+		_ = out.Body.Close()
+	})
+	if allocs > 0 {
+		t.Errorf("Forward on reused storage allocates %.1f/op, ceiling 0", allocs)
 	}
 }
 

@@ -9,11 +9,11 @@
 // breaker → timeout) is reusable by any client, and every hop of one
 // originating call lands in one trace tree.
 //
-// Outbound HTTP requests are constructed here and nowhere else: NewRequest,
-// Route.NewRequest and Forward (request.go) are the module's sanctioned
-// context→request sites (enforced by the soclint ctxpropagate rule), so
-// deadline plumbing and trace-header injection can never drift apart
-// across clients again.
+// Outbound HTTP requests are constructed here and nowhere else:
+// NewRequest, Route.NewRequest and Forwarded.Forward (request.go) are the
+// module's sanctioned context→request sites (enforced by the soclint
+// ctxpropagate rule), so deadline plumbing and trace-header injection can
+// never drift apart across clients again.
 package callplane
 
 import (

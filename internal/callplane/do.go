@@ -19,7 +19,7 @@ import (
 //   - kept: the Transport, the Timeout, cancellation through the request's
 //     context, and the RoundTripper's ownership of the request body (closed
 //     on every path, once more here after a failed exchange — harmless for
-//     a body built by Route.NewRequest or Forward, whose Close is
+//     a body built by Route.NewRequest or Forwarded.Forward, whose Close is
 //     idempotent);
 //   - dropped: redirects (a 3xx is returned to the caller like any other
 //     status, never re-issued), the cookie Jar and CheckRedirect (not
@@ -37,9 +37,9 @@ import (
 //
 // An exchange that ends in time and on which nobody waited costs no
 // runtime timer, and one allocation at most: none for a request
-// Route.NewRequest or Forward built with a body, which holds the deadline
-// as a field. Err compares the clock, and the timer and the hook on a
-// cancelable parent are armed at the first Done or AfterFunc call. A
+// Route.NewRequest or Forwarded.Forward built with a body, which holds the
+// deadline as a field. Err compares the clock, and the timer and the hook
+// on a cancelable parent are armed at the first Done or AfterFunc call. A
 // cancelable context derived from it directly (http.Transport's
 // WithCancelCause, the front door's queue timeout on the wall clock)
 // hangs on its AfterFunc method, as context.propagateCancel has asked a
@@ -102,8 +102,8 @@ func Do(hc *http.Client, req *http.Request) (*http.Response, error) {
 }
 
 // deadlineOf is where the deadline of req's exchange lives: in the
-// request's own allocation when Route.NewRequest or Forward built it with
-// a body, else in one of its own.
+// request's own storage when Route.NewRequest or Forwarded.Forward built
+// it with a body, else in an allocation of its own.
 func deadlineOf(req *http.Request) *deadlineBody {
 	if rb, ok := req.Body.(*replayBody); ok {
 		return rb.deadline

@@ -239,7 +239,7 @@ func TestDoFailedExchangeReleasesTheBodyOnce(t *testing.T) {
 				return nil, boom
 			})}
 			owner := &countingOwner{}
-			resp, err := Do(hc, Forward(context.Background(), in, []byte("payload"), owner))
+			resp, err := Do(hc, new(Forwarded).Forward(context.Background(), in, []byte("payload"), owner))
 			if resp != nil || !errors.Is(err, boom) {
 				t.Fatalf("Do = %v, %v; want the transport's error as it is", resp, err)
 			}
@@ -260,5 +260,45 @@ func TestDoRejectsANilResponse(t *testing.T) {
 	req, _ := NewRequest(context.Background(), http.MethodGet, "http://svc.test/x", nil)
 	if resp, err := Do(hc, req); resp != nil || err == nil {
 		t.Fatalf("Do = %v, %v; want an error", resp, err)
+	}
+}
+
+// Storage a proxy reuses: a request forwarded from it after an exchange
+// under a Timeout has a live deadline of its own, not the one the last
+// exchange ended; and once a transport has waited on a deadline, Busy
+// says its timer or hooks may still read the storage.
+func TestForwardedReuseUnderATimeout(t *testing.T) {
+	in, _ := http.NewRequest(http.MethodPost, "http://door.test/x", nil)
+	var f Forwarded
+	owner := &countingOwner{}
+	exchange := func(wait bool) {
+		t.Helper()
+		hc := &http.Client{Timeout: time.Minute, Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if err := r.Context().Err(); err != nil {
+				t.Fatalf("the transport got an ended context: %v", err)
+			}
+			if wait {
+				_ = r.Context().Done()
+			}
+			_ = r.Body.Close()
+			return okResponse("ok"), nil
+		})}
+		resp, err := Do(hc, f.Forward(context.Background(), in, []byte("payload"), owner))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+	}
+	exchange(false)
+	if f.Busy() {
+		t.Fatal("Busy after an exchange nobody waited on")
+	}
+	exchange(false)
+	exchange(true)
+	if !f.Busy() {
+		t.Fatal("not Busy after the transport waited on the deadline")
+	}
+	if owner.n != 3 {
+		t.Fatalf("bodies released %d times, want 3", owner.n)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // NewRequest builds an outbound HTTP request bound to ctx (deadline and
 // cancelation) with the context's trace stamped into the X-Soc-Trace
-// header. Together with Route.NewRequest and Forward below it
+// header. Together with Route.NewRequest and Forwarded.Forward below it
 // is the module's context→request construction site; the soclint
 // ctxpropagate rule flags any other.
 func NewRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
@@ -132,8 +132,11 @@ func (rb *replayBody) Close() error {
 // outbound is one request with what travels with it, in one allocation:
 // the body reader, the trace header's value slice, the context that
 // carries an unsampled root's trace, and the deadline Do gives the
-// exchange. None is pooled: the response, and the deadline that guards
-// its body, stay the caller's after Do returns.
+// exchange. Route.NewRequest makes a fresh one per call and never reuses
+// it: the response, and the deadline that guards its body, stay the
+// caller's after Do returns, and http.Transport keys the cancelation of
+// a request by its pointer. A proxy hop's copy lives in a Forwarded,
+// which its owner may reuse once the exchange has let go of it.
 type outbound struct {
 	req       http.Request
 	body      replayBody
@@ -233,13 +236,36 @@ func (rt *Route) NewRequest(ctx context.Context, call telemetry.CallTrace, body 
 	return req
 }
 
-// Forward builds the request a proxy hop sends on: a shallow copy of the
-// inbound r — URL, header map and the trace header in it are shared, not
-// cloned, because neither a RoundTripper nor a Handler may mutate them —
-// bound to ctx, replaying body. owner.Release is called once the
-// transport has closed the body, which may be after the exchange returned.
-func Forward(ctx context.Context, r *http.Request, body []byte, owner Releaser) *http.Request {
-	return (&outbound{}).bind(ctx, r, body, owner)
+// Forwarded is storage for the request a proxy hop sends on, owned by
+// its caller: the copy of the inbound request, its body reader, and the
+// slot Do keeps the exchange's deadline in. new(Forwarded).Forward
+// builds a fresh request; a proxy that pools its per-request state keeps
+// a Forwarded there and forwards from it again once the exchange has let
+// go of the last request: the transport has closed the body (the owner
+// heard Release, or there was no body to close) and Busy reports false.
+type Forwarded struct{ o outbound }
+
+// Forward builds the request a proxy hop sends on, in f: a shallow copy
+// of the inbound r — URL, header map and the trace header in it are
+// shared, not cloned, because neither a RoundTripper nor a Handler may
+// mutate them — bound to ctx, replaying body. owner.Release is called
+// once the transport has closed the body, which may be after the
+// exchange returned. A deadline the previous request's Do left in f is
+// cleared.
+func (f *Forwarded) Forward(ctx context.Context, r *http.Request, body []byte, owner Releaser) *http.Request {
+	f.o.deadline = deadlineBody{}
+	return f.o.bind(ctx, r, body, owner)
+}
+
+// Busy reports whether Do armed the deadline of the request last
+// forwarded from f: a transport waited on it, so its timer or a hook
+// registered on it may still run and read it after the exchange, and f
+// must not be forwarded from again.
+func (f *Forwarded) Busy() bool {
+	d := &f.o.deadline
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.done != nil
 }
 
 // Records is a binding client's table of per-operation records (a Route,

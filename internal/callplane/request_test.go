@@ -83,7 +83,7 @@ func TestForwardSharesTheRequestAndReplaysTheBody(t *testing.T) {
 	ctx := context.WithValue(context.Background(), key{}, "attempt")
 
 	owner := &countingOwner{}
-	out := Forward(ctx, in, []byte("payload"), owner)
+	out := new(Forwarded).Forward(ctx, in, []byte("payload"), owner)
 	if out == in {
 		t.Fatal("Forward returned the inbound request")
 	}
@@ -114,7 +114,7 @@ func TestForwardSharesTheRequestAndReplaysTheBody(t *testing.T) {
 
 	// No body: the owner hears at once, the request carries NoBody.
 	owner = &countingOwner{}
-	if out := Forward(ctx, in, nil, owner); out.Body != http.NoBody || out.ContentLength != 0 || owner.n != 1 {
+	if out := new(Forwarded).Forward(ctx, in, nil, owner); out.Body != http.NoBody || out.ContentLength != 0 || owner.n != 1 {
 		t.Fatalf("bodiless forward: Body %v, ContentLength %d, released %d", out.Body, out.ContentLength, owner.n)
 	}
 }

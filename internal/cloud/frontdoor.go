@@ -352,19 +352,26 @@ func (fd *FrontDoor) shedResponse(w http.ResponseWriter, r *http.Request, why st
 }
 
 // proxyCall is the state of one proxied request, pooled: the invocation
-// whose Do it is, the buffered inbound body, the client's writer as the
-// replicas see it, and what a failed attempt leaves behind for the next.
+// whose Do it is, the buffered inbound body, the first attempt's
+// forwarded request, the client's writer as the replicas see it, and
+// what an attempt leaves behind for the next and for proxy.
 type proxyCall struct {
 	fd   *FrontDoor
 	r    *http.Request
 	clk  vtime.Clock          // the request's, read once
 	inv  callplane.Invocation // inv.Do is bound to this proxyCall once, for its lifetime
 	body *callplane.Buffer    // nil for a bodiless request
+	// fwd holds the first attempt's request. A retry forwards from fresh
+	// storage: the transport that failed may still hold the first one.
+	fwd callplane.Forwarded
 	// w is the client's writer as the replicas answer into it; the
 	// status it keeps feeds the replica's EWMA and the door's /metricz.
 	w rest.StatusWriter
 	// lastFailed is the replica the previous attempt failed on.
 	lastFailed string
+	// end is when the last attempt's exchange ended, as that attempt read
+	// it for its latency sample; zero when it read no clock.
+	end time.Time
 	// lent counts attempt bodies a replica has not closed yet. A local
 	// replica closes before its exchange returns; http.Transport may still
 	// be writing one after an early response, or after its attempt failed.
@@ -392,14 +399,19 @@ func (pc *proxyCall) reset() {
 }
 
 // finish ends the call's use of its pooled state. While a transport still
-// holds an attempt body the buffer it reads from must not be reused, nor
-// the counter it will decrement: both are then left to the collector.
+// holds an attempt body, the buffer it reads from, the request it came in
+// and the counter it will decrement must not be reused: all are then left
+// to the collector. So is the call whose forwarded request's deadline Do
+// armed, which the deadline's timer or hooks may still read.
 func (pc *proxyCall) finish() {
 	if pc.lent.Load() != 0 {
 		return
 	}
 	if pc.body != nil {
 		pc.body.Release()
+	}
+	if pc.fwd.Busy() {
+		return
 	}
 	pc.reset()
 	proxyCallPool.Put(pc)
@@ -418,8 +430,13 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 	if pc.body != nil {
 		body = pc.body.B
 	}
+	fwd := &pc.fwd
+	if inv.Attempt > 1 {
+		fwd = new(callplane.Forwarded)
+	}
 	pc.lent.Add(1)
-	req := callplane.Forward(ctx, pc.r, body, pc)
+	req := fwd.Forward(ctx, pc.r, body, pc)
+	pc.end = time.Time{}
 	t0 := pc.clk.Now()
 	if err = rep.exchange(&pc.w, req); err != nil {
 		if vtime.GaveUp(ctx, err) {
@@ -431,7 +448,8 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		// A fast connection-refused must not make a dead replica
 		// look attractive: penalize the EWMA with at least a
 		// second so picks steer away until the lease reaps it.
-		elapsed := pc.clk.Now().Sub(t0)
+		pc.end = pc.clk.Now()
+		elapsed := pc.end.Sub(t0)
 		if elapsed < time.Second {
 			elapsed = time.Second
 		}
@@ -439,8 +457,20 @@ func (pc *proxyCall) attempt(ctx context.Context, inv *callplane.Invocation) err
 		pc.lastFailed = rep.Name()
 		return fmt.Errorf("%w: %s: %w", errExchange, rep.Name(), err)
 	}
-	rep.observe(pc.clk.Now().Sub(t0), pc.failed())
+	pc.end = pc.clk.Now()
+	rep.observe(pc.end.Sub(t0), pc.failed())
 	return nil
+}
+
+// since is the time from start to the end of the last attempt's
+// exchange, on the instant that attempt read; only when it read none is
+// the clock read again.
+func (pc *proxyCall) since(start time.Time) time.Duration {
+	end := pc.end
+	if end.IsZero() {
+		end = pc.clk.Now()
+	}
+	return end.Sub(start)
 }
 
 // proxy admits (or sheds) one arrival and exchanges it with a replica.
@@ -487,13 +517,13 @@ func (fd *FrontDoor) proxy(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		fd.completed.Add(1)
-		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), pc.failed())
+		fd.metrics.Record("frontdoor.proxy", pc.since(start), pc.failed())
 	case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicasSaturated):
 		fd.shedBusy.Add(1)
 		fd.shedResponse(w, r, err.Error())
 	default:
 		fd.errored.Add(1)
-		fd.metrics.Record("frontdoor.proxy", clk.Now().Sub(start), true)
+		fd.metrics.Record("frontdoor.proxy", pc.since(start), true)
 		rest.WriteError(w, r, http.StatusBadGateway, "all replica attempts failed: %v", err)
 	}
 }

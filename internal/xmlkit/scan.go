@@ -991,30 +991,39 @@ func EscapeAttrValue(dst []byte, s string) []byte { return escape(dst, s, true) 
 
 // escape writes s for content or an attribute value. Both kinds write an
 // invalid UTF-8 byte or a rune that is not an XML Char as U+FFFD, so what
-// they write always reads back.
+// they write always reads back. A byte escFlags does not mark for the
+// kind is copied as it is, so text that needs no escaping is one append.
 func escape(dst []byte, s string, attr bool) []byte {
+	kind := escText
+	if attr {
+		kind = escAttr
+	}
 	last := 0
 	for i := 0; i < len(s); {
-		c, n := s[i], 1
-		var esc string
-		switch {
-		case c == '&':
-			esc = "&amp;"
-		case c == '<':
-			esc = "&lt;"
-		case c == '>' && !attr:
-			esc = "&gt;"
-		case c == '"' && attr:
-			esc = "&quot;"
-		case c == '\r':
-			esc = "&#xD;"
-		case c == '\n' && attr:
-			esc = "&#xA;"
-		case c == '\t' && attr:
-			esc = "&#x9;"
-		case c >= ' ' && c < utf8.RuneSelf, c == '\n', c == '\t':
+		c := s[i]
+		if escFlags[c]&kind == 0 {
 			i++
 			continue
+		}
+		n := 1
+		var esc string
+		// '>' is marked only in content; '"', '\n' and '\t' only in an
+		// attribute value.
+		switch c {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		case '\r':
+			esc = "&#xD;"
+		case '\n':
+			esc = "&#xA;"
+		case '\t':
+			esc = "&#x9;"
 		default:
 			var r rune
 			if r, n = utf8.DecodeRuneInString(s[i:]); isChar(r) && n > 1 {
@@ -1030,3 +1039,28 @@ func escape(dst []byte, s string, attr bool) []byte {
 	}
 	return append(dst, s[last:]...)
 }
+
+// The kinds of text escape writes, as bits of escFlags.
+const (
+	escText uint8 = 1 << iota
+	escAttr
+)
+
+// escFlags marks, for each byte, the kinds of text in which escape must
+// look at it: markup ('&' and '<' in both, '>' in content, '"' in an
+// attribute value), '\r', the '\n' and '\t' an attribute value would
+// normalize, the other control bytes, which are not XML Chars, and every
+// byte of a multi-byte or invalid UTF-8 sequence.
+var escFlags = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c == '&', c == '<', c == '\r', c < ' ' && c != '\n' && c != '\t', c >= utf8.RuneSelf:
+			t[c] = escText | escAttr
+		case c == '>':
+			t[c] = escText
+		case c == '"', c == '\n', c == '\t':
+			t[c] = escAttr
+		}
+	}
+	return t
+}()
