@@ -19,6 +19,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -73,13 +74,23 @@ func main() {
 
 // server is the REST surface over one orchestrator.
 type server struct {
-	orch *workflow.Orchestrator
-	mux  *http.ServeMux
+	orch   *workflow.Orchestrator
+	router *rest.Router
 }
 
 // newServer opens (or recovers) the journal under dir, wires the
 // in-process invoker, and registers the built-in definitions.
 func newServer(dir string) (*server, *workflow.Orchestrator, error) {
+	s := &server{router: rest.NewRouter()}
+	if err := errors.Join(
+		s.router.GET("/healthz", s.healthz),
+		s.router.GET("/instances", s.listInstances),
+		s.router.GET("/instances/{id}", s.audit),
+		s.router.POST("/instances/{def}", s.start),
+		s.router.POST("/instances/{id}/resume", s.resume),
+	); err != nil {
+		return nil, nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -104,14 +115,11 @@ func newServer(dir string) (*server, *workflow.Orchestrator, error) {
 		log.Printf("socflow: compensating: rejecting instance with vars %v", args)
 		return nil
 	})
-	s := &server{orch: orch, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/healthz", s.healthz)
-	s.mux.HandleFunc("/instances", s.listInstances)
-	s.mux.HandleFunc("/instances/", s.instance)
+	s.orch = orch
 	return s, orch, nil
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.router.ServeHTTP(w, r) }
 
 // localInvoker routes workflow invokes to in-process service instances —
 // the same Invoker seam the simulator fills with a wire client.
@@ -166,7 +174,7 @@ func scoreCheckWorkflow(inv workflow.Invoker) (*workflow.Workflow, error) {
 	return workflow.New("score-check", root)
 }
 
-func (s *server) healthz(w http.ResponseWriter, _ *http.Request) {
+func (s *server) healthz(w http.ResponseWriter, _ *http.Request, _ rest.Params) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "pending": len(s.orch.Pending())})
 }
 
@@ -178,11 +186,7 @@ type instanceView struct {
 	Err    string `json:"err,omitempty"`
 }
 
-func (s *server) listInstances(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *server) listInstances(w http.ResponseWriter, _ *http.Request, _ rest.Params) {
 	audits := s.orch.Audits()
 	out := make([]instanceView, 0, len(audits))
 	for _, id := range s.orch.Instances() {
@@ -192,33 +196,12 @@ func (s *server) listInstances(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// instance dispatches /instances/{id}, /instances/{def} (POST: start) and
-// /instances/{id}/resume.
-func (s *server) instance(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/instances/")
-	name, action, _ := strings.Cut(rest, "/")
-	if name == "" {
-		http.Error(w, "missing instance or definition name", http.StatusBadRequest)
-		return
-	}
-	switch {
-	case action == "resume" && r.Method == http.MethodPost:
-		s.resume(w, r, name)
-	case action == "" && r.Method == http.MethodPost:
-		s.start(w, r, name)
-	case action == "" && r.Method == http.MethodGet:
-		s.audit(w, name)
-	default:
-		http.Error(w, "not found", http.StatusNotFound)
-	}
-}
-
 type startRequest struct {
 	ID   string         `json:"id"`
 	Vars map[string]any `json:"vars"`
 }
 
-func (s *server) start(w http.ResponseWriter, r *http.Request, def string) {
+func (s *server) start(w http.ResponseWriter, r *http.Request, p rest.Params) {
 	var req startRequest
 	if err := rest.ReadJSON(r, &req); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
@@ -228,7 +211,7 @@ func (s *server) start(w http.ResponseWriter, r *http.Request, def string) {
 		http.Error(w, "missing instance id", http.StatusBadRequest)
 		return
 	}
-	res, err := s.orch.Start(r.Context(), req.ID, def, req.Vars)
+	res, err := s.orch.Start(r.Context(), req.ID, p["def"], req.Vars)
 	if err != nil {
 		// The instance may still exist in a pending state; report the
 		// result alongside the error so the caller can resume it.
@@ -238,8 +221,8 @@ func (s *server) start(w http.ResponseWriter, r *http.Request, def string) {
 	writeJSON(w, http.StatusCreated, res)
 }
 
-func (s *server) resume(w http.ResponseWriter, r *http.Request, id string) {
-	res, err := s.orch.Resume(r.Context(), id)
+func (s *server) resume(w http.ResponseWriter, r *http.Request, p rest.Params) {
+	res, err := s.orch.Resume(r.Context(), p["id"])
 	if err != nil {
 		writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error(), "result": res})
 		return
@@ -247,8 +230,8 @@ func (s *server) resume(w http.ResponseWriter, r *http.Request, id string) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *server) audit(w http.ResponseWriter, id string) {
-	a, ok := s.orch.Audit(id)
+func (s *server) audit(w http.ResponseWriter, _ *http.Request, p rest.Params) {
+	a, ok := s.orch.Audit(p["id"])
 	if !ok {
 		http.Error(w, "no such instance", http.StatusNotFound)
 		return
@@ -256,6 +239,8 @@ func (s *server) audit(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusOK, map[string]any{"audit": a, "problems": a.Problems()})
 }
 
+// writeJSON answers in JSON alone, not through rest.WriteResponse: the
+// documents here are maps, which its XML side (encoding/xml) cannot write.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -205,3 +205,37 @@ func TestSocflowBadRequests(t *testing.T) {
 		t.Errorf("rejected requests started instances: %v", ids)
 	}
 }
+
+// TestSocflowWrongMethodOnAnInstance: a path the routes know, under a
+// method none of them takes, is 405 with the methods that path has.
+func TestSocflowWrongMethodOnAnInstance(t *testing.T) {
+	srv, orch, err := newServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := orch.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/instances/x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Error(err)
+	}
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE /instances/x: status %d, want %d", resp.StatusCode, http.StatusMethodNotAllowed)
+	}
+	if got := resp.Header.Get("Allow"); got != "GET, POST" {
+		t.Errorf("DELETE /instances/x: Allow %q, want %q", got, "GET, POST")
+	}
+}

@@ -9,33 +9,35 @@
 //	socload -rate 500 -duration 5s -target http://localhost:8080
 //	socload -virtual -rate 2000 -duration 2s -stall 100ms -assert-open-loop
 //
-// With no -target, socload builds an in-process host (Encryption +
-// Echo services behind the idempotent-response cache) and dispatches
-// through ServeHTTP directly — the simtest-style transport, with no
-// sockets to perturb the measurement. -virtual switches the whole run
-// onto a deterministic virtual clock: a two-minute schedule completes
-// instantly and replays identically, which is what `make load-smoke`
-// gates in CI. -stall injects a one-off server stall mid-schedule; with
-// -assert-open-loop the command exits nonzero unless the full schedule
-// was still offered and the stall surfaced in the latency tail — the
-// open-loop property itself, checked end to end.
+// Both targets get the same requests over the same http.Client. With no
+// -target, socload builds an in-process host (the Encryption service
+// behind the idempotent-response cache) and the client reaches it through
+// cloud.HandlerTransport, with no sockets to perturb the measurement; a
+// -target is any host that serves Encryption, reached over the network.
+// -virtual switches the whole run onto a deterministic virtual clock: a
+// two-minute schedule completes instantly and replays identically, which
+// is what `make load-smoke` gates in CI. -stall injects a one-off server
+// stall mid-schedule; with -assert-open-loop the command exits nonzero
+// unless the full schedule was still offered and the stall surfaced in the
+// latency tail — the open-loop property itself, checked end to end.
 //
 // The workload mix is three request shapes, weighted by -mix:
 //
-//	cached  GET REST invoke of an idempotent operation (response-cache hit)
-//	rest    GET REST invoke of a non-idempotent operation (full dispatch)
-//	soap    POST SOAP envelope dispatch
+//	cached  GET REST invoke of Encryption.Decrypt (response-cache hit)
+//	rest    GET REST invoke of Encryption.Encrypt (full dispatch)
+//	soap    POST SOAP envelope of Encryption.Encrypt
+//
+// A 503 is counted as a shed (the server protecting itself), any other
+// status but 200 as an error.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"strconv"
@@ -43,6 +45,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soc/internal/callplane"
+	"soc/internal/cloud"
 	"soc/internal/core"
 	"soc/internal/host"
 	"soc/internal/loadgen"
@@ -51,6 +55,10 @@ import (
 	"soc/internal/soap"
 	"soc/internal/vtime"
 )
+
+// inprocessBase is the base URL of the in-process host; its client's
+// transport serves every request itself, so the name resolves nowhere.
+const inprocessBase = "http://socload.in-process"
 
 func main() {
 	var (
@@ -62,50 +70,69 @@ func main() {
 		stall    = flag.Duration("stall", 0, "inject one server stall of this length mid-schedule (in-process only)")
 		virtual  = flag.Bool("virtual", false, "run on a deterministic virtual clock (in-process only)")
 		assertOL = flag.Bool("assert-open-loop", false, "exit nonzero unless the full schedule was offered and any injected stall shows in the tail")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-request client `deadline` for -target runs; a saturation study sets this to the latency the caller would actually tolerate")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-request client `deadline`; a saturation study sets this to the latency the caller would actually tolerate")
 	)
 	flag.Parse()
-	if err := run(*rate, *duration, *workers, *target, *mix, *stall, *virtual, *assertOL, *timeout); err != nil {
+	res, err := run(*rate, *duration, *workers, *target, *mix, *stall, *virtual, *timeout)
+	if err == nil {
+		res.Format(os.Stdout)
+		err = verdict(res, *stall, *assertOL)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "socload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rate float64, duration time.Duration, workers int, target, mix string, stall time.Duration, virtual, assertOL bool, timeout time.Duration) error {
+// run drives the weighted mix against target, or against an in-process
+// host when target is empty, and returns what the schedule measured.
+func run(rate float64, duration time.Duration, workers int, target, mix string, stall time.Duration, virtual bool, timeout time.Duration) (*loadgen.Result, error) {
 	weights, err := parseMix(mix)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if virtual && target != "" {
-		return fmt.Errorf("-virtual requires the in-process host (drop -target)")
+		return nil, fmt.Errorf("-virtual requires the in-process host (drop -target)")
 	}
 	if stall > 0 && target != "" {
-		return fmt.Errorf("-stall requires the in-process host (drop -target)")
+		return nil, fmt.Errorf("-stall requires the in-process host (drop -target)")
 	}
 	ctx := context.Background()
 	if virtual {
 		ctx = vtime.WithClock(ctx, vtime.NewVirtual(time.Unix(0, 0)))
 	}
 
-	var ops workloadOps
+	client, base := &http.Client{Timeout: timeout}, strings.TrimRight(target, "/")
+	var h *host.Host
 	if target == "" {
-		scheduled := int(rate * duration.Seconds())
-		ops, err = inprocessOps(stall, scheduled)
-	} else {
-		ops, err = liveOps(strings.TrimRight(target, "/"), timeout)
+		enc, err := services.NewEncryption()
+		if err != nil {
+			return nil, err
+		}
+		h = host.New()
+		h.MustMount(enc)
+		h.UseResponseCache(1024, time.Hour)
+		client.Transport, base = cloud.HandlerTransport(h), inprocessBase
 	}
+	ops, err := shapes(ctx, client, base)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	op := mixedOp(weights, ops)
-	res, err := loadgen.Run(ctx, loadgen.Config{
+	if stall > 0 {
+		// Armed after shapes has primed its ciphertext, so the stall
+		// lands on a request of the schedule.
+		h.Use(stallOnce(stall, int64(rate*duration.Seconds())/2))
+	}
+	return loadgen.Run(ctx, loadgen.Config{
 		Rate: rate, Duration: duration, Workers: workers,
-	}, op)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
+	}, mixedOp(weights, ops))
+}
+
+// verdict fails a run with hard errors and, under -assert-open-loop, one
+// that did not offer its full schedule or hid an injected stall. Sheds are
+// deliberate backpressure, reported as their own outcome class; they fail
+// nothing.
+func verdict(res *loadgen.Result, stall time.Duration, assertOL bool) error {
 	if assertOL {
 		if res.Issued != res.Scheduled {
 			return fmt.Errorf("open-loop violation: issued %d of %d scheduled", res.Issued, res.Scheduled)
@@ -115,12 +142,29 @@ func run(rate float64, duration time.Duration, workers int, target, mix string, 
 		}
 		fmt.Println("open-loop check: full schedule offered; stall visible in tail")
 	}
-	// Sheds are deliberate backpressure, reported above as their own
-	// outcome class; only hard errors fail the run.
 	if res.Errors > 0 {
 		return fmt.Errorf("%d of %d requests failed", res.Errors, res.Issued)
 	}
 	return nil
+}
+
+// stallOnce is host middleware that sleeps once, for d on the request
+// context's clock, at the at-th request it serves (the first when at < 1),
+// to show that an open-loop harness keeps offering load through a server
+// pause. As router middleware it wraps every request, response-cache hits
+// included: the cache sits inside the host's dispatch.
+func stallOnce(d time.Duration, at int64) rest.Middleware {
+	at = max(at, 1)
+	var n atomic.Int64
+	return func(next rest.HandlerFunc) rest.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request, p rest.Params) {
+			if n.Add(1) == at {
+				//soclint:ignore errdiscard a canceled stall just shortens the injected pause
+				_ = vtime.Sleep(r.Context(), d)
+			}
+			next(w, r, p)
+		}
+	}
 }
 
 // workloadOps are the three request shapes the mix draws from.
@@ -128,6 +172,74 @@ type workloadOps struct {
 	cached loadgen.Op
 	rest   loadgen.Op
 	soapOp loadgen.Op
+}
+
+// shapes builds the three request shapes against the Encryption service
+// of the host at base, each sent over client. One Encrypt call up front
+// seals the ciphertext the cached shape replays.
+func shapes(ctx context.Context, client *http.Client, base string) (workloadOps, error) {
+	const passphrase = "correct horse battery"
+	sealed, err := (&host.Client{BaseURL: base, HTTPClient: client}).Call(ctx, "Encryption", "Encrypt", core.Values{
+		"passphrase": passphrase, "plaintext": "the quick brown fox",
+	})
+	if err != nil {
+		return workloadOps{}, fmt.Errorf("priming ciphertext: %w", err)
+	}
+	invoke := base + "/services/Encryption/invoke/"
+	cachedURL := invoke + "Decrypt?" + url.Values{
+		"passphrase": {passphrase},
+		"ciphertext": {sealed.Str("ciphertext")},
+	}.Encode()
+	restURL := invoke + "Encrypt?" + url.Values{
+		"passphrase": {passphrase},
+		"plaintext":  {"load generator payload"},
+	}.Encode()
+	envelope, err := soap.Encode(soap.Message{
+		Operation:  "Encrypt",
+		Namespace:  services.NamespacePrefix + "encryption",
+		Params:     map[string]string{"passphrase": passphrase, "plaintext": "load generator payload"},
+		ParamOrder: []string{"passphrase", "plaintext"},
+	})
+	if err != nil {
+		return workloadOps{}, err
+	}
+	send := func(method, target string, body []byte) loadgen.Op {
+		return func(ctx context.Context) error {
+			req, err := callplane.NewRequest(ctx, method, target, bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			if body != nil {
+				req.Header.Set("Content-Type", "text/xml")
+			}
+			return doOK(client, req)
+		}
+	}
+	return workloadOps{
+		cached: send(http.MethodGet, cachedURL, nil),
+		rest:   send(http.MethodGet, restURL, nil),
+		soapOp: send(http.MethodPost, base+"/services/Encryption/soap", envelope),
+	}, nil
+}
+
+// doOK sends req and reads its answer: 200 is success, 503 a shed
+// (loadgen.ErrShed), any other status an error.
+func doOK(client *http.Client, req *http.Request) error {
+	resp, err := callplane.Do(client, req)
+	if err != nil {
+		return err
+	}
+	//soclint:ignore errdiscard the response is drained for connection reuse; its content is irrelevant
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	//soclint:ignore errdiscard nothing actionable on close failure after a drained body
+	_ = resp.Body.Close()
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, loadgen.ErrShed)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s %s: status %d", req.Method, req.URL.Path, resp.StatusCode)
+	}
+	return nil
 }
 
 // mixedOp rotates deterministically through the weighted shapes: request
@@ -172,217 +284,4 @@ func parseMix(s string) (map[string]int, error) {
 		return nil, fmt.Errorf("-mix has zero total weight")
 	}
 	return w, nil
-}
-
-// inprocessOps builds the simtest-style transport: a host with the
-// Encryption and Echo services behind the response cache, driven through
-// ServeHTTP with no sockets. An optional stall middleware sleeps once, on
-// the request context's clock, at the request closest to the middle of
-// the schedule, to demonstrate that an open-loop harness keeps offering
-// load through a server pause.
-func inprocessOps(stall time.Duration, scheduled int) (workloadOps, error) {
-	encSvc, err := services.NewEncryption()
-	if err != nil {
-		return workloadOps{}, err
-	}
-	sealed, err := encSvc.Invoke(context.Background(), "Encrypt", core.Values{
-		"passphrase": "correct horse battery", "plaintext": "the quick brown fox",
-	})
-	if err != nil {
-		return workloadOps{}, err
-	}
-	echo, err := echoService()
-	if err != nil {
-		return workloadOps{}, err
-	}
-	h := host.New()
-	h.MustMount(encSvc)
-	h.MustMount(echo)
-	// The stall middleware goes in first — outermost — so it counts and
-	// can pause every request, including response-cache hits; installed
-	// inside the cache it would only ever see misses.
-	if stall > 0 {
-		stallAt := int64(scheduled / 2)
-		if stallAt < 1 {
-			stallAt = 1
-		}
-		var n atomic.Int64
-		h.Use(func(next rest.HandlerFunc) rest.HandlerFunc {
-			return func(w http.ResponseWriter, r *http.Request, p rest.Params) {
-				if n.Add(1) == stallAt {
-					//soclint:ignore errdiscard a canceled stall just shortens the injected pause
-					_ = vtime.Sleep(r.Context(), stall)
-				}
-				next(w, r, p)
-			}
-		})
-	}
-	h.UseResponseCache(1024, time.Hour)
-
-	cachedURL := "/services/Encryption/invoke/Decrypt?" + url.Values{
-		"passphrase": {"correct horse battery"},
-		"ciphertext": {sealed.Str("ciphertext")},
-	}.Encode()
-	restURL := "/services/Encryption/invoke/Encrypt?" + url.Values{
-		"passphrase": {"correct horse battery"},
-		"plaintext":  {"load generator payload"},
-	}.Encode()
-	envelope, err := soap.Encode(soap.Message{
-		Operation:  "Echo",
-		Namespace:  "http://soc.example/echo",
-		Params:     map[string]string{"text": "socload"},
-		ParamOrder: []string{"text"},
-	})
-	if err != nil {
-		return workloadOps{}, err
-	}
-
-	get := func(target string) loadgen.Op {
-		return func(ctx context.Context) error {
-			req := httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				return fmt.Errorf("GET %s: status %d", target, rec.Code)
-			}
-			return nil
-		}
-	}
-	soapOp := func(ctx context.Context) error {
-		req := httptest.NewRequest(http.MethodPost, "/services/Echo/soap", bytes.NewReader(envelope)).WithContext(ctx)
-		req.Header.Set("Content-Type", "text/xml")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("POST /services/Echo/soap: status %d", rec.Code)
-		}
-		return nil
-	}
-	return workloadOps{cached: get(cachedURL), rest: get(restURL), soapOp: soapOp}, nil
-}
-
-// liveOps targets a running host (or cluster front door) over HTTP with
-// the same three shapes. The host must serve the standard catalog
-// (Encryption); shapes the host lacks fail and count as errors. A 503
-// is classified as a shed — the server protecting itself — not an error.
-func liveOps(base string, timeout time.Duration) (workloadOps, error) {
-	client := &http.Client{Timeout: timeout}
-	// One Encrypt round-trip up front produces the ciphertext the cached
-	// shape replays.
-	seal, err := client.Get(base + "/services/Encryption/invoke/Encrypt?" + url.Values{
-		"passphrase": {"correct horse battery"},
-		"plaintext":  {"the quick brown fox"},
-	}.Encode())
-	if err != nil {
-		return workloadOps{}, fmt.Errorf("priming ciphertext: %w", err)
-	}
-	body, err := io.ReadAll(io.LimitReader(seal.Body, 1<<20))
-	//soclint:ignore errdiscard the body is fully consumed; close failure has nothing left to affect
-	_ = seal.Body.Close()
-	if err != nil || seal.StatusCode != http.StatusOK {
-		return workloadOps{}, fmt.Errorf("priming ciphertext: status %d err %v", seal.StatusCode, err)
-	}
-	ciphertext, err := extractJSONField(body, "ciphertext")
-	if err != nil {
-		return workloadOps{}, fmt.Errorf("priming ciphertext: %w", err)
-	}
-	cachedURL := base + "/services/Encryption/invoke/Decrypt?" + url.Values{
-		"passphrase": {"correct horse battery"},
-		"ciphertext": {ciphertext},
-	}.Encode()
-	restURL := base + "/services/Encryption/invoke/Encrypt?" + url.Values{
-		"passphrase": {"correct horse battery"},
-		"plaintext":  {"load generator payload"},
-	}.Encode()
-	envelope, err := soap.Encode(soap.Message{
-		Operation: "Encrypt",
-		Namespace: "http://soc.asu.example/wsrepository/encryption",
-		Params: map[string]string{
-			"passphrase": "correct horse battery",
-			"plaintext":  "load generator payload",
-		},
-		ParamOrder: []string{"passphrase", "plaintext"},
-	})
-	if err != nil {
-		return workloadOps{}, err
-	}
-	get := func(target string) loadgen.Op {
-		return func(ctx context.Context) error {
-			//soclint:ignore ctxpropagate the load generator measures the raw server path; call-plane tracing would tax every request with the overhead being measured
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-			if err != nil {
-				return err
-			}
-			return doOK(client, req)
-		}
-	}
-	soapOp := func(ctx context.Context) error {
-		//soclint:ignore ctxpropagate the load generator measures the raw server path; call-plane tracing would tax every request with the overhead being measured
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/services/Encryption/soap", bytes.NewReader(envelope))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "text/xml")
-		return doOK(client, req)
-	}
-	return workloadOps{cached: get(cachedURL), rest: get(restURL), soapOp: soapOp}, nil
-}
-
-func doOK(client *http.Client, req *http.Request) error {
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	//soclint:ignore errdiscard the response is drained for connection reuse; its content is irrelevant
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	//soclint:ignore errdiscard nothing actionable on close failure after a drained body
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, loadgen.ErrShed)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s: status %d", req.Method, req.URL.Path, resp.StatusCode)
-	}
-	return nil
-}
-
-// extractJSONField pulls a string field out of a flat JSON object
-// without committing to the response document's full shape.
-func extractJSONField(body []byte, field string) (string, error) {
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return "", err
-	}
-	if v, ok := doc[field].(string); ok && v != "" {
-		return v, nil
-	}
-	// Invoke responses may nest outputs one level down.
-	for _, v := range doc {
-		if m, ok := v.(map[string]any); ok {
-			if s, ok := m[field].(string); ok && s != "" {
-				return s, nil
-			}
-		}
-	}
-	return "", fmt.Errorf("no %q field in response", field)
-}
-
-// echoService is the minimal SOAP-dispatch target.
-func echoService() (*core.Service, error) {
-	echo, err := core.NewService("Echo", "http://soc.example/echo", "echo")
-	if err != nil {
-		return nil, err
-	}
-	err = echo.AddOperation(core.Operation{
-		Name:   "Echo",
-		Input:  []core.Param{{Name: "text", Type: core.String}},
-		Output: []core.Param{{Name: "echo", Type: core.String}},
-		Handler: func(_ context.Context, in core.Values) (core.Values, error) {
-			return core.Values{"echo": in.Str("text")}, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return echo, nil
 }

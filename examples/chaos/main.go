@@ -60,18 +60,6 @@ func newTargetHost(seed int64) (*host.Host, *faultinject.Injector, error) {
 	return h, inj, nil
 }
 
-// faultNet is the clients' network: it routes each request by URL host
-// to the fault transport of the replica it addresses. A host with none —
-// the down replica — gets the default transport, so it still refuses.
-type faultNet map[string]http.RoundTripper
-
-func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	if rt, ok := n[req.URL.Host]; ok {
-		return rt.RoundTrip(req)
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
 // serve binds a handler to an ephemeral localhost port and returns its
 // base URL plus a stopper.
 func serve(h http.Handler) (string, func(), error) {
@@ -124,8 +112,11 @@ func run() error {
 		return err
 	}
 	fmt.Printf("replicas: A=%s (faulty)  B=%s (down)  C=%s (faulty)\n\n", urlA, urlB, urlC)
-	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: faultNet{
+	// The clients' network: A and C behind their fault injectors, and the
+	// down replica B over the default transport, so it still refuses.
+	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: faultinject.Links{
 		strings.TrimPrefix(urlA, "http://"): injA.Transport(nil),
+		strings.TrimPrefix(urlB, "http://"): http.DefaultTransport,
 		strings.TrimPrefix(urlC, "http://"): injC.Transport(nil),
 	}}
 

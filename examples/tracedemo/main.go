@@ -46,17 +46,6 @@ func newQuoteHost() (*host.Host, error) {
 	return h, nil
 }
 
-// faultNet is the client's network: it routes each request by URL host
-// to the fault transport of the replica it addresses.
-type faultNet map[string]http.RoundTripper
-
-func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	if rt, ok := n[req.URL.Host]; ok {
-		return rt.RoundTrip(req)
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
 func serve(h http.Handler) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -83,7 +72,7 @@ func run() error {
 	tracer := telemetry.NewSamplingTracer(256, 1)
 	hosts := make([]*host.Host, 0, 3)
 	urls := make([]string, 0, 3)
-	links := faultNet{}
+	links := faultinject.Links{}
 	for _, plan := range []faultinject.Plan{alwaysFail, alwaysFail, failOnce} {
 		h, err := newQuoteHost()
 		if err != nil {

@@ -70,21 +70,10 @@ func newTargetHost(t *testing.T, seed int64) (*host.Host, *faultinject.Injector)
 	return h, inj
 }
 
-// faultNet is the clients' network: it routes each request by URL host
-// to the fault transport of the replica it addresses. A host with none —
-// a down replica — gets the default transport, so it still refuses.
-type faultNet map[string]http.RoundTripper
-
-func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	if rt, ok := n[req.URL.Host]; ok {
-		return rt.RoundTrip(req)
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// client returns an HTTP client over the network.
-func (n faultNet) client() *http.Client {
-	return &http.Client{Transport: n, Timeout: 30 * time.Second}
+// linkClient returns an HTTP client over the links: the clients' network,
+// each replica's requests routed by URL host to its own link.
+func linkClient(links faultinject.Links) *http.Client {
+	return &http.Client{Transport: links, Timeout: 30 * time.Second}
 }
 
 // TestIntegrationChaosCachedIdempotent puts the response cache under
@@ -128,7 +117,7 @@ func TestIntegrationChaosCachedIdempotent(t *testing.T) {
 	defer srv.Close()
 
 	rc, err := host.NewResilientClient(host.Policy{
-		HTTPClient: faultNet{srv.Listener.Addr().String(): inj.Transport(nil)}.client(),
+		HTTPClient: linkClient(faultinject.Links{srv.Listener.Addr().String(): inj.Transport(nil)}),
 		Timeout:    2 * time.Second,
 		Retry: reliability.RetryPolicy{
 			MaxAttempts: 6,
@@ -184,7 +173,7 @@ func TestIntegrationChaosResilientVsNaive(t *testing.T) {
 	naiveSrv := httptest.NewServer(naiveHost)
 	defer naiveSrv.Close()
 	naive := host.NewClient(naiveSrv.URL)
-	naive.HTTPClient = faultNet{naiveSrv.Listener.Addr().String(): naiveInj.Transport(nil)}.client()
+	naive.HTTPClient = linkClient(faultinject.Links{naiveSrv.Listener.Addr().String(): naiveInj.Transport(nil)})
 	naiveFailures := 0
 	for i := 0; i < calls; i++ {
 		if _, err := naive.Call(ctx, "Target", "Work", core.Values{"x": i}); err != nil {
@@ -221,10 +210,11 @@ func TestIntegrationChaosResilientVsNaive(t *testing.T) {
 	}
 
 	policy := host.Policy{
-		HTTPClient: faultNet{
+		HTTPClient: linkClient(faultinject.Links{
 			srvA.Listener.Addr().String(): injA.Transport(nil),
+			down.Listener.Addr().String(): http.DefaultTransport, // still refuses
 			srvC.Listener.Addr().String(): injC.Transport(nil),
-		}.client(),
+		}),
 		Timeout: 2 * time.Second,
 		Retry: reliability.RetryPolicy{
 			MaxAttempts: 4,

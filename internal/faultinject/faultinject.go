@@ -6,7 +6,7 @@
 // binding: Transport, an http.RoundTripper wrapper that perturbs a
 // client's view of the network from the consumer side. A caller that
 // talks to several providers routes each one's requests to its own
-// injector's transport; the simulator's network does the same.
+// injector's transport through Links; the simulator's network is one.
 //
 // Determinism: the decision for the n-th call of an operation is a pure
 // function of (seed, operation, n), so a fixed seed replays the exact
@@ -440,4 +440,24 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp.ContentLength = int64(len(mangled))
 	resp.Header.Del("Content-Length")
 	return resp, nil
+}
+
+// Links is a client's network of per-host links: it routes each request
+// by URL host (host:port, as in req.URL.Host) to that host's
+// RoundTripper, typically an Injector's Transport. A host that should be
+// reached unperturbed is listed with http.DefaultTransport (or any other
+// transport); a request to a host with no link fails unsent.
+type Links map[string]http.RoundTripper
+
+// RoundTrip sends req over the link to its host.
+func (l Links) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt, ok := l[req.URL.Host]; ok {
+		return rt.RoundTrip(req)
+	}
+	// The request is never sent, so its body is closed here, as an
+	// http.RoundTripper must.
+	if req.Body != nil {
+		_ = req.Body.Close()
+	}
+	return nil, fmt.Errorf("faultinject: no link to host %q", req.URL.Host)
 }

@@ -356,3 +356,62 @@ func injected(l *ledger) uint64 {
 	}
 	return total
 }
+
+// hostRecorder is a link that records the hosts it carried.
+type hostRecorder struct{ hosts []string }
+
+func (r *hostRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	r.hosts = append(r.hosts, req.URL.Host)
+	return okTransport{}.RoundTrip(req)
+}
+
+func TestLinksRouteByHost(t *testing.T) {
+	a, b := &hostRecorder{}, &hostRecorder{}
+	links := Links{"a:1": a, "b:2": b}
+	for _, u := range []string{"http://a:1/x", "http://b:2/y", "http://a:1/z"} {
+		req, err := http.NewRequest(http.MethodGet, u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := links.RoundTrip(req)
+		if err != nil {
+			t.Fatalf("%s: %v", u, err)
+		}
+		resp.Body.Close()
+	}
+	if !reflect.DeepEqual(a.hosts, []string{"a:1", "a:1"}) || !reflect.DeepEqual(b.hosts, []string{"b:2"}) {
+		t.Errorf("link a carried %v, link b %v; want [a:1 a:1] and [b:2]", a.hosts, b.hosts)
+	}
+	// The port is part of the host: a:2 has no link, and a:1's link does
+	// not carry it.
+	req, err := http.NewRequest(http.MethodGet, "http://a:2/x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := links.RoundTrip(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("a request to a host with no link was sent")
+	} else if !strings.Contains(err.Error(), `"a:2"`) {
+		t.Errorf("error %q does not name the host", err)
+	}
+	if len(a.hosts) != 2 {
+		t.Errorf("link a carried a request for another port: %v", a.hosts)
+	}
+}
+
+// TestLinksCloseTheBodyOfAnUnknownHost holds Links to the RoundTripper
+// contract on the path where no link sends the request.
+func TestLinksCloseTheBodyOfAnUnknownHost(t *testing.T) {
+	body := &countingBody{Reader: strings.NewReader("{}")}
+	req, err := http.NewRequest(http.MethodPost, "http://nowhere/services/Svc/invoke/Op", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := (Links{"a:1": okTransport{}}).RoundTrip(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("a request to a host with no link was sent")
+	}
+	if body.closes != 1 {
+		t.Errorf("request body closed %d times, want 1", body.closes)
+	}
+}

@@ -24,33 +24,17 @@ func tracedPolicy(tr *telemetry.Tracer) Policy {
 	return p
 }
 
-// faultNet routes each request by URL host to the fault transport of
-// the server it addresses; a host with none goes out unperturbed.
-type faultNet map[string]http.RoundTripper
-
-func (n faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	if rt, ok := n[req.URL.Host]; ok {
-		return rt.RoundTrip(req)
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
 // faulted puts srv's link on the network behind a fault injector for
 // plan, whose injected faults are recorded into the client tracer ct
 // under the attempt they perturb.
-func (n faultNet) faulted(t *testing.T, srv *httptest.Server, plan faultinject.Plan, ct *telemetry.Tracer) {
+func faulted(t *testing.T, links faultinject.Links, srv *httptest.Server, plan faultinject.Plan, ct *telemetry.Tracer) {
 	t.Helper()
 	inj, err := faultinject.New(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj.Tracer = ct
-	n[srv.Listener.Addr().String()] = inj.Transport(nil)
-}
-
-// client returns an HTTP client over the network.
-func (n faultNet) client() *http.Client {
-	return &http.Client{Transport: n, Timeout: 30 * time.Second}
+	links[srv.Listener.Addr().String()] = inj.Transport(nil)
 }
 
 // alwaysError fails every call to Calc.Add.
@@ -112,12 +96,12 @@ func TestResilientCallUnderFaultsOneTraceTree(t *testing.T) {
 	defer srvC.Close()
 
 	ct := telemetry.NewSamplingTracer(256, 1)
-	links := faultNet{}
-	links.faulted(t, srvA, alwaysError(), ct)
-	links.faulted(t, srvB, alwaysError(), ct)
-	links.faulted(t, srvC, firstCallError(), ct)
+	links := faultinject.Links{}
+	faulted(t, links, srvA, alwaysError(), ct)
+	faulted(t, links, srvB, alwaysError(), ct)
+	faulted(t, links, srvC, firstCallError(), ct)
 	policy := tracedPolicy(ct)
-	policy.HTTPClient = links.client()
+	policy.HTTPClient = &http.Client{Transport: links, Timeout: 30 * time.Second}
 	rc, err := NewResilientClient(policy, srvA.URL, srvB.URL, srvC.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -342,11 +326,11 @@ func TestWorkflowCompositionOneTraceAcrossThreeHosts(t *testing.T) {
 	defer srvC2.Close()
 
 	ct := telemetry.NewSamplingTracer(256, 1)
-	links := faultNet{}
-	links.faulted(t, srvB, firstCallError(), ct)
-	links.faulted(t, srvC1, alwaysError(), ct)
+	links := faultinject.Links{srvC2.Listener.Addr().String(): http.DefaultTransport}
+	faulted(t, links, srvB, firstCallError(), ct)
+	faulted(t, links, srvC1, alwaysError(), ct)
 	policy := tracedPolicy(ct)
-	policy.HTTPClient = links.client()
+	policy.HTTPClient = &http.Client{Transport: links, Timeout: 30 * time.Second}
 	cA := NewClient(srvA.URL)
 	cA.Tracer = ct
 	rcB, err := NewResilientClient(policy, srvB.URL)

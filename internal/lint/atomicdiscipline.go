@@ -30,9 +30,6 @@ var AtomicDiscipline = &Analyzer{
 }
 
 func runAtomicDiscipline(pass *Pass) error {
-	if !InScope(pass.Path, pass.Config.AtomicScope) {
-		return nil
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

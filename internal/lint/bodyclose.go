@@ -52,7 +52,7 @@ func runBodyClose(pass *Pass) error {
 func respCall(pass *Pass, call *ast.CallExpr) bool {
 	fn := flow.CalleeFunc(pass.Info, call)
 	return httpClientCall(fn) ||
-		(pass.Config.CallPlanePath != "" && IsPkgFunc(fn, pass.Config.CallPlanePath, "Do"))
+		IsPkgFunc(fn, callPlanePath, "Do")
 }
 
 // httpClientCall reports whether fn is a net/http client entry point: one

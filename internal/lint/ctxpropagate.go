@@ -20,8 +20,7 @@ import (
 // are identical except that NewRequest injects the caller's trace
 // context into the wire headers, so a raw NewRequestWithContext is
 // exactly a hop where distributed traces silently break. The callplane
-// package itself (Config.CallPlanePath) is exempt, and an empty
-// CallPlanePath turns this half off.
+// package itself is exempt.
 //
 // Closures inherit the surrounding function's context obligation.
 // Deliberately detached work should use context.WithoutCancel(ctx) so
@@ -35,7 +34,7 @@ var CtxPropagate = &Analyzer{
 }
 
 func runCtxPropagate(pass *Pass) error {
-	traced := pass.Config.CallPlanePath != "" && pass.Path != pass.Config.CallPlanePath
+	traced := pass.Path != callPlanePath
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

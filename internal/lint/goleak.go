@@ -7,8 +7,8 @@ import (
 )
 
 // GoLeak demands a provable termination path for every `go` statement in
-// the packages named by Config.GoLeakScope. A goroutine passes if any of
-// these disciplines holds:
+// the packages it runs on. A goroutine passes if any of these disciplines
+// holds:
 //
 //   - WaitGroup pairing: the body (transitively, over synchronous calls)
 //     calls sync.WaitGroup.Done — someone is joining it.
@@ -37,16 +37,10 @@ var GoLeak = &Analyzer{
 }
 
 func runGoLeak(pass *Pass) error {
-	if len(pass.Config.GoLeakScope) == 0 {
-		return nil
-	}
 	g := pass.FlowGraph()
 	for _, site := range g.Spawns() {
 		if !pass.InFiles(site.Pos) {
 			continue // another package's pass owns this site
-		}
-		if !InScope(site.In.Pkg.Path, pass.Config.GoLeakScope) {
-			continue
 		}
 		v := classifySpawn(g, site)
 		if v.reason != "" {

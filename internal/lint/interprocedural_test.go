@@ -193,15 +193,13 @@ func run() int {
 		t.Fatal("mutation did not apply")
 	}
 
-	cfg := func(p string) Config { return Config{GoLeakScope: []string{p}} }
-
 	pkg := writePackage(t, "goleak_clean", map[string]string{"a.go": clean})
-	if fs := runOn(t, "goleak", pkg, cfg(pkg.Path)); len(fs) != 0 {
+	if fs := runOn(t, "goleak", pkg, Config{}); len(fs) != 0 {
 		t.Errorf("clean variant produced findings: %v", fs)
 	}
 
 	pkg = writePackage(t, "goleak_mutated", map[string]string{"a.go": mutated})
-	fs := runOn(t, "goleak", pkg, cfg(pkg.Path))
+	fs := runOn(t, "goleak", pkg, Config{})
 	if len(fs) == 0 {
 		t.Fatal("unwaited goroutine went undetected")
 	}
@@ -230,15 +228,13 @@ func (c *C) inc() { c.n.Add(1) }
 		t.Fatal("mutation did not apply")
 	}
 
-	cfg := func(p string) Config { return Config{AtomicScope: []string{p}} }
-
 	pkg := writePackage(t, "atomic_clean", map[string]string{"a.go": clean})
-	if fs := runOn(t, "atomicdiscipline", pkg, cfg(pkg.Path)); len(fs) != 0 {
+	if fs := runOn(t, "atomicdiscipline", pkg, Config{}); len(fs) != 0 {
 		t.Errorf("clean variant produced findings: %v", fs)
 	}
 
 	pkg = writePackage(t, "atomic_mutated", map[string]string{"a.go": mutated})
-	fs := runOn(t, "atomicdiscipline", pkg, cfg(pkg.Path))
+	fs := runOn(t, "atomicdiscipline", pkg, Config{})
 	if len(fs) != 1 {
 		t.Fatalf("mutated variant: got %d findings, want 1: %v", len(fs), fs)
 	}
@@ -303,7 +299,7 @@ func TestAnalyzerTestsReachTestFiles(t *testing.T) {
 		t.Fatal("fixture's _test.go was not loaded")
 	}
 
-	fs := runOn(t, "goleak", pkg, Config{GoLeakScope: []string{path}})
+	fs := runOn(t, "goleak", pkg, Config{})
 	if len(fs) == 0 {
 		t.Fatal("leak in _test.go went undetected with test analysis on")
 	}

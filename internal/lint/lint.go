@@ -43,11 +43,6 @@ type Config struct {
 	// ErrDiscardScope lists import-path prefixes (service/handler code)
 	// subject to the errdiscard analyzer.
 	ErrDiscardScope []string
-	// CallPlanePath is the import path of the call-plane package — the
-	// one package allowed to call http.NewRequestWithContext directly;
-	// everywhere else the ctxpropagate analyzer requires its NewRequest
-	// helper. Empty disables the check.
-	CallPlanePath string
 	// BindingScope lists import-path prefixes subject to the callplanedo
 	// analyzer: the binding packages, whose service requests must leave
 	// through callplane.Do rather than an http.Client's own methods.
@@ -66,21 +61,18 @@ type Config struct {
 	// lockorder analyzer; a cycle among their locks is a potential
 	// deadlock.
 	LockOrderScope []string
-	// GoLeakScope lists import-path prefixes subject to the goleak
-	// analyzer: every `go` statement there must have a provable
-	// termination path.
-	GoLeakScope []string
 	// RequestPathScope lists import-path prefixes on the request path,
 	// where goleak additionally requires that goroutines spawned inside
 	// loops are joined or pooled (reliability.Bulkhead or equivalent) —
 	// unbounded per-request fan-out is how hosts fall over.
 	RequestPathScope []string
-	// AtomicScope lists import-path prefixes subject to the
-	// atomicdiscipline analyzer: sync/atomic word functions may only
-	// take the address of a local variable; shared words are typed
-	// atomics.
-	AtomicScope []string
 }
+
+// callPlanePath is the import path of the call-plane package: the one
+// package allowed to call http.NewRequestWithContext directly (everywhere
+// else ctxpropagate requires its NewRequest helper), and the home of Do,
+// which bodyclose and locksafe treat as an http.Client call.
+const callPlanePath = "soc/internal/callplane"
 
 // DefaultConfig is the policy soclint applies to this module: for each
 // scoped analyzer, the packages it covers (all internal packages get the
@@ -110,7 +102,6 @@ func DefaultConfig() Config {
 			"soc/internal/xmlstore",
 			"soc/cmd/",
 		},
-		CallPlanePath: "soc/internal/callplane",
 		BindingScope: []string{
 			"soc/internal/cloud",
 			"soc/internal/host",
@@ -146,9 +137,6 @@ func DefaultConfig() Config {
 			"soc/internal/telemetry",
 			"soc/internal/workflow",
 		},
-		GoLeakScope: []string{
-			"soc", "soc/",
-		},
 		RequestPathScope: []string{
 			"soc/internal/host",
 			"soc/internal/registry",
@@ -157,9 +145,6 @@ func DefaultConfig() Config {
 			"soc/internal/soap",
 			"soc/internal/workflow",
 			"soc/internal/eventbus",
-		},
-		AtomicScope: []string{
-			"soc", "soc/",
 		},
 	}
 }

@@ -96,23 +96,23 @@ func TestGoldenFixtures(t *testing.T) {
 		analyzer string
 		config   func(path string) Config
 	}{
-		{"bodyclose", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
+		{"bodyclose", func(string) Config { return Config{} }},
 		{"callplanedo", func(p string) Config { return Config{BindingScope: []string{p}} }},
 		{"clockdiscipline", func(p string) Config { return Config{ClockScope: []string{p}} }},
-		{"ctxpropagate", func(string) Config { return Config{CallPlanePath: "soc/internal/callplane"} }},
+		{"ctxpropagate", func(string) Config { return Config{} }},
 		{"noclientliteral", func(string) Config { return Config{} }},
 		{"unsafeimport", func(string) Config { return Config{} }},
 		{"poolreset", func(string) Config { return Config{} }},
 		{"fsyncdiscipline", func(p string) Config { return Config{DurableScope: []string{p}} }},
 		{"locksafe", func(p string) Config {
-			return Config{LockBlockScope: []string{p}, CallPlanePath: "soc/internal/callplane"}
+			return Config{LockBlockScope: []string{p}}
 		}},
 		{"errdiscard", func(p string) Config { return Config{ErrDiscardScope: []string{p}} }},
 		{"lockorder", func(p string) Config { return Config{LockOrderScope: []string{p}} }},
 		{"goleak", func(p string) Config {
-			return Config{GoLeakScope: []string{p}, RequestPathScope: []string{p}}
+			return Config{RequestPathScope: []string{p}}
 		}},
-		{"atomicdiscipline", func(p string) Config { return Config{AtomicScope: []string{p}} }},
+		{"atomicdiscipline", func(string) Config { return Config{} }},
 		{"unreached", func(string) Config { return Config{} }},
 	}
 	for _, tc := range cases {

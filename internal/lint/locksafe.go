@@ -71,7 +71,7 @@ func blockingCall(pass *Pass, fn *types.Func) string {
 	case IsMethod(fn, "net/http", "Client", fn.Name()) &&
 		(fn.Name() == "Do" || fn.Name() == "Get" || fn.Name() == "Post" || fn.Name() == "PostForm" || fn.Name() == "Head"):
 		return "http.Client." + fn.Name()
-	case pass.Config.CallPlanePath != "" && IsPkgFunc(fn, pass.Config.CallPlanePath, "Do"):
+	case IsPkgFunc(fn, callPlanePath, "Do"):
 		return "callplane.Do"
 	case IsPkgFunc(fn, "net", "Dial"), IsPkgFunc(fn, "net", "DialTimeout"):
 		return "net." + fn.Name()

@@ -264,6 +264,7 @@ type World struct {
 	clientTracer *telemetry.Tracer
 	clientCursor uint64 // how far drain has read clientTracer
 	replicas     []*simReplica
+	links        faultinject.Links // each replica's link, by name
 	clients      []*host.ResilientClient
 	health       *reliability.HealthChecker
 	qosReg       *registry.QoSRegistry
@@ -313,6 +314,7 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 		clock: vtime.NewVirtual(simEpoch),
 		// Every trace sampled: the trace invariants check each call's tree.
 		clientTracer: telemetry.NewSamplingTracer(4096, 1),
+		links:        faultinject.Links{},
 		handlerRuns:  map[string]int{},
 		qosAgg:       map[string]*QoSAgg{},
 		seed:         seed,
@@ -340,7 +342,7 @@ func NewWorld(cfg Config, seed int64) (*World, error) {
 		urls[i] = r.baseURL
 	}
 	//soclint:ignore noclientliteral the simulated network cannot hang in wall time — hangs advance the virtual clock to the attempt deadline, and a wall-clock Timeout here would leak real time into a deterministic run
-	httpClient := &http.Client{Transport: linkNet{w}}
+	httpClient := &http.Client{Transport: w.links}
 	// The production prober over the same fault-injected links the
 	// clients call through; every client's failover reads its view.
 	fall := healthFall
@@ -453,6 +455,7 @@ func (w *World) addReplica(name string) (*simReplica, error) {
 	}
 	inj.Tracer = w.clientTracer
 	r.rt = inj.Transport(deliverer{r})
+	w.links[r.name] = r.rt
 	w.replicas = append(w.replicas, r)
 	return r, nil
 }
@@ -626,18 +629,6 @@ func (d deliverer) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	w.stepDelivered++
 	return cloud.HandlerTransport(d.r.h).RoundTrip(req)
-}
-
-// linkNet routes by URL host to the per-replica fault-injected link.
-type linkNet struct{ w *World }
-
-func (ln linkNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	for _, r := range ln.w.replicas {
-		if r.name == req.URL.Host {
-			return r.rt.RoundTrip(req)
-		}
-	}
-	return nil, fmt.Errorf("simnet: unknown host %q", req.URL.Host)
 }
 
 // Run executes the schedule in a fresh world and returns the full
